@@ -17,17 +17,14 @@ from typing import Optional
 from . import codec
 from .codec import Signer
 from .errors import (
-    AlreadyClosed,
     BadPreimage,
     BadSignature,
     ChannelNotOpen,
     Expired,
     GapSeq,
-    InsufficientBalance,
     Overdraft,
     StaleProof,
     UnknownChannel,
-    ZeroDeposit,
 )
 from .ledger import ChannelClose, ChannelOpen, Ledger, make_transaction
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank
@@ -125,14 +122,8 @@ class ChannelManager:
     # -- lifecycle
 
     def open_channel(self, wallet_id: str, vmno: str, deposit: int, now: int) -> str:
-        if deposit < 1:
-            raise ZeroDeposit(str(deposit))
         wallet = self.bank.wallet(wallet_id)
         issuer = wallet.home_mno
-        if self.bank.spendable(wallet_id, issuer) < deposit:
-            raise InsufficientBalance(
-                f"{wallet_id} has {self.bank.spendable(wallet_id, issuer)} spendable < {deposit}"
-            )
         channel_id = f"ch-{self._seq:07d}"
         self._seq += 1
         preimage = self._rng.randbytes(32)
@@ -145,7 +136,6 @@ class ChannelManager:
         )
         tx_id = self.ledger.submit(tx)
         self.ledger.grant_channel_scope(channel_id, {vmno, issuer})
-        self.bank.lock(wallet_id, channel_id, deposit)
         ch = PaymentChannel(
             channel_id=channel_id,
             roamer_wallet=wallet_id,
@@ -237,8 +227,6 @@ class ChannelManager:
     def close_channel(self, channel_id: str, now: int, *, closer: Optional[str] = None) -> bytes:
         """Settle on-chain: pay the VMNO its due, refund the rest."""
         ch = self.channel(channel_id)
-        if ch.status == CLOSED:
-            raise AlreadyClosed(channel_id)
         latest = self._latest.get(channel_id)
         final_seq = latest.seq if latest else 0
         paid = 0
@@ -256,10 +244,6 @@ class ChannelManager:
             self.signer,
         )
         tx_id = self.ledger.submit(tx)
-        # Release the escrow; the refund simply becomes spendable again.
-        self.bank.release_lock(ch.roamer_wallet, channel_id)
-        if paid:
-            self.bank.transfer(ch.roamer_wallet, self.bank.treasury(ch.vmno), ch.issuer, paid, tx_id)
         ch.status = CLOSED
         ch.close_tx = tx_id
         ch.paid_at_close = paid

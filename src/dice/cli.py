@@ -85,8 +85,8 @@ def ledger_verify(path) -> None:
 
 @main.command()
 @click.option("--report", "report_path", required=True, type=click.Path())
-@click.option("--tps-capacity", type=int, default=20_000, show_default=True)
-@click.option("--concentration-hours", type=float, default=4.0, show_default=True)
+@click.option("--tps-capacity", type=int, default=None, help="Defaults to the report's config value.")
+@click.option("--concentration-hours", type=float, default=None, help="Defaults to the report's config value.")
 @click.option("--traffic-tb-per-day", type=float, default=10.0, show_default=True,
               help="Assumed visited-MNO daily roamer traffic, in terabytes.")
 @click.option("--avg-mno-factor", type=float, default=None,

@@ -31,6 +31,14 @@ class UnknownReader(DiceError):
     pass
 
 
+class ReplayRejected(DiceError):
+    """A sealed transaction that the token rules reject on replay."""
+
+    def __init__(self, height: int, kind: str, cause: Exception):
+        super().__init__(f"{kind} tx rejected: {type(cause).__name__}: {cause}")
+        self.height = height
+
+
 class LedgerParseError(DiceError):
     """Persisted ledger file is not decodable; carries the offending line."""
 

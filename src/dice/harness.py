@@ -17,8 +17,8 @@ from typing import Optional
 import jsonschema
 
 from . import codec, settlement
-from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
-from .ledger import load_blocks_jsonl, verify_blocks
+from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError, ReplayRejected
+from .ledger import ValidityReport, load_blocks_jsonl, verify_blocks
 from .protocol import ACTIVE, CHANNEL_OPEN, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import Mno, TokenBank, tokens_for_bytes
@@ -380,11 +380,12 @@ def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEven
 
 @dataclass
 class RequirementsAssumptions:
-    tps_capacity: int = 20_000
-    concentration_hours: float = 4.0
+    # None takes the value from the report's config.
+    tps_capacity: Optional[int] = None
+    concentration_hours: Optional[float] = None
     visited_mno_daily_bytes: Optional[int] = 10_000_000_000_000  # 10 TB/day
     billing_granularity_bytes: int = 100_000
-    avg_mno_factor: Optional[float] = None  # default: from the report config
+    avg_mno_factor: Optional[float] = None
 
 
 @dataclass
@@ -408,9 +409,14 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
     scale = float(cfg["scale"])
     days = int(cfg["days"])
     num_mnos = int(cfg["num_mnos"])
-    factor = assumptions.avg_mno_factor
-    if factor is None:
-        factor = float(cfg.get("avg_mno_factor", 1.0))
+
+    def knob(name: str):
+        value = getattr(assumptions, name)
+        return value if value is not None else cfg.get(name, getattr(ScenarioConfig, name))
+
+    factor = float(knob("avg_mno_factor"))
+    tps_capacity = int(knob("tps_capacity"))
+    concentration_hours = float(knob("concentration_hours"))
 
     onchain_daily_full = report.onchain_tx_total / days / scale
     daily_onchain = onchain_daily_full * num_mnos * factor
@@ -420,70 +426,40 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
         daily_offchain = report.offchain_proofs_total / days / scale
     daily_offchain_consortium = daily_offchain * num_mnos * factor
 
-    peak = daily_onchain / (assumptions.concentration_hours * 3600.0)
+    peak = daily_onchain / (concentration_hours * 3600.0)
     return RequirementsVerdict(
-        capacity_tps=assumptions.tps_capacity,
+        capacity_tps=tps_capacity,
         projected_peak_tps=peak,
-        headroom_ratio=assumptions.tps_capacity / peak if peak > 0 else float("inf"),
+        headroom_ratio=tps_capacity / peak if peak > 0 else float("inf"),
         daily_onchain_projected=daily_onchain,
         daily_offchain_projected=daily_offchain,
         daily_offchain_consortium=daily_offchain_consortium,
-        passed=peak < assumptions.tps_capacity,
+        passed=peak < tps_capacity,
     )
 
 
 # --- persisted-ledger verification --------------------------------------------------
 
 
-@dataclass
-class LedgerFileReport:
-    valid: bool
-    first_invalid_height: Optional[int] = None
-    reason: str = ""
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.valid else 1
-
-
-def verify_ledger(path) -> LedgerFileReport:
-    """Full integrity pass over a persisted chain: hashes, signatures,
-    links, then a bank replay with supply-closure cross-check."""
+def verify_ledger(path) -> ValidityReport:
+    """Full integrity pass over a persisted chain: hashes, signatures and
+    links, then a replay of every transaction through the token rules
+    (``TokenBank.apply``) with a supply-closure cross-check."""
     if not Path(path).exists():
         raise IoFailure(f"no such file: {path}")
     try:
         blocks = load_blocks_jsonl(path)
     except LedgerParseError as exc:
-        return LedgerFileReport(False, exc.line, f"parse error: {exc}")
+        return ValidityReport(False, exc.line, f"parse error: {exc}")
     verdict = verify_blocks(blocks)
     if not verdict.valid:
-        return LedgerFileReport(False, verdict.first_invalid_height, verdict.reason)
+        return verdict
     if blocks:
-        replayed = _ReplayLedger(blocks)
         mnos = {m: Mno(m) for m in blocks[0].roster}
         try:
-            bank = TokenBank.rebuild_from_ledger(replayed, mnos)
-        except Exception as exc:
-            return LedgerFileReport(False, None, f"replay failed: {exc}")
+            bank = TokenBank.rebuild_from_ledger(blocks, mnos)
+        except ReplayRejected as exc:
+            return ValidityReport(False, exc.height, str(exc))
         if not bank.supply_closure_ok():
-            return LedgerFileReport(False, None, "supply closure violated")
-    return LedgerFileReport(True)
-
-
-class _ReplayLedger:
-    """Read-only view over loaded blocks, sufficient for a bank rebuild."""
-
-    def __init__(self, blocks):
-        self.chain = blocks
-        self.signer_backend = codec.KeyedMacSigner(blocks[0].keys if blocks else {})
-        self._index = {}
-        for block in blocks:
-            for tx in block.txs:
-                self._index[tx.tx_id] = tx
-
-    def all_txs(self):
-        for block in self.chain:
-            yield from block.txs
-
-    def get_tx(self, tx_id):
-        return self._index.get(tx_id)
+            return ValidityReport(False, None, "supply closure violated")
+    return ValidityReport(True)

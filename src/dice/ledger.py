@@ -4,13 +4,20 @@ Consensus is intentionally trivial: a fixed roster seals blocks in turn and
 every hash is recomputable, so two identical submission sequences produce
 byte-identical chains.  Confidentiality is modeled through per-channel read
 scopes enforced at query time.
+
+The ledger itself authenticates transactions (known signer, tx id,
+signature, no duplicate).  The token rules of each payload kind belong to
+the token bank attached with ``attach_bank``: ``submit`` runs every
+transaction through ``TokenBank.apply`` before accepting it, and
+``verify_ledger`` replays a persisted chain through the same function.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import codec
 from .codec import ZERO_DIGEST, Signer
@@ -19,7 +26,6 @@ from .errors import (
     DuplicateTx,
     EmptyPending,
     LedgerParseError,
-    PayloadRejected,
     UnknownReader,
     UnknownSigner,
 )
@@ -132,13 +138,6 @@ TxPayload = Issue | AgreementRegistration | AttachCheck | ChannelOpen | ChannelC
 _PAYLOAD_KINDS = {
     cls.kind: cls
     for cls in (Issue, AgreementRegistration, AttachCheck, ChannelOpen, ChannelClose, Redeem)
-}
-
-# Token amounts are non-negative integers for every payload kind that has one.
-_AMOUNT_FIELDS = {
-    "issue": ("amount",),
-    "channel_open": ("deposit",),
-    "channel_close": ("paid", "refunded"),
 }
 
 
@@ -261,6 +260,10 @@ class ValidityReport:
     first_invalid_height: Optional[int] = None
     reason: str = ""
 
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.valid else 1
+
 
 @dataclass
 class QueryFilter:
@@ -268,17 +271,6 @@ class QueryFilter:
     signer: Optional[str] = None
     wallet: Optional[str] = None
     channel: Optional[str] = None
-
-
-PayloadValidator = Callable[[TxPayload], Optional[str]]
-
-
-def _default_amount_check(payload: TxPayload) -> Optional[str]:
-    for name in _AMOUNT_FIELDS.get(payload.kind, ()):
-        value = getattr(payload, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            return f"{name} must be a non-negative integer, got {value!r}"
-    return None
 
 
 class Ledger:
@@ -298,7 +290,7 @@ class Ledger:
         self.tx_index: dict[bytes, tuple[int, int]] = {}
         self.channel_scopes: dict[str, frozenset[str]] = {}
         self._known_ids: set[bytes] = set()
-        self._validators: dict[str, PayloadValidator] = {}
+        self._bank: Optional[weakref.ref] = None
         self._keys = dict(keys)
         self._seal_genesis(genesis_time)
 
@@ -315,9 +307,10 @@ class Ledger:
 
     # -- write path
 
-    def register_validator(self, kind: str, fn: PayloadValidator) -> None:
-        """Domain modules attach their payload checks here."""
-        self._validators[kind] = fn
+    def attach_bank(self, bank) -> None:
+        """Check every later submit against ``bank.apply``.  Held weakly: the
+        bank refers to this ledger, and a cycle would outlive the engine."""
+        self._bank = weakref.ref(bank)
 
     def submit(self, tx: Transaction) -> bytes:
         if not self.signer_backend.knows(tx.signer):
@@ -327,13 +320,9 @@ class Ledger:
             raise BadSignature(tx.tx_id.hex())
         if tx.tx_id in self._known_ids:
             raise DuplicateTx(tx.tx_id.hex())
-        reason = _default_amount_check(tx.payload)
-        if reason is None:
-            extra = self._validators.get(tx.payload.kind)
-            if extra is not None:
-                reason = extra(tx.payload)
-        if reason is not None:
-            raise PayloadRejected(reason)
+        bank = self._bank and self._bank()
+        if bank is not None:
+            bank.apply(tx)
         self.pending.append(tx)
         self._known_ids.add(tx.tx_id)
         return tx.tx_id
@@ -465,8 +454,6 @@ def verify_blocks(chain: list[Block]) -> ValidityReport:
                     return ValidityReport(False, i, f"tx_id mismatch for {tx.tx_id.hex()[:12]}")
                 if not backend.verify(tx.signer, tx.tx_id, tx.signature):
                     return ValidityReport(False, i, f"bad signature on {tx.tx_id.hex()[:12]}")
-                if _default_amount_check(tx.payload) is not None:
-                    return ValidityReport(False, i, "negative amount in sealed payload")
                 if tx.tx_id in seen:
                     return ValidityReport(False, i, "duplicate tx_id")
                 seen.add(tx.tx_id)

@@ -23,7 +23,7 @@ from .errors import (
     WrongMode,
     WrongState,
 )
-from .ledger import AgreementRegistration, AttachCheck, Issue, Ledger, make_transaction
+from .ledger import AgreementRegistration, AttachCheck, Ledger, make_transaction
 from .tokenbank import Mno, TokenBank
 
 LBO, HR = "lbo", "hr"
@@ -184,15 +184,11 @@ class DiceEngine:
             failure = NoAgreement(f"{session.hmno}->{session.vmno}")
         else:
             lots = self.bank.lots_of(session.active_wallet, issuer=session.hmno)
+            unverified = [l.lot_id for l in lots if self.bank.provenance_fault(l.lot_id, session.hmno)]
             if sum(l.amount for l in lots) <= 0:
                 failure = NoTokens(session.active_wallet)
-            else:
-                for lot in lots:
-                    root = lot.lineage[0]
-                    root_tx = self.ledger.get_tx(root.tx_id)
-                    if root_tx is None or not isinstance(root_tx.payload, Issue):
-                        failure = UnverifiableIssuance(lot.lot_id)
-                        break
+            elif unverified:
+                failure = UnverifiableIssuance(unverified[0])
         accepted = failure is None
         tx = make_transaction(
             now, session.vmno,

@@ -2,9 +2,9 @@
 
 A VMNO may only convert tokens to money if every claimed lot was issued by
 the counterparty to one of its own customers and reached the VMNO through a
-payment-channel close.  Anything else (direct transfers, relays, forged
-lineages, self-issued tokens) is rejected, which is the anti-laundering
-core of the scheme.
+payment-channel close (``TokenBank.provenance_fault``).  Anything else
+(direct transfers, relays, forged lineages, self-issued tokens) is
+rejected, which is the anti-laundering core of the scheme.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import csv
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import AlreadyBurned, ProvenanceRejected
-from .ledger import ChannelClose, ChannelOpen, Issue, Ledger, Redeem, make_transaction
+from .ledger import Ledger, Redeem, make_transaction
 from .tokenbank import TokenBank, treasury_wallet_id
 
 # --- charging models --------------------------------------------------------
@@ -66,7 +65,7 @@ def model_from_dict(spec: dict) -> ChargingModel:
     raise ValueError(f"unknown charging model {kind!r}")
 
 
-def price(model: ChargingModel, tokens: int, period_usage=None) -> float:
+def price(model: ChargingModel, tokens: int) -> float:
     """Currency due for a token count under the given model; pure."""
     if tokens < 0:
         raise ValueError("tokens must be non-negative")
@@ -112,56 +111,30 @@ class ProvenanceVerdict:
 
 def validate_provenance(bank: TokenBank, ledger: Ledger, claim: RedemptionClaim) -> ProvenanceVerdict:
     """ACCEPT iff every lot was issued by claim.hmno to an hmno customer and
-    reached the VMNO wallet through a close of one of the VMNO's channels."""
-    channel_vmno: dict[str, str] = {}
-    for tx in ledger.all_txs():
-        if isinstance(tx.payload, ChannelOpen):
-            channel_vmno[tx.payload.channel] = tx.payload.vmno
-    treasury = treasury_wallet_id(claim.vmno)
+    reached the VMNO wallet through a close of one of the VMNO's channels.
+
+    ``ledger`` is not read: the bank records every payload the check needs.
+    """
     for lot_id in claim.lot_ids:
-        lot = bank.lot(lot_id)
-
-        root = lot.lineage[0]
-        root_tx = ledger.get_tx(root.tx_id)
-        if root_tx is None or not isinstance(root_tx.payload, Issue) \
-                or root_tx.payload.wallet != root.holder:
-            return ProvenanceVerdict(False, lot_id, "missing-issuance")
-        if root_tx.payload.issuer != claim.hmno:
-            return ProvenanceVerdict(False, lot_id, "wrong-issuer")
-        first_wallet = bank.wallets.get(root.holder)
-        if first_wallet is None or first_wallet.home_mno != claim.hmno:
-            return ProvenanceVerdict(False, lot_id, "not-customer-wallet")
-
-        if lot.holder != treasury:
-            return ProvenanceVerdict(False, lot_id, "not-held-by-claimant")
-        acquisition = lot.lineage[-1]
-        cause = ledger.get_tx(acquisition.tx_id)
-        if cause is None or not isinstance(cause.payload, ChannelClose):
-            return ProvenanceVerdict(False, lot_id, "not-service-payment")
-        if channel_vmno.get(cause.payload.channel) != claim.vmno:
-            return ProvenanceVerdict(False, lot_id, "not-service-payment")
+        reason = bank.provenance_fault(lot_id, claim.hmno, claim.vmno)
+        if reason is not None:
+            return ProvenanceVerdict(False, lot_id, reason)
     return ProvenanceVerdict(True)
 
 
 def redeem(engine, claim: RedemptionClaim, now: int) -> bytes:
-    """Burn the claimed lots, record the redemption on-chain and move fiat.
+    """Record the redemption on-chain, which burns the claimed lots after
+    the bank's burn and provenance rules pass, and move fiat.
 
     ``engine`` is the protocol engine; it owns the bank, the ledger and the
     per-MNO fiat accounts.
     """
-    for lot_id in claim.lot_ids:
-        if engine.bank.lot(lot_id).burned:
-            raise AlreadyBurned(lot_id)
-    verdict = validate_provenance(engine.bank, engine.ledger, claim)
-    if not verdict.accepted:
-        raise ProvenanceRejected(f"{verdict.offending_lot}: {verdict.reason}")
     tx = make_transaction(
         now, claim.vmno,
         Redeem(claim.vmno, claim.hmno, tuple(claim.lot_ids), claim.fiat_due),
         engine.signer,
     )
     tx_id = engine.ledger.submit(tx)
-    engine.bank.burn(claim.lot_ids, tx_id)
     engine.fiat[claim.vmno] = engine.fiat.get(claim.vmno, 0.0) + claim.fiat_due
     engine.fiat[claim.hmno] = engine.fiat.get(claim.hmno, 0.0) - claim.fiat_due
     return tx_id

@@ -1,7 +1,10 @@
 """Issuance, custody and provenance tracking of per-MNO tokens.
 
-Every lot carries its full lineage from the on-chain issuance event, so the
-bank state is reconstructible by replaying the ledger (``rebuild_from_ledger``).
+``TokenBank.apply`` states every token rule of the on-chain transactions
+once: the ledger runs each submitted transaction through it, and
+``rebuild_from_ledger`` replays a chain through it, so a chain verifies
+only if the live engine could have produced it.  Every lot carries its
+lineage from the issuance event, which is what provenance checks read.
 One token pays for one 100KB traffic block under the default charging model.
 """
 
@@ -12,14 +15,21 @@ from typing import NamedTuple, Optional
 
 from .codec import Signer
 from .errors import (
+    AlreadyBurned,
+    AlreadyClosed,
     ForeignWallet,
     InsufficientBalance,
     NonPositiveAmount,
     NotIssuer,
+    PayloadRejected,
+    ProvenanceRejected,
+    ReplayRejected,
+    UnknownChannel,
     UnknownLot,
     UnknownWallet,
+    ZeroDeposit,
 )
-from .ledger import ChannelClose, ChannelOpen, Issue, Ledger, Redeem, make_transaction
+from .ledger import Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem, Transaction, make_transaction
 
 ALL_ISSUERS = "*"
 
@@ -68,6 +78,11 @@ def treasury_wallet_id(mno: str) -> str:
     return f"mno:{mno}"
 
 
+def _is_count(value) -> bool:
+    """A token count is a non-negative int (bool excluded)."""
+    return type(value) is int and value >= 0
+
+
 class TokenBank:
     """Single-writer custody of wallets and lots, mirrored on-chain.
 
@@ -75,7 +90,8 @@ class TokenBank:
     linkage the ledger records is the issuer identity.
     """
 
-    def __init__(self, ledger: Ledger, signer: Signer, mnos: dict[str, Mno]):
+    def __init__(self, ledger: Optional[Ledger], signer: Optional[Signer], mnos: dict[str, Mno]):
+        # ``ledger`` (if any) checks every submit against ``apply``.
         self.ledger = ledger
         self.signer = signer
         self.mnos = dict(mnos)
@@ -85,8 +101,14 @@ class TokenBank:
         self.burned_by: dict[str, int] = {}
         # Channel escrow: wallet -> channel -> locked token count (home issuer).
         self.locks: dict[str, dict[str, int]] = {}
+        # What provenance reads: each channel's open, and the Issue or
+        # ChannelClose payload of each tx id a lineage entry can cite.
+        self.channel_opens: dict[str, ChannelOpen] = {}
+        self.lineage_payloads: dict[bytes, Issue | ChannelClose] = {}
         self._lot_seq = 0
         self._wallet_seq = 0
+        if ledger is not None:
+            ledger.attach_bank(self)
 
     # -- wallet management
 
@@ -116,24 +138,9 @@ class TokenBank:
     # -- operations
 
     def issue(self, hmno: str, wallet_id: str, amount: int, now: int) -> bytes:
-        mno = self.mnos.get(hmno)
-        if mno is None or not mno.may_issue:
-            raise NotIssuer(hmno)
-        w = self.wallet(wallet_id)
-        if w.home_mno != hmno:
-            raise ForeignWallet(f"{wallet_id} belongs to {w.home_mno}, not {hmno}")
-        if amount <= 0:
-            raise NonPositiveAmount(str(amount))
-        tx = make_transaction(now, hmno, Issue(hmno, wallet_id, amount), self.signer)
-        tx_id = self.ledger.submit(tx)
-        self._apply_issue(hmno, wallet_id, amount, tx_id)
-        return tx_id
-
-    def _apply_issue(self, hmno: str, wallet_id: str, amount: int, tx_id: bytes) -> None:
-        lot = TokenLot(self._next_lot_id(), hmno, amount, [LineageEntry(wallet_id, tx_id)])
-        self.lots[lot.lot_id] = lot
-        self.wallets[wallet_id].lot_ids.append(lot.lot_id)
-        self.issued_by[hmno] = self.issued_by.get(hmno, 0) + amount
+        if not self.signer.knows(hmno):
+            raise NotIssuer(hmno)  # it cannot even sign the Issue
+        return self.ledger.submit(make_transaction(now, hmno, Issue(hmno, wallet_id, amount), self.signer))
 
     def create_identities(self, hmno: str, roamer: str, n: int, amounts: list[int], now: int) -> list[str]:
         """Fund n unlinkable wallets for one roamer (privacy via identities)."""
@@ -155,10 +162,9 @@ class TokenBank:
         dst = self.wallet(to)
         if amount <= 0:
             raise NonPositiveAmount(str(amount))
-        if self.spendable(frm, issuer) < amount:
-            raise InsufficientBalance(
-                f"{frm} has {self.spendable(frm, issuer)} spendable < {amount} of {issuer}"
-            )
+        spendable = self.spendable(frm, issuer)
+        if spendable < amount:
+            raise InsufficientBalance(f"{frm} has {spendable} spendable < {amount} of {issuer}")
         moved: list[str] = []
         remaining = amount
         for lot in self._select_lots(src, issuer):
@@ -205,21 +211,16 @@ class TokenBank:
 
     def lock(self, wallet_id: str, channel: str, amount: int) -> None:
         """Escrow home-issuer tokens for a payment channel."""
-        w = self.wallet(wallet_id)
-        if self.spendable(wallet_id, w.home_mno) < amount:
-            raise InsufficientBalance(
-                f"{wallet_id} has {self.spendable(wallet_id, w.home_mno)} spendable < {amount}"
-            )
+        spendable = self.spendable(wallet_id, self.wallet(wallet_id).home_mno)
+        if spendable < amount:
+            raise InsufficientBalance(f"{wallet_id} has {spendable} spendable < {amount}")
         self.locks.setdefault(wallet_id, {})[channel] = amount
 
     def release_lock(self, wallet_id: str, channel: str) -> int:
         return self.locks.get(wallet_id, {}).pop(channel, 0)
 
     def trace(self, lot_id: str) -> list[LineageEntry]:
-        lot = self.lots.get(lot_id)
-        if lot is None:
-            raise UnknownLot(lot_id)
-        return list(lot.lineage)
+        return list(self.lot(lot_id).lineage)
 
     def lot(self, lot_id: str) -> TokenLot:
         lot = self.lots.get(lot_id)
@@ -243,6 +244,89 @@ class TokenBank:
             lot.burned = True
             lot.burn_tx = cause_tx
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
+
+    # -- the token rules
+
+    def apply(self, tx: Transaction) -> None:
+        """Check an authenticated transaction against the token rules of its
+        payload kind, then apply it; raise, leaving the bank unchanged, if a
+        rule fails.  Kinds without a token effect pass unchecked."""
+        p = tx.payload
+        if isinstance(p, Issue):
+            mno = self.mnos.get(p.issuer)
+            if tx.signer != p.issuer or mno is None or not mno.may_issue:
+                raise NotIssuer(f"{p.issuer}, signed by {tx.signer}")
+            w = self.wallets.get(p.wallet)
+            if w is not None and w.home_mno != p.issuer:
+                raise ForeignWallet(f"{p.wallet} belongs to {w.home_mno}, not {p.issuer}")
+            if not _is_count(p.amount) or p.amount == 0:
+                raise NonPositiveAmount(repr(p.amount))
+            self.create_wallet(None, p.issuer, p.wallet)
+            lot = TokenLot(self._next_lot_id(), p.issuer, p.amount, [LineageEntry(p.wallet, tx.tx_id)])
+            self.lots[lot.lot_id] = lot
+            self.wallets[p.wallet].lot_ids.append(lot.lot_id)
+            self.issued_by[p.issuer] = self.issued_by.get(p.issuer, 0) + p.amount
+            self.lineage_payloads[tx.tx_id] = p
+        elif isinstance(p, ChannelOpen):
+            if not _is_count(p.deposit) or p.deposit == 0:
+                raise ZeroDeposit(repr(p.deposit))
+            if p.channel in self.channel_opens:
+                raise PayloadRejected(f"channel {p.channel} was already opened")
+            self.lock(p.wallet, p.channel, p.deposit)  # needs spendable >= deposit
+            self.channel_opens[p.channel] = p
+        elif isinstance(p, ChannelClose):
+            opened = self.channel_opens.get(p.channel)
+            if opened is None:
+                raise UnknownChannel(p.channel)
+            # A channel is open while its deposit is locked.
+            if p.channel not in self.locks.get(opened.wallet, {}):
+                raise AlreadyClosed(p.channel)
+            if not (_is_count(p.paid) and _is_count(p.refunded) and _is_count(p.final_seq)) \
+                    or p.paid + p.refunded != opened.deposit:
+                raise PayloadRejected(f"close of {p.channel}: paid {p.paid!r} + refunded "
+                                      f"{p.refunded!r} must split the deposit {opened.deposit}")
+            if p.paid and p.final_seq == 0:
+                raise PayloadRejected(f"close of {p.channel} pays {p.paid} without a balance proof")
+            self.release_lock(opened.wallet, p.channel)
+            if p.paid:
+                issuer = self.wallets[opened.wallet].home_mno
+                self.transfer(opened.wallet, self.treasury(opened.vmno), issuer, p.paid, tx.tx_id)
+            self.lineage_payloads[tx.tx_id] = p
+        elif isinstance(p, Redeem):
+            if tx.signer != p.vmno:
+                raise PayloadRejected(f"redeem for {p.vmno} signed by {tx.signer}")
+            if len(set(p.lots)) != len(p.lots):
+                raise PayloadRejected("redeem names a lot twice")
+            for lot_id in p.lots:
+                if self.lot(lot_id).burned:
+                    raise AlreadyBurned(lot_id)
+                reason = self.provenance_fault(lot_id, p.hmno, p.vmno)
+                if reason is not None:
+                    raise ProvenanceRejected(f"{lot_id}: {reason}")
+            if sum(self.lot(l).amount for l in p.lots) > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
+                raise InsufficientBalance(f"redeem would burn tokens {p.vmno} holds in channel escrow")
+            self.burn(list(p.lots), tx.tx_id)
+
+    def provenance_fault(self, lot_id: str, hmno: str, vmno: Optional[str] = None) -> Optional[str]:
+        """Why a lot fails provenance, or None.  It must descend from an issue
+        by ``hmno`` into the wallet its lineage starts at (an hmno wallet, as
+        ``apply`` checks); with ``vmno`` given, it must also be held by the VMNO
+        treasury, having reached it through the close of a VMNO channel."""
+        lot = self.lot(lot_id)
+        root = lot.lineage[0]
+        issued = self.lineage_payloads.get(root.tx_id)
+        if not isinstance(issued, Issue) or issued.wallet != root.holder:
+            return "missing-issuance"
+        if issued.issuer != hmno:
+            return "wrong-issuer"
+        if vmno is None:
+            return None
+        if lot.holder != treasury_wallet_id(vmno):
+            return "not-held-by-claimant"
+        paid = self.lineage_payloads.get(lot.lineage[-1].tx_id)
+        if not isinstance(paid, ChannelClose) or self.channel_opens[paid.channel].vmno != vmno:
+            return "not-service-payment"
+        return None
 
     # -- audit surfaces
 
@@ -291,24 +375,15 @@ class TokenBank:
         }
 
     @classmethod
-    def rebuild_from_ledger(cls, ledger: Ledger, mnos: dict[str, Mno]) -> "TokenBank":
-        """Reconstruct bank state by replaying sealed transactions in order."""
-        bank = cls(ledger, ledger.signer_backend, mnos)
-        open_channels: dict[str, ChannelOpen] = {}
-        for tx in ledger.all_txs():
-            p = tx.payload
-            if isinstance(p, Issue):
-                bank.create_wallet(None, p.issuer, p.wallet)
-                bank._apply_issue(p.issuer, p.wallet, p.amount, tx.tx_id)
-            elif isinstance(p, ChannelOpen):
-                open_channels[p.channel] = p
-                bank.lock(p.wallet, p.channel, p.deposit)
-            elif isinstance(p, ChannelClose):
-                opened = open_channels[p.channel]
-                issuer = bank.wallet(opened.wallet).home_mno
-                bank.release_lock(opened.wallet, p.channel)
-                if p.paid:
-                    bank.transfer(opened.wallet, bank.treasury(opened.vmno), issuer, p.paid, tx.tx_id)
-            elif isinstance(p, Redeem):
-                bank.burn(list(p.lots), tx.tx_id)
+    def rebuild_from_ledger(cls, ledger: Ledger | list[Block], mnos: dict[str, Mno]) -> "TokenBank":
+        """Reconstruct bank state by replaying the sealed transactions of a
+        ledger, or of its loaded blocks, through ``apply``; raises
+        ReplayRejected at the first one a rule rejects."""
+        bank = cls(None, None, mnos)
+        for block in ledger.chain if isinstance(ledger, Ledger) else ledger:
+            for tx in block.txs:
+                try:
+                    bank.apply(tx)
+                except Exception as exc:  # a loaded chain can hold anything
+                    raise ReplayRejected(block.height, tx.payload.kind, exc) from exc
         return bank

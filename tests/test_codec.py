@@ -1,6 +1,7 @@
 """Canonical encoding, merkle and signature primitives."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given
@@ -32,12 +33,31 @@ def test_encoding_rejects_non_string_dict_keys():
         codec.encode({1: "x"})
 
 
+def tagged(value):
+    """``value`` with every scalar paired with its type, and floats compared
+    by their packed bytes: equal exactly when the codec must encode equally.
+
+    Plain ``==`` is not that: ``False == 0``, ``1 == 1.0`` and
+    ``0.0 == -0.0``, yet the codec rightly tells each pair apart.
+    """
+    if isinstance(value, float):
+        return ("float", struct.pack(">d", value))
+    if isinstance(value, list):
+        return ("list", tuple(tagged(v) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((k, tagged(value[k])) for k in sorted(value)))
+    return (type(value).__name__, value)
+
+
+def test_tagged_form_separates_what_equality_conflates():
+    for a, b in [(False, 0), (True, 1), (1, 1.0), (0.0, -0.0), ([0], [False])]:
+        assert a == b and tagged(a) != tagged(b)
+        assert codec.encode(a) != codec.encode(b)
+
+
 @given(plain_values, plain_values)
 def test_distinct_values_encode_distinctly(a, b):
-    if a == b:
-        assert codec.encode(a) == codec.encode(b)
-    else:
-        assert codec.encode(a) != codec.encode(b)
+    assert (codec.encode(a) == codec.encode(b)) == (tagged(a) == tagged(b))
 
 
 def _merkle_reference(leaves):

@@ -143,8 +143,8 @@ def test_extrapolation_consistency(tmp_path):
 
 
 def fake_report(onchain=4800, offchain=20_000, days=28, scale=0.001, num_mnos=800,
-                factor=0.02):
-    cfg = ScenarioConfig(days=days, scale=scale, num_mnos=num_mnos, avg_mno_factor=factor)
+                factor=0.02, **config):
+    cfg = ScenarioConfig(days=days, scale=scale, num_mnos=num_mnos, avg_mno_factor=factor, **config)
     return MetricsReport(
         config=cfg.to_dict(),
         onchain_tx_total=onchain,
@@ -302,6 +302,20 @@ def test_cli_requirements(tmp_path, runner):
         "requirements", "--report", str(out / "report.json"), "--concentration-hours", "0.001",
     ])
     assert result.exit_code == 1
+
+
+def test_cli_requirements_reads_knobs_from_the_report_config(tmp_path, runner):
+    path = tmp_path / "report.json"
+    path.write_text(fake_report(concentration_hours=0.01).to_json())
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path)])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["projected_peak_tps"] > 20_000
+    path.write_text(fake_report(tps_capacity=10).to_json())
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path)])
+    assert result.exit_code == 1 and json.loads(result.output)["capacity_tps"] == 10
+    # A flag still overrides the config.
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path), "--tps-capacity", "20000"])
+    assert result.exit_code == 0, result.output
 
 
 def test_cli_calibrate(tmp_path, runner):

@@ -10,7 +10,6 @@ from dice.errors import (
     DuplicateTx,
     EmptyPending,
     LedgerParseError,
-    PayloadRejected,
     UnknownReader,
     UnknownSigner,
 )
@@ -57,12 +56,6 @@ def test_resubmission_is_rejected(ledger):
         ledger.submit(tx)
 
 
-def test_negative_amount_rejected_by_payload_validator(ledger):
-    tx = make_transaction(1, "A", Issue("A", "w1", -5), ledger.signer_backend)
-    with pytest.raises(PayloadRejected):
-        ledger.submit(tx)
-
-
 def test_unknown_signer_rejected(ledger):
     backend = codec.KeyedMacSigner({"mallory": b"k"})
     tx = make_transaction(1, "mallory", Issue("A", "w1", 5), backend)
@@ -82,15 +75,6 @@ def test_tampered_tx_id_rejected(ledger):
     forged = dataclasses.replace(tx, tx_id=codec.sha256(b"other"))
     with pytest.raises(BadSignature):
         ledger.submit(forged)
-
-
-def test_custom_payload_validator_runs(ledger):
-    ledger.register_validator("attach", lambda p: "refused" if not p.accepted else None)
-    bad = make_transaction(1, "A", AttachCheck("w", "B", "A", False), ledger.signer_backend)
-    with pytest.raises(PayloadRejected):
-        ledger.submit(bad)
-    good = make_transaction(2, "A", AttachCheck("w", "B", "A", True), ledger.signer_backend)
-    ledger.submit(good)
 
 
 def test_genesis_convention(ledger):

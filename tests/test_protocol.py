@@ -1,5 +1,8 @@
 """Protocol state machine: attach, provisioning, sessions, detach, sweeps."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from dice.errors import (
     WrongMode,
     WrongState,
 )
+from dice.harness import ScenarioConfig, run_scenario
 from dice.ledger import QueryFilter
 from dice.protocol import (
     ACTIVE,
@@ -326,10 +330,47 @@ def test_hr_and_lbo_settle_identically():
     assert not any(e["event"] == "provisioned" for e in s_h.events)
 
 
-def test_rebuilt_bank_matches_live_bank():
+REPLAY_SCENARIOS = {
+    "lbo": dict(mode=LBO),
+    "hr": dict(mode=HR, charging={"model": "parity"}),
+    # A 3-token deposit against about 1MB of daily traffic runs out on
+    # most channels that carry traffic.
+    "deposits_run_out": dict(expected_visit_bytes=300_000),
+}
+
+
+def test_rebuilt_bank_matches_live_bank(tmp_path):
     eng, session, _ = run_mode(LBO)
     rebuilt = TokenBank.rebuild_from_ledger(eng.ledger, eng.mnos)
     assert rebuilt.snapshot() == eng.bank.snapshot()
+
+    for name, overrides in REPLAY_SCENARIOS.items():
+        seen = []
+
+        def replay_equals_live(live):
+            seen.append(live)
+            assert TokenBank.rebuild_from_ledger(live.ledger, live.mnos).snapshot() == live.bank.snapshot()
+
+        config = ScenarioConfig(seed=3, days=3, roamers_per_vmno_day=30_000, **overrides)
+        run_scenario(config, tmp_path / name, on_seal=replay_equals_live)
+        live = seen[-1]
+        assert len(seen) > 2 and live.bank.burned_by, name
+        if name == "deposits_run_out":
+            metered = [ch.meter for ch in live.channels.channels.values() if ch.meter.bytes_total]
+            assert sum(m.exhausted for m in metered) > len(metered) / 2
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    """The engine holds no reference cycle (the ledger refers to its bank
+    weakly), so it is freed as soon as the last reference goes."""
+    eng, _session, _ch = run_mode(LBO)
+    ledger = weakref.ref(eng.ledger)
+    gc.disable()
+    try:
+        del eng
+        assert ledger() is None
+    finally:
+        gc.enable()
 
 
 def test_settled_lot_lineage_reads_back():

@@ -3,7 +3,7 @@
 import pytest
 
 from dice import codec
-from dice.errors import AlreadyBurned, ProvenanceRejected
+from dice.errors import AlreadyBurned, InsufficientBalance, ProvenanceRejected
 from dice.protocol import LBO, AgreementTerms, DiceEngine
 from dice.settlement import (
     Fixed,
@@ -106,6 +106,29 @@ def test_double_redeem_is_rejected():
     redeem(eng, claim, 100)
     with pytest.raises(AlreadyBurned):
         redeem(eng, claim, 200)
+
+
+def test_redeem_cannot_burn_tokens_in_channel_escrow():
+    """A treasury that escrowed its earned tokens in a channel of its own
+    cannot redeem them too, so the channel still closes cleanly."""
+    eng = DiceEngine([Mno("V")], ["alice"], seed=38)
+    eng.register_agreement("V", "V", AgreementTerms(frozenset({"V"}), dict(TERMS.charging)), 0)
+    wallet = eng.bank.create_identities("V", "alice", 1, [25], 5)[0]
+    session = eng.new_session("alice", wallet, "V", "V", LBO, 5)
+    eng.attach_check(session, 5)
+    eng.provision_profile(session)
+    eng.run_session(session, [(10, 2_500_000)], 25)
+    eng.detach(session, 50)
+    treasury = eng.bank.treasury("V")
+    channel = eng.channels.open_channel(treasury, "V", 25, 60)
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "V", (0, 100))
+    assert validate_provenance(eng.bank, eng.ledger, claim).accepted
+    state = eng.bank.snapshot()
+    with pytest.raises(InsufficientBalance):
+        redeem(eng, claim, 80)
+    assert eng.bank.snapshot() == state
+    eng.channels.close_channel(channel, 90)
+    assert eng.bank.supply_closure_ok() and eng.bank.locked_amount(treasury) == 0
 
 
 # --- adversarial acquisition paths ----------------------------------------------------

@@ -10,10 +10,11 @@ from dice.errors import (
     InsufficientBalance,
     NonPositiveAmount,
     NotIssuer,
+    PayloadRejected,
     UnknownLot,
     UnknownWallet,
 )
-from dice.ledger import Ledger, QueryFilter
+from dice.ledger import ChannelClose, ChannelOpen, Issue, Ledger, QueryFilter, make_transaction
 from dice.tokenbank import Mno, TokenBank, tokens_for_bytes
 
 MNOS = {m: Mno(m) for m in ("H", "V", "X")}
@@ -64,6 +65,26 @@ def test_issue_non_positive(bank):
     for amount in (0, -5):
         with pytest.raises(NonPositiveAmount):
             bank.issue("H", w, amount, now=1)
+
+
+def test_negative_amounts_rejected_by_apply(bank):
+    """Token amounts are non-negative ints for every payload kind; a
+    rejected transaction leaves the bank and the pending list as they were."""
+    w = bank.create_wallet("alice", "H")
+    bank.issue("H", w, 25, now=1)
+    sign = bank.ledger.signer_backend
+    bank.ledger.submit(make_transaction(
+        2, "H", ChannelOpen("ch-1", w, "V", 10, codec.sha256(b"p"), 999), sign))
+    before = (bank.snapshot(), list(bank.ledger.pending))
+    with pytest.raises(NonPositiveAmount):
+        bank.apply(make_transaction(3, "H", Issue("H", w, -5), sign))
+    with pytest.raises(PayloadRejected):
+        bank.apply(make_transaction(3, "H", ChannelClose("ch-1", -1, 11, 1), sign))
+    with pytest.raises(PayloadRejected):
+        bank.apply(make_transaction(3, "H", ChannelClose("ch-1", 5.0, 5, 1), sign))
+    with pytest.raises(NonPositiveAmount):
+        bank.ledger.submit(make_transaction(4, "H", Issue("H", w, True), sign))
+    assert (bank.snapshot(), list(bank.ledger.pending)) == before
 
 
 def test_create_identities_funds_unlinked_wallets(bank):
