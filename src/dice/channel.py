@@ -113,11 +113,15 @@ class ChannelManager:
         self.inactivity_window = inactivity_window
         self.round_up_final_block = round_up_final_block
         self.channels: dict[str, PaymentChannel] = {}
+        self._open: dict[str, PaymentChannel] = {}   # open channels, in opening order
         self.accepted_proofs: list[BalanceProof] = []
         self._latest: dict[str, BalanceProof] = {}   # VMNO-side store
         self._preimages: dict[str, bytes] = {}       # roamer-side secrets
         self._rng = random.Random(preimage_seed)
+        # The id and preimage of the next open; both move on only when an
+        # open is accepted, so a rejected open shifts no later channel.
         self._seq = 0
+        self._next_preimage = self._rng.randbytes(32)
 
     # -- lifecycle
 
@@ -125,8 +129,7 @@ class ChannelManager:
         wallet = self.bank.wallet(wallet_id)
         issuer = wallet.home_mno
         channel_id = f"ch-{self._seq:07d}"
-        self._seq += 1
-        preimage = self._rng.randbytes(32)
+        preimage = self._next_preimage
         hashlock = codec.sha256(preimage)
         expiry = now + self.timelock_window
         tx = make_transaction(
@@ -135,6 +138,8 @@ class ChannelManager:
             self.signer,
         )
         tx_id = self.ledger.submit(tx)
+        self._seq += 1
+        self._next_preimage = self._rng.randbytes(32)
         self.ledger.grant_channel_scope(channel_id, {vmno, issuer})
         ch = PaymentChannel(
             channel_id=channel_id,
@@ -148,7 +153,7 @@ class ChannelManager:
             last_activity=now,
             open_tx=tx_id,
         )
-        self.channels[channel_id] = ch
+        self.channels[channel_id] = self._open[channel_id] = ch
         self._preimages[channel_id] = preimage
         return channel_id
 
@@ -244,6 +249,7 @@ class ChannelManager:
             self.signer,
         )
         tx_id = self.ledger.submit(tx)
+        del self._open[channel_id]
         ch.status = CLOSED
         ch.close_tx = tx_id
         ch.paid_at_close = paid
@@ -254,15 +260,12 @@ class ChannelManager:
         """Close idle channels with the latest stored proof; refund expired
         channels whose preimage was never revealed."""
         closed = []
-        for channel_id in list(self.channels):
-            ch = self.channels[channel_id]
-            if ch.status != OPEN:
-                continue
+        for ch in list(self._open.values()):
             expired_unclaimed = now >= ch.timelock_expiry and not ch.preimage_revealed
             idle = now - ch.last_activity >= self.inactivity_window
             if expired_unclaimed or idle:
-                self.close_channel(channel_id, now, closer=ch.vmno)
-                closed.append(channel_id)
+                self.close_channel(ch.channel_id, now, closer=ch.vmno)
+                closed.append(ch.channel_id)
         return closed
 
     # -- debug / audit surfaces

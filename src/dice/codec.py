@@ -4,6 +4,14 @@ Every value that is hashed or signed anywhere in the simulator goes through
 ``encode`` so that identical inputs produce byte-identical digests across
 runs and platforms.  The encoding is length-prefixed and type-tagged;
 dict keys are emitted in sorted order.
+
+The encoder dispatches on the exact type of a value, testing str, int,
+list/tuple and dict first: the shapes the simulator hashes.  A value whose
+type is a subclass of a supported type follows the same rules: its rule is
+the first that ``isinstance`` picks in the order None, True, False, int,
+float, str, bytes/bytearray, list/tuple, dict.  So an ``IntEnum`` member
+encodes as an int and a ``dict`` subclass as a dict.  Any other value
+raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from typing import Protocol
+from typing import Optional, Protocol
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -19,9 +27,73 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
+# Length-prefix headers (tag plus big-endian u32) for lengths below _SHORT.
+_SHORT = 256
+
+
+def _headers(tag: bytes) -> tuple[bytes, ...]:
+    return tuple(tag + _U32.pack(n) for n in range(_SHORT))
+
+
+_STR_HEAD, _INT_HEAD, _LIST_HEAD, _DICT_HEAD = map(_headers, (b"s", b"i", b"l", b"d"))
+
 
 def _enc(value, out: list[bytes]) -> None:
-    if value is None:
+    # Exact str and int items of a list or dict are emitted inline, without
+    # a call each.  Any other value, a subclass included, reaches the
+    # isinstance tests.  The supported types share no subclass except
+    # bool < int, so testing the containers first still picks the rule of
+    # the order the module docstring gives.
+    t = type(value)
+    if t is str:
+        raw = value.encode()
+        n = len(raw)
+        out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+    elif t is int:
+        raw = b"%d" % value
+        n = len(raw)
+        out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
+    elif t is list or t is tuple or isinstance(value, (list, tuple)):
+        n = len(value)
+        out.append(_LIST_HEAD[n] if n < _SHORT else b"l" + _U32.pack(n))
+        for item in value:
+            t = type(item)
+            if t is str:
+                raw = item.encode()
+                n = len(raw)
+                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+            elif t is int:
+                raw = b"%d" % item
+                n = len(raw)
+                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
+            else:
+                _enc(item, out)
+    elif t is dict or isinstance(value, dict):
+        keys = sorted(value)
+        n = len(keys)
+        out.append(_DICT_HEAD[n] if n < _SHORT else b"d" + _U32.pack(n))
+        for key in keys:
+            if type(key) is str:
+                raw = key.encode()
+                n = len(raw)
+                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+            elif isinstance(key, str):
+                _enc(key, out)
+            else:
+                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
+            item = value[key]
+            t = type(item)
+            if t is str:
+                raw = item.encode()
+                n = len(raw)
+                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+            elif t is int:
+                raw = b"%d" % item
+                n = len(raw)
+                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
+            else:
+                _enc(item, out)
+    elif value is None:
         out.append(b"n")
     elif value is True:
         out.append(b"T")
@@ -37,18 +109,6 @@ def _enc(value, out: list[bytes]) -> None:
         out.append(b"s" + _U32.pack(len(raw)) + raw)
     elif isinstance(value, (bytes, bytearray)):
         out.append(b"b" + _U32.pack(len(value)) + bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.append(b"l" + _U32.pack(len(value)))
-        for item in value:
-            _enc(item, out)
-    elif isinstance(value, dict):
-        keys = sorted(value)
-        out.append(b"d" + _U32.pack(len(keys)))
-        for key in keys:
-            if not isinstance(key, str):
-                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
-            _enc(key, out)
-            _enc(value[key], out)
     else:
         raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
 
@@ -106,18 +166,33 @@ class KeyedMacSigner:
 
     def __init__(self, keys: dict[str, bytes]):
         self._keys = dict(keys)
+        # Per actor, the HMAC state after absorbing its key, built on first
+        # use; every signature starts from a copy of it.
+        self._keyed: dict[str, hmac.HMAC] = {}
+
+    def _mac(self, actor: str) -> Optional[hmac.HMAC]:
+        """A fresh HMAC keyed for ``actor``, or None if it has no key."""
+        keyed = self._keyed.get(actor)
+        if keyed is None:
+            key = self._keys.get(actor)
+            if key is None:
+                return None
+            keyed = self._keyed[actor] = hmac.new(key, digestmod=hashlib.sha256)
+        return keyed.copy()
 
     def sign(self, actor: str, message: bytes) -> bytes:
-        key = self._keys.get(actor)
-        if key is None:
+        mac = self._mac(actor)
+        if mac is None:
             raise KeyError(f"no key registered for actor {actor!r}")
-        return hmac.new(key, message, hashlib.sha256).digest()
+        mac.update(message)
+        return mac.digest()
 
     def verify(self, actor: str, message: bytes, signature: bytes) -> bool:
-        key = self._keys.get(actor)
-        if key is None:
+        mac = self._mac(actor)
+        if mac is None:
             return False
-        return hmac.compare_digest(hmac.new(key, message, hashlib.sha256).digest(), signature)
+        mac.update(message)
+        return hmac.compare_digest(mac.digest(), signature)
 
     def knows(self, actor: str) -> bool:
         return actor in self._keys

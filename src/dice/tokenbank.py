@@ -171,8 +171,6 @@ class TokenBank:
             if remaining == 0:
                 break
             if lot.amount <= remaining:
-                src.lot_ids.remove(lot.lot_id)
-                dst.lot_ids.append(lot.lot_id)
                 lot.lineage.append(LineageEntry(to, cause_tx))
                 moved.append(lot.lot_id)
                 remaining -= lot.amount
@@ -184,9 +182,13 @@ class TokenBank:
                 )
                 lot.amount -= remaining
                 self.lots[child.lot_id] = child
-                dst.lot_ids.append(child.lot_id)
                 moved.append(child.lot_id)
                 remaining = 0
+        # One pass over the source list, whatever the number of lots moved
+        # (a split's child was never in it).
+        taken = set(moved)
+        src.lot_ids[:] = [lid for lid in src.lot_ids if lid not in taken]
+        dst.lot_ids.extend(moved)
         return moved
 
     def balance(self, wallet_id: str, issuer: str = ALL_ISSUERS) -> int:
@@ -237,13 +239,17 @@ class TokenBank:
 
     def burn(self, lot_ids: list[str], cause_tx: bytes) -> None:
         """Remove redeemed lots from circulation; supply stays accounted."""
+        burned_from: dict[str, set[str]] = {}
         for lid in lot_ids:
             lot = self.lot(lid)
-            holder = self.wallets[lot.holder]
-            holder.lot_ids.remove(lid)
+            burned_from.setdefault(lot.holder, set()).add(lid)
             lot.burned = True
             lot.burn_tx = cause_tx
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
+        # One pass over each holder's list, whatever the number of lots burned.
+        for wallet_id, burned in burned_from.items():
+            holder = self.wallets[wallet_id]
+            holder.lot_ids[:] = [lid for lid in holder.lot_ids if lid not in burned]
 
     # -- the token rules
 

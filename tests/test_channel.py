@@ -70,6 +70,21 @@ def test_open_insufficient_balance():
         mgr.open_channel(wallet, "V", 30, now=0)
 
 
+def test_rejected_open_uses_no_channel_id_or_preimage():
+    _, _, clean, clean_wallet = fresh(25)
+    first = clean.channel(clean.open_channel(clean_wallet, "V", 10, now=0))
+    _, _, mgr, wallet = fresh(25)
+    with pytest.raises(ZeroDeposit):
+        mgr.open_channel(wallet, "V", 0, now=0)
+    with pytest.raises(InsufficientBalance):
+        mgr.open_channel(wallet, "V", 30, now=0)
+    ch = mgr.channel(mgr.open_channel(wallet, "V", 10, now=0))
+    assert ch.channel_id == first.channel_id == "ch-0000000"
+    assert ch.hashlock == first.hashlock
+    second = mgr.channel(mgr.open_channel(wallet, "V", 10, now=0))
+    assert second.channel_id == "ch-0000001" and second.hashlock != ch.hashlock
+
+
 def test_full_visit_pays_25_proofs_all_offchain():
     # 2,500,000 bytes / 100,000 bytes per block = 25 proofs exactly.
     ledger, _, mgr, wallet = fresh(25)

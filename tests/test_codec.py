@@ -1,6 +1,8 @@
 """Canonical encoding, merkle and signature primitives."""
 
+import enum
 import hashlib
+import hmac
 import struct
 
 import pytest
@@ -8,6 +10,51 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dice import codec
+from dice.ledger import ChannelOpen, payload_canonical, tx_digest
+
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
+
+
+def reference_encode(value) -> bytes:
+    """The recursive encoder ``codec.encode`` must match byte for byte: one
+    call per value, the rule picked by isinstance."""
+    out = []
+    _reference_enc(value, out)
+    return b"".join(out)
+
+
+def _reference_enc(value, out):
+    if value is None:
+        out.append(b"n")
+    elif value is True:
+        out.append(b"T")
+    elif value is False:
+        out.append(b"F")
+    elif isinstance(value, int):
+        raw = str(value).encode("ascii")
+        out.append(b"i" + _U32.pack(len(raw)) + raw)
+    elif isinstance(value, float):
+        out.append(b"f" + _F64.pack(value))
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(b"s" + _U32.pack(len(raw)) + raw)
+    elif isinstance(value, (bytes, bytearray)):
+        out.append(b"b" + _U32.pack(len(value)) + bytes(value))
+    elif isinstance(value, (list, tuple)):
+        out.append(b"l" + _U32.pack(len(value)))
+        for item in value:
+            _reference_enc(item, out)
+    elif isinstance(value, dict):
+        keys = sorted(value)
+        out.append(b"d" + _U32.pack(len(keys)))
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
+            _reference_enc(key, out)
+            _reference_enc(value[key], out)
+    else:
+        raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
 
 
 plain_values = st.recursive(
@@ -18,6 +65,81 @@ plain_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,
 )
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 20
+
+
+class Name(str):
+    pass
+
+
+class Fields(dict):
+    pass
+
+
+# Everything the codec accepts: tuples, bytearrays, -0.0, empty containers at
+# any depth, and subclasses of int, str and dict.
+codec_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.binary(max_size=64) | st.binary(max_size=8).map(bytearray)
+    | st.floats(allow_nan=False) | st.just(-0.0)
+    | st.just([]) | st.just(()) | st.just({})
+    | st.sampled_from(Colour) | st.text(max_size=8).map(Name),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4)
+    | st.dictionaries(st.text(max_size=8).map(Name), children, max_size=4).map(Fields),
+    max_leaves=12,
+)
+
+
+@given(codec_values)
+def test_encode_matches_reference(value):
+    assert codec.encode(value) == reference_encode(value)
+
+
+@pytest.mark.parametrize("value", [
+    Colour.BLUE,
+    [Colour.RED, {"c": Colour.BLUE}],
+    Name("ch-0000001"),
+    {Name("k"): Name("v"), "j": [Name("")]},
+    Fields(b=2, a=Fields(z=[1])),
+    [Fields(), Name("x"), (Colour.RED,)],
+    "y" * 255,                       # the longest header in the tables
+    "x" * 300,                       # lengths past the header tables
+    10 ** 300,
+    -(10 ** 255),
+    list(range(300)),
+    {f"k{i}": i for i in range(300)},
+    ["é" * 200, ("ü" * 128, b"\x00" * 300)],
+])
+def test_encode_matches_reference_on_subclasses_and_long_values(value):
+    assert codec.encode(value) == reference_encode(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "x"}, {"a": 1, 2: "y"}, [{1: "x"}], {"a": {2: 0}},
+    {1, 2}, ["ok", {3}], object(), {"a": object()},
+])
+def test_encode_and_reference_reject_the_same_values(value):
+    with pytest.raises(TypeError) as ours:
+        codec.encode(value)
+    with pytest.raises(TypeError) as theirs:
+        reference_encode(value)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_golden_digests_pin_the_format():
+    assert codec.digest(["proof", "ch-0000007", 3, 3]).hex() == (
+        "a18430a362c65c9a0ce8b0323ad1f70e4be3c64ebcfdfb6322fa2d8cbdcfc71e")
+    opened = ChannelOpen("ch-0000007", "w-0000003", "V", 25, bytes(range(32)), 604_900)
+    value = [100, "alice", payload_canonical(opened)]
+    golden = "a0061011eec92694b0dfd3fd29c40785035f467a60ab85399a4fe86fa9e62548"
+    assert codec.digest(value).hex() == golden
+    assert tx_digest(100, "alice", opened).hex() == golden
 
 
 def test_encoding_is_stable_and_type_tagged():
@@ -89,7 +211,8 @@ def test_merkle_is_order_sensitive():
 
 
 def test_keyed_mac_signer_roundtrip():
-    signer = codec.KeyedMacSigner({"alice": b"s1", "bob": b"s2"})
+    keys = {"alice": b"s1", "bob": b"s2"}
+    signer = codec.KeyedMacSigner(keys)
     sig = signer.sign("alice", b"msg")
     assert signer.verify("alice", b"msg", sig)
     assert not signer.verify("bob", b"msg", sig)
@@ -98,6 +221,16 @@ def test_keyed_mac_signer_roundtrip():
     assert signer.knows("alice") and not signer.knows("carol")
     with pytest.raises(KeyError):
         signer.sign("carol", b"msg")
+    # Each signature is plain HMAC-SHA256, and the keyed state reused across
+    # messages carries nothing from one message to the next.
+    m1, m2 = b"first message", b"second"
+    signed = [("alice", m1), ("alice", m2), ("alice", m1), ("bob", m1)]
+    sigs = [signer.sign(actor, msg) for actor, msg in signed]
+    for s, (actor, msg) in zip(sigs + [sig], signed + [("alice", b"msg")]):
+        assert s == hmac.new(keys[actor], msg, hashlib.sha256).digest()
+        assert signer.verify(actor, msg, s)
+    assert sigs[0] == sigs[2] != sigs[1]
+    assert not signer.verify("alice", m1, sigs[1])
 
 
 def test_derived_keys_and_seeds_are_stable():

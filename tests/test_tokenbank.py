@@ -210,6 +210,28 @@ def test_burn_removes_from_circulation(bank):
     assert bank.supply_closure_ok()
 
 
+def test_transfer_and_burn_keep_each_holders_lot_order(bank):
+    src = bank.create_wallet("alice", "H")
+    dst = bank.create_wallet("bob", "H")
+    for amount in (3, 7, 5, 2):
+        bank.issue("H", src, amount, now=1)
+    l0, l1, l2, l3 = (lot.lot_id for lot in bank.lots_of(src))
+    # Largest lots move whole; the 1 still due splits off l0.
+    moved = bank.transfer(src, dst, "H", 13, codec.sha256(b"c"))
+    l4 = moved[-1]
+    assert moved == [l1, l2, l4]
+    assert bank.wallet(src).lot_ids == [l0, l3]
+    assert bank.wallet(dst).lot_ids == [l1, l2, l4]
+    # A wallet paying itself moves its whole lots to the end of its list.
+    bank.transfer(dst, dst, "H", 12, codec.sha256(b"d"))
+    assert bank.wallet(dst).lot_ids == [l4, l1, l2]
+    bank.burn([l3, l1, l0], codec.sha256(b"redeem"))
+    assert bank.wallet(src).lot_ids == []
+    assert bank.wallet(dst).lot_ids == [l4, l2]
+    assert bank.burned_by["H"] == 2 + 7 + 2
+    assert bank.supply_closure_ok()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 40)),
