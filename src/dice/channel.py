@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import codec
@@ -53,8 +53,17 @@ class BalanceProof:
         }
 
 
+def proof_prefix(channel_id: str):
+    """SHA-256 state shared by the proof digests of one channel: the
+    canonical encoding of ``["proof", channel_id, seq, cumulative]`` up to
+    ``seq``."""
+    return codec.list_prefix_state(4, ["proof", channel_id])
+
+
 def proof_digest(channel_id: str, seq: int, cumulative: int) -> bytes:
-    return codec.digest(["proof", channel_id, seq, cumulative])
+    """``codec.digest(["proof", channel_id, seq, cumulative])``: what the
+    roamer signs for each balance proof."""
+    return codec.digest_int_pair(proof_prefix(channel_id), seq, cumulative)
 
 
 @dataclass
@@ -86,10 +95,13 @@ class PaymentChannel:
     paid_at_close: Optional[int] = None
     refunded_at_close: Optional[int] = None
     meter: Optional[TrafficMeter] = None
+    # proof_prefix(channel_id); both sides finish a copy of it per proof.
+    proof_state: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.meter is None:
             self.meter = TrafficMeter(self.channel_id)
+        self.proof_state = proof_prefix(self.channel_id)
 
 
 class ChannelManager:
@@ -114,7 +126,11 @@ class ChannelManager:
         self.round_up_final_block = round_up_final_block
         self.channels: dict[str, PaymentChannel] = {}
         self._open: dict[str, PaymentChannel] = {}   # open channels, in opening order
+        # Every accepted proof is kept for ``dump_proofs`` only while
+        # keep_proofs is set; proofs_accepted counts them either way.
+        self.keep_proofs = True
         self.accepted_proofs: list[BalanceProof] = []
+        self.proofs_accepted = 0
         self._latest: dict[str, BalanceProof] = {}   # VMNO-side store
         self._preimages: dict[str, bytes] = {}       # roamer-side secrets
         self._rng = random.Random(preimage_seed)
@@ -190,7 +206,7 @@ class ChannelManager:
             seq = ch.last_seq + 1
             cumulative = meter.blocks_paid
             preimage = self._preimages[channel_id] if seq == 1 else None
-            sig = self.signer.sign(ch.roamer, proof_digest(channel_id, seq, cumulative))
+            sig = self.signer.sign(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, cumulative))
             proofs.append(BalanceProof(channel_id, seq, cumulative, preimage, sig))
             ch.last_seq = seq
             ch.cumulative_paid = cumulative
@@ -203,7 +219,7 @@ class ChannelManager:
         if ch.vmno != vmno or ch.status != OPEN:
             raise ChannelNotOpen(proof.channel_id)
         if not self.signer.verify(
-            ch.roamer, proof_digest(proof.channel_id, proof.seq, proof.cumulative), proof.signature
+            ch.roamer, codec.digest_int_pair(ch.proof_state, proof.seq, proof.cumulative), proof.signature
         ):
             raise BadSignature(f"proof seq {proof.seq}")
         latest = self._latest.get(proof.channel_id)
@@ -221,7 +237,9 @@ class ChannelManager:
                 raise BadPreimage(proof.channel_id)
             ch.preimage_revealed = True
         self._latest[proof.channel_id] = proof
-        self.accepted_proofs.append(proof)
+        self.proofs_accepted += 1
+        if self.keep_proofs:
+            self.accepted_proofs.append(proof)
         return proof
 
     def latest_accepted(self, channel_id: str) -> Optional[BalanceProof]:

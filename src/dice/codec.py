@@ -125,6 +125,40 @@ def digest(value) -> bytes:
     return hashlib.sha256(encode(value)).digest()
 
 
+def list_prefix_state(length: int, head: list):
+    """SHA-256 state after absorbing the canonical encoding of a
+    ``length``-item list up to the end of ``head``, its first items.
+
+    Lists that share their head, such as the balance proofs of one channel,
+    hash it once: ``digest_int_pair`` finishes a copy with the last two items.
+    """
+    out = [_LIST_HEAD[length] if length < _SHORT else b"l" + _U32.pack(length)]
+    for item in head:
+        _enc(item, out)
+    return hashlib.sha256(b"".join(out))
+
+
+def digest_int_pair(prefix, a: int, b: int) -> bytes:
+    """``digest(head + [a, b])`` from ``prefix = list_prefix_state(len(head) + 2, head)``.
+
+    ``prefix`` is copied, not changed.  Two exact ints shorter than 256
+    digits take their headers from the table; any other value follows the
+    rules of ``encode``.
+    """
+    h = prefix.copy()
+    if type(a) is int and type(b) is int:
+        ra = b"%d" % a
+        rb = b"%d" % b
+        if len(ra) < _SHORT and len(rb) < _SHORT:
+            h.update(_INT_HEAD[len(ra)] + ra + _INT_HEAD[len(rb)] + rb)
+            return h.digest()
+    out: list[bytes] = []
+    _enc(a, out)
+    _enc(b, out)
+    h.update(b"".join(out))
+    return h.digest()
+
+
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -157,6 +191,13 @@ class Signer(Protocol):
     def knows(self, actor: str) -> bool: ...
 
 
+# HMAC (RFC 2104) over SHA-256: keys are padded to one block and XORed with
+# these bytes, applied through bytes.translate.
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
 class KeyedMacSigner:
     """Deterministic HMAC-SHA256 signatures from per-actor secrets.
 
@@ -166,33 +207,38 @@ class KeyedMacSigner:
 
     def __init__(self, keys: dict[str, bytes]):
         self._keys = dict(keys)
-        # Per actor, the HMAC state after absorbing its key, built on first
-        # use; every signature starts from a copy of it.
-        self._keyed: dict[str, hmac.HMAC] = {}
+        # Per actor, the SHA-256 states after absorbing its key XOR ipad and
+        # key XOR opad (RFC 2104), built on first use; every signature starts
+        # from a copy of each.
+        self._pads: dict[str, tuple] = {}
 
-    def _mac(self, actor: str) -> Optional[hmac.HMAC]:
-        """A fresh HMAC keyed for ``actor``, or None if it has no key."""
-        keyed = self._keyed.get(actor)
-        if keyed is None:
+    def _mac(self, actor: str, message: bytes) -> Optional[bytes]:
+        """HMAC-SHA256 of ``message`` under ``actor``'s key, or None if it has no key."""
+        pads = self._pads.get(actor)
+        if pads is None:
             key = self._keys.get(actor)
             if key is None:
                 return None
-            keyed = self._keyed[actor] = hmac.new(key, digestmod=hashlib.sha256)
-        return keyed.copy()
+            if len(key) > _SHA256_BLOCK:
+                key = hashlib.sha256(key).digest()
+            key = key.ljust(_SHA256_BLOCK, b"\0")
+            pads = self._pads[actor] = (
+                hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD)))
+        inner = pads[0].copy()
+        inner.update(message)
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def sign(self, actor: str, message: bytes) -> bytes:
-        mac = self._mac(actor)
+        mac = self._mac(actor, message)
         if mac is None:
             raise KeyError(f"no key registered for actor {actor!r}")
-        mac.update(message)
-        return mac.digest()
+        return mac
 
     def verify(self, actor: str, message: bytes, signature: bytes) -> bool:
-        mac = self._mac(actor)
-        if mac is None:
-            return False
-        mac.update(message)
-        return hmac.compare_digest(mac.digest(), signature)
+        mac = self._mac(actor, message)
+        return mac is not None and hmac.compare_digest(mac, signature)
 
     def knows(self, actor: str) -> bool:
         return actor in self._keys

@@ -215,6 +215,7 @@ def run_scenario(
         inactivity_window=config.inactivity_window_s,
         round_up_final_block=config.round_up_final_block,
     )
+    engine.channels.keep_proofs = bool(dump_proofs)
     model = model_from_dict(config.charging)
     for hmno in hmnos:
         engine.register_agreement(
@@ -332,9 +333,14 @@ def run_scenario(
 def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEventTrace) -> MetricsReport:
     by_kind: Counter = Counter()
     per_second: Counter = Counter()
+    fiat_by_pair: dict[str, float] = {}
     for tx in engine.ledger.all_txs():
-        by_kind[tx.payload.kind] += 1
+        payload = tx.payload
+        by_kind[payload.kind] += 1
         per_second[tx.timestamp] += 1
+        if payload.kind == "redeem":
+            key = f"{payload.vmno}|{payload.hmno}"
+            fiat_by_pair[key] = fiat_by_pair.get(key, 0.0) + payload.fiat
     onchain_total = sum(by_kind.values())
     peak_tps = max(per_second.values()) if per_second else 0
 
@@ -343,14 +349,9 @@ def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEven
         if ch.paid_at_close:
             key = f"{ch.vmno}|{ch.issuer}"
             tokens_by_pair[key] = tokens_by_pair.get(key, 0) + ch.paid_at_close
-    fiat_by_pair: dict[str, float] = {}
-    for tx in engine.ledger.all_txs():
-        if tx.payload.kind == "redeem":
-            key = f"{tx.payload.vmno}|{tx.payload.hmno}"
-            fiat_by_pair[key] = fiat_by_pair.get(key, 0.0) + tx.payload.fiat
 
     sessions_completed = sum(1 for s in engine.sessions.values() if s.state == SETTLED)
-    offchain_total = len(engine.channels.accepted_proofs)
+    offchain_total = engine.channels.proofs_accepted
     bytes_serviced = engine.channels.serviced_bytes_total()
     factor_args = (config.scale, config.num_mnos)
     extrapolated = {

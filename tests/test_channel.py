@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dice import codec
-from dice.channel import BalanceProof, ChannelManager, proof_digest
+from dice.channel import BalanceProof, ChannelManager, PaymentChannel, proof_digest
 from dice.errors import (
     AlreadyClosed,
     BadPreimage,
@@ -231,6 +231,42 @@ def test_bad_preimage_rejected():
     missing = signed_proof(mgr, ch, 1, 1, preimage=None)
     with pytest.raises(BadPreimage):
         mgr.receive_proof("V", missing)
+
+
+def test_proof_cannot_move_between_channels():
+    # One roamer, two open channels to the same VMNO: each channel's proof
+    # digest state names its own id, so a proof signed for A is no proof for B.
+    _, _, mgr, wallet = fresh(25)
+    a = mgr.open_channel(wallet, "V", 10, now=0)
+    b = mgr.open_channel(wallet, "V", 10, now=0)
+    (proof_a,) = emitted(mgr, a, 1)
+    moved = dataclasses.replace(proof_a, channel_id=b, preimage=mgr._preimages[b])
+    with pytest.raises(BadSignature):
+        mgr.receive_proof("V", moved)
+    with pytest.raises(UnknownChannel):
+        mgr.receive_proof("V", dataclasses.replace(proof_a, channel_id="ch-none"))
+    (proof_b,) = emitted(mgr, b, 1)
+    mgr.receive_proof("V", proof_b)
+    mgr.receive_proof("V", proof_a)
+    assert mgr.latest_accepted(a) == proof_a and mgr.latest_accepted(b) == proof_b
+
+
+long_ints = st.integers(min_value=10 ** 255, max_value=10 ** 300)
+
+
+@given(
+    st.text() | st.text(alphabet="é€𝄞", min_size=86, max_size=120),
+    st.integers() | long_ints | long_ints.map(lambda n: -n),
+    st.integers() | long_ints,
+)
+def test_proof_digest_state_matches_general_encoder(channel_id, seq, cumulative):
+    # 86 or more of those characters encode to 256 or more UTF-8 bytes, and
+    # 10**255 has 256 digits: both are past the encoder's header tables.
+    expected = codec.digest(["proof", channel_id, seq, cumulative])
+    assert proof_digest(channel_id, seq, cumulative) == expected
+    ch = PaymentChannel(channel_id, "w", "alice", "V", "H", 25, b"", 0, 0)
+    for _ in range(2):
+        assert codec.digest_int_pair(ch.proof_state, seq, cumulative) == expected
 
 
 def test_non_increasing_cumulative_rejected():

@@ -233,6 +233,34 @@ def test_keyed_mac_signer_roundtrip():
     assert not signer.verify("alice", m1, sigs[1])
 
 
+@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+def test_keyed_mac_matches_hmac_at_key_and_message_edges(key_len):
+    # Keys longer than the 64-byte SHA-256 block are hashed first; shorter
+    # ones are zero-padded.  Each length is checked with several messages.
+    key = bytes((7 * i + key_len) % 256 for i in range(key_len))
+    signer = codec.KeyedMacSigner({"a": key})
+    for msg_len in (0, 32, 1000):
+        msg = bytes((3 * i + msg_len) % 256 for i in range(msg_len))
+        sig = signer.sign("a", msg)
+        assert sig == hmac.new(key, msg, hashlib.sha256).digest()
+        assert signer.verify("a", msg, sig)
+        for bit in (0, 8 * len(sig) - 1):
+            flipped = (int.from_bytes(sig, "big") ^ (1 << bit)).to_bytes(len(sig), "big")
+            assert not signer.verify("a", msg, flipped)
+    m1, m2 = b"m1", b"m2"
+    first = signer.sign("a", m1)
+    assert signer.sign("a", m2) != first
+    assert signer.sign("a", m1) == first
+
+
+@given(st.lists(codec_values, max_size=3), codec_values, codec_values)
+def test_digest_int_pair_matches_digest(head, a, b):
+    # Any value may close the list; only exact ints take the header table.
+    prefix = codec.list_prefix_state(len(head) + 2, head)
+    for _ in range(2):  # the prefix state is copied, never advanced
+        assert codec.digest_int_pair(prefix, a, b) == codec.digest(head + [a, b])
+
+
 def test_derived_keys_and_seeds_are_stable():
     assert codec.derive_key(1, "a") == codec.derive_key(1, "a")
     assert codec.derive_key(1, "a") != codec.derive_key(2, "a")

@@ -128,6 +128,19 @@ def test_proof_dump_matches_offchain_count(tmp_path):
         last[rec["channel_id"]] = (rec["seq"], rec["cumulative"])
 
 
+def test_proofs_are_held_only_when_dumped(tmp_path):
+    cfg = small_config()
+    engines = {}
+    for dump in (False, True):
+        report = run_scenario(cfg, tmp_path / str(dump), dump_proofs=dump,
+                              on_seal=lambda e, dump=dump: engines.__setitem__(dump, e))
+        channels = engines[dump].channels
+        assert report.offchain_proofs_total == channels.proofs_accepted > 0
+        assert len(channels.accepted_proofs) == (channels.proofs_accepted if dump else 0)
+    for name in ("report.json", "ledger.jsonl", "settlement.csv"):
+        assert (tmp_path / "False" / name).read_bytes() == (tmp_path / "True" / name).read_bytes()
+
+
 def test_extrapolation_consistency(tmp_path):
     cfg = small_config()
     report = run_scenario(cfg, tmp_path)
