@@ -41,16 +41,11 @@ def main() -> None:
               default=None, help="Write session events as JSON-Lines (optionally to FILE).")
 def simulate(config_path, out_dir, seed, days, mode, dump_proofs, dump_events) -> None:
     """Run a full scenario and write report.json, ledger.jsonl, settlement.csv."""
+    overrides = {k: v for k, v in (("seed", seed), ("days", days), ("mode", mode)) if v is not None}
     try:
-        config = ScenarioConfig.from_json_file(config_path) if config_path else ScenarioConfig()
-        if seed is not None:
-            config.seed = seed
-        if days is not None:
-            config.days = days
-        if mode is not None:
-            config.mode = mode
+        config = ScenarioConfig.from_json_file(config_path, **overrides)
         report = run_scenario(config, out_dir, dump_proofs=dump_proofs, dump_events=dump_events)
-    except (InvalidConfig,) as exc:
+    except InvalidConfig as exc:
         raise click.UsageError(str(exc))
     except IoFailure as exc:
         click.echo(f"i/o failure: {exc}", err=True)
@@ -87,25 +82,26 @@ def ledger_verify(path) -> None:
 @click.option("--report", "report_path", required=True, type=click.Path())
 @click.option("--tps-capacity", type=int, default=None, help="Defaults to the report's config value.")
 @click.option("--concentration-hours", type=float, default=None, help="Defaults to the report's config value.")
-@click.option("--traffic-tb-per-day", type=float, default=10.0, show_default=True,
-              help="Assumed visited-MNO daily roamer traffic, in terabytes.")
+@click.option("--traffic-tb-per-day", type=float, default=None,
+              help="Assumed visited-MNO daily roamer traffic, in terabytes "
+                   f"[default: {RequirementsAssumptions.visited_mno_daily_bytes / 1e12:g}].")
 @click.option("--avg-mno-factor", type=float, default=None,
               help="Average-member size ratio; defaults to the report's config value.")
 def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_day,
                  avg_mno_factor) -> None:
     """Project the run to consortium scale and check TPS feasibility."""
-    try:
-        report = MetricsReport.from_json_file(report_path)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        click.echo(f"cannot read report: {exc}", err=True)
-        sys.exit(1)
     assumptions = RequirementsAssumptions(
         tps_capacity=tps_capacity,
         concentration_hours=concentration_hours,
-        visited_mno_daily_bytes=int(traffic_tb_per_day * 1e12),
         avg_mno_factor=avg_mno_factor,
     )
-    verdict = check_requirements(report, assumptions)
+    if traffic_tb_per_day is not None:
+        assumptions.visited_mno_daily_bytes = int(traffic_tb_per_day * 1e12)
+    try:
+        verdict = check_requirements(MetricsReport.from_json_file(report_path), assumptions)
+    except (OSError, json.JSONDecodeError, TypeError, InvalidConfig) as exc:
+        click.echo(f"cannot read report: {exc}", err=True)
+        sys.exit(1)
     click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     sys.exit(0 if verdict.passed else 1)
 
@@ -115,8 +111,7 @@ def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_
 def calibrate(config_path) -> None:
     """Generate the workload only and print its calibration statistics."""
     try:
-        config = ScenarioConfig.from_json_file(config_path) if config_path else ScenarioConfig()
-        trace = generate(config.workload())
+        trace = generate(ScenarioConfig.from_json_file(config_path).workload())
         stats = calibration_report(trace)
     except InvalidConfig as exc:
         raise click.UsageError(str(exc))

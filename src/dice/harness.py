@@ -10,134 +10,70 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
-
 from . import codec, settlement
+from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError, ReplayRejected
 from .ledger import ValidityReport, load_blocks_jsonl, verify_blocks
-from .protocol import ACTIVE, CHANNEL_OPEN, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
+from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
-from .tokenbank import Mno, TokenBank, tokens_for_bytes
-from .workload import SessionEventTrace, WorkloadConfig, generate
+from .tokenbank import TOKEN_BLOCK_BYTES, Mno, TokenBank, tokens_for_bytes
+from .workload import COUNT, POSITIVE, SessionEventTrace, WorkloadConfig, config_schema, generate, knob
 
 DAY = 86_400
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "days": {"type": "integer", "minimum": 1},
-        "scale": {"type": "number", "exclusiveMinimum": 0},
-        "mode": {"enum": ["lbo", "hr"]},
-        "vmno": {"type": "string", "minLength": 1},
-        "num_mnos": {"type": "integer", "minimum": 1},
-        "roamers_per_vmno_day": {"type": "integer", "minimum": 1},
-        "churn_fraction_range": {
-            "type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1},
-            "minItems": 2, "maxItems": 2,
-        },
-        "stay_days_median": {"type": "number", "exclusiveMinimum": 0},
-        "silent_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-        "daily_traffic_median_bytes": {"type": "integer", "minimum": 1},
-        "traffic_dispersion": {"type": "number", "minimum": 0},
-        "home_country_top10_share": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "home_mno_top10_traffic_share": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "num_home_countries": {"type": "integer", "minimum": 1},
-        "num_home_mnos": {"type": "integer", "minimum": 1},
-        "initial_allotment": {"type": "integer", "minimum": 1},
-        "expected_visit_bytes": {"type": "integer", "minimum": 1},
-        "charging": {"type": "object"},
-        "timelock_window_s": {"type": "integer", "minimum": 1},
-        "inactivity_window_s": {"type": "integer", "minimum": 1},
-        "round_up_final_block": {"type": "boolean"},
-        "tps_capacity": {"type": "integer", "minimum": 1},
-        "concentration_hours": {"type": "number", "exclusiveMinimum": 0},
-        "avg_mno_factor": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
 
 @dataclass
-class ScenarioConfig:
-    seed: int = 42
-    days: int = 28
-    scale: float = 0.001
-    mode: str = LBO
-    vmno: str = "V-001"
-    num_mnos: int = 800
-    roamers_per_vmno_day: int = 400_000
-    churn_fraction_range: tuple[float, float] = (0.10, 0.30)
-    stay_days_median: float = 2.5
-    silent_fraction: float = 0.5
-    daily_traffic_median_bytes: int = 1_000_000
-    traffic_dispersion: float = 1.0
-    home_country_top10_share: float = 0.60
-    home_mno_top10_traffic_share: float = 0.50
-    num_home_countries: int = 188
-    num_home_mnos: int = 400
-    initial_allotment: int = 100
-    expected_visit_bytes: int = 2_500_000
-    charging: dict = field(default_factory=lambda: {"model": "per_unit", "rate": 0.04})
-    timelock_window_s: int = 7 * DAY
-    inactivity_window_s: int = DAY
-    round_up_final_block: bool = True
-    tps_capacity: int = 20_000
-    concentration_hours: float = 4.0
+class ScenarioConfig(WorkloadConfig):
+    """A whole scenario: the workload knobs plus protocol and projection knobs."""
+
+    mode: str = knob(LBO, {"enum": [LBO, HR]})
+    vmno: str = knob("V-001", {"type": "string", "minLength": 1})
+    num_mnos: int = knob(800, COUNT)  # consortium size, used only to extrapolate
+    initial_allotment: int = knob(100, COUNT)
+    expected_visit_bytes: int = knob(2_500_000, COUNT)
+    charging: dict = knob({"model": "per_unit", "rate": 0.04}, {"type": "object"})
+    timelock_window_s: int = knob(DEFAULT_TIMELOCK_WINDOW, COUNT)
+    inactivity_window_s: int = knob(DEFAULT_INACTIVITY_WINDOW, COUNT)
+    round_up_final_block: bool = knob(True, {"type": "boolean"})
+    tps_capacity: int = knob(20_000, COUNT)
+    concentration_hours: float = knob(4.0, POSITIVE)
     # Ratio of the average consortium member's inbound-roaming volume to the
     # modeled (medium-large) operator's; reconciles the per-operator counts
     # with the published consortium-wide aggregates.
-    avg_mno_factor: float = 0.02
+    avg_mno_factor: float = knob(0.02, POSITIVE)
+
+    def validate(self) -> None:
+        """The workload checks, plus a charging spec that settlement can read."""
+        super().validate()
+        try:
+            model_from_dict(self.charging)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"$.charging: {exc!r}") from None
 
     def workload(self) -> WorkloadConfig:
-        return WorkloadConfig(
-            seed=self.seed,
-            num_mnos=self.num_mnos,
-            roamers_per_vmno_day=self.roamers_per_vmno_day,
-            churn_fraction_range=tuple(self.churn_fraction_range),
-            stay_days_median=self.stay_days_median,
-            silent_fraction=self.silent_fraction,
-            daily_traffic_median_bytes=self.daily_traffic_median_bytes,
-            traffic_dispersion=self.traffic_dispersion,
-            home_country_top10_share=self.home_country_top10_share,
-            home_mno_top10_traffic_share=self.home_mno_top10_traffic_share,
-            num_home_countries=self.num_home_countries,
-            num_home_mnos=self.num_home_mnos,
-            days=self.days,
-            scale=self.scale,
-        )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["churn_fraction_range"] = list(self.churn_fraction_range)
-        return d
+        return WorkloadConfig(**{f.name: getattr(self, f.name) for f in fields(WorkloadConfig)})
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        try:
-            jsonschema.validate(raw, SCENARIO_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise InvalidConfig(exc.message) from None
-        data = dict(raw)
-        if "churn_fraction_range" in data:
-            data["churn_fraction_range"] = tuple(data["churn_fraction_range"])
-        return cls(**data)
-
-    @classmethod
-    def from_json_file(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"not valid JSON: {exc}") from None
+    def from_json_file(cls, path=None, **overrides) -> "ScenarioConfig":
+        """A JSON file's config (defaults if no path); ``overrides`` apply before validation."""
+        raw = {}
+        if path is not None:
+            try:
+                raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            except OSError as exc:
+                raise IoFailure(str(exc)) from None
+            except json.JSONDecodeError as exc:
+                raise InvalidConfig(f"not valid JSON: {exc}") from None
+        if isinstance(raw, dict):
+            raw = {**raw, **overrides}
         return cls.from_dict(raw)
+
+
+SCENARIO_SCHEMA = config_schema(ScenarioConfig)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -197,6 +133,7 @@ def run_scenario(
     ``dump_proofs``/``dump_events`` accept True (default file name in
     out_dir) or an explicit path.
     """
+    config.validate()
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,7 +322,6 @@ class RequirementsAssumptions:
     tps_capacity: Optional[int] = None
     concentration_hours: Optional[float] = None
     visited_mno_daily_bytes: Optional[int] = 10_000_000_000_000  # 10 TB/day
-    billing_granularity_bytes: int = 100_000
     avg_mno_factor: Optional[float] = None
 
 
@@ -406,26 +342,23 @@ class RequirementsVerdict:
 def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptions) -> RequirementsVerdict:
     """Extrapolate the desk-scale run to consortium scale and test it
     against the reference ledger capacity."""
-    cfg = report.config
-    scale = float(cfg["scale"])
-    days = int(cfg["days"])
-    num_mnos = int(cfg["num_mnos"])
+    cfg = ScenarioConfig.from_dict(report.config)
 
-    def knob(name: str):
+    def assumed(name: str):
         value = getattr(assumptions, name)
-        return value if value is not None else cfg.get(name, getattr(ScenarioConfig, name))
+        return getattr(cfg, name) if value is None else value
 
-    factor = float(knob("avg_mno_factor"))
-    tps_capacity = int(knob("tps_capacity"))
-    concentration_hours = float(knob("concentration_hours"))
+    factor = float(assumed("avg_mno_factor"))
+    tps_capacity = int(assumed("tps_capacity"))
+    concentration_hours = float(assumed("concentration_hours"))
 
-    onchain_daily_full = report.onchain_tx_total / days / scale
-    daily_onchain = onchain_daily_full * num_mnos * factor
+    onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
+    daily_onchain = onchain_daily_full * cfg.num_mnos * factor
     if assumptions.visited_mno_daily_bytes is not None:
-        daily_offchain = assumptions.visited_mno_daily_bytes / assumptions.billing_granularity_bytes
+        daily_offchain = assumptions.visited_mno_daily_bytes / TOKEN_BLOCK_BYTES
     else:
-        daily_offchain = report.offchain_proofs_total / days / scale
-    daily_offchain_consortium = daily_offchain * num_mnos * factor
+        daily_offchain = report.offchain_proofs_total / cfg.days / cfg.scale
+    daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor
 
     peak = daily_onchain / (concentration_hours * 3600.0)
     return RequirementsVerdict(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import codec
-from .channel import ChannelManager
+from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW, ChannelManager
 from .errors import (
     DuplicateAgreement,
     NoAgreement,
@@ -127,8 +127,8 @@ class DiceEngine:
         *,
         seed: int = 0,
         genesis_time: int = 0,
-        timelock_window: int = 7 * 86_400,
-        inactivity_window: int = 86_400,
+        timelock_window: int = DEFAULT_TIMELOCK_WINDOW,
+        inactivity_window: int = DEFAULT_INACTIVITY_WINDOW,
         round_up_final_block: bool = True,
     ):
         roster = [m.id for m in mnos]
@@ -297,9 +297,6 @@ class DiceEngine:
         return closed
 
     # -- convenience passthroughs
-
-    def seal(self, now: int):
-        return self.ledger.seal_block(now)
 
     def seal_if_pending(self, now: int):
         if self.ledger.pending:

@@ -11,48 +11,84 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 
+import jsonschema
 import numpy as np
 
 from .errors import EmptyTrace, InvalidConfig
 
+# JSON-schema fragments shared by several config fields.
+COUNT = {"type": "integer", "minimum": 1}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+SHARE = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+
+
+def knob(default, schema: dict):
+    """A config field: its default and the JSON-schema fragment of its values."""
+    if isinstance(default, dict):
+        return field(default_factory=lambda: dict(default), metadata={"schema": schema})
+    return field(default=default, metadata={"schema": schema})
+
+
+def config_schema(cls) -> dict:
+    """The JSON schema of a config dataclass, built from its fields."""
+    properties = {f.name: f.metadata["schema"] for f in fields(cls)}
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", "type": "object",
+            "additionalProperties": False, "properties": properties}
+
+
+@cache
+def _validator(cls) -> jsonschema.Draft202012Validator:
+    # One per class: jsonschema.validate would re-check the metaschema on every call.
+    return jsonschema.Draft202012Validator(config_schema(cls))
+
+
+def _check_schema(cls, data) -> None:
+    error = jsonschema.exceptions.best_match(_validator(cls).iter_errors(data))
+    if error is not None:
+        raise InvalidConfig(f"{error.json_path}: {error.message}")
+
 
 @dataclass
 class WorkloadConfig:
-    seed: int = 42
-    num_mnos: int = 800                      # consortium size used for extrapolation
-    roamers_per_vmno_day: int = 400_000      # standing inbound population, full scale
-    churn_fraction_range: tuple[float, float] = (0.10, 0.30)
-    stay_days_median: float = 2.5
-    silent_fraction: float = 0.5
-    daily_traffic_median_bytes: int = 1_000_000
-    traffic_dispersion: float = 1.0          # log-scale sigma
-    home_country_top10_share: float = 0.60
-    home_mno_top10_traffic_share: float = 0.50
-    num_home_countries: int = 188
-    num_home_mnos: int = 400
-    days: int = 28
-    scale: float = 0.001                     # desk-scale downsampling factor
+    """Generator knobs; each field states its default and JSON-schema fragment once."""
+
+    seed: int = knob(42, {"type": "integer", "minimum": 0})
+    roamers_per_vmno_day: int = knob(400_000, COUNT)  # standing inbound population, full scale
+    churn_fraction_range: tuple[float, float] = knob(
+        (0.10, 0.30), {"type": "array", "items": FRACTION, "minItems": 2, "maxItems": 2})
+    stay_days_median: float = knob(2.5, POSITIVE)
+    silent_fraction: float = knob(0.5, FRACTION)
+    daily_traffic_median_bytes: int = knob(1_000_000, COUNT)
+    traffic_dispersion: float = knob(1.0, {"type": "number", "minimum": 0})  # log-scale sigma
+    home_country_top10_share: float = knob(0.60, SHARE)
+    home_mno_top10_traffic_share: float = knob(0.50, SHARE)
+    num_home_countries: int = knob(188, COUNT)
+    num_home_mnos: int = knob(400, COUNT)
+    days: int = knob(28, COUNT)
+    scale: float = knob(0.001, POSITIVE)  # desk-scale downsampling factor
 
     def validate(self) -> None:
+        """Raise InvalidConfig unless the fields fit the schema and the churn band is ordered."""
+        _check_schema(type(self), self.to_dict())
         lo, hi = self.churn_fraction_range
-        checks = [
-            self.days >= 1,
-            self.scale > 0,
-            0.0 <= lo <= hi <= 1.0,
-            0.0 <= self.silent_fraction <= 1.0,
-            0.0 < self.home_country_top10_share <= 1.0,
-            0.0 < self.home_mno_top10_traffic_share <= 1.0,
-            self.stay_days_median > 0,
-            self.daily_traffic_median_bytes > 0,
-            self.traffic_dispersion >= 0,
-            self.num_home_countries >= 1,
-            self.num_home_mnos >= 1,
-            self.roamers_per_vmno_day >= 1,
-        ]
-        if not all(checks):
-            raise InvalidConfig(f"invalid workload config: {self}")
+        if lo > hi:
+            raise InvalidConfig(f"$.churn_fraction_range: {lo} > {hi}")
+
+    def to_dict(self) -> dict:
+        """The JSON form: tuples become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, raw):
+        """The validated config of a JSON object; absent fields keep their defaults."""
+        _check_schema(cls, raw)  # unknown fields and wrong types, before construction
+        config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        config.validate()
+        return config
 
 
 @dataclass
@@ -270,7 +306,7 @@ def calibration_report(trace: SessionEventTrace) -> CalibrationStats:
 
 def save_trace_jsonl(trace: SessionEventTrace, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "config", **asdict(trace.config)},
+        fh.write(json.dumps({"kind": "config", **trace.config.to_dict()},
                             separators=(",", ":"), sort_keys=True) + "\n")
         for a in trace.arrivals:
             fh.write(json.dumps({"kind": "arrival", **asdict(a)},
@@ -289,8 +325,7 @@ def load_trace_jsonl(path) -> SessionEventTrace:
             rec = json.loads(line)
             kind = rec.pop("kind")
             if kind == "config":
-                rec["churn_fraction_range"] = tuple(rec["churn_fraction_range"])
-                trace = SessionEventTrace(WorkloadConfig(**rec))
+                trace = SessionEventTrace(WorkloadConfig.from_dict(rec))
             elif kind == "arrival":
                 trace.arrivals.append(Arrival(**rec))
             elif kind == "traffic":

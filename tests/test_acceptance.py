@@ -131,8 +131,7 @@ def test_criterion_02_offchain_arithmetic(default_run):
     with criterion(2, "10TB/day at 100KB -> 1e8 off-chain payments/day"):
         verdict = check_requirements(
             default_run["report"],
-            RequirementsAssumptions(visited_mno_daily_bytes=10 * 10**12,
-                                    billing_granularity_bytes=100_000),
+            RequirementsAssumptions(visited_mno_daily_bytes=10 * 10**12),
         )
         # Oracle: 10 x 10^12 / 10^5 = 10^8.
         assert verdict.daily_offchain_projected == pytest.approx(1e8, rel=0.02)

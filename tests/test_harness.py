@@ -1,13 +1,16 @@
 """Scenario runner, requirements projection, ledger file verification, CLI."""
 
 import json
+from dataclasses import fields
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
 from dice.cli import main as cli_main
 from dice.errors import InvalidConfig, IoFailure
 from dice.harness import (
+    SCENARIO_SCHEMA,
     MetricsReport,
     RequirementsAssumptions,
     ScenarioConfig,
@@ -16,7 +19,7 @@ from dice.harness import (
     run_scenario,
     verify_ledger,
 )
-from dice.workload import Arrival, SessionEventTrace
+from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, generate
 
 
 def minimal_trace(cfg, nbytes=2_500_000, silent=False):
@@ -264,6 +267,59 @@ def test_config_schema_rejects_bad_fields(tmp_path):
         ScenarioConfig.from_json_file(path)
 
 
+def test_schema_is_generated_from_the_fields():
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+    assert list(SCENARIO_SCHEMA["properties"]) == [f.name for f in fields(ScenarioConfig)]
+    assert ScenarioConfig().workload() == WorkloadConfig()
+
+
+# One out-of-range value per bounded field.
+OUT_OF_RANGE = {
+    "seed": -1, "days": 0, "scale": 0.0, "roamers_per_vmno_day": 0,
+    "churn_fraction_range": (0.1, 1.5), "stay_days_median": 0.0, "silent_fraction": 1.5,
+    "daily_traffic_median_bytes": 0, "traffic_dispersion": -0.1,
+    "home_country_top10_share": 0.0, "home_mno_top10_traffic_share": 1.01,
+    "num_home_countries": 0, "num_home_mnos": 0,
+    "mode": "roaming", "vmno": "", "num_mnos": 0, "initial_allotment": 0,
+    "expected_visit_bytes": 0, "timelock_window_s": 0, "inactivity_window_s": 0,
+    "tps_capacity": 0, "concentration_hours": 0.0, "avg_mno_factor": -0.5,
+}
+
+
+def test_out_of_range_table_covers_every_bounded_field():
+    bounds = {"minimum", "exclusiveMinimum", "maximum", "minLength", "enum", "items"}
+    props = SCENARIO_SCHEMA["properties"]
+    assert {name for name, frag in props.items() if bounds & frag.keys()} == set(OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("name, bad", OUT_OF_RANGE.items())
+def test_out_of_range_field_is_rejected(name, bad, tmp_path):
+    with pytest.raises(InvalidConfig, match=name):
+        ScenarioConfig.from_dict({name: list(bad) if isinstance(bad, tuple) else bad})
+    with pytest.raises(InvalidConfig, match=name):
+        if name in {f.name for f in fields(WorkloadConfig)}:
+            generate(WorkloadConfig(**{name: bad}))
+        else:
+            run_scenario(ScenarioConfig(**{name: bad}), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unordered_churn_band_is_rejected():
+    with pytest.raises(InvalidConfig, match="churn_fraction_range"):
+        ScenarioConfig.from_dict({"churn_fraction_range": [0.3, 0.1]})
+    with pytest.raises(InvalidConfig, match="churn_fraction_range"):
+        generate(WorkloadConfig(churn_fraction_range=(0.3, 0.1)))
+
+
+@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}, {"rate": 0.1}])
+def test_bad_charging_spec_is_rejected_on_load(charging, tmp_path):
+    with pytest.raises(InvalidConfig, match="charging"):
+        ScenarioConfig.from_dict({"charging": charging})
+    with pytest.raises(InvalidConfig, match="charging"):
+        run_scenario(ScenarioConfig(charging=charging), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # --- CLI -----------------------------------------------------------------------------
 
 
@@ -353,3 +409,34 @@ def test_cli_mode_and_seed_overrides(tmp_path, runner):
 def test_cli_usage_error_exits_two(runner):
     result = runner.invoke(cli_main, ["simulate"])  # missing --out-dir
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--days", "0"]])
+def test_cli_overrides_are_validated(tmp_path, runner, override):
+    out = tmp_path / "out"
+    result = runner.invoke(cli_main, ["simulate", "--out-dir", str(out), *override])
+    assert result.exit_code == 2, result.output
+    assert f"$.{override[0][2:]}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}])
+def test_cli_bad_charging_spec_exits_two(tmp_path, runner, charging):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"charging": charging}))
+    for command in (["simulate", "--out-dir", str(tmp_path / "out")], ["calibrate"]):
+        result = runner.invoke(cli_main, [*command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "charging" in result.output
+
+
+def test_cli_requirements_default_traffic_is_the_assumptions_default(tmp_path, runner):
+    path = tmp_path / "report.json"
+    path.write_text(fake_report().to_json())
+    default = runner.invoke(cli_main, ["requirements", "--report", str(path)])
+    explicit = runner.invoke(cli_main, [
+        "requirements", "--report", str(path),
+        "--traffic-tb-per-day", str(RequirementsAssumptions.visited_mno_daily_bytes / 1e12),
+    ])
+    assert default.exit_code == explicit.exit_code == 0
+    assert default.output == explicit.output

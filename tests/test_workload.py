@@ -193,6 +193,9 @@ def test_trace_jsonl_roundtrip(tmp_path):
     save_trace_jsonl(trace, path)
     loaded = load_trace_jsonl(path)
     assert loaded.config == trace.config
+    again = tmp_path / "again.jsonl"
+    save_trace_jsonl(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
     assert loaded.arrivals == trace.arrivals
     assert loaded.traffic == trace.traffic
     stats_a = calibration_report(trace)
