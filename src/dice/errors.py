@@ -32,10 +32,10 @@ class UnknownReader(DiceError):
 
 
 class ReplayRejected(DiceError):
-    """A sealed transaction that the token rules reject on replay."""
+    """A chain that does not verify, met while rebuilding state from it."""
 
-    def __init__(self, height: int, kind: str, cause: Exception):
-        super().__init__(f"{kind} tx rejected: {type(cause).__name__}: {cause}")
+    def __init__(self, height: int, reason: str):
+        super().__init__(f"height {height}: {reason}")
         self.height = height
 
 

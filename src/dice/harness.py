@@ -16,8 +16,8 @@ from typing import Optional
 
 from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
-from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError, ReplayRejected
-from .ledger import ValidityReport, load_blocks_jsonl, verify_blocks
+from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
+from .ledger import Ledger, ValidityReport, load_blocks_jsonl, verify_blocks
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, Mno, TokenBank, tokens_for_bytes
@@ -376,24 +376,24 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
 
 
 def verify_ledger(path) -> ValidityReport:
-    """Full integrity pass over a persisted chain: hashes, signatures and
-    links, then a replay of every transaction through the token rules
-    (``TokenBank.apply``) with a supply-closure cross-check."""
+    """Full integrity pass over a persisted chain: every block replayed
+    through a fresh ledger with a token bank attached (``verify_blocks``), so
+    each chain rule and token rule the live engine enforces is checked, then
+    a supply-closure cross-check."""
     if not Path(path).exists():
         raise IoFailure(f"no such file: {path}")
     try:
         blocks = load_blocks_jsonl(path)
     except LedgerParseError as exc:
         return ValidityReport(False, exc.line, f"parse error: {exc}")
-    verdict = verify_blocks(blocks)
-    if not verdict.valid:
-        return verdict
-    if blocks:
-        mnos = {m: Mno(m) for m in blocks[0].roster}
-        try:
-            bank = TokenBank.rebuild_from_ledger(blocks, mnos)
-        except ReplayRejected as exc:
-            return ValidityReport(False, exc.height, str(exc))
-        if not bank.supply_closure_ok():
-            return ValidityReport(False, None, "supply closure violated")
-    return ValidityReport(True)
+    if not blocks:
+        return ValidityReport(True)
+    try:
+        ledger = Ledger.from_genesis(blocks[0])
+    except ValueError as exc:
+        return ValidityReport(False, 0, f"block rejected: ValueError: {exc}")
+    bank = TokenBank(ledger, ledger.signer_backend, {m: Mno(m) for m in blocks[0].roster})
+    verdict = verify_blocks(blocks, ledger)
+    if verdict.valid and not bank.supply_closure_ok():
+        return ValidityReport(False, None, "supply closure violated")
+    return verdict

@@ -5,18 +5,18 @@ every hash is recomputable, so two identical submission sequences produce
 byte-identical chains.  Confidentiality is modeled through per-channel read
 scopes enforced at query time.
 
-The ledger itself authenticates transactions (known signer, tx id,
-signature, no duplicate).  The token rules of each payload kind belong to
-the token bank attached with ``attach_bank``: ``submit`` runs every
-transaction through ``TokenBank.apply`` before accepting it, and
-``verify_ledger`` replays a persisted chain through the same function.
+``submit`` and ``seal_block`` state every chain rule once, and ``submit``
+also runs the token rules of the bank attached with ``attach_bank``.
+``verify_blocks`` replays a persisted chain through a fresh ledger and
+compares each resealed block with the stored one, so a chain verifies only
+if the live ledger could have written it.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 from . import codec
@@ -145,11 +145,13 @@ def payload_canonical(payload: TxPayload) -> list:
     return [payload.kind, payload.to_fields()]
 
 
-def payload_from_fields(kind: str, fields: dict) -> TxPayload:
+def payload_from_record(record: dict) -> TxPayload:
+    """The payload of a transaction record: its ``kind`` plus its ``to_fields()``."""
+    fields = dict(record)
+    kind = fields.pop("kind")
     cls = _PAYLOAD_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown payload kind {kind!r}")
-    fields = dict(fields)
     if kind == "agreement":
         fields["accepts"] = tuple(fields["accepts"])
     elif kind == "channel_open":
@@ -181,15 +183,8 @@ class Transaction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
-        pl = dict(rec["payload"])
-        kind = pl.pop("kind")
-        return cls(
-            tx_id=bytes.fromhex(rec["tx_id"]),
-            timestamp=int(rec["timestamp"]),
-            signer=rec["signer"],
-            payload=payload_from_fields(kind, pl),
-            signature=bytes.fromhex(rec["signature"]),
-        )
+        return cls(bytes.fromhex(rec["tx_id"]), int(rec["timestamp"]), rec["signer"],
+                   payload_from_record(rec["payload"]), bytes.fromhex(rec["signature"]))
 
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
@@ -200,10 +195,6 @@ def make_transaction(timestamp: int, signer: str, payload: TxPayload, backend: S
     """Build a signed transaction; tx_id commits to (timestamp, signer, payload)."""
     tx_id = tx_digest(timestamp, signer, payload)
     return Transaction(tx_id, timestamp, signer, payload, backend.sign(signer, tx_id))
-
-
-def _genesis_root(roster: tuple[str, ...], keys: dict[str, bytes]) -> bytes:
-    return codec.digest(["genesis", list(roster), {a: k.hex() for a, k in sorted(keys.items())}])
 
 
 def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, sealed_at: int) -> bytes:
@@ -294,10 +285,16 @@ class Ledger:
         self._keys = dict(keys)
         self._seal_genesis(genesis_time)
 
+    @classmethod
+    def from_genesis(cls, genesis: Block) -> "Ledger":
+        """A fresh ledger anchored to a persisted genesis block's roster, keys and time."""
+        return cls(list(genesis.roster), genesis.keys, genesis.sealed_at)
+
     # -- construction helpers
 
     def _seal_genesis(self, now: int) -> None:
-        tx_root = _genesis_root(self.roster, self._keys)
+        tx_root = codec.digest(["genesis", list(self.roster),
+                                {a: k.hex() for a, k in sorted(self._keys.items())}])
         validator = self.roster[0]
         block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, now)
         self.chain.append(
@@ -313,10 +310,10 @@ class Ledger:
         self._bank = weakref.ref(bank)
 
     def submit(self, tx: Transaction) -> bytes:
-        if not self.signer_backend.knows(tx.signer):
-            raise UnknownSigner(tx.signer)
-        expected = tx_digest(tx.timestamp, tx.signer, tx.payload)
-        if expected != tx.tx_id or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
+        if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
+                or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
+            if not self.signer_backend.knows(tx.signer):
+                raise UnknownSigner(tx.signer)
             raise BadSignature(tx.tx_id.hex())
         if tx.tx_id in self._known_ids:
             raise DuplicateTx(tx.tx_id.hex())
@@ -350,9 +347,6 @@ class Ledger:
 
     def verify_chain(self) -> ValidityReport:
         return verify_blocks(self.chain)
-
-    def knows_tx(self, tx_id: bytes) -> bool:
-        return tx_id in self._known_ids
 
     def get_tx(self, tx_id: bytes) -> Optional[Transaction]:
         loc = self.tx_index.get(tx_id)
@@ -422,46 +416,32 @@ def load_blocks_jsonl(path) -> list[Block]:
     return blocks
 
 
-def verify_blocks(chain: list[Block]) -> ValidityReport:
-    """Recompute every digest and link; report the first failing height.
+def verify_blocks(chain: list[Block], ledger: Optional[Ledger] = None) -> ValidityReport:
+    """Replay a chain through ``ledger`` (default: a bare ``Ledger.from_genesis``
+    of it; attach a bank for the token rules); report the first failing height.
 
-    An empty chain is vacuously valid.  The check stops at the first
-    failure so callers learn the earliest tampered block.
+    Each later block's transactions are submitted and the block is resealed
+    at its stored time; each resealed block must equal the stored one.  An
+    empty chain is vacuously valid.
     """
     if not chain:
         return ValidityReport(True)
-    roster = chain[0].roster
-    keys = chain[0].keys
-    backend = codec.KeyedMacSigner(keys)
-    seen: set[bytes] = set()
-    prev_hash = ZERO_DIGEST
-    for i, block in enumerate(chain):
-        if block.height != i:
-            return ValidityReport(False, i, "height out of sequence")
-        if block.prev_hash != prev_hash:
-            return ValidityReport(False, i, "broken prev_hash link")
-        if not roster:
-            return ValidityReport(False, 0, "genesis carries no roster")
-        if block.validator != roster[i % len(roster)]:
-            return ValidityReport(False, i, "validator out of round-robin order")
-        if i == 0:
-            if block.txs:
-                return ValidityReport(False, 0, "genesis must not carry transactions")
-            expected_root = _genesis_root(roster, keys)
-        else:
-            for tx in block.txs:
-                if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id:
-                    return ValidityReport(False, i, f"tx_id mismatch for {tx.tx_id.hex()[:12]}")
-                if not backend.verify(tx.signer, tx.tx_id, tx.signature):
-                    return ValidityReport(False, i, f"bad signature on {tx.tx_id.hex()[:12]}")
-                if tx.tx_id in seen:
-                    return ValidityReport(False, i, "duplicate tx_id")
-                seen.add(tx.tx_id)
-            expected_root = codec.merkle_root([tx.tx_id for tx in block.txs])
-        if block.tx_root != expected_root:
-            return ValidityReport(False, i, "tx_root mismatch")
-        if block_digest(block.height, block.prev_hash, block.tx_root, block.validator,
-                        block.sealed_at) != block.block_hash:
-            return ValidityReport(False, i, "block_hash mismatch")
-        prev_hash = block.block_hash
+    height, tx = 0, None
+    try:
+        if ledger is None:
+            ledger = Ledger.from_genesis(chain[0])
+        for height, block in enumerate(chain):
+            if height:
+                for tx in block.txs:
+                    ledger.submit(tx)
+                tx = None
+                ledger.seal_block(block.sealed_at)
+            resealed = ledger.chain[height]
+            if resealed != block:
+                name = next(f.name for f in fields(Block)
+                            if getattr(resealed, f.name) != getattr(block, f.name))
+                return ValidityReport(False, height, f"{name} mismatch")
+    except Exception as exc:  # a loaded chain can hold anything
+        rejected = "block" if tx is None else f"{tx.payload.kind} tx"
+        return ValidityReport(False, height, f"{rejected} rejected: {type(exc).__name__}: {exc}")
     return ValidityReport(True)

@@ -64,7 +64,6 @@ class RoamingAgreement:
     hmno: str
     vmno: str
     terms: AgreementTerms
-    registered_tx: bytes
 
 
 @dataclass
@@ -161,7 +160,7 @@ class DiceEngine:
         accepts, charging = terms.to_fields()
         tx = make_transaction(now, hmno, AgreementRegistration(hmno, vmno, accepts, charging), self.signer)
         tx_id = self.ledger.submit(tx)
-        self.agreements[(hmno, vmno)] = RoamingAgreement(hmno, vmno, terms, tx_id)
+        self.agreements[(hmno, vmno)] = RoamingAgreement(hmno, vmno, terms)
         return tx_id
 
     # -- session lifecycle
@@ -266,16 +265,10 @@ class DiceEngine:
         """Steps 8-10: close the channel and settle the session."""
         if session.state not in (CHANNEL_OPEN, ACTIVE):
             raise WrongState(session.state)
-        session._move(CLOSING)
-        tx_id = self.channels.close_channel(session.channel, now, closer=session.roamer)
-        session.onchain_txs.append(tx_id)
-        ch = self.channels.channel(session.channel)
-        session._log(now, "channel_close", paid=ch.paid_at_close, refunded=ch.refunded_at_close,
-                     tx=tx_id.hex())
+        self.channels.close_channel(session.channel, now, closer=session.roamer)
+        self._settle(session, now)
         if session.mode == LBO:
             session._log(now, "reprovision_home")
-        session._move(SETTLED)
-        session.closed_at = now
         return session
 
     def timeout_sweep(self, now: int) -> list[str]:
@@ -287,14 +280,18 @@ class DiceEngine:
                 continue
             session = self.sessions[session_id]
             if session.state in (CHANNEL_OPEN, ACTIVE):
-                ch = self.channels.channel(channel_id)
-                session._move(CLOSING)
-                session.onchain_txs.append(ch.close_tx)
-                session._log(now, "channel_close", paid=ch.paid_at_close,
-                             refunded=ch.refunded_at_close, tx=ch.close_tx.hex(), by="timeout")
-                session._move(SETTLED)
-                session.closed_at = now
+                self._settle(session, now, by="timeout")
         return closed
+
+    def _settle(self, session: RoamerSession, now: int, **close_fields) -> None:
+        """Settle a session whose channel has just closed on-chain."""
+        ch = self.channels.channel(session.channel)
+        session._move(CLOSING)
+        session.onchain_txs.append(ch.close_tx)
+        session._log(now, "channel_close", paid=ch.paid_at_close, refunded=ch.refunded_at_close,
+                     tx=ch.close_tx.hex(), **close_fields)
+        session._move(SETTLED)
+        session.closed_at = now
 
     # -- convenience passthroughs
 

@@ -10,7 +10,8 @@ rejected, which is the anti-laundering core of the scheme.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .ledger import Ledger, Redeem, make_transaction
@@ -51,18 +52,28 @@ def model_to_dict(model: ChargingModel) -> dict:
     return {"model": "parity", "tokens_per_mb": model.tokens_per_mb, "euro_per_mb": model.euro_per_mb}
 
 
+# The values of each charging-spec key that a price can be computed from.
+_RANGE = {"rate": (0.0, math.inf), "flat": (0.0, math.inf), "discount": (0.0, 1.0),
+          "tokens_per_mb": (1, math.inf), "euro_per_mb": (0.0, math.inf)}
+
+
 def model_from_dict(spec: dict) -> ChargingModel:
-    kind = spec["model"]
-    if kind == "per_unit":
-        return PerUnit(rate=float(spec["rate"]))
-    if kind == "fixed":
-        return Fixed(flat=float(spec["flat"]), discount=float(spec.get("discount", 0.0)))
-    if kind == "parity":
-        return Parity(
-            tokens_per_mb=int(spec.get("tokens_per_mb", 10)),
-            euro_per_mb=float(spec.get("euro_per_mb", 1.0)),
-        )
-    raise ValueError(f"unknown charging model {kind!r}")
+    """Read a charging spec strictly: a known model, only the keys it
+    declares, and each value finite and in range."""
+    spec = dict(spec)
+    kind = spec.pop("model")
+    model = next((m for m in (PerUnit, Fixed, Parity) if m.name == kind), None)
+    if model is None:
+        raise ValueError(f"unknown charging model {kind!r}")
+    unknown = set(spec) - {f.name for f in fields(model)}
+    if unknown:
+        raise ValueError(f"{kind} charging spec has unknown keys {sorted(unknown)}")
+    for key, value in spec.items():
+        low, high = _RANGE[key]
+        spec[key] = value = type(low)(value)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise ValueError(f"{key} must be finite and in [{low}, {high}], not {value!r}")
+    return model(**spec)  # TypeError if a key it needs is missing
 
 
 def price(model: ChargingModel, tokens: int) -> float:

@@ -1,9 +1,11 @@
 """Issuance, custody and provenance tracking of per-MNO tokens.
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
-once: the ledger runs each submitted transaction through it, and
-``rebuild_from_ledger`` replays a chain through it, so a chain verifies
-only if the live engine could have produced it.  Every lot carries its
+once: the ledger the bank is attached to runs each submitted transaction
+through it.  A persisted chain is checked by replaying it through a fresh
+ledger with a new bank attached (``ledger.verify_blocks``), so it verifies
+only if the live engine could have produced it; ``rebuild_from_ledger``
+returns the bank such a replay ends with.  Every lot carries its
 lineage from the issuance event, which is what provenance checks read.
 One token pays for one 100KB traffic block under the default charging model.
 """
@@ -29,7 +31,8 @@ from .errors import (
     UnknownWallet,
     ZeroDeposit,
 )
-from .ledger import Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem, Transaction, make_transaction
+from .ledger import (Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem, Transaction,
+                     make_transaction, verify_blocks)
 
 ALL_ISSUERS = "*"
 
@@ -90,8 +93,8 @@ class TokenBank:
     linkage the ledger records is the issuer identity.
     """
 
-    def __init__(self, ledger: Optional[Ledger], signer: Optional[Signer], mnos: dict[str, Mno]):
-        # ``ledger`` (if any) checks every submit against ``apply``.
+    def __init__(self, ledger: Ledger, signer: Signer, mnos: dict[str, Mno]):
+        # ``ledger`` checks every submit against ``apply``.
         self.ledger = ledger
         self.signer = signer
         self.mnos = dict(mnos)
@@ -107,8 +110,7 @@ class TokenBank:
         self.lineage_payloads: dict[bytes, Issue | ChannelClose] = {}
         self._lot_seq = 0
         self._wallet_seq = 0
-        if ledger is not None:
-            ledger.attach_bank(self)
+        ledger.attach_bank(self)
 
     # -- wallet management
 
@@ -382,14 +384,13 @@ class TokenBank:
 
     @classmethod
     def rebuild_from_ledger(cls, ledger: Ledger | list[Block], mnos: dict[str, Mno]) -> "TokenBank":
-        """Reconstruct bank state by replaying the sealed transactions of a
-        ledger, or of its loaded blocks, through ``apply``; raises
-        ReplayRejected at the first one a rule rejects."""
-        bank = cls(None, None, mnos)
-        for block in ledger.chain if isinstance(ledger, Ledger) else ledger:
-            for tx in block.txs:
-                try:
-                    bank.apply(tx)
-                except Exception as exc:  # a loaded chain can hold anything
-                    raise ReplayRejected(block.height, tx.payload.kind, exc) from exc
+        """The bank a ledger's sealed blocks, or loaded blocks, leave behind when
+        replayed through a fresh ledger with it attached (``verify_blocks``);
+        raises ReplayRejected if the chain does not verify."""
+        blocks = ledger.chain if isinstance(ledger, Ledger) else ledger
+        replica = Ledger.from_genesis(blocks[0])
+        bank = cls(replica, replica.signer_backend, mnos)
+        verdict = verify_blocks(blocks, replica)
+        if not verdict.valid:
+            raise ReplayRejected(verdict.first_invalid_height, verdict.reason)
         return bank

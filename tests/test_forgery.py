@@ -5,6 +5,8 @@ signatures all check out; only the token rules of ``TokenBank.apply`` can
 tell it apart from a transaction the live engine would have written.
 """
 
+import dataclasses
+
 import pytest
 
 from dice.errors import DiceError
@@ -81,4 +83,21 @@ def test_signed_forgery_is_rejected_live_and_on_replay(forge, kind, error, tmp_p
     result = verify_ledger(path)
     assert not result.valid
     assert result.first_invalid_height == block.height
+    assert result.reason.startswith(f"{kind} tx rejected: {error}: ")
+
+
+@pytest.mark.parametrize("forge, kind, error", FORGERIES, ids=[f[0].__name__ for f in FORGERIES])
+def test_earliest_rejected_height_is_reported(forge, kind, error, tmp_path):
+    """A forgery sealed at height 2 and a bad signature at height 3 fail at 2."""
+    eng, sessions = honest_engine()
+    eng.ledger.pending.append(forge(eng, sessions))
+    assert eng.ledger.seal_block(80).height == 2
+    honest = make_transaction(90, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+    eng.ledger.pending.append(dataclasses.replace(honest, signature=bytes(32)))
+    eng.ledger.seal_block(90)
+    path = tmp_path / "ledger.jsonl"
+    eng.ledger.save_jsonl(path)
+    result = verify_ledger(path)
+    assert not result.valid
+    assert result.first_invalid_height == 2
     assert result.reason.startswith(f"{kind} tx rejected: {error}: ")

@@ -311,7 +311,21 @@ def test_unordered_churn_band_is_rejected():
         generate(WorkloadConfig(churn_fraction_range=(0.3, 0.1)))
 
 
-@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}, {"rate": 0.1}])
+# Specs a price cannot be computed from, or with a key the model does not read.
+STRICT_CHARGING = [
+    {"model": "per_unit", "rate": 0.04, "discount": 0.5},
+    {"model": "per_unit", "rate": -1.0},
+    {"model": "per_unit", "rate": float("nan")},
+    {"model": "fixed", "flat": float("inf")},
+    {"model": "fixed", "flat": 10.0, "discount": 3.0},
+    {"model": "fixed", "flat": 10.0, "discount": -0.5},
+    {"model": "parity", "tokens_per_mb": 0},
+    {"model": "parity", "euro_per_mb": -1.0},
+]
+
+
+@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}, {"rate": 0.1},
+                                      *STRICT_CHARGING])
 def test_bad_charging_spec_is_rejected_on_load(charging, tmp_path):
     with pytest.raises(InvalidConfig, match="charging"):
         ScenarioConfig.from_dict({"charging": charging})
@@ -420,7 +434,7 @@ def test_cli_overrides_are_validated(tmp_path, runner, override):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}])
+@pytest.mark.parametrize("charging", [{"model": "per_unit"}, {"model": "bogus"}, *STRICT_CHARGING])
 def test_cli_bad_charging_spec_exits_two(tmp_path, runner, charging):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"charging": charging}))

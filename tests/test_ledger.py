@@ -1,6 +1,7 @@
 """Ledger: submission, sealing, verification, visibility, persistence."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -27,6 +28,7 @@ from dice.ledger import (
     tx_digest,
     verify_blocks,
 )
+from dice.harness import verify_ledger
 
 ROSTER = ["A", "B", "C"]
 KEYS = {m: codec.derive_key(0, m) for m in ROSTER}
@@ -169,6 +171,71 @@ def test_height_resequencing_detected(ledger):
     report = verify_blocks(chain)
     assert not report.valid
     assert report.first_invalid_height == 2
+
+
+def _save_blocks(chain, path):
+    path.write_text("".join(json.dumps(b.to_record(), separators=(",", ":")) + "\n" for b in chain))
+    return path
+
+
+def test_empty_block_is_rejected_at_its_height(ledger, tmp_path):
+    _build_chain(ledger, blocks=3)
+    height, prev = len(ledger.chain), ledger.chain[-1].block_hash
+    validator, root = ROSTER[height % len(ROSTER)], codec.merkle_root([])
+    ledger.chain.append(Block(height, prev, root, validator, 200,
+                              block_digest(height, prev, root, validator, 200)))
+    ledger.submit(issue_tx(ledger, 99))
+    ledger.seal_block(201)
+    path = _save_blocks(ledger.chain, tmp_path / "chain.jsonl")
+    for report in (verify_blocks(ledger.chain), verify_ledger(path)):
+        assert not report.valid
+        assert report.first_invalid_height == height
+        assert report.reason.startswith("block rejected: EmptyPending: ")
+
+
+# Header field -> (tampered value, field the replay reports as differing).
+TAMPERED_HEADER = {
+    "prev_hash": (codec.sha256(b"other"), "prev_hash"),
+    "validator": ("A", "validator"),
+    "tx_root": (codec.sha256(b"other"), "tx_root"),
+    "sealed_at": (999, "block_hash"),  # the stored hash commits to the old time
+    "block_hash": (codec.sha256(b"other"), "block_hash"),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED_HEADER)
+def test_tampered_header_field_is_reported_at_its_height(ledger, tmp_path, name):
+    value, reported = TAMPERED_HEADER[name]
+    _build_chain(ledger, blocks=6)
+    chain = list(ledger.chain)
+    assert getattr(chain[4], name) != value
+    chain[4] = dataclasses.replace(chain[4], **{name: value})
+    path = _save_blocks(chain, tmp_path / "chain.jsonl")
+    for report in (verify_blocks(chain), verify_ledger(path)):
+        assert not report.valid
+        assert report.first_invalid_height == 4
+        assert report.reason == f"{reported} mismatch"
+
+
+# Genesis field -> (tampered value, reason the replay reports at height 0).
+TAMPERED_GENESIS = {
+    "roster": ((), "block rejected: ValueError: roster must not be empty"),
+    "keys": ({**KEYS, "A": codec.derive_key(1, "A")}, "tx_root mismatch"),
+    "txs": ((make_transaction(0, "A", Issue("A", "w", 5), codec.KeyedMacSigner(KEYS)),), "txs mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED_GENESIS)
+def test_tampered_genesis_is_reported_at_height_zero(ledger, tmp_path, name):
+    value, reason = TAMPERED_GENESIS[name]
+    _build_chain(ledger, blocks=2)
+    chain = list(ledger.chain)
+    chain[0] = dataclasses.replace(chain[0], **{name: value})
+    path = _save_blocks(chain, tmp_path / "chain.jsonl")
+    for report in (verify_blocks(chain), verify_ledger(path)):
+        assert not report.valid
+        assert report.first_invalid_height == 0
+        assert report.reason == reason
 
 
 def test_append_only_index(ledger):

@@ -266,6 +266,7 @@ def test_lineage_tx_ids_exist_on_ledger(bank):
     w = bank.create_wallet("alice", "H")
     bank.issue("H", w, 25, now=1)
     bank.ledger.seal_block(2)
+    sealed = {tx.tx_id for tx in bank.ledger.all_txs()}
     for lot in bank.lots.values():
         for entry in lot.lineage:
-            assert bank.ledger.knows_tx(entry.tx_id)
+            assert entry.tx_id in sealed
