@@ -23,7 +23,7 @@ from .settlement import (
     redeem,
     validate_provenance,
 )
-from .tokenbank import Mno, TokenBank, TokenLot, Wallet
+from .tokenbank import TokenBank, TokenLot, Wallet
 from .workload import (
     CalibrationStats,
     SessionEventTrace,
@@ -42,7 +42,7 @@ __all__ = [
     "AgreementTerms", "DiceEngine", "RoamerSession", "SessionEvents",
     "ChargingModel", "Fixed", "Parity", "PerUnit", "RedemptionClaim",
     "make_claim", "price", "redeem", "validate_provenance",
-    "Mno", "TokenBank", "TokenLot", "Wallet",
+    "TokenBank", "TokenLot", "Wallet",
     "CalibrationStats", "SessionEventTrace", "WorkloadConfig",
     "calibration_report", "generate",
     "__version__",

@@ -5,6 +5,12 @@ is signed off-chain balance proofs, one per completed 100KB traffic block.
 The hashed time-lock works as usual: the first proof reveals the preimage
 the VMNO needs to claim funds, and an unclaimed deposit refunds to the
 roamer after expiry.
+
+Both sides of a channel live on one ``PaymentChannel`` record: the roamer's
+preimage and paid-block counter ``last_seq`` (proof ``seq`` and
+``cumulative`` both count paid blocks), and the VMNO's latest accepted
+proof.  ``ChannelManager(ledger, bank)`` signs and verifies with the
+ledger's key registry.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import codec
-from .codec import Signer
 from .errors import (
     BadPreimage,
     BadSignature,
@@ -70,7 +75,6 @@ def proof_digest(channel_id: str, seq: int, cumulative: int) -> bytes:
 class TrafficMeter:
     channel_id: str
     bytes_total: int = 0          # serviced bytes (capped by the deposit)
-    blocks_paid: int = 0
     unserviced_bytes: int = 0
     exhausted: bool = False
 
@@ -86,9 +90,9 @@ class PaymentChannel:
     hashlock: bytes
     timelock_expiry: int
     last_activity: int
-    cumulative_paid: int = 0
-    last_seq: int = 0
-    preimage_revealed: bool = False
+    preimage: bytes = b""         # roamer side: the hashlock's secret
+    last_seq: int = 0             # roamer side: blocks paid, one proof each
+    latest: Optional[BalanceProof] = None   # VMNO side: the latest accepted proof
     status: str = OPEN
     open_tx: bytes = b""
     close_tx: Optional[bytes] = None
@@ -111,7 +115,6 @@ class ChannelManager:
         self,
         ledger: Ledger,
         bank: TokenBank,
-        signer: Signer,
         *,
         timelock_window: int = DEFAULT_TIMELOCK_WINDOW,
         inactivity_window: int = DEFAULT_INACTIVITY_WINDOW,
@@ -120,7 +123,7 @@ class ChannelManager:
     ):
         self.ledger = ledger
         self.bank = bank
-        self.signer = signer
+        self.signer = ledger.signer_backend
         self.timelock_window = timelock_window
         self.inactivity_window = inactivity_window
         self.round_up_final_block = round_up_final_block
@@ -131,8 +134,6 @@ class ChannelManager:
         self.keep_proofs = True
         self.accepted_proofs: list[BalanceProof] = []
         self.proofs_accepted = 0
-        self._latest: dict[str, BalanceProof] = {}   # VMNO-side store
-        self._preimages: dict[str, bytes] = {}       # roamer-side secrets
         self._rng = random.Random(preimage_seed)
         # The id and preimage of the next open; both move on only when an
         # open is accepted, so a rejected open shifts no later channel.
@@ -167,10 +168,10 @@ class ChannelManager:
             hashlock=hashlock,
             timelock_expiry=expiry,
             last_activity=now,
+            preimage=preimage,
             open_tx=tx_id,
         )
         self.channels[channel_id] = self._open[channel_id] = ch
-        self._preimages[channel_id] = preimage
         return channel_id
 
     def channel(self, channel_id: str) -> PaymentChannel:
@@ -201,15 +202,12 @@ class ChannelManager:
             meter.exhausted = True
         proofs = []
         target_blocks = meter.bytes_total // TOKEN_BLOCK_BYTES
-        while meter.blocks_paid < target_blocks:
-            meter.blocks_paid += 1
-            seq = ch.last_seq + 1
-            cumulative = meter.blocks_paid
-            preimage = self._preimages[channel_id] if seq == 1 else None
-            sig = self.signer.sign(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, cumulative))
-            proofs.append(BalanceProof(channel_id, seq, cumulative, preimage, sig))
+        while ch.last_seq < target_blocks:
+            seq = ch.last_seq + 1   # each proof pays one more block
+            preimage = ch.preimage if seq == 1 else None
+            sig = self.signer.sign(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, seq))
+            proofs.append(BalanceProof(channel_id, seq, seq, preimage, sig))
             ch.last_seq = seq
-            ch.cumulative_paid = cumulative
         ch.last_activity = now
         return proofs
 
@@ -222,7 +220,7 @@ class ChannelManager:
             ch.roamer, codec.digest_int_pair(ch.proof_state, proof.seq, proof.cumulative), proof.signature
         ):
             raise BadSignature(f"proof seq {proof.seq}")
-        latest = self._latest.get(proof.channel_id)
+        latest = ch.latest
         expected_seq = (latest.seq if latest else 0) + 1
         if proof.seq < expected_seq:
             raise StaleProof(f"seq {proof.seq} <= {expected_seq - 1}")
@@ -235,28 +233,27 @@ class ChannelManager:
         if proof.seq == 1:
             if proof.preimage is None or codec.sha256(proof.preimage) != ch.hashlock:
                 raise BadPreimage(proof.channel_id)
-            ch.preimage_revealed = True
-        self._latest[proof.channel_id] = proof
+        ch.latest = proof
         self.proofs_accepted += 1
         if self.keep_proofs:
             self.accepted_proofs.append(proof)
         return proof
 
     def latest_accepted(self, channel_id: str) -> Optional[BalanceProof]:
-        return self._latest.get(channel_id)
+        return self.channel(channel_id).latest
 
     # -- close paths
 
     def close_channel(self, channel_id: str, now: int, *, closer: Optional[str] = None) -> bytes:
         """Settle on-chain: pay the VMNO its due, refund the rest."""
         ch = self.channel(channel_id)
-        latest = self._latest.get(channel_id)
-        final_seq = latest.seq if latest else 0
-        paid = 0
-        if ch.preimage_revealed:
-            # Without the revealed preimage the VMNO cannot claim anything,
-            # so sub-100KB-only channels refund in full.
-            paid = latest.cumulative if latest else 0
+        latest = ch.latest
+        final_seq = paid = 0
+        if latest is not None:
+            # The first accepted proof revealed the preimage; without it the
+            # VMNO cannot claim anything, so sub-100KB-only channels refund
+            # in full.
+            final_seq, paid = latest.seq, latest.cumulative
             partial = ch.meter.bytes_total > paid * TOKEN_BLOCK_BYTES
             if self.round_up_final_block and partial and paid < ch.deposit:
                 paid += 1
@@ -276,10 +273,10 @@ class ChannelManager:
 
     def timeout_sweep(self, now: int) -> list[str]:
         """Close idle channels with the latest stored proof; refund expired
-        channels whose preimage was never revealed."""
+        channels whose preimage was never revealed (no proof was accepted)."""
         closed = []
         for ch in list(self._open.values()):
-            expired_unclaimed = now >= ch.timelock_expiry and not ch.preimage_revealed
+            expired_unclaimed = now >= ch.timelock_expiry and ch.latest is None
             idle = now - ch.last_activity >= self.inactivity_window
             if expired_unclaimed or idle:
                 self.close_channel(ch.channel_id, now, closer=ch.vmno)

@@ -7,6 +7,7 @@ verification or requirements check, 2 usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -90,6 +91,8 @@ def ledger_verify(path) -> None:
 def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_day,
                  avg_mno_factor) -> None:
     """Project the run to consortium scale and check TPS feasibility."""
+    if traffic_tb_per_day is not None and not (math.isfinite(traffic_tb_per_day) and traffic_tb_per_day >= 0):
+        raise click.BadParameter("must be finite and >= 0", param_hint="'--traffic-tb-per-day'")
     assumptions = RequirementsAssumptions(
         tps_capacity=tps_capacity,
         concentration_hours=concentration_hours,
@@ -98,10 +101,14 @@ def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_
     if traffic_tb_per_day is not None:
         assumptions.visited_mno_daily_bytes = int(traffic_tb_per_day * 1e12)
     try:
-        verdict = check_requirements(MetricsReport.from_json_file(report_path), assumptions)
-    except (OSError, json.JSONDecodeError, TypeError, InvalidConfig) as exc:
+        report = MetricsReport.from_json_file(report_path)
+    except (OSError, ValueError, TypeError, InvalidConfig) as exc:
         click.echo(f"cannot read report: {exc}", err=True)
         sys.exit(1)
+    try:
+        verdict = check_requirements(report, assumptions)
+    except InvalidConfig as exc:  # the report's config is valid, so an override is not
+        raise click.UsageError(str(exc))
     click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
     sys.exit(0 if verdict.passed else 1)
 

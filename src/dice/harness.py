@@ -20,7 +20,7 @@ from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
 from .ledger import Ledger, ValidityReport, load_blocks_jsonl, verify_blocks
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
-from .tokenbank import TOKEN_BLOCK_BYTES, Mno, TokenBank, tokens_for_bytes
+from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes
 from .workload import COUNT, POSITIVE, SessionEventTrace, WorkloadConfig, config_schema, generate, knob
 
 DAY = 86_400
@@ -101,8 +101,11 @@ class MetricsReport:
 
     @classmethod
     def from_json_file(cls, path) -> "MetricsReport":
+        """A written report; its config must validate (raises InvalidConfig)."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            report = cls(**json.load(fh))
+        ScenarioConfig.from_dict(report.config)
+        return report
 
 
 def extrapolate(raw: float, scale: float, num_mnos: int) -> int:
@@ -144,9 +147,8 @@ def run_scenario(
 
     hmnos = sorted({a.hmno for a in trace.arrivals})
     roamers = [a.roamer for a in trace.arrivals]
-    mnos = [Mno(config.vmno)] + [Mno(h) for h in hmnos]
     engine = DiceEngine(
-        mnos, roamers,
+        [config.vmno, *hmnos], roamers,
         seed=config.seed,
         timelock_window=config.timelock_window_s,
         inactivity_window=config.inactivity_window_s,
@@ -318,7 +320,8 @@ def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEven
 
 @dataclass
 class RequirementsAssumptions:
-    # None takes the value from the report's config.
+    # A field named after a config knob overrides the report's value; None
+    # keeps it.
     tps_capacity: Optional[int] = None
     concentration_hours: Optional[float] = None
     visited_mno_daily_bytes: Optional[int] = 10_000_000_000_000  # 10 TB/day
@@ -341,16 +344,14 @@ class RequirementsVerdict:
 
 def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptions) -> RequirementsVerdict:
     """Extrapolate the desk-scale run to consortium scale and test it
-    against the reference ledger capacity."""
-    cfg = ScenarioConfig.from_dict(report.config)
-
-    def assumed(name: str):
-        value = getattr(assumptions, name)
-        return getattr(cfg, name) if value is None else value
-
-    factor = float(assumed("avg_mno_factor"))
-    tps_capacity = int(assumed("tps_capacity"))
-    concentration_hours = float(assumed("concentration_hours"))
+    against the reference ledger capacity.  The knob overrides are validated
+    with the report's config, so a bad one raises InvalidConfig naming it."""
+    overrides = {k: v for k, v in asdict(assumptions).items()
+                 if v is not None and k in SCENARIO_SCHEMA["properties"]}
+    cfg = ScenarioConfig.from_dict({**report.config, **overrides})
+    factor = float(cfg.avg_mno_factor)
+    tps_capacity = int(cfg.tps_capacity)
+    concentration_hours = float(cfg.concentration_hours)
 
     onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
     daily_onchain = onchain_daily_full * cfg.num_mnos * factor
@@ -387,12 +388,12 @@ def verify_ledger(path) -> ValidityReport:
     except LedgerParseError as exc:
         return ValidityReport(False, exc.line, f"parse error: {exc}")
     if not blocks:
-        return ValidityReport(True)
+        return verify_blocks(blocks)  # reports the missing genesis block
     try:
         ledger = Ledger.from_genesis(blocks[0])
     except ValueError as exc:
         return ValidityReport(False, 0, f"block rejected: ValueError: {exc}")
-    bank = TokenBank(ledger, ledger.signer_backend, {m: Mno(m) for m in blocks[0].roster})
+    bank = TokenBank(ledger)
     verdict = verify_blocks(blocks, ledger)
     if verdict.valid and not bank.supply_closure_ok():
         return ValidityReport(False, None, "supply closure violated")

@@ -282,7 +282,6 @@ class Ledger:
         self.channel_scopes: dict[str, frozenset[str]] = {}
         self._known_ids: set[bytes] = set()
         self._bank: Optional[weakref.ref] = None
-        self._keys = dict(keys)
         self._seal_genesis(genesis_time)
 
     @classmethod
@@ -293,13 +292,13 @@ class Ledger:
     # -- construction helpers
 
     def _seal_genesis(self, now: int) -> None:
+        keys = self.signer_backend.keys
         tx_root = codec.digest(["genesis", list(self.roster),
-                                {a: k.hex() for a, k in sorted(self._keys.items())}])
+                                {a: k.hex() for a, k in sorted(keys.items())}])
         validator = self.roster[0]
         block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, now)
         self.chain.append(
-            Block(0, ZERO_DIGEST, tx_root, validator, now, block_hash,
-                  roster=self.roster, keys=dict(self._keys))
+            Block(0, ZERO_DIGEST, tx_root, validator, now, block_hash, roster=self.roster, keys=keys)
         )
 
     # -- write path
@@ -416,16 +415,19 @@ def load_blocks_jsonl(path) -> list[Block]:
     return blocks
 
 
+NO_GENESIS = "no genesis block"
+
+
 def verify_blocks(chain: list[Block], ledger: Optional[Ledger] = None) -> ValidityReport:
     """Replay a chain through ``ledger`` (default: a bare ``Ledger.from_genesis``
     of it; attach a bank for the token rules); report the first failing height.
 
     Each later block's transactions are submitted and the block is resealed
     at its stored time; each resealed block must equal the stored one.  An
-    empty chain is vacuously valid.
+    empty chain is invalid at height 0: the live ledger always seals genesis.
     """
     if not chain:
-        return ValidityReport(True)
+        return ValidityReport(False, 0, NO_GENESIS)
     height, tx = 0, None
     try:
         if ledger is None:

@@ -24,7 +24,7 @@ from .errors import (
     WrongState,
 )
 from .ledger import AgreementRegistration, AttachCheck, Ledger, make_transaction
-from .tokenbank import Mno, TokenBank
+from .tokenbank import TokenBank
 
 LBO, HR = "lbo", "hr"
 
@@ -60,13 +60,6 @@ class AgreementTerms:
 
 
 @dataclass
-class RoamingAgreement:
-    hmno: str
-    vmno: str
-    terms: AgreementTerms
-
-
-@dataclass
 class RoamerSession:
     session_id: str
     roamer: str
@@ -76,8 +69,6 @@ class RoamerSession:
     mode: str
     state: str = HOME
     channel: Optional[str] = None
-    opened_at: Optional[int] = None
-    closed_at: Optional[int] = None
     clock: int = 0
     onchain_txs: list[bytes] = field(default_factory=list)
     proofs_accepted: int = 0
@@ -116,12 +107,13 @@ class DiceEngine:
 
     All actors (MNOs and roamers) must be known up front: their signing
     keys are anchored in the genesis block, which is what makes a
-    persisted ledger verifiable on its own.
+    persisted ledger verifiable on its own.  The MNOs form the roster: they
+    seal blocks, issue tokens and sign agreements.
     """
 
     def __init__(
         self,
-        mnos: list[Mno],
+        mnos: list[str],
         roamers: list[str],
         *,
         seed: int = 0,
@@ -130,21 +122,18 @@ class DiceEngine:
         inactivity_window: int = DEFAULT_INACTIVITY_WINDOW,
         round_up_final_block: bool = True,
     ):
-        roster = [m.id for m in mnos]
-        actors = roster + list(roamers)
-        keys = {a: codec.derive_key(seed, a) for a in actors}
-        self.ledger = Ledger(roster, keys, genesis_time)
+        keys = {a: codec.derive_key(seed, a) for a in [*mnos, *roamers]}
+        self.ledger = Ledger(mnos, keys, genesis_time)
         self.signer = self.ledger.signer_backend
-        self.mnos = {m.id: m for m in mnos}
-        self.bank = TokenBank(self.ledger, self.signer, self.mnos)
+        self.bank = TokenBank(self.ledger)
         self.channels = ChannelManager(
-            self.ledger, self.bank, self.signer,
+            self.ledger, self.bank,
             timelock_window=timelock_window,
             inactivity_window=inactivity_window,
             round_up_final_block=round_up_final_block,
             preimage_seed=codec.derive_seed(seed, "preimage"),
         )
-        self.agreements: dict[tuple[str, str], RoamingAgreement] = {}
+        self.agreements: dict[tuple[str, str], AgreementTerms] = {}  # (hmno, vmno) -> terms
         self.sessions: dict[str, RoamerSession] = {}
         self.fiat: dict[str, float] = {}  # in-simulation double-entry accounts
         self._session_by_channel: dict[str, str] = {}
@@ -153,14 +142,14 @@ class DiceEngine:
     # -- step 0: consortium agreements
 
     def register_agreement(self, hmno: str, vmno: str, terms: AgreementTerms, now: int) -> bytes:
-        if hmno not in self.mnos or vmno not in self.mnos:
+        if hmno not in self.bank.operators or vmno not in self.bank.operators:
             raise UnknownMno(f"{hmno}/{vmno}")
         if (hmno, vmno) in self.agreements:
             raise DuplicateAgreement(f"{hmno}->{vmno}")
         accepts, charging = terms.to_fields()
         tx = make_transaction(now, hmno, AgreementRegistration(hmno, vmno, accepts, charging), self.signer)
         tx_id = self.ledger.submit(tx)
-        self.agreements[(hmno, vmno)] = RoamingAgreement(hmno, vmno, terms)
+        self.agreements[(hmno, vmno)] = terms
         return tx_id
 
     # -- session lifecycle
@@ -178,8 +167,8 @@ class DiceEngine:
         if session.state != HOME:
             raise WrongState(session.state)
         failure: Optional[Exception] = None
-        agreement = self.agreements.get((session.hmno, session.vmno))
-        if agreement is None or session.hmno not in agreement.terms.accepts_tokens_of:
+        terms = self.agreements.get((session.hmno, session.vmno))
+        if terms is None or session.hmno not in terms.accepts_tokens_of:
             failure = NoAgreement(f"{session.hmno}->{session.vmno}")
         else:
             lots = self.bank.lots_of(session.active_wallet, issuer=session.hmno)
@@ -219,7 +208,6 @@ class DiceEngine:
             raise WrongState(f"{session.state}, expected {expected}")
         channel_id = self.channels.open_channel(session.active_wallet, session.vmno, deposit, now)
         session.channel = channel_id
-        session.opened_at = now
         ch = self.channels.channel(channel_id)
         session.onchain_txs.append(ch.open_tx)
         self._session_by_channel[channel_id] = session.session_id
@@ -291,7 +279,6 @@ class DiceEngine:
         session._log(now, "channel_close", paid=ch.paid_at_close, refunded=ch.refunded_at_close,
                      tx=ch.close_tx.hex(), **close_fields)
         session._move(SETTLED)
-        session.closed_at = now
 
     # -- convenience passthroughs
 

@@ -5,9 +5,12 @@ once: the ledger the bank is attached to runs each submitted transaction
 through it.  A persisted chain is checked by replaying it through a fresh
 ledger with a new bank attached (``ledger.verify_blocks``), so it verifies
 only if the live engine could have produced it; ``rebuild_from_ledger``
-returns the bank such a replay ends with.  Every lot carries its
-lineage from the issuance event, which is what provenance checks read.
-One token pays for one 100KB traffic block under the default charging model.
+returns the bank such a replay ends with.  The operators (the only
+actors that may issue) and every signing key come from the ledger's
+genesis roster and key registry, so ``TokenBank(ledger)`` needs nothing
+else.  Every lot carries its lineage from the issuance event, which is
+what provenance checks read; a wallet keeps its lots by issuer.  One token
+pays for one 100KB traffic block under the default charging model.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .codec import Signer
 from .errors import (
     AlreadyBurned,
     AlreadyClosed,
@@ -31,8 +33,8 @@ from .errors import (
     UnknownWallet,
     ZeroDeposit,
 )
-from .ledger import (Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem, Transaction,
-                     make_transaction, verify_blocks)
+from .ledger import (NO_GENESIS, Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem,
+                     Transaction, make_transaction, verify_blocks)
 
 ALL_ISSUERS = "*"
 
@@ -42,12 +44,6 @@ TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 def tokens_for_bytes(nbytes: int) -> int:
     """Tokens needed to cover nbytes at the 100KB granularity, rounding up."""
     return -(-nbytes // TOKEN_BLOCK_BYTES)
-
-
-@dataclass(frozen=True)
-class Mno:
-    id: str
-    may_issue: bool = True
 
 
 class LineageEntry(NamedTuple):
@@ -60,7 +56,8 @@ class Wallet:
     wallet_id: str
     owner: Optional[str]
     home_mno: str
-    lot_ids: list[str] = field(default_factory=list)
+    # issuer -> {lot_id: lot}, each in the order the lots arrived.
+    lots: dict[str, dict[str, TokenLot]] = field(default_factory=dict)
 
 
 @dataclass
@@ -93,11 +90,10 @@ class TokenBank:
     linkage the ledger records is the issuer identity.
     """
 
-    def __init__(self, ledger: Ledger, signer: Signer, mnos: dict[str, Mno]):
+    def __init__(self, ledger: Ledger):
         # ``ledger`` checks every submit against ``apply``.
         self.ledger = ledger
-        self.signer = signer
-        self.mnos = dict(mnos)
+        self.operators = frozenset(ledger.roster)
         self.wallets: dict[str, Wallet] = {}
         self.lots: dict[str, TokenLot] = {}
         self.issued_by: dict[str, int] = {}
@@ -140,9 +136,10 @@ class TokenBank:
     # -- operations
 
     def issue(self, hmno: str, wallet_id: str, amount: int, now: int) -> bytes:
-        if not self.signer.knows(hmno):
+        signer = self.ledger.signer_backend
+        if not signer.knows(hmno):
             raise NotIssuer(hmno)  # it cannot even sign the Issue
-        return self.ledger.submit(make_transaction(now, hmno, Issue(hmno, wallet_id, amount), self.signer))
+        return self.ledger.submit(make_transaction(now, hmno, Issue(hmno, wallet_id, amount), signer))
 
     def create_identities(self, hmno: str, roamer: str, n: int, amounts: list[int], now: int) -> list[str]:
         """Fund n unlinkable wallets for one roamer (privacy via identities)."""
@@ -154,10 +151,8 @@ class TokenBank:
         return wallet_ids
 
     def _select_lots(self, wallet: Wallet, issuer: str) -> list[TokenLot]:
-        lots = [self.lots[lid] for lid in wallet.lot_ids if self.lots[lid].issuer == issuer]
         # Largest first, lot_id breaks ties, so replay picks identically.
-        lots.sort(key=lambda l: (-l.amount, l.lot_id))
-        return lots
+        return sorted(wallet.lots.get(issuer, {}).values(), key=lambda l: (-l.amount, l.lot_id))
 
     def transfer(self, frm: str, to: str, issuer: str, amount: int, cause_tx: bytes) -> list[str]:
         src = self.wallet(frm)
@@ -169,11 +164,16 @@ class TokenBank:
             raise InsufficientBalance(f"{frm} has {spendable} spendable < {amount} of {issuer}")
         moved: list[str] = []
         remaining = amount
+        src_lots = src.lots[issuer]
+        dst_lots = dst.lots.setdefault(issuer, {})
         for lot in self._select_lots(src, issuer):
             if remaining == 0:
                 break
             if lot.amount <= remaining:
                 lot.lineage.append(LineageEntry(to, cause_tx))
+                # Re-inserted last, also when a wallet pays itself.
+                del src_lots[lot.lot_id]
+                dst_lots[lot.lot_id] = lot
                 moved.append(lot.lot_id)
                 remaining -= lot.amount
             else:
@@ -183,24 +183,17 @@ class TokenBank:
                     list(lot.lineage) + [LineageEntry(to, cause_tx)],
                 )
                 lot.amount -= remaining
-                self.lots[child.lot_id] = child
+                self.lots[child.lot_id] = dst_lots[child.lot_id] = child
                 moved.append(child.lot_id)
                 remaining = 0
-        # One pass over the source list, whatever the number of lots moved
-        # (a split's child was never in it).
-        taken = set(moved)
-        src.lot_ids[:] = [lid for lid in src.lot_ids if lid not in taken]
-        dst.lot_ids.extend(moved)
         return moved
 
     def balance(self, wallet_id: str, issuer: str = ALL_ISSUERS) -> int:
         """Gross holdings, escrowed tokens included."""
-        w = self.wallet(wallet_id)
-        return sum(
-            self.lots[lid].amount
-            for lid in w.lot_ids
-            if issuer == ALL_ISSUERS or self.lots[lid].issuer == issuer
-        )
+        held = self.wallet(wallet_id).lots
+        if issuer == ALL_ISSUERS:
+            return sum(lot.amount for lots in held.values() for lot in lots.values())
+        return sum(lot.amount for lot in held.get(issuer, {}).values())
 
     def locked_amount(self, wallet_id: str) -> int:
         return sum(self.locks.get(wallet_id, {}).values())
@@ -233,25 +226,21 @@ class TokenBank:
         return lot
 
     def lots_of(self, wallet_id: str, issuer: Optional[str] = None) -> list[TokenLot]:
-        w = self.wallet(wallet_id)
-        return [
-            self.lots[lid] for lid in w.lot_ids
-            if issuer is None or self.lots[lid].issuer == issuer
-        ]
+        """A wallet's lots of one issuer in arrival order, or (issuer None)
+        every issuer's in turn."""
+        held = self.wallet(wallet_id).lots
+        if issuer is not None:
+            return list(held.get(issuer, {}).values())
+        return [lot for lots in held.values() for lot in lots.values()]
 
     def burn(self, lot_ids: list[str], cause_tx: bytes) -> None:
         """Remove redeemed lots from circulation; supply stays accounted."""
-        burned_from: dict[str, set[str]] = {}
         for lid in lot_ids:
             lot = self.lot(lid)
-            burned_from.setdefault(lot.holder, set()).add(lid)
+            del self.wallets[lot.holder].lots[lot.issuer][lid]
             lot.burned = True
             lot.burn_tx = cause_tx
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
-        # One pass over each holder's list, whatever the number of lots burned.
-        for wallet_id, burned in burned_from.items():
-            holder = self.wallets[wallet_id]
-            holder.lot_ids[:] = [lid for lid in holder.lot_ids if lid not in burned]
 
     # -- the token rules
 
@@ -261,8 +250,7 @@ class TokenBank:
         rule fails.  Kinds without a token effect pass unchecked."""
         p = tx.payload
         if isinstance(p, Issue):
-            mno = self.mnos.get(p.issuer)
-            if tx.signer != p.issuer or mno is None or not mno.may_issue:
+            if tx.signer != p.issuer or p.issuer not in self.operators:
                 raise NotIssuer(f"{p.issuer}, signed by {tx.signer}")
             w = self.wallets.get(p.wallet)
             if w is not None and w.home_mno != p.issuer:
@@ -272,7 +260,7 @@ class TokenBank:
             self.create_wallet(None, p.issuer, p.wallet)
             lot = TokenLot(self._next_lot_id(), p.issuer, p.amount, [LineageEntry(p.wallet, tx.tx_id)])
             self.lots[lot.lot_id] = lot
-            self.wallets[p.wallet].lot_ids.append(lot.lot_id)
+            self.wallets[p.wallet].lots.setdefault(p.issuer, {})[lot.lot_id] = lot
             self.issued_by[p.issuer] = self.issued_by.get(p.issuer, 0) + p.amount
             self.lineage_payloads[tx.tx_id] = p
         elif isinstance(p, ChannelOpen):
@@ -371,7 +359,7 @@ class TokenBank:
                 for lid, lot in sorted(self.lots.items())
             },
             "wallets": {
-                wid: {"home": w.home_mno, "lots": sorted(w.lot_ids)}
+                wid: {"home": w.home_mno, "lots": sorted(lid for lots in w.lots.values() for lid in lots)}
                 for wid, w in sorted(self.wallets.items())
             },
             "locks": {
@@ -383,13 +371,15 @@ class TokenBank:
         }
 
     @classmethod
-    def rebuild_from_ledger(cls, ledger: Ledger | list[Block], mnos: dict[str, Mno]) -> "TokenBank":
+    def rebuild_from_ledger(cls, chain: Ledger | list[Block]) -> "TokenBank":
         """The bank a ledger's sealed blocks, or loaded blocks, leave behind when
         replayed through a fresh ledger with it attached (``verify_blocks``);
         raises ReplayRejected if the chain does not verify."""
-        blocks = ledger.chain if isinstance(ledger, Ledger) else ledger
+        blocks = chain.chain if isinstance(chain, Ledger) else chain
+        if not blocks:
+            raise ReplayRejected(0, NO_GENESIS)
         replica = Ledger.from_genesis(blocks[0])
-        bank = cls(replica, replica.signer_backend, mnos)
+        bank = cls(replica)
         verdict = verify_blocks(blocks, replica)
         if not verdict.valid:
             raise ReplayRejected(verdict.first_invalid_height, verdict.reason)

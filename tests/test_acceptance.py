@@ -33,7 +33,7 @@ from dice.harness import (
 from dice.ledger import Issue, Ledger, make_transaction
 from dice.protocol import LBO, AgreementTerms, DiceEngine
 from dice.settlement import PerUnit, RedemptionClaim, make_claim, redeem, validate_provenance
-from dice.tokenbank import LineageEntry, Mno, TokenBank, TokenLot
+from dice.tokenbank import LineageEntry, TokenBank, TokenLot
 from dice.workload import WorkloadConfig, generate
 
 
@@ -184,7 +184,7 @@ def test_criterion_05_provenance_security():
         accepted = []
 
         # Honest paths: full spend, partial spend, several sessions pooled.
-        eng = DiceEngine([Mno("H"), Mno("V"), Mno("W")], ["a1", "a2", "a3"], seed=51)
+        eng = DiceEngine(["H", "V", "W"], ["a1", "a2", "a3"], seed=51)
         eng.register_agreement("H", "V", terms, 0)
         _honest_visit(eng, "a1", "H", "V", 25, 2_500_000, 10)
         _honest_visit(eng, "a2", "H", "V", 25, 1_000_000, 20)
@@ -196,7 +196,7 @@ def test_criterion_05_provenance_security():
         accepted.append(True)
 
         # Attack 1: direct wallet transfer, no channel involved.
-        eng = DiceEngine([Mno("H"), Mno("V")], ["b1"], seed=52)
+        eng = DiceEngine(["H", "V"], ["b1"], seed=52)
         w = eng.bank.create_identities("H", "b1", 1, [25], 5)[0]
         eng.ledger.seal_block(6)
         eng.bank.transfer(w, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
@@ -205,18 +205,18 @@ def test_criterion_05_provenance_security():
         rejected.append((not verdict.accepted, "direct-transfer", verdict.reason))
 
         # Attack 2: forged lineage whose root never hit the chain.
-        eng = DiceEngine([Mno("H"), Mno("V")], [], seed=53)
+        eng = DiceEngine(["H", "V"], [], seed=53)
         treasury = eng.bank.treasury("V")
         fake = TokenLot("lot-x", "H", 10, [LineageEntry("w-ghost", codec.sha256(b"no")),
                                            LineageEntry(treasury, codec.sha256(b"no2"))])
         eng.bank.lots[fake.lot_id] = fake
-        eng.bank.wallets[treasury].lot_ids.append(fake.lot_id)
+        eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
         claim = RedemptionClaim("V", "H", [fake.lot_id], (0, 100), 0.4)
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "forged-lineage", verdict.reason))
 
         # Attack 3: wrong issuer (claim W-issued lots against H).
-        eng = DiceEngine([Mno("H"), Mno("V"), Mno("W")], ["c1"], seed=54)
+        eng = DiceEngine(["H", "V", "W"], ["c1"], seed=54)
         eng.register_agreement("W", "V", AgreementTerms(frozenset({"W"}), {"model": "per_unit", "rate": 0.04}), 0)
         _honest_visit(eng, "c1", "W", "V", 10, 1_000_000, 10)
         eng.ledger.seal_block(500)
@@ -226,7 +226,7 @@ def test_criterion_05_provenance_security():
         rejected.append((not verdict.accepted, "wrong-issuer", verdict.reason))
 
         # Attack 4: cross-VMNO relay of honestly earned tokens.
-        eng = DiceEngine([Mno("H"), Mno("V"), Mno("W")], ["d1"], seed=55)
+        eng = DiceEngine(["H", "V", "W"], ["d1"], seed=55)
         eng.register_agreement("H", "V", terms, 0)
         session = _honest_visit(eng, "d1", "H", "V", 25, 2_500_000, 10)
         eng.ledger.seal_block(500)
@@ -237,7 +237,7 @@ def test_criterion_05_provenance_security():
         rejected.append((not verdict.accepted, "cross-vmno-relay", verdict.reason))
 
         # Attack 5: self-issued tokens, claimed against H and against self.
-        eng = DiceEngine([Mno("H"), Mno("V")], [], seed=56)
+        eng = DiceEngine(["H", "V"], [], seed=56)
         treasury = eng.bank.treasury("V")
         eng.bank.issue("V", treasury, 50, now=5)
         eng.ledger.seal_block(6)
@@ -296,12 +296,11 @@ def test_criterion_06_tamper_evidence(tmp_path):
 
 def test_criterion_07_proof_stream_properties():
     with criterion(7, ">=1e5 randomized proof submissions match the reference model"):
-        mnos = {"H": Mno("H"), "V": Mno("V")}
         actors = ["H", "V"] + [f"r{i}" for i in range(100)]
         keys = {a: codec.derive_key(7, a) for a in actors}
         ledger = Ledger(["H", "V"], keys)
-        bank = TokenBank(ledger, ledger.signer_backend, mnos)
-        mgr = ChannelManager(ledger, bank, ledger.signer_backend, preimage_seed=77)
+        bank = TokenBank(ledger)
+        mgr = ChannelManager(ledger, bank, preimage_seed=77)
         deposit = 30
         channels = []
         for i in range(100):
@@ -334,7 +333,7 @@ def test_criterion_07_proof_stream_properties():
                 seq = last_seq + 1
                 cum = rng.randint(0, max(0, last_cum))  # non-increasing
             sig_ok = rng.random() > 0.03
-            good_pre = mgr._preimages[ch]
+            good_pre = mgr.channel(ch).preimage
             pre_ok = rng.random() > 0.05
             preimage = (good_pre if pre_ok else b"\x00" * 32) if seq == 1 else None
             signer = actor_of[ch] if sig_ok else "V"

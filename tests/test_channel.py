@@ -22,9 +22,8 @@ from dice.errors import (
     ZeroDeposit,
 )
 from dice.ledger import Ledger
-from dice.tokenbank import Mno, TokenBank
+from dice.tokenbank import TokenBank
 
-MNOS = {"H": Mno("H"), "V": Mno("V")}
 ACTORS = ["H", "V", "alice", "mallory"]
 KEYS = {a: codec.derive_key(3, a) for a in ACTORS}
 
@@ -34,8 +33,8 @@ DAY = 86_400
 
 def fresh(tokens=25):
     ledger = Ledger(["H", "V"], KEYS)
-    bank = TokenBank(ledger, ledger.signer_backend, MNOS)
-    mgr = ChannelManager(ledger, bank, ledger.signer_backend, preimage_seed=5)
+    bank = TokenBank(ledger)
+    mgr = ChannelManager(ledger, bank, preimage_seed=5)
     wallet = bank.create_wallet("alice", "H")
     if tokens:
         bank.issue("H", wallet, tokens, now=0)
@@ -54,7 +53,7 @@ def test_open_locks_deposit_with_one_onchain_tx():
     assert bank.spendable(wallet, "H") == 0
     assert bank.locked_amount(wallet) == 25
     ch = mgr.channel(ch_id)
-    assert ch.deposit == 25 and ch.cumulative_paid == 0 and ch.last_seq == 0
+    assert ch.deposit == 25 and ch.last_seq == 0 and ch.latest is None
     assert ch.timelock_expiry == 100 + mgr.timelock_window
 
 
@@ -122,9 +121,8 @@ def test_partial_block_rounds_up_at_close():
 
 def test_exact_floor_accounting_when_rounding_disabled():
     ledger = Ledger(["H", "V"], KEYS)
-    bank = TokenBank(ledger, ledger.signer_backend, MNOS)
-    mgr = ChannelManager(ledger, bank, ledger.signer_backend,
-                         round_up_final_block=False, preimage_seed=5)
+    bank = TokenBank(ledger)
+    mgr = ChannelManager(ledger, bank, round_up_final_block=False, preimage_seed=5)
     wallet = bank.create_wallet("alice", "H")
     bank.issue("H", wallet, 25, now=0)
     ch = mgr.open_channel(wallet, "V", 25, now=0)
@@ -240,7 +238,7 @@ def test_proof_cannot_move_between_channels():
     a = mgr.open_channel(wallet, "V", 10, now=0)
     b = mgr.open_channel(wallet, "V", 10, now=0)
     (proof_a,) = emitted(mgr, a, 1)
-    moved = dataclasses.replace(proof_a, channel_id=b, preimage=mgr._preimages[b])
+    moved = dataclasses.replace(proof_a, channel_id=b, preimage=mgr.channel(b).preimage)
     with pytest.raises(BadSignature):
         mgr.receive_proof("V", moved)
     with pytest.raises(UnknownChannel):
@@ -388,7 +386,7 @@ def test_accepted_pairs_strictly_increase(stream):
     strictly increasing in both coordinates and never exceeds the deposit."""
     _, _, mgr, wallet = fresh(25)
     ch = mgr.open_channel(wallet, "V", 25, now=0)
-    preimage = mgr._preimages[ch]
+    preimage = mgr.channel(ch).preimage
     accepted = []
     for seq, cumulative in stream:
         proof = signed_proof(mgr, ch, seq, cumulative,

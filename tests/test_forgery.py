@@ -13,14 +13,13 @@ from dice.errors import DiceError
 from dice.harness import verify_ledger
 from dice.ledger import ChannelClose, Issue, Redeem, make_transaction
 from dice.protocol import LBO, AgreementTerms, DiceEngine
-from dice.tokenbank import Mno
 
 TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
 
 
 def honest_engine():
     """alice settled a partly used channel; bob's channel is still open."""
-    eng = DiceEngine([Mno("H"), Mno("V")], ["alice", "bob"], seed=41)
+    eng = DiceEngine(["H", "V"], ["alice", "bob"], seed=41)
     eng.register_agreement("H", "V", TERMS, 0)
     sessions = {}
     for i, (roamer, nbytes) in enumerate([("alice", 1_000_000), ("bob", 500_000)]):
@@ -39,6 +38,11 @@ def issue_signed_by_another_mno(eng, sessions):
     return make_transaction(70, "V", Issue("H", sessions["alice"].active_wallet, 10), eng.signer)
 
 
+def issue_by_a_roamer_off_the_roster(eng, sessions):
+    # Genesis anchors alice's key, but only roster members issue tokens.
+    return make_transaction(70, "alice", Issue("alice", sessions["alice"].active_wallet, 10), eng.signer)
+
+
 def close_not_splitting_the_deposit(eng, sessions):
     return make_transaction(70, "bob", ChannelClose(sessions["bob"].channel, 5, 5, 5), eng.signer)
 
@@ -55,6 +59,7 @@ def redeem_of_a_lot_the_roamer_holds(eng, sessions):
 
 FORGERIES = [
     (issue_signed_by_another_mno, "issue", "NotIssuer"),
+    (issue_by_a_roamer_off_the_roster, "issue", "NotIssuer"),
     (close_not_splitting_the_deposit, "channel_close", "PayloadRejected"),
     (close_paying_without_a_proof, "channel_close", "PayloadRejected"),
     (redeem_of_a_lot_the_roamer_holds, "redeem", "ProvenanceRejected"),

@@ -454,3 +454,30 @@ def test_cli_requirements_default_traffic_is_the_assumptions_default(tmp_path, r
     ])
     assert default.exit_code == explicit.exit_code == 0
     assert default.output == explicit.output
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--concentration-hours", "0", "concentration_hours"),
+    ("--avg-mno-factor", "0", "avg_mno_factor"),
+    ("--avg-mno-factor", "-1", "avg_mno_factor"),
+    ("--tps-capacity", "0", "tps_capacity"),
+    ("--traffic-tb-per-day", "nan", "--traffic-tb-per-day"),
+    ("--traffic-tb-per-day", "inf", "--traffic-tb-per-day"),
+    ("--traffic-tb-per-day", "-1", "--traffic-tb-per-day"),
+])
+def test_cli_requirements_overrides_are_validated(tmp_path, runner, flag, value, field):
+    path = tmp_path / "report.json"
+    path.write_text(fake_report().to_json())
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path), flag, value])
+    assert result.exit_code == 2, result.output
+    assert field in result.output
+
+
+@pytest.mark.parametrize("content", ["not json", "[]", fake_report(concentration_hours=0).to_json()])
+def test_cli_requirements_unreadable_report_exits_one(tmp_path, runner, content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    for args in ([], ["--concentration-hours", "0"]):
+        result = runner.invoke(cli_main, ["requirements", "--report", str(path), *args])
+        assert result.exit_code == 1, result.output
+        assert "cannot read report" in result.output

@@ -11,6 +11,7 @@ from dice.errors import (
     DuplicateTx,
     EmptyPending,
     LedgerParseError,
+    ReplayRejected,
     UnknownReader,
     UnknownSigner,
 )
@@ -29,6 +30,7 @@ from dice.ledger import (
     verify_blocks,
 )
 from dice.harness import verify_ledger
+from dice.tokenbank import TokenBank
 
 ROSTER = ["A", "B", "C"]
 KEYS = {m: codec.derive_key(0, m) for m in ROSTER}
@@ -122,8 +124,15 @@ def test_fresh_chain_verifies(ledger):
     assert report.valid and report.first_invalid_height is None
 
 
-def test_empty_chain_is_vacuously_valid():
-    assert verify_blocks([]).valid
+def test_empty_chain_is_invalid(tmp_path):
+    # The live ledger always seals a genesis block.
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(b"")
+    for result in (verify_blocks([]), verify_ledger(path)):
+        assert not result.valid
+        assert (result.first_invalid_height, result.reason) == (0, "no genesis block")
+    with pytest.raises(ReplayRejected, match="no genesis block"):
+        TokenBank.rebuild_from_ledger([])
 
 
 def _first_bad_height_oracle(chain):

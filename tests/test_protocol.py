@@ -31,13 +31,13 @@ from dice.protocol import (
     AgreementTerms,
     DiceEngine,
 )
-from dice.tokenbank import Mno, TokenBank, TokenLot, LineageEntry
+from dice.tokenbank import TokenBank, TokenLot, LineageEntry
 
 TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
 
 
 def engine(roamers=("alice",), seed=11):
-    return DiceEngine([Mno("H"), Mno("V"), Mno("X")], list(roamers), seed=seed)
+    return DiceEngine(["H", "V", "X"], list(roamers), seed=seed)
 
 
 def ready_session(eng, mode=LBO, tokens=25, now=10):
@@ -116,7 +116,7 @@ def test_attach_with_forged_offledger_lot():
     fake = TokenLot("lot-forged", "H", 25,
                     [LineageEntry(wallet, codec.sha256(b"never-submitted"))])
     eng.bank.lots[fake.lot_id] = fake
-    eng.bank.wallets[wallet].lot_ids.append(fake.lot_id)
+    eng.bank.wallets[wallet].lots.setdefault("H", {})[fake.lot_id] = fake
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     with pytest.raises(UnverifiableIssuance):
         eng.attach_check(session, 5)
@@ -341,7 +341,7 @@ REPLAY_SCENARIOS = {
 
 def test_rebuilt_bank_matches_live_bank(tmp_path):
     eng, session, _ = run_mode(LBO)
-    rebuilt = TokenBank.rebuild_from_ledger(eng.ledger, eng.mnos)
+    rebuilt = TokenBank.rebuild_from_ledger(eng.ledger)
     assert rebuilt.snapshot() == eng.bank.snapshot()
 
     for name, overrides in REPLAY_SCENARIOS.items():
@@ -349,7 +349,7 @@ def test_rebuilt_bank_matches_live_bank(tmp_path):
 
         def replay_equals_live(live):
             seen.append(live)
-            assert TokenBank.rebuild_from_ledger(live.ledger, live.mnos).snapshot() == live.bank.snapshot()
+            assert TokenBank.rebuild_from_ledger(live.ledger).snapshot() == live.bank.snapshot()
 
         config = ScenarioConfig(seed=3, days=3, roamers_per_vmno_day=30_000, **overrides)
         run_scenario(config, tmp_path / name, on_seal=replay_equals_live)

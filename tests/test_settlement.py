@@ -17,7 +17,7 @@ from dice.settlement import (
     redeem,
     validate_provenance,
 )
-from dice.tokenbank import LineageEntry, Mno, TokenLot
+from dice.tokenbank import LineageEntry, TokenLot
 
 TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
 
@@ -63,7 +63,7 @@ def test_model_dict_roundtrip():
 
 
 def honest_engine(tokens=25, traffic=2_500_000):
-    eng = DiceEngine([Mno("H"), Mno("V"), Mno("W"), Mno("X")], ["alice"], seed=31)
+    eng = DiceEngine(["H", "V", "W", "X"], ["alice"], seed=31)
     eng.register_agreement("H", "V", TERMS, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [tokens], 5)[0]
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
@@ -111,7 +111,7 @@ def test_double_redeem_is_rejected():
 def test_redeem_cannot_burn_tokens_in_channel_escrow():
     """A treasury that escrowed its earned tokens in a channel of its own
     cannot redeem them too, so the channel still closes cleanly."""
-    eng = DiceEngine([Mno("V")], ["alice"], seed=38)
+    eng = DiceEngine(["V"], ["alice"], seed=38)
     eng.register_agreement("V", "V", AgreementTerms(frozenset({"V"}), dict(TERMS.charging)), 0)
     wallet = eng.bank.create_identities("V", "alice", 1, [25], 5)[0]
     session = eng.new_session("alice", wallet, "V", "V", LBO, 5)
@@ -136,7 +136,7 @@ def test_redeem_cannot_burn_tokens_in_channel_escrow():
 
 def test_direct_transfer_is_not_service_payment():
     """Tokens pushed straight from a roamer wallet to the VMNO treasury."""
-    eng = DiceEngine([Mno("H"), Mno("V")], ["alice"], seed=32)
+    eng = DiceEngine(["H", "V"], ["alice"], seed=32)
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
     eng.ledger.seal_block(6)
     eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
@@ -149,13 +149,13 @@ def test_direct_transfer_is_not_service_payment():
 
 
 def test_forged_lineage_is_rejected():
-    eng = DiceEngine([Mno("H"), Mno("V")], ["alice"], seed=33)
+    eng = DiceEngine(["H", "V"], ["alice"], seed=33)
     treasury = eng.bank.treasury("V")
     fake = TokenLot("lot-forged", "H", 25,
                     [LineageEntry("w-ghost", codec.sha256(b"nothing")),
                      LineageEntry(treasury, codec.sha256(b"also-nothing"))])
     eng.bank.lots[fake.lot_id] = fake
-    eng.bank.wallets[treasury].lot_ids.append(fake.lot_id)
+    eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
     claim = RedemptionClaim("V", "H", [fake.lot_id], (0, 100), 1.0)
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
@@ -164,7 +164,7 @@ def test_forged_lineage_is_rejected():
 
 def test_wrong_issuer_is_rejected():
     """Claiming W-issued lots against H."""
-    eng = DiceEngine([Mno("H"), Mno("V"), Mno("W")], ["bob"], seed=34)
+    eng = DiceEngine(["H", "V", "W"], ["bob"], seed=34)
     eng.register_agreement("W", "V", AgreementTerms(frozenset({"W"}), {"model": "per_unit", "rate": 0.04}), 0)
     wallet = eng.bank.create_identities("W", "bob", 1, [10], 5)[0]
     session = eng.new_session("bob", wallet, "W", "V", LBO, 5)
@@ -182,7 +182,7 @@ def test_wrong_issuer_is_rejected():
 
 def test_cross_vmno_relay_is_rejected():
     """V relays honestly earned tokens to W; W cannot redeem them."""
-    eng = DiceEngine([Mno("H"), Mno("V"), Mno("W")], ["alice"], seed=35)
+    eng = DiceEngine(["H", "V", "W"], ["alice"], seed=35)
     eng.register_agreement("H", "V", TERMS, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
@@ -202,7 +202,7 @@ def test_cross_vmno_relay_is_rejected():
 
 def test_self_issue_is_rejected():
     """V mints its own tokens into its treasury and tries to cash them."""
-    eng = DiceEngine([Mno("H"), Mno("V")], [], seed=36)
+    eng = DiceEngine(["H", "V"], [], seed=36)
     treasury = eng.bank.treasury("V")
     eng.bank.issue("V", treasury, 50, now=5)
     eng.ledger.seal_block(6)
@@ -229,7 +229,7 @@ def test_claim_for_lots_not_held_is_rejected():
 
 def test_settlement_equivalence_per_unit():
     """Total fiat == rate x (proof count + rounding top-up tokens)."""
-    eng = DiceEngine([Mno("H"), Mno("V")], ["alice", "bob"], seed=37)
+    eng = DiceEngine(["H", "V"], ["alice", "bob"], seed=37)
     eng.register_agreement("H", "V", TERMS, 0)
     rate = 0.04
     for i, (roamer, nbytes) in enumerate([("alice", 1_250_000), ("bob", 400_000)]):
