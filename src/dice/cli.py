@@ -18,8 +18,9 @@ from .harness import (
     RequirementsAssumptions,
     ScenarioConfig,
     check_requirements,
+    replay_ledger,
+    replay_summary,
     run_scenario,
-    verify_ledger,
 )
 from .workload import calibration_report, generate
 
@@ -65,18 +66,27 @@ def ledger() -> None:
 @ledger.command("verify")
 @click.option("--path", required=True, type=click.Path())
 def ledger_verify(path) -> None:
-    """Recompute all hashes, signatures and the token supply of a chain."""
+    """Recompute all hashes, signatures and the token supply of a chain, and
+    report what was checked."""
     try:
-        result = verify_ledger(path)
+        result, bank = replay_ledger(path)
     except IoFailure as exc:
         click.echo(f"i/o failure: {exc}", err=True)
         sys.exit(1)
     if result.valid:
         click.echo("valid")
-        sys.exit(0)
-    where = "?" if result.first_invalid_height is None else result.first_invalid_height
-    click.echo(f"INVALID at height {where}: {result.reason}")
-    sys.exit(1)
+    else:
+        where = "?" if result.first_invalid_height is None else result.first_invalid_height
+        click.echo(f"INVALID at height {where}: {result.reason}")
+    if bank is not None:
+        checked = replay_summary(bank)
+        click.echo(f"blocks: {checked['blocks']}")
+        click.echo("txs: " + ", ".join(f"{kind} {n}" for kind, n in checked["txs_by_kind"].items()))
+        click.echo(f"signatures verified: {checked['signatures_verified']}")
+        click.echo(f"lots replayed: {checked['lots_replayed']}")
+        for issuer, supply in checked["supply_by_issuer"].items():
+            click.echo(f"issuer {issuer}: " + ", ".join(f"{k} {v}" for k, v in supply.items()))
+    sys.exit(0 if result.valid else 1)
 
 
 @main.command()

@@ -12,6 +12,10 @@ the first that ``isinstance`` picks in the order None, True, False, int,
 float, str, bytes/bytearray, list/tuple, dict.  So an ``IntEnum`` member
 encodes as an int and a ``dict`` subclass as a dict.  Any other value
 raises ``TypeError``.
+
+A ``RecordLayout`` encodes the fixed part of a tagged record once, so
+records of one tag and key set, such as the transactions of one payload
+kind, are hashed without re-encoding it or re-sorting its keys.
 """
 
 from __future__ import annotations
@@ -123,6 +127,63 @@ def encode(value) -> bytes:
 def digest(value) -> bytes:
     """SHA-256 over the canonical encoding."""
     return hashlib.sha256(encode(value)).digest()
+
+
+class RecordLayout:
+    """The canonical encoding of ``[*lead, [tag, fields]]`` for ``lead`` values
+    and for ``fields`` dicts with one key set, prepared once.
+
+    The list headers, ``tag`` and the dict header are encoded here, and so is
+    each key, in the order ``encode`` sorts them.  ``digest`` emits exact str
+    and int values inline, with their headers from the tables, and any other
+    value by the rules of ``encode``, so it equals
+    ``digest([*lead, [tag, fields]])``.
+    """
+
+    __slots__ = ("_list_head", "_head", "_keys")
+
+    def __init__(self, lead: int, tag: str, keys):
+        keys = sorted(keys)
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError("canonical dict keys must be str")
+        head = [b"l" + _U32.pack(2)]
+        _enc(tag, head)
+        head.append(b"d" + _U32.pack(len(keys)))
+        self._list_head = b"l" + _U32.pack(lead + 1)
+        self._head = b"".join(head)
+        self._keys = tuple((key, encode(key)) for key in keys)
+
+    def digest(self, lead: tuple, fields: dict) -> bytes:
+        """SHA-256 of ``[*lead, [tag, fields]]``; ``fields`` has exactly the layout's keys."""
+        out = [self._list_head]
+        for value in lead:
+            t = type(value)
+            if t is str:
+                raw = value.encode()
+                n = len(raw)
+                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+            elif t is int:
+                raw = b"%d" % value
+                n = len(raw)
+                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
+            else:
+                _enc(value, out)
+        out.append(self._head)
+        for key, encoded_key in self._keys:
+            value = fields[key]
+            t = type(value)
+            if t is str:
+                raw = value.encode()
+                n = len(raw)
+                out.append(encoded_key + (_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
+            elif t is int:
+                raw = b"%d" % value
+                n = len(raw)
+                out.append(encoded_key + (_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
+            else:
+                out.append(encoded_key)
+                _enc(value, out)
+        return hashlib.sha256(b"".join(out)).digest()
 
 
 def list_prefix_state(length: int, head: list):

@@ -381,20 +381,46 @@ def verify_ledger(path) -> ValidityReport:
     through a fresh ledger with a token bank attached (``verify_blocks``), so
     each chain rule and token rule the live engine enforces is checked, then
     a supply-closure cross-check."""
+    return replay_ledger(path)[0]
+
+
+def replay_ledger(path) -> tuple[ValidityReport, Optional[TokenBank]]:
+    """``verify_ledger``'s verdict, and the bank its replay ended with (None
+    if nothing was replayed); ``bank.ledger`` is the replayed ledger."""
     if not Path(path).exists():
         raise IoFailure(f"no such file: {path}")
     try:
         blocks = load_blocks_jsonl(path)
     except LedgerParseError as exc:
-        return ValidityReport(False, exc.line, f"parse error: {exc}")
+        return ValidityReport(False, exc.line, f"parse error: {exc}"), None
     if not blocks:
-        return verify_blocks(blocks)  # reports the missing genesis block
+        return verify_blocks(blocks), None  # reports the missing genesis block
     try:
         ledger = Ledger.from_genesis(blocks[0])
     except ValueError as exc:
-        return ValidityReport(False, 0, f"block rejected: ValueError: {exc}")
+        return ValidityReport(False, 0, f"block rejected: ValueError: {exc}"), None
     bank = TokenBank(ledger)
     verdict = verify_blocks(blocks, ledger)
     if verdict.valid and not bank.supply_closure_ok():
-        return ValidityReport(False, None, "supply closure violated")
-    return verdict
+        verdict = ValidityReport(False, None, "supply closure violated")
+    return verdict, bank
+
+
+def replay_summary(bank: TokenBank) -> dict:
+    """What a replay into ``bank`` and its ledger checked, up to a first
+    failure: the blocks sealed, the transactions accepted by kind (each one's
+    id and signature recomputed), the lots replayed, and the token supply
+    per issuer."""
+    ledger = bank.ledger
+    kinds = Counter(tx.payload.kind for block in ledger.chain for tx in block.txs)
+    kinds.update(tx.payload.kind for tx in ledger.pending)
+    circulating = bank.circulating_by_issuer()
+    issuers = sorted(set(bank.issued_by) | set(circulating) | set(bank.burned_by))
+    return {
+        "blocks": len(ledger.chain),
+        "txs_by_kind": dict(sorted(kinds.items())),
+        "signatures_verified": kinds.total(),
+        "lots_replayed": len(bank.lots),
+        "supply_by_issuer": {m: {"issued": bank.issued_by.get(m, 0), "circulating": circulating.get(m, 0),
+                                 "burned": bank.burned_by.get(m, 0)} for m in issuers},
+    }

@@ -15,7 +15,6 @@ from typing import Optional
 from . import codec
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW, ChannelManager
 from .errors import (
-    DuplicateAgreement,
     NoAgreement,
     NoTokens,
     UnknownMno,
@@ -133,7 +132,6 @@ class DiceEngine:
             round_up_final_block=round_up_final_block,
             preimage_seed=codec.derive_seed(seed, "preimage"),
         )
-        self.agreements: dict[tuple[str, str], AgreementTerms] = {}  # (hmno, vmno) -> terms
         self.sessions: dict[str, RoamerSession] = {}
         self.fiat: dict[str, float] = {}  # in-simulation double-entry accounts
         self._session_by_channel: dict[str, str] = {}
@@ -142,15 +140,13 @@ class DiceEngine:
     # -- step 0: consortium agreements
 
     def register_agreement(self, hmno: str, vmno: str, terms: AgreementTerms, now: int) -> bytes:
-        if hmno not in self.bank.operators or vmno not in self.bank.operators:
-            raise UnknownMno(f"{hmno}/{vmno}")
-        if (hmno, vmno) in self.agreements:
-            raise DuplicateAgreement(f"{hmno}->{vmno}")
+        """Sign and submit the agreement; the bank's rules check its parties,
+        its uniqueness and its charging spec."""
+        if not self.signer.knows(hmno):
+            raise UnknownMno(hmno)  # it cannot even sign the agreement
         accepts, charging = terms.to_fields()
         tx = make_transaction(now, hmno, AgreementRegistration(hmno, vmno, accepts, charging), self.signer)
-        tx_id = self.ledger.submit(tx)
-        self.agreements[(hmno, vmno)] = terms
-        return tx_id
+        return self.ledger.submit(tx)
 
     # -- session lifecycle
 
@@ -167,8 +163,8 @@ class DiceEngine:
         if session.state != HOME:
             raise WrongState(session.state)
         failure: Optional[Exception] = None
-        terms = self.agreements.get((session.hmno, session.vmno))
-        if terms is None or session.hmno not in terms.accepts_tokens_of:
+        agreement = self.bank.agreements.get((session.hmno, session.vmno))
+        if agreement is None or session.hmno not in agreement.accepts:
             failure = NoAgreement(f"{session.hmno}->{session.vmno}")
         else:
             lots = self.bank.lots_of(session.active_wallet, issuer=session.hmno)

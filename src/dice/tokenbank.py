@@ -1,16 +1,19 @@
 """Issuance, custody and provenance tracking of per-MNO tokens.
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
-once: the ledger the bank is attached to runs each submitted transaction
-through it.  A persisted chain is checked by replaying it through a fresh
-ledger with a new bank attached (``ledger.verify_blocks``), so it verifies
-only if the live engine could have produced it; ``rebuild_from_ledger``
-returns the bank such a replay ends with.  The operators (the only
-actors that may issue) and every signing key come from the ledger's
-genesis roster and key registry, so ``TokenBank(ledger)`` needs nothing
-else.  Every lot carries its lineage from the issuance event, which is
-what provenance checks read; a wallet keeps its lots by issuer.  One token
-pays for one 100KB traffic block under the default charging model.
+once, and the rules of agreements and attach checks (signer, roster, one
+agreement per pair, a charging spec settlement can price): the ledger the
+bank is attached to runs each submitted transaction through it.  A
+persisted chain is checked by replaying it through a fresh ledger with a
+new bank attached (``ledger.verify_blocks``), so it verifies only if the
+live engine could have produced it; ``rebuild_from_ledger`` returns the
+bank such a replay ends with.  The operators (the only actors that may
+issue or sign agreements and attach checks) and every signing key come
+from the ledger's genesis roster and key registry, so ``TokenBank(ledger)``
+needs nothing else.  Every lot carries its lineage from the issuance
+event, which is what provenance checks read; a wallet keeps its lots by
+issuer.  One token pays for one 100KB traffic block under the default
+charging model.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import NamedTuple, Optional
 from .errors import (
     AlreadyBurned,
     AlreadyClosed,
+    DuplicateAgreement,
     ForeignWallet,
     InsufficientBalance,
     NonPositiveAmount,
@@ -30,11 +34,12 @@ from .errors import (
     ReplayRejected,
     UnknownChannel,
     UnknownLot,
+    UnknownMno,
     UnknownWallet,
     ZeroDeposit,
 )
-from .ledger import (NO_GENESIS, Block, ChannelClose, ChannelOpen, Issue, Ledger, Redeem,
-                     Transaction, make_transaction, verify_blocks)
+from .ledger import (NO_GENESIS, AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen,
+                     Issue, Ledger, Redeem, Transaction, make_transaction, verify_blocks)
 
 ALL_ISSUERS = "*"
 
@@ -104,6 +109,8 @@ class TokenBank:
         # ChannelClose payload of each tx id a lineage entry can cite.
         self.channel_opens: dict[str, ChannelOpen] = {}
         self.lineage_payloads: dict[bytes, Issue | ChannelClose] = {}
+        # Each registered agreement, by (hmno, vmno).
+        self.agreements: dict[tuple[str, str], AgreementRegistration] = {}
         self._lot_seq = 0
         self._wallet_seq = 0
         ledger.attach_bank(self)
@@ -245,11 +252,15 @@ class TokenBank:
     # -- the token rules
 
     def apply(self, tx: Transaction) -> None:
-        """Check an authenticated transaction against the token rules of its
-        payload kind, then apply it; raise, leaving the bank unchanged, if a
-        rule fails.  Kinds without a token effect pass unchecked."""
+        """Check an authenticated transaction against the rules of its payload
+        kind, then apply it; raise, leaving the bank unchanged, if a rule fails."""
         p = tx.payload
-        if isinstance(p, Issue):
+        if isinstance(p, AttachCheck):
+            if tx.signer != p.vmno:
+                raise PayloadRejected(f"attach check for {p.vmno} signed by {tx.signer}")
+            if p.hmno not in self.operators or p.vmno not in self.operators:
+                raise UnknownMno(f"{p.hmno}/{p.vmno}")
+        elif isinstance(p, Issue):
             if tx.signer != p.issuer or p.issuer not in self.operators:
                 raise NotIssuer(f"{p.issuer}, signed by {tx.signer}")
             w = self.wallets.get(p.wallet)
@@ -302,6 +313,19 @@ class TokenBank:
             if sum(self.lot(l).amount for l in p.lots) > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
                 raise InsufficientBalance(f"redeem would burn tokens {p.vmno} holds in channel escrow")
             self.burn(list(p.lots), tx.tx_id)
+        elif isinstance(p, AgreementRegistration):
+            if tx.signer != p.hmno:
+                raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} signed by {tx.signer}")
+            if p.hmno not in self.operators or p.vmno not in self.operators:
+                raise UnknownMno(f"{p.hmno}/{p.vmno}")
+            if (p.hmno, p.vmno) in self.agreements:
+                raise DuplicateAgreement(f"{p.hmno}->{p.vmno}")
+            from .settlement import model_from_dict  # settlement imports this module
+            try:
+                model_from_dict(p.charging)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} charging: {exc!r}") from None
+            self.agreements[(p.hmno, p.vmno)] = p
 
     def provenance_fault(self, lot_id: str, hmno: str, vmno: Optional[str] = None) -> Optional[str]:
         """Why a lot fails provenance, or None.  It must descend from an issue

@@ -72,8 +72,15 @@ class WorkloadConfig:
     scale: float = knob(0.001, POSITIVE)  # desk-scale downsampling factor
 
     def validate(self) -> None:
-        """Raise InvalidConfig unless the fields fit the schema and the churn band is ordered."""
-        _check_schema(type(self), self.to_dict())
+        """Raise InvalidConfig unless the fields fit the schema, every number is
+        finite and the churn band is ordered."""
+        data = self.to_dict()
+        _check_schema(type(self), data)
+        # Schema bounds compare false against NaN, and an exclusive minimum admits infinity.
+        for name, value in data.items():
+            for number in value if isinstance(value, list) else (value,):
+                if isinstance(number, float) and not math.isfinite(number):
+                    raise InvalidConfig(f"$.{name}: {value!r} is not finite")
         lo, hi = self.churn_fraction_range
         if lo > hi:
             raise InvalidConfig(f"$.churn_fraction_range: {lo} > {hi}")

@@ -10,7 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dice import codec
-from dice.ledger import ChannelOpen, payload_canonical, tx_digest
+from dice.ledger import (
+    AgreementRegistration,
+    AttachCheck,
+    ChannelClose,
+    ChannelOpen,
+    Issue,
+    Redeem,
+    payload_canonical,
+    tx_digest,
+)
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
@@ -140,6 +149,44 @@ def test_golden_digests_pin_the_format():
     golden = "a0061011eec92694b0dfd3fd29c40785035f467a60ab85399a4fe86fa9e62548"
     assert codec.digest(value).hex() == golden
     assert tx_digest(100, "alice", opened).hex() == golden
+
+
+# Payload field values: what the codec inlines (exact str and int, short or
+# past the header tables, non-ASCII) and what it must not (bool, float,
+# subclasses of int and str).
+texts = (st.text(max_size=8) | st.text(min_size=256, max_size=300)
+         | st.text(alphabet="é€😀", min_size=70, max_size=90) | st.text(max_size=8).map(Name))
+ints = (st.integers() | st.integers(min_value=10 ** 256, max_value=10 ** 300)
+        | st.integers(min_value=-(10 ** 300), max_value=-(10 ** 256)) | st.sampled_from(Colour))
+scalars = texts | ints | st.booleans() | st.floats(allow_nan=False)
+names = st.lists(texts, max_size=4).map(tuple)
+charging = st.dictionaries(st.text(max_size=8), codec_values, max_size=4)
+
+PAYLOAD_FIELDS = {
+    Issue: (scalars, scalars, scalars),
+    AgreementRegistration: (scalars, scalars, names, charging),
+    AttachCheck: (scalars, scalars, scalars, scalars),
+    ChannelOpen: (scalars, scalars, scalars, scalars, st.binary(max_size=40), scalars),
+    ChannelClose: (scalars, scalars, scalars, scalars),
+    Redeem: (scalars, scalars, names, scalars),
+}
+
+
+class RenamedClose(ChannelClose):
+    kind = "channel_close_v2"
+
+
+PAYLOAD_CLASSES = [*PAYLOAD_FIELDS, RenamedClose,
+                   *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in PAYLOAD_FIELDS)]
+payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
+    cls, *next(fields for base, fields in PAYLOAD_FIELDS.items() if issubclass(cls, base))))
+
+
+@given(scalars, scalars, payloads)
+def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, payload):
+    value = [timestamp, signer, payload_canonical(payload)]
+    assert tx_digest(timestamp, signer, payload) == codec.digest(value) \
+        == hashlib.sha256(reference_encode(value)).digest()
 
 
 def test_encoding_is_stable_and_type_tagged():

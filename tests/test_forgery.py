@@ -1,8 +1,8 @@
 """Signed but forged transactions: live submit and chain replay reject them alike.
 
 Each forgery is signed with a key the chain anchors, so hashes, links and
-signatures all check out; only the token rules of ``TokenBank.apply`` can
-tell it apart from a transaction the live engine would have written.
+signatures all check out; only the rules of ``TokenBank.apply`` can tell
+it apart from a transaction the live engine would have written.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import pytest
 
 from dice.errors import DiceError
 from dice.harness import verify_ledger
-from dice.ledger import ChannelClose, Issue, Redeem, make_transaction
+from dice.ledger import AgreementRegistration, AttachCheck, ChannelClose, Issue, Redeem, make_transaction
 from dice.protocol import LBO, AgreementTerms, DiceEngine
 
 TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
@@ -57,12 +57,40 @@ def redeem_of_a_lot_the_roamer_holds(eng, sessions):
     return make_transaction(70, "V", Redeem("V", "H", lots, 0.6), eng.signer)
 
 
+def attach_check_signed_by_a_roamer(eng, sessions):
+    return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.signer)
+
+
+def attach_check_naming_a_home_off_the_roster(eng, sessions):
+    return make_transaction(70, "V", AttachCheck(sessions["bob"].active_wallet, "V", "bob", True), eng.signer)
+
+
+def agreement_signed_by_the_visited_mno(eng, sessions):
+    bad = {"model": "per_unit", "rate": -5}
+    return make_transaction(70, "V", AgreementRegistration("H", "V", ("H",), bad), eng.signer)
+
+
+def second_agreement_for_a_pair(eng, sessions):
+    accepts, charging = TERMS.to_fields()
+    return make_transaction(70, "H", AgreementRegistration("H", "V", accepts, charging), eng.signer)
+
+
+def agreement_with_a_negative_rate(eng, sessions):
+    bad = {"model": "per_unit", "rate": -5}
+    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
+
+
 FORGERIES = [
     (issue_signed_by_another_mno, "issue", "NotIssuer"),
     (issue_by_a_roamer_off_the_roster, "issue", "NotIssuer"),
     (close_not_splitting_the_deposit, "channel_close", "PayloadRejected"),
     (close_paying_without_a_proof, "channel_close", "PayloadRejected"),
     (redeem_of_a_lot_the_roamer_holds, "redeem", "ProvenanceRejected"),
+    (attach_check_signed_by_a_roamer, "attach", "PayloadRejected"),
+    (attach_check_naming_a_home_off_the_roster, "attach", "UnknownMno"),
+    (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
+    (second_agreement_for_a_pair, "agreement", "DuplicateAgreement"),
+    (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),
 ]
 
 

@@ -6,6 +6,8 @@ CHANGES.md) updates these digests.
 
 import hashlib
 
+import pytest
+
 from dice.harness import ScenarioConfig, run_scenario
 
 GOLDEN_SHA256 = {
@@ -22,3 +24,26 @@ def test_outputs_match_the_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+# Larger runs: HR mode, and the benchmark's chain workload (about 10.6k txs).
+GOLDEN_RUNS = {
+    "hr-seed-7": (ScenarioConfig(seed=7, mode="hr"), {
+        "ledger.jsonl": "dad9fbeda714dbc318eeb675f220d02497243f7c22539e6ac3cead4340dedc3e",
+        "report.json": "c8eafb438d21cf54e4c8b0acaaaff616f639d935fadc876d9d4f3f91fbf34fd2",
+        "settlement.csv": "9b62394bf324b6e1a559f3fe6fcc0b7fa42d02f3c33df9e661cc3a874c930e54",
+    }),
+    "chain-seed-42": (ScenarioConfig(seed=42, roamers_per_vmno_day=1_000_000,
+                                     churn_fraction_range=(0.2, 0.2)), {
+        "ledger.jsonl": "6c3562757dc370b5ef63dacfdef1700499429f0bddf4fd98f705520a2e81586e",
+        "report.json": "f27a21d0f17c3f8091a86fa29f0e2a9f322921cc3cef49567e637491c26896a2",
+        "settlement.csv": "2b8b6818f044c39201707f66e3385813364df34d4e4473edbc3cf647d2943f44",
+    }),
+}
+
+
+@pytest.mark.parametrize("config, golden", GOLDEN_RUNS.values(), ids=GOLDEN_RUNS)
+def test_larger_runs_match_their_golden_digests(tmp_path, config, golden):
+    run_scenario(config, tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
+    assert digests == golden

@@ -1,6 +1,8 @@
 """Scenario runner, requirements projection, ledger file verification, CLI."""
 
 import json
+import re
+from collections import Counter
 from dataclasses import fields
 
 import jsonschema
@@ -19,6 +21,8 @@ from dice.harness import (
     run_scenario,
     verify_ledger,
 )
+from dice.ledger import load_blocks_jsonl
+from dice.tokenbank import TokenBank
 from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, generate
 
 
@@ -273,26 +277,38 @@ def test_schema_is_generated_from_the_fields():
     assert ScenarioConfig().workload() == WorkloadConfig()
 
 
-# One out-of-range value per bounded field.
-OUT_OF_RANGE = {
-    "seed": -1, "days": 0, "scale": 0.0, "roamers_per_vmno_day": 0,
-    "churn_fraction_range": (0.1, 1.5), "stay_days_median": 0.0, "silent_fraction": 1.5,
-    "daily_traffic_median_bytes": 0, "traffic_dispersion": -0.1,
-    "home_country_top10_share": 0.0, "home_mno_top10_traffic_share": 1.01,
-    "num_home_countries": 0, "num_home_mnos": 0,
-    "mode": "roaming", "vmno": "", "num_mnos": 0, "initial_allotment": 0,
-    "expected_visit_bytes": 0, "timelock_window_s": 0, "inactivity_window_s": 0,
-    "tps_capacity": 0, "concentration_hours": 0.0, "avg_mno_factor": -0.5,
-}
+# One out-of-range value per bounded field, then NaN and infinity in number fields.
+NAN, INF = float("nan"), float("inf")
+OUT_OF_RANGE = [
+    ("seed", -1), ("days", 0), ("scale", 0.0), ("roamers_per_vmno_day", 0),
+    ("churn_fraction_range", (0.1, 1.5)), ("stay_days_median", 0.0), ("silent_fraction", 1.5),
+    ("daily_traffic_median_bytes", 0), ("traffic_dispersion", -0.1),
+    ("home_country_top10_share", 0.0), ("home_mno_top10_traffic_share", 1.01),
+    ("num_home_countries", 0), ("num_home_mnos", 0),
+    ("mode", "roaming"), ("vmno", ""), ("num_mnos", 0), ("initial_allotment", 0),
+    ("expected_visit_bytes", 0), ("timelock_window_s", 0), ("inactivity_window_s", 0),
+    ("tps_capacity", 0), ("concentration_hours", 0.0), ("avg_mno_factor", -0.5),
+    ("stay_days_median", NAN), ("stay_days_median", INF), ("scale", NAN), ("scale", INF),
+    ("concentration_hours", NAN), ("concentration_hours", INF), ("concentration_hours", -INF),
+    ("traffic_dispersion", NAN), ("traffic_dispersion", INF), ("avg_mno_factor", NAN),
+    ("avg_mno_factor", INF), ("silent_fraction", NAN), ("home_country_top10_share", NAN),
+    ("home_mno_top10_traffic_share", NAN), ("churn_fraction_range", (NAN, 0.2)),
+    ("churn_fraction_range", (0.1, INF)),
+]
 
 
 def test_out_of_range_table_covers_every_bounded_field():
     bounds = {"minimum", "exclusiveMinimum", "maximum", "minLength", "enum", "items"}
     props = SCENARIO_SCHEMA["properties"]
-    assert {name for name, frag in props.items() if bounds & frag.keys()} == set(OUT_OF_RANGE)
+    assert {name for name, frag in props.items() if bounds & frag.keys()} == \
+        {name for name, _bad in OUT_OF_RANGE}
+    numbers = {name for name, frag in props.items() if frag.get("items", frag).get("type") == "number"}
+    has_nan = {name for name, bad in OUT_OF_RANGE
+               if any(v != v for v in (bad if isinstance(bad, tuple) else (bad,)))}
+    assert numbers == has_nan
 
 
-@pytest.mark.parametrize("name, bad", OUT_OF_RANGE.items())
+@pytest.mark.parametrize("name, bad", OUT_OF_RANGE)
 def test_out_of_range_field_is_rejected(name, bad, tmp_path):
     with pytest.raises(InvalidConfig, match=name):
         ScenarioConfig.from_dict({name: list(bad) if isinstance(bad, tuple) else bad})
@@ -357,6 +373,35 @@ def test_cli_simulate_and_verify(tmp_path, runner):
     result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(out / "ledger.jsonl")])
     assert result.exit_code == 0
     assert "valid" in result.output
+
+
+def test_cli_verify_reports_what_it_checked(tmp_path, runner):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    runner.invoke(cli_main, ["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    path = out / "ledger.jsonl"
+    report = json.loads((out / "report.json").read_text())
+    result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(path)])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[:5] == [
+        "valid",
+        f"blocks: {len(path.read_text().splitlines())}",
+        "txs: " + ", ".join(f"{kind} {n}" for kind, n in sorted(report["onchain_tx_by_kind"].items())),
+        f"signatures verified: {report['onchain_tx_total']}",
+        f"lots replayed: {len(TokenBank.rebuild_from_ledger(load_blocks_jsonl(path)).lots)}",
+    ]
+    issued: Counter = Counter()
+    for line in path.read_text().splitlines():
+        for tx in json.loads(line)["txs"]:
+            if tx["payload"]["kind"] == "issue":
+                issued[tx["payload"]["issuer"]] += tx["payload"]["amount"]
+    supply = [re.fullmatch(r"issuer (\S+): issued (\d+), circulating (\d+), burned (\d+)", line)
+              for line in lines[5:]]
+    assert all(supply)
+    assert {m[1]: int(m[2]) for m in supply} == issued
+    assert all(int(m[2]) == int(m[3]) + int(m[4]) for m in supply)
+    assert report["onchain_tx_by_kind"]["redeem"] and any(int(m[4]) for m in supply)
 
 
 def test_cli_verify_tampered_exits_one(tmp_path, runner):
@@ -461,6 +506,9 @@ def test_cli_requirements_default_traffic_is_the_assumptions_default(tmp_path, r
     ("--avg-mno-factor", "0", "avg_mno_factor"),
     ("--avg-mno-factor", "-1", "avg_mno_factor"),
     ("--tps-capacity", "0", "tps_capacity"),
+    ("--concentration-hours", "nan", "concentration_hours"),
+    ("--concentration-hours", "inf", "concentration_hours"),
+    ("--avg-mno-factor", "inf", "avg_mno_factor"),
     ("--traffic-tb-per-day", "nan", "--traffic-tb-per-day"),
     ("--traffic-tb-per-day", "inf", "--traffic-tb-per-day"),
     ("--traffic-tb-per-day", "-1", "--traffic-tb-per-day"),

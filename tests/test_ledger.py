@@ -335,3 +335,38 @@ def test_truncated_line_is_a_parse_error(tmp_path, ledger):
     with pytest.raises(LedgerParseError) as err:
         load_blocks_jsonl(path)
     assert err.value.line == len(ledger.chain) - 1
+
+
+# Edits to the first tx record of a stored line that leave it valid JSON.
+BAD_TX_RECORDS = {
+    "unknown kind": lambda tx: tx["payload"].update(kind="mint"),
+    "no kind": lambda tx: tx["payload"].pop("kind"),
+    "extra payload key": lambda tx: tx["payload"].update(bonus=1),
+    "missing payload key": lambda tx: tx["payload"].pop("amount"),
+    "renamed payload key": lambda tx: tx["payload"].update(amt=tx["payload"].pop("amount")),
+    "no signature": lambda tx: tx.pop("signature"),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_TX_RECORDS.values(), ids=BAD_TX_RECORDS)
+def test_bad_tx_record_is_a_parse_error_at_its_line(tmp_path, ledger, edit):
+    _build_chain(ledger, blocks=4)
+    path = tmp_path / "chain.jsonl"
+    ledger.save_jsonl(path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    edit(rec["txs"][0])
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LedgerParseError) as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == 2
+
+
+def test_records_are_immutable(ledger):
+    _build_chain(ledger, blocks=1)
+    block = ledger.chain[1]
+    tx = block.txs[0]
+    for record, name in [(block, "height"), (tx, "signer"), (tx.payload, "amount")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
