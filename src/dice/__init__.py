@@ -1,6 +1,6 @@
 """Desk-scale deterministic simulator of the DICE roaming-settlement protocol."""
 
-from .channel import BalanceProof, ChannelManager, PaymentChannel, TrafficMeter
+from .channel import BalanceProof, ChannelManager, PaymentChannel
 from .harness import (
     MetricsReport,
     RequirementsAssumptions,
@@ -11,7 +11,7 @@ from .harness import (
     verify_ledger,
 )
 from .ledger import Block, Ledger, QueryFilter, Transaction, ValidityReport
-from .protocol import AgreementTerms, DiceEngine, RoamerSession, SessionEvents
+from .protocol import DiceEngine, RoamerSession
 from .settlement import (
     ChargingModel,
     Fixed,
@@ -35,11 +35,11 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BalanceProof", "ChannelManager", "PaymentChannel", "TrafficMeter",
+    "BalanceProof", "ChannelManager", "PaymentChannel",
     "MetricsReport", "RequirementsAssumptions", "RequirementsVerdict",
     "ScenarioConfig", "check_requirements", "run_scenario", "verify_ledger",
     "Block", "Ledger", "QueryFilter", "Transaction", "ValidityReport",
-    "AgreementTerms", "DiceEngine", "RoamerSession", "SessionEvents",
+    "DiceEngine", "RoamerSession",
     "ChargingModel", "Fixed", "Parity", "PerUnit", "RedemptionClaim",
     "make_claim", "price", "redeem", "validate_provenance",
     "TokenBank", "TokenLot", "Wallet",

@@ -6,11 +6,12 @@ The hashed time-lock works as usual: the first proof reveals the preimage
 the VMNO needs to claim funds, and an unclaimed deposit refunds to the
 roamer after expiry.
 
-Both sides of a channel live on one ``PaymentChannel`` record: the roamer's
-preimage and paid-block counter ``last_seq`` (proof ``seq`` and
-``cumulative`` both count paid blocks), and the VMNO's latest accepted
-proof.  ``ChannelManager(ledger, bank)`` signs and verifies with the
-ledger's key registry.
+Both sides of a channel live on one ``PaymentChannel`` record: the
+``ChannelOpen`` payload it submitted and, once closed, its ``ChannelClose``
+payload; the roamer's preimage and paid-block counter ``last_seq`` (proof
+``seq`` and ``cumulative`` both count paid blocks); the VMNO's latest
+accepted proof; and the traffic metered.  ``ChannelManager(ledger, bank)``
+signs and verifies with the ledger's key registry.
 """
 
 from __future__ import annotations
@@ -72,40 +73,27 @@ def proof_digest(channel_id: str, seq: int, cumulative: int) -> bytes:
 
 
 @dataclass
-class TrafficMeter:
-    channel_id: str
-    bytes_total: int = 0          # serviced bytes (capped by the deposit)
-    unserviced_bytes: int = 0
-    exhausted: bool = False
-
-
-@dataclass
 class PaymentChannel:
-    channel_id: str
-    roamer_wallet: str
-    roamer: str
-    vmno: str
-    issuer: str
-    deposit: int
-    hashlock: bytes
-    timelock_expiry: int
+    opened: ChannelOpen           # the on-chain open, as submitted
+    open_tx: bytes
+    roamer: str                   # signs the balance proofs
     last_activity: int
     preimage: bytes = b""         # roamer side: the hashlock's secret
     last_seq: int = 0             # roamer side: blocks paid, one proof each
     latest: Optional[BalanceProof] = None   # VMNO side: the latest accepted proof
-    status: str = OPEN
-    open_tx: bytes = b""
+    bytes_total: int = 0          # serviced bytes (capped by the deposit)
+    unserviced_bytes: int = 0
+    closed: Optional[ChannelClose] = None   # the on-chain close, once submitted
     close_tx: Optional[bytes] = None
-    paid_at_close: Optional[int] = None
-    refunded_at_close: Optional[int] = None
-    meter: Optional[TrafficMeter] = None
-    # proof_prefix(channel_id); both sides finish a copy of it per proof.
+    # proof_prefix(channel id); both sides finish a copy of it per proof.
     proof_state: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.meter is None:
-            self.meter = TrafficMeter(self.channel_id)
-        self.proof_state = proof_prefix(self.channel_id)
+        self.proof_state = proof_prefix(self.opened.channel)
+
+    @property
+    def status(self) -> str:
+        return OPEN if self.closed is None else CLOSED
 
 
 class ChannelManager:
@@ -144,33 +132,16 @@ class ChannelManager:
 
     def open_channel(self, wallet_id: str, vmno: str, deposit: int, now: int) -> str:
         wallet = self.bank.wallet(wallet_id)
-        issuer = wallet.home_mno
         channel_id = f"ch-{self._seq:07d}"
         preimage = self._next_preimage
-        hashlock = codec.sha256(preimage)
-        expiry = now + self.timelock_window
-        tx = make_transaction(
-            now, wallet.owner or wallet_id,
-            ChannelOpen(channel_id, wallet_id, vmno, deposit, hashlock, expiry),
-            self.signer,
-        )
-        tx_id = self.ledger.submit(tx)
+        roamer = wallet.owner or wallet_id
+        opened = ChannelOpen(channel_id, wallet_id, vmno, deposit, codec.sha256(preimage),
+                             now + self.timelock_window)
+        tx_id = self.ledger.submit(make_transaction(now, roamer, opened, self.signer))
         self._seq += 1
         self._next_preimage = self._rng.randbytes(32)
-        self.ledger.grant_channel_scope(channel_id, {vmno, issuer})
-        ch = PaymentChannel(
-            channel_id=channel_id,
-            roamer_wallet=wallet_id,
-            roamer=wallet.owner or wallet_id,
-            vmno=vmno,
-            issuer=issuer,
-            deposit=deposit,
-            hashlock=hashlock,
-            timelock_expiry=expiry,
-            last_activity=now,
-            preimage=preimage,
-            open_tx=tx_id,
-        )
+        self.ledger.grant_channel_scope(channel_id, {vmno, wallet.home_mno})
+        ch = PaymentChannel(opened, tx_id, roamer, now, preimage)
         self.channels[channel_id] = self._open[channel_id] = ch
         return channel_id
 
@@ -186,22 +157,18 @@ class ChannelManager:
         """Roamer side: meter traffic and emit one proof per completed block.
 
         Service stops at the deposit: excess bytes are recorded as
-        unserviced on the meter rather than raising.
+        unserviced rather than raising.
         """
         ch = self.channel(channel_id)
-        if ch.status != OPEN:
+        if ch.closed is not None:
             raise ChannelNotOpen(channel_id)
-        if now >= ch.timelock_expiry:
+        if now >= ch.opened.timelock_expiry:
             raise Expired(channel_id)
-        meter = ch.meter
-        capacity = ch.deposit * TOKEN_BLOCK_BYTES
-        take = min(new_bytes, capacity - meter.bytes_total)
-        meter.bytes_total += take
-        if take < new_bytes:
-            meter.unserviced_bytes += new_bytes - take
-            meter.exhausted = True
+        take = min(new_bytes, ch.opened.deposit * TOKEN_BLOCK_BYTES - ch.bytes_total)
+        ch.bytes_total += take
+        ch.unserviced_bytes += new_bytes - take
         proofs = []
-        target_blocks = meter.bytes_total // TOKEN_BLOCK_BYTES
+        target_blocks = ch.bytes_total // TOKEN_BLOCK_BYTES
         while ch.last_seq < target_blocks:
             seq = ch.last_seq + 1   # each proof pays one more block
             preimage = ch.preimage if seq == 1 else None
@@ -214,7 +181,8 @@ class ChannelManager:
     def receive_proof(self, vmno: str, proof: BalanceProof) -> BalanceProof:
         """VMNO side: validate and store the latest balance proof."""
         ch = self.channel(proof.channel_id)
-        if ch.vmno != vmno or ch.status != OPEN:
+        opened = ch.opened
+        if opened.vmno != vmno or ch.closed is not None:
             raise ChannelNotOpen(proof.channel_id)
         if not self.signer.verify(
             ch.roamer, codec.digest_int_pair(ch.proof_state, proof.seq, proof.cumulative), proof.signature
@@ -226,12 +194,12 @@ class ChannelManager:
             raise StaleProof(f"seq {proof.seq} <= {expected_seq - 1}")
         if proof.seq > expected_seq:
             raise GapSeq(f"seq {proof.seq}, expected {expected_seq}")
-        if proof.cumulative > ch.deposit:
-            raise Overdraft(f"cumulative {proof.cumulative} > deposit {ch.deposit}")
+        if proof.cumulative > opened.deposit:
+            raise Overdraft(f"cumulative {proof.cumulative} > deposit {opened.deposit}")
         if proof.cumulative <= (latest.cumulative if latest else 0):
             raise StaleProof(f"cumulative {proof.cumulative} does not increase")
         if proof.seq == 1:
-            if proof.preimage is None or codec.sha256(proof.preimage) != ch.hashlock:
+            if proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock:
                 raise BadPreimage(proof.channel_id)
         ch.latest = proof
         self.proofs_accepted += 1
@@ -239,14 +207,12 @@ class ChannelManager:
             self.accepted_proofs.append(proof)
         return proof
 
-    def latest_accepted(self, channel_id: str) -> Optional[BalanceProof]:
-        return self.channel(channel_id).latest
-
     # -- close paths
 
     def close_channel(self, channel_id: str, now: int, *, closer: Optional[str] = None) -> bytes:
         """Settle on-chain: pay the VMNO its due, refund the rest."""
         ch = self.channel(channel_id)
+        deposit = ch.opened.deposit
         latest = ch.latest
         final_seq = paid = 0
         if latest is not None:
@@ -254,21 +220,13 @@ class ChannelManager:
             # VMNO cannot claim anything, so sub-100KB-only channels refund
             # in full.
             final_seq, paid = latest.seq, latest.cumulative
-            partial = ch.meter.bytes_total > paid * TOKEN_BLOCK_BYTES
-            if self.round_up_final_block and partial and paid < ch.deposit:
+            partial = ch.bytes_total > paid * TOKEN_BLOCK_BYTES
+            if self.round_up_final_block and partial and paid < deposit:
                 paid += 1
-        refunded = ch.deposit - paid
-        tx = make_transaction(
-            now, closer or ch.roamer,
-            ChannelClose(channel_id, paid, refunded, final_seq),
-            self.signer,
-        )
-        tx_id = self.ledger.submit(tx)
+        closed = ChannelClose(channel_id, paid, deposit - paid, final_seq)
+        tx_id = self.ledger.submit(make_transaction(now, closer or ch.roamer, closed, self.signer))
         del self._open[channel_id]
-        ch.status = CLOSED
-        ch.close_tx = tx_id
-        ch.paid_at_close = paid
-        ch.refunded_at_close = refunded
+        ch.closed, ch.close_tx = closed, tx_id
         return tx_id
 
     def timeout_sweep(self, now: int) -> list[str]:
@@ -276,11 +234,12 @@ class ChannelManager:
         channels whose preimage was never revealed (no proof was accepted)."""
         closed = []
         for ch in list(self._open.values()):
-            expired_unclaimed = now >= ch.timelock_expiry and ch.latest is None
+            opened = ch.opened
+            expired_unclaimed = now >= opened.timelock_expiry and ch.latest is None
             idle = now - ch.last_activity >= self.inactivity_window
             if expired_unclaimed or idle:
-                self.close_channel(ch.channel_id, now, closer=ch.vmno)
-                closed.append(ch.channel_id)
+                self.close_channel(opened.channel, now, closer=opened.vmno)
+                closed.append(opened.channel)
         return closed
 
     # -- debug / audit surfaces
@@ -291,4 +250,4 @@ class ChannelManager:
                 fh.write(json.dumps(proof.to_record(), separators=(",", ":")) + "\n")
 
     def serviced_bytes_total(self) -> int:
-        return sum(ch.meter.bytes_total for ch in self.channels.values())
+        return sum(ch.bytes_total for ch in self.channels.values())

@@ -18,7 +18,7 @@ from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
 from .ledger import Ledger, ValidityReport, load_blocks_jsonl, verify_blocks
-from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, AgreementTerms, DiceEngine, events_to_jsonl
+from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes
 from .workload import COUNT, POSITIVE, SessionEventTrace, WorkloadConfig, config_schema, generate, knob
@@ -157,10 +157,7 @@ def run_scenario(
     engine.channels.keep_proofs = bool(dump_proofs)
     model = model_from_dict(config.charging)
     for hmno in hmnos:
-        engine.register_agreement(
-            hmno, config.vmno,
-            AgreementTerms(frozenset({hmno}), dict(config.charging)), 0,
-        )
+        engine.register_agreement(hmno, config.vmno, (hmno,), config.charging, 0)
 
     offset_rng = random.Random(codec.derive_seed(config.seed, "offsets"))
     offsets = {a.roamer: offset_rng.randrange(DAY) for a in trace.arrivals}
@@ -285,9 +282,9 @@ def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEven
 
     tokens_by_pair: dict[str, int] = {}
     for ch in engine.channels.channels.values():
-        if ch.paid_at_close:
-            key = f"{ch.vmno}|{ch.issuer}"
-            tokens_by_pair[key] = tokens_by_pair.get(key, 0) + ch.paid_at_close
+        if ch.closed is not None and ch.closed.paid:
+            key = f"{ch.opened.vmno}|{engine.bank.wallets[ch.opened.wallet].home_mno}"
+            tokens_by_pair[key] = tokens_by_pair.get(key, 0) + ch.closed.paid
 
     sessions_completed = sum(1 for s in engine.sessions.values() if s.state == SETTLED)
     offchain_total = engine.channels.proofs_accepted

@@ -186,6 +186,15 @@ def payload_from_record(record: dict) -> TxPayload:
 # --- transactions and blocks ------------------------------------------------
 
 
+def _int_field(rec: dict, key: str) -> int:
+    """``rec[key]``, which must be an int, bool excluded: the live ledger
+    writes nothing else there, so a string or float is not coerced."""
+    value = rec[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an int, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     tx_id: bytes
@@ -205,7 +214,7 @@ class Transaction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
-        return cls(bytes.fromhex(rec["tx_id"]), int(rec["timestamp"]), rec["signer"],
+        return cls(bytes.fromhex(rec["tx_id"]), _int_field(rec, "timestamp"), rec["signer"],
                    payload_from_record(rec["payload"]), bytes.fromhex(rec["signature"]))
 
 
@@ -266,11 +275,11 @@ class Block:
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
         return cls(
-            height=int(rec["height"]),
+            height=_int_field(rec, "height"),
             prev_hash=bytes.fromhex(rec["prev_hash"]),
             tx_root=bytes.fromhex(rec["tx_root"]),
             validator=rec["validator"],
-            sealed_at=int(rec["sealed_at"]),
+            sealed_at=_int_field(rec, "sealed_at"),
             block_hash=bytes.fromhex(rec["block_hash"]),
             txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
             roster=tuple(rec.get("roster", ())),
@@ -376,9 +385,6 @@ class Ledger:
         self.channel_scopes[channel] = frozenset(readers)
 
     # -- read path
-
-    def verify_chain(self) -> ValidityReport:
-        return verify_blocks(self.chain)
 
     def get_tx(self, tx_id: bytes) -> Optional[Transaction]:
         loc = self.tx_index.get(tx_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import codec
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW, ChannelManager
@@ -49,15 +49,6 @@ _NEXT: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class AgreementTerms:
-    accepts_tokens_of: frozenset[str]
-    charging: dict
-
-    def to_fields(self) -> tuple[tuple[str, ...], dict]:
-        return tuple(sorted(self.accepts_tokens_of)), dict(self.charging)
-
-
 @dataclass
 class RoamerSession:
     session_id: str
@@ -83,16 +74,6 @@ class RoamerSession:
         if new_state not in _NEXT[self.state]:
             raise WrongState(f"{self.state} -> {new_state}")
         self.state = new_state
-
-
-@dataclass
-class SessionEvents:
-    """Event log returned by run_session."""
-    session_id: str
-    events: list[dict]
-    proofs_accepted: int
-    onchain_txs: list[bytes]
-    unserviced_bytes: int
 
 
 def events_to_jsonl(events: list[dict], path) -> None:
@@ -139,14 +120,14 @@ class DiceEngine:
 
     # -- step 0: consortium agreements
 
-    def register_agreement(self, hmno: str, vmno: str, terms: AgreementTerms, now: int) -> bytes:
-        """Sign and submit the agreement; the bank's rules check its parties,
-        its uniqueness and its charging spec."""
+    def register_agreement(self, hmno: str, vmno: str, accepts: Iterable[str], charging: dict, now: int) -> bytes:
+        """Sign and submit the agreement that ``vmno`` accepts the tokens of the
+        issuers in ``accepts``, charged by ``charging``; the bank's rules check
+        its parties, its uniqueness and its charging spec."""
         if not self.signer.knows(hmno):
             raise UnknownMno(hmno)  # it cannot even sign the agreement
-        accepts, charging = terms.to_fields()
-        tx = make_transaction(now, hmno, AgreementRegistration(hmno, vmno, accepts, charging), self.signer)
-        return self.ledger.submit(tx)
+        agreement = AgreementRegistration(hmno, vmno, tuple(sorted(accepts)), dict(charging))
+        return self.ledger.submit(make_transaction(now, hmno, agreement, self.signer))
 
     # -- session lifecycle
 
@@ -224,26 +205,19 @@ class DiceEngine:
         session.proofs_accepted += len(proofs)
         if session.state == CHANNEL_OPEN:
             session._move(ACTIVE)
-        meter = self.channels.channel(session.channel).meter
+        unserviced = self.channels.channel(session.channel).unserviced_bytes
         session._log(now, "traffic", bytes=nbytes, proofs=len(proofs))
-        if meter.exhausted:
-            session._log(now, "deposit_exhausted", unserviced_bytes=meter.unserviced_bytes)
+        if unserviced:
+            session._log(now, "deposit_exhausted", unserviced_bytes=unserviced)
         return len(proofs)
 
     def run_session(self, session: RoamerSession, traffic_trace: list[tuple[int, int]],
-                    deposit: int) -> SessionEvents:
+                    deposit: int) -> RoamerSession:
         """Steps 5-7: open the channel and replay a traffic trace in order."""
         self.open_session_channel(session, deposit, session.clock)
         for when, nbytes in sorted(traffic_trace):
             self.session_traffic(session, nbytes, when)
-        meter = self.channels.channel(session.channel).meter
-        return SessionEvents(
-            session_id=session.session_id,
-            events=list(session.events),
-            proofs_accepted=session.proofs_accepted,
-            onchain_txs=list(session.onchain_txs),
-            unserviced_bytes=meter.unserviced_bytes,
-        )
+        return session
 
     def detach(self, session: RoamerSession, now: int) -> RoamerSession:
         """Steps 8-10: close the channel and settle the session."""
@@ -272,7 +246,7 @@ class DiceEngine:
         ch = self.channels.channel(session.channel)
         session._move(CLOSING)
         session.onchain_txs.append(ch.close_tx)
-        session._log(now, "channel_close", paid=ch.paid_at_close, refunded=ch.refunded_at_close,
+        session._log(now, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
                      tx=ch.close_tx.hex(), **close_fields)
         session._move(SETTLED)
 

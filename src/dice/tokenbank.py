@@ -41,8 +41,6 @@ from .errors import (
 from .ledger import (NO_GENESIS, AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen,
                      Issue, Ledger, Redeem, Transaction, make_transaction, verify_blocks)
 
-ALL_ISSUERS = "*"
-
 TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 
 
@@ -195,21 +193,17 @@ class TokenBank:
                 remaining = 0
         return moved
 
-    def balance(self, wallet_id: str, issuer: str = ALL_ISSUERS) -> int:
-        """Gross holdings, escrowed tokens included."""
-        held = self.wallet(wallet_id).lots
-        if issuer == ALL_ISSUERS:
-            return sum(lot.amount for lots in held.values() for lot in lots.values())
-        return sum(lot.amount for lot in held.get(issuer, {}).values())
+    def balance(self, wallet_id: str, issuer: str) -> int:
+        """Gross holdings of one issuer's tokens, escrowed tokens included."""
+        return sum(lot.amount for lot in self.wallet(wallet_id).lots.get(issuer, {}).values())
 
     def locked_amount(self, wallet_id: str) -> int:
         return sum(self.locks.get(wallet_id, {}).values())
 
-    def spendable(self, wallet_id: str, issuer: str = ALL_ISSUERS) -> int:
+    def spendable(self, wallet_id: str, issuer: str) -> int:
         """Balance minus channel escrow (locks are in the home issuer)."""
-        w = self.wallet(wallet_id)
         gross = self.balance(wallet_id, issuer)
-        if issuer in (ALL_ISSUERS, w.home_mno):
+        if issuer == self.wallet(wallet_id).home_mno:
             return gross - self.locked_amount(wallet_id)
         return gross
 
@@ -223,22 +217,15 @@ class TokenBank:
     def release_lock(self, wallet_id: str, channel: str) -> int:
         return self.locks.get(wallet_id, {}).pop(channel, 0)
 
-    def trace(self, lot_id: str) -> list[LineageEntry]:
-        return list(self.lot(lot_id).lineage)
-
     def lot(self, lot_id: str) -> TokenLot:
         lot = self.lots.get(lot_id)
         if lot is None:
             raise UnknownLot(lot_id)
         return lot
 
-    def lots_of(self, wallet_id: str, issuer: Optional[str] = None) -> list[TokenLot]:
-        """A wallet's lots of one issuer in arrival order, or (issuer None)
-        every issuer's in turn."""
-        held = self.wallet(wallet_id).lots
-        if issuer is not None:
-            return list(held.get(issuer, {}).values())
-        return [lot for lots in held.values() for lot in lots.values()]
+    def lots_of(self, wallet_id: str, issuer: str) -> list[TokenLot]:
+        """A wallet's lots of one issuer, in arrival order."""
+        return list(self.wallet(wallet_id).lots.get(issuer, {}).values())
 
     def burn(self, lot_ids: list[str], cause_tx: bytes) -> None:
         """Remove redeemed lots from circulation; supply stays accounted."""

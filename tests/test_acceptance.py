@@ -31,7 +31,7 @@ from dice.harness import (
     verify_ledger,
 )
 from dice.ledger import Issue, Ledger, make_transaction
-from dice.protocol import LBO, AgreementTerms, DiceEngine
+from dice.protocol import LBO, DiceEngine
 from dice.settlement import PerUnit, RedemptionClaim, make_claim, redeem, validate_provenance
 from dice.tokenbank import LineageEntry, TokenBank, TokenLot
 from dice.workload import WorkloadConfig, generate
@@ -158,7 +158,7 @@ def test_criterion_04_channel_conservation(default_run):
         assert channels
         for ch in channels:
             assert ch.status == "closed"
-            assert ch.paid_at_close + ch.refunded_at_close == ch.deposit
+            assert ch.closed.paid + ch.closed.refunded == ch.opened.deposit
         assert default_run["closure_per_seal"], "no blocks sealed"
         assert all(default_run["closure_per_seal"])
         assert engine.bank.supply_closure_ok()
@@ -179,13 +179,13 @@ def _honest_visit(eng, roamer, hmno, vmno, tokens, nbytes, t0):
 
 def test_criterion_05_provenance_security():
     with criterion(5, "all non-service acquisition paths rejected, honest accepted"):
-        terms = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
+        charging = {"model": "per_unit", "rate": 0.04}
         rejected = []
         accepted = []
 
         # Honest paths: full spend, partial spend, several sessions pooled.
         eng = DiceEngine(["H", "V", "W"], ["a1", "a2", "a3"], seed=51)
-        eng.register_agreement("H", "V", terms, 0)
+        eng.register_agreement("H", "V", ["H"], charging, 0)
         _honest_visit(eng, "a1", "H", "V", 25, 2_500_000, 10)
         _honest_visit(eng, "a2", "H", "V", 25, 1_000_000, 20)
         _honest_visit(eng, "a3", "H", "V", 25, 150_000, 30)
@@ -217,7 +217,7 @@ def test_criterion_05_provenance_security():
 
         # Attack 3: wrong issuer (claim W-issued lots against H).
         eng = DiceEngine(["H", "V", "W"], ["c1"], seed=54)
-        eng.register_agreement("W", "V", AgreementTerms(frozenset({"W"}), {"model": "per_unit", "rate": 0.04}), 0)
+        eng.register_agreement("W", "V", ["W"], charging, 0)
         _honest_visit(eng, "c1", "W", "V", 10, 1_000_000, 10)
         eng.ledger.seal_block(500)
         lots = sorted(l.lot_id for l in eng.bank.lots_of(eng.bank.treasury("V"), issuer="W"))
@@ -227,7 +227,7 @@ def test_criterion_05_provenance_security():
 
         # Attack 4: cross-VMNO relay of honestly earned tokens.
         eng = DiceEngine(["H", "V", "W"], ["d1"], seed=55)
-        eng.register_agreement("H", "V", terms, 0)
+        eng.register_agreement("H", "V", ["H"], charging, 0)
         session = _honest_visit(eng, "d1", "H", "V", 25, 2_500_000, 10)
         eng.ledger.seal_block(500)
         close_tx = eng.channels.channel(session.channel).close_tx
@@ -241,7 +241,7 @@ def test_criterion_05_provenance_security():
         treasury = eng.bank.treasury("V")
         eng.bank.issue("V", treasury, 50, now=5)
         eng.ledger.seal_block(6)
-        lots = sorted(l.lot_id for l in eng.bank.lots_of(treasury))
+        lots = sorted(l.lot_id for l in eng.bank.lots_of(treasury, "V"))
         for hmno in ("H", "V"):
             claim = RedemptionClaim("V", hmno, lots, (0, 100), 2.0)
             verdict = validate_provenance(eng.bank, eng.ledger, claim)

@@ -21,7 +21,7 @@ from dice.errors import (
     UnknownChannel,
     ZeroDeposit,
 )
-from dice.ledger import Ledger
+from dice.ledger import ChannelOpen, Ledger
 from dice.tokenbank import TokenBank
 
 ACTORS = ["H", "V", "alice", "mallory"]
@@ -53,8 +53,9 @@ def test_open_locks_deposit_with_one_onchain_tx():
     assert bank.spendable(wallet, "H") == 0
     assert bank.locked_amount(wallet) == 25
     ch = mgr.channel(ch_id)
-    assert ch.deposit == 25 and ch.last_seq == 0 and ch.latest is None
-    assert ch.timelock_expiry == 100 + mgr.timelock_window
+    assert ch.opened.deposit == 25 and ch.last_seq == 0 and ch.latest is None
+    assert ch.opened.timelock_expiry == 100 + mgr.timelock_window
+    assert ch.status == "open" and ch.closed is None
 
 
 def test_open_zero_deposit():
@@ -78,10 +79,10 @@ def test_rejected_open_uses_no_channel_id_or_preimage():
     with pytest.raises(InsufficientBalance):
         mgr.open_channel(wallet, "V", 30, now=0)
     ch = mgr.channel(mgr.open_channel(wallet, "V", 10, now=0))
-    assert ch.channel_id == first.channel_id == "ch-0000000"
-    assert ch.hashlock == first.hashlock
+    assert ch.opened.channel == first.opened.channel == "ch-0000000"
+    assert ch.opened.hashlock == first.opened.hashlock
     second = mgr.channel(mgr.open_channel(wallet, "V", 10, now=0))
-    assert second.channel_id == "ch-0000001" and second.hashlock != ch.hashlock
+    assert second.opened.channel == "ch-0000001" and second.opened.hashlock != ch.opened.hashlock
 
 
 def test_full_visit_pays_25_proofs_all_offchain():
@@ -94,14 +95,14 @@ def test_full_visit_pays_25_proofs_all_offchain():
     assert proofs[-1].cumulative == 25
     assert proofs[0].preimage is not None and proofs[1].preimage is None
     assert onchain_count(ledger) == before  # nothing touched the ledger
-    assert mgr.channel(ch).meter.exhausted is False
+    assert mgr.channel(ch).unserviced_bytes == 0
 
 
 def test_sub_block_traffic_emits_no_proof():
     _, _, mgr, wallet = fresh(25)
     ch = mgr.open_channel(wallet, "V", 25, now=0)
     assert mgr.pay_for_traffic(ch, 50_000, now=10) == []
-    assert mgr.channel(ch).meter.bytes_total == 50_000
+    assert mgr.channel(ch).bytes_total == 50_000
 
 
 def test_partial_block_rounds_up_at_close():
@@ -114,8 +115,9 @@ def test_partial_block_rounds_up_at_close():
         mgr.receive_proof("V", p)
     mgr.close_channel(ch, now=20)
     chan = mgr.channel(ch)
-    assert chan.paid_at_close == -(-150_000 // KB100) == 2
-    assert chan.refunded_at_close == 23
+    assert chan.closed.paid == -(-150_000 // KB100) == 2
+    assert chan.closed.refunded == 23
+    assert chan.status == "closed"
     assert bank.balance(bank.treasury("V"), "H") == 2
 
 
@@ -129,21 +131,20 @@ def test_exact_floor_accounting_when_rounding_disabled():
     for p in mgr.pay_for_traffic(ch, 150_000, now=10):
         mgr.receive_proof("V", p)
     mgr.close_channel(ch, now=20)
-    assert mgr.channel(ch).paid_at_close == 1
+    assert mgr.channel(ch).closed.paid == 1
 
 
 def test_deposit_exhaustion_truncates_service():
     _, _, mgr, wallet = fresh(10)
     ch = mgr.open_channel(wallet, "V", 10, now=0)
     proofs = mgr.pay_for_traffic(ch, 1_500_000, now=10)
-    meter = mgr.channel(ch).meter
+    chan = mgr.channel(ch)
     assert len(proofs) == 10  # capped at the deposit
-    assert meter.exhausted
-    assert meter.bytes_total == 1_000_000
-    assert meter.unserviced_bytes == 500_000
+    assert chan.bytes_total == 1_000_000
+    assert chan.unserviced_bytes == 500_000
     # further traffic is all unserviced
     assert mgr.pay_for_traffic(ch, 100_000, now=20) == []
-    assert meter.unserviced_bytes == 600_000
+    assert chan.unserviced_bytes == 600_000
 
 
 def test_pay_requires_open_unexpired_channel():
@@ -170,7 +171,7 @@ def test_in_order_proofs_accept():
     ch = mgr.open_channel(wallet, "V", 25, now=0)
     for p in emitted(mgr, ch, 3):
         mgr.receive_proof("V", p)
-    latest = mgr.latest_accepted(ch)
+    latest = mgr.channel(ch).latest
     assert latest.seq == 3 and latest.cumulative == 3
 
 
@@ -246,7 +247,7 @@ def test_proof_cannot_move_between_channels():
     (proof_b,) = emitted(mgr, b, 1)
     mgr.receive_proof("V", proof_b)
     mgr.receive_proof("V", proof_a)
-    assert mgr.latest_accepted(a) == proof_a and mgr.latest_accepted(b) == proof_b
+    assert mgr.channel(a).latest == proof_a and mgr.channel(b).latest == proof_b
 
 
 long_ints = st.integers(min_value=10 ** 255, max_value=10 ** 300)
@@ -262,7 +263,7 @@ def test_proof_digest_state_matches_general_encoder(channel_id, seq, cumulative)
     # 10**255 has 256 digits: both are past the encoder's header tables.
     expected = codec.digest(["proof", channel_id, seq, cumulative])
     assert proof_digest(channel_id, seq, cumulative) == expected
-    ch = PaymentChannel(channel_id, "w", "alice", "V", "H", 25, b"", 0, 0)
+    ch = PaymentChannel(ChannelOpen(channel_id, "w", "V", 25, b"", 0), b"", "alice", 0)
     for _ in range(2):
         assert codec.digest_int_pair(ch.proof_state, seq, cumulative) == expected
 
@@ -287,8 +288,8 @@ def test_close_conservation_full_spend():
         mgr.receive_proof("V", p)
     mgr.close_channel(ch, now=20)
     chan = mgr.channel(ch)
-    assert chan.paid_at_close == 25 and chan.refunded_at_close == 0
-    assert chan.paid_at_close + chan.refunded_at_close == chan.deposit
+    assert chan.closed.paid == 25 and chan.closed.refunded == 0
+    assert chan.closed.paid + chan.closed.refunded == chan.opened.deposit
     assert bank.balance(bank.treasury("V"), "H") == 25
     assert bank.spendable(wallet, "H") == 0
 
@@ -298,7 +299,7 @@ def test_silent_close_refunds_everything():
     ch = mgr.open_channel(wallet, "V", 25, now=0)
     mgr.close_channel(ch, now=20)
     chan = mgr.channel(ch)
-    assert chan.paid_at_close == 0 and chan.refunded_at_close == 25
+    assert chan.closed.paid == 0 and chan.closed.refunded == 25
     assert bank.spendable(wallet, "H") == 25
 
 
@@ -343,7 +344,7 @@ def test_sweep_closes_idle_channel_with_latest_proof():
     # idle for 25h
     closed = mgr.timeout_sweep(now=1000 + 25 * 3600)
     assert closed == [ch]
-    assert mgr.channel(ch).paid_at_close == 7
+    assert mgr.channel(ch).closed.paid == 7
     assert bank.balance(bank.treasury("V"), "H") == 7
 
 
@@ -363,7 +364,7 @@ def test_sweep_refunds_expired_unrevealed_channel():
     closed = mgr.timeout_sweep(now=mgr.timelock_window + 1)
     assert closed == [ch]
     chan = mgr.channel(ch)
-    assert chan.paid_at_close == 0 and chan.refunded_at_close == 25
+    assert chan.closed.paid == 0 and chan.closed.refunded == 25
     assert bank.spendable(wallet, "H") == 25
 
 

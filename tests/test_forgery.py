@@ -12,15 +12,15 @@ import pytest
 from dice.errors import DiceError
 from dice.harness import verify_ledger
 from dice.ledger import AgreementRegistration, AttachCheck, ChannelClose, Issue, Redeem, make_transaction
-from dice.protocol import LBO, AgreementTerms, DiceEngine
+from dice.protocol import LBO, DiceEngine
 
-TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
+CHARGING = {"model": "per_unit", "rate": 0.04}
 
 
 def honest_engine():
     """alice settled a partly used channel; bob's channel is still open."""
     eng = DiceEngine(["H", "V"], ["alice", "bob"], seed=41)
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     sessions = {}
     for i, (roamer, nbytes) in enumerate([("alice", 1_000_000), ("bob", 500_000)]):
         wallet = eng.bank.create_identities("H", roamer, 1, [25], 5 + i)[0]
@@ -52,7 +52,7 @@ def close_paying_without_a_proof(eng, sessions):
 
 
 def redeem_of_a_lot_the_roamer_holds(eng, sessions):
-    lots = tuple(l.lot_id for l in eng.bank.lots_of(sessions["alice"].active_wallet))
+    lots = tuple(l.lot_id for l in eng.bank.lots_of(sessions["alice"].active_wallet, "H"))
     assert lots
     return make_transaction(70, "V", Redeem("V", "H", lots, 0.6), eng.signer)
 
@@ -71,8 +71,7 @@ def agreement_signed_by_the_visited_mno(eng, sessions):
 
 
 def second_agreement_for_a_pair(eng, sessions):
-    accepts, charging = TERMS.to_fields()
-    return make_transaction(70, "H", AgreementRegistration("H", "V", accepts, charging), eng.signer)
+    return make_transaction(70, "H", AgreementRegistration("H", "V", ("H",), CHARGING), eng.signer)
 
 
 def agreement_with_a_negative_rate(eng, sessions):

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import dice
 from dice.cli import main as cli_main
 from dice.errors import InvalidConfig, IoFailure
 from dice.harness import (
@@ -88,6 +89,39 @@ def test_report_tx_identity(tmp_path):
     )
 
 
+def test_each_channel_fact_is_held_once(tmp_path):
+    """A channel keeps the very open payload the bank holds and a close equal
+    to the ledger's; the report's settled tokens are the chain's close paid
+    amounts, summed by (visited operator, issuer of the wallet's funding)."""
+    captured = []
+    report = run_scenario(small_config(), tmp_path, on_seal=captured.append)
+    engine = captured[-1]
+    bank, ledger = engine.bank, engine.ledger
+    assert engine.channels.channels
+    for channel_id, ch in engine.channels.channels.items():
+        assert ch.opened is bank.channel_opens[channel_id]
+        assert ch.opened == ledger.get_tx(ch.open_tx).payload
+        assert ch.closed == ledger.get_tx(ch.close_tx).payload
+        assert ch.status == "closed"
+
+    funded_by, opens, by_pair = {}, {}, Counter()
+    for tx in ledger.all_txs():
+        p = tx.payload
+        if p.kind == "issue":
+            funded_by[p.wallet] = p.issuer
+        elif p.kind == "channel_open":
+            opens[p.channel] = p
+        elif p.kind == "channel_close" and p.paid:
+            opened = opens[p.channel]
+            by_pair[f"{opened.vmno}|{funded_by[opened.wallet]}"] += p.paid
+    assert by_pair and report.tokens_settled_by_pair == dict(sorted(by_pair.items()))
+
+
+def test_every_exported_name_resolves():
+    assert len(set(dice.__all__)) == len(dice.__all__)
+    assert [name for name in dice.__all__ if not hasattr(dice, name)] == []
+
+
 def expected_close_tokens(serviced_bytes, deposit, round_up=True):
     """Independent restatement of the billing rule for the oracle side."""
     if serviced_bytes < 100_000:
@@ -106,16 +140,17 @@ def test_cross_module_accounting_closure(tmp_path):
     engine = captured[-1]
     expected_total = 0
     for ch in engine.channels.channels.values():
-        expected = expected_close_tokens(ch.meter.bytes_total, ch.deposit)
-        assert ch.paid_at_close == expected, ch.channel_id
-        assert ch.paid_at_close + ch.refunded_at_close == ch.deposit
+        expected = expected_close_tokens(ch.bytes_total, ch.opened.deposit)
+        assert ch.closed.paid == expected, ch.opened.channel
+        assert ch.closed.paid + ch.closed.refunded == ch.opened.deposit
         expected_total += expected
     tokens_moved = sum(report.tokens_settled_by_pair.values())
     assert tokens_moved == expected_total
     # Everything the VMNO earned was redeemed (burned) at the end, and the
     # treasury is empty afterwards.
     assert sum(engine.bank.burned_by.values()) == tokens_moved
-    assert engine.bank.balance(engine.bank.treasury(cfg.vmno)) == 0
+    treasury = engine.bank.treasury(cfg.vmno)
+    assert all(engine.bank.balance(treasury, m) == 0 for m in engine.ledger.roster)
     assert engine.bank.supply_closure_ok()
 
 
@@ -245,6 +280,31 @@ def test_verify_ledger_truncated_line(tmp_path):
     result = verify_ledger(path)
     assert not result.valid
     assert "parse error" in result.reason
+
+
+# Each rewrites a number of line 1 as an equal value of another type; the
+# live ledger writes only ints there.
+NON_INT_PROBES = {
+    "string tx timestamp": lambda rec: rec["txs"][0].update(timestamp=str(rec["txs"][0]["timestamp"])),
+    "float tx timestamp": lambda rec: rec["txs"][0].update(timestamp=float(rec["txs"][0]["timestamp"])),
+    "float block height": lambda rec: rec.update(height=float(rec["height"])),
+    "bool block height": lambda rec: rec.update(height=True),
+    "float sealed_at": lambda rec: rec.update(sealed_at=float(rec["sealed_at"])),
+}
+
+
+@pytest.mark.parametrize("edit", NON_INT_PROBES.values(), ids=NON_INT_PROBES)
+def test_verify_ledger_rejects_non_int_numbers(tmp_path, edit):
+    run_scenario(small_config(seed=42, days=2), tmp_path)
+    path = tmp_path / "ledger.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    result = verify_ledger(path)
+    assert not result.valid and result.first_invalid_height == 1
+    assert result.reason.startswith("parse error") and "must be an int" in result.reason
 
 
 # --- config handling ----------------------------------------------------------------

@@ -120,7 +120,7 @@ def _build_chain(ledger, blocks=10, txs_per_block=2):
 
 def test_fresh_chain_verifies(ledger):
     _build_chain(ledger)
-    report = ledger.verify_chain()
+    report = verify_blocks(ledger.chain)
     assert report.valid and report.first_invalid_height is None
 
 
@@ -345,6 +345,9 @@ BAD_TX_RECORDS = {
     "missing payload key": lambda tx: tx["payload"].pop("amount"),
     "renamed payload key": lambda tx: tx["payload"].update(amt=tx["payload"].pop("amount")),
     "no signature": lambda tx: tx.pop("signature"),
+    # A timestamp is stored as an int, not as an equal string or float.
+    "string timestamp": lambda tx: tx.update(timestamp=str(tx["timestamp"])),
+    "float timestamp": lambda tx: tx.update(timestamp=float(tx["timestamp"])),
 }
 
 

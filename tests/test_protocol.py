@@ -28,12 +28,11 @@ from dice.protocol import (
     LBO,
     PROVISIONED,
     SETTLED,
-    AgreementTerms,
     DiceEngine,
 )
 from dice.tokenbank import TokenBank, TokenLot, LineageEntry
 
-TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
+CHARGING = {"model": "per_unit", "rate": 0.04}
 
 
 def engine(roamers=("alice",), seed=11):
@@ -41,7 +40,7 @@ def engine(roamers=("alice",), seed=11):
 
 
 def ready_session(eng, mode=LBO, tokens=25, now=10):
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [tokens], now)[0]
     session = eng.new_session("alice", wallet, "H", "V", mode, now)
     return session
@@ -63,15 +62,15 @@ def test_register_agreement_enables_attach():
 
 def test_duplicate_agreement():
     eng = engine()
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     with pytest.raises(DuplicateAgreement):
-        eng.register_agreement("H", "V", TERMS, 1)
+        eng.register_agreement("H", "V", ["H"], CHARGING, 1)
 
 
 def test_agreement_with_unknown_mno():
     eng = engine()
     with pytest.raises(UnknownMno):
-        eng.register_agreement("H", "Z", TERMS, 0)
+        eng.register_agreement("H", "Z", ["H"], CHARGING, 0)
 
 
 # --- attach check -----------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_attach_without_agreement_is_refused_and_recorded():
 
 def test_attach_with_empty_wallet():
     eng = engine()
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_wallet("alice", "H")
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     with pytest.raises(NoTokens):
@@ -111,7 +110,7 @@ def test_attach_with_empty_wallet():
 def test_attach_with_forged_offledger_lot():
     """A lot whose lineage root never hit the chain must be refused."""
     eng = engine()
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_wallet("alice", "H")
     fake = TokenLot("lot-forged", "H", 25,
                     [LineageEntry(wallet, codec.sha256(b"never-submitted"))])
@@ -172,8 +171,8 @@ def test_run_session_full_visit_three_txs():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    events = eng.run_session(session, [(20, 2_500_000)], 25)
-    assert events.proofs_accepted == 25
+    assert eng.run_session(session, [(20, 2_500_000)], 25) is session
+    assert session.proofs_accepted == 25
     assert session.state == ACTIVE
     eng.detach(session, 30)
     assert session.state == SETTLED
@@ -186,8 +185,8 @@ def test_silent_session_swept_still_three_txs():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    events = eng.run_session(session, [], 25)
-    assert events.proofs_accepted == 0
+    assert eng.run_session(session, [], 25) is session
+    assert session.proofs_accepted == 0
     assert session.state == CHANNEL_OPEN
     swept = eng.timeout_sweep(session.clock + 2 * 86_400)
     assert swept == [session.channel]
@@ -200,10 +199,10 @@ def test_trace_exceeding_deposit_reports_unserviced():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    events = eng.run_session(session, [(20, 3_000_000)], 25)
-    assert events.proofs_accepted == 25
-    assert events.unserviced_bytes == 500_000
-    assert any(ev["event"] == "deposit_exhausted" for ev in events.events)
+    eng.run_session(session, [(20, 3_000_000)], 25)
+    assert session.proofs_accepted == 25
+    assert eng.channels.channel(session.channel).unserviced_bytes == 500_000
+    assert any(ev["event"] == "deposit_exhausted" for ev in session.events)
 
 
 def test_detach_before_traffic_refunds():
@@ -213,7 +212,7 @@ def test_detach_before_traffic_refunds():
     eng.run_session(session, [], 25)
     eng.detach(session, 40)
     ch = eng.channels.channel(session.channel)
-    assert ch.paid_at_close == 0 and ch.refunded_at_close == 25
+    assert ch.closed.paid == 0 and ch.closed.refunded == 25
 
 
 def test_detach_twice():
@@ -230,7 +229,7 @@ def test_no_service_without_tokens_exhaustive():
     """Every op order on a NoTokens session fails before any traffic flows."""
     for op_order in (("traffic",), ("open", "traffic"), ("provision", "open", "traffic")):
         eng = engine()
-        eng.register_agreement("H", "V", TERMS, 0)
+        eng.register_agreement("H", "V", ["H"], CHARGING, 0)
         wallet = eng.bank.create_wallet("alice", "H")
         session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
         with pytest.raises(NoTokens):
@@ -317,7 +316,7 @@ def test_hr_and_lbo_settle_identically():
     eng_l, s_l, ch_l = run_mode(LBO)
     eng_h, s_h, ch_h = run_mode(HR)
     assert s_l.proofs_accepted == s_h.proofs_accepted
-    assert (ch_l.paid_at_close, ch_l.refunded_at_close) == (ch_h.paid_at_close, ch_h.refunded_at_close)
+    assert ch_l.closed == ch_h.closed
     assert len(s_l.onchain_txs) == len(s_h.onchain_txs) == 3
     kinds_l = sorted(tx.payload.kind for tx in eng_l.ledger.all_txs())
     kinds_h = sorted(tx.payload.kind for tx in eng_h.ledger.all_txs())
@@ -356,8 +355,8 @@ def test_rebuilt_bank_matches_live_bank(tmp_path):
         live = seen[-1]
         assert len(seen) > 2 and live.bank.burned_by, name
         if name == "deposits_run_out":
-            metered = [ch.meter for ch in live.channels.channels.values() if ch.meter.bytes_total]
-            assert sum(m.exhausted for m in metered) > len(metered) / 2
+            metered = [ch for ch in live.channels.channels.values() if ch.bytes_total]
+            assert sum(ch.unserviced_bytes > 0 for ch in metered) > len(metered) / 2
 
 
 def test_finished_engine_is_freed_without_the_cycle_collector():

@@ -4,7 +4,7 @@ import pytest
 
 from dice import codec
 from dice.errors import AlreadyBurned, InsufficientBalance, ProvenanceRejected
-from dice.protocol import LBO, AgreementTerms, DiceEngine
+from dice.protocol import LBO, DiceEngine
 from dice.settlement import (
     Fixed,
     Parity,
@@ -19,7 +19,7 @@ from dice.settlement import (
 )
 from dice.tokenbank import LineageEntry, TokenLot
 
-TERMS = AgreementTerms(frozenset({"H"}), {"model": "per_unit", "rate": 0.04})
+CHARGING = {"model": "per_unit", "rate": 0.04}
 
 
 # --- pricing ---------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_model_dict_roundtrip():
 
 def honest_engine(tokens=25, traffic=2_500_000):
     eng = DiceEngine(["H", "V", "W", "X"], ["alice"], seed=31)
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [tokens], 5)[0]
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     eng.attach_check(session, 5)
@@ -112,7 +112,7 @@ def test_redeem_cannot_burn_tokens_in_channel_escrow():
     """A treasury that escrowed its earned tokens in a channel of its own
     cannot redeem them too, so the channel still closes cleanly."""
     eng = DiceEngine(["V"], ["alice"], seed=38)
-    eng.register_agreement("V", "V", AgreementTerms(frozenset({"V"}), dict(TERMS.charging)), 0)
+    eng.register_agreement("V", "V", ["V"], CHARGING, 0)
     wallet = eng.bank.create_identities("V", "alice", 1, [25], 5)[0]
     session = eng.new_session("alice", wallet, "V", "V", LBO, 5)
     eng.attach_check(session, 5)
@@ -165,7 +165,7 @@ def test_forged_lineage_is_rejected():
 def test_wrong_issuer_is_rejected():
     """Claiming W-issued lots against H."""
     eng = DiceEngine(["H", "V", "W"], ["bob"], seed=34)
-    eng.register_agreement("W", "V", AgreementTerms(frozenset({"W"}), {"model": "per_unit", "rate": 0.04}), 0)
+    eng.register_agreement("W", "V", ["W"], CHARGING, 0)
     wallet = eng.bank.create_identities("W", "bob", 1, [10], 5)[0]
     session = eng.new_session("bob", wallet, "W", "V", LBO, 5)
     eng.attach_check(session, 5)
@@ -183,7 +183,7 @@ def test_wrong_issuer_is_rejected():
 def test_cross_vmno_relay_is_rejected():
     """V relays honestly earned tokens to W; W cannot redeem them."""
     eng = DiceEngine(["H", "V", "W"], ["alice"], seed=35)
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     eng.attach_check(session, 5)
@@ -206,7 +206,7 @@ def test_self_issue_is_rejected():
     treasury = eng.bank.treasury("V")
     eng.bank.issue("V", treasury, 50, now=5)
     eng.ledger.seal_block(6)
-    against_h = RedemptionClaim("V", "H", sorted(l.lot_id for l in eng.bank.lots_of(treasury)),
+    against_h = RedemptionClaim("V", "H", sorted(l.lot_id for l in eng.bank.lots_of(treasury, "V")),
                                 (0, 100), 2.0)
     verdict = validate_provenance(eng.bank, eng.ledger, against_h)
     assert not verdict.accepted and verdict.reason == "wrong-issuer"
@@ -230,7 +230,7 @@ def test_claim_for_lots_not_held_is_rejected():
 def test_settlement_equivalence_per_unit():
     """Total fiat == rate x (proof count + rounding top-up tokens)."""
     eng = DiceEngine(["H", "V"], ["alice", "bob"], seed=37)
-    eng.register_agreement("H", "V", TERMS, 0)
+    eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     rate = 0.04
     for i, (roamer, nbytes) in enumerate([("alice", 1_250_000), ("bob", 400_000)]):
         wallet = eng.bank.create_identities("H", roamer, 1, [25], 5 + i)[0]
@@ -243,7 +243,7 @@ def test_settlement_equivalence_per_unit():
     proofs = len(eng.channels.accepted_proofs)
     rounding_tokens = sum(
         1 for ch in eng.channels.channels.values()
-        if ch.paid_at_close and ch.paid_at_close * 100_000 > ch.meter.bytes_total - (ch.meter.bytes_total % 100_000) and ch.meter.bytes_total % 100_000
+        if ch.closed.paid and ch.closed.paid * 100_000 > ch.bytes_total - (ch.bytes_total % 100_000) and ch.bytes_total % 100_000
     )
     claim = make_claim(eng.bank, PerUnit(rate), "V", "H", (0, 100))
     # alice: 12 full blocks + 1 partial -> 13; bob: 4 full -> 4; total 17.

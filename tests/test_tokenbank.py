@@ -35,11 +35,10 @@ def test_token_granularity_covers_the_average_visit():
 def test_issue_creates_lot_and_supply(bank):
     w = bank.create_wallet("alice", "H")
     bank.issue("H", w, 25, now=1)
-    assert bank.balance(w) == 25
     assert bank.balance(w, "H") == 25
     assert bank.balance(w, "V") == 0
     assert bank.issued_by["H"] == 25
-    lot = bank.lots_of(w)[0]
+    lot = bank.lots_of(w, "H")[0]
     assert lot.issuer == "H" and lot.holder == w
     assert len(lot.lineage) == 1
 
@@ -86,12 +85,12 @@ def test_negative_amounts_rejected_by_apply(bank):
 def test_create_identities_funds_unlinked_wallets(bank):
     wallets = bank.create_identities("H", "alice", 3, [10, 10, 5], now=1)
     assert len(set(wallets)) == 3
-    assert sum(bank.balance(w) for w in wallets) == 25
+    assert sum(bank.balance(w, "H") for w in wallets) == 25
 
 
 def test_create_identities_single_degenerates_to_issue(bank):
     (w,) = bank.create_identities("H", "alice", 1, [10], now=1)
-    assert bank.balance(w) == 10
+    assert bank.balance(w, "H") == 10
 
 
 def test_create_identities_validates_shape(bank):
@@ -123,19 +122,19 @@ def test_transfer_whole_lot(bank):
     assert len(moved) == 1
     lot = bank.lot(moved[0])
     assert lot.holder == dst and len(lot.lineage) == 2
-    assert bank.balance(src) == 0 and bank.balance(dst) == 25
+    assert bank.balance(src, "H") == 0 and bank.balance(dst, "H") == 25
 
 
 def test_transfer_with_split_conserves_amounts(bank):
     src = bank.create_wallet("alice", "H")
     dst = bank.create_wallet("bob", "H")
     bank.issue("H", src, 25, now=1)
-    parent = bank.lots_of(src)[0]
+    parent = bank.lots_of(src, "H")[0]
     moved = bank.transfer(src, dst, "H", 10, codec.sha256(b"c"))
     child = bank.lot(moved[0])
     assert child.amount == 10 and parent.amount == 15
     assert child.amount + parent.amount == 25
-    assert bank.balance(src) == 15 and bank.balance(dst) == 10
+    assert bank.balance(src, "H") == 15 and bank.balance(dst, "H") == 10
     # Child lineage is the parent's prefix plus the move event.
     assert child.lineage[:-1] == parent.lineage
     assert child.lineage[-1].holder == dst
@@ -154,7 +153,7 @@ def test_transfer_respects_locks(bank):
     dst = bank.create_wallet("bob", "H")
     bank.issue("H", src, 25, now=1)
     bank.lock(src, "ch-x", 20)
-    assert bank.balance(src) == 25
+    assert bank.balance(src, "H") == 25
     assert bank.spendable(src, "H") == 5
     with pytest.raises(InsufficientBalance):
         bank.transfer(src, dst, "H", 10, codec.sha256(b"c"))
@@ -173,25 +172,25 @@ def test_lock_requires_spendable_balance(bank):
 
 def test_balance_cases(bank):
     w = bank.create_wallet("alice", "H")
-    assert bank.balance(w) == 0
+    assert bank.balance(w, "H") == 0
     bank.issue("H", w, 25, now=1)
-    assert bank.balance(w) == 25
+    assert bank.balance(w, "H") == 25
     dst = bank.create_wallet("bob", "H")
     bank.transfer(w, dst, "H", 10, codec.sha256(b"c"))
-    assert bank.balance(w) == 15
+    assert bank.balance(w, "H") == 15
 
 
 def test_unknown_wallet_and_lot(bank):
     with pytest.raises(UnknownWallet):
-        bank.balance("nope")
+        bank.balance("nope", "H")
     with pytest.raises(UnknownLot):
-        bank.trace("nope")
+        bank.lot("nope")
 
 
 def test_trace_fresh_lot(bank):
     w = bank.create_wallet("alice", "H")
     bank.issue("H", w, 5, now=1)
-    lineage = bank.trace(bank.lots_of(w)[0].lot_id)
+    lineage = bank.lot(bank.lots_of(w, "H")[0].lot_id).lineage
     assert len(lineage) == 1
     assert lineage[0].holder == w
 
@@ -199,9 +198,9 @@ def test_trace_fresh_lot(bank):
 def test_burn_removes_from_circulation(bank):
     w = bank.create_wallet("alice", "H")
     bank.issue("H", w, 5, now=1)
-    lot = bank.lots_of(w)[0]
+    lot = bank.lots_of(w, "H")[0]
     bank.burn([lot.lot_id], codec.sha256(b"redeem"))
-    assert bank.balance(w) == 0
+    assert bank.balance(w, "H") == 0
     assert bank.burned_by["H"] == 5
     assert bank.supply_closure_ok()
 
@@ -215,7 +214,7 @@ def test_transfer_and_burn_keep_each_holders_lot_order(bank):
     dst = bank.create_wallet("bob", "H")
     for amount in (3, 7, 5, 2):
         bank.issue("H", src, amount, now=1)
-    l0, l1, l2, l3 = (lot.lot_id for lot in bank.lots_of(src))
+    l0, l1, l2, l3 = (lot.lot_id for lot in bank.lots_of(src, "H"))
     # Largest lots move whole; the 1 still due splits off l0.
     moved = bank.transfer(src, dst, "H", 13, codec.sha256(b"c"))
     l4 = moved[-1]
@@ -255,9 +254,9 @@ def test_conservation_under_random_ops(ops):
                 bank.transfer(wallets[src_i], wallets[dst_i], "H", amount, codec.sha256(bytes([now])))
             except InsufficientBalance:
                 pass
-        total = sum(bank.balance(w) for w in wallets)
+        total = sum(bank.balance(w, "H") for w in wallets)
         assert total == issued
-        assert all(bank.balance(w) >= 0 for w in wallets)
+        assert all(bank.balance(w, "H") >= 0 for w in wallets)
         assert bank.supply_closure_ok()
 
 
