@@ -140,7 +140,6 @@ class ChannelManager:
         tx_id = self.ledger.submit(make_transaction(now, roamer, opened, self.signer))
         self._seq += 1
         self._next_preimage = self._rng.randbytes(32)
-        self.ledger.grant_channel_scope(channel_id, {vmno, wallet.home_mno})
         ch = PaymentChannel(opened, tx_id, roamer, now, preimage)
         self.channels[channel_id] = self._open[channel_id] = ch
         return channel_id

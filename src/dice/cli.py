@@ -86,7 +86,7 @@ def ledger_verify(path) -> None:
         click.echo(f"lots replayed: {checked['lots_replayed']}")
         for issuer, supply in checked["supply_by_issuer"].items():
             click.echo(f"issuer {issuer}: " + ", ".join(f"{k} {v}" for k, v in supply.items()))
-    sys.exit(0 if result.valid else 1)
+    sys.exit(result.exit_code)
 
 
 @main.command()

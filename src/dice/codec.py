@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from typing import Optional, Protocol
+from typing import Optional
 
 DIGEST_SIZE = 32
 ZERO_DIGEST = b"\x00" * DIGEST_SIZE
@@ -240,16 +240,6 @@ def merkle_root(leaves: list[bytes]) -> bytes:
             nxt.append(level[-1])
         level = nxt
     return level[0]
-
-
-class Signer(Protocol):
-    """Pluggable signature backend; the default is a keyed MAC."""
-
-    def sign(self, actor: str, message: bytes) -> bytes: ...
-
-    def verify(self, actor: str, message: bytes, signature: bytes) -> bool: ...
-
-    def knows(self, actor: str) -> bool: ...
 
 
 # HMAC (RFC 2104) over SHA-256: keys are padded to one block and XORed with

@@ -17,10 +17,10 @@ from typing import Optional
 from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
-from .ledger import Ledger, ValidityReport, load_blocks_jsonl, verify_blocks
+from .ledger import ValidityReport, load_blocks_jsonl
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
-from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes
+from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes, verify_blocks
 from .workload import COUNT, POSITIVE, SessionEventTrace, WorkloadConfig, config_schema, generate, knob
 
 DAY = 86_400
@@ -229,17 +229,16 @@ def run_scenario(
                     engine.detach(session, now)
         elif action == "redeem":
             for hmno in hmnos:
-                claim = make_claim(engine.bank, model, config.vmno, hmno, (0, horizon))
+                claim = make_claim(engine.bank, model, config.vmno, hmno)
                 if claim is None:
                     continue
-                tokens = sum(engine.bank.lot(l).amount for l in claim.lot_ids)
                 settlement.redeem(engine, claim, now)
                 settlement_rows.append({
                     "period_start": 0,
                     "period_end": horizon,
                     "vmno": config.vmno,
                     "hmno": hmno,
-                    "tokens": tokens,
+                    "tokens": claim.tokens,
                     "model": config.charging["model"],
                     "fiat": f"{claim.fiat_due:.6f}",
                 })
@@ -377,7 +376,7 @@ def verify_ledger(path) -> ValidityReport:
     """Full integrity pass over a persisted chain: every block replayed
     through a fresh ledger with a token bank attached (``verify_blocks``), so
     each chain rule and token rule the live engine enforces is checked, then
-    a supply-closure cross-check."""
+    a supply-closure cross-check.  Only the verdict is kept."""
     return replay_ledger(path)[0]
 
 
@@ -390,14 +389,7 @@ def replay_ledger(path) -> tuple[ValidityReport, Optional[TokenBank]]:
         blocks = load_blocks_jsonl(path)
     except LedgerParseError as exc:
         return ValidityReport(False, exc.line, f"parse error: {exc}"), None
-    if not blocks:
-        return verify_blocks(blocks), None  # reports the missing genesis block
-    try:
-        ledger = Ledger.from_genesis(blocks[0])
-    except ValueError as exc:
-        return ValidityReport(False, 0, f"block rejected: ValueError: {exc}"), None
-    bank = TokenBank(ledger)
-    verdict = verify_blocks(blocks, ledger)
+    verdict, bank = verify_blocks(blocks)
     if verdict.valid and not bank.supply_closure_ok():
         verdict = ValidityReport(False, None, "supply closure violated")
     return verdict, bank

@@ -2,14 +2,14 @@
 
 Consensus is intentionally trivial: a fixed roster seals blocks in turn and
 every hash is recomputable, so two identical submission sequences produce
-byte-identical chains.  Confidentiality is modeled through per-channel read
-scopes enforced at query time.
+byte-identical chains.  Confidentiality is modeled through read scopes
+``query`` derives from the sealed transactions, as a replay would.
 
 ``submit`` and ``seal_block`` state every chain rule once, and ``submit``
 also runs the token rules of the bank attached with ``attach_bank``.
-``verify_blocks`` replays a persisted chain through a fresh ledger and
-compares each resealed block with the stored one, so a chain verifies only
-if the live ledger could have written it.
+``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
+and bank, so a chain verifies only if the live engine could have written
+it.  A loaded record must have exactly the keys ``to_record`` writes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 from . import codec
-from .codec import ZERO_DIGEST, Signer
+from .codec import ZERO_DIGEST
 from .errors import (
     BadSignature,
     DuplicateTx,
@@ -171,6 +171,12 @@ def payload_canonical(payload: TxPayload) -> list:
     return [payload.kind, payload.to_fields()]
 
 
+def _require_keys(record: dict, keys: frozenset, what: str) -> None:
+    """Exactly the keys the live ledger writes: no hash covers any other."""
+    if record.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(record)}, not {sorted(keys)}")
+
+
 def payload_from_record(record: dict) -> TxPayload:
     """The payload of a transaction record: its ``kind`` plus exactly the keys
     of that kind's ``to_fields()``."""
@@ -178,8 +184,7 @@ def payload_from_record(record: dict) -> TxPayload:
     cls, keys = _PAYLOAD_KINDS.get(kind, (None, None))
     if cls is None:
         raise ValueError(f"unknown payload kind {kind!r}")
-    if record.keys() != keys:
-        raise ValueError(f"{kind} payload has keys {sorted(record)}, not {sorted(keys)}")
+    _require_keys(record, keys, f"{kind} payload")
     return cls.from_fields(record)
 
 
@@ -214,9 +219,12 @@ class Transaction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
+        _require_keys(rec, _TX_KEYS, "tx")
         return cls(bytes.fromhex(rec["tx_id"]), _int_field(rec, "timestamp"), rec["signer"],
                    payload_from_record(rec["payload"]), bytes.fromhex(rec["signature"]))
 
+
+_TX_KEYS = frozenset(f.name for f in fields(Transaction))
 
 # Per payload class, the layout of its transactions' signed value
 # ``[timestamp, signer, [kind, fields]]``, built on first use.
@@ -233,7 +241,8 @@ def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
     return layout.digest((timestamp, signer), canonical)
 
 
-def make_transaction(timestamp: int, signer: str, payload: TxPayload, backend: Signer) -> Transaction:
+def make_transaction(timestamp: int, signer: str, payload: TxPayload,
+                     backend: codec.KeyedMacSigner) -> Transaction:
     """Build a signed transaction; tx_id commits to (timestamp, signer, payload)."""
     tx_id = tx_digest(timestamp, signer, payload)
     return Transaction(tx_id, timestamp, signer, payload, backend.sign(signer, tx_id))
@@ -274,8 +283,10 @@ class Block:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
+        height = _int_field(rec, "height")
+        _require_keys(rec, _GENESIS_KEYS if height == 0 else _BLOCK_KEYS, "block")
         return cls(
-            height=_int_field(rec, "height"),
+            height=height,
             prev_hash=bytes.fromhex(rec["prev_hash"]),
             tx_root=bytes.fromhex(rec["tx_root"]),
             validator=rec["validator"],
@@ -285,6 +296,11 @@ class Block:
             roster=tuple(rec.get("roster", ())),
             keys={a: bytes.fromhex(k) for a, k in rec.get("keys", {}).items()},
         )
+
+
+# A block record's keys; genesis adds the roster and the key registry.
+_GENESIS_KEYS = frozenset(f.name for f in fields(Block))
+_BLOCK_KEYS = _GENESIS_KEYS - {"roster", "keys"}
 
 
 @dataclass
@@ -320,9 +336,7 @@ class Ledger:
         self.signer_backend = codec.KeyedMacSigner(keys)
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
-        self.tx_index: dict[bytes, tuple[int, int]] = {}
-        self.channel_scopes: dict[str, frozenset[str]] = {}
-        self._known_ids: set[bytes] = set()
+        self.tx_index: dict[bytes, Transaction] = {}   # every submitted tx, pending ones too
         self._bank: Optional[weakref.ref] = None
         self._seal_genesis(genesis_time)
 
@@ -356,13 +370,13 @@ class Ledger:
             if not self.signer_backend.knows(tx.signer):
                 raise UnknownSigner(tx.signer)
             raise BadSignature(tx.tx_id.hex())
-        if tx.tx_id in self._known_ids:
+        if tx.tx_id in self.tx_index:
             raise DuplicateTx(tx.tx_id.hex())
         bank = self._bank and self._bank()
         if bank is not None:
             bank.apply(tx)
         self.pending.append(tx)
-        self._known_ids.add(tx.tx_id)
+        self.tx_index[tx.tx_id] = tx
         return tx.tx_id
 
     def seal_block(self, now: int) -> Block:
@@ -376,55 +390,51 @@ class Ledger:
         block_hash = block_digest(height, prev_hash, tx_root, validator, now)
         block = Block(height, prev_hash, tx_root, validator, now, block_hash, txs=txs)
         self.chain.append(block)
-        for pos, tx in enumerate(txs):
-            self.tx_index[tx.tx_id] = (height, pos)
         self.pending = []
         return block
-
-    def grant_channel_scope(self, channel: str, readers: set[str]) -> None:
-        self.channel_scopes[channel] = frozenset(readers)
 
     # -- read path
 
     def get_tx(self, tx_id: bytes) -> Optional[Transaction]:
-        loc = self.tx_index.get(tx_id)
-        if loc is not None:
-            height, pos = loc
-            return self.chain[height].txs[pos]
-        for tx in self.pending:
-            if tx.tx_id == tx_id:
-                return tx
-        return None
+        return self.tx_index.get(tx_id)
 
     def all_txs(self) -> Iterator[Transaction]:
         """Sealed transactions in chain order."""
         for block in self.chain:
             yield from block.txs
 
-    def _visible(self, tx: Transaction, reader: str) -> bool:
-        payload = tx.payload
-        if isinstance(payload, (ChannelOpen, ChannelClose)):
-            scope = self.channel_scopes.get(payload.channel, frozenset())
-            return reader in scope
-        if isinstance(payload, Issue):
-            return reader == payload.issuer
-        return True
-
     def query(self, reader: str, flt: QueryFilter) -> list[Transaction]:
+        """The sealed txs ``reader`` may see that match ``flt``, in chain order.
+        An Issue is seen by its issuer; a channel's open and close by its VMNO
+        and its wallet's home, the issuer of the first Issue into that wallet
+        earlier in the chain; every other kind by everyone."""
         if reader not in self.roster:
             raise UnknownReader(reader)
+        homes: dict[str, str] = {}                 # wallet -> its home
+        channel_readers: dict[str, tuple] = {}     # channel -> (vmno, home)
         out = []
         for tx in self.all_txs():
-            if not self._visible(tx, reader):
+            p = tx.payload
+            if isinstance(p, Issue):
+                homes.setdefault(p.wallet, p.issuer)
+                visible = reader == p.issuer
+            elif isinstance(p, ChannelOpen):
+                readers = channel_readers[p.channel] = (p.vmno, homes.get(p.wallet))
+                visible = reader in readers
+            elif isinstance(p, ChannelClose):
+                visible = reader in channel_readers.get(p.channel, ())
+            else:
+                visible = True
+            if not visible:
                 continue
-            if flt.kind is not None and tx.payload.kind != flt.kind:
+            if flt.kind is not None and p.kind != flt.kind:
                 continue
             if flt.signer is not None and tx.signer != flt.signer:
                 continue
-            if flt.wallet is not None and getattr(tx.payload, "wallet", None) != flt.wallet \
-                    and getattr(tx.payload, "roamer_wallet", None) != flt.wallet:
+            if flt.wallet is not None and getattr(p, "wallet", None) != flt.wallet \
+                    and getattr(p, "roamer_wallet", None) != flt.wallet:
                 continue
-            if flt.channel is not None and getattr(tx.payload, "channel", None) != flt.channel:
+            if flt.channel is not None and getattr(p, "channel", None) != flt.channel:
                 continue
             out.append(tx)
         return out
@@ -453,37 +463,3 @@ def load_blocks_jsonl(path) -> list[Block]:
             raise LedgerParseError(i, str(exc)) from None
     return blocks
 
-
-NO_GENESIS = "no genesis block"
-
-
-def verify_blocks(chain: list[Block], ledger: Optional[Ledger] = None) -> ValidityReport:
-    """Replay a chain through ``ledger`` (default: a bare ``Ledger.from_genesis``
-    of it; attach a bank for the token rules); report the first failing height.
-
-    Each later block's transactions are submitted and the block is resealed
-    at its stored time; each resealed block must equal the stored one.  An
-    empty chain is invalid at height 0: the live ledger always seals genesis.
-    """
-    # verify_ledger passes the whole loaded list, not a stream: perfbench's tracer counts its txs.
-    if not chain:
-        return ValidityReport(False, 0, NO_GENESIS)
-    height, tx = 0, None
-    try:
-        if ledger is None:
-            ledger = Ledger.from_genesis(chain[0])
-        for height, block in enumerate(chain):
-            if height:
-                for tx in block.txs:
-                    ledger.submit(tx)
-                tx = None
-                ledger.seal_block(block.sealed_at)
-            resealed = ledger.chain[height]
-            if resealed != block:
-                name = next(f.name for f in fields(Block)
-                            if getattr(resealed, f.name) != getattr(block, f.name))
-                return ValidityReport(False, height, f"{name} mismatch")
-    except Exception as exc:  # a loaded chain can hold anything
-        rejected = "block" if tx is None else f"{tx.payload.kind} tx"
-        return ValidityReport(False, height, f"{rejected} rejected: {type(exc).__name__}: {exc}")
-    return ValidityReport(True)

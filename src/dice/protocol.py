@@ -1,9 +1,11 @@
 """Roamer lifecycle state machine and the engine that owns all state.
 
-A session walks Home -> Checked -> Contracted -> (Provisioned, LBO only)
--> ChannelOpen -> Active -> Closing -> Settled.  HR mode skips the
-provisioning step and otherwise behaves identically, so both modes yield
-the same payments, settlement and on-chain footprint.
+A session walks Home -> Contracted -> (Provisioned, LBO only) ->
+ChannelOpen -> (Active) -> Settled; each ``DiceEngine`` step checks the
+state it starts from before any side effect, and that is the only statement
+of the transitions.  HR mode skips the provisioning step and otherwise
+behaves identically, so both modes yield the same payments, settlement and
+on-chain footprint.
 """
 
 from __future__ import annotations
@@ -29,24 +31,11 @@ LBO, HR = "lbo", "hr"
 
 # Session states, in protocol order.
 HOME = "home"
-CHECKED = "checked"
 CONTRACTED = "contracted"
 PROVISIONED = "provisioned"
 CHANNEL_OPEN = "channel_open"
 ACTIVE = "active"
-CLOSING = "closing"
 SETTLED = "settled"
-
-_NEXT: dict[str, tuple[str, ...]] = {
-    HOME: (CHECKED,),
-    CHECKED: (CONTRACTED,),
-    CONTRACTED: (PROVISIONED, CHANNEL_OPEN),  # HR jumps straight to the channel
-    PROVISIONED: (CHANNEL_OPEN,),
-    CHANNEL_OPEN: (ACTIVE, CLOSING),
-    ACTIVE: (CLOSING,),
-    CLOSING: (SETTLED,),
-    SETTLED: (),
-}
 
 
 @dataclass
@@ -70,11 +59,6 @@ class RoamerSession:
             {"time": now, "session_id": self.session_id, "event": kind, "payload": payload}
         )
 
-    def _move(self, new_state: str) -> None:
-        if new_state not in _NEXT[self.state]:
-            raise WrongState(f"{self.state} -> {new_state}")
-        self.state = new_state
-
 
 def events_to_jsonl(events: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -97,13 +81,12 @@ class DiceEngine:
         roamers: list[str],
         *,
         seed: int = 0,
-        genesis_time: int = 0,
         timelock_window: int = DEFAULT_TIMELOCK_WINDOW,
         inactivity_window: int = DEFAULT_INACTIVITY_WINDOW,
         round_up_final_block: bool = True,
     ):
         keys = {a: codec.derive_key(seed, a) for a in [*mnos, *roamers]}
-        self.ledger = Ledger(mnos, keys, genesis_time)
+        self.ledger = Ledger(mnos, keys)
         self.signer = self.ledger.signer_backend
         self.bank = TokenBank(self.ledger)
         self.channels = ChannelManager(
@@ -165,8 +148,7 @@ class DiceEngine:
         session._log(now, "attach_check", accepted=accepted, tx=tx_id.hex())
         if failure is not None:
             raise failure
-        session._move(CHECKED)
-        session._move(CONTRACTED)
+        session.state = CONTRACTED
         return True
 
     def provision_profile(self, session: RoamerSession) -> RoamerSession:
@@ -175,7 +157,7 @@ class DiceEngine:
             raise WrongMode(session.mode)
         if session.state != CONTRACTED:
             raise WrongState(session.state)
-        session._move(PROVISIONED)
+        session.state = PROVISIONED
         session._log(session.clock, "provisioned")
         return session
 
@@ -188,7 +170,7 @@ class DiceEngine:
         ch = self.channels.channel(channel_id)
         session.onchain_txs.append(ch.open_tx)
         self._session_by_channel[channel_id] = session.session_id
-        session._move(CHANNEL_OPEN)
+        session.state = CHANNEL_OPEN
         session._log(now, "channel_open", channel=channel_id, deposit=deposit, tx=ch.open_tx.hex())
         return channel_id
 
@@ -203,8 +185,7 @@ class DiceEngine:
         for proof in proofs:
             self.channels.receive_proof(session.vmno, proof)
         session.proofs_accepted += len(proofs)
-        if session.state == CHANNEL_OPEN:
-            session._move(ACTIVE)
+        session.state = ACTIVE
         unserviced = self.channels.channel(session.channel).unserviced_bytes
         session._log(now, "traffic", bytes=nbytes, proofs=len(proofs))
         if unserviced:
@@ -244,11 +225,10 @@ class DiceEngine:
     def _settle(self, session: RoamerSession, now: int, **close_fields) -> None:
         """Settle a session whose channel has just closed on-chain."""
         ch = self.channels.channel(session.channel)
-        session._move(CLOSING)
         session.onchain_txs.append(ch.close_tx)
         session._log(now, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
                      tx=ch.close_tx.hex(), **close_fields)
-        session._move(SETTLED)
+        session.state = SETTLED
 
     # -- convenience passthroughs
 

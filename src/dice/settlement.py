@@ -95,12 +95,11 @@ class RedemptionClaim:
     vmno: str
     hmno: str
     lot_ids: list[str]
-    period: tuple[int, int]
+    tokens: int
     fiat_due: float
 
 
-def make_claim(bank: TokenBank, model: ChargingModel, vmno: str, hmno: str,
-               period: tuple[int, int]) -> Optional[RedemptionClaim]:
+def make_claim(bank: TokenBank, model: ChargingModel, vmno: str, hmno: str) -> Optional[RedemptionClaim]:
     """Claim every hmno-issued lot currently held by the VMNO treasury."""
     treasury = treasury_wallet_id(vmno)
     if treasury not in bank.wallets:
@@ -110,7 +109,7 @@ def make_claim(bank: TokenBank, model: ChargingModel, vmno: str, hmno: str,
         return None
     lot_ids = sorted(l.lot_id for l in lots)
     tokens = sum(l.amount for l in lots)
-    return RedemptionClaim(vmno, hmno, lot_ids, period, price(model, tokens))
+    return RedemptionClaim(vmno, hmno, lot_ids, tokens, price(model, tokens))
 
 
 @dataclass

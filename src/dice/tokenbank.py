@@ -3,22 +3,21 @@
 ``TokenBank.apply`` states every token rule of the on-chain transactions
 once, and the rules of agreements and attach checks (signer, roster, one
 agreement per pair, a charging spec settlement can price): the ledger the
-bank is attached to runs each submitted transaction through it.  A
-persisted chain is checked by replaying it through a fresh ledger with a
-new bank attached (``ledger.verify_blocks``), so it verifies only if the
-live engine could have produced it; ``rebuild_from_ledger`` returns the
-bank such a replay ends with.  The operators (the only actors that may
-issue or sign agreements and attach checks) and every signing key come
-from the ledger's genesis roster and key registry, so ``TokenBank(ledger)``
-needs nothing else.  Every lot carries its lineage from the issuance
-event, which is what provenance checks read; a wallet keeps its lots by
-issuer.  One token pays for one 100KB traffic block under the default
-charging model.
+bank is attached to runs each submitted transaction through it.
+``verify_blocks`` is the one replay of a persisted chain, through a fresh
+ledger with a new bank attached: a chain verifies only if the live engine
+could have produced it, and the replay holds the live state.  The
+operators (the only actors that may issue or sign agreements and attach
+checks) and every signing key come from the ledger's genesis roster and
+key registry, so ``TokenBank(ledger)`` needs nothing else.  Every lot
+carries its lineage from the issuance event, which is what provenance
+checks read; a wallet keeps its lots by issuer.  One token pays for one
+100KB traffic block under the default charging model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -38,8 +37,8 @@ from .errors import (
     UnknownWallet,
     ZeroDeposit,
 )
-from .ledger import (NO_GENESIS, AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen,
-                     Issue, Ledger, Redeem, Transaction, make_transaction, verify_blocks)
+from .ledger import (AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen, Issue, Ledger,
+                     Redeem, Transaction, ValidityReport, make_transaction)
 
 TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 
@@ -70,7 +69,6 @@ class TokenLot:
     amount: int
     lineage: list[LineageEntry]
     burned: bool = False
-    burn_tx: Optional[bytes] = None
 
     @property
     def holder(self) -> str:
@@ -227,13 +225,12 @@ class TokenBank:
         """A wallet's lots of one issuer, in arrival order."""
         return list(self.wallet(wallet_id).lots.get(issuer, {}).values())
 
-    def burn(self, lot_ids: list[str], cause_tx: bytes) -> None:
+    def burn(self, lot_ids: list[str]) -> None:
         """Remove redeemed lots from circulation; supply stays accounted."""
         for lid in lot_ids:
             lot = self.lot(lid)
             del self.wallets[lot.holder].lots[lot.issuer][lid]
             lot.burned = True
-            lot.burn_tx = cause_tx
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
 
     # -- the token rules
@@ -299,7 +296,7 @@ class TokenBank:
                     raise ProvenanceRejected(f"{lot_id}: {reason}")
             if sum(self.lot(l).amount for l in p.lots) > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
                 raise InsufficientBalance(f"redeem would burn tokens {p.vmno} holds in channel escrow")
-            self.burn(list(p.lots), tx.tx_id)
+            self.burn(list(p.lots))
         elif isinstance(p, AgreementRegistration):
             if tx.signer != p.hmno:
                 raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} signed by {tx.signer}")
@@ -383,15 +380,39 @@ class TokenBank:
 
     @classmethod
     def rebuild_from_ledger(cls, chain: Ledger | list[Block]) -> "TokenBank":
-        """The bank a ledger's sealed blocks, or loaded blocks, leave behind when
-        replayed through a fresh ledger with it attached (``verify_blocks``);
-        raises ReplayRejected if the chain does not verify."""
-        blocks = chain.chain if isinstance(chain, Ledger) else chain
-        if not blocks:
-            raise ReplayRejected(0, NO_GENESIS)
-        replica = Ledger.from_genesis(blocks[0])
-        bank = cls(replica)
-        verdict = verify_blocks(blocks, replica)
+        """The bank ``verify_blocks`` leaves after replaying a ledger's sealed
+        blocks, or loaded blocks; raises ReplayRejected if they do not verify."""
+        verdict, bank = verify_blocks(chain.chain if isinstance(chain, Ledger) else chain)
         if not verdict.valid:
             raise ReplayRejected(verdict.first_invalid_height, verdict.reason)
         return bank
+
+
+def verify_blocks(chain: list[Block]) -> tuple[ValidityReport, Optional[TokenBank]]:
+    """Replay a chain through ``TokenBank(Ledger.from_genesis(chain[0]))``:
+    submit each later block's txs, reseal it at its stored time and require
+    it to equal the stored block.  Returns the verdict, with the first failing
+    height, and the bank (None if no ledger could be anchored).  An empty
+    chain is invalid at height 0: the live ledger always seals genesis."""
+    # harness passes the whole loaded list, not a stream: perfbench's tracer counts its txs.
+    if not chain:
+        return ValidityReport(False, 0, "no genesis block"), None
+    height, tx, bank = 0, None, None
+    try:
+        bank = TokenBank(Ledger.from_genesis(chain[0]))
+        ledger = bank.ledger
+        for height, block in enumerate(chain):
+            if height:
+                for tx in block.txs:
+                    ledger.submit(tx)
+                tx = None
+                ledger.seal_block(block.sealed_at)
+            resealed = ledger.chain[height]
+            if resealed != block:
+                name = next(f.name for f in fields(Block)
+                            if getattr(resealed, f.name) != getattr(block, f.name))
+                return ValidityReport(False, height, f"{name} mismatch"), bank
+    except Exception as exc:  # a loaded chain can hold anything
+        rejected = "block" if tx is None else f"{tx.payload.kind} tx"
+        return ValidityReport(False, height, f"{rejected} rejected: {type(exc).__name__}: {exc}"), bank
+    return ValidityReport(True), bank

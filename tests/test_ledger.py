@@ -27,10 +27,9 @@ from dice.ledger import (
     load_blocks_jsonl,
     make_transaction,
     tx_digest,
-    verify_blocks,
 )
 from dice.harness import verify_ledger
-from dice.tokenbank import TokenBank
+from dice.tokenbank import TokenBank, verify_blocks
 
 ROSTER = ["A", "B", "C"]
 KEYS = {m: codec.derive_key(0, m) for m in ROSTER}
@@ -120,7 +119,7 @@ def _build_chain(ledger, blocks=10, txs_per_block=2):
 
 def test_fresh_chain_verifies(ledger):
     _build_chain(ledger)
-    report = verify_blocks(ledger.chain)
+    report = verify_blocks(ledger.chain)[0]
     assert report.valid and report.first_invalid_height is None
 
 
@@ -128,7 +127,7 @@ def test_empty_chain_is_invalid(tmp_path):
     # The live ledger always seals a genesis block.
     path = tmp_path / "ledger.jsonl"
     path.write_bytes(b"")
-    for result in (verify_blocks([]), verify_ledger(path)):
+    for result in (verify_blocks([])[0], verify_ledger(path)):
         assert not result.valid
         assert (result.first_invalid_height, result.reason) == (0, "no genesis block")
     with pytest.raises(ReplayRejected, match="no genesis block"):
@@ -168,7 +167,7 @@ def test_payload_mutation_detected_at_its_height(ledger):
     chain = list(ledger.chain)
     chain[4] = tampered_block
     assert _first_bad_height_oracle(chain) == 4
-    report = verify_blocks(chain)
+    report = verify_blocks(chain)[0]
     assert not report.valid
     assert report.first_invalid_height == 4
 
@@ -177,7 +176,7 @@ def test_height_resequencing_detected(ledger):
     _build_chain(ledger, blocks=4)
     chain = list(ledger.chain)
     chain[2], chain[3] = chain[3], chain[2]
-    report = verify_blocks(chain)
+    report = verify_blocks(chain)[0]
     assert not report.valid
     assert report.first_invalid_height == 2
 
@@ -196,7 +195,7 @@ def test_empty_block_is_rejected_at_its_height(ledger, tmp_path):
     ledger.submit(issue_tx(ledger, 99))
     ledger.seal_block(201)
     path = _save_blocks(ledger.chain, tmp_path / "chain.jsonl")
-    for report in (verify_blocks(ledger.chain), verify_ledger(path)):
+    for report in (verify_blocks(ledger.chain)[0], verify_ledger(path)):
         assert not report.valid
         assert report.first_invalid_height == height
         assert report.reason.startswith("block rejected: EmptyPending: ")
@@ -220,7 +219,7 @@ def test_tampered_header_field_is_reported_at_its_height(ledger, tmp_path, name)
     assert getattr(chain[4], name) != value
     chain[4] = dataclasses.replace(chain[4], **{name: value})
     path = _save_blocks(chain, tmp_path / "chain.jsonl")
-    for report in (verify_blocks(chain), verify_ledger(path)):
+    for report in (verify_blocks(chain)[0], verify_ledger(path)):
         assert not report.valid
         assert report.first_invalid_height == 4
         assert report.reason == f"{reported} mismatch"
@@ -241,7 +240,7 @@ def test_tampered_genesis_is_reported_at_height_zero(ledger, tmp_path, name):
     chain = list(ledger.chain)
     chain[0] = dataclasses.replace(chain[0], **{name: value})
     path = _save_blocks(chain, tmp_path / "chain.jsonl")
-    for report in (verify_blocks(chain), verify_ledger(path)):
+    for report in (verify_blocks(chain)[0], verify_ledger(path)):
         assert not report.valid
         assert report.first_invalid_height == 0
         assert report.reason == reason
@@ -278,7 +277,6 @@ def scoped_ledger():
     ledger.submit(make_transaction(
         2, "A", ChannelOpen("ch1", "wA", "B", 10, codec.sha256(b"p"), 999), ledger.signer_backend
     ))
-    ledger.grant_channel_scope("ch1", {"A", "B"})
     ledger.submit(make_transaction(3, "B", AttachCheck("wA", "B", "A", True), ledger.signer_backend))
     ledger.seal_block(5)
     return ledger
@@ -322,7 +320,7 @@ def test_jsonl_roundtrip(tmp_path, ledger):
     ledger.save_jsonl(path)
     blocks = load_blocks_jsonl(path)
     assert len(blocks) == len(ledger.chain)
-    assert verify_blocks(blocks).valid
+    assert verify_blocks(blocks)[0].valid
     assert [b.block_hash for b in blocks] == [b.block_hash for b in ledger.chain]
 
 
@@ -348,22 +346,50 @@ BAD_TX_RECORDS = {
     # A timestamp is stored as an int, not as an equal string or float.
     "string timestamp": lambda tx: tx.update(timestamp=str(tx["timestamp"])),
     "float timestamp": lambda tx: tx.update(timestamp=float(tx["timestamp"])),
+    # No hash covers a key the live ledger does not write.
+    "extra tx key": lambda tx: tx.update(memo="x"),
 }
+
+
+def _save_edited(ledger, path, line, edit):
+    """Save a 4-block chain with ``edit`` applied to the record of one line."""
+    _build_chain(ledger, blocks=4)
+    ledger.save_jsonl(path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line])
+    edit(rec)
+    lines[line] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("edit", BAD_TX_RECORDS.values(), ids=BAD_TX_RECORDS)
 def test_bad_tx_record_is_a_parse_error_at_its_line(tmp_path, ledger, edit):
-    _build_chain(ledger, blocks=4)
-    path = tmp_path / "chain.jsonl"
-    ledger.save_jsonl(path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[2])
-    edit(rec["txs"][0])
-    lines[2] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+    path = _save_edited(ledger, tmp_path / "chain.jsonl", 2, lambda rec: edit(rec["txs"][0]))
     with pytest.raises(LedgerParseError) as err:
         load_blocks_jsonl(path)
     assert err.value.line == 2
+
+
+# (line, edit) of a stored block record that adds a key no hash covers.  The
+# empty roster and keys equal a later block's own, so unchecked they verified.
+BAD_BLOCK_RECORDS = {
+    "extra block key": (2, lambda rec: rec.update(bonus=1)),
+    "roster on a later block": (2, lambda rec: rec.update(roster=[])),
+    "keys on a later block": (2, lambda rec: rec.update(keys={})),
+    "extra genesis key": (0, lambda rec: rec.update(bonus=1)),
+}
+
+
+@pytest.mark.parametrize("line, edit", BAD_BLOCK_RECORDS.values(), ids=BAD_BLOCK_RECORDS)
+def test_bad_block_record_is_a_parse_error_at_its_line(tmp_path, ledger, line, edit):
+    path = _save_edited(ledger, tmp_path / "chain.jsonl", line, edit)
+    with pytest.raises(LedgerParseError) as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == line
+    report = verify_ledger(path)
+    assert not report.valid and report.first_invalid_height == line
+    assert report.reason.startswith("parse error")
 
 
 def test_records_are_immutable(ledger):

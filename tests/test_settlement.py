@@ -77,14 +77,14 @@ def honest_engine(tokens=25, traffic=2_500_000):
 
 def test_honest_path_is_accepted():
     eng, _ = honest_engine()
-    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert verdict.accepted
 
 
 def test_redeem_burns_and_clears_fiat():
     eng, _ = honest_engine()
-    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
     assert claim.fiat_due == pytest.approx(1.00)
     redeem(eng, claim, 100)
     assert eng.fiat["V"] == pytest.approx(1.00)
@@ -96,13 +96,13 @@ def test_redeem_burns_and_clears_fiat():
 
 def test_parity_redeems_one_euro_per_mb():
     eng, _ = honest_engine(tokens=10, traffic=1_000_000)
-    claim = make_claim(eng.bank, Parity(), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, Parity(), "V", "H")
     assert claim.fiat_due == pytest.approx(1.0)  # 10 tokens = 1MB = 1 euro
 
 
 def test_double_redeem_is_rejected():
     eng, _ = honest_engine()
-    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
     redeem(eng, claim, 100)
     with pytest.raises(AlreadyBurned):
         redeem(eng, claim, 200)
@@ -121,7 +121,7 @@ def test_redeem_cannot_burn_tokens_in_channel_escrow():
     eng.detach(session, 50)
     treasury = eng.bank.treasury("V")
     channel = eng.channels.open_channel(treasury, "V", 25, 60)
-    claim = make_claim(eng.bank, PerUnit(0.04), "V", "V", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "V")
     assert validate_provenance(eng.bank, eng.ledger, claim).accepted
     state = eng.bank.snapshot()
     with pytest.raises(InsufficientBalance):
@@ -140,7 +140,7 @@ def test_direct_transfer_is_not_service_payment():
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
     eng.ledger.seal_block(6)
     eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
-    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
     assert verdict.reason == "not-service-payment"
@@ -156,7 +156,7 @@ def test_forged_lineage_is_rejected():
                      LineageEntry(treasury, codec.sha256(b"also-nothing"))])
     eng.bank.lots[fake.lot_id] = fake
     eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
-    claim = RedemptionClaim("V", "H", [fake.lot_id], (0, 100), 1.0)
+    claim = RedemptionClaim("V", "H", [fake.lot_id], 25, 1.0)
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
     assert verdict.reason == "missing-issuance"
@@ -174,7 +174,7 @@ def test_wrong_issuer_is_rejected():
     eng.detach(session, 50)
     eng.ledger.seal_block(60)
     lot_ids = sorted(l.lot_id for l in eng.bank.lots_of(eng.bank.treasury("V"), issuer="W"))
-    claim = RedemptionClaim("V", "H", lot_ids, (0, 100), 0.4)
+    claim = RedemptionClaim("V", "H", lot_ids, 10, 0.4)
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
     assert verdict.reason == "wrong-issuer"
@@ -194,7 +194,7 @@ def test_cross_vmno_relay_is_rejected():
     close_tx = eng.channels.channel(session.channel).close_tx
     # Relay re-using the close tx id as the purported cause.
     eng.bank.transfer(eng.bank.treasury("V"), eng.bank.treasury("W"), "H", 25, close_tx)
-    claim = make_claim(eng.bank, PerUnit(0.04), "W", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(0.04), "W", "H")
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
     assert verdict.reason == "not-service-payment"
@@ -207,10 +207,10 @@ def test_self_issue_is_rejected():
     eng.bank.issue("V", treasury, 50, now=5)
     eng.ledger.seal_block(6)
     against_h = RedemptionClaim("V", "H", sorted(l.lot_id for l in eng.bank.lots_of(treasury, "V")),
-                                (0, 100), 2.0)
+                                50, 2.0)
     verdict = validate_provenance(eng.bank, eng.ledger, against_h)
     assert not verdict.accepted and verdict.reason == "wrong-issuer"
-    against_self = RedemptionClaim("V", "V", against_h.lot_ids, (0, 100), 2.0)
+    against_self = RedemptionClaim("V", "V", against_h.lot_ids, 50, 2.0)
     verdict = validate_provenance(eng.bank, eng.ledger, against_self)
     assert not verdict.accepted and verdict.reason == "not-service-payment"
 
@@ -221,7 +221,7 @@ def test_claim_for_lots_not_held_is_rejected():
     eng, session = honest_engine(tokens=25, traffic=1_000_000)
     roamer_lots = sorted(l.lot_id for l in eng.bank.lots_of(session.active_wallet, issuer="H"))
     assert roamer_lots
-    claim = RedemptionClaim("V", "H", roamer_lots, (0, 100), 1.0)
+    claim = RedemptionClaim("V", "H", roamer_lots, 15, 1.0)
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
     assert verdict.reason == "not-held-by-claimant"
@@ -245,7 +245,7 @@ def test_settlement_equivalence_per_unit():
         1 for ch in eng.channels.channels.values()
         if ch.closed.paid and ch.closed.paid * 100_000 > ch.bytes_total - (ch.bytes_total % 100_000) and ch.bytes_total % 100_000
     )
-    claim = make_claim(eng.bank, PerUnit(rate), "V", "H", (0, 100))
+    claim = make_claim(eng.bank, PerUnit(rate), "V", "H")
     # alice: 12 full blocks + 1 partial -> 13; bob: 4 full -> 4; total 17.
     assert proofs == 16
     assert rounding_tokens == 1

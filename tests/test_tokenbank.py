@@ -199,7 +199,7 @@ def test_burn_removes_from_circulation(bank):
     w = bank.create_wallet("alice", "H")
     bank.issue("H", w, 5, now=1)
     lot = bank.lots_of(w, "H")[0]
-    bank.burn([lot.lot_id], codec.sha256(b"redeem"))
+    bank.burn([lot.lot_id])
     assert bank.balance(w, "H") == 0
     assert bank.burned_by["H"] == 5
     assert bank.supply_closure_ok()
@@ -224,7 +224,7 @@ def test_transfer_and_burn_keep_each_holders_lot_order(bank):
     # A wallet paying itself moves its whole lots to the end of its list.
     bank.transfer(dst, dst, "H", 12, codec.sha256(b"d"))
     assert held(bank, dst) == [l4, l1, l2]
-    bank.burn([l3, l1, l0], codec.sha256(b"redeem"))
+    bank.burn([l3, l1, l0])
     assert held(bank, src) == []
     assert held(bank, dst) == [l4, l2]
     assert bank.burned_by["H"] == 2 + 7 + 2
