@@ -112,7 +112,7 @@ class ChannelOpen:
 
     @classmethod
     def from_fields(cls, f: dict) -> "ChannelOpen":
-        return cls(f["channel"], f["wallet"], f["vmno"], f["deposit"], bytes.fromhex(f["hashlock"]),
+        return cls(f["channel"], f["wallet"], f["vmno"], f["deposit"], _hex_field(f, "hashlock"),
                    f["timelock_expiry"])
 
 
@@ -200,6 +200,16 @@ def _int_field(rec: dict, key: str) -> int:
     return value
 
 
+def _hex_field(rec: dict, key: str) -> bytes:
+    """The bytes of ``rec[key]``, which must be their lower-case hex, as the
+    live ledger writes them (``bytes.fromhex`` also reads upper case)."""
+    value = rec[key]
+    raw = bytes.fromhex(value)
+    if raw.hex() != value:
+        raise ValueError(f"{key} must be lower-case hex, not {value!r}")
+    return raw
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     tx_id: bytes
@@ -220,8 +230,8 @@ class Transaction:
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
         _require_keys(rec, _TX_KEYS, "tx")
-        return cls(bytes.fromhex(rec["tx_id"]), _int_field(rec, "timestamp"), rec["signer"],
-                   payload_from_record(rec["payload"]), bytes.fromhex(rec["signature"]))
+        return cls(_hex_field(rec, "tx_id"), _int_field(rec, "timestamp"), rec["signer"],
+                   payload_from_record(rec["payload"]), _hex_field(rec, "signature"))
 
 
 _TX_KEYS = frozenset(f.name for f in fields(Transaction))
@@ -285,16 +295,17 @@ class Block:
     def from_record(cls, rec: dict) -> "Block":
         height = _int_field(rec, "height")
         _require_keys(rec, _GENESIS_KEYS if height == 0 else _BLOCK_KEYS, "block")
+        keys = rec.get("keys", {})
         return cls(
             height=height,
-            prev_hash=bytes.fromhex(rec["prev_hash"]),
-            tx_root=bytes.fromhex(rec["tx_root"]),
+            prev_hash=_hex_field(rec, "prev_hash"),
+            tx_root=_hex_field(rec, "tx_root"),
             validator=rec["validator"],
             sealed_at=_int_field(rec, "sealed_at"),
-            block_hash=bytes.fromhex(rec["block_hash"]),
+            block_hash=_hex_field(rec, "block_hash"),
             txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
             roster=tuple(rec.get("roster", ())),
-            keys={a: bytes.fromhex(k) for a, k in rec.get("keys", {}).items()},
+            keys={actor: _hex_field(keys, actor) for actor in keys},
         )
 
 

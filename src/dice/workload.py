@@ -5,6 +5,12 @@ operator: daily arrivals at 10-30% of the standing population, geometric
 stays with a 2.5-day median, half the roamers silent, log-normal daily
 traffic with a 1MB median, and power-law home-country / home-MNO
 popularity calibrated so the top 10 carry the reported shares.
+
+Each config knob is a field holding its default and JSON-schema fragment.
+``config_schema`` publishes the fragments; ``_check_schema`` checks a
+config against them in this module and also rejects NaN, infinity
+and non-int integers.  numpy is imported only by the functions
+that draw or summarise a trace, so loading a config does not load it.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
-
-import jsonschema
-import numpy as np
 
 from .errors import EmptyTrace, InvalidConfig
 
@@ -40,16 +43,65 @@ def config_schema(cls) -> dict:
             "additionalProperties": False, "properties": properties}
 
 
+# JSON-schema types; bool is not a number, and an integer is an exact int (not 2.0).
+_TYPES = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: type(v) is bool,
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _fault(schema: dict, value, path: str) -> str | None:
+    """``path: reason`` if ``value`` does not fit the schema fragment, else None."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return f"{path}: {value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{path}: {value!r} is not one of {schema['enum']!r}"
+    if kind in ("integer", "number"):
+        if isinstance(value, float) and not math.isfinite(value):
+            return f"{path}: {value!r} is not finite"  # bounds compare false against NaN
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return (f"{path}: {value!r} is less than or equal to the minimum of "
+                    f"{schema['exclusiveMinimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            return f"{path}: {value!r} is greater than the maximum of {schema['maximum']!r}"
+    elif kind == "string" and len(value) < schema.get("minLength", 0):
+        return f"{path}: {value!r} is too short"
+    elif kind == "array":
+        if len(value) < schema.get("minItems", 0):
+            return f"{path}: {value!r} is too short"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            return f"{path}: {value!r} is too long"
+        for i, item in enumerate(value):
+            fault = _fault(schema.get("items", {}), item, f"{path}[{i}]")
+            if fault:
+                return fault
+    return None
+
+
 @cache
-def _validator(cls) -> jsonschema.Draft202012Validator:
-    # One per class: jsonschema.validate would re-check the metaschema on every call.
-    return jsonschema.Draft202012Validator(config_schema(cls))
+def _properties(cls) -> dict:
+    return config_schema(cls)["properties"]
 
 
 def _check_schema(cls, data) -> None:
-    error = jsonschema.exceptions.best_match(_validator(cls).iter_errors(data))
-    if error is not None:
-        raise InvalidConfig(f"{error.json_path}: {error.message}")
+    """Raise InvalidConfig naming the first field of ``data`` that is unknown
+    or does not fit its knob's fragment."""
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"$: {data!r} is not of type 'object'")
+    properties = _properties(cls)
+    for name, value in data.items():
+        if name not in properties:
+            raise InvalidConfig(f"$.{name}: not a config field")
+        fault = _fault(properties[name], value, f"$.{name}")
+        if fault:
+            raise InvalidConfig(fault)
 
 
 @dataclass
@@ -72,15 +124,9 @@ class WorkloadConfig:
     scale: float = knob(0.001, POSITIVE)  # desk-scale downsampling factor
 
     def validate(self) -> None:
-        """Raise InvalidConfig unless the fields fit the schema, every number is
-        finite and the churn band is ordered."""
-        data = self.to_dict()
-        _check_schema(type(self), data)
-        # Schema bounds compare false against NaN, and an exclusive minimum admits infinity.
-        for name, value in data.items():
-            for number in value if isinstance(value, list) else (value,):
-                if isinstance(number, float) and not math.isfinite(number):
-                    raise InvalidConfig(f"$.{name}: {value!r} is not finite")
+        """Raise InvalidConfig unless the fields fit the schema (every number
+        finite) and the churn band is ordered."""
+        _check_schema(type(self), self.to_dict())
         lo, hi = self.churn_fraction_range
         if lo > hi:
             raise InvalidConfig(f"$.churn_fraction_range: {lo} > {hi}")
@@ -124,6 +170,7 @@ class SessionEventTrace:
 
 
 def _top_share(alpha: float, n: int, k: int) -> float:
+    import numpy as np
     weights = np.arange(1, n + 1, dtype=float) ** -alpha
     total = weights.sum()
     return float(weights[:k].sum() / total)
@@ -147,6 +194,7 @@ def solve_powerlaw_exponent(n: int, top_k: int, target_share: float) -> float:
 
 
 def powerlaw_probs(n: int, top_k: int, target_share: float) -> np.ndarray:
+    import numpy as np
     alpha = solve_powerlaw_exponent(n, top_k, target_share)
     weights = np.arange(1, n + 1, dtype=float) ** -alpha
     return weights / weights.sum()
@@ -155,6 +203,7 @@ def powerlaw_probs(n: int, top_k: int, target_share: float) -> np.ndarray:
 def assign_mnos_to_countries(mno_probs: np.ndarray, country_probs: np.ndarray) -> np.ndarray:
     """Greedy mapping of MNO ranks onto countries so the country mass
     induced by drawing an MNO tracks the country popularity targets."""
+    import numpy as np
     deficit = country_probs.astype(float).copy()
     assignment = np.zeros(len(mno_probs), dtype=int)
     for m in range(len(mno_probs)):
@@ -169,13 +218,14 @@ def assign_mnos_to_countries(mno_probs: np.ndarray, country_probs: np.ndarray) -
 
 def generate(config: WorkloadConfig) -> SessionEventTrace:
     """Pure function of the config: same seed, byte-identical trace."""
+    import numpy as np
     config.validate()
     rng = np.random.default_rng(config.seed)
     trace = SessionEventTrace(config)
 
     mno_probs = powerlaw_probs(config.num_home_mnos, 10, config.home_mno_top10_traffic_share)
     country_probs = powerlaw_probs(config.num_home_countries, 10, config.home_country_top10_share)
-    mno_country = assign_mnos_to_countries(mno_probs, country_probs)
+    mno_country = assign_mnos_to_countries(mno_probs, country_probs).tolist()
 
     # Daily departure probability of the geometric stay law, parameterized
     # so the interpolated median sits at the configured value.
@@ -193,20 +243,20 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
         if day == 0:
             n_arrivals = cohort  # initial standing population
         else:
-            n_arrivals = int(round(float(rng.uniform(lo, hi)) * len(active)))
+            n_arrivals = round(rng.uniform(lo, hi) * len(active))
         if n_arrivals > 0:
-            stays = rng.geometric(p_depart, size=n_arrivals)
-            silents = rng.random(n_arrivals) < config.silent_fraction
-            homes = rng.choice(config.num_home_mnos, size=n_arrivals, p=mno_probs)
-            for i in range(n_arrivals):
-                stay = int(stays[i])
+            # Python lists, drawn in the same order: no numpy scalar in the loop.
+            stays = rng.geometric(p_depart, size=n_arrivals).tolist()
+            silents = (rng.random(n_arrivals) < config.silent_fraction).tolist()
+            homes = rng.choice(config.num_home_mnos, size=n_arrivals, p=mno_probs).tolist()
+            for stay, silent, home in zip(stays, silents, homes):
                 arrival = Arrival(
                     day=day,
                     roamer=f"r-{seq:07d}",
-                    hmno=f"H{homes[i] + 1:03d}",
-                    home_country=f"C{mno_country[homes[i]] + 1:03d}",
+                    hmno=f"H{home + 1:03d}",
+                    home_country=f"C{mno_country[home] + 1:03d}",
                     stay_days=stay,
-                    silent=bool(silents[i]),
+                    silent=silent,
                     carried_over=day + stay > config.days,
                 )
                 seq += 1
@@ -216,9 +266,9 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
         # Traffic for every non-silent roamer active today.
         talkers = [a for a in active if not a.silent]
         if talkers:
-            draws = rng.lognormal(mean=mu, sigma=sigma, size=len(talkers))
+            draws = rng.lognormal(mean=mu, sigma=sigma, size=len(talkers)).tolist()
             for arrival, raw in zip(talkers, draws):
-                nbytes = max(1, int(round(float(raw))))
+                nbytes = max(1, round(raw))
                 trace.traffic.setdefault(arrival.roamer, []).append((day, nbytes))
         # Departures at end of day.
         keep_a, keep_r = [], []
@@ -251,6 +301,7 @@ class CalibrationStats:
 
 def calibration_report(trace: SessionEventTrace) -> CalibrationStats:
     """Single-pass recount of the raw trace; no generator state involved."""
+    import numpy as np
     if not trace.arrivals:
         raise EmptyTrace("no arrivals in trace")
     config = trace.config

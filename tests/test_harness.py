@@ -1,14 +1,20 @@
 """Scenario runner, requirements projection, ledger file verification, CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dice
 from dice.cli import main as cli_main
@@ -26,7 +32,7 @@ from dice.harness import (
 )
 from dice.ledger import QueryFilter, TxPayload, load_blocks_jsonl
 from dice.tokenbank import TokenBank
-from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, generate
+from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, _check_schema, generate
 
 
 def minimal_trace(cfg, nbytes=2_500_000, silent=False):
@@ -358,7 +364,8 @@ def test_schema_is_generated_from_the_fields():
     assert ScenarioConfig().workload() == WorkloadConfig()
 
 
-# One out-of-range value per bounded field, then NaN and infinity in number fields.
+# One out-of-range value per bounded field, then NaN and infinity in number
+# fields, then integral floats in integer fields (an integer is an exact int).
 NAN, INF = float("nan"), float("inf")
 OUT_OF_RANGE = [
     ("seed", -1), ("days", 0), ("scale", 0.0), ("roamers_per_vmno_day", 0),
@@ -375,6 +382,7 @@ OUT_OF_RANGE = [
     ("avg_mno_factor", INF), ("silent_fraction", NAN), ("home_country_top10_share", NAN),
     ("home_mno_top10_traffic_share", NAN), ("churn_fraction_range", (NAN, 0.2)),
     ("churn_fraction_range", (0.1, INF)),
+    ("days", 2.0), ("seed", 42.0), ("initial_allotment", 100.0), ("timelock_window_s", 86400.0),
 ]
 
 
@@ -406,6 +414,148 @@ def test_unordered_churn_band_is_rejected():
         ScenarioConfig.from_dict({"churn_fraction_range": [0.3, 0.1]})
     with pytest.raises(InvalidConfig, match="churn_fraction_range"):
         generate(WorkloadConfig(churn_fraction_range=(0.3, 0.1)))
+
+
+# --- the in-repo config check against jsonschema ---------------------------------
+
+PROPS = SCENARIO_SCHEMA["properties"]
+JSONSCHEMA = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# Per fragment type, values of other JSON types.
+WRONG_TYPE = {"integer": ["7", None, [1]], "number": ["0.5", None, {}], "string": [1, None, []],
+              "boolean": [1, "true", None], "array": [0.5, "ab", {}], "object": [[], "x", 1]}
+
+
+def in_range(frag):
+    """Values that fit a knob fragment."""
+    if "enum" in frag:
+        return st.sampled_from(frag["enum"])
+    kind = frag["type"]
+    if kind == "integer":
+        return st.integers(frag["minimum"], frag["minimum"] + 10**6)
+    if kind == "number":
+        lo = frag.get("minimum", frag.get("exclusiveMinimum"))
+        hi = frag.get("maximum", 1e9)
+        return st.floats(lo, hi, exclude_min="exclusiveMinimum" in frag) | st.integers(1, int(hi))
+    if kind == "string":
+        return st.text(min_size=frag.get("minLength", 0), max_size=4)
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "array":
+        return st.lists(in_range(frag["items"]), min_size=frag["minItems"], max_size=frag["maxItems"])
+    return st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+
+
+def labelled(label, values):
+    return st.tuples(st.just(label), values)
+
+
+def faulty(frag):
+    """(label, value) pairs of values the in-repo check rejects."""
+    kind = frag.get("type")
+    non_finite = st.sampled_from([NAN, INF, -INF])
+    cases = [labelled("wrong type", st.sampled_from(WRONG_TYPE.get(kind, [1, None])))]
+    if kind != "boolean":
+        cases.append(labelled("bool", st.booleans()))
+    if "enum" in frag:
+        cases.append(labelled("out of range", st.text(max_size=5).filter(lambda v: v not in frag["enum"])))
+    if kind == "integer":
+        cases.append(labelled("out of range", st.integers(-10**6, frag["minimum"] - 1)))
+        cases.append(labelled("integral float", in_range(frag).map(float)))
+    if kind == "number":
+        lo = frag.get("minimum", frag.get("exclusiveMinimum"))
+        below = st.floats(-1e9, lo, exclude_max="minimum" in frag)
+        if "exclusiveMinimum" in frag:
+            below |= st.just(lo)
+        cases.append(labelled("out of range", below))
+        if "maximum" in frag:
+            cases.append(labelled("out of range", st.floats(frag["maximum"], 1e9, exclude_min=True)))
+        cases.append(labelled("non-finite", non_finite))
+    if kind == "string" and frag.get("minLength"):
+        cases.append(labelled("out of range", st.just("")))
+    if kind == "array":
+        item = in_range(frag["items"])
+        cases.append(labelled("out of range", st.lists(item, max_size=frag["minItems"] - 1)))
+        cases.append(labelled("out of range", st.lists(item, min_size=frag["maxItems"] + 1, max_size=4)))
+        cases.append(labelled("out of range", st.tuples(item, st.floats(1.01, 10)).map(list)))
+        cases.append(labelled("non-finite", st.tuples(item, non_finite).map(list)))
+    return st.one_of(cases)
+
+
+def named_by_jsonschema(data):
+    """The field jsonschema's best-matching error names, or None if it accepts."""
+    error = jsonschema.exceptions.best_match(JSONSCHEMA.iter_errors(data))
+    if error is None:
+        return None
+    if error.path:
+        return error.path[0]
+    if error.validator == "additionalProperties":
+        (unknown,) = set(data) - set(PROPS)
+        return unknown
+    return "$"
+
+
+# One field per distinct knob fragment, then the faults of the whole object.
+FRAGMENT_FIELDS = sorted({json.dumps(frag, sort_keys=True): name for name, frag in PROPS.items()
+                          if frag.get("type") != "object"}.values())
+UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in PROPS)
+NON_OBJECT = st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3),
+                       st.none(), st.booleans())
+
+
+@pytest.mark.parametrize("fault", [*FRAGMENT_FIELDS, "unknown key", "non-object"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_in_repo_check_agrees_with_jsonschema(fault, data):
+    """Other fields in range, and at most one fault: both checks name its field."""
+    others = data.draw(st.lists(st.sampled_from(sorted(PROPS)), unique=True, max_size=4))
+    config = {name: data.draw(in_range(PROPS[name])) for name in others}
+    if fault == "non-object":
+        label, config, culprit = fault, data.draw(NON_OBJECT), "$"
+    elif fault == "unknown key":
+        label, culprit = fault, data.draw(UNKNOWN_KEY)
+        config[culprit] = data.draw(st.integers())
+    else:
+        label, config[fault] = data.draw(labelled("valid", in_range(PROPS[fault])) | faulty(PROPS[fault]))
+        culprit = None if label == "valid" else fault
+    try:
+        _check_schema(ScenarioConfig, config)
+        named = None
+    except InvalidConfig as exc:
+        named = re.match(r"\$\.?([^:\[]*)", str(exc)).group(1) or "$"
+    assert named == culprit
+    # Only the in-repo check rejects integral floats in integer fields and NaN or infinity.
+    if label in ("integral float", "non-finite"):
+        assert named_by_jsonschema(config) in (None, culprit)
+    else:
+        assert named_by_jsonschema(config) == culprit
+
+
+# Run in a fresh interpreter on a run's output directory: neither command
+# generates a workload, so neither loads numpy, and nothing loads jsonschema.
+LOAD_PROBE = """
+import sys
+import dice
+assert "jsonschema" not in sys.modules, "import dice loaded jsonschema"
+from dice.cli import main
+for args in (["ledger", "verify", "--path", sys.argv[1] + "/ledger.jsonl"],
+             ["requirements", "--report", sys.argv[1] + "/report.json"]):
+    try:
+        main(args)
+    except SystemExit as exit:
+        assert exit.code == 0, (args, exit.code)
+    loaded = {"numpy", "jsonschema"} & set(sys.modules)
+    assert not loaded, (args, sorted(loaded))
+"""
+
+
+def test_verify_and_requirements_load_neither_numpy_nor_jsonschema(tmp_path):
+    run_scenario(small_config(days=2), tmp_path)
+    src = str(Path(dice.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("valid")
 
 
 # Specs a price cannot be computed from, or with a key the model does not read.
@@ -557,6 +707,16 @@ def test_cli_overrides_are_validated(tmp_path, runner, override):
     result = runner.invoke(cli_main, ["simulate", "--out-dir", str(out), *override])
     assert result.exit_code == 2, result.output
     assert f"$.{override[0][2:]}" in result.output
+    assert not out.exists()
+
+
+def test_cli_integral_float_in_config_exits_two(tmp_path, runner):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"days": 2.0}))
+    out = tmp_path / "out"
+    result = runner.invoke(cli_main, ["simulate", "--config", str(path), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "$.days" in result.output
     assert not out.exists()
 
 

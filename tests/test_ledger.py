@@ -348,6 +348,9 @@ BAD_TX_RECORDS = {
     "float timestamp": lambda tx: tx.update(timestamp=float(tx["timestamp"])),
     # No hash covers a key the live ledger does not write.
     "extra tx key": lambda tx: tx.update(memo="x"),
+    # The live ledger writes lower-case hex; upper case decodes to the same bytes.
+    "upper-case tx_id": lambda tx: tx.update(tx_id=tx["tx_id"].upper()),
+    "upper-case signature": lambda tx: tx.update(signature=tx["signature"].upper()),
 }
 
 
@@ -371,13 +374,15 @@ def test_bad_tx_record_is_a_parse_error_at_its_line(tmp_path, ledger, edit):
     assert err.value.line == 2
 
 
-# (line, edit) of a stored block record that adds a key no hash covers.  The
-# empty roster and keys equal a later block's own, so unchecked they verified.
+# (line, edit) of a stored block record the live ledger could not have
+# written: a key no hash covers (the empty roster and keys equal a later
+# block's own, so unchecked they verified), or upper-case hex.
 BAD_BLOCK_RECORDS = {
     "extra block key": (2, lambda rec: rec.update(bonus=1)),
     "roster on a later block": (2, lambda rec: rec.update(roster=[])),
     "keys on a later block": (2, lambda rec: rec.update(keys={})),
     "extra genesis key": (0, lambda rec: rec.update(bonus=1)),
+    "upper-case block_hash": (2, lambda rec: rec.update(block_hash=rec["block_hash"].upper())),
 }
 
 
