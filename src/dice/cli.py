@@ -17,9 +17,9 @@ from .harness import (
     MetricsReport,
     RequirementsAssumptions,
     ScenarioConfig,
+    chain_figures,
     check_requirements,
     replay_ledger,
-    replay_summary,
     run_scenario,
 )
 from .workload import calibration_report, generate
@@ -79,10 +79,10 @@ def ledger_verify(path) -> None:
         where = "?" if result.first_invalid_height is None else result.first_invalid_height
         click.echo(f"INVALID at height {where}: {result.reason}")
     if bank is not None:
-        checked = replay_summary(bank)
+        checked = chain_figures(bank)
         click.echo(f"blocks: {checked['blocks']}")
-        click.echo("txs: " + ", ".join(f"{kind} {n}" for kind, n in checked["txs_by_kind"].items()))
-        click.echo(f"signatures verified: {checked['signatures_verified']}")
+        click.echo("txs: " + ", ".join(f"{kind} {n}" for kind, n in checked["onchain_tx_by_kind"].items()))
+        click.echo(f"signatures verified: {checked['onchain_tx_total']}")
         click.echo(f"lots replayed: {checked['lots_replayed']}")
         for issuer, supply in checked["supply_by_issuer"].items():
             click.echo(f"issuer {issuer}: " + ", ".join(f"{k} {v}" for k, v in supply.items()))

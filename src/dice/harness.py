@@ -11,13 +11,14 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
-from .ledger import ValidityReport, load_blocks_jsonl
+from .ledger import ChannelClose, Redeem, ValidityReport, load_blocks_jsonl
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes, verify_blocks
@@ -155,6 +156,7 @@ def run_scenario(
         round_up_final_block=config.round_up_final_block,
     )
     engine.channels.keep_proofs = bool(dump_proofs)
+    engine.keep_events = bool(dump_events)
     model = model_from_dict(config.charging)
     for hmno in hmnos:
         engine.register_agreement(hmno, config.vmno, (hmno,), config.charging, 0)
@@ -266,49 +268,59 @@ def run_scenario(
 
 
 def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEventTrace) -> MetricsReport:
-    by_kind: Counter = Counter()
-    per_second: Counter = Counter()
-    fiat_by_pair: dict[str, float] = {}
-    for tx in engine.ledger.all_txs():
-        payload = tx.payload
-        by_kind[payload.kind] += 1
-        per_second[tx.timestamp] += 1
-        if payload.kind == "redeem":
-            key = f"{payload.vmno}|{payload.hmno}"
-            fiat_by_pair[key] = fiat_by_pair.get(key, 0.0) + payload.fiat
-    onchain_total = sum(by_kind.values())
-    peak_tps = max(per_second.values()) if per_second else 0
-
-    tokens_by_pair: dict[str, int] = {}
-    for ch in engine.channels.channels.values():
-        if ch.closed is not None and ch.closed.paid:
-            key = f"{ch.opened.vmno}|{engine.bank.wallets[ch.opened.wallet].home_mno}"
-            tokens_by_pair[key] = tokens_by_pair.get(key, 0) + ch.closed.paid
-
-    sessions_completed = sum(1 for s in engine.sessions.values() if s.state == SETTLED)
-    offchain_total = engine.channels.proofs_accepted
-    bytes_serviced = engine.channels.serviced_bytes_total()
-    factor_args = (config.scale, config.num_mnos)
-    extrapolated = {
-        "onchain_tx_total": extrapolate(onchain_total, *factor_args),
-        "offchain_proofs_total": extrapolate(offchain_total, *factor_args),
-        "sessions_completed": extrapolate(sessions_completed, *factor_args),
-        "bytes_serviced": extrapolate(bytes_serviced, *factor_args),
-        "peak_onchain_tps": extrapolate(peak_tps, *factor_args),
+    figures = chain_figures(engine.bank)
+    counts = {
+        "onchain_tx_total": figures["onchain_tx_total"],
+        "offchain_proofs_total": engine.channels.proofs_accepted,
+        "sessions_completed": sum(1 for s in engine.sessions.values() if s.state == SETTLED),
+        "bytes_serviced": engine.channels.serviced_bytes_total(),
+        "peak_onchain_tps": figures["peak_onchain_tps"],
     }
     return MetricsReport(
         config=config.to_dict(),
-        onchain_tx_total=onchain_total,
-        onchain_tx_by_kind=dict(sorted(by_kind.items())),
-        offchain_proofs_total=offchain_total,
-        peak_onchain_tps=peak_tps,
-        sessions_completed=sessions_completed,
+        onchain_tx_by_kind=figures["onchain_tx_by_kind"],
         silent_sessions=sum(1 for a in trace.arrivals if a.silent),
-        bytes_serviced=bytes_serviced,
-        tokens_settled_by_pair=dict(sorted(tokens_by_pair.items())),
-        fiat_cleared_by_pair=dict(sorted(fiat_by_pair.items())),
-        extrapolated=extrapolated,
+        tokens_settled_by_pair=figures["tokens_settled_by_pair"],
+        fiat_cleared_by_pair=figures["fiat_cleared_by_pair"],
+        extrapolated={k: extrapolate(v, config.scale, config.num_mnos) for k, v in counts.items()},
+        **counts,
     )
+
+
+def chain_figures(bank: TokenBank) -> dict:
+    """What the chain of ``bank.ledger`` states, in one walk of its sealed and
+    pending txs: the txs by kind, their total and peak per second, the tokens
+    settled and the fiat cleared per "vmno|hmno" pair, the blocks, the lots
+    and the supply per issuer.  The report and ``dice ledger verify`` read it."""
+    ledger = bank.ledger
+    by_kind: Counter = Counter()
+    per_second: Counter = Counter()
+    tokens_by_pair: dict[str, int] = {}
+    fiat_by_pair: dict[str, float] = {}
+    for tx in chain(ledger.all_txs(), ledger.pending):
+        p = tx.payload
+        by_kind[p.kind] += 1
+        per_second[tx.timestamp] += 1
+        if isinstance(p, ChannelClose) and p.paid:
+            opened = bank.channel_opens[p.channel]
+            key = f"{opened.vmno}|{bank.wallets[opened.wallet].home_mno}"
+            tokens_by_pair[key] = tokens_by_pair.get(key, 0) + p.paid
+        elif isinstance(p, Redeem):
+            key = f"{p.vmno}|{p.hmno}"
+            fiat_by_pair[key] = fiat_by_pair.get(key, 0.0) + p.fiat
+    circulating = bank.circulating_by_issuer()
+    issuers = sorted(set(bank.issued_by) | set(circulating) | set(bank.burned_by))
+    return {
+        "onchain_tx_total": by_kind.total(),
+        "onchain_tx_by_kind": dict(sorted(by_kind.items())),
+        "peak_onchain_tps": max(per_second.values(), default=0),
+        "tokens_settled_by_pair": dict(sorted(tokens_by_pair.items())),
+        "fiat_cleared_by_pair": dict(sorted(fiat_by_pair.items())),
+        "blocks": len(ledger.chain),
+        "lots_replayed": len(bank.lots),
+        "supply_by_issuer": {m: {"issued": bank.issued_by.get(m, 0), "circulating": circulating.get(m, 0),
+                                 "burned": bank.burned_by.get(m, 0)} for m in issuers},
+    }
 
 
 # --- requirements audit ----------------------------------------------------------
@@ -382,34 +394,15 @@ def verify_ledger(path) -> ValidityReport:
 
 def replay_ledger(path) -> tuple[ValidityReport, Optional[TokenBank]]:
     """``verify_ledger``'s verdict, and the bank its replay ended with (None
-    if nothing was replayed); ``bank.ledger`` is the replayed ledger."""
-    if not Path(path).exists():
-        raise IoFailure(f"no such file: {path}")
+    if nothing was replayed); ``bank.ledger`` is the replayed ledger, and
+    ``chain_figures(bank)`` states what the replay checked."""
     try:
         blocks = load_blocks_jsonl(path)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from None
     except LedgerParseError as exc:
         return ValidityReport(False, exc.line, f"parse error: {exc}"), None
     verdict, bank = verify_blocks(blocks)
     if verdict.valid and not bank.supply_closure_ok():
         verdict = ValidityReport(False, None, "supply closure violated")
     return verdict, bank
-
-
-def replay_summary(bank: TokenBank) -> dict:
-    """What a replay into ``bank`` and its ledger checked, up to a first
-    failure: the blocks sealed, the transactions accepted by kind (each one's
-    id and signature recomputed), the lots replayed, and the token supply
-    per issuer."""
-    ledger = bank.ledger
-    kinds = Counter(tx.payload.kind for block in ledger.chain for tx in block.txs)
-    kinds.update(tx.payload.kind for tx in ledger.pending)
-    circulating = bank.circulating_by_issuer()
-    issuers = sorted(set(bank.issued_by) | set(circulating) | set(bank.burned_by))
-    return {
-        "blocks": len(ledger.chain),
-        "txs_by_kind": dict(sorted(kinds.items())),
-        "signatures_verified": kinds.total(),
-        "lots_replayed": len(bank.lots),
-        "supply_by_issuer": {m: {"issued": bank.issued_by.get(m, 0), "circulating": circulating.get(m, 0),
-                                 "burned": bank.burned_by.get(m, 0)} for m in issuers},
-    }

@@ -6,6 +6,10 @@ state it starts from before any side effect, and that is the only statement
 of the transitions.  HR mode skips the provisioning step and otherwise
 behaves identically, so both modes yield the same payments, settlement and
 on-chain footprint.
+
+A session holds only its state: the chain holds its txs, its channel's
+latest accepted proof counts its proofs, and its events are built only
+while ``DiceEngine.keep_events`` is set.
 """
 
 from __future__ import annotations
@@ -49,15 +53,7 @@ class RoamerSession:
     state: str = HOME
     channel: Optional[str] = None
     clock: int = 0
-    onchain_txs: list[bytes] = field(default_factory=list)
-    proofs_accepted: int = 0
-    events: list[dict] = field(default_factory=list)
-
-    def _log(self, now: int, kind: str, **payload) -> None:
-        self.clock = now
-        self.events.append(
-            {"time": now, "session_id": self.session_id, "event": kind, "payload": payload}
-        )
+    events: list[dict] = field(default_factory=list)  # empty unless the engine keeps events
 
 
 def events_to_jsonl(events: list[dict], path) -> None:
@@ -97,7 +93,8 @@ class DiceEngine:
             preimage_seed=codec.derive_seed(seed, "preimage"),
         )
         self.sessions: dict[str, RoamerSession] = {}
-        self.fiat: dict[str, float] = {}  # in-simulation double-entry accounts
+        # Session events are built only while set; session clocks move on either way.
+        self.keep_events = True
         self._session_by_channel: dict[str, str] = {}
         self._session_seq = 0
 
@@ -144,8 +141,7 @@ class DiceEngine:
             self.signer,
         )
         tx_id = self.ledger.submit(tx)
-        session.onchain_txs.append(tx_id)
-        session._log(now, "attach_check", accepted=accepted, tx=tx_id.hex())
+        self._log(session, now, "attach_check", accepted=accepted, tx=tx_id.hex())
         if failure is not None:
             raise failure
         session.state = CONTRACTED
@@ -158,7 +154,7 @@ class DiceEngine:
         if session.state != CONTRACTED:
             raise WrongState(session.state)
         session.state = PROVISIONED
-        session._log(session.clock, "provisioned")
+        self._log(session, session.clock, "provisioned")
         return session
 
     def open_session_channel(self, session: RoamerSession, deposit: int, now: int) -> str:
@@ -167,11 +163,10 @@ class DiceEngine:
             raise WrongState(f"{session.state}, expected {expected}")
         channel_id = self.channels.open_channel(session.active_wallet, session.vmno, deposit, now)
         session.channel = channel_id
-        ch = self.channels.channel(channel_id)
-        session.onchain_txs.append(ch.open_tx)
         self._session_by_channel[channel_id] = session.session_id
         session.state = CHANNEL_OPEN
-        session._log(now, "channel_open", channel=channel_id, deposit=deposit, tx=ch.open_tx.hex())
+        self._log(session, now, "channel_open", channel=channel_id, deposit=deposit,
+                  tx=self.channels.channel(channel_id).open_tx.hex())
         return channel_id
 
     def session_traffic(self, session: RoamerSession, nbytes: int, now: int) -> int:
@@ -184,12 +179,11 @@ class DiceEngine:
         proofs = self.channels.pay_for_traffic(session.channel, nbytes, now)
         for proof in proofs:
             self.channels.receive_proof(session.vmno, proof)
-        session.proofs_accepted += len(proofs)
         session.state = ACTIVE
         unserviced = self.channels.channel(session.channel).unserviced_bytes
-        session._log(now, "traffic", bytes=nbytes, proofs=len(proofs))
+        self._log(session, now, "traffic", bytes=nbytes, proofs=len(proofs))
         if unserviced:
-            session._log(now, "deposit_exhausted", unserviced_bytes=unserviced)
+            self._log(session, now, "deposit_exhausted", unserviced_bytes=unserviced)
         return len(proofs)
 
     def run_session(self, session: RoamerSession, traffic_trace: list[tuple[int, int]],
@@ -207,7 +201,7 @@ class DiceEngine:
         self.channels.close_channel(session.channel, now, closer=session.roamer)
         self._settle(session, now)
         if session.mode == LBO:
-            session._log(now, "reprovision_home")
+            self._log(session, now, "reprovision_home")
         return session
 
     def timeout_sweep(self, now: int) -> list[str]:
@@ -225,10 +219,16 @@ class DiceEngine:
     def _settle(self, session: RoamerSession, now: int, **close_fields) -> None:
         """Settle a session whose channel has just closed on-chain."""
         ch = self.channels.channel(session.channel)
-        session.onchain_txs.append(ch.close_tx)
-        session._log(now, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
-                     tx=ch.close_tx.hex(), **close_fields)
+        self._log(session, now, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
+                  tx=ch.close_tx.hex(), **close_fields)
         session.state = SETTLED
+
+    def _log(self, session: RoamerSession, now: int, kind: str, **payload) -> None:
+        session.clock = now
+        if self.keep_events:
+            session.events.append(
+                {"time": now, "session_id": session.session_id, "event": kind, "payload": payload}
+            )
 
     # -- convenience passthroughs
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -59,7 +60,8 @@ _RANGE = {"rate": (0.0, math.inf), "flat": (0.0, math.inf), "discount": (0.0, 1.
 
 def model_from_dict(spec: dict) -> ChargingModel:
     """Read a charging spec strictly: a known model, only the keys it
-    declares, and each value finite and in range."""
+    declares, and each value finite and in range: an int for an int key
+    (``tokens_per_mb``), an int or float for the others, never a bool."""
     spec = dict(spec)
     kind = spec.pop("model")
     model = next((m for m in (PerUnit, Fixed, Parity) if m.name == kind), None)
@@ -70,9 +72,13 @@ def model_from_dict(spec: dict) -> ChargingModel:
         raise ValueError(f"{kind} charging spec has unknown keys {sorted(unknown)}")
     for key, value in spec.items():
         low, high = _RANGE[key]
-        spec[key] = value = type(low)(value)
-        if not (math.isfinite(value) and low <= value <= high):
+        kinds = (int,) if type(low) is int else (int, float)
+        if type(value) not in kinds:
+            raise ValueError(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, not {value!r}")
+        # Checked before conversion: an int too large for a float is not finite.
+        if not (abs(value) <= sys.float_info.max and low <= value <= high):
             raise ValueError(f"{key} must be finite and in [{low}, {high}], not {value!r}")
+        spec[key] = type(low)(value)
     return model(**spec)  # TypeError if a key it needs is missing
 
 
@@ -134,20 +140,17 @@ def validate_provenance(bank: TokenBank, ledger: Ledger, claim: RedemptionClaim)
 
 def redeem(engine, claim: RedemptionClaim, now: int) -> bytes:
     """Record the redemption on-chain, which burns the claimed lots after
-    the bank's burn and provenance rules pass, and move fiat.
+    the bank's burn and provenance rules pass.  The ``Redeem`` tx carries the
+    fiat the home MNO owes the visited one; nothing else records it.
 
-    ``engine`` is the protocol engine; it owns the bank, the ledger and the
-    per-MNO fiat accounts.
+    ``engine`` is the protocol engine; it owns the bank and the ledger.
     """
     tx = make_transaction(
         now, claim.vmno,
         Redeem(claim.vmno, claim.hmno, tuple(claim.lot_ids), claim.fiat_due),
         engine.signer,
     )
-    tx_id = engine.ledger.submit(tx)
-    engine.fiat[claim.vmno] = engine.fiat.get(claim.vmno, 0.0) + claim.fiat_due
-    engine.fiat[claim.hmno] = engine.fiat.get(claim.hmno, 0.0) - claim.fiat_due
-    return tx_id
+    return engine.ledger.submit(tx)
 
 
 # --- reporting ---------------------------------------------------------------

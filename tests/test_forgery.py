@@ -79,6 +79,11 @@ def agreement_with_a_negative_rate(eng, sessions):
     return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
 
 
+def agreement_with_a_string_rate(eng, sessions):
+    bad = {"model": "per_unit", "rate": "0.04"}
+    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
+
+
 FORGERIES = [
     (issue_signed_by_another_mno, "issue", "NotIssuer"),
     (issue_by_a_roamer_off_the_roster, "issue", "NotIssuer"),
@@ -90,6 +95,7 @@ FORGERIES = [
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
     (second_agreement_for_a_pair, "agreement", "DuplicateAgreement"),
     (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),
+    (agreement_with_a_string_rate, "agreement", "PayloadRejected"),
 ]
 
 

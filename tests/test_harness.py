@@ -24,6 +24,7 @@ from dice.harness import (
     MetricsReport,
     RequirementsAssumptions,
     ScenarioConfig,
+    chain_figures,
     check_requirements,
     extrapolate,
     replay_ledger,
@@ -210,6 +211,21 @@ def test_proofs_are_held_only_when_dumped(tmp_path):
         assert (tmp_path / "False" / name).read_bytes() == (tmp_path / "True" / name).read_bytes()
 
 
+def test_events_are_held_only_when_dumped(tmp_path):
+    cfg = small_config()
+    engines = {}
+    for dump in (False, True):
+        run_scenario(cfg, tmp_path / str(dump), dump_events=dump,
+                     on_seal=lambda e, dump=dump: engines.__setitem__(dump, e))
+    held = {dump: sum(len(s.events) for s in e.sessions.values()) for dump, e in engines.items()}
+    assert held[False] == 0 and held[True] > 0
+    assert len((tmp_path / "True" / "events.jsonl").read_text().splitlines()) == held[True]
+    clocks = {dump: [s.clock for s in e.sessions.values()] for dump, e in engines.items()}
+    assert clocks[False] == clocks[True]
+    for name in ("report.json", "ledger.jsonl", "settlement.csv"):
+        assert (tmp_path / "False" / name).read_bytes() == (tmp_path / "True" / name).read_bytes()
+
+
 def test_extrapolation_consistency(tmp_path):
     cfg = small_config()
     report = run_scenario(cfg, tmp_path)
@@ -284,6 +300,28 @@ def test_verify_ledger_valid(tmp_path):
 def test_verify_ledger_missing_file(tmp_path):
     with pytest.raises(IoFailure):
         verify_ledger(tmp_path / "nope.jsonl")
+
+
+def test_verify_ledger_on_a_directory_is_an_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="Is a directory"):
+        verify_ledger(tmp_path)
+
+
+# The report fields that its chain alone states.
+ONCHAIN_FIELDS = ("onchain_tx_total", "onchain_tx_by_kind", "peak_onchain_tps",
+                  "tokens_settled_by_pair", "fiat_cleared_by_pair")
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(seed=42), ScenarioConfig(seed=7, mode="hr")],
+                         ids=["lbo-seed-42", "hr-seed-7"])
+def test_replayed_ledger_restates_the_reports_onchain_fields(config, tmp_path):
+    run_scenario(config, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    verdict, bank = replay_ledger(tmp_path / "ledger.jsonl")
+    assert verdict.valid
+    figures = chain_figures(bank)
+    assert {k: figures[k] for k in ONCHAIN_FIELDS} == {k: report[k] for k in ONCHAIN_FIELDS}
+    assert report["tokens_settled_by_pair"] and report["fiat_cleared_by_pair"]
 
 
 def test_verify_ledger_detects_single_byte_edit(tmp_path):
@@ -568,6 +606,15 @@ STRICT_CHARGING = [
     {"model": "fixed", "flat": 10.0, "discount": -0.5},
     {"model": "parity", "tokens_per_mb": 0},
     {"model": "parity", "euro_per_mb": -1.0},
+    # A value of the wrong type, never coerced: a string, a bool, or a
+    # float for the integer tokens_per_mb.
+    {"model": "per_unit", "rate": "0.04"},
+    {"model": "per_unit", "rate": True},
+    {"model": "fixed", "flat": "1e3"},
+    {"model": "parity", "tokens_per_mb": 2.5},
+    {"model": "parity", "tokens_per_mb": 10.0},
+    # An int no float can hold.
+    {"model": "per_unit", "rate": 10**400},
 ]
 
 
@@ -633,6 +680,13 @@ def test_cli_verify_reports_what_it_checked(tmp_path, runner):
     assert {m[1]: int(m[2]) for m in supply} == issued
     assert all(int(m[2]) == int(m[3]) + int(m[4]) for m in supply)
     assert report["onchain_tx_by_kind"]["redeem"] and any(int(m[4]) for m in supply)
+
+
+def test_cli_verify_on_a_directory_exits_one(tmp_path, runner):
+    result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("i/o failure: ") and "Is a directory" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # not an IsADirectoryError traceback
 
 
 def test_cli_verify_tampered_exits_one(tmp_path, runner):

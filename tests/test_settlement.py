@@ -86,12 +86,13 @@ def test_redeem_burns_and_clears_fiat():
     eng, _ = honest_engine()
     claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
     assert claim.fiat_due == pytest.approx(1.00)
-    redeem(eng, claim, 100)
-    assert eng.fiat["V"] == pytest.approx(1.00)
-    assert eng.fiat["H"] == pytest.approx(-1.00)
+    tx_id = redeem(eng, claim, 100)
+    # The Redeem tx is the one record of the fiat the home MNO owes the visited one.
+    cleared = eng.ledger.get_tx(tx_id).payload
+    assert (cleared.vmno, cleared.hmno) == ("V", "H")
+    assert cleared.fiat == pytest.approx(1.00)
     assert eng.bank.balance(eng.bank.treasury("V"), "H") == 0
     assert eng.bank.supply_closure_ok()
-    assert sum(eng.fiat.values()) == pytest.approx(0.0)
 
 
 def test_parity_redeems_one_euro_per_mb():
