@@ -32,7 +32,7 @@ from .errors import (
     StaleProof,
     UnknownChannel,
 )
-from .ledger import ChannelClose, ChannelOpen, Ledger, make_transaction
+from .ledger import ChannelClose, ChannelOpen, Ledger, make_transaction, record
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank
 
 OPEN, CLOSED = "open", "closed"
@@ -41,7 +41,7 @@ DEFAULT_TIMELOCK_WINDOW = 7 * 86_400     # longer than the typical stay
 DEFAULT_INACTIVITY_WINDOW = 86_400       # auto-close after a day of silence
 
 
-@dataclass(frozen=True)
+@record
 class BalanceProof:
     channel_id: str
     seq: int
@@ -168,10 +168,12 @@ class ChannelManager:
         ch.unserviced_bytes += new_bytes - take
         proofs = []
         target_blocks = ch.bytes_total // TOKEN_BLOCK_BYTES
-        while ch.last_seq < target_blocks:
-            seq = ch.last_seq + 1   # each proof pays one more block
+        seq = ch.last_seq
+        sign, roamer, state, digest = self.signer.sign, ch.roamer, ch.proof_state, codec.digest_int_pair
+        while seq < target_blocks:
+            seq += 1   # each proof pays one more block
             preimage = ch.preimage if seq == 1 else None
-            sig = self.signer.sign(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, seq))
+            sig = sign(roamer, digest(state, seq, seq))
             proofs.append(BalanceProof(channel_id, seq, seq, preimage, sig))
             ch.last_seq = seq
         ch.last_activity = now
@@ -179,27 +181,27 @@ class ChannelManager:
 
     def receive_proof(self, vmno: str, proof: BalanceProof) -> BalanceProof:
         """VMNO side: validate and store the latest balance proof."""
-        ch = self.channel(proof.channel_id)
+        channel_id, seq, cumulative = proof.channel_id, proof.seq, proof.cumulative
+        ch = self.channel(channel_id)
         opened = ch.opened
         if opened.vmno != vmno or ch.closed is not None:
-            raise ChannelNotOpen(proof.channel_id)
-        if not self.signer.verify(
-            ch.roamer, codec.digest_int_pair(ch.proof_state, proof.seq, proof.cumulative), proof.signature
-        ):
-            raise BadSignature(f"proof seq {proof.seq}")
+            raise ChannelNotOpen(channel_id)
+        if not self.signer.verify(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, cumulative),
+                                  proof.signature):
+            raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
         expected_seq = (latest.seq if latest else 0) + 1
-        if proof.seq < expected_seq:
-            raise StaleProof(f"seq {proof.seq} <= {expected_seq - 1}")
-        if proof.seq > expected_seq:
-            raise GapSeq(f"seq {proof.seq}, expected {expected_seq}")
-        if proof.cumulative > opened.deposit:
-            raise Overdraft(f"cumulative {proof.cumulative} > deposit {opened.deposit}")
-        if proof.cumulative <= (latest.cumulative if latest else 0):
-            raise StaleProof(f"cumulative {proof.cumulative} does not increase")
-        if proof.seq == 1:
+        if seq < expected_seq:
+            raise StaleProof(f"seq {seq} <= {expected_seq - 1}")
+        if seq > expected_seq:
+            raise GapSeq(f"seq {seq}, expected {expected_seq}")
+        if cumulative > opened.deposit:
+            raise Overdraft(f"cumulative {cumulative} > deposit {opened.deposit}")
+        if cumulative <= (latest.cumulative if latest else 0):
+            raise StaleProof(f"cumulative {cumulative} does not increase")
+        if seq == 1:
             if proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock:
-                raise BadPreimage(proof.channel_id)
+                raise BadPreimage(channel_id)
         ch.latest = proof
         self.proofs_accepted += 1
         if self.keep_proofs:

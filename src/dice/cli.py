@@ -52,6 +52,9 @@ def simulate(config_path, out_dir, seed, days, mode, dump_proofs, dump_events) -
     except IoFailure as exc:
         click.echo(f"i/o failure: {exc}", err=True)
         sys.exit(1)
+    except DiceError as exc:  # the run broke a protocol rule; nothing is written
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(1)
     click.echo(
         f"sessions={report.sessions_completed} onchain={report.onchain_tx_total} "
         f"offchain={report.offchain_proofs_total} -> {out_dir}"

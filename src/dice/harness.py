@@ -185,7 +185,7 @@ def run_scenario(
         push(d * DAY, _P_BOUNDARY, "boundary", ())
     push(horizon, _P_CLOSEOUT, "closeout", ())
     push(horizon, _P_REDEEM, "redeem", ())
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    events.sort()  # seq is unique, so the action and payload are never compared
 
     session_of: dict[str, str] = {}
     settlement_rows: list[dict] = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Optional
 
 from . import codec
@@ -30,10 +30,62 @@ from .errors import (
     UnknownSigner,
 )
 
+# --- immutable records ------------------------------------------------------
+
+
+class _Factory:
+    """The default of an argument whose field has a ``default_factory``."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def record(cls):
+    """``dataclass(frozen=True, slots=True)``, with an ``__init__`` that stores
+    each argument through its slot's member descriptor.
+
+    The frozen dataclass ``__init__`` stores each field through
+    ``object.__setattr__``, which looks the slot up by name on every call.
+    This one, generated once per class as ``dataclasses`` generates its own,
+    has the same signature, defaults and ``default_factory`` calls.  Fields
+    are positional-or-keyword, and a record has no ``__post_init__``.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    flds = fields(cls)
+    if any(not f.init or f.kw_only for f in flds) or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__}: a record has positional fields and no __post_init__")
+    env = {"__name__": cls.__module__, "_FACTORY": _FACTORY}
+    params, body = [], []
+    for f in flds:
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        value = f.name
+        if f.default is not MISSING:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        elif f.default_factory is not MISSING:
+            env[f"_factory_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=_FACTORY")
+            value = f"_factory_{f.name}() if {f.name} is _FACTORY else {f.name}"
+        else:
+            params.append(f.name)
+        body.append(f"    _set_{f.name}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)
+    cls.__init__ = init
+    return cls
+
+
 # --- transaction payloads ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Issue:
     issuer: str
     wallet: str
@@ -48,7 +100,7 @@ class Issue:
         return cls(f["issuer"], f["wallet"], f["amount"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AgreementRegistration:
     hmno: str
     vmno: str
@@ -69,7 +121,7 @@ class AgreementRegistration:
         return cls(f["hmno"], f["vmno"], tuple(f["accepts"]), f["charging"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AttachCheck:
     roamer_wallet: str
     vmno: str
@@ -90,7 +142,7 @@ class AttachCheck:
         return cls(f["roamer_wallet"], f["vmno"], f["hmno"], f["accepted"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChannelOpen:
     channel: str
     wallet: str
@@ -116,7 +168,7 @@ class ChannelOpen:
                    f["timelock_expiry"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChannelClose:
     channel: str
     paid: int
@@ -137,7 +189,7 @@ class ChannelClose:
         return cls(f["channel"], f["paid"], f["refunded"], f["final_seq"])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Redeem:
     vmno: str
     hmno: str
@@ -210,7 +262,7 @@ def _hex_field(rec: dict, key: str) -> bytes:
     return raw
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Transaction:
     tx_id: bytes
     timestamp: int
@@ -262,7 +314,7 @@ def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, 
     return codec.digest([height, prev_hash, tx_root, validator, sealed_at])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Block:
     height: int
     prev_hash: bytes
@@ -458,8 +510,18 @@ class Ledger:
                 fh.write(json.dumps(block.to_record(), separators=(",", ":")) + "\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Built once: ``json.loads`` with a keyword builds a new decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def load_blocks_jsonl(path) -> list[Block]:
-    """Parse a persisted chain; raises LedgerParseError with the bad line."""
+    """Parse a persisted chain; raises LedgerParseError with the bad line.
+    ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and no live record
+    holds them."""
     blocks = []
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -468,7 +530,7 @@ def load_blocks_jsonl(path) -> list[Block]:
         lines.pop()
     for i, line in enumerate(lines):
         try:
-            rec = json.loads(line.decode("utf-8"))
+            rec = _DECODER.decode(line.decode("utf-8"))
             blocks.append(Block.from_record(rec))
         except Exception as exc:
             raise LedgerParseError(i, str(exc)) from None

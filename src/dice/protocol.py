@@ -177,8 +177,9 @@ class DiceEngine:
         if session.state not in (CHANNEL_OPEN, ACTIVE):
             raise WrongState(session.state)
         proofs = self.channels.pay_for_traffic(session.channel, nbytes, now)
+        receive, vmno = self.channels.receive_proof, session.vmno
         for proof in proofs:
-            self.channels.receive_proof(session.vmno, proof)
+            receive(vmno, proof)
         session.state = ACTIVE
         unserviced = self.channels.channel(session.channel).unserviced_bytes
         self._log(session, now, "traffic", bytes=nbytes, proofs=len(proofs))

@@ -15,26 +15,26 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
-from .ledger import Ledger, Redeem, make_transaction
+from .ledger import Ledger, Redeem, make_transaction, record
 from .tokenbank import TokenBank, treasury_wallet_id
 
 # --- charging models --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PerUnit:
     rate: float  # currency per token
     name = "per_unit"
 
 
-@dataclass(frozen=True)
+@record
 class Fixed:
     flat: float              # currency per settlement period
     discount: float = 0.0    # post-discount adjustment, in [0, 1]
     name = "fixed"
 
 
-@dataclass(frozen=True)
+@record
 class Parity:
     """1 roaming coin buys 1MB and costs 1 euro (tokens are 100KB each)."""
     tokens_per_mb: int = 10

@@ -17,6 +17,7 @@ checks read; a wallet keeps its lots by issuer.  One token pays for one
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
@@ -82,6 +83,13 @@ def treasury_wallet_id(mno: str) -> str:
 def _is_count(value) -> bool:
     """A token count is a non-negative int (bool excluded)."""
     return type(value) is int and value >= 0
+
+
+def _is_amount(value) -> bool:
+    """A fiat amount is a finite non-negative float or int (bool excluded).
+    Compared, not passed to ``math.isfinite``: an int beyond float range is
+    not finite and would make it overflow."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
 
 
 class TokenBank:
@@ -286,6 +294,9 @@ class TokenBank:
         elif isinstance(p, Redeem):
             if tx.signer != p.vmno:
                 raise PayloadRejected(f"redeem for {p.vmno} signed by {tx.signer}")
+            if not _is_amount(p.fiat):
+                raise PayloadRejected(f"redeem for {p.vmno}: fiat {p.fiat!r} is not a finite "
+                                      "non-negative number")
             if len(set(p.lots)) != len(p.lots):
                 raise PayloadRejected("redeem names a lot twice")
             for lot_id in p.lots:

@@ -89,14 +89,19 @@ class Fields(dict):
     pass
 
 
+class Blob(bytes):
+    pass
+
+
 # Everything the codec accepts: tuples, bytearrays, -0.0, empty containers at
-# any depth, and subclasses of int, str and dict.
+# any depth, and subclasses of int, str, bytes and dict.
 codec_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.binary(max_size=64) | st.binary(max_size=8).map(bytearray)
     | st.floats(allow_nan=False) | st.just(-0.0)
     | st.just([]) | st.just(()) | st.just({})
-    | st.sampled_from(Colour) | st.text(max_size=8).map(Name),
+    | st.sampled_from(Colour) | st.text(max_size=8).map(Name)
+    | st.binary(max_size=8).map(Blob),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(st.text(max_size=8), children, max_size=4)
@@ -124,6 +129,7 @@ def test_encode_matches_reference(value):
     list(range(300)),
     {f"k{i}": i for i in range(300)},
     ["é" * 200, ("ü" * 128, b"\x00" * 300)],
+    [b"", b"\x00" * 300, Blob(b"ab"), bytearray(b"cd"), (Blob(),)],   # list items inline
 ])
 def test_encode_matches_reference_on_subclasses_and_long_values(value):
     assert codec.encode(value) == reference_encode(value)

@@ -6,13 +6,15 @@ it apart from a transaction the live engine would have written.
 """
 
 import dataclasses
+import math
 
 import pytest
 
-from dice.errors import DiceError
+from dice.errors import DiceError, PayloadRejected
 from dice.harness import verify_ledger
 from dice.ledger import AgreementRegistration, AttachCheck, ChannelClose, Issue, Redeem, make_transaction
 from dice.protocol import LBO, DiceEngine
+from dice.tokenbank import treasury_wallet_id
 
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
@@ -57,6 +59,21 @@ def redeem_of_a_lot_the_roamer_holds(eng, sessions):
     return make_transaction(70, "V", Redeem("V", "H", lots, 0.6), eng.signer)
 
 
+def earned_lots(eng):
+    """The H lots V earned from alice's close."""
+    lots = tuple(l.lot_id for l in eng.bank.lots_of(treasury_wallet_id("V"), "H"))
+    assert lots
+    return lots
+
+
+def redeem_with_a_negative_fiat(eng, sessions):
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), -0.6), eng.signer)
+
+
+def redeem_with_a_bool_fiat(eng, sessions):
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), True), eng.signer)
+
+
 def attach_check_signed_by_a_roamer(eng, sessions):
     return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.signer)
 
@@ -90,6 +107,8 @@ FORGERIES = [
     (close_not_splitting_the_deposit, "channel_close", "PayloadRejected"),
     (close_paying_without_a_proof, "channel_close", "PayloadRejected"),
     (redeem_of_a_lot_the_roamer_holds, "redeem", "ProvenanceRejected"),
+    (redeem_with_a_negative_fiat, "redeem", "PayloadRejected"),
+    (redeem_with_a_bool_fiat, "redeem", "PayloadRejected"),
     (attach_check_signed_by_a_roamer, "attach", "PayloadRejected"),
     (attach_check_naming_a_home_off_the_roster, "attach", "UnknownMno"),
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
@@ -139,3 +158,19 @@ def test_earliest_rejected_height_is_reported(forge, kind, error, tmp_path):
     assert not result.valid
     assert result.first_invalid_height == 2
     assert result.reason.startswith(f"{kind} tx rejected: {error}: ")
+
+
+@pytest.mark.parametrize("fiat", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "10**400"])
+def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
+    """No JSON number states it, so it never reaches a saved chain: the bank
+    rejects it on submit, and the parse rejects its literal on load."""
+    eng, _ = honest_engine()
+    forged = make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), fiat), eng.signer)
+    pending, state = list(eng.ledger.pending), eng.bank.snapshot()
+    with pytest.raises(PayloadRejected, match="fiat"):
+        eng.ledger.submit(forged)
+    assert eng.ledger.pending == pending
+    assert eng.bank.snapshot() == state
+    # The honest redeem of the same lots still goes through.
+    eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.6), eng.signer))

@@ -682,6 +682,19 @@ def test_cli_verify_reports_what_it_checked(tmp_path, runner):
     assert report["onchain_tx_by_kind"]["redeem"] and any(int(m[4]) for m in supply)
 
 
+def test_cli_simulate_whose_redeem_is_rejected_exits_one(tmp_path, runner):
+    """A valid rate can price a claim beyond float range: the Redeem rule
+    rejects its fiat, and the run ends with one line and writes nothing."""
+    cfg_path = write_config(tmp_path, charging={"model": "per_unit", "rate": 1e308})
+    out = tmp_path / "out"
+    result = runner.invoke(cli_main, ["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.splitlines() == [
+        "error: PayloadRejected: redeem for V-001: fiat inf is not a finite non-negative number"]
+    assert isinstance(result.exception, SystemExit)  # not a PayloadRejected traceback
+    assert list(out.iterdir()) == []
+
+
 def test_cli_verify_on_a_directory_exits_one(tmp_path, runner):
     result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(tmp_path)])
     assert result.exit_code == 1, result.output
