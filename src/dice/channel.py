@@ -86,6 +86,7 @@ class PaymentChannel:
     closed: Optional[ChannelClose] = None   # the on-chain close, once submitted
     close_tx: Optional[bytes] = None
     # proof_prefix(channel id); both sides finish a copy of it per proof.
+    # None once closed.
     proof_state: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,6 +229,7 @@ class ChannelManager:
         tx_id = self.ledger.submit(make_transaction(now, closer or ch.roamer, closed, self.signer))
         del self._open[channel_id]
         ch.closed, ch.close_tx = closed, tx_id
+        ch.proof_state = None
         return tx_id
 
     def timeout_sweep(self, now: int) -> list[str]:

@@ -104,15 +104,17 @@ def ledger_verify(path) -> None:
 def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_day,
                  avg_mno_factor) -> None:
     """Project the run to consortium scale and check TPS feasibility."""
-    if traffic_tb_per_day is not None and not (math.isfinite(traffic_tb_per_day) and traffic_tb_per_day >= 0):
-        raise click.BadParameter("must be finite and >= 0", param_hint="'--traffic-tb-per-day'")
     assumptions = RequirementsAssumptions(
         tps_capacity=tps_capacity,
         concentration_hours=concentration_hours,
         avg_mno_factor=avg_mno_factor,
     )
     if traffic_tb_per_day is not None:
-        assumptions.visited_mno_daily_bytes = int(traffic_tb_per_day * 1e12)
+        daily_bytes = traffic_tb_per_day * 1e12
+        if not (math.isfinite(daily_bytes) and daily_bytes >= 0):
+            raise click.BadParameter("must be >= 0, with a byte count within float range",
+                                     param_hint="'--traffic-tb-per-day'")
+        assumptions.visited_mno_daily_bytes = int(daily_bytes)
     try:
         report = MetricsReport.from_json_file(report_path)
     except (OSError, ValueError, TypeError, InvalidConfig) as exc:
@@ -122,7 +124,7 @@ def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_
         verdict = check_requirements(report, assumptions)
     except InvalidConfig as exc:  # the report's config is valid, so an override is not
         raise click.UsageError(str(exc))
-    click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True))
+    click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     sys.exit(0 if verdict.passed else 1)
 
 

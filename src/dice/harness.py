@@ -3,11 +3,22 @@
 One simulated visited MNO is driven at desk scale through the full
 protocol for every synthetic roamer; results extrapolate to the
 consortium-wide figures used for the throughput feasibility check.
+
+The two batch entry points, ``run_scenario`` (outputs included) and
+``replay_ledger`` (so ``verify_ledger`` too), run with the cyclic garbage
+collector paused.  Their objects form no reference cycles (the ledger
+holds its bank through a weakref for this reason), so reference counting
+frees everything they drop, and each collection the collector would start
+there scans a heap it cannot shrink.  The collector's state on entry is
+restored on return or raise; nothing forces a collection.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -116,10 +127,27 @@ def extrapolate(raw: float, scale: float, num_mnos: int) -> int:
 
 # --- scenario runner -----------------------------------------------------------
 
+
+def _collector_paused(fn):
+    """``fn`` run with the cyclic collector off, and back on afterwards only
+    if it was on when ``fn`` was entered."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
 # Event priorities fix the order of same-second actions.
 _P_BOUNDARY, _P_ARRIVE, _P_TRAFFIC, _P_DEPART, _P_CLOSEOUT, _P_REDEEM = range(6)
 
 
+@_collector_paused
 def run_scenario(
     config: ScenarioConfig,
     out_dir,
@@ -353,7 +381,8 @@ class RequirementsVerdict:
 def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptions) -> RequirementsVerdict:
     """Extrapolate the desk-scale run to consortium scale and test it
     against the reference ledger capacity.  The knob overrides are validated
-    with the report's config, so a bad one raises InvalidConfig naming it."""
+    with the report's config, so a bad one raises InvalidConfig naming it;
+    so does a verdict figure that is not finite, naming the first one."""
     overrides = {k: v for k, v in asdict(assumptions).items()
                  if v is not None and k in SCENARIO_SCHEMA["properties"]}
     cfg = ScenarioConfig.from_dict({**report.config, **overrides})
@@ -370,7 +399,7 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
     daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor
 
     peak = daily_onchain / (concentration_hours * 3600.0)
-    return RequirementsVerdict(
+    verdict = RequirementsVerdict(
         capacity_tps=tps_capacity,
         projected_peak_tps=peak,
         headroom_ratio=tps_capacity / peak if peak > 0 else float("inf"),
@@ -379,6 +408,10 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
         daily_offchain_consortium=daily_offchain_consortium,
         passed=peak < tps_capacity,
     )
+    for name, value in asdict(verdict).items():
+        if not math.isfinite(value):
+            raise InvalidConfig(f"{name} is {value} under these assumptions; every figure must be finite")
+    return verdict
 
 
 # --- persisted-ledger verification --------------------------------------------------
@@ -392,6 +425,7 @@ def verify_ledger(path) -> ValidityReport:
     return replay_ledger(path)[0]
 
 
+@_collector_paused
 def replay_ledger(path) -> tuple[ValidityReport, Optional[TokenBank]]:
     """``verify_ledger``'s verdict, and the bank its replay ended with (None
     if nothing was replayed); ``bank.ledger`` is the replayed ledger, and

@@ -186,6 +186,8 @@ def solve_powerlaw_exponent(n: int, top_k: int, target_share: float) -> float:
         return hi
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break  # a fixed point: every later halving would keep lo and hi
         if _top_share(mid, n, top_k) < target_share:
             lo = mid
         else:

@@ -159,6 +159,18 @@ def test_pay_requires_open_unexpired_channel():
         mgr.pay_for_traffic("ch-none", KB100, now=20)
 
 
+def test_closed_channel_drops_its_proof_state():
+    _, _, mgr, wallet = fresh(25)
+    ch = mgr.open_channel(wallet, "V", 25, now=0)
+    proof = emitted(mgr, ch, 2)[1]
+    mgr.close_channel(ch, now=20)
+    assert mgr.channel(ch).proof_state is None
+    with pytest.raises(ChannelNotOpen):
+        mgr.pay_for_traffic(ch, KB100, now=30)
+    with pytest.raises(ChannelNotOpen):
+        mgr.receive_proof("V", proof)
+
+
 # --- proof validation -------------------------------------------------------------
 
 

@@ -829,6 +829,35 @@ def test_cli_requirements_overrides_are_validated(tmp_path, runner, flag, value,
     assert field in result.output
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--avg-mno-factor", "1e-320", "headroom_ratio"),          # the peak underflows to 0
+    ("--avg-mno-factor", "1e308", "projected_peak_tps"),       # the daily count overflows
+    ("--concentration-hours", "1e306", "headroom_ratio"),      # the window overflows
+    ("--traffic-tb-per-day", "1e300", "--traffic-tb-per-day"),  # the byte count overflows
+])
+def test_cli_requirements_non_finite_figure_is_a_usage_error(tmp_path, runner, flag, value, field):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    runner.invoke(cli_main, ["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    result = runner.invoke(cli_main, ["requirements", "--report", str(out / "report.json"), flag, value])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert field in result.stderr
+    assert result.stdout == ""
+
+
+def test_cli_requirements_prints_strict_json(tmp_path, runner):
+    def no_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    runner.invoke(cli_main, ["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    result = runner.invoke(cli_main, ["requirements", "--report", str(out / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout, parse_constant=no_constant)["passed"] is True
+
+
 @pytest.mark.parametrize("content", ["not json", "[]", fake_report(concentration_hours=0).to_json()])
 def test_cli_requirements_unreadable_report_exits_one(tmp_path, runner, content):
     path = tmp_path / "report.json"

@@ -13,6 +13,7 @@ from dice.workload import (
     load_trace_jsonl,
     powerlaw_probs,
     save_trace_jsonl,
+    _top_share,
     solve_powerlaw_exponent,
 )
 
@@ -73,6 +74,32 @@ def test_degenerate_popularity():
     assert powerlaw_probs(1, 10, 0.6).sum() == pytest.approx(1.0)
     alpha = solve_powerlaw_exponent(5, 10, 0.6)
     assert alpha == 1.0  # fewer entities than the top-k window
+
+
+def bisect_200_steps(n, top_k, target_share):
+    """The solver as it was before it stopped at its fixed point."""
+    if n <= top_k:
+        return 1.0
+    lo, hi = 0.0, 16.0
+    if _top_share(hi, n, top_k) < target_share:
+        return hi
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if _top_share(mid, n, top_k) < target_share:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+@pytest.mark.parametrize("n, top_k, share", [
+    (400, 10, 0.50), (188, 10, 0.60),   # the two default calls
+    (5, 10, 0.6), (10, 10, 0.6),        # n <= top_k
+    (11, 10, 0.5),                      # k/n >= target: lo stays 0.0
+    (11, 10, 0.95), (20, 3, 0.15), (1000, 1, 0.999), (50, 10, 0.2), (2, 1, 0.5),
+])
+def test_exponent_solver_stops_at_the_same_float(n, top_k, share):
+    assert solve_powerlaw_exponent(n, top_k, share) == bisect_200_steps(n, top_k, share)
 
 
 def test_mno_country_assignment_tracks_targets():
