@@ -122,7 +122,7 @@ def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_
         sys.exit(1)
     try:
         verdict = check_requirements(report, assumptions)
-    except InvalidConfig as exc:  # the report's config is valid, so an override is not
+    except InvalidConfig as exc:  # an override, or a figure the projection cannot hold
         raise click.UsageError(str(exc))
     click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     sys.exit(0 if verdict.passed else 1)

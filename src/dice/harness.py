@@ -382,13 +382,21 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
     """Extrapolate the desk-scale run to consortium scale and test it
     against the reference ledger capacity.  The knob overrides are validated
     with the report's config, so a bad one raises InvalidConfig naming it;
-    so does a verdict figure that is not finite, naming the first one."""
+    so does a verdict figure that is not finite, naming the first one, and
+    an int the projection would have to turn into a float beyond its range."""
     overrides = {k: v for k, v in asdict(assumptions).items()
                  if v is not None and k in SCENARIO_SCHEMA["properties"]}
     cfg = ScenarioConfig.from_dict({**report.config, **overrides})
     factor = float(cfg.avg_mno_factor)
     tps_capacity = int(cfg.tps_capacity)
     concentration_hours = float(cfg.concentration_hours)
+    for name, value in (("tps_capacity", tps_capacity), ("num_mnos", cfg.num_mnos),
+                        ("onchain_tx_total", report.onchain_tx_total),
+                        ("offchain_proofs_total", report.offchain_proofs_total)):
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidConfig(f"{name} is beyond float range; every figure must be finite") from None
 
     onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
     daily_onchain = onchain_daily_full * cfg.num_mnos * factor

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterator, Optional
 
 from . import codec
@@ -505,9 +505,36 @@ class Ledger:
     # -- persistence
 
     def save_jsonl(self, path) -> None:
+        """One line per block, ``json.dumps(block.to_record(), separators=(",",
+        ":"))``, written in pieces: the record of the block without its txs is
+        encoded once and split at its empty tx list, and the txs go between
+        in chunks of ``SAVE_CHUNK_TXS`` records.  So at once it holds one
+        header (a whole line only for genesis, whose roster and keys it
+        carries) plus one chunk of records and their text."""
+        encode = _ENCODER.encode
         with open(path, "w", encoding="utf-8") as fh:
+            write = fh.write
             for block in self.chain:
-                fh.write(json.dumps(block.to_record(), separators=(",", ":")) + "\n")
+                head, _, tail = encode(replace(block, txs=()).to_record()).partition(_EMPTY_TXS)
+                write(head + '"txs":[')
+                txs = block.txs
+                for start in range(0, len(txs), SAVE_CHUNK_TXS):
+                    if start:
+                        write(",")
+                    # "[rec,...,rec]" without its brackets.
+                    write(encode([tx.to_record() for tx in txs[start:start + SAVE_CHUNK_TXS]])[1:-1])
+                write("]" + tail + "\n")
+
+
+# The tx records one ``save_jsonl`` chunk builds and encodes at once.
+SAVE_CHUNK_TXS = 64
+
+# ``json.dumps(..., separators=(",", ":"))``'s encoder, built once.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+# A header's empty tx list.  A string value cannot hold it (its quotes are
+# escaped), so its first occurrence is the ``txs`` key's.
+_EMPTY_TXS = '"txs":[]'
 
 
 def _reject_constant(name: str):
@@ -521,18 +548,16 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 def load_blocks_jsonl(path) -> list[Block]:
     """Parse a persisted chain; raises LedgerParseError with the bad line.
     ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and no live record
-    holds them."""
+    holds them.  Lines split at ``\\n`` only, and a final ``\\n`` ends the last
+    line.  The file is read a line at a time: besides the blocks built so
+    far, it holds one line plus that line's parsed records at once."""
     blocks = []
     with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    for i, line in enumerate(lines):
-        try:
-            rec = _DECODER.decode(line.decode("utf-8"))
-            blocks.append(Block.from_record(rec))
-        except Exception as exc:
-            raise LedgerParseError(i, str(exc)) from None
+        for i, line in enumerate(fh):
+            try:
+                text = str(memoryview(line)[:-1] if line.endswith(b"\n") else line, "utf-8")
+                blocks.append(Block.from_record(_DECODER.decode(text)))
+            except Exception as exc:
+                raise LedgerParseError(i, str(exc)) from None
     return blocks
 

@@ -846,6 +846,23 @@ def test_cli_requirements_non_finite_figure_is_a_usage_error(tmp_path, runner, f
     assert result.stdout == ""
 
 
+# An int knob has no upper bound, so one can lie beyond float range.
+@pytest.mark.parametrize("report_kw, args, field", [
+    ({}, ["--tps-capacity", str(10**400)], "tps_capacity"),
+    ({"num_mnos": 10**400}, [], "num_mnos"),
+    ({"onchain": 10**400}, [], "onchain_tx_total"),
+], ids=["tps-capacity-flag", "report-num-mnos", "report-onchain-total"])
+def test_cli_requirements_int_beyond_float_range_is_a_usage_error(tmp_path, runner, report_kw,
+                                                                   args, field):
+    path = tmp_path / "report.json"
+    path.write_text(fake_report(**report_kw).to_json())
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path), *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # not an OverflowError traceback
+    assert field in result.stderr
+    assert result.stdout == ""
+
+
 def test_cli_requirements_prints_strict_json(tmp_path, runner):
     def no_constant(name):
         raise ValueError(f"non-JSON constant {name}")

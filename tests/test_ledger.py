@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from dice.errors import (
     UnknownSigner,
 )
 from dice.ledger import (
+    SAVE_CHUNK_TXS,
     AttachCheck,
     Block,
     ChannelOpen,
@@ -334,6 +336,106 @@ def test_truncated_line_is_a_parse_error(tmp_path, ledger):
     with pytest.raises(LedgerParseError) as err:
         load_blocks_jsonl(path)
     assert err.value.line == len(ledger.chain) - 1
+
+
+# How the loader splits a file into lines: at b"\n" only, a final b"\n"
+# ending the last line.
+
+
+def _saved_lines(ledger, path) -> list[bytes]:
+    _build_chain(ledger, blocks=4)
+    ledger.save_jsonl(path)
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def test_file_without_final_newline_loads(tmp_path, ledger):
+    path = tmp_path / "chain.jsonl"
+    lines = _saved_lines(ledger, path)
+    path.write_bytes(b"\n".join(lines))
+    assert [b.block_hash for b in load_blocks_jsonl(path)] == [b.block_hash for b in ledger.chain]
+
+
+@pytest.mark.parametrize("at", [None, 2], ids=["trailing", "middle"])
+def test_empty_line_is_a_parse_error_at_its_index(tmp_path, ledger, at):
+    path = tmp_path / "chain.jsonl"
+    lines = _saved_lines(ledger, path)
+    at = len(lines) if at is None else at
+    lines.insert(at, b"")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(LedgerParseError) as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == at
+    report = verify_ledger(path)
+    assert (report.valid, report.first_invalid_height) == (False, at)
+
+
+def test_crlf_lines_load(tmp_path, ledger):
+    # The \r left on each line is JSON whitespace.
+    path = tmp_path / "chain.jsonl"
+    lines = _saved_lines(ledger, path)
+    path.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    assert [b.block_hash for b in load_blocks_jsonl(path)] == [b.block_hash for b in ledger.chain]
+    assert verify_ledger(path).valid
+
+
+def test_empty_file_has_no_blocks(tmp_path):
+    # test_empty_chain_is_invalid: so verify_ledger finds no genesis block.
+    path = tmp_path / "chain.jsonl"
+    path.write_bytes(b"")
+    assert load_blocks_jsonl(path) == []
+
+
+def test_directory_is_not_loaded(tmp_path):
+    # verify_ledger turns this into IoFailure, and the CLI into exit 1
+    # (test_harness.py, test_cli_verify_on_a_directory_exits_one).
+    with pytest.raises(IsADirectoryError):
+        load_blocks_jsonl(tmp_path)
+
+
+def test_each_saved_line_is_its_blocks_record(tmp_path, ledger):
+    # Block sizes at the edges of the chunks save_jsonl encodes txs in.
+    sizes = [1, SAVE_CHUNK_TXS, SAVE_CHUNK_TXS + 1, 2 * SAVE_CHUNK_TXS]
+    n = 0
+    for height, size in enumerate(sizes, start=1):
+        for _ in range(size):
+            ledger.submit(issue_tx(ledger, n))
+            n += 1
+        ledger.seal_block(100 + height)
+    path = tmp_path / "chain.jsonl"
+    ledger.save_jsonl(path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert [len(b.txs) for b in ledger.chain] == [0, *sizes]
+    assert ledger.chain[0].roster and ledger.chain[0].keys
+    assert lines == [json.dumps(b.to_record(), separators=(",", ":")) + "\n" for b in ledger.chain]
+
+
+def _traced(fn):
+    """``fn()``, and the traced memory above that before the call: at its
+    end, and at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        now, peak = tracemalloc.get_traced_memory()
+        return result, now - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_holds_less_than_its_longest_line(tmp_path, ledger):
+    _build_chain(ledger, blocks=1, txs_per_block=2000)
+    path = tmp_path / "chain.jsonl"
+    _, _, peak = _traced(lambda: ledger.save_jsonl(path))
+    assert peak < max(len(line) for line in path.read_bytes().split(b"\n"))
+
+
+def test_load_holds_less_than_the_file_besides_its_blocks(tmp_path, ledger):
+    _build_chain(ledger, blocks=20, txs_per_block=100)
+    path = tmp_path / "chain.jsonl"
+    ledger.save_jsonl(path)
+    blocks, kept, peak = _traced(lambda: load_blocks_jsonl(path))
+    assert len(blocks) == 21
+    assert peak - kept < path.stat().st_size
 
 
 # Edits to the first tx record of a stored line that leave it valid JSON.
