@@ -12,7 +12,7 @@ import sys
 
 import click
 
-from .errors import DiceError, EmptyTrace, InvalidConfig, IoFailure
+from .errors import DiceError, InvalidConfig, IoFailure
 from .harness import (
     MetricsReport,
     RequirementsAssumptions,
@@ -137,7 +137,7 @@ def calibrate(config_path) -> None:
         stats = calibration_report(trace)
     except InvalidConfig as exc:
         raise click.UsageError(str(exc))
-    except (EmptyTrace, DiceError) as exc:
+    except DiceError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     click.echo(json.dumps(stats.to_dict(), indent=2, sort_keys=True))

@@ -113,9 +113,15 @@ class MetricsReport:
 
     @classmethod
     def from_json_file(cls, path) -> "MetricsReport":
-        """A written report; its config must validate (raises InvalidConfig)."""
+        """A written report: each int figure a non-negative int (bool
+        excluded), else ValueError; its config must validate (raises
+        InvalidConfig)."""
         with open(path, "r", encoding="utf-8") as fh:
             report = cls(**json.load(fh))
+        for f in fields(cls):
+            value = getattr(report, f.name)
+            if f.type == "int" and (type(value) is not int or value < 0):
+                raise ValueError(f"{f.name} must be a non-negative int, not {value!r}")
         ScenarioConfig.from_dict(report.config)
         return report
 
@@ -336,8 +342,6 @@ def chain_figures(bank: TokenBank) -> dict:
         elif isinstance(p, Redeem):
             key = f"{p.vmno}|{p.hmno}"
             fiat_by_pair[key] = fiat_by_pair.get(key, 0.0) + p.fiat
-    circulating = bank.circulating_by_issuer()
-    issuers = sorted(set(bank.issued_by) | set(circulating) | set(bank.burned_by))
     return {
         "onchain_tx_total": by_kind.total(),
         "onchain_tx_by_kind": dict(sorted(by_kind.items())),
@@ -346,8 +350,7 @@ def chain_figures(bank: TokenBank) -> dict:
         "fiat_cleared_by_pair": dict(sorted(fiat_by_pair.items())),
         "blocks": len(ledger.chain),
         "lots_replayed": len(bank.lots),
-        "supply_by_issuer": {m: {"issued": bank.issued_by.get(m, 0), "circulating": circulating.get(m, 0),
-                                 "burned": bank.burned_by.get(m, 0)} for m in issuers},
+        "supply_by_issuer": bank.supply_by_issuer(),
     }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterator, Optional
+from typing import Iterator, Optional, get_origin, get_type_hints
 
 from . import codec
 from .codec import ZERO_DIGEST
@@ -85,64 +85,72 @@ def record(cls):
 # --- transaction payloads ---------------------------------------------------
 
 
-@record
+def _hex_field(rec: dict, key: str) -> bytes:
+    """The bytes of ``rec[key]``, which must be their lower-case hex, as the
+    live ledger writes them (``bytes.fromhex`` also reads upper case)."""
+    value = rec[key]
+    raw = bytes.fromhex(value)
+    if raw.hex() != value:
+        raise ValueError(f"{key} must be lower-case hex, not {value!r}")
+    return raw
+
+
+def payload(kind: str):
+    """``record``, plus the payload's wire form stated by its fields alone:
+    ``to_fields`` and ``from_fields``, generated once per class like the
+    ``__init__`` of ``record``, write and read the fields in declared order.
+    A ``bytes`` field is written as lower-case hex and read back through
+    ``_hex_field``, a ``tuple`` field is written as a JSON list and read back
+    as a tuple, and any other field passes through as is."""
+    def declare(cls):
+        cls.kind = kind
+        cls = record(cls)
+        hints = get_type_hints(cls)
+        written, read = [], []
+        for name in (f.name for f in fields(cls)):
+            hint = get_origin(hints[name]) or hints[name]
+            value, arg = f"self.{name}", f"f[{name!r}]"
+            if hint is bytes:
+                value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
+            elif hint is tuple:
+                value, arg = f"list({value})", f"tuple({arg})"
+            written.append(f"{name!r}: {value}")
+            read.append(arg)
+        env = {"__name__": cls.__module__, "_hex_field": _hex_field}
+        exec(f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
+             f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n", env)
+        for name in ("to_fields", "from_fields"):
+            env[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        cls.to_fields = env["to_fields"]
+        cls.from_fields = classmethod(env["from_fields"])
+        return cls
+    return declare
+
+
+@payload("issue")
 class Issue:
     issuer: str
     wallet: str
     amount: int
-    kind = "issue"
-
-    def to_fields(self) -> dict:
-        return {"issuer": self.issuer, "wallet": self.wallet, "amount": self.amount}
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "Issue":
-        return cls(f["issuer"], f["wallet"], f["amount"])
 
 
-@record
+@payload("agreement")
 class AgreementRegistration:
     hmno: str
     vmno: str
     accepts: tuple[str, ...]
     charging: dict
-    kind = "agreement"
-
-    def to_fields(self) -> dict:
-        return {
-            "hmno": self.hmno,
-            "vmno": self.vmno,
-            "accepts": list(self.accepts),
-            "charging": self.charging,
-        }
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "AgreementRegistration":
-        return cls(f["hmno"], f["vmno"], tuple(f["accepts"]), f["charging"])
 
 
-@record
+@payload("attach")
 class AttachCheck:
     roamer_wallet: str
     vmno: str
     hmno: str
     accepted: bool
-    kind = "attach"
-
-    def to_fields(self) -> dict:
-        return {
-            "roamer_wallet": self.roamer_wallet,
-            "vmno": self.vmno,
-            "hmno": self.hmno,
-            "accepted": self.accepted,
-        }
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "AttachCheck":
-        return cls(f["roamer_wallet"], f["vmno"], f["hmno"], f["accepted"])
 
 
-@record
+@payload("channel_open")
 class ChannelOpen:
     channel: str
     wallet: str
@@ -150,64 +158,22 @@ class ChannelOpen:
     deposit: int
     hashlock: bytes
     timelock_expiry: int
-    kind = "channel_open"
-
-    def to_fields(self) -> dict:
-        return {
-            "channel": self.channel,
-            "wallet": self.wallet,
-            "vmno": self.vmno,
-            "deposit": self.deposit,
-            "hashlock": self.hashlock.hex(),
-            "timelock_expiry": self.timelock_expiry,
-        }
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "ChannelOpen":
-        return cls(f["channel"], f["wallet"], f["vmno"], f["deposit"], _hex_field(f, "hashlock"),
-                   f["timelock_expiry"])
 
 
-@record
+@payload("channel_close")
 class ChannelClose:
     channel: str
     paid: int
     refunded: int
     final_seq: int
-    kind = "channel_close"
-
-    def to_fields(self) -> dict:
-        return {
-            "channel": self.channel,
-            "paid": self.paid,
-            "refunded": self.refunded,
-            "final_seq": self.final_seq,
-        }
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "ChannelClose":
-        return cls(f["channel"], f["paid"], f["refunded"], f["final_seq"])
 
 
-@record
+@payload("redeem")
 class Redeem:
     vmno: str
     hmno: str
     lots: tuple[str, ...]
     fiat: float
-    kind = "redeem"
-
-    def to_fields(self) -> dict:
-        return {
-            "vmno": self.vmno,
-            "hmno": self.hmno,
-            "lots": list(self.lots),
-            "fiat": self.fiat,
-        }
-
-    @classmethod
-    def from_fields(cls, f: dict) -> "Redeem":
-        return cls(f["vmno"], f["hmno"], tuple(f["lots"]), f["fiat"])
 
 
 TxPayload = Issue | AgreementRegistration | AttachCheck | ChannelOpen | ChannelClose | Redeem
@@ -250,16 +216,6 @@ def _int_field(rec: dict, key: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{key} must be an int, not {value!r}")
     return value
-
-
-def _hex_field(rec: dict, key: str) -> bytes:
-    """The bytes of ``rec[key]``, which must be their lower-case hex, as the
-    live ledger writes them (``bytes.fromhex`` also reads upper case)."""
-    value = rec[key]
-    raw = bytes.fromhex(value)
-    if raw.hex() != value:
-        raise ValueError(f"{key} must be lower-case hex, not {value!r}")
-    return raw
 
 
 @record

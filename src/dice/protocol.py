@@ -187,14 +187,6 @@ class DiceEngine:
             self._log(session, now, "deposit_exhausted", unserviced_bytes=unserviced)
         return len(proofs)
 
-    def run_session(self, session: RoamerSession, traffic_trace: list[tuple[int, int]],
-                    deposit: int) -> RoamerSession:
-        """Steps 5-7: open the channel and replay a traffic trace in order."""
-        self.open_session_channel(session, deposit, session.clock)
-        for when, nbytes in sorted(traffic_trace):
-            self.session_traffic(session, nbytes, when)
-        return session
-
     def detach(self, session: RoamerSession, now: int) -> RoamerSession:
         """Steps 8-10: close the channel and settle the session."""
         if session.state not in (CHANNEL_OPEN, ACTIVE):

@@ -45,14 +45,6 @@ class Parity:
 ChargingModel = Union[PerUnit, Fixed, Parity]
 
 
-def model_to_dict(model: ChargingModel) -> dict:
-    if isinstance(model, PerUnit):
-        return {"model": "per_unit", "rate": model.rate}
-    if isinstance(model, Fixed):
-        return {"model": "fixed", "flat": model.flat, "discount": model.discount}
-    return {"model": "parity", "tokens_per_mb": model.tokens_per_mb, "euro_per_mb": model.euro_per_mb}
-
-
 # The values of each charging-spec key that a price can be computed from.
 _RANGE = {"rate": (0.0, math.inf), "flat": (0.0, math.inf), "discount": (0.0, 1.0),
           "tokens_per_mb": (1, math.inf), "euro_per_mb": (0.0, math.inf)}

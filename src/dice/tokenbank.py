@@ -345,49 +345,20 @@ class TokenBank:
 
     # -- audit surfaces
 
-    def circulating_by_issuer(self) -> dict[str, int]:
-        out: dict[str, int] = {}
+    def supply_by_issuer(self) -> dict[str, dict[str, int]]:
+        """Per issuer, by name: the tokens it issued, those still circulating
+        and those burned."""
+        circulating: dict[str, int] = {}
         for lot in self.lots.values():
             if not lot.burned:
-                out[lot.issuer] = out.get(lot.issuer, 0) + lot.amount
-        return out
+                circulating[lot.issuer] = circulating.get(lot.issuer, 0) + lot.amount
+        return {m: {"issued": self.issued_by.get(m, 0), "circulating": circulating.get(m, 0),
+                    "burned": self.burned_by.get(m, 0)}
+                for m in sorted(set(self.issued_by) | set(circulating) | set(self.burned_by))}
 
     def supply_closure_ok(self) -> bool:
         """issued == circulating + burned, per issuer."""
-        circulating = self.circulating_by_issuer()
-        issuers = set(self.issued_by) | set(circulating) | set(self.burned_by)
-        return all(
-            self.issued_by.get(m, 0) == circulating.get(m, 0) + self.burned_by.get(m, 0)
-            for m in issuers
-        )
-
-    def snapshot(self) -> dict:
-        """Replay-comparable projection of the bank state.
-
-        Wallet owners are excluded: they never touch the ledger, so a
-        rebuilt bank cannot know them.
-        """
-        return {
-            "lots": {
-                lid: {
-                    "issuer": lot.issuer,
-                    "amount": lot.amount,
-                    "burned": lot.burned,
-                    "lineage": [(h, t.hex()) for h, t in lot.lineage],
-                }
-                for lid, lot in sorted(self.lots.items())
-            },
-            "wallets": {
-                wid: {"home": w.home_mno, "lots": sorted(lid for lots in w.lots.values() for lid in lots)}
-                for wid, w in sorted(self.wallets.items())
-            },
-            "locks": {
-                wid: dict(sorted(chans.items()))
-                for wid, chans in sorted(self.locks.items()) if chans
-            },
-            "issued": dict(sorted(self.issued_by.items())),
-            "burned": dict(sorted(self.burned_by.items())),
-        }
+        return all(s["issued"] == s["circulating"] + s["burned"] for s in self.supply_by_issuer().values())
 
     @classmethod
     def rebuild_from_ledger(cls, chain: Ledger | list[Block]) -> "TokenBank":

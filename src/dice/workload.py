@@ -15,7 +15,6 @@ that draw or summarise a trace, so loading a config does not load it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
@@ -161,9 +160,6 @@ class SessionEventTrace:
     arrivals: list[Arrival] = field(default_factory=list)
     # roamer -> [(day, bytes), ...], present only for non-silent roamers
     traffic: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-
-    def total_bytes(self) -> int:
-        return sum(b for rows in self.traffic.values() for _, b in rows)
 
 
 # --- popularity laws ---------------------------------------------------------
@@ -360,36 +356,3 @@ def calibration_report(trace: SessionEventTrace) -> CalibrationStats:
         churn_in_band_fraction=in_band / measurable if measurable else 0.0,
     )
 
-
-# --- persistence ----------------------------------------------------------------
-
-
-def save_trace_jsonl(trace: SessionEventTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "config", **trace.config.to_dict()},
-                            separators=(",", ":"), sort_keys=True) + "\n")
-        for a in trace.arrivals:
-            fh.write(json.dumps({"kind": "arrival", **asdict(a)},
-                                separators=(",", ":"), sort_keys=True) + "\n")
-        for roamer in trace.traffic:
-            for day, nbytes in trace.traffic[roamer]:
-                fh.write(json.dumps({"kind": "traffic", "roamer": roamer,
-                                     "day": day, "bytes": nbytes},
-                                    separators=(",", ":"), sort_keys=True) + "\n")
-
-
-def load_trace_jsonl(path) -> SessionEventTrace:
-    trace = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            kind = rec.pop("kind")
-            if kind == "config":
-                trace = SessionEventTrace(WorkloadConfig.from_dict(rec))
-            elif kind == "arrival":
-                trace.arrivals.append(Arrival(**rec))
-            elif kind == "traffic":
-                trace.traffic.setdefault(rec["roamer"], []).append((rec["day"], rec["bytes"]))
-    if trace is None:
-        raise EmptyTrace(str(path))
-    return trace

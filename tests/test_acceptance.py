@@ -36,6 +36,8 @@ from dice.settlement import PerUnit, RedemptionClaim, make_claim, redeem, valida
 from dice.tokenbank import LineageEntry, TokenBank, TokenLot
 from dice.workload import WorkloadConfig, generate
 
+from helpers import run_session
+
 
 @contextmanager
 def criterion(num: int, name: str):
@@ -169,7 +171,7 @@ def _honest_visit(eng, roamer, hmno, vmno, tokens, nbytes, t0):
     session = eng.new_session(roamer, wallet, hmno, vmno, LBO, t0)
     eng.attach_check(session, t0)
     eng.provision_profile(session)
-    eng.run_session(session, [(t0 + 10, nbytes)], tokens)
+    run_session(eng, session, [(t0 + 10, nbytes)], tokens)
     eng.detach(session, t0 + 100)
     return session
 

@@ -16,6 +16,8 @@ from dice.ledger import AgreementRegistration, AttachCheck, ChannelClose, Issue,
 from dice.protocol import LBO, DiceEngine
 from dice.tokenbank import treasury_wallet_id
 
+from helpers import bank_snapshot, run_session
+
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
 
@@ -29,7 +31,7 @@ def honest_engine():
         session = eng.new_session(roamer, wallet, "H", "V", LBO, 5 + i)
         eng.attach_check(session, 5 + i)
         eng.provision_profile(session)
-        eng.run_session(session, [(10 + i, nbytes)], 25)
+        run_session(eng, session, [(10 + i, nbytes)], 25)
         sessions[roamer] = session
     eng.detach(sessions["alice"], 50)
     eng.ledger.seal_block(60)
@@ -123,12 +125,12 @@ def test_signed_forgery_is_rejected_live_and_on_replay(forge, kind, error, tmp_p
     eng, sessions = honest_engine()
     forged = forge(eng, sessions)
 
-    pending, state = list(eng.ledger.pending), eng.bank.snapshot()
+    pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
     with pytest.raises(DiceError) as live:
         eng.ledger.submit(forged)
     assert type(live.value).__name__ == error
     assert eng.ledger.pending == pending
-    assert eng.bank.snapshot() == state
+    assert bank_snapshot(eng.bank) == state
 
     path = tmp_path / "ledger.jsonl"
     eng.ledger.save_jsonl(path)
@@ -167,10 +169,10 @@ def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
     rejects it on submit, and the parse rejects its literal on load."""
     eng, _ = honest_engine()
     forged = make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), fiat), eng.signer)
-    pending, state = list(eng.ledger.pending), eng.bank.snapshot()
+    pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
     with pytest.raises(PayloadRejected, match="fiat"):
         eng.ledger.submit(forged)
     assert eng.ledger.pending == pending
-    assert eng.bank.snapshot() == state
+    assert bank_snapshot(eng.bank) == state
     # The honest redeem of the same lots still goes through.
     eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.6), eng.signer))

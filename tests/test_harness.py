@@ -875,11 +875,17 @@ def test_cli_requirements_prints_strict_json(tmp_path, runner):
     assert json.loads(result.stdout, parse_constant=no_constant)["passed"] is True
 
 
-@pytest.mark.parametrize("content", ["not json", "[]", fake_report(concentration_hours=0).to_json()])
+@pytest.mark.parametrize("content", [
+    "not json", "[]", fake_report(concentration_hours=0).to_json(),
+    # An int figure is an exact int: not a string, a list or a bool.
+    fake_report(onchain="x").to_json(), fake_report(onchain=[1]).to_json(),
+    fake_report(onchain=True).to_json(),
+])
 def test_cli_requirements_unreadable_report_exits_one(tmp_path, runner, content):
     path = tmp_path / "report.json"
     path.write_text(content)
     for args in ([], ["--concentration-hours", "0"]):
         result = runner.invoke(cli_main, ["requirements", "--report", str(path), *args])
         assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
         assert "cannot read report" in result.output

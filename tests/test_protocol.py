@@ -32,6 +32,8 @@ from dice.protocol import (
 )
 from dice.tokenbank import TokenBank, TokenLot, LineageEntry
 
+from helpers import bank_snapshot, run_session
+
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
 
@@ -185,7 +187,7 @@ def test_run_session_full_visit_three_txs():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    assert eng.run_session(session, [(20, 2_500_000)], 25) is session
+    assert run_session(eng, session, [(20, 2_500_000)], 25) is session
     assert proofs_accepted(eng, session) == 25
     assert session.state == ACTIVE
     eng.detach(session, 30)
@@ -199,7 +201,7 @@ def test_silent_session_swept_still_three_txs():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    assert eng.run_session(session, [], 25) is session
+    assert run_session(eng, session, [], 25) is session
     assert proofs_accepted(eng, session) == 0
     assert session.state == CHANNEL_OPEN
     swept = eng.timeout_sweep(session.clock + 2 * 86_400)
@@ -213,7 +215,7 @@ def test_trace_exceeding_deposit_reports_unserviced():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    eng.run_session(session, [(20, 3_000_000)], 25)
+    run_session(eng, session, [(20, 3_000_000)], 25)
     assert proofs_accepted(eng, session) == 25
     assert eng.channels.channel(session.channel).unserviced_bytes == 500_000
     assert any(ev["event"] == "deposit_exhausted" for ev in session.events)
@@ -223,7 +225,7 @@ def test_detach_before_traffic_refunds():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    eng.run_session(session, [], 25)
+    run_session(eng, session, [], 25)
     eng.detach(session, 40)
     ch = eng.channels.channel(session.channel)
     assert ch.closed.paid == 0 and ch.closed.refunded == 25
@@ -233,7 +235,7 @@ def test_detach_twice():
     eng = engine()
     session = ready_session(eng)
     full_attach(eng, session)
-    eng.run_session(session, [(20, 200_000)], 25)
+    run_session(eng, session, [(20, 200_000)], 25)
     eng.detach(session, 40)
     with pytest.raises(WrongState):
         eng.detach(session, 50)
@@ -319,7 +321,7 @@ def run_mode(mode):
     eng = engine(seed=21)
     session = ready_session(eng, mode=mode)
     full_attach(eng, session)
-    eng.run_session(session, [(20, 1_234_567), (86_420, 900_000)], 25)
+    run_session(eng, session, [(20, 1_234_567), (86_420, 900_000)], 25)
     eng.detach(session, 100_000)
     eng.ledger.seal_block(100_001)
     ch = eng.channels.channel(session.channel)
@@ -355,14 +357,14 @@ REPLAY_SCENARIOS = {
 def test_rebuilt_bank_matches_live_bank(tmp_path):
     eng, session, _ = run_mode(LBO)
     rebuilt = TokenBank.rebuild_from_ledger(eng.ledger)
-    assert rebuilt.snapshot() == eng.bank.snapshot()
+    assert bank_snapshot(rebuilt) == bank_snapshot(eng.bank)
 
     for name, overrides in REPLAY_SCENARIOS.items():
         seen = []
 
         def replay_equals_live(live):
             seen.append(live)
-            assert TokenBank.rebuild_from_ledger(live.ledger).snapshot() == live.bank.snapshot()
+            assert bank_snapshot(TokenBank.rebuild_from_ledger(live.ledger)) == bank_snapshot(live.bank)
 
         config = ScenarioConfig(seed=3, days=3, roamers_per_vmno_day=30_000, **overrides)
         run_scenario(config, tmp_path / name, on_seal=replay_equals_live)

@@ -1,5 +1,6 @@
 """Every frozen record is declared with ``ledger.record``: a frozen slotted
-dataclass whose generated ``__init__`` behaves as the plain dataclass one."""
+dataclass whose generated ``__init__`` behaves as the plain dataclass one.
+Each payload kind's wire form is generated from its fields by ``ledger.payload``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import json
 import pickle
 from pathlib import Path
 
@@ -47,6 +49,7 @@ SAMPLES = {
 }
 RECORDS = list(SAMPLES)
 ids = pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+PAYLOADS = [Issue, AgreementRegistration, AttachCheck, ChannelOpen, ChannelClose, Redeem]
 
 
 def plain_twin(cls):
@@ -156,6 +159,23 @@ def test_pickle_and_deepcopy_round_trip(cls):
     rec = cls(*SAMPLES[cls])
     for copied in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
         assert type(copied) is cls and copied == rec and copied is not rec
+
+
+@pytest.mark.parametrize("cls", PAYLOADS, ids=[cls.__name__ for cls in PAYLOADS])
+def test_payload_wire_form_round_trips_in_field_order(cls):
+    p = cls(*SAMPLES[cls])
+    wire = p.to_fields()
+    assert list(wire) == [f.name for f in dataclasses.fields(cls)]
+    assert cls.from_fields(wire) == p
+    # Bytes are written as hex and tuples as lists, so the form is JSON as it stands.
+    assert json.loads(json.dumps(wire)) == wire
+
+
+def test_channel_open_rejects_an_upper_case_hashlock():
+    wire = ChannelOpen(*SAMPLES[ChannelOpen]).to_fields()
+    assert wire["hashlock"] == H32.hex() != H32.hex().upper()
+    with pytest.raises(ValueError, match="lower-case hex"):
+        ChannelOpen.from_fields({**wire, "hashlock": wire["hashlock"].upper()})
 
 
 def test_block_keys_default_to_a_fresh_dict():

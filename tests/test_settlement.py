@@ -1,5 +1,7 @@
 """Charging models, provenance validation and redemption."""
 
+import dataclasses
+
 import pytest
 
 from dice import codec
@@ -12,12 +14,13 @@ from dice.settlement import (
     RedemptionClaim,
     make_claim,
     model_from_dict,
-    model_to_dict,
     price,
     redeem,
     validate_provenance,
 )
 from dice.tokenbank import LineageEntry, TokenLot
+
+from helpers import bank_snapshot, run_session
 
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
@@ -55,8 +58,12 @@ def test_price_monotone_for_volume_models():
 
 
 def test_model_dict_roundtrip():
-    for model in (PerUnit(0.04), Fixed(1000, 0.2), Parity(10, 1.0)):
-        assert model_from_dict(model_to_dict(model)) == model
+    specs = [{"model": "per_unit", "rate": 0.04}, {"model": "fixed", "flat": 1000.0, "discount": 0.2},
+             {"model": "parity", "tokens_per_mb": 10, "euro_per_mb": 1.0}]
+    for spec, model in zip(specs, (PerUnit(0.04), Fixed(1000, 0.2), Parity(10, 1.0))):
+        read = model_from_dict(spec)
+        assert read == model
+        assert {"model": read.name, **dataclasses.asdict(read)} == spec
 
 
 # --- fixtures: an honest settled visit ----------------------------------------------
@@ -69,7 +76,7 @@ def honest_engine(tokens=25, traffic=2_500_000):
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     eng.attach_check(session, 5)
     eng.provision_profile(session)
-    eng.run_session(session, [(10, traffic)], tokens)
+    run_session(eng, session, [(10, traffic)], tokens)
     eng.detach(session, 50)
     eng.ledger.seal_block(60)
     return eng, session
@@ -118,16 +125,16 @@ def test_redeem_cannot_burn_tokens_in_channel_escrow():
     session = eng.new_session("alice", wallet, "V", "V", LBO, 5)
     eng.attach_check(session, 5)
     eng.provision_profile(session)
-    eng.run_session(session, [(10, 2_500_000)], 25)
+    run_session(eng, session, [(10, 2_500_000)], 25)
     eng.detach(session, 50)
     treasury = eng.bank.treasury("V")
     channel = eng.channels.open_channel(treasury, "V", 25, 60)
     claim = make_claim(eng.bank, PerUnit(0.04), "V", "V")
     assert validate_provenance(eng.bank, eng.ledger, claim).accepted
-    state = eng.bank.snapshot()
+    state = bank_snapshot(eng.bank)
     with pytest.raises(InsufficientBalance):
         redeem(eng, claim, 80)
-    assert eng.bank.snapshot() == state
+    assert bank_snapshot(eng.bank) == state
     eng.channels.close_channel(channel, 90)
     assert eng.bank.supply_closure_ok() and eng.bank.locked_amount(treasury) == 0
 
@@ -171,7 +178,7 @@ def test_wrong_issuer_is_rejected():
     session = eng.new_session("bob", wallet, "W", "V", LBO, 5)
     eng.attach_check(session, 5)
     eng.provision_profile(session)
-    eng.run_session(session, [(10, 1_000_000)], 10)
+    run_session(eng, session, [(10, 1_000_000)], 10)
     eng.detach(session, 50)
     eng.ledger.seal_block(60)
     lot_ids = sorted(l.lot_id for l in eng.bank.lots_of(eng.bank.treasury("V"), issuer="W"))
@@ -189,7 +196,7 @@ def test_cross_vmno_relay_is_rejected():
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)
     eng.attach_check(session, 5)
     eng.provision_profile(session)
-    eng.run_session(session, [(10, 2_500_000)], 25)
+    run_session(eng, session, [(10, 2_500_000)], 25)
     eng.detach(session, 50)
     eng.ledger.seal_block(60)
     close_tx = eng.channels.channel(session.channel).close_tx
@@ -238,7 +245,7 @@ def test_settlement_equivalence_per_unit():
         session = eng.new_session(roamer, wallet, "H", "V", LBO, 5 + i)
         eng.attach_check(session, 5 + i)
         eng.provision_profile(session)
-        eng.run_session(session, [(10 + i, nbytes)], 25)
+        run_session(eng, session, [(10 + i, nbytes)], 25)
         eng.detach(session, 50 + i)
     eng.ledger.seal_block(60)
     proofs = len(eng.channels.accepted_proofs)

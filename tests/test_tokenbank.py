@@ -17,6 +17,8 @@ from dice.errors import (
 from dice.ledger import ChannelClose, ChannelOpen, Issue, Ledger, QueryFilter, make_transaction
 from dice.tokenbank import TokenBank, tokens_for_bytes
 
+from helpers import bank_snapshot
+
 ROSTER = ["H", "V", "X"]
 KEYS = {m: codec.derive_key(0, m) for m in ROSTER}
 
@@ -70,7 +72,7 @@ def test_negative_amounts_rejected_by_apply(bank):
     sign = bank.ledger.signer_backend
     bank.ledger.submit(make_transaction(
         2, "H", ChannelOpen("ch-1", w, "V", 10, codec.sha256(b"p"), 999), sign))
-    before = (bank.snapshot(), list(bank.ledger.pending))
+    before = (bank_snapshot(bank), list(bank.ledger.pending))
     with pytest.raises(NonPositiveAmount):
         bank.apply(make_transaction(3, "H", Issue("H", w, -5), sign))
     with pytest.raises(PayloadRejected):
@@ -79,7 +81,7 @@ def test_negative_amounts_rejected_by_apply(bank):
         bank.apply(make_transaction(3, "H", ChannelClose("ch-1", 5.0, 5, 1), sign))
     with pytest.raises(NonPositiveAmount):
         bank.ledger.submit(make_transaction(4, "H", Issue("H", w, True), sign))
-    assert (bank.snapshot(), list(bank.ledger.pending)) == before
+    assert (bank_snapshot(bank), list(bank.ledger.pending)) == before
 
 
 def test_create_identities_funds_unlinked_wallets(bank):

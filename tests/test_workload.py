@@ -10,9 +10,7 @@ from dice.workload import (
     assign_mnos_to_countries,
     calibration_report,
     generate,
-    load_trace_jsonl,
     powerlaw_probs,
-    save_trace_jsonl,
     _top_share,
     solve_powerlaw_exponent,
 )
@@ -22,6 +20,10 @@ def small_config(**kw):
     defaults = dict(seed=7, roamers_per_vmno_day=60_000, scale=0.001, days=14)
     defaults.update(kw)
     return WorkloadConfig(**defaults)
+
+
+def trace_bytes(trace):
+    return sum(b for rows in trace.traffic.values() for _, b in rows)
 
 
 def test_same_seed_same_trace():
@@ -39,7 +41,7 @@ def test_different_seed_different_trace():
 
 def test_all_silent_means_zero_bytes():
     trace = generate(small_config(silent_fraction=1.0))
-    assert trace.total_bytes() == 0
+    assert trace_bytes(trace) == 0
     assert trace.traffic == {}
 
 
@@ -162,7 +164,7 @@ def test_calibration_report_matches_recount(default_trace):
     assert stats.median_daily_traffic_bytes == pytest.approx(median_daily)
     assert stats.top10_country_share == pytest.approx(top10_c)
     assert stats.top10_mno_traffic_share == pytest.approx(top10_m)
-    assert stats.total_bytes == default_trace.total_bytes()
+    assert stats.total_bytes == trace_bytes(default_trace)
     assert stats.arrivals_total == len(default_trace.arrivals)
 
 
@@ -209,22 +211,6 @@ def test_scale_linearity():
     t1 = generate(base)
     t2 = generate(doubled)
     ratio_arrivals = len(t2.arrivals) / len(t1.arrivals)
-    ratio_bytes = t2.total_bytes() / t1.total_bytes()
+    ratio_bytes = trace_bytes(t2) / trace_bytes(t1)
     assert ratio_arrivals == pytest.approx(2.0, rel=0.05)
     assert ratio_bytes == pytest.approx(2.0, rel=0.05)
-
-
-def test_trace_jsonl_roundtrip(tmp_path):
-    trace = generate(small_config())
-    path = tmp_path / "trace.jsonl"
-    save_trace_jsonl(trace, path)
-    loaded = load_trace_jsonl(path)
-    assert loaded.config == trace.config
-    again = tmp_path / "again.jsonl"
-    save_trace_jsonl(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
-    assert loaded.arrivals == trace.arrivals
-    assert loaded.traffic == trace.traffic
-    stats_a = calibration_report(trace)
-    stats_b = calibration_report(loaded)
-    assert stats_a == stats_b
