@@ -117,7 +117,7 @@ def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_
         assumptions.visited_mno_daily_bytes = int(daily_bytes)
     try:
         report = MetricsReport.from_json_file(report_path)
-    except (OSError, ValueError, TypeError, InvalidConfig) as exc:
+    except (OSError, ValueError, InvalidConfig) as exc:
         click.echo(f"cannot read report: {exc}", err=True)
         sys.exit(1)
     try:

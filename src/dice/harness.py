@@ -21,7 +21,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Optional
@@ -33,7 +33,8 @@ from .ledger import ChannelClose, Redeem, ValidityReport, load_blocks_jsonl
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes, verify_blocks
-from .workload import COUNT, POSITIVE, SessionEventTrace, WorkloadConfig, config_schema, generate, knob
+from .workload import (AMOUNT, COUNT, POSITIVE, TALLY, SessionEventTrace, WorkloadConfig, _check_schema,
+                       _require_float_range, config_schema, generate, knob)
 
 DAY = 86_400
 
@@ -63,8 +64,8 @@ class ScenarioConfig(WorkloadConfig):
         super().validate()
         try:
             model_from_dict(self.charging)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidConfig(f"$.charging: {exc!r}") from None
+        except InvalidConfig as exc:  # its path re-rooted at this field
+            raise InvalidConfig(f"$.charging{str(exc)[1:]}") from None
 
     def workload(self) -> WorkloadConfig:
         return WorkloadConfig(**{f.name: getattr(self, f.name) for f in fields(WorkloadConfig)})
@@ -91,19 +92,22 @@ SCENARIO_SCHEMA = config_schema(ScenarioConfig)
 # --- metrics -----------------------------------------------------------------
 
 
+TALLIES = {"type": "object", "additionalProperties": TALLY}  # counts by name
+
+
 @dataclass
 class MetricsReport:
-    config: dict
-    onchain_tx_total: int
-    onchain_tx_by_kind: dict[str, int]
-    offchain_proofs_total: int
-    peak_onchain_tps: int
-    sessions_completed: int
-    silent_sessions: int
-    bytes_serviced: int
-    tokens_settled_by_pair: dict[str, int]
-    fiat_cleared_by_pair: dict[str, float]
-    extrapolated: dict
+    config: dict = knob(MISSING, {"type": "object"})  # read as a ScenarioConfig
+    onchain_tx_total: int = knob(MISSING, TALLY)
+    onchain_tx_by_kind: dict[str, int] = knob(MISSING, TALLIES)
+    offchain_proofs_total: int = knob(MISSING, TALLY)
+    peak_onchain_tps: int = knob(MISSING, TALLY)
+    sessions_completed: int = knob(MISSING, TALLY)
+    silent_sessions: int = knob(MISSING, TALLY)
+    bytes_serviced: int = knob(MISSING, TALLY)
+    tokens_settled_by_pair: dict[str, int] = knob(MISSING, TALLIES)
+    fiat_cleared_by_pair: dict[str, float] = knob(MISSING, {"type": "object", "additionalProperties": AMOUNT})
+    extrapolated: dict[str, int] = knob(MISSING, TALLIES)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -113,17 +117,15 @@ class MetricsReport:
 
     @classmethod
     def from_json_file(cls, path) -> "MetricsReport":
-        """A written report: each int figure a non-negative int (bool
-        excluded), else ValueError; its config must validate (raises
-        InvalidConfig)."""
+        """A report read against ``REPORT_SCHEMA``, its config validated; raises InvalidConfig."""
         with open(path, "r", encoding="utf-8") as fh:
-            report = cls(**json.load(fh))
-        for f in fields(cls):
-            value = getattr(report, f.name)
-            if f.type == "int" and (type(value) is not int or value < 0):
-                raise ValueError(f"{f.name} must be a non-negative int, not {value!r}")
-        ScenarioConfig.from_dict(report.config)
-        return report
+            raw = json.load(fh)
+        _check_schema(cls, raw)
+        ScenarioConfig.from_dict(raw["config"])
+        return cls(**raw)
+
+
+REPORT_SCHEMA = config_schema(MetricsReport)
 
 
 def extrapolate(raw: float, scale: float, num_mnos: int) -> int:
@@ -172,6 +174,7 @@ def run_scenario(
     out_dir) or an explicit path.
     """
     config.validate()
+    _require_float_range(num_mnos=config.num_mnos)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,16 +393,10 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
     overrides = {k: v for k, v in asdict(assumptions).items()
                  if v is not None and k in SCENARIO_SCHEMA["properties"]}
     cfg = ScenarioConfig.from_dict({**report.config, **overrides})
-    factor = float(cfg.avg_mno_factor)
-    tps_capacity = int(cfg.tps_capacity)
-    concentration_hours = float(cfg.concentration_hours)
-    for name, value in (("tps_capacity", tps_capacity), ("num_mnos", cfg.num_mnos),
-                        ("onchain_tx_total", report.onchain_tx_total),
-                        ("offchain_proofs_total", report.offchain_proofs_total)):
-        try:
-            float(value)
-        except OverflowError:
-            raise InvalidConfig(f"{name} is beyond float range; every figure must be finite") from None
+    tps_capacity, factor = cfg.tps_capacity, cfg.avg_mno_factor
+    _require_float_range(tps_capacity=tps_capacity, num_mnos=cfg.num_mnos,
+                         onchain_tx_total=report.onchain_tx_total,
+                         offchain_proofs_total=report.offchain_proofs_total)
 
     onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
     daily_onchain = onchain_daily_full * cfg.num_mnos * factor
@@ -409,7 +406,7 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
         daily_offchain = report.offchain_proofs_total / cfg.days / cfg.scale
     daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor
 
-    peak = daily_onchain / (concentration_hours * 3600.0)
+    peak = daily_onchain / (cfg.concentration_hours * 3600.0)
     verdict = RequirementsVerdict(
         capacity_tps=tps_capacity,
         projected_peak_tps=peak,

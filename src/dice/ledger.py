@@ -101,24 +101,34 @@ def payload(kind: str):
     ``__init__`` of ``record``, write and read the fields in declared order.
     A ``bytes`` field is written as lower-case hex and read back through
     ``_hex_field``, a ``tuple`` field is written as a JSON list and read back
-    as a tuple, and any other field passes through as is."""
+    as a tuple, and any other field passes through as is.  ``from_fields``
+    raises ValueError unless each str, int, bool or dict field holds exactly
+    that type, and each tuple field a list of str."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, read = [], []
+        written, checks, read = [], [], []
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
             value, arg = f"self.{name}", f"f[{name!r}]"
             if hint is bytes:
                 value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
-            elif hint is tuple:
+            elif hint is not float:  # a float is left to the bank
+                arg, want = f"v_{name}", hint.__name__
+                test = f"type({arg}) is {want}"
+                if hint is tuple:
+                    want = "list of str"
+                    test = f"type({arg}) is list and all(type(s) is str for s in {arg})"
+                checks.append(f"    {arg} = f[{name!r}]\n    if not ({test}):\n"
+                              f"        raise ValueError(f'{name} must be of type {want}, not {{{arg}!r}}')\n")
+            if hint is tuple:
                 value, arg = f"list({value})", f"tuple({arg})"
             written.append(f"{name!r}: {value}")
             read.append(arg)
         env = {"__name__": cls.__module__, "_hex_field": _hex_field}
         exec(f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
-             f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n", env)
+             f"def from_fields(cls, f):\n{''.join(checks)}    return cls({', '.join(read)})\n", env)
         for name in ("to_fields", "from_fields"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
         cls.to_fields = env["to_fields"]

@@ -10,68 +10,53 @@ rejected, which is the anti-laundering core of the scheme.
 from __future__ import annotations
 
 import csv
-import math
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
+from .errors import InvalidConfig
 from .ledger import Ledger, Redeem, make_transaction, record
 from .tokenbank import TokenBank, treasury_wallet_id
+from .workload import AMOUNT, COUNT, FRACTION, _check_schema, knob
 
 # --- charging models --------------------------------------------------------
 
 
 @record
 class PerUnit:
-    rate: float  # currency per token
+    rate: float = knob(MISSING, AMOUNT)  # currency per token
     name = "per_unit"
 
 
 @record
 class Fixed:
-    flat: float              # currency per settlement period
-    discount: float = 0.0    # post-discount adjustment, in [0, 1]
+    flat: float = knob(MISSING, AMOUNT)        # currency per settlement period
+    discount: float = knob(0.0, FRACTION)     # post-discount adjustment
     name = "fixed"
 
 
 @record
 class Parity:
     """1 roaming coin buys 1MB and costs 1 euro (tokens are 100KB each)."""
-    tokens_per_mb: int = 10
-    euro_per_mb: float = 1.0
+    tokens_per_mb: int = knob(10, COUNT)
+    euro_per_mb: float = knob(1.0, AMOUNT)
     name = "parity"
 
 
 ChargingModel = Union[PerUnit, Fixed, Parity]
 
 
-# The values of each charging-spec key that a price can be computed from.
-_RANGE = {"rate": (0.0, math.inf), "flat": (0.0, math.inf), "discount": (0.0, 1.0),
-          "tokens_per_mb": (1, math.inf), "euro_per_mb": (0.0, math.inf)}
-
-
 def model_from_dict(spec: dict) -> ChargingModel:
-    """Read a charging spec strictly: a known model, only the keys it
-    declares, and each value finite and in range: an int for an int key
-    (``tokens_per_mb``), an int or float for the others, never a bool."""
-    spec = dict(spec)
-    kind = spec.pop("model")
+    """Read a charging spec strictly: ``model`` names a model, whose
+    ``config_schema`` the other keys fit; a number key's int is read as a
+    float.  Raises InvalidConfig, its message starting with the fault's path."""
+    kind = spec.get("model") if isinstance(spec, dict) else None
     model = next((m for m in (PerUnit, Fixed, Parity) if m.name == kind), None)
     if model is None:
-        raise ValueError(f"unknown charging model {kind!r}")
-    unknown = set(spec) - {f.name for f in fields(model)}
-    if unknown:
-        raise ValueError(f"{kind} charging spec has unknown keys {sorted(unknown)}")
-    for key, value in spec.items():
-        low, high = _RANGE[key]
-        kinds = (int,) if type(low) is int else (int, float)
-        if type(value) not in kinds:
-            raise ValueError(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, not {value!r}")
-        # Checked before conversion: an int too large for a float is not finite.
-        if not (abs(value) <= sys.float_info.max and low <= value <= high):
-            raise ValueError(f"{key} must be finite and in [{low}, {high}], not {value!r}")
-        spec[key] = type(low)(value)
-    return model(**spec)  # TypeError if a key it needs is missing
+        raise InvalidConfig(f"$.model: {kind!r} is not a charging model")
+    args = {k: v for k, v in spec.items() if k != "model"}
+    _check_schema(model, args)
+    floats = {f.name for f in fields(model) if f.type == "float"}
+    return model(**{k: float(v) if k in floats else v for k, v in args.items()})
 
 
 def price(model: ChargingModel, tokens: int) -> float:

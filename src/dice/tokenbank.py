@@ -17,7 +17,6 @@ checks read; a wallet keeps its lots by issuer.  One token pays for one
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
@@ -27,6 +26,7 @@ from .errors import (
     DuplicateAgreement,
     ForeignWallet,
     InsufficientBalance,
+    InvalidConfig,
     NonPositiveAmount,
     NotIssuer,
     PayloadRejected,
@@ -40,6 +40,7 @@ from .errors import (
 )
 from .ledger import (AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen, Issue, Ledger,
                      Redeem, Transaction, ValidityReport, make_transaction)
+from .workload import AMOUNT, _fault
 
 TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 
@@ -83,13 +84,6 @@ def treasury_wallet_id(mno: str) -> str:
 def _is_count(value) -> bool:
     """A token count is a non-negative int (bool excluded)."""
     return type(value) is int and value >= 0
-
-
-def _is_amount(value) -> bool:
-    """A fiat amount is a finite non-negative float or int (bool excluded).
-    Compared, not passed to ``math.isfinite``: an int beyond float range is
-    not finite and would make it overflow."""
-    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
 
 
 class TokenBank:
@@ -294,7 +288,7 @@ class TokenBank:
         elif isinstance(p, Redeem):
             if tx.signer != p.vmno:
                 raise PayloadRejected(f"redeem for {p.vmno} signed by {tx.signer}")
-            if not _is_amount(p.fiat):
+            if _fault(AMOUNT, p.fiat, "fiat"):
                 raise PayloadRejected(f"redeem for {p.vmno}: fiat {p.fiat!r} is not a finite "
                                       "non-negative number")
             if len(set(p.lots)) != len(p.lots):
@@ -318,8 +312,8 @@ class TokenBank:
             from .settlement import model_from_dict  # settlement imports this module
             try:
                 model_from_dict(p.charging)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} charging: {exc!r}") from None
+            except InvalidConfig as exc:
+                raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} charging: {exc}") from None
             self.agreements[(p.hmno, p.vmno)] = p
 
     def provenance_fault(self, lot_id: str, hmno: str, vmno: Optional[str] = None) -> Optional[str]:

@@ -6,17 +6,18 @@ stays with a 2.5-day median, half the roamers silent, log-normal daily
 traffic with a 1MB median, and power-law home-country / home-MNO
 popularity calibrated so the top 10 carry the reported shares.
 
-Each config knob is a field holding its default and JSON-schema fragment.
-``config_schema`` publishes the fragments; ``_check_schema`` checks a
-config against them in this module and also rejects NaN, infinity
-and non-int integers.  numpy is imported only by the functions
-that draw or summarise a trace, so loading a config does not load it.
+Each field read from outside (config knob, charging-spec key, report
+figure) is declared by ``knob`` with its default and JSON-schema fragment;
+``config_schema`` publishes them and ``_fault`` alone checks them, also
+rejecting a non-finite number (an int beyond float range too) and a non-int
+integer.  Only the generator and calibration import numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 from .errors import EmptyTrace, InvalidConfig
@@ -26,20 +27,24 @@ COUNT = {"type": "integer", "minimum": 1}
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 SHARE = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+TALLY = {"type": "integer", "minimum": 0}   # a count that may be zero
+AMOUNT = {"type": "number", "minimum": 0}   # a money amount
 
 
 def knob(default, schema: dict):
-    """A config field: its default and the JSON-schema fragment of its values."""
+    """A declared field: its default (``MISSING`` for none) and its values' JSON-schema fragment."""
     if isinstance(default, dict):
         return field(default_factory=lambda: dict(default), metadata={"schema": schema})
     return field(default=default, metadata={"schema": schema})
 
 
+@cache
 def config_schema(cls) -> dict:
-    """The JSON schema of a config dataclass, built from its fields."""
+    """The JSON schema of a class of declared fields, built once per class."""
     properties = {f.name: f.metadata["schema"] for f in fields(cls)}
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     return {"$schema": "https://json-schema.org/draft/2020-12/schema", "type": "object",
-            "additionalProperties": False, "properties": properties}
+            "additionalProperties": False, "properties": properties, "required": required}
 
 
 # JSON-schema types; bool is not a number, and an integer is an exact int (not 2.0).
@@ -61,8 +66,9 @@ def _fault(schema: dict, value, path: str) -> str | None:
     if "enum" in schema and value not in schema["enum"]:
         return f"{path}: {value!r} is not one of {schema['enum']!r}"
     if kind in ("integer", "number"):
-        if isinstance(value, float) and not math.isfinite(value):
-            return f"{path}: {value!r} is not finite"  # bounds compare false against NaN
+        # Bounds compare false against NaN, and an int no float holds is not finite.
+        if kind == "number" and not abs(value) <= sys.float_info.max:
+            return f"{path}: {value!r} is not finite"
         if "minimum" in schema and value < schema["minimum"]:
             return f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}"
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
@@ -81,26 +87,33 @@ def _fault(schema: dict, value, path: str) -> str | None:
             fault = _fault(schema.get("items", {}), item, f"{path}[{i}]")
             if fault:
                 return fault
+    elif kind == "object":
+        missing = [name for name in schema.get("required", ()) if name not in value]
+        if missing:
+            return f"{path}: {missing[0]!r} is a required property"
+        properties, others = schema.get("properties", {}), schema.get("additionalProperties", {})
+        for name, item in value.items():
+            fragment = properties.get(name, others)
+            fault = (f"{path}.{name}: not a declared field" if fragment is False
+                     else _fault(fragment, item, f"{path}.{name}"))
+            if fault:
+                return fault
     return None
 
 
-@cache
-def _properties(cls) -> dict:
-    return config_schema(cls)["properties"]
-
-
 def _check_schema(cls, data) -> None:
-    """Raise InvalidConfig naming the first field of ``data`` that is unknown
-    or does not fit its knob's fragment."""
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"$: {data!r} is not of type 'object'")
-    properties = _properties(cls)
-    for name, value in data.items():
-        if name not in properties:
-            raise InvalidConfig(f"$.{name}: not a config field")
-        fault = _fault(properties[name], value, f"$.{name}")
-        if fault:
-            raise InvalidConfig(fault)
+    """Raise InvalidConfig naming the first field of ``data`` that is missing,
+    unknown or does not fit its fragment in ``config_schema(cls)``."""
+    fault = _fault(config_schema(cls), data, "$")
+    if fault:
+        raise InvalidConfig(fault)
+
+
+def _require_float_range(**figures: int) -> None:
+    """Raise InvalidConfig naming the first int figure no float holds (integer knobs have no maximum)."""
+    for name, value in figures.items():
+        if abs(value) > sys.float_info.max:
+            raise InvalidConfig(f"{name} is beyond float range; every figure must be finite")
 
 
 @dataclass
@@ -124,8 +137,9 @@ class WorkloadConfig:
 
     def validate(self) -> None:
         """Raise InvalidConfig unless the fields fit the schema (every number
-        finite) and the churn band is ordered."""
+        finite), the generator can scale the population, and the churn band is ordered."""
         _check_schema(type(self), self.to_dict())
+        _require_float_range(roamers_per_vmno_day=self.roamers_per_vmno_day)
         lo, hi = self.churn_fraction_range
         if lo > hi:
             raise InvalidConfig(f"$.churn_fraction_range: {lo} > {hi}")

@@ -10,9 +10,10 @@ import math
 
 import pytest
 
-from dice.errors import DiceError, PayloadRejected
+from dice.errors import DiceError, LedgerParseError, PayloadRejected
 from dice.harness import verify_ledger
-from dice.ledger import AgreementRegistration, AttachCheck, ChannelClose, Issue, Redeem, make_transaction
+from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Redeem,
+                         load_blocks_jsonl, make_transaction)
 from dice.protocol import LBO, DiceEngine
 from dice.tokenbank import treasury_wallet_id
 
@@ -176,3 +177,32 @@ def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
     assert bank_snapshot(eng.bank) == state
     # The honest redeem of the same lots still goes through.
     eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.6), eng.signer))
+
+
+# Signed payloads with a field of a type the live engine never writes, as
+# (signer, payload).  No token rule reads these fields, so the bank takes
+# them; only the typed load of a saved chain can reject them.
+MISTYPED = {
+    "channel open timelock 'never'": lambda s: (
+        "alice", ChannelOpen("ch-typed", s["alice"].active_wallet, "V", 1, bytes(32), "never")),
+    "attach check accepted 'maybe'": lambda s: ("V", AttachCheck(s["bob"].active_wallet, "V", "H", "maybe")),
+    "attach check int wallet": lambda s: ("V", AttachCheck(7, "V", "H", True)),
+    "issue int wallet": lambda s: ("H", Issue("H", 7, 10)),
+    "agreement accepts int": lambda s: ("V", AgreementRegistration("V", "H", (5,), CHARGING)),
+}
+
+
+@pytest.mark.parametrize("forge", MISTYPED.values(), ids=MISTYPED)
+def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
+    eng, sessions = honest_engine()
+    signer, payload = forge(sessions)
+    eng.ledger.pending.append(make_transaction(70, signer, payload, eng.signer))
+    block = eng.ledger.seal_block(80)
+    path = tmp_path / "ledger.jsonl"
+    eng.ledger.save_jsonl(path)
+    with pytest.raises(LedgerParseError) as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == block.height
+    result = verify_ledger(path)
+    assert not result.valid and result.first_invalid_height == block.height
+    assert result.reason.startswith("parse error") and "must be of type" in result.reason

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_args
 
@@ -20,6 +20,7 @@ import dice
 from dice.cli import main as cli_main
 from dice.errors import InvalidConfig, IoFailure
 from dice.harness import (
+    REPORT_SCHEMA,
     SCENARIO_SCHEMA,
     MetricsReport,
     RequirementsAssumptions,
@@ -32,8 +33,9 @@ from dice.harness import (
     verify_ledger,
 )
 from dice.ledger import QueryFilter, TxPayload, load_blocks_jsonl
+from dice.settlement import Fixed, Parity, PerUnit
 from dice.tokenbank import TokenBank
-from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, _check_schema, generate
+from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, _check_schema, config_schema, generate
 
 
 def minimal_trace(cfg, nbytes=2_500_000, silent=False):
@@ -456,8 +458,6 @@ def test_unordered_churn_band_is_rejected():
 
 # --- the in-repo config check against jsonschema ---------------------------------
 
-PROPS = SCENARIO_SCHEMA["properties"]
-JSONSCHEMA = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 # Per fragment type, values of other JSON types.
 WRONG_TYPE = {"integer": ["7", None, [1]], "number": ["0.5", None, {}], "string": [1, None, []],
               "boolean": [1, "true", None], "array": [0.5, "ab", {}], "object": [[], "x", 1]}
@@ -480,7 +480,8 @@ def in_range(frag):
         return st.booleans()
     if kind == "array":
         return st.lists(in_range(frag["items"]), min_size=frag["minItems"], max_size=frag["maxItems"])
-    return st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    values = frag.get("additionalProperties")
+    return st.dictionaries(st.text(max_size=3), in_range(values) if values else st.integers(), max_size=2)
 
 
 def labelled(label, values):
@@ -508,6 +509,8 @@ def faulty(frag):
         if "maximum" in frag:
             cases.append(labelled("out of range", st.floats(frag["maximum"], 1e9, exclude_min=True)))
         cases.append(labelled("non-finite", non_finite))
+        # An int no float holds: jsonschema takes it as a number.
+        cases.append(labelled("beyond float range", st.integers(2**1024, 2**1030)))
     if kind == "string" and frag.get("minLength"):
         cases.append(labelled("out of range", st.just("")))
     if kind == "array":
@@ -516,56 +519,103 @@ def faulty(frag):
         cases.append(labelled("out of range", st.lists(item, min_size=frag["maxItems"] + 1, max_size=4)))
         cases.append(labelled("out of range", st.tuples(item, st.floats(1.01, 10)).map(list)))
         cases.append(labelled("non-finite", st.tuples(item, non_finite).map(list)))
+    if kind == "object" and "additionalProperties" in frag:
+        # A map holding one faulty value, under a key that ends no path early.
+        cases.append(faulty(frag["additionalProperties"]).map(lambda fault: (fault[0], {"k": fault[1]})))
     return st.one_of(cases)
 
 
-def named_by_jsonschema(data):
+def named_by_jsonschema(schema, data):
     """The field jsonschema's best-matching error names, or None if it accepts."""
-    error = jsonschema.exceptions.best_match(JSONSCHEMA.iter_errors(data))
+    error = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(schema).iter_errors(data))
     if error is None:
         return None
     if error.path:
         return error.path[0]
     if error.validator == "additionalProperties":
-        (unknown,) = set(data) - set(PROPS)
+        (unknown,) = set(data) - set(schema["properties"])
         return unknown
     return "$"
 
 
+def fragment_fields(schema):
+    """One field per distinct fragment; of the objects, only maps."""
+    return sorted({json.dumps(frag, sort_keys=True): name for name, frag in schema["properties"].items()
+                   if frag.get("type") != "object" or "additionalProperties" in frag}.values())
+
+
 # One field per distinct knob fragment, then the faults of the whole object.
-FRAGMENT_FIELDS = sorted({json.dumps(frag, sort_keys=True): name for name, frag in PROPS.items()
-                          if frag.get("type") != "object"}.values())
-UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(lambda k: k not in PROPS)
+FRAGMENT_FIELDS = fragment_fields(SCENARIO_SCHEMA)
+UNKNOWN_KEY = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
 NON_OBJECT = st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3),
                        st.none(), st.booleans())
+
+
+def check_agreement(cls, fault, data):
+    """Required fields and others in range, and at most one fault: the in-repo
+    check of ``cls`` and jsonschema on ``config_schema(cls)`` both name its
+    field (``$`` for the whole object, a missing key included)."""
+    schema = config_schema(cls)
+    props = schema["properties"]
+    others = data.draw(st.lists(st.sampled_from(sorted(props)), unique=True, max_size=4))
+    config = {name: data.draw(in_range(props[name])) for name in [*schema["required"], *others]}
+    if fault == "non-object":
+        label, config, culprit = fault, data.draw(NON_OBJECT), "$"
+    elif fault == "unknown key":
+        label, culprit = fault, data.draw(UNKNOWN_KEY.filter(lambda k: k not in props))
+        config[culprit] = data.draw(st.integers())
+    elif fault == "missing key":
+        label, culprit = fault, "$"
+        del config[data.draw(st.sampled_from(schema["required"]))]
+    else:
+        label, config[fault] = data.draw(labelled("valid", in_range(props[fault])) | faulty(props[fault]))
+        culprit = None if label == "valid" else fault
+    try:
+        _check_schema(cls, config)
+        named = None
+    except InvalidConfig as exc:
+        named = re.match(r"\$\.?([^:\[.]*)", str(exc)).group(1) or "$"
+    assert named == culprit
+    # Only the in-repo check rejects integral floats in integer fields, NaN,
+    # infinity and ints beyond float range.
+    if label in ("integral float", "non-finite", "beyond float range"):
+        assert named_by_jsonschema(schema, config) in (None, culprit)
+    else:
+        assert named_by_jsonschema(schema, config) == culprit
 
 
 @pytest.mark.parametrize("fault", [*FRAGMENT_FIELDS, "unknown key", "non-object"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_in_repo_check_agrees_with_jsonschema(fault, data):
-    """Other fields in range, and at most one fault: both checks name its field."""
-    others = data.draw(st.lists(st.sampled_from(sorted(PROPS)), unique=True, max_size=4))
-    config = {name: data.draw(in_range(PROPS[name])) for name in others}
-    if fault == "non-object":
-        label, config, culprit = fault, data.draw(NON_OBJECT), "$"
-    elif fault == "unknown key":
-        label, culprit = fault, data.draw(UNKNOWN_KEY)
-        config[culprit] = data.draw(st.integers())
-    else:
-        label, config[fault] = data.draw(labelled("valid", in_range(PROPS[fault])) | faulty(PROPS[fault]))
-        culprit = None if label == "valid" else fault
-    try:
-        _check_schema(ScenarioConfig, config)
-        named = None
-    except InvalidConfig as exc:
-        named = re.match(r"\$\.?([^:\[]*)", str(exc)).group(1) or "$"
-    assert named == culprit
-    # Only the in-repo check rejects integral floats in integer fields and NaN or infinity.
-    if label in ("integral float", "non-finite"):
-        assert named_by_jsonschema(config) in (None, culprit)
-    else:
-        assert named_by_jsonschema(config) == culprit
+    check_agreement(ScenarioConfig, fault, data)
+
+
+# A report and each charging model: their fields, a missing key if one is
+# required, an unknown key and a non-object.
+OTHER_SCHEMAS = {"report": MetricsReport, "per_unit": PerUnit, "fixed": Fixed, "parity": Parity}
+OTHER_FAULTS = [(name, fault) for name, cls in OTHER_SCHEMAS.items()
+                for fault in [*fragment_fields(config_schema(cls)), "unknown key", "non-object",
+                              *(["missing key"] if config_schema(cls)["required"] else [])]]
+
+
+@pytest.mark.parametrize("name, fault", OTHER_FAULTS, ids=[f"{n}-{f}" for n, f in OTHER_FAULTS])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_in_repo_check_agrees_with_jsonschema_on_reports_and_charging_specs(name, fault, data):
+    check_agreement(OTHER_SCHEMAS[name], fault, data)
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, MetricsReport, PerUnit, Fixed, Parity])
+def test_every_field_read_from_outside_declares_a_schema_fragment(cls):
+    """So no field, a new report figure included, skips the one checker."""
+    assert [f.name for f in fields(cls) if "schema" not in f.metadata] == []
+    schema = config_schema(cls)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    assert list(schema["properties"]) == [f.name for f in fields(cls)]
+    assert schema["required"] == [f.name for f in fields(cls)
+                                  if f.default is MISSING and f.default_factory is MISSING]
+    assert REPORT_SCHEMA is config_schema(MetricsReport) and SCENARIO_SCHEMA is config_schema(ScenarioConfig)
 
 
 # Run in a fresh interpreter on a run's output directory: neither command
@@ -863,6 +913,24 @@ def test_cli_requirements_int_beyond_float_range_is_a_usage_error(tmp_path, runn
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("field", ["num_mnos", "roamers_per_vmno_day"])
+def test_cli_int_beyond_float_range_in_a_config_is_a_usage_error(tmp_path, runner, field):
+    """Rejected before any work: nothing is written, and no OverflowError
+    traceback ends the run (extrapolation or the generator met it)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"days": 2, field: 10**400}))
+    out = tmp_path / "out"
+    commands = [["simulate", "--out-dir", str(out)]]
+    if field == "roamers_per_vmno_day":
+        commands.append(["calibrate"])
+    for command in commands:
+        result = runner.invoke(cli_main, [*command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert field in result.stderr and result.stdout == ""
+    assert not out.exists()
+
+
 def test_cli_requirements_prints_strict_json(tmp_path, runner):
     def no_constant(name):
         raise ValueError(f"non-JSON constant {name}")
@@ -875,11 +943,24 @@ def test_cli_requirements_prints_strict_json(tmp_path, runner):
     assert json.loads(result.stdout, parse_constant=no_constant)["passed"] is True
 
 
+def report_json(**figures):
+    """``fake_report()``'s JSON with ``figures`` in place of its own."""
+    return json.dumps({**fake_report().to_dict(), **figures})
+
+
 @pytest.mark.parametrize("content", [
     "not json", "[]", fake_report(concentration_hours=0).to_json(),
     # An int figure is an exact int: not a string, a list or a bool.
     fake_report(onchain="x").to_json(), fake_report(onchain=[1]).to_json(),
     fake_report(onchain=True).to_json(),
+    # The maps are read against REPORT_SCHEMA too: counts are non-negative
+    # ints, and fiat is a finite non-negative number.
+    report_json(tokens_settled_by_pair={"V|H": -1}), report_json(onchain_tx_by_kind={"issue": 1.5}),
+    report_json(extrapolated={"onchain_tx_total": "x"}), report_json(fiat_cleared_by_pair={"V|H": "1"}),
+    report_json(fiat_cleared_by_pair={"V|H": 10**400}),
+    # Every figure is required, and no other is read.
+    json.dumps({k: v for k, v in fake_report().to_dict().items() if k != "extrapolated"}),
+    report_json(bonus=1),
 ])
 def test_cli_requirements_unreadable_report_exits_one(tmp_path, runner, content):
     path = tmp_path / "report.json"
