@@ -5,17 +5,19 @@ Every value that is hashed or signed anywhere in the simulator goes through
 runs and platforms.  The encoding is length-prefixed and type-tagged;
 dict keys are emitted in sorted order.
 
-The encoder dispatches on the exact type of a value, testing str, int,
-list/tuple and dict first: the shapes the simulator hashes.  A value whose
-type is a subclass of a supported type follows the same rules: its rule is
-the first that ``isinstance`` picks in the order None, True, False, int,
-float, str, bytes/bytearray, list/tuple, dict.  So an ``IntEnum`` member
-encodes as an int and a ``dict`` subclass as a dict.  Any other value
-raises ``TypeError``.
+A value's rule is the first that ``isinstance`` picks in the order None,
+True, False, int, float, str, bytes/bytearray, list/tuple, dict, and each
+rule's bytes are built in one place; lists, tuples and dicts encode each
+item by the same rules.  So an ``IntEnum`` member encodes as an int and a
+``dict`` subclass as a dict.  Any other value raises ``TypeError``.
 
-A ``RecordLayout`` encodes the fixed part of a tagged record once, so
-records of one tag and key set, such as the transactions of one payload
-kind, are hashed without re-encoding it or re-sorting its keys.
+The hot digests do not go through that general encoder.  A
+``RecordLayout`` encodes the fixed part of a tagged record once, so records
+of one tag and key set, such as the transactions of one payload kind, are
+hashed without re-encoding it or re-sorting its keys, and
+``digest_int_pair`` finishes a balance proof from its channel's prefix
+state.  Both emit exact str and int values inline, with headers from the
+same tables.
 """
 
 from __future__ import annotations
@@ -31,90 +33,47 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
-# Length-prefix headers (tag plus big-endian u32) for lengths below _SHORT.
+# Per tag, the length-prefix headers (tag plus big-endian u32) for lengths
+# below _SHORT.
 _SHORT = 256
+_HEADS = {tag: tuple(tag + _U32.pack(n) for n in range(_SHORT)) for tag in (b"s", b"i", b"l", b"d")}
+_STR_HEAD, _INT_HEAD = _HEADS[b"s"], _HEADS[b"i"]
 
 
-def _headers(tag: bytes) -> tuple[bytes, ...]:
-    return tuple(tag + _U32.pack(n) for n in range(_SHORT))
-
-
-_STR_HEAD, _INT_HEAD, _LIST_HEAD, _DICT_HEAD = map(_headers, (b"s", b"i", b"l", b"d"))
+def _header(tag: bytes, n: int) -> bytes:
+    """``tag`` plus ``n`` as a big-endian u32, from the tables when short."""
+    return _HEADS[tag][n] if n < _SHORT else tag + _U32.pack(n)
 
 
 def _enc(value, out: list[bytes]) -> None:
-    # Exact str and int items of a list or dict, and exact bytes items of a
-    # list, are emitted inline, without a call each.  Any other value, a
-    # subclass included, reaches the isinstance tests.  The supported types
-    # share no subclass except bool < int, so testing the containers first
-    # still picks the rule of the order the module docstring gives.
-    t = type(value)
-    if t is str:
-        raw = value.encode()
-        n = len(raw)
-        out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-    elif t is int:
-        raw = b"%d" % value
-        n = len(raw)
-        out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
-    elif t is list or t is tuple or isinstance(value, (list, tuple)):
-        n = len(value)
-        out.append(_LIST_HEAD[n] if n < _SHORT else b"l" + _U32.pack(n))
-        for item in value:
-            t = type(item)
-            if t is str:
-                raw = item.encode()
-                n = len(raw)
-                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-            elif t is int:
-                raw = b"%d" % item
-                n = len(raw)
-                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
-            elif t is bytes:
-                out.append(b"b" + _U32.pack(len(item)) + item)
-            else:
-                _enc(item, out)
-    elif t is dict or isinstance(value, dict):
-        keys = sorted(value)
-        n = len(keys)
-        out.append(_DICT_HEAD[n] if n < _SHORT else b"d" + _U32.pack(n))
-        for key in keys:
-            if type(key) is str:
-                raw = key.encode()
-                n = len(raw)
-                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-            elif isinstance(key, str):
-                _enc(key, out)
-            else:
-                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
-            item = value[key]
-            t = type(item)
-            if t is str:
-                raw = item.encode()
-                n = len(raw)
-                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-            elif t is int:
-                raw = b"%d" % item
-                n = len(raw)
-                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
-            else:
-                _enc(item, out)
-    elif value is None:
+    if value is None:
         out.append(b"n")
     elif value is True:
         out.append(b"T")
     elif value is False:
         out.append(b"F")
     elif isinstance(value, int):
-        raw = str(value).encode("ascii")
-        out.append(b"i" + _U32.pack(len(raw)) + raw)
+        raw = b"%d" % value
+        out.append(_header(b"i", len(raw)) + raw)
     elif isinstance(value, float):
         out.append(b"f" + _F64.pack(value))
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(b"s" + _U32.pack(len(raw)) + raw)
+        raw = value.encode()
+        out.append(_header(b"s", len(raw)) + raw)
     elif isinstance(value, (bytes, bytearray)):
         out.append(b"b" + _U32.pack(len(value)) + bytes(value))
+    elif isinstance(value, (list, tuple)):
+        out.append(_header(b"l", len(value)))
+        for item in value:
+            _enc(item, out)
+    elif isinstance(value, dict):
+        keys = sorted(value)
+        out.append(_header(b"d", len(keys)))
+        for key in keys:
+            if not isinstance(key, str):
+                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
+            _enc(key, out)
+            _enc(value[key], out)
     else:
         raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
 
@@ -148,11 +107,8 @@ class RecordLayout:
         keys = sorted(keys)
         if not all(isinstance(key, str) for key in keys):
             raise TypeError("canonical dict keys must be str")
-        head = [b"l" + _U32.pack(2)]
-        _enc(tag, head)
-        head.append(b"d" + _U32.pack(len(keys)))
-        self._list_head = b"l" + _U32.pack(lead + 1)
-        self._head = b"".join(head)
+        self._list_head = _header(b"l", lead + 1)
+        self._head = _header(b"l", 2) + encode(tag) + _header(b"d", len(keys))
         self._keys = tuple((key, encode(key)) for key in keys)
 
     def digest(self, lead: tuple, fields: dict) -> bytes:
@@ -195,7 +151,7 @@ def list_prefix_state(length: int, head: list):
     Lists that share their head, such as the balance proofs of one channel,
     hash it once: ``digest_int_pair`` finishes a copy with the last two items.
     """
-    out = [_LIST_HEAD[length] if length < _SHORT else b"l" + _U32.pack(length)]
+    out = [_header(b"l", length)]
     for item in head:
         _enc(item, out)
     return hashlib.sha256(b"".join(out))

@@ -129,7 +129,7 @@ REPORT_SCHEMA = config_schema(MetricsReport)
 
 
 def extrapolate(raw: float, scale: float, num_mnos: int) -> int:
-    """Desk-scale count -> consortium-wide count; round-half-up via round()."""
+    """Desk-scale count -> consortium-wide count, rounded half to even by ``round``."""
     return int(round(raw * num_mnos / scale))
 
 

@@ -6,7 +6,8 @@ byte-identical chains.  Confidentiality is modeled through read scopes
 ``query`` derives from the sealed transactions, as a replay would.
 
 ``submit`` and ``seal_block`` state every chain rule once, and ``submit``
-also runs the token rules of the bank attached with ``attach_bank``.
+also runs the payload's type check (the one the loader runs) and the token
+rules of the bank attached with ``attach_bank``.
 ``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
 and bank, so a chain verifies only if the live engine could have written
 it.  A loaded record must have exactly the keys ``to_record`` writes.
@@ -26,6 +27,7 @@ from .errors import (
     DuplicateTx,
     EmptyPending,
     LedgerParseError,
+    PayloadRejected,
     UnknownReader,
     UnknownSigner,
 )
@@ -95,15 +97,25 @@ def _hex_field(rec: dict, key: str) -> bytes:
     return raw
 
 
+def _str_list_field(rec: dict, key: str) -> tuple:
+    """``rec[key]``, which must be a list of str, as a tuple: ``tuple`` would
+    also read a str, as the tuple of its characters."""
+    value = rec[key]
+    if not (type(value) is list and all(type(s) is str for s in value)):
+        raise ValueError(f"{key} must be of type list of str, not {value!r}")
+    return tuple(value)
+
+
 def payload(kind: str):
-    """``record``, plus the payload's wire form stated by its fields alone:
-    ``to_fields`` and ``from_fields``, generated once per class like the
-    ``__init__`` of ``record``, write and read the fields in declared order.
-    A ``bytes`` field is written as lower-case hex and read back through
-    ``_hex_field``, a ``tuple`` field is written as a JSON list and read back
-    as a tuple, and any other field passes through as is.  ``from_fields``
-    raises ValueError unless each str, int, bool or dict field holds exactly
-    that type, and each tuple field a list of str."""
+    """``record``, plus the payload's wire form and field types stated by its
+    fields alone: ``to_fields``, ``from_fields`` and ``check``, generated once
+    per class like the ``__init__`` of ``record``.  ``to_fields`` and
+    ``from_fields`` write and read the fields in declared order: a ``bytes``
+    field as lower-case hex read back through ``_hex_field``, a ``tuple``
+    field as a JSON list read back through ``_str_list_field``, any other as
+    is.  ``check`` raises PayloadRejected unless each str, int, bool, bytes or
+    dict field holds exactly that type, and each tuple field a tuple of str;
+    ``from_fields`` and ``Ledger.submit`` call it."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
@@ -114,24 +126,24 @@ def payload(kind: str):
             value, arg = f"self.{name}", f"f[{name!r}]"
             if hint is bytes:
                 value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
-            elif hint is not float:  # a float is left to the bank
-                arg, want = f"v_{name}", hint.__name__
-                test = f"type({arg}) is {want}"
+            elif hint is tuple:
+                value, arg = f"list({value})", f"_str_list_field(f, {name!r})"
+            if hint is not float:  # a float is left to the bank
+                want, test = hint.__name__, f"type(self.{name}) is {hint.__name__}"
                 if hint is tuple:
-                    want = "list of str"
-                    test = f"type({arg}) is list and all(type(s) is str for s in {arg})"
-                checks.append(f"    {arg} = f[{name!r}]\n    if not ({test}):\n"
-                              f"        raise ValueError(f'{name} must be of type {want}, not {{{arg}!r}}')\n")
-            if hint is tuple:
-                value, arg = f"list({value})", f"tuple({arg})"
+                    want, test = "tuple of str", f"{test} and all(type(s) is str for s in self.{name})"
+                checks.append(f"    if not ({test}):\n        raise PayloadRejected("
+                              f"f'{name} must be of type {want}, not {{self.{name}!r}}')\n")
             written.append(f"{name!r}: {value}")
             read.append(arg)
-        env = {"__name__": cls.__module__, "_hex_field": _hex_field}
+        env = {"__name__": cls.__module__, "_hex_field": _hex_field,
+               "_str_list_field": _str_list_field, "PayloadRejected": PayloadRejected}
         exec(f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
-             f"def from_fields(cls, f):\n{''.join(checks)}    return cls({', '.join(read)})\n", env)
-        for name in ("to_fields", "from_fields"):
+             f"def check(self):\n{''.join(checks)}"
+             f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n", env)
+        for name in ("to_fields", "check", "from_fields"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_fields = env["to_fields"]
+        cls.to_fields, cls.check = env["to_fields"], env["check"]
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -322,7 +334,7 @@ class Block:
             sealed_at=_int_field(rec, "sealed_at"),
             block_hash=_hex_field(rec, "block_hash"),
             txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
-            roster=tuple(rec.get("roster", ())),
+            roster=_str_list_field(rec, "roster") if height == 0 else (),
             keys={actor: _hex_field(keys, actor) for actor in keys},
         )
 
@@ -401,6 +413,7 @@ class Ledger:
             raise BadSignature(tx.tx_id.hex())
         if tx.tx_id in self.tx_index:
             raise DuplicateTx(tx.tx_id.hex())
+        tx.payload.check()
         bank = self._bank and self._bank()
         if bank is not None:
             bank.apply(tx)

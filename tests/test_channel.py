@@ -105,6 +105,20 @@ def test_sub_block_traffic_emits_no_proof():
     assert mgr.channel(ch).bytes_total == 50_000
 
 
+def test_proofs_never_reach_the_general_encoder(monkeypatch):
+    """Both sides hash each proof from the channel's prefix state with the
+    inline int emission of ``digest_int_pair``, never through ``codec._enc``."""
+    _, _, mgr, wallet = fresh(40)
+    ch = mgr.open_channel(wallet, "V", 40, now=0)
+    calls, enc = [], codec._enc
+    monkeypatch.setattr(codec, "_enc", lambda value, out: (calls.append(value), enc(value, out)))
+    for now in range(1, 5):
+        for p in mgr.pay_for_traffic(ch, 10 * KB100, now=now):
+            mgr.receive_proof("V", p)
+    assert mgr.proofs_accepted == 40
+    assert calls == []
+
+
 def test_partial_block_rounds_up_at_close():
     # 150KB -> 1 full block proven, close charges ceil(150,000/100,000) = 2.
     _, bank, mgr, wallet = fresh(25)

@@ -180,8 +180,9 @@ def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
 
 
 # Signed payloads with a field of a type the live engine never writes, as
-# (signer, payload).  No token rule reads these fields, so the bank takes
-# them; only the typed load of a saved chain can reject them.
+# (signer, payload).  No token rule reads these fields, so the bank would take
+# them; the payload's generated type check rejects them, on a live submit and
+# on the load of a saved chain.
 MISTYPED = {
     "channel open timelock 'never'": lambda s: (
         "alice", ChannelOpen("ch-typed", s["alice"].active_wallet, "V", 1, bytes(32), "never")),
@@ -194,9 +195,18 @@ MISTYPED = {
 
 @pytest.mark.parametrize("forge", MISTYPED.values(), ids=MISTYPED)
 def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
+    """A live submit rejects it, leaving the ledger and the bank as they were."""
     eng, sessions = honest_engine()
     signer, payload = forge(sessions)
-    eng.ledger.pending.append(make_transaction(70, signer, payload, eng.signer))
+    mistyped = make_transaction(70, signer, payload, eng.signer)
+    pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
+    with pytest.raises(PayloadRejected, match="must be of type"):
+        eng.ledger.submit(mistyped)
+    assert eng.ledger.pending == pending
+    assert bank_snapshot(eng.bank) == state
+
+    # Written past the live check, the loader rejects it at its line.
+    eng.ledger.pending.append(mistyped)
     block = eng.ledger.seal_block(80)
     path = tmp_path / "ledger.jsonl"
     eng.ledger.save_jsonl(path)

@@ -239,6 +239,10 @@ def test_extrapolation_consistency(tmp_path):
     )
 
 
+def test_extrapolate_rounds_half_to_even():
+    assert extrapolate(1, 2.0, 5) == 2  # 2.5: half up would give 3
+
+
 # --- requirements ---------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from dice.ledger import (
     SAVE_CHUNK_TXS,
     AttachCheck,
     Block,
+    ChannelClose,
     ChannelOpen,
     Issue,
     Ledger,
@@ -490,6 +491,8 @@ BAD_BLOCK_RECORDS = {
     "keys on a later block": (2, lambda rec: rec.update(keys={})),
     "extra genesis key": (0, lambda rec: rec.update(bonus=1)),
     "upper-case block_hash": (2, lambda rec: rec.update(block_hash=rec["block_hash"].upper())),
+    # tuple("ABC") == ("A", "B", "C"): read as a tuple, the str verified.
+    "string roster": (0, lambda rec: rec.update(roster="".join(rec["roster"]))),
 }
 
 
@@ -502,6 +505,21 @@ def test_bad_block_record_is_a_parse_error_at_its_line(tmp_path, ledger, line, e
     report = verify_ledger(path)
     assert not report.valid and report.first_invalid_height == line
     assert report.reason.startswith("parse error")
+
+
+def test_str_and_int_payloads_never_reach_the_general_encoder(monkeypatch):
+    """Once its payload class's layout is built, a tx whose fields are all str
+    and int is hashed by ``RecordLayout.digest`` alone, never through
+    ``codec._enc``."""
+    payloads = [Issue("A", "w1", 5), ChannelClose("ch-1", 3, 2, 3)]
+    for p in payloads:
+        tx_digest(0, "A", p)
+    calls, enc = [], codec._enc
+    monkeypatch.setattr(codec, "_enc", lambda value, out: (calls.append(value), enc(value, out)))
+    for n in range(1, 30):
+        for p in payloads:
+            tx_digest(n, "B", p)
+    assert calls == []
 
 
 def test_records_are_immutable(ledger):

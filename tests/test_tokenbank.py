@@ -79,7 +79,7 @@ def test_negative_amounts_rejected_by_apply(bank):
         bank.apply(make_transaction(3, "H", ChannelClose("ch-1", -1, 11, 1), sign))
     with pytest.raises(PayloadRejected):
         bank.apply(make_transaction(3, "H", ChannelClose("ch-1", 5.0, 5, 1), sign))
-    with pytest.raises(NonPositiveAmount):
+    with pytest.raises(PayloadRejected, match="amount must be of type int"):
         bank.ledger.submit(make_transaction(4, "H", Issue("H", w, True), sign))
     assert (bank_snapshot(bank), list(bank.ledger.pending)) == before
 
