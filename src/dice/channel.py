@@ -12,6 +12,11 @@ payload; the roamer's preimage and paid-block counter ``last_seq`` (proof
 ``seq`` and ``cumulative`` both count paid blocks); the VMNO's latest
 accepted proof; and the traffic metered.  ``ChannelManager(ledger, bank)``
 signs and verifies with the ledger's key registry.
+
+The roamer signs each proof's canonical bytes,
+``codec.encode(["proof", channel_id, seq, cumulative])``, with no digest in
+between: the record keeps the encoded ``["proof", channel_id`` head, and
+both sides append ``(seq, cumulative)`` to it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import (
     ChannelNotOpen,
     Expired,
     GapSeq,
+    NonPositiveAmount,
     Overdraft,
     StaleProof,
     UnknownChannel,
@@ -59,19 +65,6 @@ class BalanceProof:
         }
 
 
-def proof_prefix(channel_id: str):
-    """SHA-256 state shared by the proof digests of one channel: the
-    canonical encoding of ``["proof", channel_id, seq, cumulative]`` up to
-    ``seq``."""
-    return codec.list_prefix_state(4, ["proof", channel_id])
-
-
-def proof_digest(channel_id: str, seq: int, cumulative: int) -> bytes:
-    """``codec.digest(["proof", channel_id, seq, cumulative])``: what the
-    roamer signs for each balance proof."""
-    return codec.digest_int_pair(proof_prefix(channel_id), seq, cumulative)
-
-
 @dataclass
 class PaymentChannel:
     opened: ChannelOpen           # the on-chain open, as submitted
@@ -85,12 +78,12 @@ class PaymentChannel:
     unserviced_bytes: int = 0
     closed: Optional[ChannelClose] = None   # the on-chain close, once submitted
     close_tx: Optional[bytes] = None
-    # proof_prefix(channel id); both sides finish a copy of it per proof.
-    # None once closed.
-    proof_state: object = field(init=False, repr=False, compare=False)
+    # The encoding of ["proof", channel id, seq, cumulative] up to seq; both
+    # sides append (seq, cumulative) to it for the bytes each proof MACs.
+    proof_head: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.proof_state = proof_prefix(self.opened.channel)
+        self.proof_head = codec.list_prefix(4, ["proof", self.opened.channel])
 
     @property
     def status(self) -> str:
@@ -157,8 +150,11 @@ class ChannelManager:
         """Roamer side: meter traffic and emit one proof per completed block.
 
         Service stops at the deposit: excess bytes are recorded as
-        unserviced rather than raising.
+        unserviced rather than raising.  ``new_bytes`` must be an int >= 0;
+        anything else raises ``NonPositiveAmount`` and changes nothing.
         """
+        if not isinstance(new_bytes, int) or isinstance(new_bytes, bool) or new_bytes < 0:
+            raise NonPositiveAmount(f"traffic bytes {new_bytes!r}")
         ch = self.channel(channel_id)
         if ch.closed is not None:
             raise ChannelNotOpen(channel_id)
@@ -170,11 +166,11 @@ class ChannelManager:
         proofs = []
         target_blocks = ch.bytes_total // TOKEN_BLOCK_BYTES
         seq = ch.last_seq
-        sign, roamer, state, digest = self.signer.sign, ch.roamer, ch.proof_state, codec.digest_int_pair
+        sign, roamer, head, message = self.signer.sign, ch.roamer, ch.proof_head, codec.append_int_pair
         while seq < target_blocks:
             seq += 1   # each proof pays one more block
             preimage = ch.preimage if seq == 1 else None
-            sig = sign(roamer, digest(state, seq, seq))
+            sig = sign(roamer, message(head, seq, seq))
             proofs.append(BalanceProof(channel_id, seq, seq, preimage, sig))
             ch.last_seq = seq
         ch.last_activity = now
@@ -187,7 +183,7 @@ class ChannelManager:
         opened = ch.opened
         if opened.vmno != vmno or ch.closed is not None:
             raise ChannelNotOpen(channel_id)
-        if not self.signer.verify(ch.roamer, codec.digest_int_pair(ch.proof_state, seq, cumulative),
+        if not self.signer.verify(ch.roamer, codec.append_int_pair(ch.proof_head, seq, cumulative),
                                   proof.signature):
             raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
@@ -229,7 +225,6 @@ class ChannelManager:
         tx_id = self.ledger.submit(make_transaction(now, closer or ch.roamer, closed, self.signer))
         del self._open[channel_id]
         ch.closed, ch.close_tx = closed, tx_id
-        ch.proof_state = None
         return tx_id
 
     def timeout_sweep(self, now: int) -> list[str]:

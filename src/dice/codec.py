@@ -11,13 +11,13 @@ rule's bytes are built in one place; lists, tuples and dicts encode each
 item by the same rules.  So an ``IntEnum`` member encodes as an int and a
 ``dict`` subclass as a dict.  Any other value raises ``TypeError``.
 
-The hot digests do not go through that general encoder.  A
+The hot paths do not go through that general encoder.  A
 ``RecordLayout`` encodes the fixed part of a tagged record once, so records
 of one tag and key set, such as the transactions of one payload kind, are
 hashed without re-encoding it or re-sorting its keys, and
-``digest_int_pair`` finishes a balance proof from its channel's prefix
-state.  Both emit exact str and int values inline, with headers from the
-same tables.
+``append_int_pair`` finishes the bytes of a balance proof, which are MACed
+as they are, from its channel's encoded prefix.  Both emit exact ints (and
+``RecordLayout`` exact strs) inline, with headers from the same tables.
 """
 
 from __future__ import annotations
@@ -144,38 +144,30 @@ class RecordLayout:
         return hashlib.sha256(b"".join(out)).digest()
 
 
-def list_prefix_state(length: int, head: list):
-    """SHA-256 state after absorbing the canonical encoding of a
-    ``length``-item list up to the end of ``head``, its first items.
-
-    Lists that share their head, such as the balance proofs of one channel,
-    hash it once: ``digest_int_pair`` finishes a copy with the last two items.
-    """
+def list_prefix(length: int, head: list) -> bytes:
+    """The canonical encoding of a ``length``-item list up to the end of
+    ``head``, its first items.  ``append_int_pair`` finishes it."""
     out = [_header(b"l", length)]
     for item in head:
         _enc(item, out)
-    return hashlib.sha256(b"".join(out))
+    return b"".join(out)
 
 
-def digest_int_pair(prefix, a: int, b: int) -> bytes:
-    """``digest(head + [a, b])`` from ``prefix = list_prefix_state(len(head) + 2, head)``.
+def append_int_pair(prefix: bytes, a: int, b: int) -> bytes:
+    """``encode(head + [a, b])`` from ``prefix = list_prefix(len(head) + 2, head)``.
 
-    ``prefix`` is copied, not changed.  Two exact ints shorter than 256
-    digits take their headers from the table; any other value follows the
-    rules of ``encode``.
+    Two exact ints shorter than 256 digits take their headers from the table;
+    any other value follows the rules of ``encode``.
     """
-    h = prefix.copy()
     if type(a) is int and type(b) is int:
         ra = b"%d" % a
         rb = b"%d" % b
         if len(ra) < _SHORT and len(rb) < _SHORT:
-            h.update(_INT_HEAD[len(ra)] + ra + _INT_HEAD[len(rb)] + rb)
-            return h.digest()
-    out: list[bytes] = []
+            return prefix + _INT_HEAD[len(ra)] + ra + _INT_HEAD[len(rb)] + rb
+    out = [prefix]
     _enc(a, out)
     _enc(b, out)
-    h.update(b"".join(out))
-    return h.digest()
+    return b"".join(out)
 
 
 def sha256(data: bytes) -> bytes:

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from dice import codec
-from dice.channel import BalanceProof, ChannelManager, proof_digest
+from dice.channel import BalanceProof, ChannelManager
 from dice.errors import (
     BadPreimage,
     BadSignature,
@@ -336,7 +336,7 @@ def test_criterion_07_proof_stream_properties():
             pre_ok = rng.random() > 0.05
             preimage = (good_pre if pre_ok else b"\x00" * 32) if seq == 1 else None
             signer = actor_of[ch] if sig_ok else "V"
-            sig = mgr.signer.sign(signer, proof_digest(ch, seq, cum))
+            sig = mgr.signer.sign(signer, codec.encode(["proof", ch, seq, cum]))
             proof = BalanceProof(ch, seq, cum, preimage, sig)
 
             model_valid = (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dice import codec
-from dice.channel import BalanceProof, ChannelManager, PaymentChannel, proof_digest
+from dice.channel import BalanceProof, ChannelManager, PaymentChannel
 from dice.errors import (
     AlreadyClosed,
     BadPreimage,
@@ -16,6 +16,7 @@ from dice.errors import (
     Expired,
     GapSeq,
     InsufficientBalance,
+    NonPositiveAmount,
     Overdraft,
     StaleProof,
     UnknownChannel,
@@ -23,6 +24,7 @@ from dice.errors import (
 )
 from dice.ledger import ChannelOpen, Ledger
 from dice.tokenbank import TokenBank
+from test_codec import reference_encode
 
 ACTORS = ["H", "V", "alice", "mallory"]
 KEYS = {a: codec.derive_key(3, a) for a in ACTORS}
@@ -105,9 +107,27 @@ def test_sub_block_traffic_emits_no_proof():
     assert mgr.channel(ch).bytes_total == 50_000
 
 
+@pytest.mark.parametrize("bad", [-900_000, -1, True, 1.5, "100000", None])
+def test_traffic_amount_must_be_a_non_negative_int(bad):
+    # A negative amount would rewind bytes_total under last_seq, and the
+    # blocks served after it would go unpaid.
+    _, _, mgr, wallet = fresh(25)
+    ch = mgr.open_channel(wallet, "V", 25, now=0)
+    assert len(mgr.pay_for_traffic(ch, 1_000_000, now=10)) == 10
+    chan = mgr.channel(ch)
+    before = dataclasses.replace(chan)
+    with pytest.raises(NonPositiveAmount):
+        mgr.pay_for_traffic(ch, bad, now=20)
+    assert chan == before
+    assert mgr.pay_for_traffic(ch, 0, now=20) == []
+    assert (chan.bytes_total, chan.last_seq) == (1_000_000, 10)
+    assert [p.seq for p in mgr.pay_for_traffic(ch, 900_000, now=30)] == list(range(11, 20))
+
+
 def test_proofs_never_reach_the_general_encoder(monkeypatch):
-    """Both sides hash each proof from the channel's prefix state with the
-    inline int emission of ``digest_int_pair``, never through ``codec._enc``."""
+    """Both sides build each proof's bytes from the channel's encoded head
+    with the inline int emission of ``append_int_pair``, never through
+    ``codec._enc``."""
     _, _, mgr, wallet = fresh(40)
     ch = mgr.open_channel(wallet, "V", 40, now=0)
     calls, enc = [], codec._enc
@@ -173,12 +193,11 @@ def test_pay_requires_open_unexpired_channel():
         mgr.pay_for_traffic("ch-none", KB100, now=20)
 
 
-def test_closed_channel_drops_its_proof_state():
+def test_closed_channel_takes_no_more_proofs():
     _, _, mgr, wallet = fresh(25)
     ch = mgr.open_channel(wallet, "V", 25, now=0)
     proof = emitted(mgr, ch, 2)[1]
     mgr.close_channel(ch, now=20)
-    assert mgr.channel(ch).proof_state is None
     with pytest.raises(ChannelNotOpen):
         mgr.pay_for_traffic(ch, KB100, now=30)
     with pytest.raises(ChannelNotOpen):
@@ -221,7 +240,7 @@ def test_gapped_proof_rejected():
 
 
 def signed_proof(mgr, ch_id, seq, cumulative, preimage=None, signer="alice"):
-    sig = mgr.signer.sign(signer, proof_digest(ch_id, seq, cumulative))
+    sig = mgr.signer.sign(signer, codec.encode(["proof", ch_id, seq, cumulative]))
     return BalanceProof(ch_id, seq, cumulative, preimage, sig)
 
 
@@ -259,8 +278,8 @@ def test_bad_preimage_rejected():
 
 
 def test_proof_cannot_move_between_channels():
-    # One roamer, two open channels to the same VMNO: each channel's proof
-    # digest state names its own id, so a proof signed for A is no proof for B.
+    # One roamer, two open channels to the same VMNO: the bytes each proof
+    # signs name its channel's id, so a proof signed for A is no proof for B.
     _, _, mgr, wallet = fresh(25)
     a = mgr.open_channel(wallet, "V", 10, now=0)
     b = mgr.open_channel(wallet, "V", 10, now=0)
@@ -279,19 +298,61 @@ def test_proof_cannot_move_between_channels():
 long_ints = st.integers(min_value=10 ** 255, max_value=10 ** 300)
 
 
+class RecordingSigner:
+    """Passes sign and verify through to ``signer`` and keeps each message."""
+
+    def __init__(self, signer):
+        self.signer, self.messages = signer, []
+
+    def sign(self, actor, message):
+        self.messages.append(message)
+        return self.signer.sign(actor, message)
+
+    def verify(self, actor, message, signature):
+        self.messages.append(message)
+        return self.signer.verify(actor, message, signature)
+
+
 @given(
     st.text() | st.text(alphabet="é€𝄞", min_size=86, max_size=120),
     st.integers() | long_ints | long_ints.map(lambda n: -n),
     st.integers() | long_ints,
 )
-def test_proof_digest_state_matches_general_encoder(channel_id, seq, cumulative):
+def test_both_sides_mac_the_canonical_encoding(channel_id, seq, cumulative):
     # 86 or more of those characters encode to 256 or more UTF-8 bytes, and
     # 10**255 has 256 digits: both are past the encoder's header tables.
-    expected = codec.digest(["proof", channel_id, seq, cumulative])
-    assert proof_digest(channel_id, seq, cumulative) == expected
-    ch = PaymentChannel(ChannelOpen(channel_id, "w", "V", 25, b"", 0), b"", "alice", 0)
-    for _ in range(2):
-        assert codec.digest_int_pair(ch.proof_state, seq, cumulative) == expected
+    _, _, mgr, _ = fresh(0)
+    mgr.signer = recorder = RecordingSigner(mgr.signer)
+    preimage = b"\x01" * 32
+    opened = ChannelOpen(channel_id, "w", "V", 10 ** 302, codec.sha256(preimage), 1)
+    ch = mgr.channels[channel_id] = PaymentChannel(opened, b"", "alice", 0, preimage)
+    # Roamer side: its next proof pays block |seq| + 1, as seq and cumulative.
+    paid = abs(seq) + 1
+    ch.last_seq, ch.bytes_total = paid - 1, (paid - 1) * KB100
+    (emitted_proof,) = mgr.pay_for_traffic(channel_id, KB100, now=0)
+    # VMNO side: any seq and cumulative, signed over their canonical bytes;
+    # the checks after the signature may reject them.
+    signature = recorder.signer.sign("alice", codec.encode(["proof", channel_id, seq, cumulative]))
+    try:
+        mgr.receive_proof("V", BalanceProof(channel_id, seq, cumulative, preimage, signature))
+    except (StaleProof, GapSeq, Overdraft):
+        pass
+    pairs = [(paid, paid), (seq, cumulative)]
+    assert recorder.messages == [codec.encode(["proof", channel_id, *pair]) for pair in pairs]
+    assert recorder.messages == [reference_encode(["proof", channel_id, *pair]) for pair in pairs]
+    assert emitted_proof.signature == recorder.signer.sign("alice", recorder.messages[0])
+
+
+def test_proof_signed_over_its_digest_is_rejected():
+    # A MAC over the SHA-256 of the proof's bytes is no signature of them.
+    _, _, mgr, wallet = fresh(25)
+    ch = mgr.open_channel(wallet, "V", 25, now=0)
+    preimage = mgr.channel(ch).preimage
+    over_digest = mgr.signer.sign("alice", codec.digest(["proof", ch, 1, 1]))
+    with pytest.raises(BadSignature):
+        mgr.receive_proof("V", BalanceProof(ch, 1, 1, preimage, over_digest))
+    mgr.receive_proof("V", signed_proof(mgr, ch, 1, 1, preimage=preimage))
+    assert mgr.proofs_accepted == 1
 
 
 def test_non_increasing_cumulative_rejected():

@@ -306,14 +306,6 @@ def test_keyed_mac_matches_hmac_at_key_and_message_edges(key_len):
     assert signer.sign("a", m1) == first
 
 
-@given(st.lists(codec_values, max_size=3), codec_values, codec_values)
-def test_digest_int_pair_matches_digest(head, a, b):
-    # Any value may close the list; only exact ints take the header table.
-    prefix = codec.list_prefix_state(len(head) + 2, head)
-    for _ in range(2):  # the prefix state is copied, never advanced
-        assert codec.digest_int_pair(prefix, a, b) == codec.digest(head + [a, b])
-
-
 def test_derived_keys_and_seeds_are_stable():
     assert codec.derive_key(1, "a") == codec.derive_key(1, "a")
     assert codec.derive_key(1, "a") != codec.derive_key(2, "a")

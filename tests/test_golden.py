@@ -14,7 +14,7 @@ GOLDEN_SHA256 = {
     "ledger.jsonl": "f738f476f1dd1bc9e04d5ac0eb34a413f3373e5b11ba92cb157202a68c75c54f",
     "report.json": "a3a693f1772621e90ac84f71234909355813bd2ca795c1b70f85d649a374c244",
     "settlement.csv": "9cbfabdd9768980ac7cb0736b7f8eb5eb02a7c6fca8143bb60759704a9c0b3e0",
-    "proofs.jsonl": "bdbd102cf148e1f04f2655f0b585431e3f7fbf7e5f8ade847a7abca6a42b9e58",
+    "proofs.jsonl": "e30cdf46f26cad6503f525ec243b0502d74697f5e43e15460fe6b94135fea629",
     "events.jsonl": "6c04c081fa08cdacf2be749f9e7d1b0cb1b2b52296c0df834b4f9f5d08873ffe",
 }
 
