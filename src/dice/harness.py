@@ -30,7 +30,7 @@ from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
 from .ledger import ChannelClose, Redeem, ValidityReport, load_blocks_jsonl
-from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, events_to_jsonl
+from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, RoamerSession, events_to_jsonl
 from .settlement import make_claim, model_from_dict, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes, verify_blocks
 from .workload import (AMOUNT, COUNT, POSITIVE, TALLY, SessionEventTrace, WorkloadConfig, _check_schema,
@@ -151,8 +151,8 @@ def _collector_paused(fn):
     return paused
 
 
-# Event priorities fix the order of same-second actions.
-_P_BOUNDARY, _P_ARRIVE, _P_TRAFFIC, _P_DEPART, _P_CLOSEOUT, _P_REDEEM = range(6)
+# Event actions, in the order they run when they fall in the same second.
+_BOUNDARY, _ARRIVE, _TRAFFIC, _DEPART = range(4)
 
 
 @_collector_paused
@@ -166,6 +166,12 @@ def run_scenario(
     on_seal=None,
 ) -> MetricsReport:
     """Drive every roamer in the trace through the protocol end to end.
+
+    Each roamer acts at its own random second of the day.  Day boundaries
+    sweep idle and expired channels and seal a block; events after the
+    horizon (``days`` days) are not run.  After the last event, the sessions
+    still open are closed at the horizon, the VMNO redeems what it earned
+    from each home MNO, and the final block is sealed.
 
     Deterministic for a fixed config; ``trace`` may inject a handcrafted
     workload in place of the generated one.  ``on_seal`` (if given) is
@@ -198,46 +204,31 @@ def run_scenario(
     for hmno in hmnos:
         engine.register_agreement(hmno, config.vmno, (hmno,), config.charging, 0)
 
-    offset_rng = random.Random(codec.derive_seed(config.seed, "offsets"))
-    offsets = {a.roamer: offset_rng.randrange(DAY) for a in trace.arrivals}
-
-    events: list[tuple[int, int, int, str, tuple]] = []
-    seq = 0
-
-    def push(t: int, prio: int, action: str, payload: tuple) -> None:
-        nonlocal seq
-        events.append((t, prio, seq, action, payload))
-        seq += 1
-
+    # (time, action, arrival or roamer, bytes); the stable sort keeps tied
+    # events in the order they are listed here.
     horizon = config.days * DAY
+    offset_rng = random.Random(codec.derive_seed(config.seed, "offsets"))
+    events: list[tuple] = [(d * DAY, _BOUNDARY, None, 0) for d in range(1, config.days + 1)]
     for a in trace.arrivals:
-        t_arr = a.day * DAY + offsets[a.roamer]
-        push(t_arr, _P_ARRIVE, "arrive", (a,))
-        for day, nbytes in trace.traffic.get(a.roamer, ()):
-            push(day * DAY + offsets[a.roamer], _P_TRAFFIC, "traffic", (a.roamer, nbytes))
-        dep_day = a.day + a.stay_days
-        if dep_day <= config.days:
-            push(dep_day * DAY + offsets[a.roamer], _P_DEPART, "depart", (a.roamer,))
-    for d in range(1, config.days + 1):
-        push(d * DAY, _P_BOUNDARY, "boundary", ())
-    push(horizon, _P_CLOSEOUT, "closeout", ())
-    push(horizon, _P_REDEEM, "redeem", ())
-    events.sort()  # seq is unique, so the action and payload are never compared
-
-    session_of: dict[str, str] = {}
-    settlement_rows: list[dict] = []
+        offset = offset_rng.randrange(DAY)
+        events.append((a.day * DAY + offset, _ARRIVE, a, 0))
+        events += [(day * DAY + offset, _TRAFFIC, a.roamer, nbytes)
+                   for day, nbytes in trace.traffic.get(a.roamer, ())]
+        events.append(((a.day + a.stay_days) * DAY + offset, _DEPART, a.roamer, 0))
+    events = sorted((e for e in events if e[0] <= horizon), key=lambda e: e[:2])
 
     def seal(now: int) -> None:
         block = engine.seal_if_pending(now)
         if block is not None and on_seal is not None:
             on_seal(engine)
 
-    for now, _prio, _seq, action, payload in events:
-        if action == "arrive":
-            (a,) = payload
+    sessions: dict[str, RoamerSession] = {}
+    for now, action, subject, nbytes in events:
+        if action == _ARRIVE:
+            a = subject
             wallets = engine.bank.create_identities(a.hmno, a.roamer, 1, [config.initial_allotment], now)
             session = engine.new_session(a.roamer, wallets[0], a.hmno, config.vmno, config.mode, now)
-            session_of[a.roamer] = session.session_id
+            sessions[a.roamer] = session
             engine.attach_check(session, now)
             if config.mode == LBO:
                 engine.provision_profile(session)
@@ -246,42 +237,38 @@ def run_scenario(
                 tokens_for_bytes(config.expected_visit_bytes),
             )
             engine.open_session_channel(session, deposit, now)
-        elif action == "traffic":
-            roamer, nbytes = payload
-            session = engine.sessions[session_of[roamer]]
-            if session.state in (CHANNEL_OPEN, ACTIVE):
-                try:
-                    engine.session_traffic(session, nbytes, now)
-                except Expired:
-                    pass  # channel contract lapsed; the sweep will close it
-        elif action == "depart":
-            (roamer,) = payload
-            session = engine.sessions[session_of[roamer]]
-            if session.state in (CHANNEL_OPEN, ACTIVE):
-                engine.detach(session, now)
-        elif action == "boundary":
+        elif action == _BOUNDARY:
             engine.timeout_sweep(now)
             seal(now)
-        elif action == "closeout":
-            for session in engine.sessions.values():
-                if session.state in (CHANNEL_OPEN, ACTIVE):
-                    engine.detach(session, now)
-        elif action == "redeem":
-            for hmno in hmnos:
-                claim = make_claim(engine.bank, model, config.vmno, hmno)
-                if claim is None:
-                    continue
-                settlement.redeem(engine, claim, now)
-                settlement_rows.append({
-                    "period_start": 0,
-                    "period_end": horizon,
-                    "vmno": config.vmno,
-                    "hmno": hmno,
-                    "tokens": claim.tokens,
-                    "model": config.charging["model"],
-                    "fiat": f"{claim.fiat_due:.6f}",
-                })
-            seal(now)
+        elif sessions[subject].state not in (CHANNEL_OPEN, ACTIVE):
+            continue  # a sweep or an earlier departure settled it
+        elif action == _DEPART:
+            engine.detach(sessions[subject], now)
+        else:
+            try:
+                engine.session_traffic(sessions[subject], nbytes, now)
+            except Expired:
+                pass  # channel contract lapsed; the sweep will close it
+
+    for session in engine.sessions.values():
+        if session.state in (CHANNEL_OPEN, ACTIVE):
+            engine.detach(session, horizon)
+    settlement_rows: list[dict] = []
+    for hmno in hmnos:
+        claim = make_claim(engine.bank, model, config.vmno, hmno)
+        if claim is None:
+            continue
+        settlement.redeem(engine, claim, horizon)
+        settlement_rows.append({
+            "period_start": 0,
+            "period_end": horizon,
+            "vmno": config.vmno,
+            "hmno": hmno,
+            "tokens": claim.tokens,
+            "model": config.charging["model"],
+            "fiat": f"{claim.fiat_due:.6f}",
+        })
+    seal(horizon)
 
     def resolve(option, default_name):
         name = option if isinstance(option, str) else default_name
@@ -313,13 +300,19 @@ def _build_report(config: ScenarioConfig, engine: DiceEngine, trace: SessionEven
         "bytes_serviced": engine.channels.serviced_bytes_total(),
         "peak_onchain_tps": figures["peak_onchain_tps"],
     }
+    extrapolated = {}
+    for name, raw in counts.items():
+        try:
+            extrapolated[name] = extrapolate(raw, config.scale, config.num_mnos)
+        except OverflowError:  # num_mnos / scale took it beyond float range
+            raise InvalidConfig(f"extrapolated {name} is beyond float range; every figure must be finite") from None
     return MetricsReport(
         config=config.to_dict(),
         onchain_tx_by_kind=figures["onchain_tx_by_kind"],
         silent_sessions=sum(1 for a in trace.arrivals if a.silent),
         tokens_settled_by_pair=figures["tokens_settled_by_pair"],
         fiat_cleared_by_pair=figures["fiat_cleared_by_pair"],
-        extrapolated={k: extrapolate(v, config.scale, config.num_mnos) for k, v in counts.items()},
+        extrapolated=extrapolated,
         **counts,
     )
 

@@ -95,7 +95,7 @@ class DiceEngine:
         self.sessions: dict[str, RoamerSession] = {}
         # Session events are built only while set; session clocks move on either way.
         self.keep_events = True
-        self._session_by_channel: dict[str, str] = {}
+        self._session_by_channel: dict[str, RoamerSession] = {}
         self._session_seq = 0
 
     # -- step 0: consortium agreements
@@ -163,7 +163,7 @@ class DiceEngine:
             raise WrongState(f"{session.state}, expected {expected}")
         channel_id = self.channels.open_channel(session.active_wallet, session.vmno, deposit, now)
         session.channel = channel_id
-        self._session_by_channel[channel_id] = session.session_id
+        self._session_by_channel[channel_id] = session
         session.state = CHANNEL_OPEN
         self._log(session, now, "channel_open", channel=channel_id, deposit=deposit,
                   tx=self.channels.channel(channel_id).open_tx.hex())
@@ -201,11 +201,8 @@ class DiceEngine:
         """Close idle or expired channels and settle their sessions."""
         closed = self.channels.timeout_sweep(now)
         for channel_id in closed:
-            session_id = self._session_by_channel.get(channel_id)
-            if session_id is None:
-                continue
-            session = self.sessions[session_id]
-            if session.state in (CHANNEL_OPEN, ACTIVE):
+            session = self._session_by_channel.get(channel_id)
+            if session is not None:  # it was open, so its session is CHANNEL_OPEN or ACTIVE
                 self._settle(session, now, by="timeout")
         return closed
 

@@ -291,6 +291,8 @@ class TokenBank:
             if _fault(AMOUNT, p.fiat, "fiat"):
                 raise PayloadRejected(f"redeem for {p.vmno}: fiat {p.fiat!r} is not a finite "
                                       "non-negative number")
+            if not p.lots:
+                raise PayloadRejected(f"redeem for {p.vmno} names no lots")
             if len(set(p.lots)) != len(p.lots):
                 raise PayloadRejected("redeem names a lot twice")
             for lot_id in p.lots:

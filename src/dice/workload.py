@@ -165,7 +165,6 @@ class Arrival:
     home_country: str
     stay_days: int
     silent: bool
-    carried_over: bool = False
 
 
 @dataclass
@@ -269,7 +268,6 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
                     home_country=f"C{mno_country[home] + 1:03d}",
                     stay_days=stay,
                     silent=silent,
-                    carried_over=day + stay > config.days,
                 )
                 seq += 1
                 trace.arrivals.append(arrival)

@@ -77,6 +77,10 @@ def redeem_with_a_bool_fiat(eng, sessions):
     return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), True), eng.signer)
 
 
+def redeem_of_no_lots(eng, sessions):
+    return make_transaction(70, "V", Redeem("V", "H", (), 1e9), eng.signer)
+
+
 def attach_check_signed_by_a_roamer(eng, sessions):
     return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.signer)
 
@@ -112,6 +116,7 @@ FORGERIES = [
     (redeem_of_a_lot_the_roamer_holds, "redeem", "ProvenanceRejected"),
     (redeem_with_a_negative_fiat, "redeem", "PayloadRejected"),
     (redeem_with_a_bool_fiat, "redeem", "PayloadRejected"),
+    (redeem_of_no_lots, "redeem", "PayloadRejected"),
     (attach_check_signed_by_a_roamer, "attach", "PayloadRejected"),
     (attach_check_naming_a_home_off_the_roster, "attach", "UnknownMno"),
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),

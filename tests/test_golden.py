@@ -26,7 +26,8 @@ def test_outputs_match_the_golden_digests(tmp_path):
     assert digests == GOLDEN_SHA256
 
 
-# Larger runs: HR mode, and the benchmark's chain workload (about 10.6k txs).
+# Larger runs: HR mode, and the benchmark's chain (about 10.6k txs) and
+# payments (about 1k sessions of about 120 proofs each) workloads.
 GOLDEN_RUNS = {
     "hr-seed-7": (ScenarioConfig(seed=7, mode="hr"), {
         "ledger.jsonl": "dad9fbeda714dbc318eeb675f220d02497243f7c22539e6ac3cead4340dedc3e",
@@ -38,6 +39,13 @@ GOLDEN_RUNS = {
         "ledger.jsonl": "6c3562757dc370b5ef63dacfdef1700499429f0bddf4fd98f705520a2e81586e",
         "report.json": "f27a21d0f17c3f8091a86fa29f0e2a9f322921cc3cef49567e637491c26896a2",
         "settlement.csv": "2b8b6818f044c39201707f66e3385813364df34d4e4473edbc3cf647d2943f44",
+    }),
+    "payments-seed-42": (ScenarioConfig(seed=42, churn_fraction_range=(0.2, 0.2), silent_fraction=0.0,
+                                        daily_traffic_median_bytes=2_000_000, initial_allotment=10_000,
+                                        expected_visit_bytes=1_000_000_000), {
+        "ledger.jsonl": "84500fb4b2a459ccacf48c75f0ffc9a5f272a164024f9371cc839925521d5ce9",
+        "report.json": "90434470cca38e1361f908a564d0c134eb4da81d99aa90d747a9cffa4734e597",
+        "settlement.csv": "24c96f811dcfe97f68fc7d386cdd9abb4d2eb7a944868a47a8c38140d4a2d37a",
     }),
 }
 

@@ -20,6 +20,7 @@ import dice
 from dice.cli import main as cli_main
 from dice.errors import InvalidConfig, IoFailure
 from dice.harness import (
+    DAY,
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
     MetricsReport,
@@ -70,6 +71,25 @@ def test_minimal_scenario_accounting(tmp_path):
     assert report.fiat_cleared_by_pair["V-001|H001"] == pytest.approx(1.00)
     for name in ("report.json", "ledger.jsonl", "settlement.csv"):
         assert (tmp_path / name).exists()
+
+
+def test_a_visit_open_at_the_horizon_is_closed_there_before_the_redeem(tmp_path):
+    """Traffic every day keeps the sweep off the channel; the stay outlasts
+    the run, so the close comes at the horizon, in the last block, ahead of
+    the redeem that spends what it paid."""
+    cfg = small_config(days=3)
+    trace = minimal_trace(cfg)
+    trace.arrivals[0].stay_days = 10
+    trace.traffic["r-0000000"] = [(day, 500_000) for day in range(cfg.days)]
+    run_scenario(cfg, tmp_path, trace=trace)
+    blocks = load_blocks_jsonl(tmp_path / "ledger.jsonl")
+    closes = [(block, tx) for block in blocks for tx in block.txs if tx.payload.kind == "channel_close"]
+    assert len(closes) == 1
+    block, close = closes[0]
+    assert close.timestamp == block.sealed_at == cfg.days * DAY
+    assert block is blocks[-1]
+    kinds = [tx.payload.kind for tx in block.txs]
+    assert kinds == ["channel_close", "redeem"]
 
 
 def test_silent_only_scenario(tmp_path):
@@ -328,6 +348,23 @@ def test_replayed_ledger_restates_the_reports_onchain_fields(config, tmp_path):
     figures = chain_figures(bank)
     assert {k: figures[k] for k in ONCHAIN_FIELDS} == {k: report[k] for k in ONCHAIN_FIELDS}
     assert report["tokens_settled_by_pair"] and report["fiat_cleared_by_pair"]
+
+
+def test_events_after_the_horizon_do_not_run(tmp_path):
+    """An arrival on day ``days``, with traffic, falls after the horizon: the
+    report counts only what the saved chain holds."""
+    cfg = small_config(days=3)
+    trace = minimal_trace(cfg)
+    trace.arrivals.append(Arrival(day=cfg.days, roamer="r-0000001", hmno="H001",
+                                  home_country="C001", stay_days=2, silent=False))
+    trace.traffic["r-0000001"] = [(cfg.days, 2_500_000)]
+    report = run_scenario(cfg, tmp_path, trace=trace)
+    verdict, bank = replay_ledger(tmp_path / "ledger.jsonl")
+    assert verdict.valid
+    figures = chain_figures(bank)
+    assert {k: figures[k] for k in ONCHAIN_FIELDS} == {k: getattr(report, k) for k in ONCHAIN_FIELDS}
+    assert report.onchain_tx_total == 6
+    assert report.offchain_proofs_total == 25
 
 
 def test_verify_ledger_detects_single_byte_edit(tmp_path):
@@ -933,6 +970,24 @@ def test_cli_int_beyond_float_range_in_a_config_is_a_usage_error(tmp_path, runne
         assert isinstance(result.exception, SystemExit)
         assert field in result.stderr and result.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, figure", [
+    ({"days": 1, "num_mnos": 10**306}, "onchain_tx_total"),              # the int product overflows
+    ({"days": 2, "scale": 1e-300, "silent_fraction": 0}, "bytes_serviced"),  # the quotient overflows
+], ids=["num-mnos-1e306", "scale-1e-300"])
+def test_cli_simulate_whose_extrapolation_leaves_float_range_is_a_usage_error(tmp_path, runner,
+                                                                             config, figure):
+    """A valid config whose consortium figure no float holds: named after
+    the run, with no OverflowError traceback, and nothing written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(cli_main, ["simulate", "--config", str(path), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"extrapolated {figure} is beyond float range" in result.stderr
+    assert result.stdout == "" and list(out.iterdir()) == []
 
 
 def test_cli_requirements_prints_strict_json(tmp_path, runner):

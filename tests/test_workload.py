@@ -196,15 +196,6 @@ def test_single_country_top10_is_everything():
     assert stats.top10_country_share == pytest.approx(1.0)
 
 
-def test_every_arrival_departs_or_is_carried_over(default_trace):
-    cfg = default_trace.config
-    for a in default_trace.arrivals:
-        if a.day + a.stay_days > cfg.days:
-            assert a.carried_over
-        else:
-            assert not a.carried_over
-
-
 def test_scale_linearity():
     base = WorkloadConfig(seed=5, roamers_per_vmno_day=10_000, scale=1.0, days=14)
     doubled = WorkloadConfig(seed=5, roamers_per_vmno_day=10_000, scale=2.0, days=14)
