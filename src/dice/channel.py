@@ -38,7 +38,7 @@ from .errors import (
     StaleProof,
     UnknownChannel,
 )
-from .ledger import ChannelClose, ChannelOpen, Ledger, make_transaction, record
+from .ledger import ChannelClose, ChannelOpen, Ledger, record
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank
 
 OPEN, CLOSED = "open", "closed"
@@ -131,7 +131,7 @@ class ChannelManager:
         roamer = wallet.owner or wallet_id
         opened = ChannelOpen(channel_id, wallet_id, vmno, deposit, codec.sha256(preimage),
                              now + self.timelock_window)
-        tx_id = self.ledger.submit(make_transaction(now, roamer, opened, self.signer))
+        tx_id = self.ledger.append(now, roamer, opened)
         self._seq += 1
         self._next_preimage = self._rng.randbytes(32)
         ch = PaymentChannel(opened, tx_id, roamer, now, preimage)
@@ -222,7 +222,7 @@ class ChannelManager:
             if self.round_up_final_block and partial and paid < deposit:
                 paid += 1
         closed = ChannelClose(channel_id, paid, deposit - paid, final_seq)
-        tx_id = self.ledger.submit(make_transaction(now, closer or ch.roamer, closed, self.signer))
+        tx_id = self.ledger.append(now, closer or ch.roamer, closed)
         del self._open[channel_id]
         ch.closed, ch.close_tx = closed, tx_id
         return tx_id

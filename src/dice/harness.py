@@ -240,13 +240,17 @@ def run_scenario(
         elif action == _BOUNDARY:
             engine.timeout_sweep(now)
             seal(now)
-        elif sessions[subject].state not in (CHANNEL_OPEN, ACTIVE):
+        elif (session := sessions.get(subject)) is None:
+            what = "departure" if action == _DEPART else "traffic"
+            raise InvalidConfig(f"trace lists {what} of roamer {subject} on day {now // DAY}, "
+                                "before its arrival")
+        elif session.state not in (CHANNEL_OPEN, ACTIVE):
             continue  # a sweep or an earlier departure settled it
         elif action == _DEPART:
-            engine.detach(sessions[subject], now)
+            engine.detach(session, now)
         else:
             try:
-                engine.session_traffic(sessions[subject], nbytes, now)
+                engine.session_traffic(session, nbytes, now)
             except Expired:
                 pass  # channel contract lapsed; the sweep will close it
 

@@ -7,7 +7,9 @@ byte-identical chains.  Confidentiality is modeled through read scopes
 
 ``submit`` and ``seal_block`` state every chain rule once, and ``submit``
 also runs the payload's type check (the one the loader runs) and the token
-rules of the bank attached with ``attach_bank``.
+rules of the bank attached with ``attach_bank``.  The live engine writes
+through ``append``, which digests and signs a tx once and hands it to
+``submit``; ``submit`` re-digests every other tx it is given.
 ``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
 and bank, so a chain verifies only if the live engine could have written
 it.  A loaded record must have exactly the keys ``to_record`` writes.
@@ -364,7 +366,7 @@ class QueryFilter:
 
 
 class Ledger:
-    """Single-writer chain: submit -> seal; verify and query are read-only.
+    """Single-writer chain: append or submit -> seal; verify and query are read-only.
 
     The genesis block is sealed at construction and anchors the roster and
     the per-actor signing keys.
@@ -378,6 +380,7 @@ class Ledger:
         self.chain: list[Block] = []
         self.pending: list[Transaction] = []
         self.tx_index: dict[bytes, Transaction] = {}   # every submitted tx, pending ones too
+        self._appended: Optional[Transaction] = None   # the tx ``append`` just built
         self._bank: Optional[weakref.ref] = None
         self._seal_genesis(genesis_time)
 
@@ -405,8 +408,18 @@ class Ledger:
         bank refers to this ledger, and a cycle would outlive the engine."""
         self._bank = weakref.ref(bank)
 
+    def append(self, timestamp: int, signer: str, payload: TxPayload) -> bytes:
+        """Build, sign and submit a tx: the live write path.  ``submit`` takes
+        the tx_id of this one object as ``make_transaction`` digested it, and
+        runs every other rule on it; an unknown signer raises UnknownSigner."""
+        if not self.signer_backend.knows(signer):
+            raise UnknownSigner(signer)
+        self._appended = tx = make_transaction(timestamp, signer, payload, self.signer_backend)
+        return self.submit(tx)
+
     def submit(self, tx: Transaction) -> bytes:
-        if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
+        appended, self._appended = self._appended, None
+        if (tx is not appended and tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id) \
                 or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
             if not self.signer_backend.knows(tx.signer):
                 raise UnknownSigner(tx.signer)

@@ -28,7 +28,7 @@ from .errors import (
     WrongMode,
     WrongState,
 )
-from .ledger import AgreementRegistration, AttachCheck, Ledger, make_transaction
+from .ledger import AgreementRegistration, AttachCheck, Ledger
 from .tokenbank import TokenBank
 
 LBO, HR = "lbo", "hr"
@@ -107,7 +107,7 @@ class DiceEngine:
         if not self.signer.knows(hmno):
             raise UnknownMno(hmno)  # it cannot even sign the agreement
         agreement = AgreementRegistration(hmno, vmno, tuple(sorted(accepts)), dict(charging))
-        return self.ledger.submit(make_transaction(now, hmno, agreement, self.signer))
+        return self.ledger.append(now, hmno, agreement)
 
     # -- session lifecycle
 
@@ -135,12 +135,8 @@ class DiceEngine:
             elif unverified:
                 failure = UnverifiableIssuance(unverified[0])
         accepted = failure is None
-        tx = make_transaction(
-            now, session.vmno,
-            AttachCheck(session.active_wallet, session.vmno, session.hmno, accepted),
-            self.signer,
-        )
-        tx_id = self.ledger.submit(tx)
+        tx_id = self.ledger.append(
+            now, session.vmno, AttachCheck(session.active_wallet, session.vmno, session.hmno, accepted))
         self._log(session, now, "attach_check", accepted=accepted, tx=tx_id.hex())
         if failure is not None:
             raise failure

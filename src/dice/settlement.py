@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
 from .errors import InvalidConfig
-from .ledger import Ledger, Redeem, make_transaction, record
+from .ledger import Ledger, Redeem, record
 from .tokenbank import TokenBank, treasury_wallet_id
 from .workload import AMOUNT, COUNT, FRACTION, _check_schema, knob
 
@@ -122,12 +122,8 @@ def redeem(engine, claim: RedemptionClaim, now: int) -> bytes:
 
     ``engine`` is the protocol engine; it owns the bank and the ledger.
     """
-    tx = make_transaction(
-        now, claim.vmno,
-        Redeem(claim.vmno, claim.hmno, tuple(claim.lot_ids), claim.fiat_due),
-        engine.signer,
-    )
-    return engine.ledger.submit(tx)
+    return engine.ledger.append(
+        now, claim.vmno, Redeem(claim.vmno, claim.hmno, tuple(claim.lot_ids), claim.fiat_due))
 
 
 # --- reporting ---------------------------------------------------------------

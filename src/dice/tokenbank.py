@@ -39,7 +39,7 @@ from .errors import (
     ZeroDeposit,
 )
 from .ledger import (AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen, Issue, Ledger,
-                     Redeem, Transaction, ValidityReport, make_transaction)
+                     Redeem, Transaction, ValidityReport)
 from .workload import AMOUNT, _fault
 
 TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
@@ -141,10 +141,9 @@ class TokenBank:
     # -- operations
 
     def issue(self, hmno: str, wallet_id: str, amount: int, now: int) -> bytes:
-        signer = self.ledger.signer_backend
-        if not signer.knows(hmno):
+        if not self.ledger.signer_backend.knows(hmno):
             raise NotIssuer(hmno)  # it cannot even sign the Issue
-        return self.ledger.submit(make_transaction(now, hmno, Issue(hmno, wallet_id, amount), signer))
+        return self.ledger.append(now, hmno, Issue(hmno, wallet_id, amount))
 
     def create_identities(self, hmno: str, roamer: str, n: int, amounts: list[int], now: int) -> list[str]:
         """Fund n unlinkable wallets for one roamer (privacy via identities)."""

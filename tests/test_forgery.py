@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from dice.errors import DiceError, LedgerParseError, PayloadRejected
+from dice.errors import DiceError, DuplicateTx, LedgerParseError, PayloadRejected, UnknownSigner
 from dice.harness import verify_ledger
 from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Redeem,
                          load_blocks_jsonl, make_transaction)
@@ -221,3 +221,46 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
     result = verify_ledger(path)
     assert not result.valid and result.first_invalid_height == block.height
     assert result.reason.startswith("parse error") and "must be of type" in result.reason
+
+
+def ledger_state(eng):
+    return list(eng.ledger.pending), dict(eng.ledger.tx_index), bank_snapshot(eng.bank)
+
+
+# Every signed forgery above, as (id, forge(eng, sessions) -> tx).
+SIGNED = [(f.__name__, f) for f, _kind, _error in FORGERIES] + [
+    (name, lambda eng, sessions, forge=forge: make_transaction(70, *forge(sessions), eng.signer))
+    for name, forge in MISTYPED.items()]
+
+
+@pytest.mark.parametrize("forge", [f for _, f in SIGNED], ids=[name for name, _ in SIGNED])
+def test_append_rejects_what_submit_rejects(forge):
+    """The live write path runs the rules of ``submit`` and raises its errors,
+    leaving the ledger and the bank as they were."""
+    eng, sessions = honest_engine()
+    tx = forge(eng, sessions)
+    state = ledger_state(eng)
+    with pytest.raises(DiceError) as submitted:
+        eng.ledger.submit(tx)
+    assert ledger_state(eng) == state
+    with pytest.raises(DiceError) as appended:
+        eng.ledger.append(tx.timestamp, tx.signer, tx.payload)
+    assert type(appended.value) is type(submitted.value)
+    assert ledger_state(eng) == state
+
+
+def test_append_rejects_an_unknown_signer_and_a_repeat():
+    eng, sessions = honest_engine()
+    issue = Issue("H", sessions["bob"].active_wallet, 1)
+    state = ledger_state(eng)
+    with pytest.raises(UnknownSigner):
+        eng.ledger.append(90, "mallory", issue)
+    assert ledger_state(eng) == state
+
+    eng.ledger.append(90, "H", issue)
+    state = ledger_state(eng)
+    with pytest.raises(DuplicateTx):
+        eng.ledger.append(90, "H", issue)
+    with pytest.raises(DuplicateTx):
+        eng.ledger.submit(make_transaction(90, "H", issue, eng.signer))
+    assert ledger_state(eng) == state

@@ -92,6 +92,15 @@ def test_a_visit_open_at_the_horizon_is_closed_there_before_the_redeem(tmp_path)
     assert kinds == ["channel_close", "redeem"]
 
 
+def test_traffic_listed_before_its_arrival_is_an_invalid_config(tmp_path):
+    cfg = small_config(days=3)
+    trace = minimal_trace(cfg)
+    trace.arrivals[0].day = 1
+    trace.traffic["r-0000000"] = [(0, 500_000), (1, 500_000)]
+    with pytest.raises(InvalidConfig, match=r"traffic of roamer r-0000000 on day 0, before its arrival"):
+        run_scenario(cfg, tmp_path, trace=trace)
+
+
 def test_silent_only_scenario(tmp_path):
     cfg = small_config(silent_fraction=1.0, days=5)
     report = run_scenario(cfg, tmp_path)

@@ -13,6 +13,7 @@ from dice.errors import (
     DuplicateTx,
     EmptyPending,
     LedgerParseError,
+    PayloadRejected,
     ReplayRejected,
     UnknownReader,
     UnknownSigner,
@@ -82,6 +83,28 @@ def test_tampered_tx_id_rejected(ledger):
     forged = dataclasses.replace(tx, tx_id=codec.sha256(b"other"))
     with pytest.raises(BadSignature):
         ledger.submit(forged)
+
+
+def test_append_submits_the_tx_make_transaction_builds(ledger):
+    tx = issue_tx(ledger, 1)
+    assert ledger.append(tx.timestamp, tx.signer, tx.payload) == tx.tx_id
+    assert ledger.pending == [tx] and ledger.tx_index == {tx.tx_id: tx}
+
+
+def test_submit_re_digests_every_tx_append_did_not_build(ledger):
+    """A tx id signed but not the tx's digest is caught right after an
+    append, and right after an append that was rejected."""
+    wrong_id = codec.sha256(b"other")
+    forged = dataclasses.replace(issue_tx(ledger, 2), tx_id=wrong_id,
+                                 signature=ledger.signer_backend.sign("A", wrong_id))
+    ledger.append(1, "A", Issue("A", "w1", 5))
+    with pytest.raises(BadSignature):
+        ledger.submit(forged)
+    with pytest.raises(PayloadRejected):
+        ledger.append(3, "A", Issue("A", 7, 5))
+    with pytest.raises(BadSignature):
+        ledger.submit(forged)
+    assert len(ledger.pending) == 1
 
 
 def test_genesis_convention(ledger):
