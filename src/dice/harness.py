@@ -191,6 +191,10 @@ def run_scenario(
 
     hmnos = sorted({a.hmno for a in trace.arrivals})
     roamers = [a.roamer for a in trace.arrivals]
+    arrived = set(roamers)
+    for roamer in trace.traffic:
+        if roamer not in arrived:
+            raise InvalidConfig(f"trace lists traffic of roamer {roamer}, who has no arrival")
     engine = DiceEngine(
         [config.vmno, *hmnos], roamers,
         seed=config.seed,

@@ -4,22 +4,30 @@ The generator reproduces the published population dynamics of a real
 operator: daily arrivals at 10-30% of the standing population, geometric
 stays with a 2.5-day median, half the roamers silent, log-normal daily
 traffic with a 1MB median, and power-law home-country / home-MNO
-popularity calibrated so the top 10 carry the reported shares.
+popularity calibrated so the top 10 carry the reported shares.  Every
+variate is drawn, through the samplers below, from the ``random()`` stream
+of one ``random.Random`` seeded from the config seed; no third-party
+package is imported.
 
 Each field read from outside (config knob, charging-spec key, report
 figure) is declared by ``knob`` with its default and JSON-schema fragment;
 ``config_schema`` publishes them and ``_fault`` alone checks them, also
 rejecting a non-finite number (an int beyond float range too) and a non-int
-integer.  Only the generator and calibration import numpy.
-"""
+integer."""
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
+import random
+import statistics
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
+from . import codec
 from .errors import EmptyTrace, InvalidConfig
 
 # JSON-schema fragments shared by several config fields.
@@ -179,10 +187,8 @@ class SessionEventTrace:
 
 
 def _top_share(alpha: float, n: int, k: int) -> float:
-    import numpy as np
-    weights = np.arange(1, n + 1, dtype=float) ** -alpha
-    total = weights.sum()
-    return float(weights[:k].sum() / total)
+    weights = [i ** -alpha for i in range(1, n + 1)]
+    return math.fsum(weights[:k]) / math.fsum(weights)
 
 
 def solve_powerlaw_exponent(n: int, top_k: int, target_share: float) -> float:
@@ -204,24 +210,53 @@ def solve_powerlaw_exponent(n: int, top_k: int, target_share: float) -> float:
     return (lo + hi) / 2.0
 
 
-def powerlaw_probs(n: int, top_k: int, target_share: float) -> np.ndarray:
-    import numpy as np
+def powerlaw_probs(n: int, top_k: int, target_share: float) -> list[float]:
     alpha = solve_powerlaw_exponent(n, top_k, target_share)
-    weights = np.arange(1, n + 1, dtype=float) ** -alpha
-    return weights / weights.sum()
+    weights = [i ** -alpha for i in range(1, n + 1)]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
 
 
-def assign_mnos_to_countries(mno_probs: np.ndarray, country_probs: np.ndarray) -> np.ndarray:
+def assign_mnos_to_countries(mno_probs: list[float], country_probs: list[float]) -> list[int]:
     """Greedy mapping of MNO ranks onto countries so the country mass
-    induced by drawing an MNO tracks the country popularity targets."""
-    import numpy as np
-    deficit = country_probs.astype(float).copy()
-    assignment = np.zeros(len(mno_probs), dtype=int)
-    for m in range(len(mno_probs)):
-        c = int(np.argmax(deficit))
-        assignment[m] = c
-        deficit[c] -= mno_probs[m]
+    induced by drawing an MNO tracks the country popularity targets: each
+    MNO goes to the country with the largest deficit left (the lowest index
+    among equals), which a heap of (-deficit, country) pops first."""
+    heap = [(-share, c) for c, share in enumerate(country_probs)]
+    heapq.heapify(heap)
+    assignment = []
+    for p in mno_probs:
+        neg_deficit, c = heap[0]
+        assignment.append(c)
+        heapq.heapreplace(heap, (neg_deficit + p, c))
     return assignment
+
+
+# --- samplers -------------------------------------------------------------------
+#
+# Each variate is a function of draws ``u`` in [0, 1) from one
+# ``random.Random(seed).random``, whose stream Python keeps across versions;
+# it promises no such thing for ``choices``, ``uniform``, ``gauss`` or
+# ``lognormvariate``, nor does NumPy for its ``Generator`` methods.
+
+
+def _geometric(p: float, u: float) -> int:
+    """The geometric law on 1, 2, ... (success probability ``p``) by inversion:
+    ``ceil(log(1 - u) / log(1 - p))``, at least 1, so ``u = 0`` and ``p = 1`` give 1."""
+    if p >= 1.0:
+        return 1
+    return max(1, math.ceil(math.log(1.0 - u) / math.log1p(-p)))
+
+
+def _standard_normal(u1: float, u2: float) -> float:
+    """One standard normal variate by Box-Muller (``1 - u1`` is never 0)."""
+    return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _pick(cumulative: list[float], u: float) -> int:
+    """The index whose slice of the cumulative weights holds ``u * total``; the
+    last index also takes any rounding at the top."""
+    return bisect.bisect_right(cumulative, u * cumulative[-1], 0, len(cumulative) - 1)
 
 
 # --- generation ---------------------------------------------------------------
@@ -229,14 +264,14 @@ def assign_mnos_to_countries(mno_probs: np.ndarray, country_probs: np.ndarray) -
 
 def generate(config: WorkloadConfig) -> SessionEventTrace:
     """Pure function of the config: same seed, byte-identical trace."""
-    import numpy as np
     config.validate()
-    rng = np.random.default_rng(config.seed)
+    draw = random.Random(codec.derive_seed(config.seed, "workload")).random
     trace = SessionEventTrace(config)
 
     mno_probs = powerlaw_probs(config.num_home_mnos, 10, config.home_mno_top10_traffic_share)
     country_probs = powerlaw_probs(config.num_home_countries, 10, config.home_country_top10_share)
-    mno_country = assign_mnos_to_countries(mno_probs, country_probs).tolist()
+    mno_country = assign_mnos_to_countries(mno_probs, country_probs)
+    mno_cumulative = list(itertools.accumulate(mno_probs))
 
     # Daily departure probability of the geometric stay law, parameterized
     # so the interpolated median sits at the configured value.
@@ -254,31 +289,27 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
         if day == 0:
             n_arrivals = cohort  # initial standing population
         else:
-            n_arrivals = round(rng.uniform(lo, hi) * len(active))
-        if n_arrivals > 0:
-            # Python lists, drawn in the same order: no numpy scalar in the loop.
-            stays = rng.geometric(p_depart, size=n_arrivals).tolist()
-            silents = (rng.random(n_arrivals) < config.silent_fraction).tolist()
-            homes = rng.choice(config.num_home_mnos, size=n_arrivals, p=mno_probs).tolist()
-            for stay, silent, home in zip(stays, silents, homes):
-                arrival = Arrival(
-                    day=day,
-                    roamer=f"r-{seq:07d}",
-                    hmno=f"H{home + 1:03d}",
-                    home_country=f"C{mno_country[home] + 1:03d}",
-                    stay_days=stay,
-                    silent=silent,
-                )
-                seq += 1
-                trace.arrivals.append(arrival)
-                active.append(arrival)
-                remaining.append(stay)
-        # Traffic for every non-silent roamer active today.
-        talkers = [a for a in active if not a.silent]
-        if talkers:
-            draws = rng.lognormal(mean=mu, sigma=sigma, size=len(talkers)).tolist()
-            for arrival, raw in zip(talkers, draws):
-                nbytes = max(1, round(raw))
+            n_arrivals = round((lo + (hi - lo) * draw()) * len(active))
+        for _ in range(n_arrivals):
+            stay = _geometric(p_depart, draw())
+            silent = draw() < config.silent_fraction
+            home = _pick(mno_cumulative, draw())
+            arrival = Arrival(
+                day=day,
+                roamer=f"r-{seq:07d}",
+                hmno=f"H{home + 1:03d}",
+                home_country=f"C{mno_country[home] + 1:03d}",
+                stay_days=stay,
+                silent=silent,
+            )
+            seq += 1
+            trace.arrivals.append(arrival)
+            active.append(arrival)
+            remaining.append(stay)
+        # Log-normal traffic for every non-silent roamer active today.
+        for arrival in active:
+            if not arrival.silent:
+                nbytes = max(1, round(math.exp(mu + sigma * _standard_normal(draw(), draw()))))
                 trace.traffic.setdefault(arrival.roamer, []).append((day, nbytes))
         # Departures at end of day.
         keep_a, keep_r = [], []
@@ -311,16 +342,12 @@ class CalibrationStats:
 
 def calibration_report(trace: SessionEventTrace) -> CalibrationStats:
     """Single-pass recount of the raw trace; no generator state involved."""
-    import numpy as np
     if not trace.arrivals:
         raise EmptyTrace("no arrivals in trace")
     config = trace.config
 
     silent = sum(1 for a in trace.arrivals if a.silent)
-    stays = np.array([a.stay_days for a in trace.arrivals], dtype=float)
-    daily = np.array(
-        [b for rows in trace.traffic.values() for _, b in rows], dtype=float
-    )
+    daily = [b for rows in trace.traffic.values() for _, b in rows]
 
     by_country: dict[str, int] = {}
     bytes_by_mno: dict[str, int] = {}
@@ -359,11 +386,11 @@ def calibration_report(trace: SessionEventTrace) -> CalibrationStats:
     return CalibrationStats(
         arrivals_total=len(trace.arrivals),
         silent_share=silent / len(trace.arrivals),
-        median_stay_days=float(np.median(stays)),
-        median_daily_traffic_bytes=float(np.median(daily)) if daily.size else 0.0,
+        median_stay_days=float(statistics.median(a.stay_days for a in trace.arrivals)),
+        median_daily_traffic_bytes=float(statistics.median(daily)) if daily else 0.0,
         top10_country_share=top10_share(by_country),
         top10_mno_traffic_share=top10_share(bytes_by_mno),
-        total_bytes=int(daily.sum()) if daily.size else 0,
+        total_bytes=sum(daily),
         days=config.days,
         churn_in_band_fraction=in_band / measurable if measurable else 0.0,
     )

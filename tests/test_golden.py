@@ -11,11 +11,11 @@ import pytest
 from dice.harness import ScenarioConfig, run_scenario
 
 GOLDEN_SHA256 = {
-    "ledger.jsonl": "f738f476f1dd1bc9e04d5ac0eb34a413f3373e5b11ba92cb157202a68c75c54f",
-    "report.json": "a3a693f1772621e90ac84f71234909355813bd2ca795c1b70f85d649a374c244",
-    "settlement.csv": "9cbfabdd9768980ac7cb0736b7f8eb5eb02a7c6fca8143bb60759704a9c0b3e0",
-    "proofs.jsonl": "e30cdf46f26cad6503f525ec243b0502d74697f5e43e15460fe6b94135fea629",
-    "events.jsonl": "6c04c081fa08cdacf2be749f9e7d1b0cb1b2b52296c0df834b4f9f5d08873ffe",
+    "ledger.jsonl": "ba7ab1a3d1bb3924b26fde5db8129290b4af95554e903c9ca78d9e64447f280e",
+    "report.json": "23b10e20c9c534a5e753696fb7334ec704567150108a1e177567ad7251686d65",
+    "settlement.csv": "a0e3254e304fec11f3df67ec92c2b3368de243f7cfbbcf9461bed5789bb240df",
+    "proofs.jsonl": "c0985079b67172dd96968fdc5684dbeafc78e22124f8be6b86fb7959a92afd40",
+    "events.jsonl": "08ddd3fcb8bc9cc6a6d636cd8f3882052c9db474a374ba6f5fa3625b4ee2ab5e",
 }
 
 
@@ -30,22 +30,22 @@ def test_outputs_match_the_golden_digests(tmp_path):
 # payments (about 1k sessions of about 120 proofs each) workloads.
 GOLDEN_RUNS = {
     "hr-seed-7": (ScenarioConfig(seed=7, mode="hr"), {
-        "ledger.jsonl": "dad9fbeda714dbc318eeb675f220d02497243f7c22539e6ac3cead4340dedc3e",
-        "report.json": "c8eafb438d21cf54e4c8b0acaaaff616f639d935fadc876d9d4f3f91fbf34fd2",
-        "settlement.csv": "9b62394bf324b6e1a559f3fe6fcc0b7fa42d02f3c33df9e661cc3a874c930e54",
+        "ledger.jsonl": "505528b9946d4ad0de4a2d2a604c858ad8d6c35aa04c077ad16e1c64443390cb",
+        "report.json": "bae551d5f382b4446a75e040b9c0d41eb4c91401045218c26f1de2fc9f3ee8c3",
+        "settlement.csv": "773eb03dc6a811b4574d3406cfecf42498e6c23eede21c157de3e6de50297b03",
     }),
     "chain-seed-42": (ScenarioConfig(seed=42, roamers_per_vmno_day=1_000_000,
                                      churn_fraction_range=(0.2, 0.2)), {
-        "ledger.jsonl": "6c3562757dc370b5ef63dacfdef1700499429f0bddf4fd98f705520a2e81586e",
-        "report.json": "f27a21d0f17c3f8091a86fa29f0e2a9f322921cc3cef49567e637491c26896a2",
-        "settlement.csv": "2b8b6818f044c39201707f66e3385813364df34d4e4473edbc3cf647d2943f44",
+        "ledger.jsonl": "3e8bc663e280a35cacf6959f60797d7b36397e181d1e9fbbb1d3106dd2d44c4a",
+        "report.json": "e16aa83d42a42a5794f80a4b82732b804d5a52da875a720ccb1f1611ff444ceb",
+        "settlement.csv": "7c759d7afb712192eac70596ab2ce6cf44181589539376d156407b6fb638d8fe",
     }),
     "payments-seed-42": (ScenarioConfig(seed=42, churn_fraction_range=(0.2, 0.2), silent_fraction=0.0,
                                         daily_traffic_median_bytes=2_000_000, initial_allotment=10_000,
                                         expected_visit_bytes=1_000_000_000), {
-        "ledger.jsonl": "84500fb4b2a459ccacf48c75f0ffc9a5f272a164024f9371cc839925521d5ce9",
-        "report.json": "90434470cca38e1361f908a564d0c134eb4da81d99aa90d747a9cffa4734e597",
-        "settlement.csv": "24c96f811dcfe97f68fc7d386cdd9abb4d2eb7a944868a47a8c38140d4a2d37a",
+        "ledger.jsonl": "10f1e25e37e7172e3ec7fad98276ba6bd4fa638d89adfdf2ea806b1548ef9ec8",
+        "report.json": "2250e5e8090d95f2789de3540505412b4c72df3c499896607fa976bb61605eaa",
+        "settlement.csv": "c3df848296748fa3cdd2eaff56a1b5acb266d790afdf2d1e1c7693397458e112",
     }),
 }
 

@@ -101,6 +101,14 @@ def test_traffic_listed_before_its_arrival_is_an_invalid_config(tmp_path):
         run_scenario(cfg, tmp_path, trace=trace)
 
 
+def test_traffic_of_a_roamer_with_no_arrival_is_an_invalid_config(tmp_path):
+    cfg = small_config(days=3)
+    trace = minimal_trace(cfg)
+    trace.traffic["r-ghost"] = [(0, 9_000_000)]
+    with pytest.raises(InvalidConfig, match=r"traffic of roamer r-ghost, who has no arrival"):
+        run_scenario(cfg, tmp_path, trace=trace)
+
+
 def test_silent_only_scenario(tmp_path):
     cfg = small_config(silent_fraction=1.0, days=5)
     report = run_scenario(cfg, tmp_path)
@@ -668,15 +676,19 @@ def test_every_field_read_from_outside_declares_a_schema_fragment(cls):
     assert REPORT_SCHEMA is config_schema(MetricsReport) and SCENARIO_SCHEMA is config_schema(ScenarioConfig)
 
 
-# Run in a fresh interpreter on a run's output directory: neither command
-# generates a workload, so neither loads numpy, and nothing loads jsonschema.
+# Run in a fresh interpreter: simulate and calibrate draw the workload from
+# the stdlib's random, verify and requirements generate none, so no command
+# loads numpy, and nothing loads jsonschema.
 LOAD_PROBE = """
 import sys
 import dice
 assert "jsonschema" not in sys.modules, "import dice loaded jsonschema"
 from dice.cli import main
-for args in (["ledger", "verify", "--path", sys.argv[1] + "/ledger.jsonl"],
-             ["requirements", "--report", sys.argv[1] + "/report.json"]):
+config, out = sys.argv[1:]
+for args in (["simulate", "--config", config, "--out-dir", out],
+             ["calibrate", "--config", config],
+             ["ledger", "verify", "--path", out + "/ledger.jsonl"],
+             ["requirements", "--report", out + "/report.json"]):
     try:
         main(args)
     except SystemExit as exit:
@@ -686,14 +698,15 @@ for args in (["ledger", "verify", "--path", sys.argv[1] + "/ledger.jsonl"],
 """
 
 
-def test_verify_and_requirements_load_neither_numpy_nor_jsonschema(tmp_path):
-    run_scenario(small_config(days=2), tmp_path)
+def test_cli_commands_load_neither_numpy_nor_jsonschema(tmp_path):
+    config = write_config(tmp_path, days=2)
     src = str(Path(dice.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(config), str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("valid")
+    assert done.stdout.startswith("sessions=")
+    assert '"arrivals_total"' in done.stdout and "\nvalid" in done.stdout
 
 
 # Specs a price cannot be computed from, or with a key the model does not read.
@@ -983,7 +996,8 @@ def test_cli_int_beyond_float_range_in_a_config_is_a_usage_error(tmp_path, runne
 
 @pytest.mark.parametrize("config, figure", [
     ({"days": 1, "num_mnos": 10**306}, "onchain_tx_total"),              # the int product overflows
-    ({"days": 2, "scale": 1e-300, "silent_fraction": 0}, "bytes_serviced"),  # the quotient overflows
+    # The quotient overflows: the one roamer sends exactly the 1 MB median on day 0.
+    ({"days": 2, "scale": 1e-300, "silent_fraction": 0, "traffic_dispersion": 0}, "bytes_serviced"),
 ], ids=["num-mnos-1e306", "scale-1e-300"])
 def test_cli_simulate_whose_extrapolation_leaves_float_range_is_a_usage_error(tmp_path, runner,
                                                                              config, figure):

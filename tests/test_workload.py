@@ -1,6 +1,11 @@
 """Synthetic workload: determinism, calibration, distribution laws."""
 
-import numpy as np
+import math
+import random
+import statistics
+from collections import Counter
+from itertools import accumulate
+
 import pytest
 
 from dice.errors import EmptyTrace, InvalidConfig
@@ -11,6 +16,9 @@ from dice.workload import (
     calibration_report,
     generate,
     powerlaw_probs,
+    _geometric,
+    _pick,
+    _standard_normal,
     _top_share,
     solve_powerlaw_exponent,
 )
@@ -67,13 +75,12 @@ def test_empty_trace_report_raises():
 def test_exponent_solver_hits_target_mass():
     for n, share in ((188, 0.60), (400, 0.50)):
         alpha = solve_powerlaw_exponent(n, 10, share)
-        probs = np.arange(1, n + 1, dtype=float) ** -alpha
-        probs /= probs.sum()
-        assert probs[:10].sum() == pytest.approx(share, abs=1e-6)
+        weights = [i ** -alpha for i in range(1, n + 1)]
+        assert math.fsum(weights[:10]) / math.fsum(weights) == pytest.approx(share, abs=1e-6)
 
 
 def test_degenerate_popularity():
-    assert powerlaw_probs(1, 10, 0.6).sum() == pytest.approx(1.0)
+    assert math.fsum(powerlaw_probs(1, 10, 0.6)) == pytest.approx(1.0)
     alpha = solve_powerlaw_exponent(5, 10, 0.6)
     assert alpha == 1.0  # fewer entities than the top-k window
 
@@ -109,10 +116,10 @@ def test_mno_country_assignment_tracks_targets():
     country_probs = powerlaw_probs(188, 10, 0.60)
     assignment = assign_mnos_to_countries(mno_probs, country_probs)
     assert len(assignment) == 400
-    induced = np.zeros(188)
+    induced = [0.0] * 188
     for m, c in enumerate(assignment):
         induced[c] += mno_probs[m]
-    top10 = np.sort(induced)[::-1][:10].sum()
+    top10 = math.fsum(sorted(induced, reverse=True)[:10])
     assert top10 == pytest.approx(0.60, abs=0.05)
 
 
@@ -197,11 +204,60 @@ def test_single_country_top10_is_everything():
 
 
 def test_scale_linearity():
-    base = WorkloadConfig(seed=5, roamers_per_vmno_day=10_000, scale=1.0, days=14)
-    doubled = WorkloadConfig(seed=5, roamers_per_vmno_day=10_000, scale=2.0, days=14)
+    # Churn pinned: drawn from a band, each day's arrivals scale the standing
+    # population by a random factor, a multiplicative walk that no scale fixes.
+    pinned = dict(seed=5, roamers_per_vmno_day=10_000, days=14, churn_fraction_range=(0.2, 0.2))
+    base = WorkloadConfig(scale=1.0, **pinned)
+    doubled = WorkloadConfig(scale=2.0, **pinned)
     t1 = generate(base)
     t2 = generate(doubled)
     ratio_arrivals = len(t2.arrivals) / len(t1.arrivals)
     ratio_bytes = trace_bytes(t2) / trace_bytes(t1)
     assert ratio_arrivals == pytest.approx(2.0, rel=0.05)
     assert ratio_bytes == pytest.approx(2.0, rel=0.05)
+
+
+# --- sampler laws ------------------------------------------------------------------
+
+
+def test_geometric_inversion_follows_the_pmf_and_gives_at_least_one():
+    p, m = 0.24, 100_000
+    counts = Counter(_geometric(p, j / m) for j in range(m))  # an even grid of u, 0 included
+    for k in range(1, 30):
+        assert counts[k] / m == pytest.approx((1 - p) ** (k - 1) * p, abs=2 / m)
+    assert min(counts) == 1
+    below_one = math.nextafter(1.0, 0.0)
+    assert _geometric(p, 0.0) == 1                         # log(1 - 0) = 0 would give 0
+    assert _geometric(1.0, below_one) == 1                 # log1p(-1) is -inf
+    assert _geometric(below_one, below_one) == 1           # p -> 1
+
+
+def test_box_muller_has_the_standard_normal_median_and_quartiles():
+    rng = random.Random(12)
+    q1, median, q3 = statistics.quantiles(
+        (_standard_normal(rng.random(), rng.random()) for _ in range(40_000)), n=4)
+    quartile = statistics.NormalDist().inv_cdf(0.75)
+    assert median == pytest.approx(0.0, abs=0.03)
+    assert q1 == pytest.approx(-quartile, abs=0.03)
+    assert q3 == pytest.approx(quartile, abs=0.03)
+
+
+def test_home_mnos_are_drawn_with_the_power_law_frequencies():
+    probs = powerlaw_probs(400, 10, 0.50)
+    cumulative, m = list(accumulate(probs)), 100_000
+    counts = Counter(_pick(cumulative, j / m) for j in range(m))  # an even grid of u
+    assert all(counts[i] / m == pytest.approx(p, abs=2 / m) for i, p in enumerate(probs))
+    trace = generate(small_config(roamers_per_vmno_day=20_000_000, days=1))
+    n = len(trace.arrivals)
+    drawn = Counter(a.hmno for a in trace.arrivals)
+    for rank, p in enumerate(probs[:10]):
+        assert drawn[f"H{rank + 1:03d}"] / n == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n))
+
+
+def test_daily_churn_stays_inside_its_band():
+    lo, hi = 0.1, 0.3
+    trace = generate(small_config(days=28, churn_fraction_range=(lo, hi)))
+    arrivals = Counter(a.day for a in trace.arrivals)
+    standing = Counter(d for a in trace.arrivals for d in range(a.day + 1, a.day + a.stay_days))
+    for day in range(1, 28):
+        assert lo * standing[day] - 0.5 <= arrivals[day] <= hi * standing[day] + 0.5
