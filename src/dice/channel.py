@@ -11,7 +11,8 @@ Both sides of a channel live on one ``PaymentChannel`` record: the
 payload; the roamer's preimage and paid-block counter ``last_seq`` (proof
 ``seq`` and ``cumulative`` both count paid blocks); the VMNO's latest
 accepted proof; and the traffic metered.  ``ChannelManager(ledger, bank)``
-signs and verifies with the ledger's key registry.
+signs and verifies with the ledger's key registry; channel ids count the
+channels, and ``proofs_accepted`` sums each one's latest accepted seq.
 
 The roamer signs each proof's canonical bytes,
 ``codec.encode(["proof", channel_id, seq, cumulative])``, with no digest in
@@ -109,30 +110,28 @@ class ChannelManager:
         self.timelock_window = timelock_window
         self.inactivity_window = inactivity_window
         self.round_up_final_block = round_up_final_block
+        # Closed channels stay too, so each new channel's id is the count of channels.
         self.channels: dict[str, PaymentChannel] = {}
         self._open: dict[str, PaymentChannel] = {}   # open channels, in opening order
         # Every accepted proof is kept for ``dump_proofs`` only while
         # keep_proofs is set; proofs_accepted counts them either way.
         self.keep_proofs = True
         self.accepted_proofs: list[BalanceProof] = []
-        self.proofs_accepted = 0
         self._rng = random.Random(preimage_seed)
-        # The id and preimage of the next open; both move on only when an
-        # open is accepted, so a rejected open shifts no later channel.
-        self._seq = 0
+        # The preimage of the next open; like the next id, it moves on only
+        # when an open is accepted, so a rejected open shifts no later channel.
         self._next_preimage = self._rng.randbytes(32)
 
     # -- lifecycle
 
     def open_channel(self, wallet_id: str, vmno: str, deposit: int, now: int) -> str:
         wallet = self.bank.wallet(wallet_id)
-        channel_id = f"ch-{self._seq:07d}"
+        channel_id = f"ch-{len(self.channels):07d}"
         preimage = self._next_preimage
         roamer = wallet.owner or wallet_id
         opened = ChannelOpen(channel_id, wallet_id, vmno, deposit, codec.sha256(preimage),
                              now + self.timelock_window)
         tx_id = self.ledger.append(now, roamer, opened)
-        self._seq += 1
         self._next_preimage = self._rng.randbytes(32)
         ch = PaymentChannel(opened, tx_id, roamer, now, preimage)
         self.channels[channel_id] = self._open[channel_id] = ch
@@ -200,7 +199,6 @@ class ChannelManager:
             if proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock:
                 raise BadPreimage(channel_id)
         ch.latest = proof
-        self.proofs_accepted += 1
         if self.keep_proofs:
             self.accepted_proofs.append(proof)
         return proof
@@ -246,6 +244,12 @@ class ChannelManager:
         with open(path, "w", encoding="utf-8") as fh:
             for proof in self.accepted_proofs:
                 fh.write(json.dumps(proof.to_record(), separators=(",", ":")) + "\n")
+
+    @property
+    def proofs_accepted(self) -> int:
+        """Proofs accepted over all channels: ``receive_proof`` takes only the
+        next seq, so a channel's latest seq counts its accepted proofs."""
+        return sum(ch.latest.seq for ch in self.channels.values() if ch.latest is not None)
 
     def serviced_bytes_total(self) -> int:
         return sum(ch.bytes_total for ch in self.channels.values())

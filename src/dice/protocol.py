@@ -9,7 +9,7 @@ on-chain footprint.
 
 A session holds only its state: the chain holds its txs, its channel's
 latest accepted proof counts its proofs, and its events are built only
-while ``DiceEngine.keep_events`` is set.
+while ``DiceEngine.keep_events`` is set.  Session ids count the sessions.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ class DiceEngine:
             round_up_final_block=round_up_final_block,
             preimage_seed=codec.derive_seed(seed, "preimage"),
         )
+        # Sessions are never removed, so each new session's id is the count of sessions.
         self.sessions: dict[str, RoamerSession] = {}
         # Session events are built only while set; session clocks move on either way.
         self.keep_events = True
         self._session_by_channel: dict[str, RoamerSession] = {}
-        self._session_seq = 0
 
     # -- step 0: consortium agreements
 
@@ -112,8 +112,7 @@ class DiceEngine:
     # -- session lifecycle
 
     def new_session(self, roamer: str, wallet: str, hmno: str, vmno: str, mode: str, now: int) -> RoamerSession:
-        session_id = f"s-{self._session_seq:07d}"
-        self._session_seq += 1
+        session_id = f"s-{len(self.sessions):07d}"
         session = RoamerSession(session_id, roamer, wallet, hmno, vmno, mode, clock=now)
         self.sessions[session_id] = session
         return session

@@ -10,9 +10,9 @@ could have produced it, and the replay holds the live state.  The
 operators (the only actors that may issue or sign agreements and attach
 checks) and every signing key come from the ledger's genesis roster and
 key registry, so ``TokenBank(ledger)`` needs nothing else.  Every lot
-carries its lineage from the issuance event, which is what provenance
-checks read; a wallet keeps its lots by issuer.  One token pays for one
-100KB traffic block under the default charging model.
+carries its lineage from the issuance event, whose tx ids provenance checks
+read in the ledger's tx index; a wallet keeps its lots by issuer.  Lot ids
+count the lots.  One token pays for one 100KB traffic block by default.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class LineageEntry(NamedTuple):
 
 @dataclass
 class Wallet:
-    wallet_id: str
     owner: Optional[str]
     home_mno: str
     # issuer -> {lot_id: lot}, each in the order the lots arrived.
@@ -98,18 +97,16 @@ class TokenBank:
         self.ledger = ledger
         self.operators = frozenset(ledger.roster)
         self.wallets: dict[str, Wallet] = {}
+        # Burned lots stay too, so each new lot's id is the count of lots.
         self.lots: dict[str, TokenLot] = {}
         self.issued_by: dict[str, int] = {}
         self.burned_by: dict[str, int] = {}
         # Channel escrow: wallet -> channel -> locked token count (home issuer).
         self.locks: dict[str, dict[str, int]] = {}
-        # What provenance reads: each channel's open, and the Issue or
-        # ChannelClose payload of each tx id a lineage entry can cite.
+        # Each channel's open, which provenance reads with the ledger's tx index.
         self.channel_opens: dict[str, ChannelOpen] = {}
-        self.lineage_payloads: dict[bytes, Issue | ChannelClose] = {}
         # Each registered agreement, by (hmno, vmno).
         self.agreements: dict[tuple[str, str], AgreementRegistration] = {}
-        self._lot_seq = 0
         self._wallet_seq = 0
         ledger.attach_bank(self)
 
@@ -120,7 +117,7 @@ class TokenBank:
             wallet_id = f"w-{self._wallet_seq:07d}"
             self._wallet_seq += 1
         if wallet_id not in self.wallets:
-            self.wallets[wallet_id] = Wallet(wallet_id, owner, home_mno)
+            self.wallets[wallet_id] = Wallet(owner, home_mno)
         return wallet_id
 
     def wallet(self, wallet_id: str) -> Wallet:
@@ -134,9 +131,7 @@ class TokenBank:
         return self.create_wallet(mno, mno, treasury_wallet_id(mno))
 
     def _next_lot_id(self) -> str:
-        lot_id = f"lot-{self._lot_seq:08d}"
-        self._lot_seq += 1
-        return lot_id
+        return f"lot-{len(self.lots):08d}"
 
     # -- operations
 
@@ -258,7 +253,6 @@ class TokenBank:
             self.lots[lot.lot_id] = lot
             self.wallets[p.wallet].lots.setdefault(p.issuer, {})[lot.lot_id] = lot
             self.issued_by[p.issuer] = self.issued_by.get(p.issuer, 0) + p.amount
-            self.lineage_payloads[tx.tx_id] = p
         elif isinstance(p, ChannelOpen):
             if not _is_count(p.deposit) or p.deposit == 0:
                 raise ZeroDeposit(repr(p.deposit))
@@ -283,7 +277,6 @@ class TokenBank:
             if p.paid:
                 issuer = self.wallets[opened.wallet].home_mno
                 self.transfer(opened.wallet, self.treasury(opened.vmno), issuer, p.paid, tx.tx_id)
-            self.lineage_payloads[tx.tx_id] = p
         elif isinstance(p, Redeem):
             if tx.signer != p.vmno:
                 raise PayloadRejected(f"redeem for {p.vmno} signed by {tx.signer}")
@@ -324,7 +317,7 @@ class TokenBank:
         treasury, having reached it through the close of a VMNO channel."""
         lot = self.lot(lot_id)
         root = lot.lineage[0]
-        issued = self.lineage_payloads.get(root.tx_id)
+        issued = getattr(self.ledger.tx_index.get(root.tx_id), "payload", None)
         if not isinstance(issued, Issue) or issued.wallet != root.holder:
             return "missing-issuance"
         if issued.issuer != hmno:
@@ -333,7 +326,7 @@ class TokenBank:
             return None
         if lot.holder != treasury_wallet_id(vmno):
             return "not-held-by-claimant"
-        paid = self.lineage_payloads.get(lot.lineage[-1].tx_id)
+        paid = getattr(self.ledger.tx_index.get(lot.lineage[-1].tx_id), "payload", None)
         if not isinstance(paid, ChannelClose) or self.channel_opens[paid.channel].vmno != vmno:
             return "not-service-payment"
         return None

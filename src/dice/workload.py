@@ -145,12 +145,15 @@ class WorkloadConfig:
 
     def validate(self) -> None:
         """Raise InvalidConfig unless the fields fit the schema (every number
-        finite), the generator can scale the population, and the churn band is ordered."""
+        finite), the generator can scale the population, the churn band is
+        ordered, and a stay can end."""
         _check_schema(type(self), self.to_dict())
         _require_float_range(roamers_per_vmno_day=self.roamers_per_vmno_day)
         lo, hi = self.churn_fraction_range
         if lo > hi:
             raise InvalidConfig(f"$.churn_fraction_range: {lo} > {hi}")
+        if 2.0 ** (-1.0 / self.stay_days_median) == 1.0:   # generate's p_depart would be 0
+            raise InvalidConfig(f"$.stay_days_median: {self.stay_days_median!r} is too long to end a stay")
 
     def to_dict(self) -> dict:
         """The JSON form: tuples become lists."""
@@ -282,7 +285,6 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
 
     cohort = max(1, round(config.roamers_per_vmno_day * config.scale))
     active: list[Arrival] = []
-    remaining: list[int] = []       # days left, aligned with `active`
     seq = 0
 
     for day in range(config.days):
@@ -305,19 +307,17 @@ def generate(config: WorkloadConfig) -> SessionEventTrace:
             seq += 1
             trace.arrivals.append(arrival)
             active.append(arrival)
-            remaining.append(stay)
         # Log-normal traffic for every non-silent roamer active today.
         for arrival in active:
             if not arrival.silent:
-                nbytes = max(1, round(math.exp(mu + sigma * _standard_normal(draw(), draw()))))
+                try:
+                    nbytes = max(1, round(math.exp(mu + sigma * _standard_normal(draw(), draw()))))
+                except OverflowError:  # depends on the draw, so validate cannot catch it
+                    raise InvalidConfig("a daily traffic draw is beyond float range; lower "
+                                        "traffic_dispersion or daily_traffic_median_bytes") from None
                 trace.traffic.setdefault(arrival.roamer, []).append((day, nbytes))
         # Departures at end of day.
-        keep_a, keep_r = [], []
-        for arrival, left in zip(active, remaining):
-            if left > 1:
-                keep_a.append(arrival)
-                keep_r.append(left - 1)
-        active, remaining = keep_a, keep_r
+        active = [a for a in active if a.day + a.stay_days > day + 1]
     return trace
 
 

@@ -994,6 +994,27 @@ def test_cli_int_beyond_float_range_in_a_config_is_a_usage_error(tmp_path, runne
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, field", [
+    # p_depart rounds to 0, so no stay could end: rejected by validate.
+    ({"days": 2, "stay_days_median": 1e17}, "stay_days_median"),
+    # exp() of a traffic draw overflows: rejected where the draw is made.
+    ({"days": 2, "traffic_dispersion": 1e300}, "traffic_dispersion"),
+], ids=["stay-median-1e17", "dispersion-1e300"])
+def test_cli_config_the_generator_cannot_draw_from_is_a_usage_error(tmp_path, runner, config, field):
+    """A config that fits the schema but that the generator cannot draw a
+    trace from: named, with no ZeroDivisionError or OverflowError traceback,
+    and no output file written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    for command in (["simulate", "--out-dir", str(out)], ["calibrate"]):
+        result = runner.invoke(cli_main, [*command, "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert field in result.stderr and result.stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("config, figure", [
     ({"days": 1, "num_mnos": 10**306}, "onchain_tx_total"),              # the int product overflows
     # The quotient overflows: the one roamer sends exactly the 1 MB median on day 0.

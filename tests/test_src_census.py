@@ -1,10 +1,14 @@
 """Every function, class and method in ``src/dice`` has a caller there, so
-code that only tests call does not grow back.
+code that only tests call does not grow back; and every attribute src sets
+on ``self``, and every field of the records in ``RECORDS``, is read there, so
+a copy of a fact that another record holds does not grow back either.
 
 A name counts as called if any src module loads it, as a name or as an
 attribute, or ``dice/__init__.py`` re-exports it.  Dunder methods are
-called by Python itself.  The census matches names, not bindings, so it
-misses a dead method that shares its name with a live one.
+called by Python itself.  A stored attribute counts as read if any src
+module loads its name as an attribute.  Both censuses match names, not
+bindings, so they miss a dead method or attribute that shares its name with
+a live one.
 """
 
 import ast
@@ -27,6 +31,16 @@ CALLED_FROM_OUTSIDE = {
     "channel.PaymentChannel.status": "read by the benchmark's tracer to count open channels",
 }
 
+# The records whose fields the stored-state census checks, besides the
+# attributes set on ``self``.
+RECORDS = {"Wallet", "TokenLot", "PaymentChannel", "RoamerSession"}
+
+
+def _modules():
+    """(module name, parsed tree) of each src module."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
 
 def _definitions(tree, module):
     """(qualified name, name) of each function, class and method under ``tree``."""
@@ -44,15 +58,14 @@ def _definitions(tree, module):
 def census() -> set[str]:
     """The qualified names of the src definitions that no src module calls."""
     defined, loaded = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(_definitions(tree, path.stem))
+    for module, tree in _modules():
+        defined.update(_definitions(tree, module))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+            elif isinstance(node, ast.ImportFrom) and module == "__init__":
                 loaded.update(alias.asname or alias.name for alias in node.names)
     return {qual for qual, name in defined.items()
             if name not in loaded and not (name.startswith("__") and name.endswith("__"))}
@@ -68,3 +81,32 @@ def test_census_sees_methods_nested_functions_and_re_exports():
     assert sorted(_definitions(tree, "m")) == [("m.A", "A"), ("m.A.f", "f"), ("m.A.f.g", "g")]
     assert "protocol.DiceEngine" not in census()   # re-exported, and called by harness
     assert "harness.verify_ledger" not in census()  # re-exported only
+
+
+def unread_state(modules) -> set[str]:
+    """The qualified names of the attributes set on ``self``, and of the
+    fields of ``RECORDS``, that no module of ``modules`` reads as an attribute."""
+    stored, read = {}, set()
+    for module, tree in modules:
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored[f"{module}.{cls.name}.{node.attr}"] = node.attr
+            if cls.name in RECORDS:
+                stored.update((f"{module}.{cls.name}.{node.target.id}", node.target.id) for node in cls.body
+                              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+    return {qual for qual, name in stored.items() if name not in read}
+
+
+def test_every_stored_attribute_and_record_field_is_read_in_src():
+    """State that src never reads is a copy kept in step for no reader."""
+    assert sorted(unread_state(_modules())) == []
+
+
+def test_stored_state_census_sees_self_attributes_and_record_fields():
+    tree = ast.parse("class Wallet:\n    owner: str\n    spare: int\n"
+                     "    def f(self, other):\n        self.x = self.owner\n        other.y = 1\n")
+    assert sorted(unread_state([("m", tree)])) == ["m.Wallet.spare", "m.Wallet.x"]
