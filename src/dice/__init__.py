@@ -3,7 +3,6 @@
 from .channel import BalanceProof, ChannelManager, PaymentChannel
 from .harness import (
     MetricsReport,
-    RequirementsAssumptions,
     RequirementsVerdict,
     ScenarioConfig,
     check_requirements,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceProof", "ChannelManager", "PaymentChannel",
-    "MetricsReport", "RequirementsAssumptions", "RequirementsVerdict",
+    "MetricsReport", "RequirementsVerdict",
     "ScenarioConfig", "check_requirements", "run_scenario", "verify_ledger",
     "Block", "Ledger", "QueryFilter", "Transaction", "ValidityReport",
     "DiceEngine", "RoamerSession",

@@ -6,6 +6,7 @@ verification or requirements check, 2 usage error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -14,8 +15,9 @@ import click
 
 from .errors import DiceError, InvalidConfig, IoFailure
 from .harness import (
+    SCENARIO_SCHEMA,
+    VISITED_MNO_DAILY_BYTES,
     MetricsReport,
-    RequirementsAssumptions,
     ScenarioConfig,
     chain_figures,
     check_requirements,
@@ -36,14 +38,14 @@ def main() -> None:
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--days", type=int, default=None, help="Override the horizon in days.")
-@click.option("--mode", type=click.Choice(["lbo", "hr"]), default=None)
+@click.option("--mode", type=click.Choice(SCENARIO_SCHEMA["properties"]["mode"]["enum"]), default=None)
 @click.option("--dump-proofs", type=click.Path(), is_flag=False, flag_value="proofs.jsonl",
               default=None, help="Write accepted proofs as JSON-Lines (optionally to FILE).")
 @click.option("--dump-events", type=click.Path(), is_flag=False, flag_value="events.jsonl",
               default=None, help="Write session events as JSON-Lines (optionally to FILE).")
-def simulate(config_path, out_dir, seed, days, mode, dump_proofs, dump_events) -> None:
+def simulate(config_path, out_dir, dump_proofs, dump_events, **knobs) -> None:
     """Run a full scenario and write report.json, ledger.jsonl, settlement.csv."""
-    overrides = {k: v for k, v in (("seed", seed), ("days", days), ("mode", mode)) if v is not None}
+    overrides = {k: v for k, v in knobs.items() if v is not None}
     try:
         config = ScenarioConfig.from_json_file(config_path, **overrides)
         report = run_scenario(config, out_dir, dump_proofs=dump_proofs, dump_events=dump_events)
@@ -98,30 +100,26 @@ def ledger_verify(path) -> None:
 @click.option("--concentration-hours", type=float, default=None, help="Defaults to the report's config value.")
 @click.option("--traffic-tb-per-day", type=float, default=None,
               help="Assumed visited-MNO daily roamer traffic, in terabytes "
-                   f"[default: {RequirementsAssumptions.visited_mno_daily_bytes / 1e12:g}].")
+                   f"[default: {VISITED_MNO_DAILY_BYTES / 1e12:g}].")
 @click.option("--avg-mno-factor", type=float, default=None,
               help="Average-member size ratio; defaults to the report's config value.")
-def requirements(report_path, tps_capacity, concentration_hours, traffic_tb_per_day,
-                 avg_mno_factor) -> None:
+def requirements(report_path, traffic_tb_per_day, **knobs) -> None:
     """Project the run to consortium scale and check TPS feasibility."""
-    assumptions = RequirementsAssumptions(
-        tps_capacity=tps_capacity,
-        concentration_hours=concentration_hours,
-        avg_mno_factor=avg_mno_factor,
-    )
+    daily_bytes = VISITED_MNO_DAILY_BYTES
     if traffic_tb_per_day is not None:
         daily_bytes = traffic_tb_per_day * 1e12
         if not (math.isfinite(daily_bytes) and daily_bytes >= 0):
             raise click.BadParameter("must be >= 0, with a byte count within float range",
                                      param_hint="'--traffic-tb-per-day'")
-        assumptions.visited_mno_daily_bytes = int(daily_bytes)
     try:
         report = MetricsReport.from_json_file(report_path)
     except (OSError, ValueError, InvalidConfig) as exc:
         click.echo(f"cannot read report: {exc}", err=True)
         sys.exit(1)
+    overrides = {k: v for k, v in knobs.items() if v is not None}
+    report = dataclasses.replace(report, config={**report.config, **overrides})
     try:
-        verdict = check_requirements(report, assumptions)
+        verdict = check_requirements(report, int(daily_bytes))
     except InvalidConfig as exc:  # an override, or a figure the projection cannot hold
         raise click.UsageError(str(exc))
     click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True, allow_nan=False))

@@ -161,8 +161,8 @@ def run_scenario(
     out_dir,
     *,
     trace: Optional[SessionEventTrace] = None,
-    dump_proofs: bool | str = False,
-    dump_events: bool | str = False,
+    dump_proofs=None,
+    dump_events=None,
     on_seal=None,
 ) -> MetricsReport:
     """Drive every roamer in the trace through the protocol end to end.
@@ -176,8 +176,8 @@ def run_scenario(
     Deterministic for a fixed config; ``trace`` may inject a handcrafted
     workload in place of the generated one.  ``on_seal`` (if given) is
     called with the engine after every sealed block, for audit hooks.
-    ``dump_proofs``/``dump_events`` accept True (default file name in
-    out_dir) or an explicit path.
+    ``dump_proofs``/``dump_events``, if given, are the paths the accepted
+    proofs and the session events are written to, a relative one in out_dir.
     """
     config.validate()
     _require_float_range(num_mnos=config.num_mnos)
@@ -202,8 +202,8 @@ def run_scenario(
         inactivity_window=config.inactivity_window_s,
         round_up_final_block=config.round_up_final_block,
     )
-    engine.channels.keep_proofs = bool(dump_proofs)
-    engine.keep_events = bool(dump_events)
+    engine.channels.keep_proofs = dump_proofs is not None
+    engine.keep_events = dump_events is not None
     model = model_from_dict(config.charging)
     for hmno in hmnos:
         engine.register_agreement(hmno, config.vmno, (hmno,), config.charging, 0)
@@ -278,22 +278,17 @@ def run_scenario(
         })
     seal(horizon)
 
-    def resolve(option, default_name):
-        name = option if isinstance(option, str) else default_name
-        path = Path(name)
-        return path if path.is_absolute() else out_dir / path
-
     report = _build_report(config, engine, trace)
     try:
         (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         engine.ledger.save_jsonl(out_dir / "ledger.jsonl")
         write_settlement_csv(out_dir / "settlement.csv", settlement_rows)
-        if dump_proofs:
-            engine.channels.dump_proofs(resolve(dump_proofs, "proofs.jsonl"))
-        if dump_events:
+        if dump_proofs is not None:
+            engine.channels.dump_proofs(out_dir / dump_proofs)
+        if dump_events is not None:
             all_events = [ev for s in engine.sessions.values() for ev in s.events]
             all_events.sort(key=lambda ev: (ev["time"], ev["session_id"]))
-            events_to_jsonl(all_events, resolve(dump_events, "events.jsonl"))
+            events_to_jsonl(all_events, out_dir / dump_events)
     except OSError as exc:
         raise IoFailure(str(exc)) from None
     return report
@@ -361,14 +356,7 @@ def chain_figures(bank: TokenBank) -> dict:
 # --- requirements audit ----------------------------------------------------------
 
 
-@dataclass
-class RequirementsAssumptions:
-    # A field named after a config knob overrides the report's value; None
-    # keeps it.
-    tps_capacity: Optional[int] = None
-    concentration_hours: Optional[float] = None
-    visited_mno_daily_bytes: Optional[int] = 10_000_000_000_000  # 10 TB/day
-    avg_mno_factor: Optional[float] = None
+VISITED_MNO_DAILY_BYTES = 10_000_000_000_000  # 10 TB/day of roamer traffic
 
 
 @dataclass
@@ -385,15 +373,17 @@ class RequirementsVerdict:
         return asdict(self)
 
 
-def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptions) -> RequirementsVerdict:
+def check_requirements(report: MetricsReport,
+                       visited_mno_daily_bytes: Optional[int] = VISITED_MNO_DAILY_BYTES) -> RequirementsVerdict:
     """Extrapolate the desk-scale run to consortium scale and test it
-    against the reference ledger capacity.  The knob overrides are validated
-    with the report's config, so a bad one raises InvalidConfig naming it;
-    so does a verdict figure that is not finite, naming the first one, and
-    an int the projection would have to turn into a float beyond its range."""
-    overrides = {k: v for k, v in asdict(assumptions).items()
-                 if v is not None and k in SCENARIO_SCHEMA["properties"]}
-    cfg = ScenarioConfig.from_dict({**report.config, **overrides})
+    against the reference ledger capacity.  Every projection knob is read
+    from the report's config, which is validated first, so a bad one raises
+    InvalidConfig naming it; so does a verdict figure that is not finite,
+    naming the first one, and an int the projection would have to turn into
+    a float beyond its range.  The visited MNO's daily off-chain payments
+    come from ``visited_mno_daily_bytes``, or with None from the run's own
+    proofs."""
+    cfg = ScenarioConfig.from_dict(report.config)
     tps_capacity, factor = cfg.tps_capacity, cfg.avg_mno_factor
     _require_float_range(tps_capacity=tps_capacity, num_mnos=cfg.num_mnos,
                          onchain_tx_total=report.onchain_tx_total,
@@ -401,8 +391,8 @@ def check_requirements(report: MetricsReport, assumptions: RequirementsAssumptio
 
     onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
     daily_onchain = onchain_daily_full * cfg.num_mnos * factor
-    if assumptions.visited_mno_daily_bytes is not None:
-        daily_offchain = assumptions.visited_mno_daily_bytes / TOKEN_BLOCK_BYTES
+    if visited_mno_daily_bytes is not None:
+        daily_offchain = visited_mno_daily_bytes / TOKEN_BLOCK_BYTES
     else:
         daily_offchain = report.offchain_proofs_total / cfg.days / cfg.scale
     daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor

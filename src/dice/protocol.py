@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import codec
-from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW, ChannelManager
+from .channel import ChannelManager
 from .errors import (
     NoAgreement,
     NoTokens,
@@ -68,30 +68,17 @@ class DiceEngine:
     All actors (MNOs and roamers) must be known up front: their signing
     keys are anchored in the genesis block, which is what makes a
     persisted ledger verifiable on its own.  The MNOs form the roster: they
-    seal blocks, issue tokens and sign agreements.
+    seal blocks, issue tokens and sign agreements.  ``channel_options`` go
+    to ``ChannelManager`` unchanged.
     """
 
-    def __init__(
-        self,
-        mnos: list[str],
-        roamers: list[str],
-        *,
-        seed: int = 0,
-        timelock_window: int = DEFAULT_TIMELOCK_WINDOW,
-        inactivity_window: int = DEFAULT_INACTIVITY_WINDOW,
-        round_up_final_block: bool = True,
-    ):
+    def __init__(self, mnos: list[str], roamers: list[str], *, seed: int = 0, **channel_options):
         keys = {a: codec.derive_key(seed, a) for a in [*mnos, *roamers]}
         self.ledger = Ledger(mnos, keys)
         self.signer = self.ledger.signer_backend
         self.bank = TokenBank(self.ledger)
-        self.channels = ChannelManager(
-            self.ledger, self.bank,
-            timelock_window=timelock_window,
-            inactivity_window=inactivity_window,
-            round_up_final_block=round_up_final_block,
-            preimage_seed=codec.derive_seed(seed, "preimage"),
-        )
+        self.channels = ChannelManager(self.ledger, self.bank, preimage_seed=codec.derive_seed(seed, "preimage"),
+                                       **channel_options)
         # Sessions are never removed, so each new session's id is the count of sessions.
         self.sessions: dict[str, RoamerSession] = {}
         # Session events are built only while set; session clocks move on either way.

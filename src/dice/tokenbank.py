@@ -113,9 +113,13 @@ class TokenBank:
     # -- wallet management
 
     def create_wallet(self, owner: Optional[str], home_mno: str, wallet_id: Optional[str] = None) -> str:
-        if wallet_id is None:
-            wallet_id = f"w-{self._wallet_seq:07d}"
+        """The wallet ``wallet_id``, created for ``owner`` if new; with no id,
+        a new wallet under the next generated id that no wallet holds yet."""
+        while wallet_id is None:
+            generated = f"w-{self._wallet_seq:07d}"
             self._wallet_seq += 1
+            if generated not in self.wallets:  # an Issue may have named it first
+                wallet_id = generated
         if wallet_id not in self.wallets:
             self.wallets[wallet_id] = Wallet(owner, home_mno)
         return wallet_id

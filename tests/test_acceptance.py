@@ -24,7 +24,6 @@ from dice.errors import (
     StaleProof,
 )
 from dice.harness import (
-    RequirementsAssumptions,
     ScenarioConfig,
     check_requirements,
     run_scenario,
@@ -64,7 +63,7 @@ def default_run(tmp_path_factory):
         engines.append(engine)
 
     config = ScenarioConfig()
-    report = run_scenario(config, out, dump_proofs=True, dump_events=True, on_seal=audit)
+    report = run_scenario(config, out, dump_proofs="proofs.jsonl", dump_events="events.jsonl", on_seal=audit)
     return {
         "config": config,
         "report": report,
@@ -79,7 +78,7 @@ def hr_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("default_hr")
     engines = []
     config = ScenarioConfig(mode="hr")
-    report = run_scenario(config, out, dump_events=True, on_seal=lambda e: engines.append(e))
+    report = run_scenario(config, out, dump_events="events.jsonl", on_seal=lambda e: engines.append(e))
     return {"config": config, "report": report, "out": out, "engine": engines[-1]}
 
 
@@ -128,10 +127,7 @@ def test_criterion_01_three_tx_rule(tmp_path):
 
 def test_criterion_02_offchain_arithmetic(default_run):
     with criterion(2, "10TB/day at 100KB -> 1e8 off-chain payments/day"):
-        verdict = check_requirements(
-            default_run["report"],
-            RequirementsAssumptions(visited_mno_daily_bytes=10 * 10**12),
-        )
+        verdict = check_requirements(default_run["report"], visited_mno_daily_bytes=10 * 10**12)
         # Oracle: 10 x 10^12 / 10^5 = 10^8.
         assert verdict.daily_offchain_projected == pytest.approx(1e8, rel=0.02)
 
@@ -141,7 +137,7 @@ def test_criterion_02_offchain_arithmetic(default_run):
 
 def test_criterion_03_onchain_projection(default_run):
     with criterion(3, "daily on-chain in [1e6, 1e7) and peak TPS < 20000"):
-        verdict = check_requirements(default_run["report"], RequirementsAssumptions())
+        verdict = check_requirements(default_run["report"])
         assert 1e6 <= verdict.daily_onchain_projected < 1e7
         assert verdict.projected_peak_tps < 20_000
         assert verdict.passed
@@ -407,7 +403,7 @@ def test_criterion_08_workload_calibration():
 def test_criterion_09_determinism(default_run, tmp_path):
     with criterion(9, "byte-identical report.json and ledger.jsonl across runs"):
         rerun = tmp_path / "rerun"
-        run_scenario(default_run["config"], rerun, dump_proofs=True)
+        run_scenario(default_run["config"], rerun, dump_proofs="proofs.jsonl")
         for name in ("report.json", "ledger.jsonl", "settlement.csv", "proofs.jsonl"):
             a = (default_run["out"] / name).read_bytes()
             b = (rerun / name).read_bytes()

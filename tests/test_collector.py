@@ -71,7 +71,7 @@ def chains(tmp_path_factory):
     """A valid chain and each broken copy, after one warm-up pass over every
     path the garbage tests take (a cold first run leaves import garbage)."""
     out = tmp_path_factory.mktemp("chains")
-    run_scenario(small_config(), out / "run", dump_proofs=True, dump_events=True)
+    run_scenario(small_config(), out / "run", dump_proofs="proofs.jsonl", dump_events="events.jsonl")
     valid = out / "run" / "ledger.jsonl"
     paths = {"valid": valid}
     for name, (breaker, reason) in BROKEN_CHAINS.items():
@@ -149,7 +149,7 @@ def cyclic_garbage(fn, *args, **kwargs) -> Counter:
         gc.garbage.clear()
 
 
-@pytest.mark.parametrize("dumps", [{}, {"dump_proofs": True, "dump_events": True}],
+@pytest.mark.parametrize("dumps", [{}, {"dump_proofs": "proofs.jsonl", "dump_events": "events.jsonl"}],
                          ids=["plain", "dumps"])
 def test_a_run_leaves_no_cyclic_garbage(chains, tmp_path, dumps):
     garbage = cyclic_garbage(run_scenario, small_config(), tmp_path, **dumps)

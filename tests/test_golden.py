@@ -20,7 +20,7 @@ GOLDEN_SHA256 = {
 
 
 def test_outputs_match_the_golden_digests(tmp_path):
-    run_scenario(ScenarioConfig(seed=42, days=5), tmp_path, dump_proofs=True, dump_events=True)
+    run_scenario(ScenarioConfig(seed=42, days=5), tmp_path, dump_proofs="proofs.jsonl", dump_events="events.jsonl")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256

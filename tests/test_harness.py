@@ -23,8 +23,8 @@ from dice.harness import (
     DAY,
     REPORT_SCHEMA,
     SCENARIO_SCHEMA,
+    VISITED_MNO_DAILY_BYTES,
     MetricsReport,
-    RequirementsAssumptions,
     ScenarioConfig,
     chain_figures,
     check_requirements,
@@ -224,7 +224,7 @@ def test_cross_module_accounting_closure(tmp_path):
 def test_proof_dump_matches_offchain_count(tmp_path):
     cfg = small_config()
     out = tmp_path / "run"
-    report = run_scenario(cfg, out, dump_proofs=True)
+    report = run_scenario(cfg, out, dump_proofs="proofs.jsonl")
     lines = (out / "proofs.jsonl").read_text().splitlines()
     assert len(lines) == report.offchain_proofs_total
     # strictly increasing (seq, cumulative) per channel
@@ -241,7 +241,7 @@ def test_proofs_are_held_only_when_dumped(tmp_path):
     cfg = small_config()
     engines = {}
     for dump in (False, True):
-        report = run_scenario(cfg, tmp_path / str(dump), dump_proofs=dump,
+        report = run_scenario(cfg, tmp_path / str(dump), dump_proofs="proofs.jsonl" if dump else None,
                               on_seal=lambda e, dump=dump: engines.__setitem__(dump, e))
         channels = engines[dump].channels
         assert report.offchain_proofs_total == channels.proofs_accepted > 0
@@ -250,11 +250,18 @@ def test_proofs_are_held_only_when_dumped(tmp_path):
         assert (tmp_path / "False" / name).read_bytes() == (tmp_path / "True" / name).read_bytes()
 
 
+def test_an_empty_dump_path_is_an_io_failure(tmp_path):
+    """An empty path names the out dir itself; it does not turn the dump off."""
+    for dump in ("dump_proofs", "dump_events"):
+        with pytest.raises(IoFailure):
+            run_scenario(small_config(), tmp_path / dump, **{dump: ""})
+
+
 def test_events_are_held_only_when_dumped(tmp_path):
     cfg = small_config()
     engines = {}
     for dump in (False, True):
-        run_scenario(cfg, tmp_path / str(dump), dump_events=dump,
+        run_scenario(cfg, tmp_path / str(dump), dump_events="events.jsonl" if dump else None,
                      on_seal=lambda e, dump=dump: engines.__setitem__(dump, e))
     held = {dump: sum(len(s.events) for s in e.sessions.values()) for dump, e in engines.items()}
     assert held[False] == 0 and held[True] > 0
@@ -303,19 +310,17 @@ def fake_report(onchain=4800, offchain=20_000, days=28, scale=0.001, num_mnos=80
 
 def test_ten_tb_day_gives_1e8_offchain_payments():
     # 10 TB/day at 100KB per payment: 10^13 / 10^5 = 10^8, exactly.
-    verdict = check_requirements(fake_report(), RequirementsAssumptions())
+    verdict = check_requirements(fake_report())
     assert verdict.daily_offchain_projected == pytest.approx(1e8, rel=0.02)
 
 
 def test_trace_based_offchain_projection_when_no_assumption():
-    verdict = check_requirements(
-        fake_report(), RequirementsAssumptions(visited_mno_daily_bytes=None)
-    )
+    verdict = check_requirements(fake_report(), visited_mno_daily_bytes=None)
     assert verdict.daily_offchain_projected == pytest.approx(20_000 / 28 / 0.001)
 
 
 def test_onchain_projection_and_pass():
-    verdict = check_requirements(fake_report(), RequirementsAssumptions())
+    verdict = check_requirements(fake_report())
     # 4800/28/0.001 * 800 * 0.02 ~ 2.74e6: few millions a day.
     assert 1e6 <= verdict.daily_onchain_projected < 1e7
     assert verdict.projected_peak_tps < 20_000
@@ -324,9 +329,7 @@ def test_onchain_projection_and_pass():
 
 
 def test_concentration_can_push_past_capacity():
-    verdict = check_requirements(
-        fake_report(), RequirementsAssumptions(concentration_hours=0.01)
-    )
+    verdict = check_requirements(fake_report(concentration_hours=0.01))
     assert verdict.projected_peak_tps > 20_000
     assert not verdict.passed
 
@@ -916,7 +919,7 @@ def test_cli_requirements_default_traffic_is_the_assumptions_default(tmp_path, r
     default = runner.invoke(cli_main, ["requirements", "--report", str(path)])
     explicit = runner.invoke(cli_main, [
         "requirements", "--report", str(path),
-        "--traffic-tb-per-day", str(RequirementsAssumptions.visited_mno_daily_bytes / 1e12),
+        "--traffic-tb-per-day", str(VISITED_MNO_DAILY_BYTES / 1e12),
     ])
     assert default.exit_code == explicit.exit_code == 0
     assert default.output == explicit.output

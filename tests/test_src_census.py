@@ -12,9 +12,12 @@ a live one.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import dice
+from dice.cli import main as cli_main
+from dice.harness import SCENARIO_SCHEMA
 
 SRC = Path(dice.__file__).parent
 
@@ -110,3 +113,30 @@ def test_stored_state_census_sees_self_attributes_and_record_fields():
     tree = ast.parse("class Wallet:\n    owner: str\n    spare: int\n"
                      "    def f(self, other):\n        self.x = self.owner\n        other.y = 1\n")
     assert sorted(unread_state([("m", tree)])) == ["m.Wallet.spare", "m.Wallet.x"]
+
+
+def _override_flags(command) -> dict:
+    """The params of a click command that its callback takes as ``**knobs``,
+    the ones it merges into a config, by name."""
+    named = inspect.signature(command.callback).parameters
+    return {p.name: p for p in command.params if p.name not in named}
+
+
+def test_each_config_override_flag_names_a_scenario_knob():
+    """A flag that overrides a config value is that knob, stated once in
+    ``ScenarioConfig``, and an omitted one keeps the config's value."""
+    flags = {name: _override_flags(cli_main.commands[name]) for name in ("simulate", "requirements")}
+    assert {name: set(params) for name, params in flags.items()} == {
+        "simulate": {"seed", "days", "mode"},
+        "requirements": {"tps_capacity", "concentration_hours", "avg_mno_factor"},
+    }
+    for params in flags.values():
+        assert set(params) <= set(SCENARIO_SCHEMA["properties"])
+        assert all(p.default is None for p in params.values())
+    assert list(flags["simulate"]["mode"].type.choices) == SCENARIO_SCHEMA["properties"]["mode"]["enum"]
+
+
+def test_requirements_assumptions_are_gone():
+    """The projection knobs are config knobs; no second record restates them."""
+    assert "RequirementsAssumptions" not in dice.__all__
+    assert not hasattr(dice.harness, "RequirementsAssumptions")

@@ -100,6 +100,18 @@ def test_create_identities_validates_shape(bank):
         bank.create_identities("H", "alice", 2, [10], now=1)
 
 
+def test_create_identities_skips_a_generated_id_an_issue_took(bank):
+    """An Issue may name any wallet id, the next generated one included."""
+    bank.issue("H", "w-0000001", 5, 1)
+    wallets = bank.create_identities("H", "alice", 2, [10, 10], 2)
+    assert len(set(wallets)) == 2 and "w-0000001" not in wallets
+    for w in wallets:
+        assert bank.wallet(w).owner == "alice"
+        assert bank.balance(w, "H") == 10
+    assert bank.wallet("w-0000001").owner is None
+    assert bank.balance("w-0000001", "H") == 5
+
+
 def test_identity_privacy_against_other_mnos(bank):
     """Exhaustive: no non-home MNO can discover any of the roamer's wallets
     through ledger queries."""
