@@ -163,22 +163,21 @@ class ChannelManager:
         ch.bytes_total += take
         ch.unserviced_bytes += new_bytes - take
         proofs = []
-        target_blocks = ch.bytes_total // TOKEN_BLOCK_BYTES
-        seq = ch.last_seq
-        sign, roamer, head, message = self.signer.sign, ch.roamer, ch.proof_head, codec.append_int_pair
-        while seq < target_blocks:
-            seq += 1   # each proof pays one more block
-            preimage = ch.preimage if seq == 1 else None
-            sig = sign(roamer, message(head, seq, seq))
-            proofs.append(BalanceProof(channel_id, seq, seq, preimage, sig))
-            ch.last_seq = seq
+        append, sign, roamer, head, message = (
+            proofs.append, self.signer.sign, ch.roamer, ch.proof_head, codec.append_int_pair)
+        preimage = ch.preimage if ch.last_seq == 0 else None   # only seq 1 reveals it
+        for seq in range(ch.last_seq + 1, ch.bytes_total // TOKEN_BLOCK_BYTES + 1):
+            append(BalanceProof(channel_id, seq, seq, preimage, sign(roamer, message(head, seq, seq))))
+            ch.last_seq, preimage = seq, None
         ch.last_activity = now
         return proofs
 
     def receive_proof(self, vmno: str, proof: BalanceProof) -> BalanceProof:
         """VMNO side: validate and store the latest balance proof."""
         channel_id, seq, cumulative = proof.channel_id, proof.seq, proof.cumulative
-        ch = self.channel(channel_id)
+        ch = self.channels.get(channel_id)
+        if ch is None:
+            raise UnknownChannel(channel_id)
         opened = ch.opened
         if opened.vmno != vmno or ch.closed is not None:
             raise ChannelNotOpen(channel_id)
@@ -186,18 +185,21 @@ class ChannelManager:
                                   proof.signature):
             raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
-        expected_seq = (latest.seq if latest else 0) + 1
+        if latest is None:
+            last_seq = last_cumulative = 0
+        else:
+            last_seq, last_cumulative = latest.seq, latest.cumulative
+        expected_seq = last_seq + 1
         if seq < expected_seq:
-            raise StaleProof(f"seq {seq} <= {expected_seq - 1}")
+            raise StaleProof(f"seq {seq} <= {last_seq}")
         if seq > expected_seq:
             raise GapSeq(f"seq {seq}, expected {expected_seq}")
         if cumulative > opened.deposit:
             raise Overdraft(f"cumulative {cumulative} > deposit {opened.deposit}")
-        if cumulative <= (latest.cumulative if latest else 0):
+        if cumulative <= last_cumulative:
             raise StaleProof(f"cumulative {cumulative} does not increase")
-        if seq == 1:
-            if proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock:
-                raise BadPreimage(channel_id)
+        if seq == 1 and (proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock):
+            raise BadPreimage(channel_id)
         ch.latest = proof
         if self.keep_proofs:
             self.accepted_proofs.append(proof)

@@ -17,7 +17,9 @@ of one tag and key set, such as the transactions of one payload kind, are
 hashed without re-encoding it or re-sorting its keys, and
 ``append_int_pair`` finishes the bytes of a balance proof, which are MACed
 as they are, from its channel's encoded prefix.  Both emit exact ints (and
-``RecordLayout`` exact strs) inline, with headers from the same tables.
+``RecordLayout`` exact strs) inline, with headers from the same tables;
+``append_int_pair`` takes the whole encoding of an int in [0, 1024) from
+the table ``_INT_ENC``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ _F64 = struct.Struct(">d")
 _SHORT = 256
 _HEADS = {tag: tuple(tag + _U32.pack(n) for n in range(_SHORT)) for tag in (b"s", b"i", b"l", b"d")}
 _STR_HEAD, _INT_HEAD = _HEADS[b"s"], _HEADS[b"i"]
+# The whole encoding (header and digits) of each int below _SMALL_INT: a
+# balance proof's seq and cumulative almost always are.
+_SMALL_INT = 1024
+_INT_ENC = tuple(_INT_HEAD[len(raw)] + raw for raw in (b"%d" % i for i in range(_SMALL_INT)))
 
 
 def _header(tag: bytes, n: int) -> bytes:
@@ -156,10 +162,13 @@ def list_prefix(length: int, head: list) -> bytes:
 def append_int_pair(prefix: bytes, a: int, b: int) -> bytes:
     """``encode(head + [a, b])`` from ``prefix = list_prefix(len(head) + 2, head)``.
 
-    Two exact ints shorter than 256 digits take their headers from the table;
-    any other value follows the rules of ``encode``.
+    Two exact ints in [0, 1024) come whole from the table ``_INT_ENC``, and
+    other exact ints shorter than 256 digits take their headers from the
+    header table; any other value follows the rules of ``encode``.
     """
     if type(a) is int and type(b) is int:
+        if 0 <= a < _SMALL_INT and 0 <= b < _SMALL_INT:
+            return prefix + _INT_ENC[a] + _INT_ENC[b]
         ra = b"%d" % a
         rb = b"%d" % b
         if len(ra) < _SHORT and len(rb) < _SHORT:

@@ -178,6 +178,8 @@ def run_scenario(
     called with the engine after every sealed block, for audit hooks.
     ``dump_proofs``/``dump_events``, if given, are the paths the accepted
     proofs and the session events are written to, a relative one in out_dir.
+    They are written first, so a dump that cannot be written fails the run
+    before ``report.json``, ``ledger.jsonl`` and ``settlement.csv`` are.
     """
     config.validate()
     _require_float_range(num_mnos=config.num_mnos)
@@ -280,15 +282,15 @@ def run_scenario(
 
     report = _build_report(config, engine, trace)
     try:
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        engine.ledger.save_jsonl(out_dir / "ledger.jsonl")
-        write_settlement_csv(out_dir / "settlement.csv", settlement_rows)
         if dump_proofs is not None:
             engine.channels.dump_proofs(out_dir / dump_proofs)
         if dump_events is not None:
             all_events = [ev for s in engine.sessions.values() for ev in s.events]
             all_events.sort(key=lambda ev: (ev["time"], ev["session_id"]))
             events_to_jsonl(all_events, out_dir / dump_events)
+        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+        engine.ledger.save_jsonl(out_dir / "ledger.jsonl")
+        write_settlement_csv(out_dir / "settlement.csv", settlement_rows)
     except OSError as exc:
         raise IoFailure(str(exc)) from None
     return report

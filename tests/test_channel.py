@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dice import codec
@@ -13,6 +13,7 @@ from dice.errors import (
     BadPreimage,
     BadSignature,
     ChannelNotOpen,
+    DiceError,
     Expired,
     GapSeq,
     InsufficientBalance,
@@ -295,6 +296,67 @@ def test_proof_cannot_move_between_channels():
     assert mgr.channel(a).latest == proof_a and mgr.channel(b).latest == proof_b
 
 
+def test_receive_proof_contract():
+    """Each rejection of ``receive_proof``, its class and message, in the order
+    the rules run (a case that breaks two rules shows which one is checked
+    first); a rejected proof changes no channel's latest proof and no dump.
+    Then the roamer side: a channel paid over several calls reveals the
+    preimage on seq 1 only, and ``last_seq`` counts the blocks paid."""
+    _, _, mgr, wallet = fresh(25)
+    paid = mgr.open_channel(wallet, "V", 10, now=0)     # two proofs accepted
+    unpaid = mgr.open_channel(wallet, "V", 10, now=0)   # none yet
+    closed = mgr.open_channel(wallet, "V", 5, now=0)
+    for p in emitted(mgr, paid, 2) + emitted(mgr, closed, 1):
+        mgr.receive_proof("V", p)
+    mgr.close_channel(closed, now=20)
+    next_proof = signed_proof(mgr, paid, 3, 3)
+    zeros = b"\x00" * 32
+    cases = [
+        ("unknown channel", "V", dataclasses.replace(next_proof, channel_id="ch-none"),
+         UnknownChannel, "ch-none"),
+        ("wrong VMNO", "H", next_proof, ChannelNotOpen, paid),
+        ("wrong VMNO before bad signature", "H", dataclasses.replace(next_proof, signature=zeros),
+         ChannelNotOpen, paid),
+        ("closed channel", "V", signed_proof(mgr, closed, 2, 2), ChannelNotOpen, closed),
+        ("bad signature", "V", dataclasses.replace(next_proof, signature=zeros), BadSignature, "proof seq 3"),
+        ("bad signature before stale seq", "V", signed_proof(mgr, paid, 2, 2, signer="mallory"),
+         BadSignature, "proof seq 2"),
+        ("stale seq", "V", signed_proof(mgr, paid, 2, 2), StaleProof, "seq 2 <= 2"),
+        ("stale seq before flat cumulative", "V", signed_proof(mgr, paid, 1, 1), StaleProof, "seq 1 <= 2"),
+        ("gap", "V", signed_proof(mgr, paid, 5, 5), GapSeq, "seq 5, expected 3"),
+        ("gap before overdraft", "V", signed_proof(mgr, paid, 4, 11), GapSeq, "seq 4, expected 3"),
+        ("overdraft", "V", signed_proof(mgr, paid, 3, 11), Overdraft, "cumulative 11 > deposit 10"),
+        ("cumulative not increasing", "V", signed_proof(mgr, paid, 3, 2), StaleProof,
+         "cumulative 2 does not increase"),
+        ("flat cumulative before bad preimage", "V", signed_proof(mgr, unpaid, 1, 0, preimage=zeros),
+         StaleProof, "cumulative 0 does not increase"),
+        ("missing preimage", "V", signed_proof(mgr, unpaid, 1, 1), BadPreimage, unpaid),
+        ("bad preimage", "V", signed_proof(mgr, unpaid, 1, 1, preimage=zeros), BadPreimage, unpaid),
+        ("another channel's preimage", "V",
+         signed_proof(mgr, unpaid, 1, 1, preimage=mgr.channel(paid).preimage), BadPreimage, unpaid),
+    ]
+    latest = {cid: ch.latest for cid, ch in mgr.channels.items()}
+    accepted = list(mgr.accepted_proofs)
+    for what, vmno, proof, error, message in cases:
+        with pytest.raises(DiceError) as caught:
+            mgr.receive_proof(vmno, proof)
+        assert (type(caught.value), str(caught.value)) == (error, message), what
+        assert all(mgr.channels[cid].latest is kept for cid, kept in latest.items()), what
+        assert mgr.accepted_proofs == accepted, what
+    mgr.receive_proof("V", next_proof)
+
+    chan = mgr.channel(unpaid)
+    calls = [(50_000, [], 0), (150_000, [1, 2], 2), (0, [], 2), (20_000, [], 2), (330_000, [3, 4, 5], 5)]
+    for nbytes, seqs, last_seq in calls:
+        proofs = mgr.pay_for_traffic(unpaid, nbytes, now=30)
+        assert [(p.seq, p.cumulative) for p in proofs] == [(s, s) for s in seqs]
+        assert [p.preimage for p in proofs] == [chan.preimage if s == 1 else None for s in seqs]
+        assert chan.last_seq == last_seq
+        for p in proofs:
+            mgr.receive_proof("V", p)
+    assert chan.latest.seq == chan.last_seq == 5
+
+
 long_ints = st.integers(min_value=10 ** 255, max_value=10 ** 300)
 
 
@@ -318,6 +380,11 @@ class RecordingSigner:
     st.integers() | long_ints | long_ints.map(lambda n: -n),
     st.integers() | long_ints,
 )
+# The roamer side pays block seq + 1 and the VMNO side checks (seq,
+# cumulative): between them they encode 1023, the last int of
+# codec._INT_ENC, and 1024, the first past it.
+@example("ch-0000001", 1022, 1023)
+@example("ch-0000001", 1023, 1024)
 def test_both_sides_mac_the_canonical_encoding(channel_id, seq, cumulative):
     # 86 or more of those characters encode to 256 or more UTF-8 bytes, and
     # 10**255 has 256 digits: both are past the encoder's header tables.

@@ -147,6 +147,26 @@ def test_encode_and_reference_reject_the_same_values(value):
     assert str(ours.value) == str(theirs.value)
 
 
+def test_int_table_holds_each_canonical_encoding():
+    assert len(codec._INT_ENC) == 1024
+    for i, encoded in enumerate(codec._INT_ENC):
+        assert encoded == codec.encode(i) == reference_encode(i), i
+
+
+# Around the ends of the table and of the header table, the bools and an
+# ``IntEnum`` member, which encode by their own rules.
+PAIR_EDGES = [-1, 0, 1, 1023, 1024, 10 ** 255, True, False, Colour.BLUE]
+
+
+@pytest.mark.parametrize("channel_id", ["ch-0000001", "é" * 200])
+def test_append_int_pair_at_the_table_edges(channel_id):
+    prefix = codec.list_prefix(4, ["proof", channel_id])
+    for a in PAIR_EDGES:
+        for b in PAIR_EDGES:
+            value = ["proof", channel_id, a, b]
+            assert codec.append_int_pair(prefix, a, b) == codec.encode(value) == reference_encode(value), value
+
+
 def test_golden_digests_pin_the_format():
     assert codec.digest(["proof", "ch-0000007", 3, 3]).hex() == (
         "a18430a362c65c9a0ce8b0323ad1f70e4be3c64ebcfdfb6322fa2d8cbdcfc71e")

@@ -818,6 +818,18 @@ def test_cli_verify_on_a_directory_exits_one(tmp_path, runner):
     assert isinstance(result.exception, SystemExit)  # not an IsADirectoryError traceback
 
 
+@pytest.mark.parametrize("flag", ["--dump-proofs", "--dump-events"])
+def test_cli_simulate_with_an_unwritable_dump_writes_no_output(tmp_path, runner, flag):
+    """An empty dump path names the out dir itself: the run fails as an i/o
+    failure before it writes any of its outputs."""
+    out = tmp_path / "out"
+    result = runner.invoke(cli_main, ["simulate", "--days", "2", "--out-dir", str(out), flag, ""])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("i/o failure: ") and "Is a directory" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # not an IsADirectoryError traceback
+    assert not any((out / name).exists() for name in ("report.json", "ledger.jsonl", "settlement.csv"))
+
+
 def test_cli_verify_tampered_exits_one(tmp_path, runner):
     cfg_path = write_config(tmp_path, days=3)
     out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Work per unit on the golden config, counted by wrapping codec entry points
-from the test: canonical digests, MAC signs and MAC verifies per on-chain tx
-and per off-chain proof, live and on replay; general-encoder calls per block
-header, Merkle hashes per block and JSON bytes written per tx.
+from the test: canonical digests, MAC signs, MAC verifies and proof-byte
+builds per on-chain tx and per off-chain proof, live and on replay;
+general-encoder calls per block header, Merkle hashes per block and JSON
+bytes written per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
@@ -15,12 +16,14 @@ from dice import codec
 from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.ledger import Ledger, load_blocks_jsonl
 
-COUNTED = [(codec.RecordLayout, "digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMacSigner, "verify")]
+COUNTED = [(codec.RecordLayout, "digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMacSigner, "verify"),
+           (codec, "append_int_pair")]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
-LIVE_BOUNDS = {"digest": (1, 0), "sign": (1, 1), "verify": (1, 1)}
+# A proof's bytes are built once by the roamer and once by the VMNO.
+LIVE_BOUNDS = {"digest": (1, 0), "sign": (1, 1), "verify": (1, 1), "append_int_pair": (0, 2)}
 # Per counted call: its calls per replayed tx.
-REPLAY_COUNTS = {"digest": 1, "sign": 0, "verify": 1}
+REPLAY_COUNTS = {"digest": 1, "sign": 0, "verify": 1, "append_int_pair": 0}
 # The most ``codec._enc`` calls per sealed block (its header digest), and the
 # most ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
 ENC_PER_BLOCK = 6
