@@ -11,15 +11,14 @@ rule's bytes are built in one place; lists, tuples and dicts encode each
 item by the same rules.  So an ``IntEnum`` member encodes as an int and a
 ``dict`` subclass as a dict.  Any other value raises ``TypeError``.
 
-The hot paths do not go through that general encoder.  A
-``RecordLayout`` encodes the fixed part of a tagged record once, so records
-of one tag and key set, such as the transactions of one payload kind, are
-hashed without re-encoding it or re-sorting its keys, and
-``append_int_pair`` finishes the bytes of a balance proof, which are MACed
-as they are, from its channel's encoded prefix.  Both emit exact ints (and
-``RecordLayout`` exact strs) inline, with headers from the same tables;
-``append_int_pair`` takes the whole encoding of an int in [0, 1024) from
-the table ``_INT_ENC``.
+The hot paths do not go through that general encoder.  ``encode`` emits
+an exact str, int or bytes itself, its header from the tables, and hands
+any other value to ``_enc``; a transaction's digest (generated per payload
+class by ``ledger.payload``) and a block's are fixed headers joined with
+``encode`` of each field.  ``append_int_pair`` finishes the bytes of a
+balance proof, which are MACed as they are, from its channel's encoded
+prefix, and takes the whole encoding of an int in [0, 1024) from the table
+``_INT_ENC``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ _F64 = struct.Struct(">d")
 # Per tag, the length-prefix headers (tag plus big-endian u32) for lengths
 # below _SHORT.
 _SHORT = 256
-_HEADS = {tag: tuple(tag + _U32.pack(n) for n in range(_SHORT)) for tag in (b"s", b"i", b"l", b"d")}
+_HEADS = {tag: tuple(tag + _U32.pack(n) for n in range(_SHORT)) for tag in (b"s", b"i", b"b", b"l", b"d")}
 _STR_HEAD, _INT_HEAD = _HEADS[b"s"], _HEADS[b"i"]
 # The whole encoding (header and digits) of each int below _SMALL_INT: a
 # balance proof's seq and cumulative almost always are.
@@ -67,7 +66,7 @@ def _enc(value, out: list[bytes]) -> None:
         raw = value.encode()
         out.append(_header(b"s", len(raw)) + raw)
     elif isinstance(value, (bytes, bytearray)):
-        out.append(b"b" + _U32.pack(len(value)) + bytes(value))
+        out.append(_header(b"b", len(value)) + bytes(value))
     elif isinstance(value, (list, tuple)):
         out.append(_header(b"l", len(value)))
         for item in value:
@@ -85,7 +84,20 @@ def _enc(value, out: list[bytes]) -> None:
 
 
 def encode(value) -> bytes:
-    """Canonical byte encoding of a plain-data value."""
+    """Canonical byte encoding of a plain-data value.  An exact str, int or
+    bytes is emitted here, its header from the tables when short; any other
+    value by ``_enc``."""
+    t = type(value)
+    if t is str:
+        raw = value.encode()
+        n = len(raw)
+        return (_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw
+    if t is int:
+        raw = b"%d" % value
+        n = len(raw)
+        return (_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw
+    if t is bytes:
+        return _header(b"b", len(value)) + value
     out: list[bytes] = []
     _enc(value, out)
     return b"".join(out)
@@ -94,60 +106,6 @@ def encode(value) -> bytes:
 def digest(value) -> bytes:
     """SHA-256 over the canonical encoding."""
     return hashlib.sha256(encode(value)).digest()
-
-
-class RecordLayout:
-    """The canonical encoding of ``[*lead, [tag, fields]]`` for ``lead`` values
-    and for ``fields`` dicts with one key set, prepared once.
-
-    The list headers, ``tag`` and the dict header are encoded here, and so is
-    each key, in the order ``encode`` sorts them.  ``digest`` emits exact str
-    and int values inline, with their headers from the tables, and any other
-    value by the rules of ``encode``, so it equals
-    ``digest([*lead, [tag, fields]])``.
-    """
-
-    __slots__ = ("_list_head", "_head", "_keys")
-
-    def __init__(self, lead: int, tag: str, keys):
-        keys = sorted(keys)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError("canonical dict keys must be str")
-        self._list_head = _header(b"l", lead + 1)
-        self._head = _header(b"l", 2) + encode(tag) + _header(b"d", len(keys))
-        self._keys = tuple((key, encode(key)) for key in keys)
-
-    def digest(self, lead: tuple, fields: dict) -> bytes:
-        """SHA-256 of ``[*lead, [tag, fields]]``; ``fields`` has exactly the layout's keys."""
-        out = [self._list_head]
-        for value in lead:
-            t = type(value)
-            if t is str:
-                raw = value.encode()
-                n = len(raw)
-                out.append((_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-            elif t is int:
-                raw = b"%d" % value
-                n = len(raw)
-                out.append((_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
-            else:
-                _enc(value, out)
-        out.append(self._head)
-        for key, encoded_key in self._keys:
-            value = fields[key]
-            t = type(value)
-            if t is str:
-                raw = value.encode()
-                n = len(raw)
-                out.append(encoded_key + (_STR_HEAD[n] if n < _SHORT else b"s" + _U32.pack(n)) + raw)
-            elif t is int:
-                raw = b"%d" % value
-                n = len(raw)
-                out.append(encoded_key + (_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw)
-            else:
-                out.append(encoded_key)
-                _enc(value, out)
-        return hashlib.sha256(b"".join(out)).digest()
 
 
 def list_prefix(length: int, head: list) -> bytes:
@@ -161,22 +119,11 @@ def list_prefix(length: int, head: list) -> bytes:
 
 def append_int_pair(prefix: bytes, a: int, b: int) -> bytes:
     """``encode(head + [a, b])`` from ``prefix = list_prefix(len(head) + 2, head)``.
-
-    Two exact ints in [0, 1024) come whole from the table ``_INT_ENC``, and
-    other exact ints shorter than 256 digits take their headers from the
-    header table; any other value follows the rules of ``encode``.
-    """
-    if type(a) is int and type(b) is int:
-        if 0 <= a < _SMALL_INT and 0 <= b < _SMALL_INT:
-            return prefix + _INT_ENC[a] + _INT_ENC[b]
-        ra = b"%d" % a
-        rb = b"%d" % b
-        if len(ra) < _SHORT and len(rb) < _SHORT:
-            return prefix + _INT_HEAD[len(ra)] + ra + _INT_HEAD[len(rb)] + rb
-    out = [prefix]
-    _enc(a, out)
-    _enc(b, out)
-    return b"".join(out)
+    Two exact ints in [0, 1024) come whole from the table ``_INT_ENC``; any
+    other pair is emitted by ``encode``."""
+    if type(a) is int and type(b) is int and 0 <= a < _SMALL_INT and 0 <= b < _SMALL_INT:
+        return prefix + _INT_ENC[a] + _INT_ENC[b]
+    return prefix + encode(a) + encode(b)
 
 
 def sha256(data: bytes) -> bytes:

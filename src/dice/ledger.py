@@ -17,6 +17,7 @@ it.  A loaded record must have exactly the keys ``to_record`` writes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import weakref
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -78,7 +79,10 @@ def record(cls):
         else:
             params.append(f.name)
         body.append(f"    _set_{f.name}(self, {value})\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    # Compiled under a file name per class: profiles key their stats by (file,
+    # line, name), and so tell apart the methods generated for each class.
+    source = f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
+    exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = dict(cls.__init__.__annotations__)
@@ -109,26 +113,30 @@ def _str_list_field(rec: dict, key: str) -> tuple:
 
 
 def payload(kind: str):
-    """``record``, plus the payload's wire form and field types stated by its
-    fields alone: ``to_fields``, ``from_fields`` and ``check``, generated once
-    per class like the ``__init__`` of ``record``.  ``to_fields`` and
-    ``from_fields`` write and read the fields in declared order: a ``bytes``
-    field as lower-case hex read back through ``_hex_field``, a ``tuple``
-    field as a JSON list read back through ``_str_list_field``, any other as
-    is.  ``check`` raises PayloadRejected unless each str, int, bool, bytes or
-    dict field holds exactly that type, and each tuple field a tuple of str;
-    ``from_fields`` and ``Ledger.submit`` call it."""
+    """``record``, plus the payload's wire form, field types and digest stated
+    by its fields alone: ``to_fields``, ``from_fields``, ``check`` and
+    ``tx_digest``, generated once per class like the ``__init__`` of
+    ``record``.  ``to_fields`` and ``from_fields`` write and read the fields
+    in declared order: a ``bytes`` field as lower-case hex read back through
+    ``_hex_field``, a ``tuple`` field as a JSON list read back through
+    ``_str_list_field``, any other as is.  ``check`` raises PayloadRejected
+    unless each str, int, bool, bytes or dict field holds exactly that type,
+    and each tuple field a tuple of str; ``from_fields`` and
+    ``Ledger.submit`` call it.  ``tx_digest(timestamp, signer)`` hashes
+    ``[timestamp, signer, [self.kind, self.to_fields()]]`` from headers and
+    sorted keys encoded once, and ``codec.encode`` of each value."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, checks, read = [], [], []
+        written, checks, read, hashed = [], [], [], {}
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
             value, arg = f"self.{name}", f"f[{name!r}]"
             if hint is bytes:
                 value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
-            elif hint is tuple:
+            hashed[name] = value  # a tuple encodes as the list it is written as
+            if hint is tuple:
                 value, arg = f"list({value})", f"_str_list_field(f, {name!r})"
             if hint is not float:  # a float is left to the bank
                 want, test = hint.__name__, f"type(self.{name}) is {hint.__name__}"
@@ -138,14 +146,20 @@ def payload(kind: str):
                               f"f'{name} must be of type {want}, not {{self.{name}!r}}')\n")
             written.append(f"{name!r}: {value}")
             read.append(arg)
-        env = {"__name__": cls.__module__, "_hex_field": _hex_field,
-               "_str_list_field": _str_list_field, "PayloadRejected": PayloadRejected}
-        exec(f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
-             f"def check(self):\n{''.join(checks)}"
-             f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n", env)
-        for name in ("to_fields", "check", "from_fields"):
+        head = codec._header(b"l", 3), codec._header(b"l", 2), codec._header(b"d", len(hashed))
+        emitted = "".join(f"{codec.encode(name)!r}, encode({hashed[name]}), " for name in sorted(hashed))
+        env = {"__name__": cls.__module__, "_hex_field": _hex_field, "_str_list_field": _str_list_field,
+               "PayloadRejected": PayloadRejected, "encode": codec.encode, "sha256": hashlib.sha256}
+        source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
+                  f"def check(self):\n{''.join(checks)}"
+                  f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n"
+                  f"def tx_digest(self, timestamp, signer):\n    return sha256(b''.join(({head[0]!r}, "
+                  f"encode(timestamp), encode(signer), {head[1]!r}, encode(self.kind), {head[2]!r}, "
+                  f"{emitted}))).digest()\n")
+        exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
+        for name in ("to_fields", "check", "from_fields", "tx_digest"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_fields, cls.check = env["to_fields"], env["check"]
+        cls.to_fields, cls.check, cls.tx_digest = env["to_fields"], env["check"], env["tx_digest"]
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -268,19 +282,11 @@ class Transaction:
 
 _TX_KEYS = frozenset(f.name for f in fields(Transaction))
 
-# Per payload class, the layout of its transactions' signed value
-# ``[timestamp, signer, [kind, fields]]``, built on first use.
-_TX_LAYOUTS: dict[type, codec.RecordLayout] = {}
-
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
-    """``codec.digest([timestamp, signer, payload_canonical(payload)])``, hashed
-    from the layout of the payload's class (its ``to_fields`` keys are fixed)."""
-    canonical = payload.to_fields()
-    layout = _TX_LAYOUTS.get(type(payload))
-    if layout is None:
-        layout = _TX_LAYOUTS[type(payload)] = codec.RecordLayout(2, payload.kind, canonical)
-    return layout.digest((timestamp, signer), canonical)
+    """``codec.digest([timestamp, signer, payload_canonical(payload)])``, by
+    the digest ``payload`` generated for the payload's class."""
+    return payload.tx_digest(timestamp, signer)
 
 
 def make_transaction(timestamp: int, signer: str, payload: TxPayload,
@@ -291,7 +297,13 @@ def make_transaction(timestamp: int, signer: str, payload: TxPayload,
 
 
 def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, sealed_at: int) -> bytes:
-    return codec.digest([height, prev_hash, tx_root, validator, sealed_at])
+    """``codec.digest`` of the list of the five, from its header and ``codec.encode`` of each."""
+    encode = codec.encode
+    return hashlib.sha256(b"".join((_BLOCK_HEAD, encode(height), encode(prev_hash), encode(tx_root),
+                                    encode(validator), encode(sealed_at)))).digest()
+
+
+_BLOCK_HEAD = codec._header(b"l", 5)
 
 
 @record

@@ -2,8 +2,10 @@
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
 once, and the rules of agreements and attach checks (signer, roster, one
-agreement per pair, a charging spec settlement can price): the ledger the
-bank is attached to runs each submitted transaction through it.
+agreement per pair, a charging spec settlement can price, a checked wallet
+homed at the hmno, an agreement accepting the hmno behind each accepted
+check): the ledger the bank is attached to runs each submitted transaction
+through it.
 ``verify_blocks`` is the one replay of a persisted chain, through a fresh
 ledger with a new bank attached: a chain verifies only if the live engine
 could have produced it, and the replay holds the live state.  The
@@ -27,6 +29,7 @@ from .errors import (
     ForeignWallet,
     InsufficientBalance,
     InvalidConfig,
+    NoAgreement,
     NonPositiveAmount,
     NotIssuer,
     PayloadRejected,
@@ -244,6 +247,12 @@ class TokenBank:
                 raise PayloadRejected(f"attach check for {p.vmno} signed by {tx.signer}")
             if p.hmno not in self.operators or p.vmno not in self.operators:
                 raise UnknownMno(f"{p.hmno}/{p.vmno}")
+            w = self.wallet(p.roamer_wallet)
+            if w.home_mno != p.hmno:
+                raise ForeignWallet(f"{p.roamer_wallet} belongs to {w.home_mno}, not {p.hmno}")
+            agreement = self.agreements.get((p.hmno, p.vmno))
+            if p.accepted and (agreement is None or p.hmno not in agreement.accepts):
+                raise NoAgreement(f"{p.hmno}->{p.vmno}")
         elif isinstance(p, Issue):
             if tx.signer != p.issuer or p.issuer not in self.operators:
                 raise NotIssuer(f"{p.issuer}, signed by {tx.signer}")

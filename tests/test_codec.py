@@ -6,7 +6,7 @@ import hmac
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dice import codec
@@ -17,6 +17,7 @@ from dice.ledger import (
     ChannelOpen,
     Issue,
     Redeem,
+    block_digest,
     payload_canonical,
     tx_digest,
 )
@@ -209,10 +210,21 @@ payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
 
 
 @given(scalars, scalars, payloads)
+@example(0, "A", ChannelOpen("ch", "w", "V", 1, bytes(range(200)), 2))  # 400 hex chars: past the header tables
 def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, payload):
     value = [timestamp, signer, payload_canonical(payload)]
     assert tx_digest(timestamp, signer, payload) == codec.digest(value) \
         == hashlib.sha256(reference_encode(value)).digest()
+
+
+# Heights and times up to and past 255 digits, signs included.
+block_ints = ints | st.sampled_from([10 ** 254, 10 ** 255, -(10 ** 254), -(10 ** 255)])
+
+
+@given(block_ints, st.binary(max_size=300), st.binary(max_size=300), texts, block_ints)
+def test_block_digest_is_the_digest_of_the_header_list(height, prev_hash, tx_root, validator, sealed_at):
+    value = [height, prev_hash, tx_root, validator, sealed_at]
+    assert block_digest(*value) == codec.digest(value) == hashlib.sha256(reference_encode(value)).digest()
 
 
 def test_encoding_is_stable_and_type_tagged():

@@ -89,6 +89,20 @@ def attach_check_naming_a_home_off_the_roster(eng, sessions):
     return make_transaction(70, "V", AttachCheck(sessions["bob"].active_wallet, "V", "bob", True), eng.signer)
 
 
+def attach_check_of_an_unknown_wallet(eng, sessions):
+    return make_transaction(70, "V", AttachCheck("w-nowhere", "V", "H", True), eng.signer)
+
+
+def attach_check_of_a_wallet_homed_elsewhere(eng, sessions):
+    # alice's wallet is homed at H, not at the check's hmno V.
+    return make_transaction(70, "H", AttachCheck(sessions["alice"].active_wallet, "H", "V", True), eng.signer)
+
+
+def attach_check_accepted_without_an_agreement(eng, sessions):
+    # V's treasury is homed at V, and no agreement lets H accept V's tokens.
+    return make_transaction(70, "H", AttachCheck(treasury_wallet_id("V"), "H", "V", True), eng.signer)
+
+
 def agreement_signed_by_the_visited_mno(eng, sessions):
     bad = {"model": "per_unit", "rate": -5}
     return make_transaction(70, "V", AgreementRegistration("H", "V", ("H",), bad), eng.signer)
@@ -119,6 +133,9 @@ FORGERIES = [
     (redeem_of_no_lots, "redeem", "PayloadRejected"),
     (attach_check_signed_by_a_roamer, "attach", "PayloadRejected"),
     (attach_check_naming_a_home_off_the_roster, "attach", "UnknownMno"),
+    (attach_check_of_an_unknown_wallet, "attach", "UnknownWallet"),
+    (attach_check_of_a_wallet_homed_elsewhere, "attach", "ForeignWallet"),
+    (attach_check_accepted_without_an_agreement, "attach", "NoAgreement"),
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
     (second_agreement_for_a_pair, "agreement", "DuplicateAgreement"),
     (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),

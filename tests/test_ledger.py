@@ -531,18 +531,23 @@ def test_bad_block_record_is_a_parse_error_at_its_line(tmp_path, ledger, line, e
 
 
 def test_str_and_int_payloads_never_reach_the_general_encoder(monkeypatch):
-    """Once its payload class's layout is built, a tx whose fields are all str
-    and int is hashed by ``RecordLayout.digest`` alone, never through
-    ``codec._enc``."""
-    payloads = [Issue("A", "w1", 5), ChannelClose("ch-1", 3, 2, 3)]
-    for p in payloads:
-        tx_digest(0, "A", p)
+    """A tx whose fields are all str, int or bytes (hashed as its hex) and a
+    block header are hashed by ``codec.encode``'s inline emission alone, never
+    through ``codec._enc``.  The other kinds still reach it for their other
+    fields: the attach check's bool ``accepted``, the redeem's lots tuple and
+    float fiat, the agreement's accepts tuple and charging dict."""
+    payloads = [Issue("A", "w1", 5), ChannelClose("ch-1", 3, 2, 3),
+                ChannelOpen("ch-1", "w1", "V", 5, bytes(range(32)), 9)]
     calls, enc = [], codec._enc
     monkeypatch.setattr(codec, "_enc", lambda value, out: (calls.append(value), enc(value, out)))
     for n in range(1, 30):
         for p in payloads:
             tx_digest(n, "B", p)
+        block_digest(n, bytes(32), bytes(range(32)), "V", 10 * n)
     assert calls == []
+    # The wrapper sees the calls it counts.
+    tx_digest(0, "V", AttachCheck("w1", "V", "A", True))
+    assert calls == [True]
 
 
 def test_records_are_immutable(ledger):
