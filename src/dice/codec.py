@@ -19,6 +19,10 @@ class by ``ledger.payload``) and a block's are fixed headers joined with
 balance proof, which are MACed as they are, from its channel's encoded
 prefix, and takes the whole encoding of an int in [0, 1024) from the table
 ``_INT_ENC``.
+
+Signatures (``KeyedMacSigner``) are keyed BLAKE2s-256 MACs: one state per
+actor keyed with its secret, a key over 32 bytes first hashed to 32 bytes
+with unkeyed BLAKE2s, and each MAC a copy of that state fed the message.
 """
 
 from __future__ import annotations
@@ -148,44 +152,39 @@ def merkle_root(leaves: list[bytes]) -> bytes:
     return level[0]
 
 
-# HMAC (RFC 2104) over SHA-256: keys are padded to one block and XORed with
-# these bytes, applied through bytes.translate.
-_SHA256_BLOCK = 64
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
+# The longest key BLAKE2s takes (32 bytes).
+_MAX_KEY = hashlib.blake2s.MAX_KEY_SIZE
 
 
 class KeyedMacSigner:
-    """Deterministic HMAC-SHA256 signatures from per-actor secrets.
+    """Deterministic keyed BLAKE2s-256 signatures from per-actor secrets.
 
     Stands in for real PKI at desk scale: a signature proves the signer
-    holds the secret registered for it at genesis.
+    holds the secret registered for it at genesis.  BLAKE2s keyed mode
+    (RFC 7693) is a MAC by itself, with no HMAC double hash.  Its key is
+    at most 32 bytes, so a longer key is first hashed to 32 bytes with
+    unkeyed BLAKE2s, as RFC 2104 hashes an over-long HMAC key.
     """
 
     def __init__(self, keys: dict[str, bytes]):
         self._keys = dict(keys)
-        # Per actor, the SHA-256 states after absorbing its key XOR ipad and
-        # key XOR opad (RFC 2104), built on first use; every signature starts
-        # from a copy of each.
-        self._pads: dict[str, tuple] = {}
+        # Per actor, the BLAKE2s state keyed with its secret, built on first
+        # use; every signature starts from a copy of it.
+        self._states: dict[str, hashlib.blake2s] = {}
 
     def _mac(self, actor: str, message: bytes) -> Optional[bytes]:
-        """HMAC-SHA256 of ``message`` under ``actor``'s key, or None if it has no key."""
-        pads = self._pads.get(actor)
-        if pads is None:
+        """Keyed BLAKE2s-256 of ``message`` under ``actor``'s key, or None if it has no key."""
+        state = self._states.get(actor)
+        if state is None:
             key = self._keys.get(actor)
             if key is None:
                 return None
-            if len(key) > _SHA256_BLOCK:
-                key = hashlib.sha256(key).digest()
-            key = key.ljust(_SHA256_BLOCK, b"\0")
-            pads = self._pads[actor] = (
-                hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD)))
-        inner = pads[0].copy()
-        inner.update(message)
-        outer = pads[1].copy()
-        outer.update(inner.digest())
-        return outer.digest()
+            if len(key) > _MAX_KEY:
+                key = hashlib.blake2s(key).digest()
+            state = self._states[actor] = hashlib.blake2s(key=key)
+        mac = state.copy()
+        mac.update(message)
+        return mac.digest()
 
     def sign(self, actor: str, message: bytes) -> bytes:
         mac = self._mac(actor, message)

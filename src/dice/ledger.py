@@ -256,6 +256,15 @@ def _int_field(rec: dict, key: str) -> int:
     return value
 
 
+def _str_field(rec: dict, key: str) -> str:
+    """``rec[key]``, which must be a str: a list or dict would reach the key
+    registry as an unhashable actor."""
+    value = rec[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a str, not {value!r}")
+    return value
+
+
 @record
 class Transaction:
     tx_id: bytes
@@ -276,7 +285,7 @@ class Transaction:
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
         _require_keys(rec, _TX_KEYS, "tx")
-        return cls(_hex_field(rec, "tx_id"), _int_field(rec, "timestamp"), rec["signer"],
+        return cls(_hex_field(rec, "tx_id"), _int_field(rec, "timestamp"), _str_field(rec, "signer"),
                    payload_from_record(rec["payload"]), _hex_field(rec, "signature"))
 
 

@@ -110,8 +110,7 @@ class DiceEngine:
         if session.state != HOME:
             raise WrongState(session.state)
         failure: Optional[Exception] = None
-        agreement = self.bank.agreements.get((session.hmno, session.vmno))
-        if agreement is None or session.hmno not in agreement.accepts:
+        if not self.bank.agreement_accepts(session.hmno, session.vmno):
             failure = NoAgreement(f"{session.hmno}->{session.vmno}")
         else:
             lots = self.bank.lots_of(session.active_wallet, issuer=session.hmno)

@@ -236,6 +236,12 @@ class TokenBank:
             lot.burned = True
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
 
+    def agreement_accepts(self, hmno: str, vmno: str) -> bool:
+        """Whether a registered agreement lets ``vmno`` accept ``hmno``'s
+        tokens: the rule behind every accepted attach check."""
+        agreement = self.agreements.get((hmno, vmno))
+        return agreement is not None and hmno in agreement.accepts
+
     # -- the token rules
 
     def apply(self, tx: Transaction) -> None:
@@ -250,8 +256,7 @@ class TokenBank:
             w = self.wallet(p.roamer_wallet)
             if w.home_mno != p.hmno:
                 raise ForeignWallet(f"{p.roamer_wallet} belongs to {w.home_mno}, not {p.hmno}")
-            agreement = self.agreements.get((p.hmno, p.vmno))
-            if p.accepted and (agreement is None or p.hmno not in agreement.accepts):
+            if p.accepted and not self.agreement_accepts(p.hmno, p.vmno):
                 raise NoAgreement(f"{p.hmno}->{p.vmno}")
         elif isinstance(p, Issue):
             if tx.signer != p.issuer or p.issuer not in self.operators:

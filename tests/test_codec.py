@@ -2,7 +2,6 @@
 
 import enum
 import hashlib
-import hmac
 import struct
 
 import pytest
@@ -295,6 +294,14 @@ def test_merkle_is_order_sensitive():
     assert codec.merkle_root([a, b]) != codec.merkle_root([b, a])
 
 
+def _keyed_blake2s(key: bytes, msg: bytes) -> bytes:
+    """Keyed BLAKE2s-256 from hashlib directly; a key over 32 bytes is hashed
+    to 32 bytes with unkeyed BLAKE2s first."""
+    if len(key) > 32:
+        key = hashlib.blake2s(key).digest()
+    return hashlib.blake2s(msg, key=key).digest()
+
+
 def test_keyed_mac_signer_roundtrip():
     keys = {"alice": b"s1", "bob": b"s2"}
     signer = codec.KeyedMacSigner(keys)
@@ -306,28 +313,29 @@ def test_keyed_mac_signer_roundtrip():
     assert signer.knows("alice") and not signer.knows("carol")
     with pytest.raises(KeyError):
         signer.sign("carol", b"msg")
-    # Each signature is plain HMAC-SHA256, and the keyed state reused across
-    # messages carries nothing from one message to the next.
+    # Each signature is plain keyed BLAKE2s-256, and the keyed state reused
+    # across messages carries nothing from one message to the next.
     m1, m2 = b"first message", b"second"
     signed = [("alice", m1), ("alice", m2), ("alice", m1), ("bob", m1)]
     sigs = [signer.sign(actor, msg) for actor, msg in signed]
     for s, (actor, msg) in zip(sigs + [sig], signed + [("alice", b"msg")]):
-        assert s == hmac.new(keys[actor], msg, hashlib.sha256).digest()
+        assert s == _keyed_blake2s(keys[actor], msg)
         assert signer.verify(actor, msg, s)
     assert sigs[0] == sigs[2] != sigs[1]
     assert not signer.verify("alice", m1, sigs[1])
 
 
-@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
-def test_keyed_mac_matches_hmac_at_key_and_message_edges(key_len):
-    # Keys longer than the 64-byte SHA-256 block are hashed first; shorter
-    # ones are zero-padded.  Each length is checked with several messages.
+@pytest.mark.parametrize("key_len", [0, 1, 31, 32, 33, 64, 200])
+def test_keyed_mac_matches_keyed_blake2s_at_key_and_message_edges(key_len):
+    # Keys longer than BLAKE2s's 32-byte key limit are hashed first; shorter
+    # ones key the state as they are.  Each length is checked with several
+    # messages, 44 bytes being a balance proof's.
     key = bytes((7 * i + key_len) % 256 for i in range(key_len))
     signer = codec.KeyedMacSigner({"a": key})
-    for msg_len in (0, 32, 1000):
+    for msg_len in (0, 32, 44, 1000):
         msg = bytes((3 * i + msg_len) % 256 for i in range(msg_len))
         sig = signer.sign("a", msg)
-        assert sig == hmac.new(key, msg, hashlib.sha256).digest()
+        assert sig == _keyed_blake2s(key, msg)
         assert signer.verify("a", msg, sig)
         for bit in (0, 8 * len(sig) - 1):
             flipped = (int.from_bytes(sig, "big") ^ (1 << bit)).to_bytes(len(sig), "big")

@@ -473,6 +473,10 @@ BAD_TX_RECORDS = {
     # A timestamp is stored as an int, not as an equal string or float.
     "string timestamp": lambda tx: tx.update(timestamp=str(tx["timestamp"])),
     "float timestamp": lambda tx: tx.update(timestamp=float(tx["timestamp"])),
+    # A signer is a str; a list or dict reached the key registry unhashable.
+    "list signer": lambda tx: tx.update(signer=[tx["signer"]]),
+    "dict signer": lambda tx: tx.update(signer={"a": 1}),
+    "int signer": lambda tx: tx.update(signer=1),
     # No hash covers a key the live ledger does not write.
     "extra tx key": lambda tx: tx.update(memo="x"),
     # The live ledger writes lower-case hex; upper case decodes to the same bytes.

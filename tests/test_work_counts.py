@@ -1,8 +1,8 @@
 """Work per unit on the golden config, counted by wrapping codec and ledger
 entry points from the test: tx digests, MAC signs, MAC verifies and
 proof-byte builds per on-chain tx and per off-chain proof, live and on
-replay; general-encoder calls per block header, Merkle hashes per block and
-JSON bytes written per tx.
+replay; keyed MAC states per actor; general-encoder calls per block header,
+Merkle hashes per block and JSON bytes written per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
@@ -53,6 +53,37 @@ def test_digests_and_macs_per_tx_and_per_proof(tmp_path, monkeypatch):
     counts.clear()
     assert verify_ledger(tmp_path / "ledger.jsonl").valid
     assert dict(counts) == {name: n * txs for name, n in REPLAY_COUNTS.items() if n}
+
+
+def test_one_keyed_mac_state_per_actor_per_signer(tmp_path, monkeypatch):
+    """A run and its replay each key at most one BLAKE2s state per actor per
+    ``KeyedMacSigner``: every MAC starts from a copy of it, none re-keys."""
+    keyed, signers = Counter(), []
+    blake2s, init = hashlib.blake2s, codec.KeyedMacSigner.__init__
+
+    def counted_blake2s(*args, **kwargs):
+        if "key" in kwargs:
+            keyed[kwargs["key"]] += 1
+        return blake2s(*args, **kwargs)
+
+    def counted_init(self, keys):
+        signers.append(self)
+        init(self, keys)
+
+    monkeypatch.setattr(hashlib, "blake2s", counted_blake2s)
+    monkeypatch.setattr(codec.KeyedMacSigner, "__init__", counted_init)
+
+    def assert_keyed_once():
+        # Every simulator key is 32 bytes, so it keys its state as it is.
+        holders = Counter(key for signer in signers for key in signer.keys.values())
+        assert keyed and all(n <= holders[key] for key, n in keyed.items()), (keyed.most_common(3), len(signers))
+
+    run_scenario(ScenarioConfig(seed=42, days=5), tmp_path)
+    assert_keyed_once()
+    keyed.clear()
+    signers.clear()
+    assert verify_ledger(tmp_path / "ledger.jsonl").valid
+    assert_keyed_once()
 
 
 def count_within(monkeypatch, counts: Counter, outer: tuple, inner: tuple) -> None:
