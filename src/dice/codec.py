@@ -13,12 +13,13 @@ item by the same rules.  So an ``IntEnum`` member encodes as an int and a
 
 The hot paths do not go through that general encoder.  ``encode`` emits
 an exact str, int or bytes itself, its header from the tables, and hands
-any other value to ``_enc``; a transaction's digest (generated per payload
-class by ``ledger.payload``) and a block's are fixed headers joined with
-``encode`` of each field.  ``append_int_pair`` finishes the bytes of a
-balance proof, which are MACed as they are, from its channel's encoded
-prefix, and takes the whole encoding of an int in [0, 1024) from the table
-``_INT_ENC``.
+any other value to ``_enc``, which returns its bytes and sends list and
+tuple items, dict keys and values, back through ``encode``.  A
+transaction's digest (generated per payload class by ``ledger.payload``)
+and a block's are fixed headers joined with ``encode`` of each field.
+``append_int_pair`` finishes the bytes of a balance proof, which are MACed
+as they are, from its channel's encoded prefix, and takes the whole
+encoding of an int in [0, 1024) from the table ``_INT_ENC``.
 
 Signatures (``KeyedMacSigner``) are keyed BLAKE2s-256 MACs: one state per
 actor keyed with its secret, a key over 32 bytes first hashed to 32 bytes
@@ -54,37 +55,34 @@ def _header(tag: bytes, n: int) -> bytes:
     return _HEADS[tag][n] if n < _SHORT else tag + _U32.pack(n)
 
 
-def _enc(value, out: list[bytes]) -> None:
+def _enc(value) -> bytes:
     if value is None:
-        out.append(b"n")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
+        return b"n"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if isinstance(value, int):
         raw = b"%d" % value
-        out.append(_header(b"i", len(raw)) + raw)
-    elif isinstance(value, float):
-        out.append(b"f" + _F64.pack(value))
-    elif isinstance(value, str):
+        return _header(b"i", len(raw)) + raw
+    if isinstance(value, float):
+        return b"f" + _F64.pack(value)
+    if isinstance(value, str):
         raw = value.encode()
-        out.append(_header(b"s", len(raw)) + raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(_header(b"b", len(value)) + bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.append(_header(b"l", len(value)))
-        for item in value:
-            _enc(item, out)
-    elif isinstance(value, dict):
+        return _header(b"s", len(raw)) + raw
+    if isinstance(value, (bytes, bytearray)):
+        return _header(b"b", len(value)) + bytes(value)
+    if isinstance(value, (list, tuple)):
+        return _header(b"l", len(value)) + b"".join([encode(item) for item in value])
+    if isinstance(value, dict):
         keys = sorted(value)
-        out.append(_header(b"d", len(keys)))
+        out = [_header(b"d", len(keys))]
         for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
-            _enc(key, out)
-            _enc(value[key], out)
-    else:
-        raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
+            out += (encode(key), encode(value[key]))
+        return b"".join(out)
+    raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
 
 
 def encode(value) -> bytes:
@@ -102,9 +100,7 @@ def encode(value) -> bytes:
         return (_INT_HEAD[n] if n < _SHORT else b"i" + _U32.pack(n)) + raw
     if t is bytes:
         return _header(b"b", len(value)) + value
-    out: list[bytes] = []
-    _enc(value, out)
-    return b"".join(out)
+    return _enc(value)
 
 
 def digest(value) -> bytes:
@@ -115,10 +111,7 @@ def digest(value) -> bytes:
 def list_prefix(length: int, head: list) -> bytes:
     """The canonical encoding of a ``length``-item list up to the end of
     ``head``, its first items.  ``append_int_pair`` finishes it."""
-    out = [_header(b"l", length)]
-    for item in head:
-        _enc(item, out)
-    return b"".join(out)
+    return _header(b"l", length) + b"".join([encode(item) for item in head])
 
 
 def append_int_pair(prefix: bytes, a: int, b: int) -> bytes:

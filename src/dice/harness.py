@@ -171,7 +171,8 @@ def run_scenario(
     sweep idle and expired channels and seal a block; events after the
     horizon (``days`` days) are not run.  After the last event, the sessions
     still open are closed at the horizon, the VMNO redeems what it earned
-    from each home MNO, and the final block is sealed.
+    from each home MNO, and the final block is sealed.  ``settlement.csv``
+    states those redeems, read from the chain.
 
     Deterministic for a fixed config; ``trace`` may inject a handcrafted
     workload in place of the generated one.  ``on_seal`` (if given) is
@@ -263,21 +264,10 @@ def run_scenario(
     for session in engine.sessions.values():
         if session.state in (CHANNEL_OPEN, ACTIVE):
             engine.detach(session, horizon)
-    settlement_rows: list[dict] = []
     for hmno in hmnos:
         claim = make_claim(engine.bank, model, config.vmno, hmno)
-        if claim is None:
-            continue
-        settlement.redeem(engine, claim, horizon)
-        settlement_rows.append({
-            "period_start": 0,
-            "period_end": horizon,
-            "vmno": config.vmno,
-            "hmno": hmno,
-            "tokens": claim.tokens,
-            "model": config.charging["model"],
-            "fiat": f"{claim.fiat_due:.6f}",
-        })
+        if claim is not None:
+            settlement.redeem(engine, claim, horizon)
     seal(horizon)
 
     report = _build_report(config, engine, trace)
@@ -290,7 +280,7 @@ def run_scenario(
             events_to_jsonl(all_events, out_dir / dump_events)
         (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         engine.ledger.save_jsonl(out_dir / "ledger.jsonl")
-        write_settlement_csv(out_dir / "settlement.csv", settlement_rows)
+        write_settlement_csv(out_dir / "settlement.csv", engine.bank)
     except OSError as exc:
         raise IoFailure(str(exc)) from None
     return report

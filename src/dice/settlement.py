@@ -117,8 +117,9 @@ def validate_provenance(bank: TokenBank, ledger: Ledger, claim: RedemptionClaim)
 
 def redeem(engine, claim: RedemptionClaim, now: int) -> bytes:
     """Record the redemption on-chain, which burns the claimed lots after
-    the bank's burn and provenance rules pass.  The ``Redeem`` tx carries the
-    fiat the home MNO owes the visited one; nothing else records it.
+    the bank's Redeem rules pass (provenance, burn, the agreed price).  The
+    ``Redeem`` tx carries the fiat the home MNO owes the visited one; nothing
+    else records it, and ``write_settlement_csv`` reads it from there.
 
     ``engine`` is the protocol engine; it owns the bank and the ledger.
     """
@@ -131,9 +132,15 @@ def redeem(engine, claim: RedemptionClaim, now: int) -> bytes:
 SETTLEMENT_COLUMNS = ["period_start", "period_end", "vmno", "hmno", "tokens", "model", "fiat"]
 
 
-def write_settlement_csv(path, rows: list[dict]) -> None:
+def write_settlement_csv(path, bank: TokenBank) -> None:
+    """One row per ``Redeem`` tx of ``bank.ledger``'s sealed chain, in chain
+    order: the period from genesis to the redeem, its tokens, the pair's
+    agreed model and its fiat.  A run and a replay of its chain write it alike."""
+    period_start = bank.ledger.chain[0].sealed_at
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SETTLEMENT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(SETTLEMENT_COLUMNS)
+        for tx in bank.ledger.all_txs():
+            if isinstance(p := tx.payload, Redeem):
+                writer.writerow([period_start, tx.timestamp, p.vmno, p.hmno, sum(bank.lots[l].amount for l in p.lots),
+                                 bank.agreements[(p.hmno, p.vmno)].charging["model"], f"{p.fiat:.6f}"])

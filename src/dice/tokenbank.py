@@ -1,11 +1,11 @@
 """Issuance, custody and provenance tracking of per-MNO tokens.
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
-once, and the rules of agreements and attach checks (signer, roster, one
-agreement per pair, a charging spec settlement can price, a checked wallet
-homed at the hmno, an agreement accepting the hmno behind each accepted
-check): the ledger the bank is attached to runs each submitted transaction
-through it.
+once, and the rules of agreements, attach checks and redeems (signer,
+roster, one agreement per pair, a charging spec settlement can price, a
+checked wallet homed at the hmno, an agreement accepting the hmno behind
+each accepted check and each redeem, whose fiat is the agreed price): the
+ledger the bank is attached to runs each submitted transaction through it.
 ``verify_blocks`` is the one replay of a persisted chain, through a fresh
 ledger with a new bank attached: a chain verifies only if the live engine
 could have produced it, and the replay holds the live state.  The
@@ -311,8 +311,15 @@ class TokenBank:
                 reason = self.provenance_fault(lot_id, p.hmno, p.vmno)
                 if reason is not None:
                     raise ProvenanceRejected(f"{lot_id}: {reason}")
-            if sum(self.lot(l).amount for l in p.lots) > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
+            tokens = sum(self.lot(l).amount for l in p.lots)
+            if tokens > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
                 raise InsufficientBalance(f"redeem would burn tokens {p.vmno} holds in channel escrow")
+            if not self.agreement_accepts(p.hmno, p.vmno):
+                raise NoAgreement(f"{p.hmno}->{p.vmno}")
+            from .settlement import model_from_dict, price  # settlement imports this module
+            agreed = price(model_from_dict(self.agreements[(p.hmno, p.vmno)].charging), tokens)
+            if p.fiat != agreed:
+                raise PayloadRejected(f"redeem for {p.vmno}: fiat {p.fiat!r} is not the agreed price {agreed!r}")
             self.burn(list(p.lots))
         elif isinstance(p, AgreementRegistration):
             if tx.signer != p.hmno:

@@ -5,8 +5,11 @@ signatures all check out; only the rules of ``TokenBank.apply`` can tell
 it apart from a transaction the live engine would have written.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -15,7 +18,8 @@ from dice.harness import verify_ledger
 from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Redeem,
                          load_blocks_jsonl, make_transaction)
 from dice.protocol import LBO, DiceEngine
-from dice.tokenbank import treasury_wallet_id
+from dice.settlement import model_from_dict, price
+from dice.tokenbank import TokenBank, treasury_wallet_id
 
 from helpers import bank_snapshot, run_session
 
@@ -81,6 +85,70 @@ def redeem_of_no_lots(eng, sessions):
     return make_transaction(70, "V", Redeem("V", "H", (), 1e9), eng.signer)
 
 
+def agreed_price(eng, lots):
+    """What the (H, V) agreement prices these lots at."""
+    return price(model_from_dict(CHARGING), sum(eng.bank.lot(l).amount for l in lots))
+
+
+def redeem_at_a_price_not_agreed(eng, sessions):
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 1e9), eng.signer)
+
+
+def redeem_signed_by_the_home_mno(eng, sessions):
+    lots = earned_lots(eng)
+    return make_transaction(70, "H", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+
+
+def redeem_naming_a_lot_twice(eng, sessions):
+    lots = earned_lots(eng) * 2
+    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+
+
+def redeem_of_no_lots_at_the_price_of_none(eng, sessions):
+    return make_transaction(70, "V", Redeem("V", "H", (), agreed_price(eng, ())), eng.signer)
+
+
+def redeem_with_a_bool_fiat_equal_to_the_agreed_price(eng, sessions):
+    # bob's further traffic and close bring V's earned H tokens to 25, priced 1.0 == True.
+    eng.session_traffic(sessions["bob"], 1_000_000, 65)
+    eng.detach(sessions["bob"], 65)
+    lots = earned_lots(eng)
+    assert agreed_price(eng, lots) == 1.0
+    return make_transaction(70, "V", Redeem("V", "H", lots, True), eng.signer)
+
+
+def redeem_of_burned_lots(eng, sessions):
+    lots = earned_lots(eng)
+    eng.ledger.append(65, "V", Redeem("V", "H", lots, agreed_price(eng, lots)))
+    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+
+
+def lots_v_earned_from_its_own_tokens(eng):
+    """V issues 10 tokens to a wallet of bob's homed at V, which pays them all
+    to V through a channel; V's treasury then holds them.  No agreement
+    (V, V) is registered."""
+    wallet = eng.bank.create_identities("V", "bob", 1, [10], 65)[0]
+    channel = eng.channels.open_channel(wallet, "V", 10, 65)
+    for proof in eng.channels.pay_for_traffic(channel, 1_000_000, 65):
+        eng.channels.receive_proof("V", proof)
+    eng.channels.close_channel(channel, 65)
+    lots = tuple(l.lot_id for l in eng.bank.lots_of(treasury_wallet_id("V"), "V"))
+    assert sum(eng.bank.lot(l).amount for l in lots) == 10
+    return lots
+
+
+def redeem_without_an_agreement(eng, sessions):
+    lots = lots_v_earned_from_its_own_tokens(eng)
+    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.signer)
+
+
+def redeem_of_lots_in_channel_escrow(eng, sessions):
+    lots = lots_v_earned_from_its_own_tokens(eng)
+    # V's treasury is homed at V, so opening a channel escrows those V tokens.
+    eng.channels.open_channel(treasury_wallet_id("V"), "H", 10, 65)
+    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.signer)
+
+
 def attach_check_signed_by_a_roamer(eng, sessions):
     return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.signer)
 
@@ -131,6 +199,14 @@ FORGERIES = [
     (redeem_with_a_negative_fiat, "redeem", "PayloadRejected"),
     (redeem_with_a_bool_fiat, "redeem", "PayloadRejected"),
     (redeem_of_no_lots, "redeem", "PayloadRejected"),
+    (redeem_at_a_price_not_agreed, "redeem", "PayloadRejected"),
+    (redeem_signed_by_the_home_mno, "redeem", "PayloadRejected"),
+    (redeem_naming_a_lot_twice, "redeem", "PayloadRejected"),
+    (redeem_of_no_lots_at_the_price_of_none, "redeem", "PayloadRejected"),
+    (redeem_with_a_bool_fiat_equal_to_the_agreed_price, "redeem", "PayloadRejected"),
+    (redeem_of_burned_lots, "redeem", "AlreadyBurned"),
+    (redeem_without_an_agreement, "redeem", "NoAgreement"),
+    (redeem_of_lots_in_channel_escrow, "redeem", "InsufficientBalance"),
     (attach_check_signed_by_a_roamer, "attach", "PayloadRejected"),
     (attach_check_naming_a_home_off_the_roster, "attach", "UnknownMno"),
     (attach_check_of_an_unknown_wallet, "attach", "UnknownWallet"),
@@ -185,6 +261,57 @@ def test_earliest_rejected_height_is_reported(forge, kind, error, tmp_path):
     assert result.reason.startswith(f"{kind} tx rejected: {error}: ")
 
 
+def live_verdict(forge) -> str:
+    """The class name of the error a live submit of the forgery raises, or
+    "accepted"."""
+    eng, sessions = honest_engine()
+    forged = forge(eng, sessions)
+    try:
+        eng.ledger.submit(forged)
+    except Exception as exc:
+        return type(exc).__name__
+    return "accepted"
+
+
+def redeem_rule_mutants():
+    """``TokenBank.apply`` with one ``raise`` of its Redeem branch replaced by
+    ``pass``, once per raise, as (the raise's source, the mutant)."""
+    module = inspect.getmodule(TokenBank)
+    source = textwrap.dedent(inspect.getsource(TokenBank.apply))
+
+    def redeem_raises(tree):
+        branch = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.If) and ast.unparse(node.test) == "isinstance(p, Redeem)")
+        return [node for stmt in branch.body for node in ast.walk(stmt) if isinstance(node, ast.Raise)]
+
+    for i in range(len(redeem_raises(ast.parse(source)))):
+        tree = ast.parse(source)
+        target = redeem_raises(tree)[i]
+
+        class Unraise(ast.NodeTransformer):
+            def visit_Raise(self, node):
+                return ast.copy_location(ast.Pass(), node) if node is target else node
+
+        namespace = dict(vars(module))
+        exec(compile(Unraise().visit(tree), inspect.getsourcefile(TokenBank), "exec"), namespace)
+        yield ast.unparse(target), namespace["apply"]
+
+
+def test_every_redeem_rule_rejects_some_forgery(monkeypatch):
+    """Each ``raise`` of the Redeem rules is load-bearing: with it replaced by
+    ``pass``, some ``FORGERIES`` row is accepted live or fails with another
+    error class."""
+    expected = [error for _forge, _kind, error in FORGERIES]
+    mutants = list(redeem_rule_mutants())
+    assert len(mutants) >= 9  # the Redeem rules when this test was written
+    survivors = []
+    for rule, mutant in mutants:
+        monkeypatch.setattr(TokenBank, "apply", mutant)
+        if [live_verdict(forge) for forge, _kind, _error in FORGERIES] == expected:
+            survivors.append(rule)
+    assert survivors == []
+
+
 @pytest.mark.parametrize("fiat", [math.inf, -math.inf, math.nan, 10**400],
                          ids=["inf", "-inf", "nan", "10**400"])
 def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
@@ -197,8 +324,8 @@ def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
         eng.ledger.submit(forged)
     assert eng.ledger.pending == pending
     assert bank_snapshot(eng.bank) == state
-    # The honest redeem of the same lots still goes through.
-    eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.6), eng.signer))
+    # The honest redeem of the same lots, at their agreed price, still goes through.
+    eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.4), eng.signer))
 
 
 # Signed payloads with a field of a type the live engine never writes, as

@@ -8,7 +8,8 @@ import hashlib
 
 import pytest
 
-from dice.harness import ScenarioConfig, run_scenario
+from dice.harness import ScenarioConfig, replay_ledger, run_scenario
+from dice.settlement import write_settlement_csv
 
 GOLDEN_SHA256 = {
     "ledger.jsonl": "50264193201b88496ef1615f0f47c49051dddcbc9bbfc2182d5af3701a7f0264",
@@ -19,11 +20,21 @@ GOLDEN_SHA256 = {
 }
 
 
+def settlement_of_the_replay(out_dir) -> str:
+    """The digest of the settlement.csv written from the bank a replay of
+    ``out_dir``'s ledger.jsonl ends with."""
+    verdict, bank = replay_ledger(out_dir / "ledger.jsonl")
+    assert verdict.valid
+    write_settlement_csv(out_dir / "replayed.csv", bank)
+    return hashlib.sha256((out_dir / "replayed.csv").read_bytes()).hexdigest()
+
+
 def test_outputs_match_the_golden_digests(tmp_path):
     run_scenario(ScenarioConfig(seed=42, days=5), tmp_path, dump_proofs="proofs.jsonl", dump_events="events.jsonl")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+    assert settlement_of_the_replay(tmp_path) == GOLDEN_SHA256["settlement.csv"]
 
 
 # Larger runs: HR mode, and the benchmark's chain (about 10.6k txs) and
@@ -55,3 +66,4 @@ def test_larger_runs_match_their_golden_digests(tmp_path, config, golden):
     run_scenario(config, tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden}
     assert digests == golden
+    assert settlement_of_the_replay(tmp_path) == golden["settlement.csv"]

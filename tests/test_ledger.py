@@ -27,6 +27,7 @@ from dice.ledger import (
     Issue,
     Ledger,
     QueryFilter,
+    Redeem,
     Transaction,
     block_digest,
     load_blocks_jsonl,
@@ -539,11 +540,13 @@ def test_str_and_int_payloads_never_reach_the_general_encoder(monkeypatch):
     block header are hashed by ``codec.encode``'s inline emission alone, never
     through ``codec._enc``.  The other kinds still reach it for their other
     fields: the attach check's bool ``accepted``, the redeem's lots tuple and
-    float fiat, the agreement's accepts tuple and charging dict."""
+    float fiat, the agreement's accepts tuple and charging dict.  A redeem
+    reaches it exactly twice, whatever its number of lots: its lot ids go
+    back through ``encode``."""
     payloads = [Issue("A", "w1", 5), ChannelClose("ch-1", 3, 2, 3),
                 ChannelOpen("ch-1", "w1", "V", 5, bytes(range(32)), 9)]
     calls, enc = [], codec._enc
-    monkeypatch.setattr(codec, "_enc", lambda value, out: (calls.append(value), enc(value, out)))
+    monkeypatch.setattr(codec, "_enc", lambda value: (calls.append(value), enc(value))[1])
     for n in range(1, 30):
         for p in payloads:
             tx_digest(n, "B", p)
@@ -552,6 +555,11 @@ def test_str_and_int_payloads_never_reach_the_general_encoder(monkeypatch):
     # The wrapper sees the calls it counts.
     tx_digest(0, "V", AttachCheck("w1", "V", "A", True))
     assert calls == [True]
+    for n in (1, 2, 20):
+        calls.clear()
+        lots = tuple(f"lot-{i:08d}" for i in range(n))
+        tx_digest(0, "V", Redeem("V", "A", lots, 0.4))
+        assert calls == [0.4, lots]  # in key order: fiat, then lots
 
 
 def test_records_are_immutable(ledger):
