@@ -11,18 +11,8 @@ from .harness import (
 )
 from .ledger import Block, Ledger, QueryFilter, Transaction, ValidityReport
 from .protocol import DiceEngine, RoamerSession
-from .settlement import (
-    ChargingModel,
-    Fixed,
-    Parity,
-    PerUnit,
-    RedemptionClaim,
-    make_claim,
-    price,
-    redeem,
-    validate_provenance,
-)
-from .tokenbank import TokenBank, TokenLot, Wallet
+from .settlement import RedemptionClaim, make_claim, redeem, validate_provenance
+from .tokenbank import ChargingModel, Fixed, Parity, PerUnit, TokenBank, TokenLot, Wallet, price
 from .workload import (
     CalibrationStats,
     SessionEventTrace,

@@ -31,8 +31,8 @@ from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
 from .ledger import ChannelClose, Redeem, ValidityReport, load_blocks_jsonl
 from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, RoamerSession, events_to_jsonl
-from .settlement import make_claim, model_from_dict, write_settlement_csv
-from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, tokens_for_bytes, verify_blocks
+from .settlement import make_claim, write_settlement_csv
+from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, model_from_dict, tokens_for_bytes, verify_blocks
 from .workload import (AMOUNT, COUNT, POSITIVE, TALLY, SessionEventTrace, WorkloadConfig, _check_schema,
                        _require_float_range, config_schema, generate, knob)
 
@@ -60,7 +60,7 @@ class ScenarioConfig(WorkloadConfig):
     avg_mno_factor: float = knob(0.02, POSITIVE)
 
     def validate(self) -> None:
-        """The workload checks, plus a charging spec that settlement can read."""
+        """The workload checks, plus a charging spec that the bank can price."""
         super().validate()
         try:
             model_from_dict(self.charging)
@@ -207,7 +207,6 @@ def run_scenario(
     )
     engine.channels.keep_proofs = dump_proofs is not None
     engine.keep_events = dump_events is not None
-    model = model_from_dict(config.charging)
     for hmno in hmnos:
         engine.register_agreement(hmno, config.vmno, (hmno,), config.charging, 0)
 
@@ -265,7 +264,7 @@ def run_scenario(
         if session.state in (CHANNEL_OPEN, ACTIVE):
             engine.detach(session, horizon)
     for hmno in hmnos:
-        claim = make_claim(engine.bank, model, config.vmno, hmno)
+        claim = make_claim(engine.bank, config.vmno, hmno)
         if claim is not None:
             settlement.redeem(engine, claim, horizon)
     seal(horizon)

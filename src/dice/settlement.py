@@ -4,71 +4,18 @@ A VMNO may only convert tokens to money if every claimed lot was issued by
 the counterparty to one of its own customers and reached the VMNO through a
 payment-channel close (``TokenBank.provenance_fault``).  Anything else
 (direct transfers, relays, forged lineages, self-issued tokens) is
-rejected, which is the anti-laundering core of the scheme.
+rejected, which is the anti-laundering core of the scheme.  A claim is
+priced by ``TokenBank.agreed_price``, the pair's registered agreement.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
-from .errors import InvalidConfig
-from .ledger import Ledger, Redeem, record
+from .ledger import Ledger, Redeem
 from .tokenbank import TokenBank, treasury_wallet_id
-from .workload import AMOUNT, COUNT, FRACTION, _check_schema, knob
-
-# --- charging models --------------------------------------------------------
-
-
-@record
-class PerUnit:
-    rate: float = knob(MISSING, AMOUNT)  # currency per token
-    name = "per_unit"
-
-
-@record
-class Fixed:
-    flat: float = knob(MISSING, AMOUNT)        # currency per settlement period
-    discount: float = knob(0.0, FRACTION)     # post-discount adjustment
-    name = "fixed"
-
-
-@record
-class Parity:
-    """1 roaming coin buys 1MB and costs 1 euro (tokens are 100KB each)."""
-    tokens_per_mb: int = knob(10, COUNT)
-    euro_per_mb: float = knob(1.0, AMOUNT)
-    name = "parity"
-
-
-ChargingModel = Union[PerUnit, Fixed, Parity]
-
-
-def model_from_dict(spec: dict) -> ChargingModel:
-    """Read a charging spec strictly: ``model`` names a model, whose
-    ``config_schema`` the other keys fit; a number key's int is read as a
-    float.  Raises InvalidConfig, its message starting with the fault's path."""
-    kind = spec.get("model") if isinstance(spec, dict) else None
-    model = next((m for m in (PerUnit, Fixed, Parity) if m.name == kind), None)
-    if model is None:
-        raise InvalidConfig(f"$.model: {kind!r} is not a charging model")
-    args = {k: v for k, v in spec.items() if k != "model"}
-    _check_schema(model, args)
-    floats = {f.name for f in fields(model) if f.type == "float"}
-    return model(**{k: float(v) if k in floats else v for k, v in args.items()})
-
-
-def price(model: ChargingModel, tokens: int) -> float:
-    """Currency due for a token count under the given model; pure."""
-    if tokens < 0:
-        raise ValueError("tokens must be non-negative")
-    if isinstance(model, PerUnit):
-        return tokens * model.rate
-    if isinstance(model, Fixed):
-        return model.flat * (1.0 - model.discount)
-    return tokens / model.tokens_per_mb * model.euro_per_mb
-
 
 # --- redemption claims and provenance ----------------------------------------
 
@@ -78,21 +25,20 @@ class RedemptionClaim:
     vmno: str
     hmno: str
     lot_ids: list[str]
-    tokens: int
     fiat_due: float
 
 
-def make_claim(bank: TokenBank, model: ChargingModel, vmno: str, hmno: str) -> Optional[RedemptionClaim]:
-    """Claim every hmno-issued lot currently held by the VMNO treasury."""
+def make_claim(bank: TokenBank, vmno: str, hmno: str) -> Optional[RedemptionClaim]:
+    """Claim every hmno-issued lot currently held by the VMNO treasury, at
+    the pair's agreed price; None if it holds none or no agreement accepts them."""
     treasury = treasury_wallet_id(vmno)
     if treasury not in bank.wallets:
         return None
     lots = bank.lots_of(treasury, issuer=hmno)
-    if not lots:
+    fiat = bank.agreed_price(hmno, vmno, sum(l.amount for l in lots)) if lots else None
+    if fiat is None:
         return None
-    lot_ids = sorted(l.lot_id for l in lots)
-    tokens = sum(l.amount for l in lots)
-    return RedemptionClaim(vmno, hmno, lot_ids, tokens, price(model, tokens))
+    return RedemptionClaim(vmno, hmno, sorted(l.lot_id for l in lots), fiat)
 
 
 @dataclass

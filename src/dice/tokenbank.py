@@ -2,10 +2,12 @@
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
 once, and the rules of agreements, attach checks and redeems (signer,
-roster, one agreement per pair, a charging spec settlement can price, a
-checked wallet homed at the hmno, an agreement accepting the hmno behind
-each accepted check and each redeem, whose fiat is the agreed price): the
+roster, one agreement per pair, a charging spec ``model_from_dict`` reads,
+a checked wallet homed at the hmno, an agreement accepting the hmno behind
+each accepted check and each redeem, whose fiat is ``agreed_price``): the
 ledger the bank is attached to runs each submitted transaction through it.
+The charging models and ``price`` live here; ``agreed_price``, the price
+of the pair's registered agreement, is the one caller of ``price``.
 ``verify_blocks`` is the one replay of a persisted chain, through a fresh
 ledger with a new bank attached: a chain verifies only if the live engine
 could have produced it, and the replay holds the live state.  The
@@ -19,8 +21,8 @@ count the lots.  One token pays for one 100KB traffic block by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     AlreadyBurned,
@@ -42,8 +44,8 @@ from .errors import (
     ZeroDeposit,
 )
 from .ledger import (AgreementRegistration, AttachCheck, Block, ChannelClose, ChannelOpen, Issue, Ledger,
-                     Redeem, Transaction, ValidityReport)
-from .workload import AMOUNT, _fault
+                     Redeem, Transaction, ValidityReport, record)
+from .workload import AMOUNT, COUNT, FRACTION, _check_schema, _fault, knob
 
 TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 
@@ -51,6 +53,58 @@ TOKEN_BLOCK_BYTES = 100_000  # billing granularity: one token per started 100KB
 def tokens_for_bytes(nbytes: int) -> int:
     """Tokens needed to cover nbytes at the 100KB granularity, rounding up."""
     return -(-nbytes // TOKEN_BLOCK_BYTES)
+
+
+# --- charging models --------------------------------------------------------
+
+
+@record
+class PerUnit:
+    rate: float = knob(MISSING, AMOUNT)  # currency per token
+    name = "per_unit"
+
+
+@record
+class Fixed:
+    flat: float = knob(MISSING, AMOUNT)        # currency per settlement period
+    discount: float = knob(0.0, FRACTION)     # post-discount adjustment
+    name = "fixed"
+
+
+@record
+class Parity:
+    """1 roaming coin buys 1MB and costs 1 euro (tokens are 100KB each)."""
+    tokens_per_mb: int = knob(10, COUNT)
+    euro_per_mb: float = knob(1.0, AMOUNT)
+    name = "parity"
+
+
+ChargingModel = Union[PerUnit, Fixed, Parity]
+
+
+def model_from_dict(spec: dict) -> ChargingModel:
+    """Read a charging spec strictly: ``model`` names a model, whose
+    ``config_schema`` the other keys fit; a number key's int is read as a
+    float.  Raises InvalidConfig, its message starting with the fault's path."""
+    kind = spec.get("model") if isinstance(spec, dict) else None
+    model = next((m for m in (PerUnit, Fixed, Parity) if m.name == kind), None)
+    if model is None:
+        raise InvalidConfig(f"$.model: {kind!r} is not a charging model")
+    args = {k: v for k, v in spec.items() if k != "model"}
+    _check_schema(model, args)
+    floats = {f.name for f in fields(model) if f.type == "float"}
+    return model(**{k: float(v) if k in floats else v for k, v in args.items()})
+
+
+def price(model: ChargingModel, tokens: int) -> float:
+    """Currency due for a token count under the given model; pure."""
+    if tokens < 0:
+        raise ValueError("tokens must be non-negative")
+    if isinstance(model, PerUnit):
+        return tokens * model.rate
+    if isinstance(model, Fixed):
+        return model.flat * (1.0 - model.discount)
+    return tokens / model.tokens_per_mb * model.euro_per_mb
 
 
 class LineageEntry(NamedTuple):
@@ -242,6 +296,14 @@ class TokenBank:
         agreement = self.agreements.get((hmno, vmno))
         return agreement is not None and hmno in agreement.accepts
 
+    def agreed_price(self, hmno: str, vmno: str, tokens: int) -> Optional[float]:
+        """What the registered (hmno, vmno) agreement charges for ``tokens``
+        of hmno's, or None if no agreement lets vmno accept them: the one
+        price a redeem may carry."""
+        if not self.agreement_accepts(hmno, vmno):
+            return None
+        return price(model_from_dict(self.agreements[(hmno, vmno)].charging), tokens)
+
     # -- the token rules
 
     def apply(self, tx: Transaction) -> None:
@@ -314,10 +376,9 @@ class TokenBank:
             tokens = sum(self.lot(l).amount for l in p.lots)
             if tokens > self.spendable(treasury_wallet_id(p.vmno), p.hmno):
                 raise InsufficientBalance(f"redeem would burn tokens {p.vmno} holds in channel escrow")
-            if not self.agreement_accepts(p.hmno, p.vmno):
+            agreed = self.agreed_price(p.hmno, p.vmno, tokens)
+            if agreed is None:
                 raise NoAgreement(f"{p.hmno}->{p.vmno}")
-            from .settlement import model_from_dict, price  # settlement imports this module
-            agreed = price(model_from_dict(self.agreements[(p.hmno, p.vmno)].charging), tokens)
             if p.fiat != agreed:
                 raise PayloadRejected(f"redeem for {p.vmno}: fiat {p.fiat!r} is not the agreed price {agreed!r}")
             self.burn(list(p.lots))
@@ -328,7 +389,6 @@ class TokenBank:
                 raise UnknownMno(f"{p.hmno}/{p.vmno}")
             if (p.hmno, p.vmno) in self.agreements:
                 raise DuplicateAgreement(f"{p.hmno}->{p.vmno}")
-            from .settlement import model_from_dict  # settlement imports this module
             try:
                 model_from_dict(p.charging)
             except InvalidConfig as exc:

@@ -31,7 +31,7 @@ from dice.harness import (
 )
 from dice.ledger import Issue, Ledger, make_transaction
 from dice.protocol import LBO, DiceEngine
-from dice.settlement import PerUnit, RedemptionClaim, make_claim, redeem, validate_provenance
+from dice.settlement import RedemptionClaim, make_claim, redeem, validate_provenance
 from dice.tokenbank import LineageEntry, TokenBank, TokenLot
 from dice.workload import WorkloadConfig, generate
 
@@ -185,17 +185,18 @@ def test_criterion_05_provenance_security():
         _honest_visit(eng, "a2", "H", "V", 25, 1_000_000, 20)
         _honest_visit(eng, "a3", "H", "V", 25, 150_000, 30)
         eng.ledger.seal_block(500)
-        claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
+        claim = make_claim(eng.bank, "V", "H")
         accepted.append(validate_provenance(eng.bank, eng.ledger, claim).accepted)
         redeem(eng, claim, 600)  # must not raise
         accepted.append(True)
 
         # Attack 1: direct wallet transfer, no channel involved.
         eng = DiceEngine(["H", "V"], ["b1"], seed=52)
+        eng.register_agreement("H", "V", ["H"], charging, 0)
         w = eng.bank.create_identities("H", "b1", 1, [25], 5)[0]
         eng.ledger.seal_block(6)
         eng.bank.transfer(w, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
-        claim = make_claim(eng.bank, PerUnit(0.04), "V", "H")
+        claim = make_claim(eng.bank, "V", "H")
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "direct-transfer", verdict.reason))
 
@@ -206,7 +207,7 @@ def test_criterion_05_provenance_security():
                                            LineageEntry(treasury, codec.sha256(b"no2"))])
         eng.bank.lots[fake.lot_id] = fake
         eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
-        claim = RedemptionClaim("V", "H", [fake.lot_id], 10, 0.4)
+        claim = RedemptionClaim("V", "H", [fake.lot_id], 0.4)
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "forged-lineage", verdict.reason))
 
@@ -216,18 +217,19 @@ def test_criterion_05_provenance_security():
         _honest_visit(eng, "c1", "W", "V", 10, 1_000_000, 10)
         eng.ledger.seal_block(500)
         lots = sorted(l.lot_id for l in eng.bank.lots_of(eng.bank.treasury("V"), issuer="W"))
-        claim = RedemptionClaim("V", "H", lots, 10, 0.4)
+        claim = RedemptionClaim("V", "H", lots, 0.4)
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "wrong-issuer", verdict.reason))
 
         # Attack 4: cross-VMNO relay of honestly earned tokens.
         eng = DiceEngine(["H", "V", "W"], ["d1"], seed=55)
         eng.register_agreement("H", "V", ["H"], charging, 0)
+        eng.register_agreement("H", "W", ["H"], charging, 0)
         session = _honest_visit(eng, "d1", "H", "V", 25, 2_500_000, 10)
         eng.ledger.seal_block(500)
         close_tx = eng.channels.channel(session.channel).close_tx
         eng.bank.transfer(eng.bank.treasury("V"), eng.bank.treasury("W"), "H", 25, close_tx)
-        claim = make_claim(eng.bank, PerUnit(0.04), "W", "H")
+        claim = make_claim(eng.bank, "W", "H")
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "cross-vmno-relay", verdict.reason))
 
@@ -238,7 +240,7 @@ def test_criterion_05_provenance_security():
         eng.ledger.seal_block(6)
         lots = sorted(l.lot_id for l in eng.bank.lots_of(treasury, "V"))
         for hmno in ("H", "V"):
-            claim = RedemptionClaim("V", hmno, lots, 50, 2.0)
+            claim = RedemptionClaim("V", hmno, lots, 2.0)
             verdict = validate_provenance(eng.bank, eng.ledger, claim)
             rejected.append((not verdict.accepted, f"self-issue-vs-{hmno}", verdict.reason))
             with pytest.raises(ProvenanceRejected):

@@ -18,8 +18,7 @@ from dice.harness import verify_ledger
 from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Redeem,
                          load_blocks_jsonl, make_transaction)
 from dice.protocol import LBO, DiceEngine
-from dice.settlement import model_from_dict, price
-from dice.tokenbank import TokenBank, treasury_wallet_id
+from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id
 
 from helpers import bank_snapshot, run_session
 
@@ -50,6 +49,36 @@ def issue_signed_by_another_mno(eng, sessions):
 def issue_by_a_roamer_off_the_roster(eng, sessions):
     # Genesis anchors alice's key, but only roster members issue tokens.
     return make_transaction(70, "alice", Issue("alice", sessions["alice"].active_wallet, 10), eng.signer)
+
+
+def issue_into_a_wallet_homed_elsewhere(eng, sessions):
+    # V signs its own Issue, but alice's wallet is homed at H.
+    return make_transaction(70, "V", Issue("V", sessions["alice"].active_wallet, 10), eng.signer)
+
+
+def issue_of_no_tokens(eng, sessions):
+    return make_transaction(70, "H", Issue("H", sessions["alice"].active_wallet, 0), eng.signer)
+
+
+def open_with_no_deposit(eng, sessions):
+    opened = ChannelOpen("ch-empty", sessions["bob"].active_wallet, "V", 0, bytes(32), 100)
+    return make_transaction(70, "bob", opened, eng.signer)
+
+
+def reopen_of_a_closed_channel(eng, sessions):
+    # alice still holds 15 spendable tokens, enough for the deposit.
+    alice = sessions["alice"]
+    opened = ChannelOpen(alice.channel, alice.active_wallet, "V", 5, bytes(32), 100)
+    return make_transaction(70, "alice", opened, eng.signer)
+
+
+def close_of_a_channel_never_opened(eng, sessions):
+    return make_transaction(70, "V", ChannelClose("ch-never", 0, 0, 0), eng.signer)
+
+
+def second_close_of_a_closed_channel(eng, sessions):
+    # A valid split of alice's deposit, but not the one her close recorded.
+    return make_transaction(70, "V", ChannelClose(sessions["alice"].channel, 0, 25, 0), eng.signer)
 
 
 def close_not_splitting_the_deposit(eng, sessions):
@@ -180,6 +209,10 @@ def second_agreement_for_a_pair(eng, sessions):
     return make_transaction(70, "H", AgreementRegistration("H", "V", ("H",), CHARGING), eng.signer)
 
 
+def agreement_naming_a_vmno_off_the_roster(eng, sessions):
+    return make_transaction(70, "H", AgreementRegistration("H", "bob", ("H",), CHARGING), eng.signer)
+
+
 def agreement_with_a_negative_rate(eng, sessions):
     bad = {"model": "per_unit", "rate": -5}
     return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
@@ -193,6 +226,12 @@ def agreement_with_a_string_rate(eng, sessions):
 FORGERIES = [
     (issue_signed_by_another_mno, "issue", "NotIssuer"),
     (issue_by_a_roamer_off_the_roster, "issue", "NotIssuer"),
+    (issue_into_a_wallet_homed_elsewhere, "issue", "ForeignWallet"),
+    (issue_of_no_tokens, "issue", "NonPositiveAmount"),
+    (open_with_no_deposit, "channel_open", "ZeroDeposit"),
+    (reopen_of_a_closed_channel, "channel_open", "PayloadRejected"),
+    (close_of_a_channel_never_opened, "channel_close", "UnknownChannel"),
+    (second_close_of_a_closed_channel, "channel_close", "AlreadyClosed"),
     (close_not_splitting_the_deposit, "channel_close", "PayloadRejected"),
     (close_paying_without_a_proof, "channel_close", "PayloadRejected"),
     (redeem_of_a_lot_the_roamer_holds, "redeem", "ProvenanceRejected"),
@@ -214,6 +253,7 @@ FORGERIES = [
     (attach_check_accepted_without_an_agreement, "attach", "NoAgreement"),
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
     (second_agreement_for_a_pair, "agreement", "DuplicateAgreement"),
+    (agreement_naming_a_vmno_off_the_roster, "agreement", "UnknownMno"),
     (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),
     (agreement_with_a_string_rate, "agreement", "PayloadRejected"),
 ]
@@ -273,20 +313,21 @@ def live_verdict(forge) -> str:
     return "accepted"
 
 
-def redeem_rule_mutants():
-    """``TokenBank.apply`` with one ``raise`` of its Redeem branch replaced by
-    ``pass``, once per raise, as (the raise's source, the mutant)."""
+def rule_mutants(payload_cls):
+    """``TokenBank.apply`` with one ``raise`` of its ``payload_cls`` branch
+    replaced by ``pass``, once per raise, as (the raise's source, the mutant)."""
     module = inspect.getmodule(TokenBank)
     source = textwrap.dedent(inspect.getsource(TokenBank.apply))
+    test = f"isinstance(p, {payload_cls.__name__})"
 
-    def redeem_raises(tree):
+    def branch_raises(tree):
         branch = next(node for node in ast.walk(tree)
-                      if isinstance(node, ast.If) and ast.unparse(node.test) == "isinstance(p, Redeem)")
+                      if isinstance(node, ast.If) and ast.unparse(node.test) == test)
         return [node for stmt in branch.body for node in ast.walk(stmt) if isinstance(node, ast.Raise)]
 
-    for i in range(len(redeem_raises(ast.parse(source)))):
+    for i in range(len(branch_raises(ast.parse(source)))):
         tree = ast.parse(source)
-        target = redeem_raises(tree)[i]
+        target = branch_raises(tree)[i]
 
         class Unraise(ast.NodeTransformer):
             def visit_Raise(self, node):
@@ -297,19 +338,37 @@ def redeem_rule_mutants():
         yield ast.unparse(target), namespace["apply"]
 
 
-def test_every_redeem_rule_rejects_some_forgery(monkeypatch):
-    """Each ``raise`` of the Redeem rules is load-bearing: with it replaced by
-    ``pass``, some ``FORGERIES`` row is accepted live or fails with another
-    error class."""
+def surviving_rules(monkeypatch, mutants):
+    """The rules whose mutant leaves every ``FORGERIES`` row's live verdict
+    and error class as they are."""
     expected = [error for _forge, _kind, error in FORGERIES]
-    mutants = list(redeem_rule_mutants())
-    assert len(mutants) >= 9  # the Redeem rules when this test was written
     survivors = []
     for rule, mutant in mutants:
         monkeypatch.setattr(TokenBank, "apply", mutant)
         if [live_verdict(forge) for forge, _kind, _error in FORGERIES] == expected:
             survivors.append(rule)
-    assert survivors == []
+    return survivors
+
+
+def test_every_redeem_rule_rejects_some_forgery(monkeypatch):
+    """Each ``raise`` of the Redeem rules is load-bearing: with it replaced by
+    ``pass``, some ``FORGERIES`` row is accepted live or fails with another
+    error class."""
+    mutants = list(rule_mutants(Redeem))
+    assert len(mutants) >= 9  # the Redeem rules when this test was written
+    assert surviving_rules(monkeypatch, mutants) == []
+
+
+# The raises of each other branch of ``TokenBank.apply`` when this was written.
+BRANCH_RULES = {AttachCheck: 4, Issue: 3, ChannelOpen: 2, ChannelClose: 4, AgreementRegistration: 4}
+
+
+@pytest.mark.parametrize("payload_cls, rules", BRANCH_RULES.items(), ids=[c.__name__ for c in BRANCH_RULES])
+def test_every_rule_of_a_branch_rejects_some_forgery(monkeypatch, payload_cls, rules):
+    """As for Redeem: each ``raise`` of the branch is load-bearing."""
+    mutants = list(rule_mutants(payload_cls))
+    assert len(mutants) >= rules
+    assert surviving_rules(monkeypatch, mutants) == []
 
 
 @pytest.mark.parametrize("fiat", [math.inf, -math.inf, math.nan, 10**400],

@@ -34,7 +34,7 @@ from dice.harness import (
     verify_ledger,
 )
 from dice.ledger import QueryFilter, TxPayload, load_blocks_jsonl
-from dice.settlement import Fixed, Parity, PerUnit
+from dice.tokenbank import Fixed, Parity, PerUnit
 from dice.tokenbank import TokenBank
 from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, _check_schema, config_schema, generate
 

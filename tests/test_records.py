@@ -29,7 +29,7 @@ from dice.ledger import (
     Transaction,
     record,
 )
-from dice.settlement import Fixed, Parity, PerUnit
+from dice.tokenbank import Fixed, Parity, PerUnit
 
 H32 = bytes(range(32))
 ISSUE = Issue("H", "w-0000001", 25)

@@ -140,3 +140,20 @@ def test_requirements_assumptions_are_gone():
     """The projection knobs are config knobs; no second record restates them."""
     assert "RequirementsAssumptions" not in dice.__all__
     assert not hasattr(dice.harness, "RequirementsAssumptions")
+
+
+def nested_imports(modules) -> list[str]:
+    """``module:line`` of each import below the module level of ``modules``."""
+    return [f"{module}:{node.lineno}" for module, tree in modules for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+
+
+def test_no_import_hides_inside_a_function():
+    """An import in a function body hides an import cycle until the call; a
+    module that needs another's names imports them at the top."""
+    assert nested_imports(_modules()) == []
+
+
+def test_nested_import_census_sees_function_and_block_imports():
+    tree = ast.parse("import a\ndef f():\n    from .b import c\nif a:\n    import d\n")
+    assert nested_imports([("m", tree)]) == ["m:3", "m:5"]
