@@ -66,7 +66,7 @@ class BalanceProof:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class PaymentChannel:
     opened: ChannelOpen           # the on-chain open, as submitted
     open_tx: bytes

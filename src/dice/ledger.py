@@ -6,10 +6,14 @@ byte-identical chains.  Confidentiality is modeled through read scopes
 ``query`` derives from the sealed transactions, as a replay would.
 
 ``submit`` and ``seal_block`` state every chain rule once, and ``submit``
-also runs the payload's type check (the one the loader runs) and the token
-rules of the bank attached with ``attach_bank``.  The live engine writes
-through ``append``, which digests and signs a tx once and hands it to
-``submit``; ``submit`` re-digests every other tx it is given.
+also runs the type checks of the tx's own fields and of its payload (the
+ones the loader runs) and the token rules of the bank attached with
+``attach_bank``.  The live engine writes through ``append``, which checks
+the timestamp and signer types, digests and signs a tx once and hands that
+object to ``submit``; ``submit`` type-checks, re-digests and MAC-verifies
+every other tx it is given, replayed ones included.  ``save_jsonl`` writes
+each tx's line from the ``to_json`` its payload class generates, never
+through a record dict.
 ``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
 and bank, so a chain verifies only if the live engine could have written
 it.  A loaded record must have exactly the keys ``to_record`` writes.
@@ -112,17 +116,37 @@ def _str_list_field(rec: dict, key: str) -> tuple:
     return tuple(value)
 
 
+# ``json.dumps(..., separators=(",", ":"))``'s encoder, built once.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_esc = json.encoder.encode_basestring_ascii   # what _ENCODER writes for a str
+
+# Per declared type: the test that a field's value ``%(v)s`` is exactly of
+# that type, and then the f-string replacement field that writes the JSON
+# text ``_ENCODER`` writes for it.  ``to_json`` writes a field of any other
+# type (tuple, dict, float) by ``_ENCODER``.
+_JSON_INLINE = {
+    str: ("type(%(v)s) is str", "{esc(%(v)s)}"),
+    int: ("type(%(v)s) is int", "{%(v)s}"),
+    bool: ("(%(v)s is True or %(v)s is False)", "{'true' if %(v)s else 'false'}"),
+    bytes: ("type(%(v)s) is bytes", '"{%(v)s.hex()}"'),
+}
+
+
 def payload(kind: str):
     """``record``, plus the payload's wire form, field types and digest stated
-    by its fields alone: ``to_fields``, ``from_fields``, ``check`` and
-    ``tx_digest``, generated once per class like the ``__init__`` of
-    ``record``.  ``to_fields`` and ``from_fields`` write and read the fields
-    in declared order: a ``bytes`` field as lower-case hex read back through
-    ``_hex_field``, a ``tuple`` field as a JSON list read back through
-    ``_str_list_field``, any other as is.  ``check`` raises PayloadRejected
-    unless each str, int, bool, bytes or dict field holds exactly that type,
-    and each tuple field a tuple of str; ``from_fields`` and
-    ``Ledger.submit`` call it.  ``tx_digest(timestamp, signer)`` hashes
+    by its fields alone: ``to_fields``, ``to_json``, ``from_fields``,
+    ``check`` and ``tx_digest``, generated once per class like the
+    ``__init__`` of ``record``.  ``to_fields`` and ``from_fields`` write and
+    read the fields in declared order: a ``bytes`` field as lower-case hex
+    read back through ``_hex_field``, a ``tuple`` field as a JSON list read
+    back through ``_str_list_field``, any other as is.  ``to_json`` is
+    ``_ENCODER.encode({"kind": self.kind, **self.to_fields()})``, written
+    by one f-string when the kind and each str, int, bool or bytes field
+    hold exactly that type (each tuple, dict or float field still by
+    ``_ENCODER``), and by that call itself otherwise.  ``check`` raises
+    PayloadRejected unless each str, int, bool, bytes or dict field holds
+    exactly that type, and each tuple field a tuple of str; ``from_fields``
+    and ``Ledger.submit`` call it.  ``tx_digest(timestamp, signer)`` hashes
     ``[timestamp, signer, [self.kind, self.to_fields()]]`` from headers and
     sorted keys encoded once, and ``codec.encode`` of each value."""
     def declare(cls):
@@ -130,6 +154,8 @@ def payload(kind: str):
         cls = record(cls)
         hints = get_type_hints(cls)
         written, checks, read, hashed = [], [], [], {}
+        # to_json's test that every field it writes inline is exactly of its type, and its f-string.
+        exact, text = ["type(self.kind) is str"], ['{{"kind":{esc(self.kind)}']
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
             value, arg = f"self.{name}", f"f[{name!r}]"
@@ -145,21 +171,32 @@ def payload(kind: str):
                 checks.append(f"    if not ({test}):\n        raise PayloadRejected("
                               f"f'{name} must be of type {want}, not {{self.{name}!r}}')\n")
             written.append(f"{name!r}: {value}")
+            if hint in _JSON_INLINE:
+                test, field_text = (part % {"v": f"self.{name}"} for part in _JSON_INLINE[hint])
+                exact.append(test)
+            else:
+                field_text = f"{{json_encode({value})}}"
+            text.append(f",{_esc(name)}:{field_text}")
             read.append(arg)
         head = codec._header(b"l", 3), codec._header(b"l", 2), codec._header(b"d", len(hashed))
         emitted = "".join(f"{codec.encode(name)!r}, encode({hashed[name]}), " for name in sorted(hashed))
         env = {"__name__": cls.__module__, "_hex_field": _hex_field, "_str_list_field": _str_list_field,
-               "PayloadRejected": PayloadRejected, "encode": codec.encode, "sha256": hashlib.sha256}
+               "PayloadRejected": PayloadRejected, "encode": codec.encode, "sha256": hashlib.sha256,
+               "esc": _esc, "json_encode": _ENCODER.encode}
         source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
+                  f"def to_json(self):\n    if {' and '.join(exact)}:\n"
+                  f"        return f'''{''.join(text)}}}}}'''\n"
+                  f"    return json_encode({{'kind': self.kind, **self.to_fields()}})\n"
                   f"def check(self):\n{''.join(checks)}"
                   f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n"
                   f"def tx_digest(self, timestamp, signer):\n    return sha256(b''.join(({head[0]!r}, "
                   f"encode(timestamp), encode(signer), {head[1]!r}, encode(self.kind), {head[2]!r}, "
                   f"{emitted}))).digest()\n")
         exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
-        for name in ("to_fields", "check", "from_fields", "tx_digest"):
+        for name in ("to_fields", "to_json", "check", "from_fields", "tx_digest"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_fields, cls.check, cls.tx_digest = env["to_fields"], env["check"], env["tx_digest"]
+        cls.to_fields, cls.to_json, cls.check, cls.tx_digest = (
+            env["to_fields"], env["to_json"], env["check"], env["tx_digest"])
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -282,6 +319,15 @@ class Transaction:
             "signature": self.signature.hex(),
         }
 
+    def to_json(self) -> str:
+        """``_ENCODER.encode(self.to_record())``, written by one f-string,
+        the payload by its ``to_json``, when the timestamp is exactly an int
+        and the signer a str; by that call itself otherwise."""
+        if type(self.timestamp) is not int or type(self.signer) is not str:
+            return _ENCODER.encode(self.to_record())
+        return (f'{{"tx_id":"{self.tx_id.hex()}","timestamp":{self.timestamp},"signer":{_esc(self.signer)},'
+                f'"payload":{self.payload.to_json()},"signature":"{self.signature.hex()}"}}')
+
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
         _require_keys(rec, _TX_KEYS, "tx")
@@ -290,6 +336,19 @@ class Transaction:
 
 
 _TX_KEYS = frozenset(f.name for f in fields(Transaction))
+
+
+def _check_header(timestamp, signer, tx_id=b"", signature=b"") -> None:
+    """Raise PayloadRejected, naming the field, unless each of a tx's own
+    fields is of the type ``Transaction.from_record`` reads: the timestamp
+    exactly an int, the signer a str, the tx_id and signature bytes.
+    ``append`` passes only the first two: it makes the other two itself."""
+    if type(timestamp) is not int or type(signer) is not str \
+            or type(tx_id) is not bytes or type(signature) is not bytes:
+        name, value, want = next(field for field in (
+            ("timestamp", timestamp, int), ("signer", signer, str), ("tx_id", tx_id, bytes),
+            ("signature", signature, bytes)) if type(field[1]) is not field[2])
+        raise PayloadRejected(f"{name} must be of type {want.__name__}, not {value!r}")
 
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
@@ -431,8 +490,10 @@ class Ledger:
 
     def append(self, timestamp: int, signer: str, payload: TxPayload) -> bytes:
         """Build, sign and submit a tx: the live write path.  ``submit`` takes
-        the tx_id of this one object as ``make_transaction`` digested it, and
-        runs every other rule on it; an unknown signer raises UnknownSigner."""
+        the tx_id and signature of this one object as ``make_transaction``
+        made them, and runs every other rule on it; a timestamp or signer of
+        another type raises PayloadRejected, an unknown signer UnknownSigner."""
+        _check_header(timestamp, signer)
         if not self.signer_backend.knows(signer):
             raise UnknownSigner(signer)
         self._appended = tx = make_transaction(timestamp, signer, payload, self.signer_backend)
@@ -440,11 +501,13 @@ class Ledger:
 
     def submit(self, tx: Transaction) -> bytes:
         appended, self._appended = self._appended, None
-        if (tx is not appended and tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id) \
-                or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
-            if not self.signer_backend.knows(tx.signer):
-                raise UnknownSigner(tx.signer)
-            raise BadSignature(tx.tx_id.hex())
+        if tx is not appended:
+            _check_header(tx.timestamp, tx.signer, tx.tx_id, tx.signature)
+            if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
+                    or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
+                if not self.signer_backend.knows(tx.signer):
+                    raise UnknownSigner(tx.signer)
+                raise BadSignature(tx.tx_id.hex())
         if tx.tx_id in self.tx_index:
             raise DuplicateTx(tx.tx_id.hex())
         tx.payload.check()
@@ -519,31 +582,40 @@ class Ledger:
 
     def save_jsonl(self, path) -> None:
         """One line per block, ``json.dumps(block.to_record(), separators=(",",
-        ":"))``, written in pieces: the record of the block without its txs is
-        encoded once and split at its empty tx list, and the txs go between
-        in chunks of ``SAVE_CHUNK_TXS`` records.  So at once it holds one
-        header (a whole line only for genesis, whose roster and keys it
-        carries) plus one chunk of records and their text."""
+        ":"))``, written in pieces: the record of the block without its txs
+        and key registry is encoded once and split at its empty tx list; the
+        txs go between, by ``Transaction.to_json`` in chunks of
+        ``SAVE_CHUNK_TXS``, and genesis's keys at its end, in chunks of
+        ``SAVE_CHUNK_KEYS`` sorted entries.  So at once it holds one header
+        plus one chunk of text."""
         encode = _ENCODER.encode
         with open(path, "w", encoding="utf-8") as fh:
             write = fh.write
             for block in self.chain:
-                head, _, tail = encode(replace(block, txs=()).to_record()).partition(_EMPTY_TXS)
+                head, _, tail = encode(replace(block, txs=(), keys={}).to_record()).partition(_EMPTY_TXS)
                 write(head + '"txs":[')
                 txs = block.txs
                 for start in range(0, len(txs), SAVE_CHUNK_TXS):
                     if start:
                         write(",")
-                    # "[rec,...,rec]" without its brackets.
-                    write(encode([tx.to_record() for tx in txs[start:start + SAVE_CHUNK_TXS]])[1:-1])
-                write("]" + tail + "\n")
+                    write(",".join([tx.to_json() for tx in txs[start:start + SAVE_CHUNK_TXS]]))
+                if block.height:
+                    write("]" + tail + "\n")
+                    continue
+                # Genesis ends with its key registry: the tail ends '"keys":{}}'.
+                write("]" + tail[:-2])
+                keys, actors = block.keys, sorted(block.keys)
+                for start in range(0, len(actors), SAVE_CHUNK_KEYS):
+                    if start:
+                        write(",")
+                    # '{"actor":"hex",...}' without its braces.
+                    write(encode({a: keys[a].hex() for a in actors[start:start + SAVE_CHUNK_KEYS]})[1:-1])
+                write("}}\n")
 
 
-# The tx records one ``save_jsonl`` chunk builds and encodes at once.
+# The txs, and the genesis key entries, one ``save_jsonl`` chunk writes at once.
 SAVE_CHUNK_TXS = 64
-
-# ``json.dumps(..., separators=(",", ":"))``'s encoder, built once.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+SAVE_CHUNK_KEYS = 256
 
 # A header's empty tx list.  A string value cannot hold it (its quotes are
 # escaped), so its first occurrence is the ``txs`` key's.

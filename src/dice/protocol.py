@@ -9,7 +9,9 @@ on-chain footprint.
 
 A session holds only its state: the chain holds its txs, its channel's
 latest accepted proof counts its proofs, and its events are built only
-while ``DiceEngine.keep_events`` is set.  Session ids count the sessions.
+while ``DiceEngine.keep_events`` is set: each step moves the session clock
+either way, and builds an event (its dict, tx id hex and channel lookups)
+and calls ``_log`` only while it is set.  Session ids count the sessions.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ ACTIVE = "active"
 SETTLED = "settled"
 
 
-@dataclass
+@dataclass(slots=True)
 class RoamerSession:
     session_id: str
     roamer: str
@@ -122,7 +124,9 @@ class DiceEngine:
         accepted = failure is None
         tx_id = self.ledger.append(
             now, session.vmno, AttachCheck(session.active_wallet, session.vmno, session.hmno, accepted))
-        self._log(session, now, "attach_check", accepted=accepted, tx=tx_id.hex())
+        session.clock = now
+        if self.keep_events:
+            self._log(session, "attach_check", accepted=accepted, tx=tx_id.hex())
         if failure is not None:
             raise failure
         session.state = CONTRACTED
@@ -135,7 +139,8 @@ class DiceEngine:
         if session.state != CONTRACTED:
             raise WrongState(session.state)
         session.state = PROVISIONED
-        self._log(session, session.clock, "provisioned")
+        if self.keep_events:
+            self._log(session, "provisioned")
         return session
 
     def open_session_channel(self, session: RoamerSession, deposit: int, now: int) -> str:
@@ -146,8 +151,10 @@ class DiceEngine:
         session.channel = channel_id
         self._session_by_channel[channel_id] = session
         session.state = CHANNEL_OPEN
-        self._log(session, now, "channel_open", channel=channel_id, deposit=deposit,
-                  tx=self.channels.channel(channel_id).open_tx.hex())
+        session.clock = now
+        if self.keep_events:
+            self._log(session, "channel_open", channel=channel_id, deposit=deposit,
+                      tx=self.channels.channel(channel_id).open_tx.hex())
         return channel_id
 
     def session_traffic(self, session: RoamerSession, nbytes: int, now: int) -> int:
@@ -162,10 +169,12 @@ class DiceEngine:
         for proof in proofs:
             receive(vmno, proof)
         session.state = ACTIVE
-        unserviced = self.channels.channel(session.channel).unserviced_bytes
-        self._log(session, now, "traffic", bytes=nbytes, proofs=len(proofs))
-        if unserviced:
-            self._log(session, now, "deposit_exhausted", unserviced_bytes=unserviced)
+        session.clock = now
+        if self.keep_events:
+            self._log(session, "traffic", bytes=nbytes, proofs=len(proofs))
+            unserviced = self.channels.channel(session.channel).unserviced_bytes
+            if unserviced:
+                self._log(session, "deposit_exhausted", unserviced_bytes=unserviced)
         return len(proofs)
 
     def detach(self, session: RoamerSession, now: int) -> RoamerSession:
@@ -174,8 +183,8 @@ class DiceEngine:
             raise WrongState(session.state)
         self.channels.close_channel(session.channel, now, closer=session.roamer)
         self._settle(session, now)
-        if session.mode == LBO:
-            self._log(session, now, "reprovision_home")
+        if session.mode == LBO and self.keep_events:
+            self._log(session, "reprovision_home")
         return session
 
     def timeout_sweep(self, now: int) -> list[str]:
@@ -189,17 +198,19 @@ class DiceEngine:
 
     def _settle(self, session: RoamerSession, now: int, **close_fields) -> None:
         """Settle a session whose channel has just closed on-chain."""
-        ch = self.channels.channel(session.channel)
-        self._log(session, now, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
-                  tx=ch.close_tx.hex(), **close_fields)
-        session.state = SETTLED
-
-    def _log(self, session: RoamerSession, now: int, kind: str, **payload) -> None:
         session.clock = now
         if self.keep_events:
-            session.events.append(
-                {"time": now, "session_id": session.session_id, "event": kind, "payload": payload}
-            )
+            ch = self.channels.channel(session.channel)
+            self._log(session, "channel_close", paid=ch.closed.paid, refunded=ch.closed.refunded,
+                      tx=ch.close_tx.hex(), **close_fields)
+        session.state = SETTLED
+
+    def _log(self, session: RoamerSession, kind: str, **payload) -> None:
+        """Record an event at the session's clock.  Each step moves the clock
+        itself, and builds the event and calls this only while keep_events."""
+        session.events.append(
+            {"time": session.clock, "session_id": session.session_id, "event": kind, "payload": payload}
+        )
 
     # -- convenience passthroughs
 

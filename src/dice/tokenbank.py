@@ -112,7 +112,7 @@ class LineageEntry(NamedTuple):
     tx_id: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Wallet:
     owner: Optional[str]
     home_mno: str
@@ -120,7 +120,7 @@ class Wallet:
     lots: dict[str, dict[str, TokenLot]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenLot:
     lot_id: str
     issuer: str

@@ -1,11 +1,12 @@
-"""Canonical encoding, merkle and signature primitives."""
+"""Canonical encoding, the ledger's JSON writer, merkle and signature primitives."""
 
 import enum
 import hashlib
+import json
 import struct
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dice import codec
@@ -15,7 +16,9 @@ from dice.ledger import (
     ChannelClose,
     ChannelOpen,
     Issue,
+    Ledger,
     Redeem,
+    Transaction,
     block_digest,
     payload_canonical,
     tx_digest,
@@ -214,6 +217,64 @@ def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, paylo
     value = [timestamp, signer, payload_canonical(payload)]
     assert tx_digest(timestamp, signer, payload) == codec.digest(value) \
         == hashlib.sha256(reference_encode(value)).digest()
+
+
+# What the JSON writer must escape or write whole: quotes, backslashes,
+# control characters, non-ASCII, astral characters and lone surrogates; ints
+# past 64 bits either side of 0.  Each field holds a value of its declared
+# type half the time, and any scalar otherwise (a bool in an int field, an
+# int in a str field), as a tx appended straight to ``pending`` may.
+json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a') | st.characters(
+    blacklist_categories=()), max_size=12) | st.text(max_size=8).map(Name)
+json_ints = st.integers() | st.integers(min_value=2 ** 64, max_value=10 ** 300).flatmap(
+    lambda n: st.sampled_from([n, -n])) | st.sampled_from(Colour)
+json_scalars = json_texts | json_ints | st.booleans() | st.floats(allow_nan=False)
+json_str, json_int, json_bool, json_float = (
+    declared | json_scalars for declared in (json_texts, json_ints, st.booleans(), st.floats(allow_nan=False)))
+json_bytes = st.binary(max_size=80) | st.binary(max_size=8).map(bytearray) | st.binary(max_size=8).map(Blob)
+json_names = st.lists(json_texts, max_size=4).map(tuple)
+json_dicts = st.dictionaries(json_texts, json_scalars | st.lists(json_scalars, max_size=3), max_size=4)
+JSON_FIELDS = {
+    Issue: (json_str, json_str, json_int),
+    AgreementRegistration: (json_str, json_str, json_names, json_dicts),
+    AttachCheck: (json_str, json_str, json_str, json_bool),
+    ChannelOpen: (json_str, json_str, json_str, json_int, json_bytes, json_int),
+    ChannelClose: (json_str, json_int, json_int, json_int),
+    Redeem: (json_str, json_str, json_names, json_float),
+}
+json_payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
+    cls, *next(fields for base, fields in JSON_FIELDS.items() if issubclass(cls, base))))
+json_txs = st.builds(Transaction, st.binary(max_size=64), json_int, json_str, json_payloads, st.binary(max_size=64))
+
+
+# Genesis digests its roster and actor names, so they encode as UTF-8: no lone surrogates.
+actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀 a'), max_size=8)
+
+
+def _txs(*cases):
+    return [Transaction(b"\x01", timestamp, signer, payload, b"\x02") for timestamp, signer, payload in cases]
+
+
+@settings(deadline=None)
+@given(st.lists(actor_names, min_size=1, max_size=3), st.dictionaries(actor_names, st.binary(max_size=40), max_size=4),
+       st.lists(st.lists(json_txs, min_size=1, max_size=4), max_size=3))
+# One mistyped value each, every other value exactly of its type.
+@example(["H"], {"H": b"k"}, [_txs((7, "H", Issue("H", "w", True)), (7, "H", Issue("H", 7, 5)),
+                                    (7, "H", AttachCheck("w", "V", "H", 1)),
+                                    (7, "H", ChannelOpen("c", "w", "V", 1, bytearray(b"ab"), 2))),
+                               _txs((True, "H", Issue("H", "w", 5)), (7, 5, Issue("H", "w", 5)),
+                                    (7, Name("H"), Issue("H", Name("w"), Colour.BLUE)))])
+def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, roster, keys, blocks):
+    """Each tx goes straight to ``pending``, past the live checks, so every
+    value reaches the writer as it was built."""
+    ledger = Ledger(roster, keys)
+    for height, txs in enumerate(blocks, start=1):
+        ledger.pending.extend(txs)
+        ledger.seal_block(height)
+    path = tmp_path_factory.mktemp("saved") / "chain.jsonl"
+    ledger.save_jsonl(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines == [json.dumps(b.to_record(), separators=(",", ":")) for b in ledger.chain] + [""]
 
 
 # Heights and times up to and past 255 digits, signs included.

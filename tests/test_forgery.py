@@ -426,6 +426,57 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
     assert result.reason.startswith("parse error") and "must be of type" in result.reason
 
 
+def issue_to_bob(eng, sessions, timestamp=70):
+    return make_transaction(timestamp, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+
+
+# Txs with one of their own fields of another type than the loader reads,
+# as id -> (that field, forge(eng, sessions) -> tx).  H signs each.
+MISTYPED_TX = {
+    "timestamp '70'": ("timestamp", lambda eng, s: issue_to_bob(eng, s, "70")),
+    "timestamp 70.0": ("timestamp", lambda eng, s: issue_to_bob(eng, s, 70.0)),
+    "timestamp True": ("timestamp", lambda eng, s: issue_to_bob(eng, s, True)),
+    # Unhashable: the key registry raised a bare TypeError.
+    "list signer": ("signer", lambda eng, s: dataclasses.replace(issue_to_bob(eng, s), signer=["H"])),
+    "int signer": ("signer", lambda eng, s: dataclasses.replace(issue_to_bob(eng, s), signer=7)),
+    # hmac.compare_digest raised a bare TypeError.
+    "hex text tx_id": ("tx_id", lambda eng, s: dataclasses.replace(
+        tx := issue_to_bob(eng, s), tx_id=tx.tx_id.hex())),
+    "hex text signature": ("signature", lambda eng, s: dataclasses.replace(
+        tx := issue_to_bob(eng, s), signature=tx.signature.hex())),
+}
+
+
+@pytest.mark.parametrize("field, forge", MISTYPED_TX.values(), ids=MISTYPED_TX)
+def test_mistyped_tx_field_is_rejected_live_and_at_its_line(field, forge, tmp_path):
+    """A live submit rejects it before any digest, MAC or bank rule, naming
+    the field and leaving the ledger and the bank as they were."""
+    eng, sessions = honest_engine()
+    mistyped = forge(eng, sessions)
+    pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
+    with pytest.raises(PayloadRejected, match=f"^{field} must be of type"):
+        eng.ledger.submit(mistyped)
+    assert eng.ledger.pending == pending
+    assert bank_snapshot(eng.bank) == state
+
+    # Written past the live check, the loader rejects it at its line.  A
+    # tx_id or signature that is not bytes has no ``hex()`` to write: saving
+    # raises, as ``to_record`` does, and no line holds it.
+    eng.ledger.pending.append(mistyped)
+    block = eng.ledger.seal_block(80)
+    path = tmp_path / "ledger.jsonl"
+    if field in ("tx_id", "signature"):
+        with pytest.raises(AttributeError):
+            eng.ledger.save_jsonl(path)
+        return
+    eng.ledger.save_jsonl(path)
+    with pytest.raises(LedgerParseError, match=f"{field} must be") as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == block.height
+    result = verify_ledger(path)
+    assert not result.valid and result.first_invalid_height == block.height
+
+
 def ledger_state(eng):
     return list(eng.ledger.pending), dict(eng.ledger.tx_index), bank_snapshot(eng.bank)
 
@@ -433,7 +484,8 @@ def ledger_state(eng):
 # Every signed forgery above, as (id, forge(eng, sessions) -> tx).
 SIGNED = [(f.__name__, f) for f, _kind, _error in FORGERIES] + [
     (name, lambda eng, sessions, forge=forge: make_transaction(70, *forge(sessions), eng.signer))
-    for name, forge in MISTYPED.items()]
+    for name, forge in MISTYPED.items()] + [
+    (name, forge) for name, (field, forge) in MISTYPED_TX.items() if field in ("timestamp", "signer")]
 
 
 @pytest.mark.parametrize("forge", [f for _, f in SIGNED], ids=[name for name, _ in SIGNED])

@@ -108,6 +108,21 @@ def test_submit_re_digests_every_tx_append_did_not_build(ledger):
     assert len(ledger.pending) == 1
 
 
+def test_submit_verifies_the_mac_of_every_tx_append_did_not_build(ledger):
+    """``submit`` skips the MAC check only for the tx object ``append`` has
+    just built and signed: a tx from ``make_transaction`` with one signature
+    byte flipped is rejected, also right after an append."""
+    tx = issue_tx(ledger, 2)
+    flipped = dataclasses.replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+    with pytest.raises(BadSignature):
+        ledger.submit(flipped)
+    ledger.append(1, "A", Issue("A", "w1", 5))
+    with pytest.raises(BadSignature):
+        ledger.submit(flipped)
+    assert len(ledger.pending) == 1
+    assert ledger.submit(tx) == tx.tx_id
+
+
 def test_genesis_convention(ledger):
     genesis = ledger.chain[0]
     assert genesis.height == 0
@@ -452,6 +467,17 @@ def test_save_holds_less_than_its_longest_line(tmp_path, ledger):
     path = tmp_path / "chain.jsonl"
     _, _, peak = _traced(lambda: ledger.save_jsonl(path))
     assert peak < max(len(line) for line in path.read_bytes().split(b"\n"))
+
+
+def test_save_holds_less_than_its_genesis_line(tmp_path):
+    """Genesis's key registry is written in chunks, as txs are."""
+    actors = [*ROSTER, *(f"roamer-{i:06d}" for i in range(20_000))]
+    ledger = Ledger(ROSTER, {a: codec.derive_key(0, a) for a in actors})
+    path = tmp_path / "chain.jsonl"
+    _, _, peak = _traced(lambda: ledger.save_jsonl(path))
+    line = path.read_text().split("\n")[0]
+    assert line == json.dumps(ledger.chain[0].to_record(), separators=(",", ":"))
+    assert peak < len(line)
 
 
 def test_load_holds_less_than_the_file_besides_its_blocks(tmp_path, ledger):

@@ -20,8 +20,9 @@ COUNTED = [(ledger, "tx_digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMa
            (codec, "append_int_pair")]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
-# A proof's bytes are built once by the roamer and once by the VMNO.
-LIVE_BOUNDS = {"tx_digest": (1, 0), "sign": (1, 1), "verify": (1, 1), "append_int_pair": (0, 2)}
+# A proof's bytes are built once by the roamer and once by the VMNO, which
+# verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed.
+LIVE_BOUNDS = {"tx_digest": (1, 0), "sign": (1, 1), "verify": (0, 1), "append_int_pair": (0, 2)}
 # Per counted call: its calls per replayed tx.
 REPLAY_COUNTS = {"tx_digest": 1, "sign": 0, "verify": 1, "append_int_pair": 0}
 # The ``codec._enc`` calls per sealed block (its header digest emits each
