@@ -14,10 +14,12 @@ accepted proof; and the traffic metered.  ``ChannelManager(ledger, bank)``
 signs and verifies with the ledger's key registry; channel ids count the
 channels, and ``proofs_accepted`` sums each one's latest accepted seq.
 
-The roamer signs each proof's canonical bytes,
-``codec.encode(["proof", channel_id, seq, cumulative])``, with no digest in
-between: the record keeps the encoded ``["proof", channel_id`` head, and
-both sides append ``(seq, cumulative)`` to it.
+The roamer MACs each proof's bytes, the JSON text
+``["proof","ch-…",seq,cumulative]``, with no digest in between: the record
+keeps the ``["proof","ch-…",`` head, and both sides append
+``b"%d,%d]" % (seq, cumulative)`` to it in ``proof_message``.  The VMNO
+takes only a seq and cumulative that are exactly ints, so no other value
+(``True``, ``1.0``) reads as an int a MAC covers.
 """
 
 from __future__ import annotations
@@ -79,12 +81,15 @@ class PaymentChannel:
     unserviced_bytes: int = 0
     closed: Optional[ChannelClose] = None   # the on-chain close, once submitted
     close_tx: Optional[bytes] = None
-    # The encoding of ["proof", channel id, seq, cumulative] up to seq; both
-    # sides append (seq, cumulative) to it for the bytes each proof MACs.
+    # The text of ["proof", channel id, seq, cumulative] up to seq.
     proof_head: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.proof_head = codec.list_prefix(4, ["proof", self.opened.channel])
+        self.proof_head = b'["proof",%b,' % json.encoder.encode_basestring_ascii(self.opened.channel).encode()
+
+    def proof_message(self, seq: int, cumulative: int) -> bytes:
+        """The bytes a proof's MAC covers: ``["proof","ch-…",seq,cumulative]``."""
+        return b"%b%d,%d]" % (self.proof_head, seq, cumulative)
 
     @property
     def status(self) -> str:
@@ -129,7 +134,7 @@ class ChannelManager:
         channel_id = f"ch-{len(self.channels):07d}"
         preimage = self._next_preimage
         roamer = wallet.owner or wallet_id
-        opened = ChannelOpen(channel_id, wallet_id, vmno, deposit, codec.sha256(preimage),
+        opened = ChannelOpen(channel_id, wallet_id, vmno, deposit, codec.digest(preimage),
                              now + self.timelock_window)
         tx_id = self.ledger.append(now, roamer, opened)
         self._next_preimage = self._rng.randbytes(32)
@@ -163,11 +168,10 @@ class ChannelManager:
         ch.bytes_total += take
         ch.unserviced_bytes += new_bytes - take
         proofs = []
-        append, sign, roamer, head, message = (
-            proofs.append, self.signer.sign, ch.roamer, ch.proof_head, codec.append_int_pair)
+        append, sign, roamer, message = proofs.append, self.signer.sign, ch.roamer, ch.proof_message
         preimage = ch.preimage if ch.last_seq == 0 else None   # only seq 1 reveals it
         for seq in range(ch.last_seq + 1, ch.bytes_total // TOKEN_BLOCK_BYTES + 1):
-            append(BalanceProof(channel_id, seq, seq, preimage, sign(roamer, message(head, seq, seq))))
+            append(BalanceProof(channel_id, seq, seq, preimage, sign(roamer, message(seq, seq))))
             ch.last_seq, preimage = seq, None
         ch.last_activity = now
         return proofs
@@ -181,8 +185,9 @@ class ChannelManager:
         opened = ch.opened
         if opened.vmno != vmno or ch.closed is not None:
             raise ChannelNotOpen(channel_id)
-        if not self.signer.verify(ch.roamer, codec.append_int_pair(ch.proof_head, seq, cumulative),
-                                  proof.signature):
+        if type(seq) is not int or type(cumulative) is not int:
+            raise BadSignature(f"proof seq {seq!r}, cumulative {cumulative!r}: not both ints")
+        if not self.signer.verify(ch.roamer, ch.proof_message(seq, cumulative), proof.signature):
             raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
         if latest is None:
@@ -198,7 +203,7 @@ class ChannelManager:
             raise Overdraft(f"cumulative {cumulative} > deposit {opened.deposit}")
         if cumulative <= last_cumulative:
             raise StaleProof(f"cumulative {cumulative} does not increase")
-        if seq == 1 and (proof.preimage is None or codec.sha256(proof.preimage) != opened.hashlock):
+        if seq == 1 and (proof.preimage is None or codec.digest(proof.preimage) != opened.hashlock):
             raise BadPreimage(channel_id)
         ch.latest = proof
         if self.keep_proofs:

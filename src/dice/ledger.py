@@ -9,11 +9,13 @@ byte-identical chains.  Confidentiality is modeled through read scopes
 also runs the type checks of the tx's own fields and of its payload (the
 ones the loader runs) and the token rules of the bank attached with
 ``attach_bank``.  The live engine writes through ``append``, which checks
-the timestamp and signer types, digests and signs a tx once and hands that
-object to ``submit``; ``submit`` type-checks, re-digests and MAC-verifies
-every other tx it is given, replayed ones included.  ``save_jsonl`` writes
-each tx's line from the ``to_json`` its payload class generates, never
-through a record dict.
+the timestamp, signer and payload types, digests and signs a tx once and
+hands that object to ``submit``; ``submit`` type-checks, re-digests and
+MAC-verifies every other tx it is given, replayed ones included.
+
+Each hash covers the JSON text of its record that ``save_jsonl`` writes in
+the record's line, never through a record dict: a tx id its ``_tx_text``, a
+block hash its ``_block_header``, genesis's tx_root its ``_genesis_registry``.
 ``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
 and bank, so a chain verifies only if the live engine could have written
 it.  A loaded record must have exactly the keys ``to_record`` writes.
@@ -21,11 +23,10 @@ it.  A loaded record must have exactly the keys ``to_record`` writes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import weakref
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterator, Optional, get_origin, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 from . import codec
 from .codec import ZERO_DIGEST
@@ -132,28 +133,41 @@ _JSON_INLINE = {
 }
 
 
+def _sorted_keys(value):
+    """A dict field's value as it is written, and so hashed: each dict in it,
+    at any depth, in sorted key order, so that equal dicts write equal text;
+    each list and tuple in it as a list, as JSON writes it.  A key that is not
+    a str raises TypeError: JSON would write ``1`` and ``"1"`` alike."""
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"dict keys must be str: {value!r}")
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
 def payload(kind: str):
-    """``record``, plus the payload's wire form, field types and digest stated
-    by its fields alone: ``to_fields``, ``to_json``, ``from_fields``,
-    ``check`` and ``tx_digest``, generated once per class like the
-    ``__init__`` of ``record``.  ``to_fields`` and ``from_fields`` write and
-    read the fields in declared order: a ``bytes`` field as lower-case hex
-    read back through ``_hex_field``, a ``tuple`` field as a JSON list read
-    back through ``_str_list_field``, any other as is.  ``to_json`` is
-    ``_ENCODER.encode({"kind": self.kind, **self.to_fields()})``, written
-    by one f-string when the kind and each str, int, bool or bytes field
-    hold exactly that type (each tuple, dict or float field still by
-    ``_ENCODER``), and by that call itself otherwise.  ``check`` raises
+    """``record``, plus the payload's wire form and field types stated by its
+    fields alone: ``to_fields``, ``to_json``, ``from_fields`` and ``check``,
+    generated once per class like the ``__init__`` of ``record``.
+    ``to_fields`` and ``from_fields`` write and read the fields in declared
+    order: a ``bytes`` field as lower-case hex read back through
+    ``_hex_field``, a ``tuple`` field as a JSON list read back through
+    ``_str_list_field``, a ``dict`` field by ``_sorted_keys``, any other as
+    is.  ``to_json`` is ``_ENCODER.encode({"kind": self.kind,
+    **self.to_fields()})``, written by one f-string when the kind and each
+    str, int, bool or bytes field hold exactly that type (each tuple, dict or
+    float field still by ``_ENCODER``), and by that call itself otherwise; a
+    tx line holds it, and a tx id hashes it.  ``check`` raises
     PayloadRejected unless each str, int, bool, bytes or dict field holds
     exactly that type, and each tuple field a tuple of str; ``from_fields``
-    and ``Ledger.submit`` call it.  ``tx_digest(timestamp, signer)`` hashes
-    ``[timestamp, signer, [self.kind, self.to_fields()]]`` from headers and
-    sorted keys encoded once, and ``codec.encode`` of each value."""
+    and ``Ledger.submit`` call it."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, checks, read, hashed = [], [], [], {}
+        written, checks, read = [], [], []
         # to_json's test that every field it writes inline is exactly of its type, and its f-string.
         exact, text = ["type(self.kind) is str"], ['{{"kind":{esc(self.kind)}']
         for name in (f.name for f in fields(cls)):
@@ -161,9 +175,10 @@ def payload(kind: str):
             value, arg = f"self.{name}", f"f[{name!r}]"
             if hint is bytes:
                 value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
-            hashed[name] = value  # a tuple encodes as the list it is written as
-            if hint is tuple:
+            elif hint is tuple:
                 value, arg = f"list({value})", f"_str_list_field(f, {name!r})"
+            elif hint is dict:
+                value = f"_sorted_keys({value})"
             if hint is not float:  # a float is left to the bank
                 want, test = hint.__name__, f"type(self.{name}) is {hint.__name__}"
                 if hint is tuple:
@@ -178,25 +193,19 @@ def payload(kind: str):
                 field_text = f"{{json_encode({value})}}"
             text.append(f",{_esc(name)}:{field_text}")
             read.append(arg)
-        head = codec._header(b"l", 3), codec._header(b"l", 2), codec._header(b"d", len(hashed))
-        emitted = "".join(f"{codec.encode(name)!r}, encode({hashed[name]}), " for name in sorted(hashed))
         env = {"__name__": cls.__module__, "_hex_field": _hex_field, "_str_list_field": _str_list_field,
-               "PayloadRejected": PayloadRejected, "encode": codec.encode, "sha256": hashlib.sha256,
-               "esc": _esc, "json_encode": _ENCODER.encode}
+               "_sorted_keys": _sorted_keys, "PayloadRejected": PayloadRejected, "esc": _esc,
+               "json_encode": _ENCODER.encode}
         source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
                   f"def to_json(self):\n    if {' and '.join(exact)}:\n"
                   f"        return f'''{''.join(text)}}}}}'''\n"
                   f"    return json_encode({{'kind': self.kind, **self.to_fields()}})\n"
                   f"def check(self):\n{''.join(checks)}"
-                  f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n"
-                  f"def tx_digest(self, timestamp, signer):\n    return sha256(b''.join(({head[0]!r}, "
-                  f"encode(timestamp), encode(signer), {head[1]!r}, encode(self.kind), {head[2]!r}, "
-                  f"{emitted}))).digest()\n")
+                  f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n")
         exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
-        for name in ("to_fields", "to_json", "check", "from_fields", "tx_digest"):
+        for name in ("to_fields", "to_json", "check", "from_fields"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_fields, cls.to_json, cls.check, cls.tx_digest = (
-            env["to_fields"], env["to_json"], env["check"], env["tx_digest"])
+        cls.to_fields, cls.to_json, cls.check = env["to_fields"], env["to_json"], env["check"]
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -252,16 +261,10 @@ class Redeem:
 
 
 TxPayload = Issue | AgreementRegistration | AttachCheck | ChannelOpen | ChannelClose | Redeem
+_PAYLOAD_CLASSES = get_args(TxPayload)   # a tuple: ``isinstance`` checks one faster than a union
 
 # Per kind: its payload class and the keys of its records.
-_PAYLOAD_KINDS = {
-    cls.kind: (cls, frozenset(["kind", *(f.name for f in fields(cls))]))
-    for cls in (Issue, AgreementRegistration, AttachCheck, ChannelOpen, ChannelClose, Redeem)
-}
-
-
-def payload_canonical(payload: TxPayload) -> list:
-    return [payload.kind, payload.to_fields()]
+_PAYLOAD_KINDS = {cls.kind: (cls, frozenset(["kind", *(f.name for f in fields(cls))])) for cls in _PAYLOAD_CLASSES}
 
 
 def _require_keys(record: dict, keys: frozenset, what: str) -> None:
@@ -320,13 +323,10 @@ class Transaction:
         }
 
     def to_json(self) -> str:
-        """``_ENCODER.encode(self.to_record())``, written by one f-string,
-        the payload by its ``to_json``, when the timestamp is exactly an int
-        and the signer a str; by that call itself otherwise."""
-        if type(self.timestamp) is not int or type(self.signer) is not str:
-            return _ENCODER.encode(self.to_record())
-        return (f'{{"tx_id":"{self.tx_id.hex()}","timestamp":{self.timestamp},"signer":{_esc(self.signer)},'
-                f'"payload":{self.payload.to_json()},"signature":"{self.signature.hex()}"}}')
+        """``_ENCODER.encode(self.to_record())``: the tx's line, its
+        ``_tx_text`` between its id and its signature."""
+        return (f'{{"tx_id":"{self.tx_id.hex()}",{_tx_text(self.timestamp, self.signer, self.payload)},'
+                f'"signature":"{self.signature.hex()}"}}')
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
@@ -338,23 +338,37 @@ class Transaction:
 _TX_KEYS = frozenset(f.name for f in fields(Transaction))
 
 
-def _check_header(timestamp, signer, tx_id=b"", signature=b"") -> None:
+def _check_header(timestamp, signer, payload, tx_id=b"", signature=b"") -> None:
     """Raise PayloadRejected, naming the field, unless each of a tx's own
     fields is of the type ``Transaction.from_record`` reads: the timestamp
-    exactly an int, the signer a str, the tx_id and signature bytes.
-    ``append`` passes only the first two: it makes the other two itself."""
+    exactly an int, the signer a str, the payload an instance of a payload
+    class, the tx_id and signature bytes.  ``append`` passes only the first
+    three: it makes the other two itself."""
     if type(timestamp) is not int or type(signer) is not str \
             or type(tx_id) is not bytes or type(signature) is not bytes:
         name, value, want = next(field for field in (
             ("timestamp", timestamp, int), ("signer", signer, str), ("tx_id", tx_id, bytes),
             ("signature", signature, bytes)) if type(field[1]) is not field[2])
         raise PayloadRejected(f"{name} must be of type {want.__name__}, not {value!r}")
+    if not isinstance(payload, _PAYLOAD_CLASSES):
+        raise PayloadRejected(f"payload must be of type TxPayload, not {payload!r}")
+
+
+def _tx_text(timestamp, signer, payload: TxPayload) -> str:
+    """``"timestamp":…,"signer":…,"payload":…``: what a tx's line holds
+    between its id and its signature, and its id hashes in braces.  A
+    timestamp that is not exactly an int, and a signer that is not a str,
+    are written by ``_ENCODER``; the payload by its ``to_json``."""
+    if type(timestamp) is not int:
+        timestamp = _ENCODER.encode(timestamp)
+    signer = _esc(signer) if isinstance(signer, str) else _ENCODER.encode(signer)
+    return f'"timestamp":{timestamp},"signer":{signer},"payload":{payload.to_json()}'
 
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
-    """``codec.digest([timestamp, signer, payload_canonical(payload)])``, by
-    the digest ``payload`` generated for the payload's class."""
-    return payload.tx_digest(timestamp, signer)
+    """A tx's id: ``codec.digest`` of ``{"timestamp":…,"signer":…,"payload":…}``,
+    the text of ``_tx_text`` in braces."""
+    return codec.digest(f"{{{_tx_text(timestamp, signer, payload)}}}".encode())
 
 
 def make_transaction(timestamp: int, signer: str, payload: TxPayload,
@@ -364,14 +378,33 @@ def make_transaction(timestamp: int, signer: str, payload: TxPayload,
     return Transaction(tx_id, timestamp, signer, payload, backend.sign(signer, tx_id))
 
 
+def _block_header(height, prev_hash: bytes, tx_root: bytes, validator, sealed_at) -> str:
+    """``{"height":…,"prev_hash":"…","tx_root":"…","validator":…,"sealed_at":…}``:
+    what a block's hash covers and its line starts with.  By one f-string when
+    the height and time are exactly ints and the validator a str."""
+    if type(height) is int and type(validator) is str and type(sealed_at) is int:
+        return (f'{{"height":{height},"prev_hash":"{prev_hash.hex()}","tx_root":"{tx_root.hex()}",'
+                f'"validator":{_esc(validator)},"sealed_at":{sealed_at}}}')
+    return _ENCODER.encode({"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
+                            "validator": validator, "sealed_at": sealed_at})
+
+
 def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, sealed_at: int) -> bytes:
-    """``codec.digest`` of the list of the five, from its header and ``codec.encode`` of each."""
-    encode = codec.encode
-    return hashlib.sha256(b"".join((_BLOCK_HEAD, encode(height), encode(prev_hash), encode(tx_root),
-                                    encode(validator), encode(sealed_at)))).digest()
+    """A block's hash: ``codec.digest`` of its ``_block_header``."""
+    return codec.digest(_block_header(height, prev_hash, tx_root, validator, sealed_at).encode())
 
 
-_BLOCK_HEAD = codec._header(b"l", 5)
+def _genesis_registry(roster, keys: dict) -> Iterator[str]:
+    """``"roster":[…],"keys":{…}``, in pieces: what genesis's line ends
+    with, and its tx_root hashes in braces.  The key registry is written in
+    sorted order, in chunks of ``SAVE_CHUNK_KEYS`` entries."""
+    yield f'"roster":{_ENCODER.encode(list(roster))},"keys":{{'
+    actors = sorted(keys)
+    for start in range(0, len(actors), SAVE_CHUNK_KEYS):
+        # '"actor":"hex",...' without its braces.
+        chunk = _ENCODER.encode({a: keys[a].hex() for a in actors[start:start + SAVE_CHUNK_KEYS]})[1:-1]
+        yield f",{chunk}" if start else chunk
+    yield "}"
 
 
 @record
@@ -473,8 +506,7 @@ class Ledger:
 
     def _seal_genesis(self, now: int) -> None:
         keys = self.signer_backend.keys
-        tx_root = codec.digest(["genesis", list(self.roster),
-                                {a: k.hex() for a, k in sorted(keys.items())}])
+        tx_root = codec.digest(f'{{{"".join(_genesis_registry(self.roster, keys))}}}'.encode())
         validator = self.roster[0]
         block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, now)
         self.chain.append(
@@ -491,9 +523,10 @@ class Ledger:
     def append(self, timestamp: int, signer: str, payload: TxPayload) -> bytes:
         """Build, sign and submit a tx: the live write path.  ``submit`` takes
         the tx_id and signature of this one object as ``make_transaction``
-        made them, and runs every other rule on it; a timestamp or signer of
-        another type raises PayloadRejected, an unknown signer UnknownSigner."""
-        _check_header(timestamp, signer)
+        made them, and runs every other rule on it; a timestamp, signer or
+        payload of another type raises PayloadRejected, an unknown signer
+        UnknownSigner."""
+        _check_header(timestamp, signer, payload)
         if not self.signer_backend.knows(signer):
             raise UnknownSigner(signer)
         self._appended = tx = make_transaction(timestamp, signer, payload, self.signer_backend)
@@ -502,7 +535,7 @@ class Ledger:
     def submit(self, tx: Transaction) -> bytes:
         appended, self._appended = self._appended, None
         if tx is not appended:
-            _check_header(tx.timestamp, tx.signer, tx.tx_id, tx.signature)
+            _check_header(tx.timestamp, tx.signer, tx.payload, tx.tx_id, tx.signature)
             if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
                     or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
                 if not self.signer_backend.knows(tx.signer):
@@ -582,44 +615,32 @@ class Ledger:
 
     def save_jsonl(self, path) -> None:
         """One line per block, ``json.dumps(block.to_record(), separators=(",",
-        ":"))``, written in pieces: the record of the block without its txs
-        and key registry is encoded once and split at its empty tx list; the
-        txs go between, by ``Transaction.to_json`` in chunks of
-        ``SAVE_CHUNK_TXS``, and genesis's keys at its end, in chunks of
-        ``SAVE_CHUNK_KEYS`` sorted entries.  So at once it holds one header
-        plus one chunk of text."""
-        encode = _ENCODER.encode
+        ":"))``, written in pieces: the block's ``_block_header`` and hash;
+        its txs, by ``Transaction.to_json`` in chunks of ``SAVE_CHUNK_TXS``;
+        and for genesis its ``_genesis_registry``.  So at once it holds one
+        header plus one chunk of text."""
         with open(path, "w", encoding="utf-8") as fh:
             write = fh.write
             for block in self.chain:
-                head, _, tail = encode(replace(block, txs=(), keys={}).to_record()).partition(_EMPTY_TXS)
-                write(head + '"txs":[')
+                header = _block_header(block.height, block.prev_hash, block.tx_root, block.validator,
+                                       block.sealed_at)
+                write(f'{header[:-1]},"block_hash":"{block.block_hash.hex()}","txs":[')
                 txs = block.txs
                 for start in range(0, len(txs), SAVE_CHUNK_TXS):
                     if start:
                         write(",")
                     write(",".join([tx.to_json() for tx in txs[start:start + SAVE_CHUNK_TXS]]))
                 if block.height:
-                    write("]" + tail + "\n")
+                    write("]}\n")
                     continue
-                # Genesis ends with its key registry: the tail ends '"keys":{}}'.
-                write("]" + tail[:-2])
-                keys, actors = block.keys, sorted(block.keys)
-                for start in range(0, len(actors), SAVE_CHUNK_KEYS):
-                    if start:
-                        write(",")
-                    # '{"actor":"hex",...}' without its braces.
-                    write(encode({a: keys[a].hex() for a in actors[start:start + SAVE_CHUNK_KEYS]})[1:-1])
-                write("}}\n")
+                write("],")
+                fh.writelines(_genesis_registry(block.roster, block.keys))
+                write("}\n")
 
 
 # The txs, and the genesis key entries, one ``save_jsonl`` chunk writes at once.
 SAVE_CHUNK_TXS = 64
 SAVE_CHUNK_KEYS = 256
-
-# A header's empty tx list.  A string value cannot hold it (its quotes are
-# escaped), so its first occurrence is the ``txs`` key's.
-_EMPTY_TXS = '"txs":[]'
 
 
 def _reject_constant(name: str):

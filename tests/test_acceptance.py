@@ -195,7 +195,7 @@ def test_criterion_05_provenance_security():
         eng.register_agreement("H", "V", ["H"], charging, 0)
         w = eng.bank.create_identities("H", "b1", 1, [25], 5)[0]
         eng.ledger.seal_block(6)
-        eng.bank.transfer(w, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
+        eng.bank.transfer(w, eng.bank.treasury("V"), "H", 25, codec.digest(b"gift"))
         claim = make_claim(eng.bank, "V", "H")
         verdict = validate_provenance(eng.bank, eng.ledger, claim)
         rejected.append((not verdict.accepted, "direct-transfer", verdict.reason))
@@ -203,8 +203,8 @@ def test_criterion_05_provenance_security():
         # Attack 2: forged lineage whose root never hit the chain.
         eng = DiceEngine(["H", "V"], [], seed=53)
         treasury = eng.bank.treasury("V")
-        fake = TokenLot("lot-x", "H", 10, [LineageEntry("w-ghost", codec.sha256(b"no")),
-                                           LineageEntry(treasury, codec.sha256(b"no2"))])
+        fake = TokenLot("lot-x", "H", 10, [LineageEntry("w-ghost", codec.digest(b"no")),
+                                           LineageEntry(treasury, codec.digest(b"no2"))])
         eng.bank.lots[fake.lot_id] = fake
         eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
         claim = RedemptionClaim("V", "H", [fake.lot_id], 0.4)
@@ -334,7 +334,8 @@ def test_criterion_07_proof_stream_properties():
             pre_ok = rng.random() > 0.05
             preimage = (good_pre if pre_ok else b"\x00" * 32) if seq == 1 else None
             signer = actor_of[ch] if sig_ok else "V"
-            sig = mgr.signer.sign(signer, codec.encode(["proof", ch, seq, cum]))
+            message = json.dumps(["proof", ch, seq, cum], separators=(",", ":")).encode()
+            sig = mgr.signer.sign(signer, message)
             proof = BalanceProof(ch, seq, cum, preimage, sig)
 
             model_valid = (

@@ -1,6 +1,7 @@
 """Payment channels: metering, proof validation, close and sweep semantics."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,6 @@ from dice.errors import (
 )
 from dice.ledger import ChannelOpen, Ledger
 from dice.tokenbank import TokenBank
-from test_codec import reference_encode
 
 ACTORS = ["H", "V", "alice", "mallory"]
 KEYS = {a: codec.derive_key(3, a) for a in ACTORS}
@@ -126,13 +126,12 @@ def test_traffic_amount_must_be_a_non_negative_int(bad):
 
 
 def test_proofs_never_reach_the_general_encoder(monkeypatch):
-    """Both sides build each proof's bytes from the channel's encoded head
-    with the inline int emission of ``append_int_pair``, never through
-    ``codec._enc``."""
+    """Both sides build each proof's bytes from the head the channel wrote
+    once at its open, and ``b"%d,%d]"``, never through ``json.dumps``."""
     _, _, mgr, wallet = fresh(40)
     ch = mgr.open_channel(wallet, "V", 40, now=0)
-    calls, enc = [], codec._enc
-    monkeypatch.setattr(codec, "_enc", lambda value: (calls.append(value), enc(value))[1])
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: (calls.append(args), dumps(*args, **kwargs))[1])
     for now in range(1, 5):
         for p in mgr.pay_for_traffic(ch, 10 * KB100, now=now):
             mgr.receive_proof("V", p)
@@ -240,9 +239,29 @@ def test_gapped_proof_rejected():
         mgr.receive_proof("V", proofs[2])
 
 
+def proof_message(ch_id, seq, cumulative) -> bytes:
+    """The bytes a balance proof's MAC covers: its JSON list text."""
+    return json.dumps(["proof", ch_id, seq, cumulative], separators=(",", ":")).encode()
+
+
 def signed_proof(mgr, ch_id, seq, cumulative, preimage=None, signer="alice"):
-    sig = mgr.signer.sign(signer, codec.encode(["proof", ch_id, seq, cumulative]))
+    sig = mgr.signer.sign(signer, proof_message(ch_id, seq, cumulative))
     return BalanceProof(ch_id, seq, cumulative, preimage, sig)
+
+
+@pytest.mark.parametrize("field", ["seq", "cumulative"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_proof_fields_must_be_exact_ints(field, bad):
+    """A value that equals or reads as 1 in the place of a seq-1 proof's seq
+    or cumulative carries no valid MAC, and changes nothing."""
+    _, _, mgr, wallet = fresh(25)
+    ch = mgr.open_channel(wallet, "V", 25, now=0)
+    (proof,) = emitted(mgr, ch, 1)
+    with pytest.raises(DiceError):
+        mgr.receive_proof("V", dataclasses.replace(proof, **{field: bad}))
+    assert mgr.channel(ch).latest is None
+    mgr.receive_proof("V", proof)
+    assert mgr.channel(ch).latest == proof
 
 
 def test_over_deposit_proof_rejected():
@@ -380,33 +399,29 @@ class RecordingSigner:
     st.integers() | long_ints | long_ints.map(lambda n: -n),
     st.integers() | long_ints,
 )
-# The roamer side pays block seq + 1 and the VMNO side checks (seq,
-# cumulative): between them they encode 1023, the last int of
-# codec._INT_ENC, and 1024, the first past it.
-@example("ch-0000001", 1022, 1023)
-@example("ch-0000001", 1023, 1024)
+@example("ch-0000001", 1, 1)
+@example('"\\\x00é', 0, -1)
 def test_both_sides_mac_the_canonical_encoding(channel_id, seq, cumulative):
-    # 86 or more of those characters encode to 256 or more UTF-8 bytes, and
-    # 10**255 has 256 digits: both are past the encoder's header tables.
+    # Escaped and non-ASCII channel ids, and ints of hundreds of digits.
     _, _, mgr, _ = fresh(0)
     mgr.signer = recorder = RecordingSigner(mgr.signer)
     preimage = b"\x01" * 32
-    opened = ChannelOpen(channel_id, "w", "V", 10 ** 302, codec.sha256(preimage), 1)
+    opened = ChannelOpen(channel_id, "w", "V", 10 ** 302, codec.digest(preimage), 1)
     ch = mgr.channels[channel_id] = PaymentChannel(opened, b"", "alice", 0, preimage)
     # Roamer side: its next proof pays block |seq| + 1, as seq and cumulative.
     paid = abs(seq) + 1
     ch.last_seq, ch.bytes_total = paid - 1, (paid - 1) * KB100
     (emitted_proof,) = mgr.pay_for_traffic(channel_id, KB100, now=0)
-    # VMNO side: any seq and cumulative, signed over their canonical bytes;
-    # the checks after the signature may reject them.
-    signature = recorder.signer.sign("alice", codec.encode(["proof", channel_id, seq, cumulative]))
+    # VMNO side: any seq and cumulative, signed over their JSON text; the
+    # checks after the signature may reject them.
+    signature = recorder.signer.sign("alice", proof_message(channel_id, seq, cumulative))
     try:
         mgr.receive_proof("V", BalanceProof(channel_id, seq, cumulative, preimage, signature))
     except (StaleProof, GapSeq, Overdraft):
         pass
     pairs = [(paid, paid), (seq, cumulative)]
-    assert recorder.messages == [codec.encode(["proof", channel_id, *pair]) for pair in pairs]
-    assert recorder.messages == [reference_encode(["proof", channel_id, *pair]) for pair in pairs]
+    assert recorder.messages == [proof_message(channel_id, *pair) for pair in pairs]
+    assert [json.loads(message) for message in recorder.messages] == [["proof", channel_id, *pair] for pair in pairs]
     assert emitted_proof.signature == recorder.signer.sign("alice", recorder.messages[0])
 
 
@@ -415,7 +430,7 @@ def test_proof_signed_over_its_digest_is_rejected():
     _, _, mgr, wallet = fresh(25)
     ch = mgr.open_channel(wallet, "V", 25, now=0)
     preimage = mgr.channel(ch).preimage
-    over_digest = mgr.signer.sign("alice", codec.digest(["proof", ch, 1, 1]))
+    over_digest = mgr.signer.sign("alice", codec.digest(proof_message(ch, 1, 1)))
     with pytest.raises(BadSignature):
         mgr.receive_proof("V", BalanceProof(ch, 1, 1, preimage, over_digest))
     mgr.receive_proof("V", signed_proof(mgr, ch, 1, 1, preimage=preimage))

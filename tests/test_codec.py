@@ -1,5 +1,7 @@
-"""Canonical encoding, the ledger's JSON writer, merkle and signature primitives."""
+"""What is hashed and MACed (the JSON text each saved line holds), the
+ledger's JSON writer, merkle and signature primitives."""
 
+import dataclasses
 import enum
 import hashlib
 import json
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dice import codec
+from dice.channel import PaymentChannel
 from dice.ledger import (
     AgreementRegistration,
     AttachCheck,
@@ -20,63 +23,17 @@ from dice.ledger import (
     Redeem,
     Transaction,
     block_digest,
-    payload_canonical,
     tx_digest,
 )
 
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
+
+def dumps(value) -> str:
+    """The JSON text of ``value`` as a saved line writes it."""
+    return json.dumps(value, separators=(",", ":"))
 
 
-def reference_encode(value) -> bytes:
-    """The recursive encoder ``codec.encode`` must match byte for byte: one
-    call per value, the rule picked by isinstance."""
-    out = []
-    _reference_enc(value, out)
-    return b"".join(out)
-
-
-def _reference_enc(value, out):
-    if value is None:
-        out.append(b"n")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
-        raw = str(value).encode("ascii")
-        out.append(b"i" + _U32.pack(len(raw)) + raw)
-    elif isinstance(value, float):
-        out.append(b"f" + _F64.pack(value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(b"s" + _U32.pack(len(raw)) + raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(b"b" + _U32.pack(len(value)) + bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.append(b"l" + _U32.pack(len(value)))
-        for item in value:
-            _reference_enc(item, out)
-    elif isinstance(value, dict):
-        keys = sorted(value)
-        out.append(b"d" + _U32.pack(len(keys)))
-        for key in keys:
-            if not isinstance(key, str):
-                raise TypeError(f"canonical dict keys must be str, got {type(key)!r}")
-            _reference_enc(key, out)
-            _reference_enc(value[key], out)
-    else:
-        raise TypeError(f"value of type {type(value)!r} has no canonical encoding")
-
-
-plain_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.binary(max_size=64)
-    | st.floats(allow_nan=False),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
+def sha256(text: str) -> bytes:
+    return hashlib.sha256(text.encode()).digest()
 
 
 class Colour(enum.IntEnum):
@@ -88,135 +45,28 @@ class Name(str):
     pass
 
 
-class Fields(dict):
-    pass
-
-
 class Blob(bytes):
     pass
 
 
-# Everything the codec accepts: tuples, bytearrays, -0.0, empty containers at
-# any depth, and subclasses of int, str, bytes and dict.
-codec_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.binary(max_size=64) | st.binary(max_size=8).map(bytearray)
-    | st.floats(allow_nan=False) | st.just(-0.0)
-    | st.just([]) | st.just(()) | st.just({})
-    | st.sampled_from(Colour) | st.text(max_size=8).map(Name)
-    | st.binary(max_size=8).map(Blob),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4)
-    | st.dictionaries(st.text(max_size=8).map(Name), children, max_size=4).map(Fields),
-    max_leaves=12,
-)
-
-
-@given(codec_values)
-def test_encode_matches_reference(value):
-    assert codec.encode(value) == reference_encode(value)
-
-
-@pytest.mark.parametrize("value", [
-    Colour.BLUE,
-    [Colour.RED, {"c": Colour.BLUE}],
-    Name("ch-0000001"),
-    {Name("k"): Name("v"), "j": [Name("")]},
-    Fields(b=2, a=Fields(z=[1])),
-    [Fields(), Name("x"), (Colour.RED,)],
-    "y" * 255,                       # the longest header in the tables
-    "x" * 300,                       # lengths past the header tables
-    10 ** 300,
-    -(10 ** 255),
-    list(range(300)),
-    {f"k{i}": i for i in range(300)},
-    ["é" * 200, ("ü" * 128, b"\x00" * 300)],
-    [b"", b"\x00" * 300, Blob(b"ab"), bytearray(b"cd"), (Blob(),)],   # list items inline
-])
-def test_encode_matches_reference_on_subclasses_and_long_values(value):
-    assert codec.encode(value) == reference_encode(value)
-
-
-@pytest.mark.parametrize("value", [
-    {1: "x"}, {"a": 1, 2: "y"}, [{1: "x"}], {"a": {2: 0}},
-    {1, 2}, ["ok", {3}], object(), {"a": object()},
-])
-def test_encode_and_reference_reject_the_same_values(value):
-    with pytest.raises(TypeError) as ours:
-        codec.encode(value)
-    with pytest.raises(TypeError) as theirs:
-        reference_encode(value)
-    assert str(ours.value) == str(theirs.value)
-
-
-def test_int_table_holds_each_canonical_encoding():
-    assert len(codec._INT_ENC) == 1024
-    for i, encoded in enumerate(codec._INT_ENC):
-        assert encoded == codec.encode(i) == reference_encode(i), i
-
-
-# Around the ends of the table and of the header table, the bools and an
-# ``IntEnum`` member, which encode by their own rules.
-PAIR_EDGES = [-1, 0, 1, 1023, 1024, 10 ** 255, True, False, Colour.BLUE]
-
-
-@pytest.mark.parametrize("channel_id", ["ch-0000001", "é" * 200])
-def test_append_int_pair_at_the_table_edges(channel_id):
-    prefix = codec.list_prefix(4, ["proof", channel_id])
-    for a in PAIR_EDGES:
-        for b in PAIR_EDGES:
-            value = ["proof", channel_id, a, b]
-            assert codec.append_int_pair(prefix, a, b) == codec.encode(value) == reference_encode(value), value
-
-
 def test_golden_digests_pin_the_format():
-    assert codec.digest(["proof", "ch-0000007", 3, 3]).hex() == (
-        "a18430a362c65c9a0ce8b0323ad1f70e4be3c64ebcfdfb6322fa2d8cbdcfc71e")
     opened = ChannelOpen("ch-0000007", "w-0000003", "V", 25, bytes(range(32)), 604_900)
-    value = [100, "alice", payload_canonical(opened)]
-    golden = "a0061011eec92694b0dfd3fd29c40785035f467a60ab85399a4fe86fa9e62548"
-    assert codec.digest(value).hex() == golden
-    assert tx_digest(100, "alice", opened).hex() == golden
-
-
-# Payload field values: what the codec inlines (exact str and int, short or
-# past the header tables, non-ASCII) and what it must not (bool, float,
-# subclasses of int and str).
-texts = (st.text(max_size=8) | st.text(min_size=256, max_size=300)
-         | st.text(alphabet="é€😀", min_size=70, max_size=90) | st.text(max_size=8).map(Name))
-ints = (st.integers() | st.integers(min_value=10 ** 256, max_value=10 ** 300)
-        | st.integers(min_value=-(10 ** 300), max_value=-(10 ** 256)) | st.sampled_from(Colour))
-scalars = texts | ints | st.booleans() | st.floats(allow_nan=False)
-names = st.lists(texts, max_size=4).map(tuple)
-charging = st.dictionaries(st.text(max_size=8), codec_values, max_size=4)
-
-PAYLOAD_FIELDS = {
-    Issue: (scalars, scalars, scalars),
-    AgreementRegistration: (scalars, scalars, names, charging),
-    AttachCheck: (scalars, scalars, scalars, scalars),
-    ChannelOpen: (scalars, scalars, scalars, scalars, st.binary(max_size=40), scalars),
-    ChannelClose: (scalars, scalars, scalars, scalars),
-    Redeem: (scalars, scalars, names, scalars),
-}
-
-
-class RenamedClose(ChannelClose):
-    kind = "channel_close_v2"
-
-
-PAYLOAD_CLASSES = [*PAYLOAD_FIELDS, RenamedClose,
-                   *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in PAYLOAD_FIELDS)]
-payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
-    cls, *next(fields for base, fields in PAYLOAD_FIELDS.items() if issubclass(cls, base))))
-
-
-@given(scalars, scalars, payloads)
-@example(0, "A", ChannelOpen("ch", "w", "V", 1, bytes(range(200)), 2))  # 400 hex chars: past the header tables
-def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, payload):
-    value = [timestamp, signer, payload_canonical(payload)]
-    assert tx_digest(timestamp, signer, payload) == codec.digest(value) \
-        == hashlib.sha256(reference_encode(value)).digest()
+    body = ('{"timestamp":100,"signer":"alice","payload":{"kind":"channel_open","channel":"ch-0000007",'
+            f'"wallet":"w-0000003","vmno":"V","deposit":25,"hashlock":"{bytes(range(32)).hex()}",'
+            '"timelock_expiry":604900}}')
+    assert tx_digest(100, "alice", opened) == sha256(body)
+    assert tx_digest(100, "alice", opened).hex() == (
+        "4ce9ea48ed225a7a07471fed78b8be53c04ef43bd3fc102595f24f545befe491")
+    header = ('{"height":1,"prev_hash":"' + "00" * 32 + '","tx_root":"' + bytes(range(32)).hex()
+              + '","validator":"V","sealed_at":100}')
+    assert block_digest(1, bytes(32), bytes(range(32)), "V", 100) == sha256(header)
+    assert block_digest(1, bytes(32), bytes(range(32)), "V", 100).hex() == (
+        "5ffb5207640365a1dfb6c1051032835f549b307d8c546437574c2a47cd66d312")
+    genesis = Ledger(["H", "V"], {"V": b"v", "H": b"h"}).chain[0]
+    assert genesis.tx_root == sha256('{"roster":["H","V"],"keys":{"H":"68","V":"76"}}')
+    assert genesis.tx_root.hex() == "ba88e4240c993b4fc628c2e8a5d749e6224415493ae835614903f261f8968dab"
+    channel = PaymentChannel(opened, b"", "alice", 0)
+    assert channel.proof_message(3, 3) == b'["proof","ch-0000007",3,3]'
 
 
 # What the JSON writer must escape or write whole: quotes, backslashes,
@@ -242,13 +92,42 @@ JSON_FIELDS = {
     ChannelClose: (json_str, json_int, json_int, json_int),
     Redeem: (json_str, json_str, json_names, json_float),
 }
+
+
+class RenamedClose(ChannelClose):
+    kind = "channel_close_v2"
+
+
+PAYLOAD_CLASSES = [*JSON_FIELDS, RenamedClose,
+                   *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in JSON_FIELDS)]
 json_payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
     cls, *next(fields for base, fields in JSON_FIELDS.items() if issubclass(cls, base))))
 json_txs = st.builds(Transaction, st.binary(max_size=64), json_int, json_str, json_payloads, st.binary(max_size=64))
+# Roster and key-registry actor names, which genesis writes and hashes escaped.
+actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a'), max_size=8)
 
 
-# Genesis digests its roster and actor names, so they encode as UTF-8: no lone surrogates.
-actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀 a'), max_size=8)
+def record_of(payload) -> dict:
+    """The payload's record, from its fields alone: bytes as hex, and a dict
+    as ``sort_keys`` writes it, each of its dicts in sorted key order."""
+    rec = {"kind": payload.kind}
+    for f in dataclasses.fields(payload):
+        value = getattr(payload, f.name)
+        if isinstance(value, (bytes, bytearray)):
+            value = value.hex()
+        elif isinstance(value, dict):
+            value = json.loads(json.dumps(value, sort_keys=True))
+        rec[f.name] = value
+    return rec
+
+
+@given(json_scalars, json_scalars, json_payloads)
+@example(0, "A", AgreementRegistration("H", "V", (), {"b": [{"d": 1, "c": 2}], "a": {"f": None, "e": 1.5}}))
+def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, payload):
+    """A tx id is the SHA-256 of ``{"timestamp":…,"signer":…,"payload":…}``."""
+    value = {"timestamp": timestamp, "signer": signer, "payload": record_of(payload)}
+    assert tx_digest(timestamp, signer, payload) == sha256(dumps(value))
+    assert payload.to_json() == dumps(record_of(payload))
 
 
 def _txs(*cases):
@@ -277,35 +156,40 @@ def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, ros
     assert lines == [json.dumps(b.to_record(), separators=(",", ":")) for b in ledger.chain] + [""]
 
 
-# Heights and times up to and past 255 digits, signs included.
-block_ints = ints | st.sampled_from([10 ** 254, 10 ** 255, -(10 ** 254), -(10 ** 255)])
-
-
-@given(block_ints, st.binary(max_size=300), st.binary(max_size=300), texts, block_ints)
+@given(json_ints, st.binary(max_size=300), st.binary(max_size=300), json_texts, json_ints)
 def test_block_digest_is_the_digest_of_the_header_list(height, prev_hash, tx_root, validator, sealed_at):
-    value = [height, prev_hash, tx_root, validator, sealed_at]
-    assert block_digest(*value) == codec.digest(value) == hashlib.sha256(reference_encode(value)).digest()
+    """A block hash is the SHA-256 of its header, the fields its line starts with."""
+    header = {"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
+              "validator": validator, "sealed_at": sealed_at}
+    assert block_digest(height, prev_hash, tx_root, validator, sealed_at) == sha256(dumps(header))
+
+
+def agreement_id(charging) -> bytes:
+    return tx_digest(0, "H", AgreementRegistration("H", "V", ("H",), charging))
 
 
 def test_encoding_is_stable_and_type_tagged():
-    assert codec.encode(5) == codec.encode(5)
-    assert codec.encode(5) != codec.encode("5")
-    assert codec.encode(True) != codec.encode(1)
-    assert codec.encode([1, 2]) != codec.encode([[1], 2])
-    assert codec.encode({"a": 1, "b": 2}) == codec.encode({"b": 2, "a": 1})
+    assert agreement_id({"a": 5}) == agreement_id({"a": 5})
+    assert agreement_id({"a": 5}) != agreement_id({"a": "5"})
+    assert agreement_id({"a": True}) != agreement_id({"a": 1})
+    assert agreement_id({"a": [1, 2]}) != agreement_id({"a": [[1], 2]})
+    assert agreement_id({"a": 1, "b": 2}) == agreement_id({"b": 2, "a": 1})
+    assert tx_digest(0, "H", Issue("H", "w", 5)) != tx_digest(0, "H", Issue("H", "w", "5"))
 
 
 def test_encoding_rejects_non_string_dict_keys():
     with pytest.raises(TypeError):
-        codec.encode({1: "x"})
+        agreement_id({1: "x"})
+    with pytest.raises(TypeError):
+        agreement_id({"a": [{2: 0}]})
 
 
 def tagged(value):
     """``value`` with every scalar paired with its type, and floats compared
-    by their packed bytes: equal exactly when the codec must encode equally.
+    by their packed bytes: equal exactly when a tx id must hash equally.
 
     Plain ``==`` is not that: ``False == 0``, ``1 == 1.0`` and
-    ``0.0 == -0.0``, yet the codec rightly tells each pair apart.
+    ``0.0 == -0.0``, yet the JSON text rightly tells each pair apart.
     """
     if isinstance(value, float):
         return ("float", struct.pack(">d", value))
@@ -319,12 +203,22 @@ def tagged(value):
 def test_tagged_form_separates_what_equality_conflates():
     for a, b in [(False, 0), (True, 1), (1, 1.0), (0.0, -0.0), ([0], [False])]:
         assert a == b and tagged(a) != tagged(b)
-        assert codec.encode(a) != codec.encode(b)
+        assert agreement_id({"v": a}) != agreement_id({"v": b})
+
+
+# JSON values, dicts at any depth in any insertion order.
+plain_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
 
 
 @given(plain_values, plain_values)
+@example({"a": 1, "b": {"c": 2, "d": [3]}}, {"b": {"d": [3], "c": 2}, "a": 1})
 def test_distinct_values_encode_distinctly(a, b):
-    assert (codec.encode(a) == codec.encode(b)) == (tagged(a) == tagged(b))
+    assert (agreement_id({"v": a}) == agreement_id({"v": b})) == (tagged(a) == tagged(b))
 
 
 def _merkle_reference(leaves):
@@ -351,7 +245,7 @@ def test_merkle_small_cases():
 
 
 def test_merkle_is_order_sensitive():
-    a, b = codec.sha256(b"a"), codec.sha256(b"b")
+    a, b = codec.digest(b"a"), codec.digest(b"b")
     assert codec.merkle_root([a, b]) != codec.merkle_root([b, a])
 
 

@@ -460,15 +460,17 @@ def test_mistyped_tx_field_is_rejected_live_and_at_its_line(field, forge, tmp_pa
     assert bank_snapshot(eng.bank) == state
 
     # Written past the live check, the loader rejects it at its line.  A
-    # tx_id or signature that is not bytes has no ``hex()`` to write: saving
-    # raises, as ``to_record`` does, and no line holds it.
+    # tx_id or signature that is not bytes has no ``hex()`` to write: sealing
+    # raises, as the header a block hash covers holds the tx root, for one tx
+    # its id; or saving raises, as ``to_record`` does; and no line holds it.
     eng.ledger.pending.append(mistyped)
-    block = eng.ledger.seal_block(80)
     path = tmp_path / "ledger.jsonl"
     if field in ("tx_id", "signature"):
         with pytest.raises(AttributeError):
+            eng.ledger.seal_block(80)
             eng.ledger.save_jsonl(path)
         return
+    block = eng.ledger.seal_block(80)
     eng.ledger.save_jsonl(path)
     with pytest.raises(LedgerParseError, match=f"{field} must be") as err:
         load_blocks_jsonl(path)

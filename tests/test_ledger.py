@@ -1,6 +1,7 @@
 """Ledger: submission, sealing, verification, visibility, persistence."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -20,21 +21,20 @@ from dice.errors import (
 )
 from dice.ledger import (
     SAVE_CHUNK_TXS,
+    AgreementRegistration,
     AttachCheck,
     Block,
-    ChannelClose,
     ChannelOpen,
     Issue,
     Ledger,
     QueryFilter,
-    Redeem,
     Transaction,
     block_digest,
     load_blocks_jsonl,
     make_transaction,
     tx_digest,
 )
-from dice.harness import verify_ledger
+from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.tokenbank import TokenBank, verify_blocks
 
 ROSTER = ["A", "B", "C"]
@@ -81,7 +81,7 @@ def test_bad_signature_rejected(ledger):
 
 def test_tampered_tx_id_rejected(ledger):
     tx = issue_tx(ledger, 1)
-    forged = dataclasses.replace(tx, tx_id=codec.sha256(b"other"))
+    forged = dataclasses.replace(tx, tx_id=codec.digest(b"other"))
     with pytest.raises(BadSignature):
         ledger.submit(forged)
 
@@ -95,7 +95,7 @@ def test_append_submits_the_tx_make_transaction_builds(ledger):
 def test_submit_re_digests_every_tx_append_did_not_build(ledger):
     """A tx id signed but not the tx's digest is caught right after an
     append, and right after an append that was rejected."""
-    wrong_id = codec.sha256(b"other")
+    wrong_id = codec.digest(b"other")
     forged = dataclasses.replace(issue_tx(ledger, 2), tx_id=wrong_id,
                                  signature=ledger.signer_backend.sign("A", wrong_id))
     ledger.append(1, "A", Issue("A", "w1", 5))
@@ -246,11 +246,11 @@ def test_empty_block_is_rejected_at_its_height(ledger, tmp_path):
 
 # Header field -> (tampered value, field the replay reports as differing).
 TAMPERED_HEADER = {
-    "prev_hash": (codec.sha256(b"other"), "prev_hash"),
+    "prev_hash": (codec.digest(b"other"), "prev_hash"),
     "validator": ("A", "validator"),
-    "tx_root": (codec.sha256(b"other"), "tx_root"),
+    "tx_root": (codec.digest(b"other"), "tx_root"),
     "sealed_at": (999, "block_hash"),  # the stored hash commits to the old time
-    "block_hash": (codec.sha256(b"other"), "block_hash"),
+    "block_hash": (codec.digest(b"other"), "block_hash"),
 }
 
 
@@ -318,7 +318,7 @@ def scoped_ledger():
     ledger = Ledger(ROSTER, KEYS)
     ledger.submit(make_transaction(1, "A", Issue("A", "wA", 10), ledger.signer_backend))
     ledger.submit(make_transaction(
-        2, "A", ChannelOpen("ch1", "wA", "B", 10, codec.sha256(b"p"), 999), ledger.signer_backend
+        2, "A", ChannelOpen("ch1", "wA", "B", 10, codec.digest(b"p"), 999), ledger.signer_backend
     ))
     ledger.submit(make_transaction(3, "B", AttachCheck("wA", "B", "A", True), ledger.signer_backend))
     ledger.seal_block(5)
@@ -561,31 +561,50 @@ def test_bad_block_record_is_a_parse_error_at_its_line(tmp_path, ledger, line, e
     assert report.reason.startswith("parse error")
 
 
-def test_str_and_int_payloads_never_reach_the_general_encoder(monkeypatch):
-    """A tx whose fields are all str, int or bytes (hashed as its hex) and a
-    block header are hashed by ``codec.encode``'s inline emission alone, never
-    through ``codec._enc``.  The other kinds still reach it for their other
-    fields: the attach check's bool ``accepted``, the redeem's lots tuple and
-    float fiat, the agreement's accepts tuple and charging dict.  A redeem
-    reaches it exactly twice, whatever its number of lots: its lot ids go
-    back through ``encode``."""
-    payloads = [Issue("A", "w1", 5), ChannelClose("ch-1", 3, 2, 3),
-                ChannelOpen("ch-1", "w1", "V", 5, bytes(range(32)), 9)]
-    calls, enc = [], codec._enc
-    monkeypatch.setattr(codec, "_enc", lambda value: (calls.append(value), enc(value))[1])
-    for n in range(1, 30):
-        for p in payloads:
-            tx_digest(n, "B", p)
-        block_digest(n, bytes(32), bytes(range(32)), "V", 10 * n)
-    assert calls == []
-    # The wrapper sees the calls it counts.
-    tx_digest(0, "V", AttachCheck("w1", "V", "A", True))
-    assert calls == [True]
-    for n in (1, 2, 20):
-        calls.clear()
-        lots = tuple(f"lot-{i:08d}" for i in range(n))
-        tx_digest(0, "V", Redeem("V", "A", lots, 0.4))
-        assert calls == [0.4, lots]  # in key order: fiat, then lots
+@pytest.mark.parametrize("payload", [None, {"kind": "issue"}], ids=["None", "dict"])
+def test_a_payload_of_no_payload_class_is_rejected(ledger, payload):
+    """``submit`` and ``append`` reject it naming the payload, before any
+    digest, and leave the ledger as it was."""
+    forged = dataclasses.replace(issue_tx(ledger, 1), payload=payload)
+    with pytest.raises(PayloadRejected, match="^payload must be of type"):
+        ledger.submit(forged)
+    with pytest.raises(PayloadRejected, match="^payload must be of type"):
+        ledger.append(1, "A", payload)
+    assert ledger.pending == [] and ledger.tx_index == {}
+
+
+def test_agreements_equal_but_for_charging_order_get_one_tx_id():
+    ids = [Ledger(ROSTER, KEYS).append(5, "A", AgreementRegistration("A", "B", ("A",), charging))
+           for charging in ({"model": "per_unit", "rate": 0.04}, {"rate": 0.04, "model": "per_unit"})]
+    assert ids[0] == ids[1]
+
+
+def _sha256(text: str) -> bytes:
+    return hashlib.sha256(text.encode()).digest()
+
+
+def test_each_hash_covers_the_text_its_line_holds(tmp_path):
+    """On a saved chain: each tx id is the SHA-256 of its timestamp, signer
+    and the payload text cut from its line; each block hash of the header its
+    line starts with; genesis's tx root of the roster and keys its line ends
+    with.  The charging spec is written with its keys sorted."""
+    run_scenario(ScenarioConfig(seed=42, days=2, charging={"rate": 0.04, "model": "per_unit"}), tmp_path)
+    lines = (tmp_path / "ledger.jsonl").read_text().splitlines()
+    assert '"charging":{"model":"per_unit","rate":0.04}' in lines[1]
+    kinds = set()
+    for line in lines:
+        rec = json.loads(line)
+        assert _sha256(line[:line.index(',"block_hash":')] + "}").hex() == rec["block_hash"]
+        for tx in rec["txs"]:
+            start = line.index(f'{{"tx_id":"{tx["tx_id"]}",')
+            end = line.index(f',"signature":"{tx["signature"]}"}}', start)
+            payload = line[line.index(',"payload":', start) + len(',"payload":'):end]
+            assert json.loads(payload) == tx["payload"]
+            body = f'{{"timestamp":{tx["timestamp"]},"signer":{json.dumps(tx["signer"])},"payload":{payload}}}'
+            assert _sha256(body).hex() == tx["tx_id"]
+            kinds.add(tx["payload"]["kind"])
+    assert _sha256("{" + lines[0][lines[0].index('"roster":'):]).hex() == json.loads(lines[0])["tx_root"]
+    assert kinds == {"issue", "agreement", "attach", "channel_open", "channel_close", "redeem"}
 
 
 def test_records_are_immutable(ledger):

@@ -129,7 +129,7 @@ def test_attach_with_forged_offledger_lot():
     eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_wallet("alice", "H")
     fake = TokenLot("lot-forged", "H", 25,
-                    [LineageEntry(wallet, codec.sha256(b"never-submitted"))])
+                    [LineageEntry(wallet, codec.digest(b"never-submitted"))])
     eng.bank.lots[fake.lot_id] = fake
     eng.bank.wallets[wallet].lots.setdefault("H", {})[fake.lot_id] = fake
     session = eng.new_session("alice", wallet, "H", "V", LBO, 5)

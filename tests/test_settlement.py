@@ -131,7 +131,7 @@ def test_no_claim_without_an_accepting_agreement():
     """The treasury holds H lots, but no (H, V) agreement prices them."""
     eng = DiceEngine(["H", "V"], ["alice"], seed=32)
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
-    eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
+    eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.digest(b"gift"))
     assert eng.bank.lots_of(eng.bank.treasury("V"), "H")
     assert make_claim(eng.bank, "V", "H") is None
 
@@ -168,7 +168,7 @@ def test_direct_transfer_is_not_service_payment():
     eng.register_agreement("H", "V", ["H"], CHARGING, 0)
     wallet = eng.bank.create_identities("H", "alice", 1, [25], 5)[0]
     eng.ledger.seal_block(6)
-    eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.sha256(b"gift"))
+    eng.bank.transfer(wallet, eng.bank.treasury("V"), "H", 25, codec.digest(b"gift"))
     claim = make_claim(eng.bank, "V", "H")
     verdict = validate_provenance(eng.bank, eng.ledger, claim)
     assert not verdict.accepted
@@ -181,8 +181,8 @@ def test_forged_lineage_is_rejected():
     eng = DiceEngine(["H", "V"], ["alice"], seed=33)
     treasury = eng.bank.treasury("V")
     fake = TokenLot("lot-forged", "H", 25,
-                    [LineageEntry("w-ghost", codec.sha256(b"nothing")),
-                     LineageEntry(treasury, codec.sha256(b"also-nothing"))])
+                    [LineageEntry("w-ghost", codec.digest(b"nothing")),
+                     LineageEntry(treasury, codec.digest(b"also-nothing"))])
     eng.bank.lots[fake.lot_id] = fake
     eng.bank.wallets[treasury].lots.setdefault("H", {})[fake.lot_id] = fake
     claim = RedemptionClaim("V", "H", [fake.lot_id], 1.0)

@@ -30,7 +30,6 @@ CALLED_FROM_OUTSIDE = {
     "ledger.Ledger.get_tx": "wrapped by the benchmark's tracer",
     "tokenbank.TokenBank.rebuild_from_ledger": "wrapped by the benchmark's tracer",
     "ledger.Ledger.query": "the paper's per-operator read scopes, answered alike by a replayed ledger",
-    "ledger.payload_canonical": "the reference encoder tests check tx_digest against",
     "channel.PaymentChannel.status": "read by the benchmark's tracer to count open channels",
 }
 

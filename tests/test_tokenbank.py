@@ -71,7 +71,7 @@ def test_negative_amounts_rejected_by_apply(bank):
     bank.issue("H", w, 25, now=1)
     sign = bank.ledger.signer_backend
     bank.ledger.submit(make_transaction(
-        2, "H", ChannelOpen("ch-1", w, "V", 10, codec.sha256(b"p"), 999), sign))
+        2, "H", ChannelOpen("ch-1", w, "V", 10, codec.digest(b"p"), 999), sign))
     before = (bank_snapshot(bank), list(bank.ledger.pending))
     with pytest.raises(NonPositiveAmount):
         bank.apply(make_transaction(3, "H", Issue("H", w, -5), sign))
@@ -131,7 +131,7 @@ def test_transfer_whole_lot(bank):
     src = bank.create_wallet("alice", "H")
     dst = bank.create_wallet("bob", "H")
     bank.issue("H", src, 25, now=1)
-    cause = codec.sha256(b"cause")
+    cause = codec.digest(b"cause")
     moved = bank.transfer(src, dst, "H", 25, cause)
     assert len(moved) == 1
     lot = bank.lot(moved[0])
@@ -144,7 +144,7 @@ def test_transfer_with_split_conserves_amounts(bank):
     dst = bank.create_wallet("bob", "H")
     bank.issue("H", src, 25, now=1)
     parent = bank.lots_of(src, "H")[0]
-    moved = bank.transfer(src, dst, "H", 10, codec.sha256(b"c"))
+    moved = bank.transfer(src, dst, "H", 10, codec.digest(b"c"))
     child = bank.lot(moved[0])
     assert child.amount == 10 and parent.amount == 15
     assert child.amount + parent.amount == 25
@@ -159,7 +159,7 @@ def test_transfer_insufficient(bank):
     dst = bank.create_wallet("bob", "H")
     bank.issue("H", src, 25, now=1)
     with pytest.raises(InsufficientBalance):
-        bank.transfer(src, dst, "H", 30, codec.sha256(b"c"))
+        bank.transfer(src, dst, "H", 30, codec.digest(b"c"))
 
 
 def test_transfer_respects_locks(bank):
@@ -170,8 +170,8 @@ def test_transfer_respects_locks(bank):
     assert bank.balance(src, "H") == 25
     assert bank.spendable(src, "H") == 5
     with pytest.raises(InsufficientBalance):
-        bank.transfer(src, dst, "H", 10, codec.sha256(b"c"))
-    bank.transfer(src, dst, "H", 5, codec.sha256(b"c"))
+        bank.transfer(src, dst, "H", 10, codec.digest(b"c"))
+    bank.transfer(src, dst, "H", 5, codec.digest(b"c"))
     assert bank.release_lock(src, "ch-x") == 20
     assert bank.spendable(src, "H") == 20
 
@@ -190,7 +190,7 @@ def test_balance_cases(bank):
     bank.issue("H", w, 25, now=1)
     assert bank.balance(w, "H") == 25
     dst = bank.create_wallet("bob", "H")
-    bank.transfer(w, dst, "H", 10, codec.sha256(b"c"))
+    bank.transfer(w, dst, "H", 10, codec.digest(b"c"))
     assert bank.balance(w, "H") == 15
 
 
@@ -230,13 +230,13 @@ def test_transfer_and_burn_keep_each_holders_lot_order(bank):
         bank.issue("H", src, amount, now=1)
     l0, l1, l2, l3 = (lot.lot_id for lot in bank.lots_of(src, "H"))
     # Largest lots move whole; the 1 still due splits off l0.
-    moved = bank.transfer(src, dst, "H", 13, codec.sha256(b"c"))
+    moved = bank.transfer(src, dst, "H", 13, codec.digest(b"c"))
     l4 = moved[-1]
     assert moved == [l1, l2, l4]
     assert held(bank, src) == [l0, l3]
     assert held(bank, dst) == [l1, l2, l4]
     # A wallet paying itself moves its whole lots to the end of its list.
-    bank.transfer(dst, dst, "H", 12, codec.sha256(b"d"))
+    bank.transfer(dst, dst, "H", 12, codec.digest(b"d"))
     assert held(bank, dst) == [l4, l1, l2]
     bank.burn([l3, l1, l0])
     assert held(bank, src) == []
@@ -265,7 +265,7 @@ def test_conservation_under_random_ops(ops):
             issued += amount
         else:
             try:
-                bank.transfer(wallets[src_i], wallets[dst_i], "H", amount, codec.sha256(bytes([now])))
+                bank.transfer(wallets[src_i], wallets[dst_i], "H", amount, codec.digest(bytes([now])))
             except InsufficientBalance:
                 pass
         total = sum(bank.balance(w, "H") for w in wallets)

@@ -1,8 +1,8 @@
-"""Work per unit on the golden config, counted by wrapping codec and ledger
-entry points from the test: tx digests, MAC signs, MAC verifies and
-proof-byte builds per on-chain tx and per off-chain proof, live and on
-replay; keyed MAC states per actor; general-encoder calls per block header,
-Merkle hashes per block and JSON bytes written per tx.
+"""Work per unit on the golden config, counted by wrapping codec, ledger and
+channel entry points from the test: tx digests, MAC signs, MAC verifies and
+proof-message builds per on-chain tx and per off-chain proof, live and on
+replay; keyed MAC states per actor; header digests per sealed block, Merkle
+hashes per block and JSON bytes written per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
@@ -13,22 +13,22 @@ import hashlib
 from collections import Counter
 
 from dice import codec, ledger
+from dice.channel import PaymentChannel
 from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.ledger import Ledger, load_blocks_jsonl
 
 COUNTED = [(ledger, "tx_digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMacSigner, "verify"),
-           (codec, "append_int_pair")]
+           (PaymentChannel, "proof_message")]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
 # A proof's bytes are built once by the roamer and once by the VMNO, which
 # verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed.
-LIVE_BOUNDS = {"tx_digest": (1, 0), "sign": (1, 1), "verify": (0, 1), "append_int_pair": (0, 2)}
+LIVE_BOUNDS = {"tx_digest": (1, 0), "sign": (1, 1), "verify": (0, 1), "proof_message": (0, 2)}
 # Per counted call: its calls per replayed tx.
-REPLAY_COUNTS = {"tx_digest": 1, "sign": 0, "verify": 1, "append_int_pair": 0}
-# The ``codec._enc`` calls per sealed block (its header digest emits each
-# field inline), and the most ``ledger.jsonl`` bytes per on-chain tx after the
-# genesis line.
-ENC_PER_BLOCK = 0
+REPLAY_COUNTS = {"tx_digest": 1, "sign": 0, "verify": 1, "proof_message": 0}
+# The ``codec.digest`` calls per sealed block (its header's), and the most
+# ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
+DIGESTS_PER_BLOCK = 1
 JSON_BYTES_PER_TX = 313.6
 
 
@@ -112,12 +112,12 @@ def count_within(monkeypatch, counts: Counter, outer: tuple, inner: tuple) -> No
 
 def test_encoder_calls_per_block_merkle_hashes_per_block_and_bytes_per_tx(tmp_path, monkeypatch):
     counts = Counter()
-    count_within(monkeypatch, counts, (Ledger, "seal_block"), (codec, "_enc"))
+    count_within(monkeypatch, counts, (Ledger, "seal_block"), (codec, "digest"))
     count_within(monkeypatch, counts, (codec, "merkle_root"), (hashlib, "sha256"))
     report = run_scenario(ScenarioConfig(seed=42, days=5), tmp_path)
     sealed = load_blocks_jsonl(tmp_path / "ledger.jsonl")[1:]   # genesis is not sealed by seal_block
     assert sum(len(block.txs) for block in sealed) == report.onchain_tx_total > 0
-    assert counts["_enc"] == ENC_PER_BLOCK * len(sealed), (counts, len(sealed))
+    assert counts["digest"] == DIGESTS_PER_BLOCK * len(sealed), (counts, len(sealed))
     # Above 0: the wrapper sees the calls it counts.  A binary tree over n leaves has n - 1 inner nodes.
     assert 0 < counts["sha256"] <= sum(len(block.txs) - 1 for block in sealed), counts
     _, _, rest = (tmp_path / "ledger.jsonl").read_bytes().partition(b"\n")
