@@ -380,11 +380,7 @@ def make_transaction(timestamp: int, signer: str, payload: TxPayload,
 
 def _block_header(height, prev_hash: bytes, tx_root: bytes, validator, sealed_at) -> str:
     """``{"height":…,"prev_hash":"…","tx_root":"…","validator":…,"sealed_at":…}``:
-    what a block's hash covers and its line starts with.  By one f-string when
-    the height and time are exactly ints and the validator a str."""
-    if type(height) is int and type(validator) is str and type(sealed_at) is int:
-        return (f'{{"height":{height},"prev_hash":"{prev_hash.hex()}","tx_root":"{tx_root.hex()}",'
-                f'"validator":{_esc(validator)},"sealed_at":{sealed_at}}}')
+    what a block's hash covers and its line starts with."""
     return _ENCODER.encode({"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
                             "validator": validator, "sealed_at": sealed_at})
 

@@ -127,16 +127,26 @@ def test_traffic_amount_must_be_a_non_negative_int(bad):
 
 def test_proofs_never_reach_the_general_encoder(monkeypatch):
     """Both sides build each proof's bytes from the head the channel wrote
-    once at its open, and ``b"%d,%d]"``, never through ``json.dumps``."""
+    once at its open, and ``b"%d,%d]"``, never through a JSON encoder."""
     _, _, mgr, wallet = fresh(40)
     ch = mgr.open_channel(wallet, "V", 40, now=0)
-    calls, dumps = [], json.dumps
-    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: (calls.append(args), dumps(*args, **kwargs))[1])
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: (calls.append(name), fn(*args, **kwargs))[1]
+
+    monkeypatch.setattr(json, "dumps", counted("dumps", json.dumps))
+    monkeypatch.setattr(json.JSONEncoder, "encode", counted("encode", json.JSONEncoder.encode))
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        counted("esc", json.encoder.encode_basestring_ascii))
     for now in range(1, 5):
         for p in mgr.pay_for_traffic(ch, 10 * KB100, now=now):
             mgr.receive_proof("V", p)
     assert mgr.proofs_accepted == 40
     assert calls == []
+    # The wrappers see what a regression would call.
+    assert json.dumps(["proof", ch, 1, 2]) == json.JSONEncoder().encode(["proof", ch, 1, 2])
+    assert sorted(set(calls)) == ["dumps", "encode", "esc"]
 
 
 def test_partial_block_rounds_up_at_close():
