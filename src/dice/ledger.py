@@ -5,13 +5,16 @@ every hash is recomputable, so two identical submission sequences produce
 byte-identical chains.  Confidentiality is modeled through read scopes
 ``query`` derives from the sealed transactions, as a replay would.
 
-``submit`` and ``seal_block`` state every chain rule once, and ``submit``
-also runs the type checks of the tx's own fields and of its payload (the
-ones the loader runs) and the token rules of the bank attached with
-``attach_bank``.  The live engine writes through ``append``, which checks
-the timestamp, signer and payload types, digests and signs a tx once and
-hands that object to ``submit``; ``submit`` type-checks, re-digests and
-MAC-verifies every other tx it is given, replayed ones included.
+``tx_digest`` is the one door for a tx's types: before it writes any text,
+``_check_tx`` raises PayloadRejected, naming the field, unless the
+timestamp is exactly an int, the signer a str and the payload an instance
+of a payload class whose generated ``check`` passes.  The live engine's
+``append`` goes through it in ``make_transaction``, which digests and signs
+a tx once; ``submit`` runs every chain rule and the token rules of the bank
+attached with ``attach_bank``, and re-digests and MAC-verifies every tx
+``append`` did not just build, replayed ones included.  ``seal_block``
+states the block rules.  ``Transaction.from_record`` runs ``_check_tx``
+too, so a mistyped line is a parse error at its line.
 
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
@@ -24,6 +27,8 @@ it.  A loaded record must have exactly the keys ``to_record`` writes.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import weakref
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Optional, get_args, get_origin, get_type_hints
@@ -113,7 +118,7 @@ def _str_list_field(rec: dict, key: str) -> tuple:
     also read a str, as the tuple of its characters."""
     value = rec[key]
     if not (type(value) is list and all(type(s) is str for s in value)):
-        raise ValueError(f"{key} must be of type list of str, not {value!r}")
+        raise _rejected(key, "list of str", value)
     return tuple(value)
 
 
@@ -121,26 +126,42 @@ def _str_list_field(rec: dict, key: str) -> tuple:
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _esc = json.encoder.encode_basestring_ascii   # what _ENCODER writes for a str
 
-# Per declared type: the test that a field's value ``%(v)s`` is exactly of
-# that type, and then the f-string replacement field that writes the JSON
-# text ``_ENCODER`` writes for it.  ``to_json`` writes a field of any other
-# type (tuple, dict, float) by ``_ENCODER``.
-_JSON_INLINE = {
-    str: ("type(%(v)s) is str", "{esc(%(v)s)}"),
-    int: ("type(%(v)s) is int", "{%(v)s}"),
-    bool: ("(%(v)s is True or %(v)s is False)", "{'true' if %(v)s else 'false'}"),
-    bytes: ("type(%(v)s) is bytes", '"{%(v)s.hex()}"'),
-}
+# Ints of more digits than ``str`` writes (CPython's int-to-text limit, or
+# its default where the limit is off) raise ValueError, so no line holds one.
+_INT_BOUND = 10 ** (sys.get_int_max_str_digits() or 4300)
+
+
+def _is_json(value) -> bool:
+    """Whether ``value`` is what ``json.loads`` reads from some JSON text, a
+    tuple standing for a list: at any depth, a dict with str keys, a list, a
+    str, an int below ``_INT_BOUND`` in size, a finite float, a bool or None,
+    each exactly of that type."""
+    kind = type(value)
+    if kind is dict:
+        return all(type(key) is str and _is_json(item) for key, item in value.items())
+    if kind is list or kind is tuple:
+        return all(map(_is_json, value))
+    if kind is int:
+        return -_INT_BOUND < value < _INT_BOUND
+    if kind is float:
+        return math.isfinite(value)
+    return kind is str or kind is bool or value is None
+
+
+def _rejected(name: str, want: str, value) -> PayloadRejected:
+    """The error of a field ``name`` whose ``value`` is not of type ``want``."""
+    try:
+        shown = repr(value)
+    except ValueError:   # it holds an int of more digits than ``repr`` writes
+        shown = f"a {type(value).__name__} JSON cannot state"
+    return PayloadRejected(f"{name} must be of type {want}, not {shown}")
 
 
 def _sorted_keys(value):
     """A dict field's value as it is written, and so hashed: each dict in it,
     at any depth, in sorted key order, so that equal dicts write equal text;
-    each list and tuple in it as a list, as JSON writes it.  A key that is not
-    a str raises TypeError: JSON would write ``1`` and ``"1"`` alike."""
+    each list and tuple in it as a list, as JSON writes it."""
     if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError(f"dict keys must be str: {value!r}")
         return {key: _sorted_keys(value[key]) for key in sorted(value)}
     if isinstance(value, (list, tuple)):
         return [_sorted_keys(item) for item in value]
@@ -155,53 +176,52 @@ def payload(kind: str):
     order: a ``bytes`` field as lower-case hex read back through
     ``_hex_field``, a ``tuple`` field as a JSON list read back through
     ``_str_list_field``, a ``dict`` field by ``_sorted_keys``, any other as
-    is.  ``to_json`` is ``_ENCODER.encode({"kind": self.kind,
-    **self.to_fields()})``, written by one f-string when the kind and each
-    str, int, bool or bytes field hold exactly that type (each tuple, dict or
-    float field still by ``_ENCODER``), and by that call itself otherwise; a
-    tx line holds it, and a tx id hashes it.  ``check`` raises
-    PayloadRejected unless each str, int, bool, bytes or dict field holds
-    exactly that type, and each tuple field a tuple of str; ``from_fields``
-    and ``Ledger.submit`` call it."""
+    is.  ``check`` raises PayloadRejected, naming the field, unless each
+    field holds exactly its declared type and a value JSON states: a tuple
+    field a tuple of str, and the float field, ``Redeem.fiat``, any float or
+    JSON value, which the bank checks is a price.  The door, ``_check_tx``,
+    runs it; behind it ``to_json`` is one f-string, the text of
+    ``_ENCODER.encode({"kind": self.kind, **self.to_fields()})``, which a
+    tx line holds and a tx id hashes."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, checks, read = [], [], []
-        # to_json's test that every field it writes inline is exactly of its type, and its f-string.
-        exact, text = ["type(self.kind) is str"], ['{{"kind":{esc(self.kind)}']
+        written, checks, read, text = [], [], [], ['{{"kind":{esc(self.kind)}']
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
-            value, arg = f"self.{name}", f"f[{name!r}]"
-            if hint is bytes:
-                value, arg = f"{value}.hex()", f"_hex_field(f, {name!r})"
+            # Per declared type: the field's ``to_fields`` value, ``from_fields``
+            # read, ``check`` test and the type its error names, and ``to_json``
+            # text, inline where it needs no ``_ENCODER``.
+            v = f"self.{name}"
+            value, arg, want, inline = v, f"f[{name!r}]", hint.__name__, None
+            test = f"type({v}) is {want}"
+            if hint is str:
+                inline = f"{{esc({v})}}"
+            elif hint is int:
+                test, inline = f"{test} and -_INT_BOUND < {v} < _INT_BOUND", f"{{{v}}}"
+            elif hint is bool:
+                inline = f"{{'true' if {v} else 'false'}}"
+            elif hint is bytes:
+                value, arg, inline = f"{v}.hex()", f"_hex_field(f, {name!r})", f'"{{{v}.hex()}}"'
             elif hint is tuple:
-                value, arg = f"list({value})", f"_str_list_field(f, {name!r})"
+                want, test = "tuple of str", f"{test} and all(type(s) is str for s in {v})"
+                value, arg = f"list({v})", f"_str_list_field(f, {name!r})"
             elif hint is dict:
-                value = f"_sorted_keys({value})"
-            if hint is not float:  # a float is left to the bank
-                want, test = hint.__name__, f"type(self.{name}) is {hint.__name__}"
-                if hint is tuple:
-                    want, test = "tuple of str", f"{test} and all(type(s) is str for s in self.{name})"
-                checks.append(f"    if not ({test}):\n        raise PayloadRejected("
-                              f"f'{name} must be of type {want}, not {{self.{name}!r}}')\n")
+                want, test, value = "JSON object", f"{test} and _is_json({v})", f"_sorted_keys({v})"
+            elif hint is float:  # any float, which ``_ENCODER`` writes, or JSON value: the bank checks the price
+                want, test = "float or JSON value", f"{test} or _is_json({v})"
+            checks.append(f"    if not ({test}):\n        raise rejected({name!r}, {want!r}, {v})\n")
             written.append(f"{name!r}: {value}")
-            if hint in _JSON_INLINE:
-                test, field_text = (part % {"v": f"self.{name}"} for part in _JSON_INLINE[hint])
-                exact.append(test)
-            else:
-                field_text = f"{{json_encode({value})}}"
-            text.append(f",{_esc(name)}:{field_text}")
+            text.append(f",{_esc(name)}:{inline or f'{{json_encode({value})}}'}")
             read.append(arg)
         env = {"__name__": cls.__module__, "_hex_field": _hex_field, "_str_list_field": _str_list_field,
-               "_sorted_keys": _sorted_keys, "PayloadRejected": PayloadRejected, "esc": _esc,
-               "json_encode": _ENCODER.encode}
+               "_sorted_keys": _sorted_keys, "_is_json": _is_json, "_INT_BOUND": _INT_BOUND,
+               "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
         source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
-                  f"def to_json(self):\n    if {' and '.join(exact)}:\n"
-                  f"        return f'''{''.join(text)}}}}}'''\n"
-                  f"    return json_encode({{'kind': self.kind, **self.to_fields()}})\n"
+                  f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
                   f"def check(self):\n{''.join(checks)}"
-                  f"def from_fields(cls, f):\n    p = cls({', '.join(read)})\n    p.check()\n    return p\n")
+                  f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n")
         exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
         for name in ("to_fields", "to_json", "check", "from_fields"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
@@ -292,16 +312,7 @@ def _int_field(rec: dict, key: str) -> int:
     writes nothing else there, so a string or float is not coerced."""
     value = rec[key]
     if type(value) is not int:
-        raise ValueError(f"{key} must be an int, not {value!r}")
-    return value
-
-
-def _str_field(rec: dict, key: str) -> str:
-    """``rec[key]``, which must be a str: a list or dict would reach the key
-    registry as an unhashable actor."""
-    value = rec[key]
-    if type(value) is not str:
-        raise ValueError(f"{key} must be a str, not {value!r}")
+        raise _rejected(key, "int", value)
     return value
 
 
@@ -323,58 +334,60 @@ class Transaction:
         }
 
     def to_json(self) -> str:
-        """``_ENCODER.encode(self.to_record())``: the tx's line, its
-        ``_tx_text`` between its id and its signature."""
+        """The text of ``_ENCODER.encode(self.to_record())``: the tx's line,
+        its ``_tx_text`` between its id and its signature."""
         return (f'{{"tx_id":"{self.tx_id.hex()}",{_tx_text(self.timestamp, self.signer, self.payload)},'
                 f'"signature":"{self.signature.hex()}"}}')
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
         _require_keys(rec, _TX_KEYS, "tx")
-        return cls(_hex_field(rec, "tx_id"), _int_field(rec, "timestamp"), _str_field(rec, "signer"),
-                   payload_from_record(rec["payload"]), _hex_field(rec, "signature"))
+        timestamp, signer, payload = rec["timestamp"], rec["signer"], payload_from_record(rec["payload"])
+        _check_tx(timestamp, signer, payload)
+        return cls(_hex_field(rec, "tx_id"), timestamp, signer, payload, _hex_field(rec, "signature"))
 
 
 _TX_KEYS = frozenset(f.name for f in fields(Transaction))
 
 
-def _check_header(timestamp, signer, payload, tx_id=b"", signature=b"") -> None:
-    """Raise PayloadRejected, naming the field, unless each of a tx's own
-    fields is of the type ``Transaction.from_record`` reads: the timestamp
-    exactly an int, the signer a str, the payload an instance of a payload
-    class, the tx_id and signature bytes.  ``append`` passes only the first
-    three: it makes the other two itself."""
-    if type(timestamp) is not int or type(signer) is not str \
-            or type(tx_id) is not bytes or type(signature) is not bytes:
-        name, value, want = next(field for field in (
-            ("timestamp", timestamp, int), ("signer", signer, str), ("tx_id", tx_id, bytes),
-            ("signature", signature, bytes)) if type(field[1]) is not field[2])
-        raise PayloadRejected(f"{name} must be of type {want.__name__}, not {value!r}")
+def _check_tx(timestamp, signer, payload) -> None:
+    """Raise PayloadRejected, naming the field, unless a tx's timestamp is
+    exactly an int no longer than ``str`` writes, its signer a str, and its
+    payload an instance of a payload class whose ``check`` passes: the one
+    statement of the types ``_tx_text`` writes and ``Transaction.from_record``
+    reads."""
+    if type(timestamp) is not int or not -_INT_BOUND < timestamp < _INT_BOUND:
+        raise _rejected("timestamp", "int", timestamp)
+    if type(signer) is not str:
+        raise _rejected("signer", "str", signer)
     if not isinstance(payload, _PAYLOAD_CLASSES):
-        raise PayloadRejected(f"payload must be of type TxPayload, not {payload!r}")
+        raise _rejected("payload", "TxPayload", payload)
+    payload.check()
 
 
-def _tx_text(timestamp, signer, payload: TxPayload) -> str:
+def _tx_text(timestamp: int, signer: str, payload: TxPayload) -> str:
     """``"timestamp":…,"signer":…,"payload":…``: what a tx's line holds
-    between its id and its signature, and its id hashes in braces.  A
-    timestamp that is not exactly an int, and a signer that is not a str,
-    are written by ``_ENCODER``; the payload by its ``to_json``."""
-    if type(timestamp) is not int:
-        timestamp = _ENCODER.encode(timestamp)
-    signer = _esc(signer) if isinstance(signer, str) else _ENCODER.encode(signer)
-    return f'"timestamp":{timestamp},"signer":{signer},"payload":{payload.to_json()}'
+    between its id and its signature, and its id hashes in braces, written by
+    one f-string and the payload's ``to_json``.  Its values have passed
+    ``_check_tx``."""
+    return f'"timestamp":{timestamp},"signer":{_esc(signer)},"payload":{payload.to_json()}'
 
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
     """A tx's id: ``codec.digest`` of ``{"timestamp":…,"signer":…,"payload":…}``,
-    the text of ``_tx_text`` in braces."""
+    the text of ``_tx_text`` in braces.  The one door for a tx's types: it
+    runs ``_check_tx`` before any of that text is written."""
+    _check_tx(timestamp, signer, payload)
     return codec.digest(f"{{{_tx_text(timestamp, signer, payload)}}}".encode())
 
 
 def make_transaction(timestamp: int, signer: str, payload: TxPayload,
                      backend: codec.KeyedMacSigner) -> Transaction:
-    """Build a signed transaction; tx_id commits to (timestamp, signer, payload)."""
+    """Build a signed transaction; tx_id commits to (timestamp, signer, payload).
+    A signer ``backend`` holds no key of raises UnknownSigner."""
     tx_id = tx_digest(timestamp, signer, payload)
+    if not backend.knows(signer):
+        raise UnknownSigner(signer)
     return Transaction(tx_id, timestamp, signer, payload, backend.sign(signer, tx_id))
 
 
@@ -517,21 +530,20 @@ class Ledger:
         self._bank = weakref.ref(bank)
 
     def append(self, timestamp: int, signer: str, payload: TxPayload) -> bytes:
-        """Build, sign and submit a tx: the live write path.  ``submit`` takes
-        the tx_id and signature of this one object as ``make_transaction``
-        made them, and runs every other rule on it; a timestamp, signer or
-        payload of another type raises PayloadRejected, an unknown signer
-        UnknownSigner."""
-        _check_header(timestamp, signer, payload)
-        if not self.signer_backend.knows(signer):
-            raise UnknownSigner(signer)
+        """Build, sign and submit a tx: the live write path.  The tx passes
+        the door, ``tx_digest``, in ``make_transaction``, and ``submit`` takes
+        the tx_id and signature of this one object as that made them, and runs
+        every other rule on it."""
         self._appended = tx = make_transaction(timestamp, signer, payload, self.signer_backend)
         return self.submit(tx)
 
     def submit(self, tx: Transaction) -> bytes:
         appended, self._appended = self._appended, None
         if tx is not appended:
-            _check_header(tx.timestamp, tx.signer, tx.payload, tx.tx_id, tx.signature)
+            if type(tx.tx_id) is not bytes:
+                raise _rejected("tx_id", "bytes", tx.tx_id)
+            if type(tx.signature) is not bytes:
+                raise _rejected("signature", "bytes", tx.signature)
             if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
                     or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
                 if not self.signer_backend.knows(tx.signer):
@@ -539,7 +551,6 @@ class Ledger:
                 raise BadSignature(tx.tx_id.hex())
         if tx.tx_id in self.tx_index:
             raise DuplicateTx(tx.tx_id.hex())
-        tx.payload.check()
         bank = self._bank and self._bank()
         if bank is not None:
             bank.apply(tx)
@@ -610,11 +621,12 @@ class Ledger:
     # -- persistence
 
     def save_jsonl(self, path) -> None:
-        """One line per block, ``json.dumps(block.to_record(), separators=(",",
-        ":"))``, written in pieces: the block's ``_block_header`` and hash;
-        its txs, by ``Transaction.to_json`` in chunks of ``SAVE_CHUNK_TXS``;
-        and for genesis its ``_genesis_registry``.  So at once it holds one
-        header plus one chunk of text."""
+        """One line per block of ``chain``, ``json.dumps(block.to_record(),
+        separators=(",", ":"))``, written in pieces: the block's
+        ``_block_header`` and hash; its txs, each of which passed the door,
+        by ``Transaction.to_json`` in chunks of ``SAVE_CHUNK_TXS``; and for
+        genesis its ``_genesis_registry``.  So at once it holds one header
+        plus one chunk of text."""
         with open(path, "w", encoding="utf-8") as fh:
             write = fh.write
             for block in self.chain:

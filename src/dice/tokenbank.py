@@ -137,11 +137,6 @@ def treasury_wallet_id(mno: str) -> str:
     return f"mno:{mno}"
 
 
-def _is_count(value) -> bool:
-    """A token count is a non-negative int (bool excluded)."""
-    return type(value) is int and value >= 0
-
-
 class TokenBank:
     """Single-writer custody of wallets and lots, mirrored on-chain.
 
@@ -308,7 +303,8 @@ class TokenBank:
 
     def apply(self, tx: Transaction) -> None:
         """Check an authenticated transaction against the rules of its payload
-        kind, then apply it; raise, leaving the bank unchanged, if a rule fails."""
+        kind, then apply it; raise, leaving the bank unchanged, if a rule fails.
+        Its values passed the door, ``ledger.tx_digest``: each int field is an int."""
         p = tx.payload
         if isinstance(p, AttachCheck):
             if tx.signer != p.vmno:
@@ -326,7 +322,7 @@ class TokenBank:
             w = self.wallets.get(p.wallet)
             if w is not None and w.home_mno != p.issuer:
                 raise ForeignWallet(f"{p.wallet} belongs to {w.home_mno}, not {p.issuer}")
-            if not _is_count(p.amount) or p.amount == 0:
+            if p.amount <= 0:
                 raise NonPositiveAmount(repr(p.amount))
             self.create_wallet(None, p.issuer, p.wallet)
             lot = TokenLot(self._next_lot_id(), p.issuer, p.amount, [LineageEntry(p.wallet, tx.tx_id)])
@@ -334,7 +330,7 @@ class TokenBank:
             self.wallets[p.wallet].lots.setdefault(p.issuer, {})[lot.lot_id] = lot
             self.issued_by[p.issuer] = self.issued_by.get(p.issuer, 0) + p.amount
         elif isinstance(p, ChannelOpen):
-            if not _is_count(p.deposit) or p.deposit == 0:
+            if p.deposit <= 0:
                 raise ZeroDeposit(repr(p.deposit))
             if p.channel in self.channel_opens:
                 raise PayloadRejected(f"channel {p.channel} was already opened")
@@ -347,8 +343,7 @@ class TokenBank:
             # A channel is open while its deposit is locked.
             if p.channel not in self.locks.get(opened.wallet, {}):
                 raise AlreadyClosed(p.channel)
-            if not (_is_count(p.paid) and _is_count(p.refunded) and _is_count(p.final_seq)) \
-                    or p.paid + p.refunded != opened.deposit:
+            if min(p.paid, p.refunded, p.final_seq) < 0 or p.paid + p.refunded != opened.deposit:
                 raise PayloadRejected(f"close of {p.channel}: paid {p.paid!r} + refunded "
                                       f"{p.refunded!r} must split the deposit {opened.deposit}")
             if p.paid and p.final_seq == 0:

@@ -1,5 +1,9 @@
 """Test-side helpers built on the live entry points."""
 
+import hashlib
+import json
+
+from dice.ledger import Transaction
 from dice.protocol import DiceEngine, RoamerSession
 from dice.tokenbank import TokenBank
 
@@ -41,3 +45,15 @@ def bank_snapshot(bank: TokenBank) -> dict:
         "issued": dict(sorted(bank.issued_by.items())),
         "burned": dict(sorted(bank.burned_by.items())),
     }
+
+
+def forged_tx(signer_backend, timestamp, signer: str, payload) -> Transaction:
+    """A tx signed by ``signer``'s key in ``signer_backend``, whose id is the
+    SHA-256 of the ``json.dumps`` text of its record without id and
+    signature.  It is built past ``tx_digest``, so it may hold values of any
+    type, as a forger's may; for values the door lets through, its id is the
+    one ``tx_digest`` gives."""
+    body = Transaction(b"", timestamp, signer, payload, b"").to_record()
+    del body["tx_id"], body["signature"]
+    tx_id = hashlib.sha256(json.dumps(body, separators=(",", ":")).encode()).digest()
+    return Transaction(tx_id, timestamp, signer, payload, signer_backend.sign(signer, tx_id))

@@ -5,7 +5,9 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import struct
+from typing import get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from dice import codec
 from dice.channel import PaymentChannel
+from dice.errors import PayloadRejected
 from dice.ledger import (
     AgreementRegistration,
     AttachCheck,
@@ -71,26 +74,23 @@ def test_golden_digests_pin_the_format():
 
 # What the JSON writer must escape or write whole: quotes, backslashes,
 # control characters, non-ASCII, astral characters and lone surrogates; ints
-# past 64 bits either side of 0.  Each field holds a value of its declared
-# type half the time, and any scalar otherwise (a bool in an int field, an
-# int in a str field), as a tx appended straight to ``pending`` may.
-json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a') | st.characters(
-    blacklist_categories=()), max_size=12) | st.text(max_size=8).map(Name)
-json_ints = st.integers() | st.integers(min_value=2 ** 64, max_value=10 ** 300).flatmap(
-    lambda n: st.sampled_from([n, -n])) | st.sampled_from(Colour)
-json_scalars = json_texts | json_ints | st.booleans() | st.floats(allow_nan=False)
-json_str, json_int, json_bool, json_float = (
-    declared | json_scalars for declared in (json_texts, json_ints, st.booleans(), st.floats(allow_nan=False)))
-json_bytes = st.binary(max_size=80) | st.binary(max_size=8).map(bytearray) | st.binary(max_size=8).map(Blob)
-json_names = st.lists(json_texts, max_size=4).map(tuple)
-json_dicts = st.dictionaries(json_texts, json_scalars | st.lists(json_scalars, max_size=3), max_size=4)
+# past 64 bits either side of 0.  Each field's values are exactly of its
+# declared type and JSON states them, as the door lets through; the one
+# float field, ``Redeem.fiat``, holds any float but NaN.
+texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a') | st.characters(
+    blacklist_categories=()), max_size=12)
+ints = st.integers() | st.integers(min_value=2 ** 64, max_value=10 ** 300).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+scalars = texts | ints | st.booleans() | st.floats(allow_nan=False, allow_infinity=False) | st.none()
+names = st.lists(texts, max_size=4).map(tuple)
+dicts = st.dictionaries(texts, scalars | st.lists(scalars, max_size=3), max_size=4)
 JSON_FIELDS = {
-    Issue: (json_str, json_str, json_int),
-    AgreementRegistration: (json_str, json_str, json_names, json_dicts),
-    AttachCheck: (json_str, json_str, json_str, json_bool),
-    ChannelOpen: (json_str, json_str, json_str, json_int, json_bytes, json_int),
-    ChannelClose: (json_str, json_int, json_int, json_int),
-    Redeem: (json_str, json_str, json_names, json_float),
+    Issue: (texts, texts, ints),
+    AgreementRegistration: (texts, texts, names, dicts),
+    AttachCheck: (texts, texts, texts, st.booleans()),
+    ChannelOpen: (texts, texts, texts, ints, st.binary(max_size=80), ints),
+    ChannelClose: (texts, ints, ints, ints),
+    Redeem: (texts, texts, names, st.floats(allow_nan=False)),
 }
 
 
@@ -100,9 +100,37 @@ class RenamedClose(ChannelClose):
 
 PAYLOAD_CLASSES = [*JSON_FIELDS, RenamedClose,
                    *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in JSON_FIELDS)]
-json_payloads = st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(
-    cls, *next(fields for base, fields in JSON_FIELDS.items() if issubclass(cls, base))))
-json_txs = st.builds(Transaction, st.binary(max_size=64), json_int, json_str, json_payloads, st.binary(max_size=64))
+
+
+def payloads(field_values=lambda declared: declared):
+    """Payloads of every class, each field drawn from ``field_values`` of
+    its declared values."""
+    return st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(cls, *map(
+        field_values, next(fields for base, fields in JSON_FIELDS.items() if issubclass(cls, base)))))
+
+
+json_payloads = payloads()
+json_txs = st.builds(Transaction, st.binary(max_size=64), ints, texts, json_payloads, st.binary(max_size=64))
+# Values of other types, or that JSON cannot state, as a tx built past the
+# door may hold: str, int and bytes subclasses, a bytearray, NaN and the
+# infinities, an int longer than ``str`` writes, a dict with a key that is
+# not a str or a value JSON cannot state, a list holding bytes.
+json_texts, json_ints = texts | st.text(max_size=8).map(Name), ints | st.sampled_from(Colour)
+odd_values = (json_texts | json_ints | st.binary(max_size=8) | st.binary(max_size=8).map(bytearray)
+              | st.binary(max_size=8).map(Blob) | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 5000])
+              | st.dictionaries(st.integers(), scalars, min_size=1, max_size=2)
+              | st.dictionaries(texts, st.sampled_from([math.nan, -math.inf, b"x", 10 ** 5000]), min_size=1, max_size=2)
+              | st.lists(st.binary(max_size=4), min_size=1, max_size=2))
+
+
+def half(declared, other):
+    """``declared`` half the time and ``other`` otherwise: ``|`` would weigh
+    each of the strategies ``other`` joins as much as ``declared``."""
+    return st.booleans().flatmap(lambda typed: declared if typed else other)
+
+
+# Each field holds a value of its declared type half the time, and any value otherwise.
+mixed_payloads = payloads(lambda declared: half(declared, scalars | odd_values))
 # Roster and key-registry actor names, which genesis writes and hashes escaped.
 actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a'), max_size=8)
 
@@ -121,10 +149,63 @@ def record_of(payload) -> dict:
     return rec
 
 
-@given(json_scalars, json_scalars, json_payloads)
+def is_json(value) -> bool:
+    """Whether ``json.loads`` reads ``value`` back, type for type, from the
+    text ``json.dumps`` writes for it."""
+    try:
+        return tagged(json.loads(json.dumps(value, allow_nan=False))) == tagged(value)
+    except (TypeError, ValueError):
+        return False
+
+
+def of_type(declared, value) -> bool:
+    """Whether a field declared ``declared`` may hold ``value``: bytes, or a
+    tuple of str, exactly; any float; any other value exactly of its type,
+    if JSON states it."""
+    if declared is bytes:
+        return type(value) is bytes
+    if declared is tuple:
+        return type(value) is tuple and all(type(s) is str for s in value)
+    if declared is float and type(value) is float:
+        return True
+    return (declared is float or type(value) is declared) and is_json(value)
+
+
+def well_typed(timestamp, signer, payload) -> bool:
+    hints = get_type_hints(type(payload))
+    return of_type(int, timestamp) and of_type(str, signer) and all(
+        of_type(get_origin(hints[f.name]) or hints[f.name], getattr(payload, f.name))
+        for f in dataclasses.fields(payload))
+
+
+@given(ints, texts, json_payloads)
 @example(0, "A", AgreementRegistration("H", "V", (), {"b": [{"d": 1, "c": 2}], "a": {"f": None, "e": 1.5}}))
 def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, payload):
     """A tx id is the SHA-256 of ``{"timestamp":…,"signer":…,"payload":…}``."""
+    value = {"timestamp": timestamp, "signer": signer, "payload": record_of(payload)}
+    assert tx_digest(timestamp, signer, payload) == sha256(dumps(value))
+    assert payload.to_json() == dumps(record_of(payload))
+
+
+@given(half(ints, odd_values), half(texts, odd_values), half(json_payloads, mixed_payloads))
+# One mistyped value each, every other value exactly of its type.
+@example(7, "H", Issue("H", "w", True))
+@example(7, "H", Issue("H", 7, 5))
+@example(7, "H", AttachCheck("w", "V", "H", 1))
+@example(7, "H", ChannelOpen("c", "w", "V", 1, bytearray(b"ab"), 2))
+@example(True, "H", Issue("H", "w", 5))
+@example(7, 5, Issue("H", "w", 5))
+@example(7, Name("H"), Issue("H", Name("w"), Colour.BLUE))
+@example(10 ** 5000, "H", Issue("H", "w", 5))
+@example(7, "H", Redeem("V", "H", ("l",), 10 ** 5000))
+def test_tx_digest_rejects_exactly_what_is_mistyped(timestamp, signer, payload):
+    """``tx_digest`` raises PayloadRejected exactly when some value is not
+    of its declared type or no JSON text states it, and otherwise is the
+    SHA-256 of ``{"timestamp":…,"signer":…,"payload":…}``."""
+    if not well_typed(timestamp, signer, payload):
+        with pytest.raises(PayloadRejected, match="must be of type"):
+            tx_digest(timestamp, signer, payload)
+        return
     value = {"timestamp": timestamp, "signer": signer, "payload": record_of(payload)}
     assert tx_digest(timestamp, signer, payload) == sha256(dumps(value))
     assert payload.to_json() == dumps(record_of(payload))
@@ -137,15 +218,13 @@ def _txs(*cases):
 @settings(deadline=None)
 @given(st.lists(actor_names, min_size=1, max_size=3), st.dictionaries(actor_names, st.binary(max_size=40), max_size=4),
        st.lists(st.lists(json_txs, min_size=1, max_size=4), max_size=3))
-# One mistyped value each, every other value exactly of its type.
-@example(["H"], {"H": b"k"}, [_txs((7, "H", Issue("H", "w", True)), (7, "H", Issue("H", 7, 5)),
-                                    (7, "H", AttachCheck("w", "V", "H", 1)),
-                                    (7, "H", ChannelOpen("c", "w", "V", 1, bytearray(b"ab"), 2))),
-                               _txs((True, "H", Issue("H", "w", 5)), (7, 5, Issue("H", "w", 5)),
-                                    (7, Name("H"), Issue("H", Name("w"), Colour.BLUE)))])
+# Values at the edges of what JSON states.
+@example(["H"], {"H": b"k"}, [_txs((-7, "H", Issue("H", "w", -(10 ** 300)))),
+                               _txs((7, "\ud800", Redeem("V", "H", (), -math.inf)),
+                                    (7, "H", AgreementRegistration("H", "V", (), {"a": [None, -0.0, 1e308]})))])
 def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, roster, keys, blocks):
-    """Each tx goes straight to ``pending``, past the live checks, so every
-    value reaches the writer as it was built."""
+    """Each tx goes straight to ``pending``, past the ledger's rules but
+    holding only values the door lets through."""
     ledger = Ledger(roster, keys)
     for height, txs in enumerate(blocks, start=1):
         ledger.pending.extend(txs)
@@ -174,13 +253,14 @@ def test_encoding_is_stable_and_type_tagged():
     assert agreement_id({"a": True}) != agreement_id({"a": 1})
     assert agreement_id({"a": [1, 2]}) != agreement_id({"a": [[1], 2]})
     assert agreement_id({"a": 1, "b": 2}) == agreement_id({"b": 2, "a": 1})
-    assert tx_digest(0, "H", Issue("H", "w", 5)) != tx_digest(0, "H", Issue("H", "w", "5"))
+    with pytest.raises(PayloadRejected, match="^amount must be of type int"):
+        tx_digest(0, "H", Issue("H", "w", "5"))
 
 
 def test_encoding_rejects_non_string_dict_keys():
-    with pytest.raises(TypeError):
+    with pytest.raises(PayloadRejected, match="^charging must be of type"):
         agreement_id({1: "x"})
-    with pytest.raises(TypeError):
+    with pytest.raises(PayloadRejected, match="^charging must be of type"):
         agreement_id({"a": [{2: 0}]})
 
 
@@ -208,7 +288,7 @@ def test_tagged_form_separates_what_equality_conflates():
 
 # JSON values, dicts at any depth in any insertion order.
 plain_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text() | st.floats(allow_nan=False),
+    st.none() | st.booleans() | st.integers() | st.text() | st.floats(allow_nan=False, allow_infinity=False),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,

@@ -1,26 +1,31 @@
 """Signed but forged transactions: live submit and chain replay reject them alike.
 
-Each forgery is signed with a key the chain anchors, so hashes, links and
+Most forgeries are signed with a key the chain anchors, so hashes, links and
 signatures all check out; only the rules of ``TokenBank.apply`` can tell
-it apart from a transaction the live engine would have written.
+them apart from a transaction the live engine would have written.  The
+last few break a rule of the ledger itself: its signer, its signature, or
+its uniqueness.
 """
 
 import ast
 import dataclasses
 import inspect
+import json
 import math
 import textwrap
+from collections import Counter
 
 import pytest
 
+from dice import ledger
 from dice.errors import DiceError, DuplicateTx, LedgerParseError, PayloadRejected, UnknownSigner
 from dice.harness import verify_ledger
-from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Redeem,
+from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Ledger, Redeem,
                          load_blocks_jsonl, make_transaction)
 from dice.protocol import LBO, DiceEngine
 from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id
 
-from helpers import bank_snapshot, run_session
+from helpers import bank_snapshot, forged_tx, run_session
 
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
@@ -223,6 +228,20 @@ def agreement_with_a_string_rate(eng, sessions):
     return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
 
 
+def issue_signed_by_an_unknown_actor(eng, sessions):
+    # Genesis anchors no key of mallory's.
+    return dataclasses.replace(issue_signed_by_another_mno(eng, sessions), signer="mallory")
+
+
+def issue_under_the_signature_of_another_tx(eng, sessions):
+    honest = make_transaction(70, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+    return dataclasses.replace(honest, signature=eng.ledger.chain[1].txs[0].signature)
+
+
+def resubmission_of_a_sealed_tx(eng, sessions):
+    return eng.ledger.chain[1].txs[0]
+
+
 FORGERIES = [
     (issue_signed_by_another_mno, "issue", "NotIssuer"),
     (issue_by_a_roamer_off_the_roster, "issue", "NotIssuer"),
@@ -256,6 +275,9 @@ FORGERIES = [
     (agreement_naming_a_vmno_off_the_roster, "agreement", "UnknownMno"),
     (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),
     (agreement_with_a_string_rate, "agreement", "PayloadRejected"),
+    (issue_signed_by_an_unknown_actor, "issue", "UnknownSigner"),
+    (issue_under_the_signature_of_another_tx, "issue", "BadSignature"),
+    (resubmission_of_a_sealed_tx, "agreement", "DuplicateTx"),
 ]
 
 
@@ -313,11 +335,32 @@ def live_verdict(forge) -> str:
     return "accepted"
 
 
+def all_raises(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+def mutants(function, raises_of=all_raises):
+    """``function`` with one of the ``raise``s that ``raises_of`` picks from
+    its parsed source replaced by ``pass``, once per raise, as (the raise's
+    source, the mutant)."""
+    module = inspect.getmodule(function)
+    source = textwrap.dedent(inspect.getsource(function))
+    for i in range(len(raises_of(ast.parse(source)))):
+        tree = ast.parse(source)
+        target = raises_of(tree)[i]
+
+        class Unraise(ast.NodeTransformer):
+            def visit_Raise(self, node):
+                return ast.copy_location(ast.Pass(), node) if node is target else node
+
+        namespace = dict(vars(module))
+        exec(compile(Unraise().visit(tree), inspect.getsourcefile(function), "exec"), namespace)
+        yield ast.unparse(target), namespace[function.__name__]
+
+
 def rule_mutants(payload_cls):
     """``TokenBank.apply`` with one ``raise`` of its ``payload_cls`` branch
     replaced by ``pass``, once per raise, as (the raise's source, the mutant)."""
-    module = inspect.getmodule(TokenBank)
-    source = textwrap.dedent(inspect.getsource(TokenBank.apply))
     test = f"isinstance(p, {payload_cls.__name__})"
 
     def branch_raises(tree):
@@ -325,17 +368,7 @@ def rule_mutants(payload_cls):
                       if isinstance(node, ast.If) and ast.unparse(node.test) == test)
         return [node for stmt in branch.body for node in ast.walk(stmt) if isinstance(node, ast.Raise)]
 
-    for i in range(len(branch_raises(ast.parse(source)))):
-        tree = ast.parse(source)
-        target = branch_raises(tree)[i]
-
-        class Unraise(ast.NodeTransformer):
-            def visit_Raise(self, node):
-                return ast.copy_location(ast.Pass(), node) if node is target else node
-
-        namespace = dict(vars(module))
-        exec(compile(Unraise().visit(tree), inspect.getsourcefile(TokenBank), "exec"), namespace)
-        yield ast.unparse(target), namespace["apply"]
+    return mutants(TokenBank.apply, branch_raises)
 
 
 def surviving_rules(monkeypatch, mutants):
@@ -401,12 +434,24 @@ MISTYPED = {
 }
 
 
+def seal_past_the_door(eng, tx, path):
+    """Save the chain to ``path``, then seal ``tx`` as if a validator let it
+    in, and add the block's line as ``json.dumps`` writes its record: the
+    live writer writes only what passed ``tx_digest``."""
+    eng.ledger.save_jsonl(path)
+    eng.ledger.pending.append(tx)
+    block = eng.ledger.seal_block(80)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(block.to_record(), separators=(",", ":")) + "\n")
+    return block
+
+
 @pytest.mark.parametrize("forge", MISTYPED.values(), ids=MISTYPED)
 def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
     """A live submit rejects it, leaving the ledger and the bank as they were."""
     eng, sessions = honest_engine()
     signer, payload = forge(sessions)
-    mistyped = make_transaction(70, signer, payload, eng.signer)
+    mistyped = forged_tx(eng.signer, 70, signer, payload)
     pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
     with pytest.raises(PayloadRejected, match="must be of type"):
         eng.ledger.submit(mistyped)
@@ -414,10 +459,8 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
     assert bank_snapshot(eng.bank) == state
 
     # Written past the live check, the loader rejects it at its line.
-    eng.ledger.pending.append(mistyped)
-    block = eng.ledger.seal_block(80)
     path = tmp_path / "ledger.jsonl"
-    eng.ledger.save_jsonl(path)
+    block = seal_past_the_door(eng, mistyped, path)
     with pytest.raises(LedgerParseError) as err:
         load_blocks_jsonl(path)
     assert err.value.line == block.height
@@ -427,7 +470,7 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
 
 
 def issue_to_bob(eng, sessions, timestamp=70):
-    return make_transaction(timestamp, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+    return forged_tx(eng.signer, timestamp, "H", Issue("H", sessions["bob"].active_wallet, 1))
 
 
 # Txs with one of their own fields of another type than the loader reads,
@@ -439,6 +482,10 @@ MISTYPED_TX = {
     # Unhashable: the key registry raised a bare TypeError.
     "list signer": ("signer", lambda eng, s: dataclasses.replace(issue_to_bob(eng, s), signer=["H"])),
     "int signer": ("signer", lambda eng, s: dataclasses.replace(issue_to_bob(eng, s), signer=7)),
+    # Payloads of no payload class raised a bare AttributeError.
+    "None payload": ("payload", lambda eng, s: dataclasses.replace(issue_to_bob(eng, s), payload=None)),
+    "dict payload": ("payload", lambda eng, s: dataclasses.replace(
+        issue_to_bob(eng, s), payload={"kind": "issue"})),
     # hmac.compare_digest raised a bare TypeError.
     "hex text tx_id": ("tx_id", lambda eng, s: dataclasses.replace(
         tx := issue_to_bob(eng, s), tx_id=tx.tx_id.hex())),
@@ -460,18 +507,16 @@ def test_mistyped_tx_field_is_rejected_live_and_at_its_line(field, forge, tmp_pa
     assert bank_snapshot(eng.bank) == state
 
     # Written past the live check, the loader rejects it at its line.  A
-    # tx_id or signature that is not bytes has no ``hex()`` to write: sealing
-    # raises, as the header a block hash covers holds the tx root, for one tx
-    # its id; or saving raises, as ``to_record`` does; and no line holds it.
-    eng.ledger.pending.append(mistyped)
+    # tx_id or signature that is not bytes has no ``hex()`` to write, and a
+    # payload of no payload class no ``kind``: sealing raises, as the header
+    # a block hash covers holds the tx root, for one tx its id; or writing
+    # raises, as ``to_record`` does; and no line holds it.
     path = tmp_path / "ledger.jsonl"
-    if field in ("tx_id", "signature"):
+    if field in ("tx_id", "signature", "payload"):
         with pytest.raises(AttributeError):
-            eng.ledger.seal_block(80)
-            eng.ledger.save_jsonl(path)
+            seal_past_the_door(eng, mistyped, path)
         return
-    block = eng.ledger.seal_block(80)
-    eng.ledger.save_jsonl(path)
+    block = seal_past_the_door(eng, mistyped, path)
     with pytest.raises(LedgerParseError, match=f"{field} must be") as err:
         load_blocks_jsonl(path)
     assert err.value.line == block.height
@@ -479,15 +524,100 @@ def test_mistyped_tx_field_is_rejected_live_and_at_its_line(field, forge, tmp_pa
     assert not result.valid and result.first_invalid_height == block.height
 
 
+# Payload values no line can hold, as id -> (signer, payload): JSON states no
+# int of more digits than ``str`` writes, no bytes, and no key but a str.
+# The JSON writer raised a bare ValueError or TypeError on each.
+UNWRITABLE = {
+    "issue of 10**5000 tokens": lambda s: ("H", Issue("H", s["bob"].active_wallet, 10 ** 5000)),
+    "charging rate bytes": lambda s: ("V", AgreementRegistration("V", "H", ("V",), {**CHARGING, "rate": b"x"})),
+    "charging int key": lambda s: ("V", AgreementRegistration("V", "H", ("V",), {1: "x"})),
+    "charging nested int key": lambda s: ("V", AgreementRegistration("V", "H", ("V",), {"a": [{2: 0}]})),
+}
+
+
 def ledger_state(eng):
     return list(eng.ledger.pending), dict(eng.ledger.tx_index), bank_snapshot(eng.bank)
 
 
-# Every signed forgery above, as (id, forge(eng, sessions) -> tx).
-SIGNED = [(f.__name__, f) for f, _kind, _error in FORGERIES] + [
-    (name, lambda eng, sessions, forge=forge: make_transaction(70, *forge(sessions), eng.signer))
-    for name, forge in MISTYPED.items()] + [
-    (name, forge) for name, (field, forge) in MISTYPED_TX.items() if field in ("timestamp", "signer")]
+@pytest.mark.parametrize("forge", UNWRITABLE.values(), ids=UNWRITABLE)
+def test_unwritable_payload_is_rejected_before_any_digest(forge):
+    """``append`` and ``submit`` raise PayloadRejected naming the field,
+    leaving the ledger and the bank as they were."""
+    eng, sessions = honest_engine()
+    signer, payload = forge(sessions)
+    state = ledger_state(eng)
+    with pytest.raises(PayloadRejected, match="must be of type"):
+        eng.ledger.append(70, signer, payload)
+    with pytest.raises(PayloadRejected, match="must be of type"):
+        eng.ledger.submit(dataclasses.replace(issue_to_bob(eng, sessions), signer=signer, payload=payload))
+    assert ledger_state(eng) == state
+
+
+def count_writers(monkeypatch) -> Counter:
+    """Count the calls to each payload class's generated ``to_json``, to
+    ``_tx_text``, and to ``json.JSONEncoder.iterencode``, which
+    ``ledger._ENCODER.encode`` runs on every value but a str."""
+    counts = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for cls in ledger._PAYLOAD_CLASSES:
+        monkeypatch.setattr(cls, "to_json", counting("to_json", cls.to_json))
+    monkeypatch.setattr(ledger, "_tx_text", counting("_tx_text", ledger._tx_text))
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting("encode", json.JSONEncoder.iterencode))
+    return counts
+
+
+def test_no_text_is_written_before_the_type_check(monkeypatch):
+    """Each mistyped or unwritable tx is rejected by ``append`` and by
+    ``submit`` before any of its text is written."""
+    eng, sessions = honest_engine()
+    submitted, appended = [], []
+    for forge in MISTYPED.values():
+        signer, payload = forge(sessions)
+        submitted.append(forged_tx(eng.signer, 70, signer, payload))
+        appended.append((70, signer, payload))
+    for field, forge in MISTYPED_TX.values():
+        tx = forge(eng, sessions)
+        submitted.append(tx)
+        if field in ("timestamp", "signer", "payload"):
+            appended.append((tx.timestamp, tx.signer, tx.payload))
+    for forge in UNWRITABLE.values():
+        signer, payload = forge(sessions)
+        submitted.append(dataclasses.replace(issue_to_bob(eng, sessions), signer=signer, payload=payload))
+        appended.append((70, signer, payload))
+    state = ledger_state(eng)
+
+    counts = count_writers(monkeypatch)
+    for tx in submitted:
+        with pytest.raises(PayloadRejected):
+            eng.ledger.submit(tx)
+    for args in appended:
+        with pytest.raises(PayloadRejected):
+            eng.ledger.append(*args)
+    assert counts == {}
+    assert ledger_state(eng) == state
+    # The counters see each writer: an honest agreement writes a tuple and a dict by the encoder.
+    eng.ledger.append(70, "V", AgreementRegistration("V", "H", ("V",), CHARGING))
+    assert counts == {"to_json": 1, "_tx_text": 1, "encode": 2}
+
+
+def as_tx(forge):
+    """A ``MISTYPED`` row's forge as forge(eng, sessions) -> tx."""
+    return lambda eng, sessions: forged_tx(eng.signer, 70, *forge(sessions))
+
+
+# Every row above, as (id, forge(eng, sessions) -> tx).
+ROWS = [(f.__name__, f) for f, _kind, _error in FORGERIES] + [
+    (name, as_tx(forge)) for name, forge in MISTYPED.items()] + [
+    (name, forge) for name, (_field, forge) in MISTYPED_TX.items()]
+# ``append`` signs what it builds, so these faults are ``submit``'s alone to reject.
+SUBMIT_ONLY = {issue_under_the_signature_of_another_tx.__name__, "hex text tx_id", "hex text signature"}
+SIGNED = [(name, forge) for name, forge in ROWS if name not in SUBMIT_ONLY]
 
 
 @pytest.mark.parametrize("forge", [f for _, f in SIGNED], ids=[name for name, _ in SIGNED])
@@ -521,3 +651,46 @@ def test_append_rejects_an_unknown_signer_and_a_repeat():
     with pytest.raises(DuplicateTx):
         eng.ledger.submit(make_transaction(90, "H", issue, eng.signer))
     assert ledger_state(eng) == state
+
+
+def outcome(step) -> str:
+    """The class name of the error ``step()`` raises, or "accepted"."""
+    try:
+        step()
+    except Exception as exc:
+        return type(exc).__name__
+    return "accepted"
+
+
+def ledger_verdict(forge) -> tuple:
+    """What the live ledger does with the forgery: the outcome of submitting
+    it, then of appending its timestamp, signer and payload, then of
+    sealing the block it would join."""
+    eng, sessions = honest_engine()
+    tx = forge(eng, sessions)
+    return (outcome(lambda: eng.ledger.submit(tx)),
+            outcome(lambda: eng.ledger.append(tx.timestamp, tx.signer, tx.payload)),
+            outcome(lambda: eng.ledger.seal_block(80)))
+
+
+# The ledger's rules: the door's type checks, the signer check of the tx
+# ``append`` builds, and the chain rules of submit and seal.
+LEDGER_RULES = [(ledger, "_check_tx"), (ledger, "make_transaction"), (Ledger, "append"), (Ledger, "submit"),
+                (Ledger, "seal_block")]
+
+
+def test_every_ledger_rule_rejects_some_row(monkeypatch):
+    """Each ``raise`` of the ledger's rules is load-bearing: with it replaced
+    by ``pass``, some ``FORGERIES``, ``MISTYPED`` or ``MISTYPED_TX`` row gets
+    another live verdict or error class."""
+    expected = [ledger_verdict(forge) for _name, forge in ROWS]
+    survivors, rules = [], 0
+    for owner, name in LEDGER_RULES:
+        for rule, mutant in mutants(getattr(owner, name)):
+            rules += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, mutant)
+                if [ledger_verdict(forge) for _name, forge in ROWS] == expected:
+                    survivors.append(f"{name}: {rule}")
+    assert rules >= 10  # the ledger's raises when this test was written
+    assert survivors == []

@@ -411,7 +411,8 @@ def test_verify_ledger_truncated_line(tmp_path):
 
 
 # Each rewrites a number of line 1 as an equal value of another type; the
-# live ledger writes only ints there.
+# live ledger writes only ints there, and the loader states that rule in the
+# words of ``tx_digest``.
 NON_INT_PROBES = {
     "string tx timestamp": lambda rec: rec["txs"][0].update(timestamp=str(rec["txs"][0]["timestamp"])),
     "float tx timestamp": lambda rec: rec["txs"][0].update(timestamp=float(rec["txs"][0]["timestamp"])),
@@ -432,7 +433,7 @@ def test_verify_ledger_rejects_non_int_numbers(tmp_path, edit):
     path.write_text("\n".join(lines) + "\n")
     result = verify_ledger(path)
     assert not result.valid and result.first_invalid_height == 1
-    assert result.reason.startswith("parse error") and "must be an int" in result.reason
+    assert result.reason.startswith("parse error") and "must be of type int" in result.reason
 
 
 # --- config handling ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Work per unit on the golden config, counted by wrapping codec, ledger and
-channel entry points from the test: tx digests, MAC signs, MAC verifies and
-proof-message builds per on-chain tx and per off-chain proof, live and on
-replay; keyed MAC states per actor; header digests per sealed block, Merkle
-hashes per block and JSON bytes written per tx.
+channel entry points from the test: tx digests, payload type checks, MAC
+signs, MAC verifies and proof-message builds per on-chain tx and per
+off-chain proof, live and on replay; keyed MAC states per actor; header
+digests per sealed block, Merkle hashes per block and JSON bytes written
+per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
@@ -18,14 +19,16 @@ from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.ledger import Ledger, load_blocks_jsonl
 
 COUNTED = [(ledger, "tx_digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMacSigner, "verify"),
-           (PaymentChannel, "proof_message")]
+           (PaymentChannel, "proof_message"), *((cls, "check") for cls in ledger._PAYLOAD_CLASSES)]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
 # A proof's bytes are built once by the roamer and once by the VMNO, which
-# verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed.
-LIVE_BOUNDS = {"tx_digest": (1, 0), "sign": (1, 1), "verify": (0, 1), "proof_message": (0, 2)}
-# Per counted call: its calls per replayed tx.
-REPLAY_COUNTS = {"tx_digest": 1, "sign": 0, "verify": 1, "proof_message": 0}
+# verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed,
+# nor type-checks its payload again.
+LIVE_BOUNDS = {"tx_digest": (1, 0), "check": (1, 0), "sign": (1, 1), "verify": (0, 1), "proof_message": (0, 2)}
+# Per counted call: its calls per replayed tx.  A loaded payload is
+# type-checked by the load and again by the door, ``tx_digest``.
+REPLAY_COUNTS = {"tx_digest": 1, "check": 2, "sign": 0, "verify": 1, "proof_message": 0}
 # The ``codec.digest`` calls per sealed block (its header's), and the most
 # ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
 DIGESTS_PER_BLOCK = 1
