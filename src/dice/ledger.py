@@ -27,7 +27,6 @@ it.  A loaded record must have exactly the keys ``to_record`` writes.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import weakref
 from dataclasses import MISSING, dataclass, field, fields
@@ -141,10 +140,8 @@ def _is_json(value) -> bool:
         return all(type(key) is str and _is_json(item) for key, item in value.items())
     if kind is list or kind is tuple:
         return all(map(_is_json, value))
-    if kind is int:
+    if kind is int or kind is float:   # no float past the bound is finite
         return -_INT_BOUND < value < _INT_BOUND
-    if kind is float:
-        return math.isfinite(value)
     return kind is str or kind is bool or value is None
 
 
