@@ -19,14 +19,17 @@ too, so a mistyped line is a parse error at its line.
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
 block hash its ``_block_header``, genesis's tx_root its ``_genesis_registry``.
-``tokenbank.verify_blocks`` replays a persisted chain through a fresh ledger
-and bank, so a chain verifies only if the live engine could have written
-it.  A loaded record must have exactly the keys ``to_record`` writes.
+``_block_line`` states a block's whole line once: ``save_jsonl`` writes it,
+and ``load_blocks_jsonl`` accepts a line only if it is the ``_block_line``
+of the block it parsed to.  ``tokenbank.verify_blocks`` replays a persisted
+chain through a fresh ledger and bank, so a chain verifies only if the live
+engine could have written it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import weakref
 from dataclasses import MISSING, dataclass, field, fields
@@ -102,25 +105,6 @@ def record(cls):
 # --- transaction payloads ---------------------------------------------------
 
 
-def _hex_field(rec: dict, key: str) -> bytes:
-    """The bytes of ``rec[key]``, which must be their lower-case hex, as the
-    live ledger writes them (``bytes.fromhex`` also reads upper case)."""
-    value = rec[key]
-    raw = bytes.fromhex(value)
-    if raw.hex() != value:
-        raise ValueError(f"{key} must be lower-case hex, not {value!r}")
-    return raw
-
-
-def _str_list_field(rec: dict, key: str) -> tuple:
-    """``rec[key]``, which must be a list of str, as a tuple: ``tuple`` would
-    also read a str, as the tuple of its characters."""
-    value = rec[key]
-    if not (type(value) is list and all(type(s) is str for s in value)):
-        raise _rejected(key, "list of str", value)
-    return tuple(value)
-
-
 # ``json.dumps(..., separators=(",", ":"))``'s encoder, built once.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _esc = json.encoder.encode_basestring_ascii   # what _ENCODER writes for a str
@@ -170,16 +154,17 @@ def payload(kind: str):
     fields alone: ``to_fields``, ``to_json``, ``from_fields`` and ``check``,
     generated once per class like the ``__init__`` of ``record``.
     ``to_fields`` and ``from_fields`` write and read the fields in declared
-    order: a ``bytes`` field as lower-case hex read back through
-    ``_hex_field``, a ``tuple`` field as a JSON list read back through
-    ``_str_list_field``, a ``dict`` field by ``_sorted_keys``, any other as
-    is.  ``check`` raises PayloadRejected, naming the field, unless each
-    field holds exactly its declared type and a value JSON states: a tuple
-    field a tuple of str, and the float field, ``Redeem.fiat``, any float or
-    JSON value, which the bank checks is a price.  The door, ``_check_tx``,
-    runs it; behind it ``to_json`` is one f-string, the text of
-    ``_ENCODER.encode({"kind": self.kind, **self.to_fields()})``, which a
-    tx line holds and a tx id hashes."""
+    order: a ``bytes`` field as lower-case hex read back by ``bytes.fromhex``,
+    a ``tuple`` field as a JSON list read back by ``tuple``, a ``dict`` field
+    by ``_sorted_keys``, any other as is.  Upper-case hex, or a str for a
+    list, reads back too, but is not the line ``save_jsonl`` writes, so
+    ``load_blocks_jsonl`` rejects it.  ``check`` raises PayloadRejected,
+    naming the field, unless each field holds exactly its declared type and
+    a value JSON states: a tuple field a tuple of str, and the float field,
+    ``Redeem.fiat``, any float or JSON value, which the bank checks is a
+    price.  The door, ``_check_tx``, runs it; behind it ``to_json`` is one
+    f-string, the text of ``_ENCODER.encode({"kind": self.kind,
+    **self.to_fields()})``, which a tx line holds and a tx id hashes."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
@@ -200,10 +185,10 @@ def payload(kind: str):
             elif hint is bool:
                 inline = f"{{'true' if {v} else 'false'}}"
             elif hint is bytes:
-                value, arg, inline = f"{v}.hex()", f"_hex_field(f, {name!r})", f'"{{{v}.hex()}}"'
+                value, arg, inline = f"{v}.hex()", f"bytes.fromhex({arg})", f'"{{{v}.hex()}}"'
             elif hint is tuple:
                 want, test = "tuple of str", f"{test} and all(type(s) is str for s in {v})"
-                value, arg = f"list({v})", f"_str_list_field(f, {name!r})"
+                value, arg = f"list({v})", f"tuple({arg})"
             elif hint is dict:
                 want, test, value = "JSON object", f"{test} and _is_json({v})", f"_sorted_keys({v})"
             elif hint is float:  # any float, which ``_ENCODER`` writes, or JSON value: the bank checks the price
@@ -212,9 +197,8 @@ def payload(kind: str):
             written.append(f"{name!r}: {value}")
             text.append(f",{_esc(name)}:{inline or f'{{json_encode({value})}}'}")
             read.append(arg)
-        env = {"__name__": cls.__module__, "_hex_field": _hex_field, "_str_list_field": _str_list_field,
-               "_sorted_keys": _sorted_keys, "_is_json": _is_json, "_INT_BOUND": _INT_BOUND,
-               "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
+        env = {"__name__": cls.__module__, "_sorted_keys": _sorted_keys, "_is_json": _is_json,
+               "_INT_BOUND": _INT_BOUND, "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
         source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
                   f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
                   f"def check(self):\n{''.join(checks)}"
@@ -280,24 +264,15 @@ class Redeem:
 TxPayload = Issue | AgreementRegistration | AttachCheck | ChannelOpen | ChannelClose | Redeem
 _PAYLOAD_CLASSES = get_args(TxPayload)   # a tuple: ``isinstance`` checks one faster than a union
 
-# Per kind: its payload class and the keys of its records.
-_PAYLOAD_KINDS = {cls.kind: (cls, frozenset(["kind", *(f.name for f in fields(cls))])) for cls in _PAYLOAD_CLASSES}
-
-
-def _require_keys(record: dict, keys: frozenset, what: str) -> None:
-    """Exactly the keys the live ledger writes: no hash covers any other."""
-    if record.keys() != keys:
-        raise ValueError(f"{what} has keys {sorted(record)}, not {sorted(keys)}")
+_PAYLOAD_KINDS = {cls.kind: cls for cls in _PAYLOAD_CLASSES}
 
 
 def payload_from_record(record: dict) -> TxPayload:
-    """The payload of a transaction record: its ``kind`` plus exactly the keys
-    of that kind's ``to_fields()``."""
+    """The payload of a transaction record, read by its ``kind``'s class."""
     kind = record.get("kind")
-    cls, keys = _PAYLOAD_KINDS.get(kind, (None, None))
+    cls = _PAYLOAD_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown payload kind {kind!r}")
-    _require_keys(record, keys, f"{kind} payload")
     return cls.from_fields(record)
 
 
@@ -338,13 +313,9 @@ class Transaction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
-        _require_keys(rec, _TX_KEYS, "tx")
         timestamp, signer, payload = rec["timestamp"], rec["signer"], payload_from_record(rec["payload"])
         _check_tx(timestamp, signer, payload)
-        return cls(_hex_field(rec, "tx_id"), timestamp, signer, payload, _hex_field(rec, "signature"))
-
-
-_TX_KEYS = frozenset(f.name for f in fields(Transaction))
+        return cls(bytes.fromhex(rec["tx_id"]), timestamp, signer, payload, bytes.fromhex(rec["signature"]))
 
 
 def _check_tx(timestamp, signer, payload) -> None:
@@ -445,24 +416,50 @@ class Block:
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
         height = _int_field(rec, "height")
-        _require_keys(rec, _GENESIS_KEYS if height == 0 else _BLOCK_KEYS, "block")
-        keys = rec.get("keys", {})
         return cls(
             height=height,
-            prev_hash=_hex_field(rec, "prev_hash"),
-            tx_root=_hex_field(rec, "tx_root"),
+            prev_hash=bytes.fromhex(rec["prev_hash"]),
+            tx_root=bytes.fromhex(rec["tx_root"]),
             validator=rec["validator"],
             sealed_at=_int_field(rec, "sealed_at"),
-            block_hash=_hex_field(rec, "block_hash"),
+            block_hash=bytes.fromhex(rec["block_hash"]),
             txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
-            roster=_str_list_field(rec, "roster") if height == 0 else (),
-            keys={actor: _hex_field(keys, actor) for actor in keys},
+            roster=tuple(rec["roster"]) if height == 0 else (),
+            keys={actor: bytes.fromhex(key) for actor, key in rec["keys"].items()} if height == 0 else {},
         )
 
 
-# A block record's keys; genesis adds the roster and the key registry.
-_GENESIS_KEYS = frozenset(f.name for f in fields(Block))
-_BLOCK_KEYS = _GENESIS_KEYS - {"roster", "keys"}
+def _block_line(block: Block) -> Iterator[str]:
+    """The one statement of a block's line, without its ``\\n``, in pieces:
+    its ``_block_header`` and hash; its txs by ``Transaction.to_json``, in
+    chunks of ``SAVE_CHUNK_TXS``; and for genesis its ``_genesis_registry``.
+    Its text is ``json.dumps(block.to_record(), separators=(",", ":"))``.
+    ``save_jsonl`` writes it, and ``load_blocks_jsonl`` accepts a line only
+    if it is this text for the block it parsed to."""
+    header = _block_header(block.height, block.prev_hash, block.tx_root, block.validator, block.sealed_at)
+    yield f'{header[:-1]},"block_hash":"{block.block_hash.hex()}","txs":['
+    txs = block.txs
+    for start in range(0, len(txs), SAVE_CHUNK_TXS):
+        chunk = ",".join([tx.to_json() for tx in txs[start:start + SAVE_CHUNK_TXS]])
+        yield f",{chunk}" if start else chunk
+    if block.height:
+        yield "]}"
+        return
+    yield "],"
+    yield from _genesis_registry(block.roster, block.keys)
+    yield "}"
+
+
+def _first_difference(text: str, block: Block) -> Optional[int]:
+    """The first column at which ``text`` differs from ``block``'s line, or
+    None if it is that line.  Each piece is matched in place, so no second
+    copy of the line is built."""
+    end = 0
+    for piece in _block_line(block):
+        if not text.startswith(piece, end):
+            return end + len(os.path.commonprefix([piece, text[end:end + len(piece)]]))
+        end += len(piece)
+    return None if end == len(text) else end
 
 
 @dataclass
@@ -488,12 +485,18 @@ class Ledger:
     """Single-writer chain: append or submit -> seal; verify and query are read-only.
 
     The genesis block is sealed at construction and anchors the roster and
-    the per-actor signing keys.
+    the per-actor signing keys: genesis's door raises PayloadRejected for an
+    actor that is not a str or a key that is not bytes.
     """
 
     def __init__(self, roster: list[str], keys: dict[str, bytes], genesis_time: int = 0):
         if not roster:
             raise ValueError("roster must not be empty")
+        if not all(type(actor) is str for actor in roster):
+            raise _rejected("roster", "list of str", roster)
+        bad = {actor: key for actor, key in keys.items() if type(actor) is not str or type(key) is not bytes}
+        if bad:
+            raise _rejected("keys", "dict of str to bytes", bad)
         self.roster: tuple[str, ...] = tuple(roster)
         self.signer_backend = codec.KeyedMacSigner(keys)
         self.chain: list[Block] = []
@@ -618,29 +621,13 @@ class Ledger:
     # -- persistence
 
     def save_jsonl(self, path) -> None:
-        """One line per block of ``chain``, ``json.dumps(block.to_record(),
-        separators=(",", ":"))``, written in pieces: the block's
-        ``_block_header`` and hash; its txs, each of which passed the door,
-        by ``Transaction.to_json`` in chunks of ``SAVE_CHUNK_TXS``; and for
-        genesis its ``_genesis_registry``.  So at once it holds one header
-        plus one chunk of text."""
+        """One line per block of ``chain``, its ``_block_line``, written a
+        piece at a time: so at once it holds one header plus one chunk of
+        text.  Each tx in ``chain`` passed the door."""
         with open(path, "w", encoding="utf-8") as fh:
-            write = fh.write
             for block in self.chain:
-                header = _block_header(block.height, block.prev_hash, block.tx_root, block.validator,
-                                       block.sealed_at)
-                write(f'{header[:-1]},"block_hash":"{block.block_hash.hex()}","txs":[')
-                txs = block.txs
-                for start in range(0, len(txs), SAVE_CHUNK_TXS):
-                    if start:
-                        write(",")
-                    write(",".join([tx.to_json() for tx in txs[start:start + SAVE_CHUNK_TXS]]))
-                if block.height:
-                    write("]}\n")
-                    continue
-                write("],")
-                fh.writelines(_genesis_registry(block.roster, block.keys))
-                write("}\n")
+                fh.writelines(_block_line(block))
+                fh.write("\n")
 
 
 # The txs, and the genesis key entries, one ``save_jsonl`` chunk writes at once.
@@ -658,6 +645,9 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def load_blocks_jsonl(path) -> list[Block]:
     """Parse a persisted chain; raises LedgerParseError with the bad line.
+    A line is accepted only if it is the ``_block_line`` of the block it
+    parses to, byte for byte: the line ``save_jsonl`` writes for that block,
+    with no other spacing, escape, key order or key, and no ``\\r``.
     ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and no live record
     holds them.  Lines split at ``\\n`` only, and a final ``\\n`` ends the last
     line.  The file is read a line at a time: besides the blocks built so
@@ -667,7 +657,11 @@ def load_blocks_jsonl(path) -> list[Block]:
         for i, line in enumerate(fh):
             try:
                 text = str(memoryview(line)[:-1] if line.endswith(b"\n") else line, "utf-8")
-                blocks.append(Block.from_record(_DECODER.decode(text)))
+                block = Block.from_record(_DECODER.decode(text))
+                column = _first_difference(text, block)
+                if column is not None:
+                    raise ValueError(f"column {column} differs from the line save_jsonl writes for its block")
+                blocks.append(block)
             except Exception as exc:
                 raise LedgerParseError(i, str(exc)) from None
     return blocks

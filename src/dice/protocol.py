@@ -25,7 +25,6 @@ from .channel import ChannelManager
 from .errors import (
     NoAgreement,
     NoTokens,
-    UnknownMno,
     UnverifiableIssuance,
     WrongMode,
     WrongState,
@@ -91,10 +90,9 @@ class DiceEngine:
 
     def register_agreement(self, hmno: str, vmno: str, accepts: Iterable[str], charging: dict, now: int) -> bytes:
         """Sign and submit the agreement that ``vmno`` accepts the tokens of the
-        issuers in ``accepts``, charged by ``charging``; the bank's rules check
-        its parties, its uniqueness and its charging spec."""
-        if not self.signer.knows(hmno):
-            raise UnknownMno(hmno)  # it cannot even sign the agreement
+        issuers in ``accepts``, charged by ``charging``; the ledger's signer
+        rule checks that ``hmno`` has a key, and the bank's rules check its
+        parties, its uniqueness and its charging spec."""
         agreement = AgreementRegistration(hmno, vmno, tuple(sorted(accepts)), dict(charging))
         return self.ledger.append(now, hmno, agreement)
 

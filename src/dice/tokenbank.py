@@ -192,8 +192,6 @@ class TokenBank:
     # -- operations
 
     def issue(self, hmno: str, wallet_id: str, amount: int, now: int) -> bytes:
-        if not self.ledger.signer_backend.knows(hmno):
-            raise NotIssuer(hmno)  # it cannot even sign the Issue
         return self.ledger.append(now, hmno, Issue(hmno, wallet_id, amount))
 
     def create_identities(self, hmno: str, roamer: str, n: int, amounts: list[int], now: int) -> list[str]:

@@ -6,6 +6,7 @@ import enum
 import hashlib
 import json
 import math
+import re
 import struct
 from typing import get_origin, get_type_hints
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from dice import codec
 from dice.channel import PaymentChannel
-from dice.errors import PayloadRejected
+from dice.errors import LedgerParseError, PayloadRejected
 from dice.ledger import (
     AgreementRegistration,
     AttachCheck,
@@ -26,6 +27,7 @@ from dice.ledger import (
     Redeem,
     Transaction,
     block_digest,
+    load_blocks_jsonl,
     tx_digest,
 )
 
@@ -215,6 +217,26 @@ def _txs(*cases):
     return [Transaction(b"\x01", timestamp, signer, payload, b"\x02") for timestamp, signer, payload in cases]
 
 
+# Per kind the loader reads, its payload class.
+KINDS = {cls.kind: cls for cls in JSON_FIELDS}
+# A high surrogate then a low one: two characters that JSON writes as the
+# escapes of one astral character, and so reads back as that one.
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def unloadable(tx) -> bool:
+    """Whether the loader rejects the line of ``tx``: it holds a non-finite
+    float, which is not JSON, or a kind of a payload subclass, which the
+    loader does not read."""
+    return isinstance(tx.payload, Redeem) and math.isinf(tx.payload.fiat) or tx.payload.kind not in KINDS
+
+
+def as_loaded(block):
+    """``block`` as the loader reads it: each payload of its kind's class."""
+    return dataclasses.replace(block, txs=tuple(dataclasses.replace(tx, payload=KINDS[tx.payload.kind](
+        *(getattr(tx.payload, f.name) for f in dataclasses.fields(tx.payload)))) for tx in block.txs))
+
+
 @settings(deadline=None)
 @given(st.lists(actor_names, min_size=1, max_size=3), st.dictionaries(actor_names, st.binary(max_size=40), max_size=4),
        st.lists(st.lists(json_txs, min_size=1, max_size=4), max_size=3))
@@ -222,9 +244,16 @@ def _txs(*cases):
 @example(["H"], {"H": b"k"}, [_txs((-7, "H", Issue("H", "w", -(10 ** 300)))),
                                _txs((7, "\ud800", Redeem("V", "H", (), -math.inf)),
                                     (7, "H", AgreementRegistration("H", "V", (), {"a": [None, -0.0, 1e308]})))])
+@example(["\ud800"], {"\udfff": b"k"}, [
+    _txs((7, "\ud800", AgreementRegistration("H", "V", ("\udc00",), {"\ud800": [-0.0, 1e308, 10 ** 300]})),
+         (-(10 ** 300), "H", Redeem("V", "H", (), -0.0))),
+    _txs((7, "\ud83d\ude00", Issue("H", "w", 1))),
+    _txs((7, "H", RenamedClose("c", 1, 2, 3)))])
 def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, roster, keys, blocks):
     """Each tx goes straight to ``pending``, past the ledger's rules but
-    holding only values the door lets through."""
+    holding only values the door lets through.  No saved line is falsely
+    rejected: the chain loads back to ``ledger.chain``, up to the first line
+    ``unloadable`` names, which is a parse error at that line."""
     ledger = Ledger(roster, keys)
     for height, txs in enumerate(blocks, start=1):
         ledger.pending.extend(txs)
@@ -233,6 +262,15 @@ def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, ros
     ledger.save_jsonl(path)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines == [json.dumps(b.to_record(), separators=(",", ":")) for b in ledger.chain] + [""]
+    stop = next((i for i, b in enumerate(ledger.chain) if any(map(unloadable, b.txs))), len(ledger.chain))
+    if stop < len(ledger.chain):
+        with pytest.raises(LedgerParseError) as err:
+            load_blocks_jsonl(path)
+        assert err.value.line == stop
+        path.write_text("".join(line + "\n" for line in lines[:stop]), encoding="utf-8")
+    for block, loaded in zip(ledger.chain[:stop], load_blocks_jsonl(path), strict=True):
+        if not SURROGATE_PAIR.search(json.dumps(block.to_record(), ensure_ascii=False)):
+            assert loaded == as_loaded(block)
 
 
 @given(json_ints, st.binary(max_size=300), st.binary(max_size=300), json_texts, json_ints)

@@ -131,6 +131,42 @@ def test_genesis_convention(ledger):
     assert genesis.roster == tuple(ROSTER)
 
 
+@pytest.mark.parametrize("roster, keys, name", [
+    ([7], {7: b"k"}, "roster"),
+    (["A", None], KEYS, "roster"),
+    (ROSTER, {**KEYS, 7: b"k"}, "keys"),
+    (ROSTER, {**KEYS, "A": KEYS["A"].hex()}, "keys"),
+], ids=["int actor", "None actor", "int registry actor", "hex key"])
+def test_genesis_door_rejects_what_genesis_could_not_write(roster, keys, name):
+    """Genesis's door: a roster actor that is not a str, or a registry
+    entry that is not a str actor with a bytes key, would write a genesis
+    line the loader rejects."""
+    with pytest.raises(PayloadRejected, match=f"^{name} must be of type"):
+        Ledger(roster, keys)
+
+
+def test_an_empty_roster_is_a_value_error():
+    with pytest.raises(ValueError, match="^roster must not be empty$") as err:
+        Ledger([], KEYS)
+    assert type(err.value) is ValueError
+
+
+def test_a_genesis_line_of_an_int_actor_is_invalid_at_height_zero(tmp_path):
+    """A genesis line holding ``"roster":[7]``, its tx root and block hash
+    taken over its text, loads, and its replay's genesis door rejects it."""
+    registry = '"roster":[7],"keys":{"A":"6b"}'
+    tx_root = codec.digest(f"{{{registry}}}".encode())
+    header = {"height": 0, "prev_hash": "00" * 32, "tx_root": tx_root.hex(), "validator": 7, "sealed_at": 0}
+    block_hash = block_digest(0, bytes(32), tx_root, 7, 0)
+    path = tmp_path / "chain.jsonl"
+    path.write_text(f'{json.dumps(header, separators=(",", ":"))[:-1]},"block_hash":"{block_hash.hex()}",'
+                    f'"txs":[],{registry}}}\n')
+    assert load_blocks_jsonl(path)[0].roster == (7,)
+    report = verify_ledger(path)
+    assert (report.valid, report.first_invalid_height) == (False, 0)
+    assert report.reason == "block rejected: PayloadRejected: roster must be of type list of str, not [7]"
+
+
 def test_round_robin_validator_and_submission_order(ledger):
     for n in range(3):
         ledger.submit(issue_tx(ledger, n))
@@ -409,13 +445,16 @@ def test_empty_line_is_a_parse_error_at_its_index(tmp_path, ledger, at):
     assert (report.valid, report.first_invalid_height) == (False, at)
 
 
-def test_crlf_lines_load(tmp_path, ledger):
-    # The \r left on each line is JSON whitespace.
+def test_crlf_lines_are_a_parse_error_at_the_first_line(tmp_path, ledger):
+    # The \r left on each line is JSON whitespace, but save_jsonl writes none.
     path = tmp_path / "chain.jsonl"
     lines = _saved_lines(ledger, path)
     path.write_bytes(b"".join(line + b"\r\n" for line in lines))
-    assert [b.block_hash for b in load_blocks_jsonl(path)] == [b.block_hash for b in ledger.chain]
-    assert verify_ledger(path).valid
+    with pytest.raises(LedgerParseError) as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == 0
+    report = verify_ledger(path)
+    assert (report.valid, report.first_invalid_height) == (False, 0)
 
 
 def test_empty_file_has_no_blocks(tmp_path):
@@ -517,36 +556,68 @@ BAD_TX_RECORDS = {
 
 
 def _save_edited(ledger, path, line, edit):
-    """Save a 4-block chain with ``edit`` applied to the record of one line."""
+    """Save a 5-block chain, its last block one ChannelOpen, with ``edit``
+    applied to the text of one line."""
     _build_chain(ledger, blocks=4)
+    ledger.append(50, "A", ChannelOpen("ch-1", "w0", "B", 5, codec.digest(b"p"), 999))
+    ledger.seal_block(200)
     ledger.save_jsonl(path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[line])
-    edit(rec)
-    lines[line] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_text().split("\n")
+    lines[line] = edit(lines[line])
+    path.write_text("\n".join(lines))
     return path
+
+
+def on_record(edit):
+    """A line edit: ``edit`` applied to the line's record, written back as
+    ``save_jsonl`` writes a record, so only ``edit`` can make it differ."""
+    def edit_line(text):
+        rec = json.loads(text)
+        edit(rec)
+        return json.dumps(rec, separators=(",", ":"))
+    return edit_line
+
+
+@pytest.mark.parametrize("line", range(6))
+def test_a_line_rewritten_as_save_writes_it_loads(tmp_path, ledger, line):
+    """The control of the edits below: rewriting a line's record unedited
+    changes no byte, so the chain loads to the saved blocks and verifies."""
+    path = _save_edited(ledger, tmp_path / "chain.jsonl", line, on_record(lambda rec: None))
+    assert load_blocks_jsonl(path) == ledger.chain
+    assert verify_ledger(path).valid
 
 
 @pytest.mark.parametrize("edit", BAD_TX_RECORDS.values(), ids=BAD_TX_RECORDS)
 def test_bad_tx_record_is_a_parse_error_at_its_line(tmp_path, ledger, edit):
-    path = _save_edited(ledger, tmp_path / "chain.jsonl", 2, lambda rec: edit(rec["txs"][0]))
+    path = _save_edited(ledger, tmp_path / "chain.jsonl", 2, on_record(lambda rec: edit(rec["txs"][0])))
     with pytest.raises(LedgerParseError) as err:
         load_blocks_jsonl(path)
     assert err.value.line == 2
 
 
-# (line, edit) of a stored block record the live ledger could not have
-# written: a key no hash covers (the empty roster and keys equal a later
-# block's own, so unchecked they verified), or upper-case hex.
+def _upper_hashlock(rec):
+    payload = rec["txs"][0]["payload"]
+    payload["hashlock"] = payload["hashlock"].upper()
+
+
+# (line, edit) of a stored line the live ledger could not have written: a key
+# no hash covers (the empty roster and keys equal a later block's own), or
+# upper-case hex, which ``bytes.fromhex`` reads; a str roster, which ``tuple``
+# reads as the tuple of its characters; or text that parses to the same
+# record but is not the line save_jsonl writes for it.
 BAD_BLOCK_RECORDS = {
-    "extra block key": (2, lambda rec: rec.update(bonus=1)),
-    "roster on a later block": (2, lambda rec: rec.update(roster=[])),
-    "keys on a later block": (2, lambda rec: rec.update(keys={})),
-    "extra genesis key": (0, lambda rec: rec.update(bonus=1)),
-    "upper-case block_hash": (2, lambda rec: rec.update(block_hash=rec["block_hash"].upper())),
-    # tuple("ABC") == ("A", "B", "C"): read as a tuple, the str verified.
-    "string roster": (0, lambda rec: rec.update(roster="".join(rec["roster"]))),
+    "extra block key": (2, on_record(lambda rec: rec.update(bonus=1))),
+    "roster on a later block": (2, on_record(lambda rec: rec.update(roster=[]))),
+    "keys on a later block": (2, on_record(lambda rec: rec.update(keys={}))),
+    "extra genesis key": (0, on_record(lambda rec: rec.update(bonus=1))),
+    "upper-case block_hash": (2, on_record(lambda rec: rec.update(block_hash=rec["block_hash"].upper()))),
+    "upper-case hashlock": (5, on_record(_upper_hashlock)),
+    "string roster": (0, on_record(lambda rec: rec.update(roster="".join(rec["roster"])))),
+    "space after a comma": (1, lambda text: text.replace(",", ", ", 1)),
+    "escaped validator": (1, lambda text: text.replace('"validator":"B"', '"validator":"\\u0042"')),
+    # json.loads keeps the last of two equal keys.
+    "duplicate height key first": (1, lambda text: '{"height":999,' + text[1:]),
+    "trailing CR": (1, lambda text: text + "\r"),
 }
 
 

@@ -13,6 +13,7 @@ from dice.errors import (
     NoAgreement,
     NoTokens,
     UnknownMno,
+    UnknownSigner,
     UnverifiableIssuance,
     WrongMode,
     WrongState,
@@ -87,6 +88,14 @@ def test_agreement_with_unknown_mno():
     eng = engine()
     with pytest.raises(UnknownMno):
         eng.register_agreement("H", "Z", ["H"], CHARGING, 0)
+
+
+def test_agreement_signed_by_an_actor_with_no_key():
+    # The ledger's signer rule, as for every other tx.
+    eng = engine()
+    with pytest.raises(UnknownSigner, match="Z"):
+        eng.register_agreement("Z", "V", ["Z"], CHARGING, 0)
+    assert eng.ledger.pending == []
 
 
 # --- attach check -----------------------------------------------------------------

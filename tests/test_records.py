@@ -173,13 +173,6 @@ def test_payload_wire_form_round_trips_in_field_order(cls):
     assert json.loads(json.dumps(wire)) == wire
 
 
-def test_channel_open_rejects_an_upper_case_hashlock():
-    wire = ChannelOpen(*SAMPLES[ChannelOpen]).to_fields()
-    assert wire["hashlock"] == H32.hex() != H32.hex().upper()
-    with pytest.raises(ValueError, match="lower-case hex"):
-        ChannelOpen.from_fields({**wire, "hashlock": wire["hashlock"].upper()})
-
-
 def test_generated_methods_of_two_classes_profile_apart():
     """cProfile keys its stats by (file, line, name), so each class compiles
     its generated methods under a file name of its own."""

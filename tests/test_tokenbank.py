@@ -9,9 +9,9 @@ from dice.errors import (
     ForeignWallet,
     InsufficientBalance,
     NonPositiveAmount,
-    NotIssuer,
     PayloadRejected,
     UnknownLot,
+    UnknownSigner,
     UnknownWallet,
 )
 from dice.ledger import ChannelClose, ChannelOpen, Issue, Ledger, QueryFilter, make_transaction
@@ -46,8 +46,9 @@ def test_issue_creates_lot_and_supply(bank):
 
 
 def test_issue_by_non_issuer(bank):
+    # The ledger's signer rule: an actor with no key cannot sign the Issue.
     w = bank.create_wallet("bob", "UNKNOWN-MNO")
-    with pytest.raises(NotIssuer):
+    with pytest.raises(UnknownSigner):
         bank.issue("UNKNOWN-MNO", w, 10, now=1)
 
 
