@@ -30,7 +30,7 @@ from . import codec, settlement
 from .channel import DEFAULT_INACTIVITY_WINDOW, DEFAULT_TIMELOCK_WINDOW
 from .errors import Expired, InvalidConfig, IoFailure, LedgerParseError
 from .ledger import ChannelClose, Redeem, ValidityReport, load_blocks_jsonl
-from .protocol import ACTIVE, CHANNEL_OPEN, HR, LBO, SETTLED, DiceEngine, RoamerSession, events_to_jsonl
+from .protocol import HR, LBO, OPEN_STATES, SETTLED, DiceEngine, RoamerSession, events_to_jsonl
 from .settlement import make_claim, write_settlement_csv
 from .tokenbank import TOKEN_BLOCK_BYTES, TokenBank, model_from_dict, tokens_for_bytes, verify_blocks
 from .workload import (AMOUNT, COUNT, POSITIVE, TALLY, SessionEventTrace, WorkloadConfig, _check_schema,
@@ -250,7 +250,7 @@ def run_scenario(
             what = "departure" if action == _DEPART else "traffic"
             raise InvalidConfig(f"trace lists {what} of roamer {subject} on day {now // DAY}, "
                                 "before its arrival")
-        elif session.state not in (CHANNEL_OPEN, ACTIVE):
+        elif session.state not in OPEN_STATES:
             continue  # a sweep or an earlier departure settled it
         elif action == _DEPART:
             engine.detach(session, now)
@@ -261,7 +261,7 @@ def run_scenario(
                 pass  # channel contract lapsed; the sweep will close it
 
     for session in engine.sessions.values():
-        if session.state in (CHANNEL_OPEN, ACTIVE):
+        if session.state in OPEN_STATES:
             engine.detach(session, horizon)
     for hmno in hmnos:
         claim = make_claim(engine.bank, config.vmno, hmno)

@@ -5,16 +5,16 @@ every hash is recomputable, so two identical submission sequences produce
 byte-identical chains.  Confidentiality is modeled through read scopes
 ``query`` derives from the sealed transactions, as a replay would.
 
-``tx_digest`` is the one door for a tx's types: before it writes any text,
-``_check_tx`` raises PayloadRejected, naming the field, unless the
-timestamp is exactly an int, the signer a str and the payload an instance
-of a payload class whose generated ``check`` passes.  The live engine's
-``append`` goes through it in ``make_transaction``, which digests and signs
-a tx once; ``submit`` runs every chain rule and the token rules of the bank
-attached with ``attach_bank``, and re-digests and MAC-verifies every tx
-``append`` did not just build, replayed ones included.  ``seal_block``
-states the block rules.  ``Transaction.from_record`` runs ``_check_tx``
-too, so a mistyped line is a parse error at its line.
+A tx and a block header each have one door for their types, which raises
+PayloadRejected naming the field before any of their text is written, and
+which the loader runs too, so a mistyped line is a parse error at its line.
+``tx_digest`` runs ``_check_tx``, which the payload's generated ``check``
+(its fields and declared kind) ends; ``block_digest`` runs ``_check_header``
+for genesis (sealed at 0 by every ledger) and each block ``seal_block``
+seals.  The live ``append`` digests and signs a tx once in
+``make_transaction``; ``submit`` runs every chain rule and the token rules
+of the bank attached with ``attach_bank``, and re-digests and MAC-verifies
+every tx ``append`` did not just build, replayed ones included.
 
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
@@ -159,17 +159,20 @@ def payload(kind: str):
     by ``_sorted_keys``, any other as is.  Upper-case hex, or a str for a
     list, reads back too, but is not the line ``save_jsonl`` writes, so
     ``load_blocks_jsonl`` rejects it.  ``check`` raises PayloadRejected,
-    naming the field, unless each field holds exactly its declared type and
-    a value JSON states: a tuple field a tuple of str, and the float field,
-    ``Redeem.fiat``, any float or JSON value, which the bank checks is a
-    price.  The door, ``_check_tx``, runs it; behind it ``to_json`` is one
-    f-string, the text of ``_ENCODER.encode({"kind": self.kind,
+    naming the field, unless the payload's kind is the declared ``kind``
+    (a subclass may rename it, and the loader reads a class by its kind)
+    and each field holds exactly its declared type and a value JSON states:
+    a tuple field a tuple of str, and the float field, ``Redeem.fiat``, any
+    float or JSON value, which the bank checks is a price.  The door,
+    ``_check_tx``, runs it; behind it ``to_json`` is one f-string, with
+    ``kind`` written into it, the text of ``_ENCODER.encode({"kind": kind,
     **self.to_fields()})``, which a tx line holds and a tx id hashes."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, checks, read, text = [], [], [], ['{{"kind":{esc(self.kind)}']
+        written, read, text = [], [], [f'{{{{"kind":{_esc(kind)}']
+        checks = [f"    if self.kind != {kind!r}:\n        raise rejected('kind', {kind!r}, self.kind)\n"]
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
             # Per declared type: the field's ``to_fields`` value, ``from_fields``
@@ -279,15 +282,6 @@ def payload_from_record(record: dict) -> TxPayload:
 # --- transactions and blocks ------------------------------------------------
 
 
-def _int_field(rec: dict, key: str) -> int:
-    """``rec[key]``, which must be an int, bool excluded: the live ledger
-    writes nothing else there, so a string or float is not coerced."""
-    value = rec[key]
-    if type(value) is not int:
-        raise _rejected(key, "int", value)
-    return value
-
-
 @record
 class Transaction:
     tx_id: bytes
@@ -359,7 +353,16 @@ def make_transaction(timestamp: int, signer: str, payload: TxPayload,
     return Transaction(tx_id, timestamp, signer, payload, backend.sign(signer, tx_id))
 
 
-def _block_header(height, prev_hash: bytes, tx_root: bytes, validator, sealed_at) -> str:
+def _check_header(height, validator, sealed_at) -> None:
+    """Raise PayloadRejected, naming the field, unless a block's height and
+    sealed_at are exactly ints no longer than ``str`` writes and its validator
+    a str: the types ``_block_header`` writes and ``Block.from_record`` reads."""
+    for name, value, want in (("height", height, int), ("validator", validator, str), ("sealed_at", sealed_at, int)):
+        if type(value) is not want or want is int and not -_INT_BOUND < value < _INT_BOUND:
+            raise _rejected(name, want.__name__, value)
+
+
+def _block_header(height: int, prev_hash: bytes, tx_root: bytes, validator: str, sealed_at: int) -> str:
     """``{"height":…,"prev_hash":"…","tx_root":"…","validator":…,"sealed_at":…}``:
     what a block's hash covers and its line starts with."""
     return _ENCODER.encode({"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
@@ -367,7 +370,9 @@ def _block_header(height, prev_hash: bytes, tx_root: bytes, validator, sealed_at
 
 
 def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, sealed_at: int) -> bytes:
-    """A block's hash: ``codec.digest`` of its ``_block_header``."""
+    """A block's hash: ``codec.digest`` of its ``_block_header``.  The one
+    door for a header's types: it runs ``_check_header`` before any text."""
+    _check_header(height, validator, sealed_at)
     return codec.digest(_block_header(height, prev_hash, tx_root, validator, sealed_at).encode())
 
 
@@ -415,13 +420,14 @@ class Block:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
-        height = _int_field(rec, "height")
+        height, validator, sealed_at = rec["height"], rec["validator"], rec["sealed_at"]
+        _check_header(height, validator, sealed_at)
         return cls(
             height=height,
             prev_hash=bytes.fromhex(rec["prev_hash"]),
             tx_root=bytes.fromhex(rec["tx_root"]),
-            validator=rec["validator"],
-            sealed_at=_int_field(rec, "sealed_at"),
+            validator=validator,
+            sealed_at=sealed_at,
             block_hash=bytes.fromhex(rec["block_hash"]),
             txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
             roster=tuple(rec["roster"]) if height == 0 else (),
@@ -482,14 +488,12 @@ class QueryFilter:
 
 
 class Ledger:
-    """Single-writer chain: append or submit -> seal; verify and query are read-only.
+    """Single-writer chain: append or submit -> seal; verify and query are read-only."""
 
-    The genesis block is sealed at construction and anchors the roster and
-    the per-actor signing keys: genesis's door raises PayloadRejected for an
-    actor that is not a str or a key that is not bytes.
-    """
-
-    def __init__(self, roster: list[str], keys: dict[str, bytes], genesis_time: int = 0):
+    def __init__(self, roster: list[str], keys: dict[str, bytes]):
+        """Seal genesis, at time 0 as every ledger does, anchoring the roster
+        and per-actor signing keys; its door raises PayloadRejected for an
+        actor that is not a str or a key that is not bytes."""
         if not roster:
             raise ValueError("roster must not be empty")
         if not all(type(actor) is str for actor in roster):
@@ -504,23 +508,17 @@ class Ledger:
         self.tx_index: dict[bytes, Transaction] = {}   # every submitted tx, pending ones too
         self._appended: Optional[Transaction] = None   # the tx ``append`` just built
         self._bank: Optional[weakref.ref] = None
-        self._seal_genesis(genesis_time)
+        keys, validator = self.signer_backend.keys, self.roster[0]
+        tx_root = codec.digest(f'{{{"".join(_genesis_registry(self.roster, keys))}}}'.encode())
+        block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, 0)
+        self.chain.append(Block(0, ZERO_DIGEST, tx_root, validator, 0, block_hash, roster=self.roster, keys=keys))
 
     @classmethod
     def from_genesis(cls, genesis: Block) -> "Ledger":
-        """A fresh ledger anchored to a persisted genesis block's roster, keys and time."""
-        return cls(list(genesis.roster), genesis.keys, genesis.sealed_at)
-
-    # -- construction helpers
-
-    def _seal_genesis(self, now: int) -> None:
-        keys = self.signer_backend.keys
-        tx_root = codec.digest(f'{{{"".join(_genesis_registry(self.roster, keys))}}}'.encode())
-        validator = self.roster[0]
-        block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, now)
-        self.chain.append(
-            Block(0, ZERO_DIGEST, tx_root, validator, now, block_hash, roster=self.roster, keys=keys)
-        )
+        """A fresh ledger anchored to a persisted genesis block's roster and
+        keys.  Its genesis is sealed at 0, as every ledger's is, so a stored
+        genesis of any other time does not equal it."""
+        return cls(list(genesis.roster), genesis.keys)
 
     # -- write path
 

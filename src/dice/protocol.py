@@ -41,6 +41,7 @@ PROVISIONED = "provisioned"
 CHANNEL_OPEN = "channel_open"
 ACTIVE = "active"
 SETTLED = "settled"
+OPEN_STATES = (CHANNEL_OPEN, ACTIVE)   # a session whose channel is open
 
 
 @dataclass(slots=True)
@@ -160,7 +161,7 @@ class DiceEngine:
 
         Returns the number of proofs accepted for this batch.
         """
-        if session.state not in (CHANNEL_OPEN, ACTIVE):
+        if session.state not in OPEN_STATES:
             raise WrongState(session.state)
         proofs = self.channels.pay_for_traffic(session.channel, nbytes, now)
         receive, vmno = self.channels.receive_proof, session.vmno
@@ -177,7 +178,7 @@ class DiceEngine:
 
     def detach(self, session: RoamerSession, now: int) -> RoamerSession:
         """Steps 8-10: close the channel and settle the session."""
-        if session.state not in (CHANNEL_OPEN, ACTIVE):
+        if session.state not in OPEN_STATES:
             raise WrongState(session.state)
         self.channels.close_channel(session.channel, now, closer=session.roamer)
         self._settle(session, now)
@@ -190,7 +191,7 @@ class DiceEngine:
         closed = self.channels.timeout_sweep(now)
         for channel_id in closed:
             session = self._session_by_channel.get(channel_id)
-            if session is not None:  # it was open, so its session is CHANNEL_OPEN or ACTIVE
+            if session is not None:  # it was open, so its session is in OPEN_STATES
                 self._settle(session, now, by="timeout")
         return closed
 

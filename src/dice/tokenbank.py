@@ -437,11 +437,12 @@ class TokenBank:
 
 
 def verify_blocks(chain: list[Block]) -> tuple[ValidityReport, Optional[TokenBank]]:
-    """Replay a chain through ``TokenBank(Ledger.from_genesis(chain[0]))``:
-    submit each later block's txs, reseal it at its stored time and require
-    it to equal the stored block.  Returns the verdict, with the first failing
-    height, and the bank (None if no ledger could be anchored).  An empty
-    chain is invalid at height 0: the live ledger always seals genesis."""
+    """Replay a chain through ``TokenBank(Ledger.from_genesis(chain[0]))``,
+    whose genesis is sealed at 0: submit each later block's txs, reseal it at
+    its stored time, and require each block to equal the stored one.  Returns
+    the verdict, with the first failing height, and the bank (None if no
+    ledger could be anchored).  An empty chain, or a genesis stored at a
+    time but 0, is invalid at height 0: the live ledger always seals one, at 0."""
     # harness passes the whole loaded list, not a stream: perfbench's tracer counts its txs.
     if not chain:
         return ValidityReport(False, 0, "no genesis block"), None

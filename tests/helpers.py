@@ -1,9 +1,12 @@
 """Test-side helpers built on the live entry points."""
 
+import ast
 import hashlib
+import inspect
 import json
+import textwrap
 
-from dice.ledger import Transaction
+from dice.ledger import ChannelClose, Transaction
 from dice.protocol import DiceEngine, RoamerSession
 from dice.tokenbank import TokenBank
 
@@ -57,3 +60,32 @@ def forged_tx(signer_backend, timestamp, signer: str, payload) -> Transaction:
     del body["tx_id"], body["signature"]
     tx_id = hashlib.sha256(json.dumps(body, separators=(",", ":")).encode()).digest()
     return Transaction(tx_id, timestamp, signer, payload, signer_backend.sign(signer, tx_id))
+
+
+class RenamedClose(ChannelClose):
+    """A close whose class renames its kind: the loader reads no such kind,
+    so the door rejects it, naming ``kind``."""
+    kind = "channel_close_v2"
+
+
+def all_raises(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+def mutants(function, raises_of=all_raises):
+    """``function`` with one of the ``raise``s that ``raises_of`` picks from
+    its parsed source replaced by ``pass``, once per raise, as (the raise's
+    source, the mutant)."""
+    module = inspect.getmodule(function)
+    source = textwrap.dedent(inspect.getsource(function))
+    for i in range(len(raises_of(ast.parse(source)))):
+        tree = ast.parse(source)
+        target = raises_of(tree)[i]
+
+        class Unraise(ast.NodeTransformer):
+            def visit_Raise(self, node):
+                return ast.copy_location(ast.Pass(), node) if node is target else node
+
+        namespace = dict(vars(module))
+        exec(compile(Unraise().visit(tree), inspect.getsourcefile(function), "exec"), namespace)
+        yield ast.unparse(target), namespace[function.__name__]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dice import codec
-from dice.channel import BalanceProof, ChannelManager, PaymentChannel
+from dice.channel import DEFAULT_TIMELOCK_WINDOW, BalanceProof, ChannelManager, PaymentChannel
 from dice.errors import (
     AlreadyClosed,
     BadPreimage,
@@ -26,6 +26,8 @@ from dice.errors import (
 )
 from dice.ledger import ChannelOpen, Ledger
 from dice.tokenbank import TokenBank
+
+from helpers import mutants
 
 ACTORS = ["H", "V", "alice", "mallory"]
 KEYS = {a: codec.derive_key(3, a) for a in ACTORS}
@@ -384,6 +386,86 @@ def test_receive_proof_contract():
         for p in proofs:
             mgr.receive_proof("V", p)
     assert chan.latest.seq == chan.last_seq == 5
+
+
+def proof_case_channels():
+    """A manager and its channels by role: two proofs accepted on ``paid``,
+    none on ``unpaid``, one on ``closed`` before its close; deposits 10, 10
+    and 5."""
+    _, _, mgr, wallet = fresh(25)
+    channels = {role: mgr.open_channel(wallet, "V", deposit, now=0)
+                for role, deposit in (("paid", 10), ("unpaid", 10), ("closed", 5))}
+    for p in emitted(mgr, channels["paid"], 2) + emitted(mgr, channels["closed"], 1):
+        mgr.receive_proof("V", p)
+    mgr.close_channel(channels["closed"], now=20)
+    return mgr, channels
+
+
+def receive(role, seq, cumulative, vmno="V", edit=lambda proof: proof, **signed):
+    """A step: ``vmno`` receives the proof of (seq, cumulative) on the
+    channel of ``role`` (or of that id), signed by its roamer, then ``edit``ed."""
+    return lambda mgr, channels: mgr.receive_proof(vmno, edit(signed_proof(
+        mgr, channels.get(role, role), seq, cumulative, **signed)))
+
+
+def pay(role, nbytes, now=30):
+    """A step: the roamer of the channel of ``role`` pays for ``nbytes`` at ``now``."""
+    return lambda mgr, channels: mgr.pay_for_traffic(channels[role], nbytes, now)
+
+
+# The off-chain cases of the criterion-7 proof stream, and the roamer side's
+# input and channel checks, as id -> (verdict, step(mgr, channels)).  A
+# step's verdict is the class name of the error it raises, or "accepted".
+PROOF_CASES = {
+    "next proof": ("accepted", receive("paid", 3, 3)),
+    "stale": ("StaleProof", receive("paid", 2, 3)),
+    "gap": ("GapSeq", receive("paid", 5, 5)),
+    "overdraft": ("Overdraft", receive("paid", 3, 11)),
+    "non-increasing": ("StaleProof", receive("paid", 3, 2)),
+    "bad MAC": ("BadSignature", receive("paid", 3, 3, signer="mallory")),
+    "bad preimage": ("BadPreimage", receive("unpaid", 1, 1, preimage=b"\x00" * 32)),
+    "wrong VMNO": ("ChannelNotOpen", receive("paid", 3, 3, vmno="H")),
+    "closed": ("ChannelNotOpen", receive("closed", 2, 2)),
+    "unknown": ("UnknownChannel", receive("ch-none", 1, 1)),
+    # Its MAC is of seq 3, which ``b"%d" % 3.0`` writes too.
+    "non-int seq": ("BadSignature", receive("paid", 3, 3, edit=lambda p: dataclasses.replace(p, seq=3.0))),
+    "paid traffic": ("accepted", pay("unpaid", KB100)),
+    "bad byte count": ("NonPositiveAmount", pay("paid", -1)),
+    "traffic on a closed channel": ("ChannelNotOpen", pay("closed", KB100)),
+    # Each channel opened at 0, so its timelock expires at the window's end.
+    "traffic past the timelock": ("Expired", pay("paid", KB100, now=DEFAULT_TIMELOCK_WINDOW)),
+}
+
+
+def proof_verdicts() -> dict:
+    verdicts = {}
+    for name, (_verdict, step) in PROOF_CASES.items():
+        mgr, channels = proof_case_channels()
+        try:
+            step(mgr, channels)
+        except Exception as exc:
+            verdicts[name] = type(exc).__name__
+        else:
+            verdicts[name] = "accepted"
+    return verdicts
+
+
+def test_every_off_chain_rule_rejects_some_proof_case(monkeypatch):
+    """Each ``raise`` of ``receive_proof`` and ``pay_for_traffic`` is
+    load-bearing: with it replaced by ``pass``, some ``PROOF_CASES`` row gets
+    another verdict or error class."""
+    expected = {name: verdict for name, (verdict, _step) in PROOF_CASES.items()}
+    assert proof_verdicts() == expected
+    survivors, rules = [], 0
+    for name in ("receive_proof", "pay_for_traffic"):
+        for rule, mutant in mutants(getattr(ChannelManager, name)):
+            rules += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(ChannelManager, name, mutant)
+                if proof_verdicts() == expected:
+                    survivors.append(f"{name}: {rule}")
+    assert rules >= 12  # the off-chain raises when this test was written
+    assert survivors == []
 
 
 long_ints = st.integers(min_value=10 ** 255, max_value=10 ** 300)

@@ -18,6 +18,7 @@ from dice import codec
 from dice.channel import PaymentChannel
 from dice.errors import LedgerParseError, PayloadRejected
 from dice.ledger import (
+    _INT_BOUND,
     AgreementRegistration,
     AttachCheck,
     ChannelClose,
@@ -30,6 +31,8 @@ from dice.ledger import (
     load_blocks_jsonl,
     tx_digest,
 )
+
+from helpers import RenamedClose
 
 
 def dumps(value) -> str:
@@ -96,18 +99,15 @@ JSON_FIELDS = {
 }
 
 
-class RenamedClose(ChannelClose):
-    kind = "channel_close_v2"
+# The payload classes and subclasses that keep their kind, which the door
+# lets through; ``RenamedClose`` renames its own, so the door rejects it.
+PAYLOAD_CLASSES = [*JSON_FIELDS, *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in JSON_FIELDS)]
 
 
-PAYLOAD_CLASSES = [*JSON_FIELDS, RenamedClose,
-                   *(type(f"Sub{cls.__name__}", (cls,), {}) for cls in JSON_FIELDS)]
-
-
-def payloads(field_values=lambda declared: declared):
-    """Payloads of every class, each field drawn from ``field_values`` of
-    its declared values."""
-    return st.sampled_from(PAYLOAD_CLASSES).flatmap(lambda cls: st.builds(cls, *map(
+def payloads(field_values=lambda declared: declared, classes=PAYLOAD_CLASSES):
+    """Payloads of each of ``classes``, each field drawn from
+    ``field_values`` of its declared values."""
+    return st.sampled_from(classes).flatmap(lambda cls: st.builds(cls, *map(
         field_values, next(fields for base, fields in JSON_FIELDS.items() if issubclass(cls, base)))))
 
 
@@ -131,8 +131,9 @@ def half(declared, other):
     return st.booleans().flatmap(lambda typed: declared if typed else other)
 
 
-# Each field holds a value of its declared type half the time, and any value otherwise.
-mixed_payloads = payloads(lambda declared: half(declared, scalars | odd_values))
+# Each field holds a value of its declared type half the time, and any value
+# otherwise; the class may rename its kind.
+mixed_payloads = payloads(lambda declared: half(declared, scalars | odd_values), [*PAYLOAD_CLASSES, RenamedClose])
 # Roster and key-registry actor names, which genesis writes and hashes escaped.
 actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a'), max_size=8)
 
@@ -174,8 +175,11 @@ def of_type(declared, value) -> bool:
 
 
 def well_typed(timestamp, signer, payload) -> bool:
+    """Whether each value may be what it is, and the payload's kind is the
+    one its payload class was declared with."""
     hints = get_type_hints(type(payload))
-    return of_type(int, timestamp) and of_type(str, signer) and all(
+    declared = next(cls for cls in JSON_FIELDS if isinstance(payload, cls))
+    return payload.kind == declared.kind and of_type(int, timestamp) and of_type(str, signer) and all(
         of_type(get_origin(hints[f.name]) or hints[f.name], getattr(payload, f.name))
         for f in dataclasses.fields(payload))
 
@@ -200,9 +204,11 @@ def test_tx_digest_is_the_digest_of_the_canonical_value(timestamp, signer, paylo
 @example(7, Name("H"), Issue("H", Name("w"), Colour.BLUE))
 @example(10 ** 5000, "H", Issue("H", "w", 5))
 @example(7, "H", Redeem("V", "H", ("l",), 10 ** 5000))
+@example(7, "H", RenamedClose("c", 1, 2, 3))
 def test_tx_digest_rejects_exactly_what_is_mistyped(timestamp, signer, payload):
     """``tx_digest`` raises PayloadRejected exactly when some value is not
-    of its declared type or no JSON text states it, and otherwise is the
+    of its declared type or no JSON text states it, or the payload's class
+    renames its kind, and otherwise is the
     SHA-256 of ``{"timestamp":…,"signer":…,"payload":…}``."""
     if not well_typed(timestamp, signer, payload):
         with pytest.raises(PayloadRejected, match="must be of type"):
@@ -226,9 +232,8 @@ SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 def unloadable(tx) -> bool:
     """Whether the loader rejects the line of ``tx``: it holds a non-finite
-    float, which is not JSON, or a kind of a payload subclass, which the
-    loader does not read."""
-    return isinstance(tx.payload, Redeem) and math.isinf(tx.payload.fiat) or tx.payload.kind not in KINDS
+    float, which is not JSON."""
+    return isinstance(tx.payload, Redeem) and math.isinf(tx.payload.fiat)
 
 
 def as_loaded(block):
@@ -247,8 +252,7 @@ def as_loaded(block):
 @example(["\ud800"], {"\udfff": b"k"}, [
     _txs((7, "\ud800", AgreementRegistration("H", "V", ("\udc00",), {"\ud800": [-0.0, 1e308, 10 ** 300]})),
          (-(10 ** 300), "H", Redeem("V", "H", (), -0.0))),
-    _txs((7, "\ud83d\ude00", Issue("H", "w", 1))),
-    _txs((7, "H", RenamedClose("c", 1, 2, 3)))])
+    _txs((7, "\ud83d\ude00", Issue("H", "w", 1)))])
 def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, roster, keys, blocks):
     """Each tx goes straight to ``pending``, past the ledger's rules but
     holding only values the door lets through.  No saved line is falsely
@@ -273,12 +277,50 @@ def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, ros
             assert loaded == as_loaded(block)
 
 
-@given(json_ints, st.binary(max_size=300), st.binary(max_size=300), json_texts, json_ints)
+def header_text(height, prev_hash, tx_root, validator, sealed_at) -> str:
+    return dumps({"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
+                  "validator": validator, "sealed_at": sealed_at})
+
+
+@given(ints, st.binary(max_size=300), st.binary(max_size=300), texts, ints)
 def test_block_digest_is_the_digest_of_the_header_list(height, prev_hash, tx_root, validator, sealed_at):
-    """A block hash is the SHA-256 of its header, the fields its line starts with."""
-    header = {"height": height, "prev_hash": prev_hash.hex(), "tx_root": tx_root.hex(),
-              "validator": validator, "sealed_at": sealed_at}
-    assert block_digest(height, prev_hash, tx_root, validator, sealed_at) == sha256(dumps(header))
+    """A block hash is the SHA-256 of its header, the fields its line starts
+    with, for each header value exactly of its type."""
+    header = header_text(height, prev_hash, tx_root, validator, sealed_at)
+    assert block_digest(height, prev_hash, tx_root, validator, sealed_at) == sha256(header)
+
+
+# Header values of another type than a header holds: a bool, a float, an int
+# or str subclass, an int longer than ``str`` writes; a str for an int, and
+# an int for the validator.
+odd_header_values = (st.booleans() | st.floats() | st.sampled_from(Colour) | st.text(max_size=8).map(Name)
+                     | st.sampled_from([_INT_BOUND, -_INT_BOUND, 10 ** 5000]))
+
+
+@given(half(ints, odd_header_values | texts), half(texts, odd_header_values | ints),
+       half(ints, odd_header_values | texts))
+@example(1, "V", 2.5)
+@example(1, "V", True)
+@example(1, "V", "5")
+@example(True, "V", 5)
+@example(1, Name("V"), 5)
+@example(1, 7, 5)
+@example(1, "V", Colour.BLUE)
+@example(_INT_BOUND - 1, "V", -_INT_BOUND + 1)
+@example(_INT_BOUND, "V", 5)
+def test_block_digest_rejects_exactly_a_mistyped_header_value(height, validator, sealed_at):
+    """``block_digest`` raises PayloadRejected, naming the field, exactly
+    when the height or sealed_at is not exactly an int no longer than
+    ``str`` writes, or the validator not exactly a str."""
+    typed = {"height": of_type(int, height), "validator": of_type(str, validator),
+             "sealed_at": of_type(int, sealed_at)}
+    if not all(typed.values()):
+        first = next(name for name, ok in typed.items() if not ok)
+        with pytest.raises(PayloadRejected, match=f"^{first} must be of type"):
+            block_digest(height, bytes(32), bytes(32), validator, sealed_at)
+        return
+    header = header_text(height, bytes(32), bytes(32), validator, sealed_at)
+    assert block_digest(height, bytes(32), bytes(32), validator, sealed_at) == sha256(header)
 
 
 def agreement_id(charging) -> bytes:

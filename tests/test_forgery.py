@@ -9,10 +9,8 @@ its uniqueness.
 
 import ast
 import dataclasses
-import inspect
 import json
 import math
-import textwrap
 from collections import Counter
 
 import pytest
@@ -25,7 +23,7 @@ from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, Chann
 from dice.protocol import LBO, DiceEngine
 from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id
 
-from helpers import bank_snapshot, forged_tx, run_session
+from helpers import RenamedClose, bank_snapshot, forged_tx, mutants, run_session
 
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
@@ -335,29 +333,6 @@ def live_verdict(forge) -> str:
     return "accepted"
 
 
-def all_raises(tree):
-    return [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
-
-
-def mutants(function, raises_of=all_raises):
-    """``function`` with one of the ``raise``s that ``raises_of`` picks from
-    its parsed source replaced by ``pass``, once per raise, as (the raise's
-    source, the mutant)."""
-    module = inspect.getmodule(function)
-    source = textwrap.dedent(inspect.getsource(function))
-    for i in range(len(raises_of(ast.parse(source)))):
-        tree = ast.parse(source)
-        target = raises_of(tree)[i]
-
-        class Unraise(ast.NodeTransformer):
-            def visit_Raise(self, node):
-                return ast.copy_location(ast.Pass(), node) if node is target else node
-
-        namespace = dict(vars(module))
-        exec(compile(Unraise().visit(tree), inspect.getsourcefile(function), "exec"), namespace)
-        yield ast.unparse(target), namespace[function.__name__]
-
-
 def rule_mutants(payload_cls):
     """``TokenBank.apply`` with one ``raise`` of its ``payload_cls`` branch
     replaced by ``pass``, once per raise, as (the raise's source, the mutant)."""
@@ -572,11 +547,29 @@ def count_writers(monkeypatch) -> Counter:
     return counts
 
 
-def test_no_text_is_written_before_the_type_check(monkeypatch):
-    """Each mistyped or unwritable tx is rejected by ``append`` and by
-    ``submit`` before any of its text is written."""
+def renamed_close(eng, sessions):
+    """bob's close, of a payload class that renames its kind."""
+    return forged_tx(eng.signer, 70, "bob", RenamedClose(sessions["bob"].channel, 0, 25, 0))
+
+
+def test_a_renamed_kind_is_rejected_live_naming_kind():
     eng, sessions = honest_engine()
-    submitted, appended = [], []
+    tx = renamed_close(eng, sessions)
+    state = ledger_state(eng)
+    with pytest.raises(PayloadRejected, match="^kind must be of type channel_close, not 'channel_close_v2'$"):
+        eng.ledger.append(tx.timestamp, tx.signer, tx.payload)
+    with pytest.raises(PayloadRejected, match="^kind must be"):
+        eng.ledger.submit(tx)
+    assert ledger_state(eng) == state
+
+
+def test_no_text_is_written_before_the_type_check(monkeypatch):
+    """Each mistyped or unwritable tx, or one whose payload renames its kind,
+    is rejected by ``append`` and by ``submit`` before any of its text is
+    written."""
+    eng, sessions = honest_engine()
+    renamed = renamed_close(eng, sessions)
+    submitted, appended = [renamed], [(renamed.timestamp, renamed.signer, renamed.payload)]
     for forge in MISTYPED.values():
         signer, payload = forge(sessions)
         submitted.append(forged_tx(eng.signer, 70, signer, payload))
@@ -662,35 +655,46 @@ def outcome(step) -> str:
     return "accepted"
 
 
-def ledger_verdict(forge) -> tuple:
+def ledger_verdict(forge, now=80) -> tuple:
     """What the live ledger does with the forgery: the outcome of submitting
     it, then of appending its timestamp, signer and payload, then of
-    sealing the block it would join."""
+    sealing the block it would join at ``now``."""
     eng, sessions = honest_engine()
     tx = forge(eng, sessions)
     return (outcome(lambda: eng.ledger.submit(tx)),
             outcome(lambda: eng.ledger.append(tx.timestamp, tx.signer, tx.payload)),
-            outcome(lambda: eng.ledger.seal_block(80)))
+            outcome(lambda: eng.ledger.seal_block(now)))
 
 
-# The ledger's rules: the door's type checks, the signer check of the tx
-# ``append`` builds, and the chain rules of submit and seal.
-LEDGER_RULES = [(ledger, "_check_tx"), (ledger, "make_transaction"), (Ledger, "append"), (Ledger, "submit"),
-                (Ledger, "seal_block")]
+# Every row above, sealed at 80, as (id, forge, seal time); then an honest
+# tx sealed at a time no header holds, and a payload that renames its kind.
+LEDGER_ROWS = [(name, forge, 80) for name, forge in ROWS] + [
+    (f"sealed at {now!r}", issue_to_bob, now) for now in (2.5, True, "5")] + [
+    ("renamed kind", renamed_close, 80)]
+# The ledger's rules: the doors' type checks of a tx and of a block header,
+# the signer check of the tx ``append`` builds, and the chain rules of
+# submit and seal.
+LEDGER_RULES = [(ledger, "_check_tx"), (ledger, "_check_header"), (ledger, "make_transaction"),
+                (Ledger, "append"), (Ledger, "submit"), (Ledger, "seal_block")]
 
 
 def test_every_ledger_rule_rejects_some_row(monkeypatch):
     """Each ``raise`` of the ledger's rules is load-bearing: with it replaced
-    by ``pass``, some ``FORGERIES``, ``MISTYPED`` or ``MISTYPED_TX`` row gets
-    another live verdict or error class."""
-    expected = [ledger_verdict(forge) for _name, forge in ROWS]
+    by ``pass``, some ``LEDGER_ROWS`` row gets another live verdict or
+    error class."""
+    def verdicts():
+        return [ledger_verdict(forge, now) for _name, forge, now in LEDGER_ROWS]
+
+    expected = verdicts()
+    assert expected[-4:] == [("accepted", "DuplicateTx", "PayloadRejected")] * 3 + [
+        ("PayloadRejected", "PayloadRejected", "EmptyPending")]
     survivors, rules = [], 0
     for owner, name in LEDGER_RULES:
         for rule, mutant in mutants(getattr(owner, name)):
             rules += 1
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, mutant)
-                if [ledger_verdict(forge) for _name, forge in ROWS] == expected:
+                if verdicts() == expected:
                     survivors.append(f"{name}: {rule}")
-    assert rules >= 10  # the ledger's raises when this test was written
+    assert rules >= 11  # the ledger's raises when this test was written
     assert survivors == []

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from dice import codec
+from dice import ledger as ledger_module
 from dice.errors import (
     BadSignature,
     DuplicateTx,
@@ -151,20 +152,76 @@ def test_an_empty_roster_is_a_value_error():
     assert type(err.value) is ValueError
 
 
-def test_a_genesis_line_of_an_int_actor_is_invalid_at_height_zero(tmp_path):
-    """A genesis line holding ``"roster":[7]``, its tx root and block hash
-    taken over its text, loads, and its replay's genesis door rejects it."""
+def genesis_line_of_an_int_actor(path, validator):
+    """Write a genesis line holding ``"roster":[7]`` and ``validator``, its
+    tx root and block hash taken over its text."""
     registry = '"roster":[7],"keys":{"A":"6b"}'
     tx_root = codec.digest(f"{{{registry}}}".encode())
-    header = {"height": 0, "prev_hash": "00" * 32, "tx_root": tx_root.hex(), "validator": 7, "sealed_at": 0}
-    block_hash = block_digest(0, bytes(32), tx_root, 7, 0)
+    header = json.dumps({"height": 0, "prev_hash": "00" * 32, "tx_root": tx_root.hex(), "validator": validator,
+                         "sealed_at": 0}, separators=(",", ":"))
+    block_hash = codec.digest(header.encode())
+    path.write_text(f'{header[:-1]},"block_hash":"{block_hash.hex()}","txs":[],{registry}}}\n')
+
+
+def test_a_genesis_line_of_an_int_actor_is_invalid_at_height_zero(tmp_path):
+    """It loads, and its replay's genesis door rejects it."""
     path = tmp_path / "chain.jsonl"
-    path.write_text(f'{json.dumps(header, separators=(",", ":"))[:-1]},"block_hash":"{block_hash.hex()}",'
-                    f'"txs":[],{registry}}}\n')
+    genesis_line_of_an_int_actor(path, "A")
     assert load_blocks_jsonl(path)[0].roster == (7,)
     report = verify_ledger(path)
     assert (report.valid, report.first_invalid_height) == (False, 0)
     assert report.reason == "block rejected: PayloadRejected: roster must be of type list of str, not [7]"
+
+
+def test_a_genesis_line_of_an_int_validator_is_a_parse_error_at_line_zero(tmp_path):
+    """The header door, which genesis's writer runs, rejects it on load."""
+    path = tmp_path / "chain.jsonl"
+    genesis_line_of_an_int_actor(path, 7)
+    with pytest.raises(LedgerParseError, match="validator must be of type str, not 7") as err:
+        load_blocks_jsonl(path)
+    assert err.value.line == 0
+    report = verify_ledger(path)
+    assert (report.valid, report.first_invalid_height) == (False, 0)
+    assert report.reason.startswith("parse error")
+
+
+def test_genesis_takes_no_time():
+    with pytest.raises(TypeError, match="genesis_time"):
+        Ledger(ROSTER, KEYS, genesis_time=5)
+    assert Ledger(ROSTER, KEYS).chain[0].sealed_at == 0
+
+
+def test_a_genesis_sealed_at_another_time_is_invalid_at_height_zero(ledger, tmp_path):
+    """Every ledger seals genesis at 0, and so does the replay: a stored
+    genesis at time 5, with its block hash and the next block's link and
+    hash remade, is a chain no live engine wrote."""
+    _build_chain(ledger, blocks=2)
+    chain = list(ledger.chain)
+    for height, block in enumerate(chain):
+        sealed_at = 5 if height == 0 else block.sealed_at
+        prev_hash = chain[height - 1].block_hash if height else block.prev_hash
+        chain[height] = dataclasses.replace(block, sealed_at=sealed_at, prev_hash=prev_hash, block_hash=block_digest(
+            height, prev_hash, block.tx_root, block.validator, sealed_at))
+    assert chain[0].block_hash != ledger.chain[0].block_hash
+    assert _first_bad_height_oracle(chain) is None   # every hash and link checks out
+    path = _save_blocks(chain, tmp_path / "chain.jsonl")
+    for report in (verify_blocks(chain)[0], verify_ledger(path)):
+        assert (report.valid, report.first_invalid_height, report.reason) == (False, 0, "sealed_at mismatch")
+
+
+@pytest.mark.parametrize("now", [2.5, True, "5", 10 ** 5000], ids=["2.5", "True", "'5'", "10**5000"])
+def test_seal_block_rejects_a_time_no_header_holds(ledger, monkeypatch, now):
+    """Before any header text is written or hashed, naming ``sealed_at``,
+    and leaving ``pending`` and ``chain`` as they were."""
+    ledger.submit(issue_tx(ledger, 1))
+    pending, chain = list(ledger.pending), list(ledger.chain)
+    calls = []
+    for owner, name in ((codec, "digest"), (ledger_module, "_block_header")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
+    with pytest.raises(PayloadRejected, match="^sealed_at must be of type int, not "):
+        ledger.seal_block(now)
+    assert calls == []
+    assert (ledger.pending, ledger.chain) == (pending, chain)
 
 
 def test_round_robin_validator_and_submission_order(ledger):

@@ -2,8 +2,8 @@
 channel entry points from the test: tx digests, payload type checks, MAC
 signs, MAC verifies and proof-message builds per on-chain tx and per
 off-chain proof, live and on replay; keyed MAC states per actor; header
-digests per sealed block, Merkle hashes per block and JSON bytes written
-per tx.
+type checks per block, live and on replay; header digests per sealed
+block, Merkle hashes per block and JSON bytes written per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
@@ -33,6 +33,9 @@ REPLAY_COUNTS = {"tx_digest": 1, "check": 2, "sign": 0, "verify": 1, "proof_mess
 # ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
 DIGESTS_PER_BLOCK = 1
 JSON_BYTES_PER_TX = 313.6
+# The header door's calls per block, genesis included: live, its seal; on
+# replay, its load and its reseal.
+HEADER_CHECKS_PER_BLOCK = {"live": 1, "replay": 2}
 
 
 def count_calls(monkeypatch) -> Counter:
@@ -125,3 +128,20 @@ def test_encoder_calls_per_block_merkle_hashes_per_block_and_bytes_per_tx(tmp_pa
     assert 0 < counts["sha256"] <= sum(len(block.txs) - 1 for block in sealed), counts
     _, _, rest = (tmp_path / "ledger.jsonl").read_bytes().partition(b"\n")
     assert 0 < len(rest) <= JSON_BYTES_PER_TX * report.onchain_tx_total, (len(rest), report.onchain_tx_total)
+
+
+def test_header_checks_per_block_live_and_on_replay(tmp_path, monkeypatch):
+    counts, check = Counter(), ledger._check_header
+
+    def counted(*args):
+        counts["check_header"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(ledger, "_check_header", counted)
+    run_scenario(ScenarioConfig(seed=42, days=5), tmp_path)
+    live = counts.pop("check_header")
+    assert verify_ledger(tmp_path / "ledger.jsonl").valid
+    replay = counts.pop("check_header")
+    blocks = len(load_blocks_jsonl(tmp_path / "ledger.jsonl"))
+    assert blocks > 1
+    assert {"live": live, "replay": replay} == {k: n * blocks for k, n in HEADER_CHECKS_PER_BLOCK.items()}
