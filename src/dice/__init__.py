@@ -9,7 +9,7 @@ from .harness import (
     run_scenario,
     verify_ledger,
 )
-from .ledger import Block, Ledger, QueryFilter, Transaction, ValidityReport
+from .ledger import Block, Ledger, Transaction, ValidityReport
 from .protocol import DiceEngine, RoamerSession
 from .settlement import RedemptionClaim, make_claim, redeem, validate_provenance
 from .tokenbank import ChargingModel, Fixed, Parity, PerUnit, TokenBank, TokenLot, Wallet, price
@@ -27,7 +27,7 @@ __all__ = [
     "BalanceProof", "ChannelManager", "PaymentChannel",
     "MetricsReport", "RequirementsVerdict",
     "ScenarioConfig", "check_requirements", "run_scenario", "verify_ledger",
-    "Block", "Ledger", "QueryFilter", "Transaction", "ValidityReport",
+    "Block", "Ledger", "Transaction", "ValidityReport",
     "DiceEngine", "RoamerSession",
     "ChargingModel", "Fixed", "Parity", "PerUnit", "RedemptionClaim",
     "make_claim", "price", "redeem", "validate_provenance",

@@ -8,9 +8,9 @@ roamer after expiry.
 
 Both sides of a channel live on one ``PaymentChannel`` record: the
 ``ChannelOpen`` payload it submitted and, once closed, its ``ChannelClose``
-payload; the roamer's preimage and paid-block counter ``last_seq`` (proof
-``seq`` and ``cumulative`` both count paid blocks); the VMNO's latest
-accepted proof; and the traffic metered.  ``ChannelManager(ledger, bank)``
+payload; the roamer's preimage; the VMNO's latest accepted proof; and the
+traffic metered, whose whole blocks, ``last_seq``, the roamer has paid (proof
+``seq`` and ``cumulative`` both count paid blocks).  ``ChannelManager(ledger, bank)``
 signs and verifies with the ledger's key registry; channel ids count the
 channels, and ``proofs_accepted`` sums each one's latest accepted seq.
 
@@ -75,7 +75,6 @@ class PaymentChannel:
     roamer: str                   # signs the balance proofs
     last_activity: int
     preimage: bytes = b""         # roamer side: the hashlock's secret
-    last_seq: int = 0             # roamer side: blocks paid, one proof each
     latest: Optional[BalanceProof] = None   # VMNO side: the latest accepted proof
     bytes_total: int = 0          # serviced bytes (capped by the deposit)
     unserviced_bytes: int = 0
@@ -90,6 +89,11 @@ class PaymentChannel:
     def proof_message(self, seq: int, cumulative: int) -> bytes:
         """The bytes a proof's MAC covers: ``["proof","ch-…",seq,cumulative]``."""
         return b"%b%d,%d]" % (self.proof_head, seq, cumulative)
+
+    @property
+    def last_seq(self) -> int:
+        """Roamer side: the blocks paid, one proof each."""
+        return self.bytes_total // TOKEN_BLOCK_BYTES
 
     @property
     def status(self) -> str:
@@ -164,15 +168,16 @@ class ChannelManager:
             raise ChannelNotOpen(channel_id)
         if now >= ch.opened.timelock_expiry:
             raise Expired(channel_id)
+        paid = ch.last_seq
         take = min(new_bytes, ch.opened.deposit * TOKEN_BLOCK_BYTES - ch.bytes_total)
         ch.bytes_total += take
         ch.unserviced_bytes += new_bytes - take
         proofs = []
         append, sign, roamer, message = proofs.append, self.signer.sign, ch.roamer, ch.proof_message
-        preimage = ch.preimage if ch.last_seq == 0 else None   # only seq 1 reveals it
-        for seq in range(ch.last_seq + 1, ch.bytes_total // TOKEN_BLOCK_BYTES + 1):
+        preimage = ch.preimage if paid == 0 else None   # only seq 1 reveals it
+        for seq in range(paid + 1, ch.last_seq + 1):
             append(BalanceProof(channel_id, seq, seq, preimage, sign(roamer, message(seq, seq))))
-            ch.last_seq, preimage = seq, None
+            preimage = None
         ch.last_activity = now
         return proofs
 

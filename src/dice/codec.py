@@ -1,24 +1,10 @@
 """Hashing and the default signature scheme.
 
-There is no binary encoding: every hash and MAC covers JSON text, and a
-ledger record's is the text its saved line holds, written by the writer of
-that line (``ledger``), so what is hashed and what is saved are stated once:
-
-- a tx id is ``digest`` of ``{"timestamp":…,"signer":…,"payload":…}``,
-  the tx line's text between its ``tx_id`` and its ``signature``;
-- a block hash is ``digest`` of its header, ``{"height":…,"prev_hash":"…",
-  "tx_root":"…","validator":…,"sealed_at":…}``, the text its line starts
-  with;
-- a sealed block's ``tx_root`` is ``merkle_root`` of its tx ids, and
-  genesis's is ``digest`` of ``{"roster":[…],"keys":{…}}``, the fields its
-  line ends with;
-- a balance proof is MACed over ``["proof","ch-…",seq,cumulative]``
-  (``channel``).
-
-Each hashed text starts with its own key, so no two kinds hash the same
-text.  JSON tells ``1``, ``1.0``, ``"1"`` and ``true`` apart, and the one
-dict field, an agreement's charging spec, is written with the keys of each
-of its dicts sorted, so equal payloads get equal ids.
+There is no binary encoding: every hash and MAC covers JSON text, written
+by the module that writes it.  ``ledger`` states the texts a tx id, a block
+hash and genesis's ``tx_root`` cover, each the text its saved line holds; a
+sealed block's ``tx_root`` is ``merkle_root`` of its tx ids; ``channel``
+states the text a balance proof's MAC covers.
 
 Signatures (``KeyedMacSigner``) are keyed BLAKE2s-256 MACs: one state per
 actor keyed with its secret, a key over 32 bytes first hashed to 32 bytes

@@ -5,13 +5,14 @@ every hash is recomputable, so two identical submission sequences produce
 byte-identical chains.  Confidentiality is modeled through read scopes
 ``query`` derives from the sealed transactions, as a replay would.
 
-A tx and a block header each have one door for their types, which raises
-PayloadRejected naming the field before any of their text is written, and
-which the loader runs too, so a mistyped line is a parse error at its line.
-``tx_digest`` runs ``_check_tx``, which the payload's generated ``check``
-(its fields and declared kind) ends; ``block_digest`` runs ``_check_header``
-for genesis (sealed at 0 by every ledger) and each block ``seal_block``
-seals.  The live ``append`` digests and signs a tx once in
+A tx, a block header and genesis's roster and keys each have one door for
+their types, which raises PayloadRejected naming the field before any of
+their text is written, and which the loader runs too, so a mistyped line is
+a parse error at its line.  ``tx_digest`` runs ``_check_tx``, which the
+payload's generated ``check`` (its fields and declared kind) ends;
+``block_digest`` runs ``_check_header`` for genesis (sealed at 0 by every
+ledger) and each block ``seal_block`` seals; ``Ledger`` runs
+``_check_genesis``.  The live ``append`` digests and signs a tx once in
 ``make_transaction``; ``submit`` runs every chain rule and the token rules
 of the bank attached with ``attach_bank``, and re-digests and MAC-verifies
 every tx ``append`` did not just build, replayed ones included.
@@ -19,9 +20,12 @@ every tx ``append`` did not just build, replayed ones included.
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
 block hash its ``_block_header``, genesis's tx_root its ``_genesis_registry``.
-``_block_line`` states a block's whole line once: ``save_jsonl`` writes it,
-and ``load_blocks_jsonl`` accepts a line only if it is the ``_block_line``
-of the block it parsed to.  ``tokenbank.verify_blocks`` replays a persisted
+Each of these texts starts with its own key, so no two kinds hash the same
+text; JSON tells ``1``, ``1.0``, ``"1"`` and ``true`` apart, and a dict field
+is written with the keys of each of its dicts sorted, so equal payloads get
+equal ids.  ``_block_line`` states a block's whole line once: ``save_jsonl``
+writes it, and ``load_blocks_jsonl`` accepts a line only if it is the
+``_block_line`` of the block it parsed to.  ``tokenbank.verify_blocks`` replays a persisted
 chain through a fresh ledger and bank, so a chain verifies only if the live
 engine could have written it.
 """
@@ -151,33 +155,30 @@ def _sorted_keys(value):
 
 def payload(kind: str):
     """``record``, plus the payload's wire form and field types stated by its
-    fields alone: ``to_fields``, ``to_json``, ``from_fields`` and ``check``,
-    generated once per class like the ``__init__`` of ``record``.
-    ``to_fields`` and ``from_fields`` write and read the fields in declared
-    order: a ``bytes`` field as lower-case hex read back by ``bytes.fromhex``,
-    a ``tuple`` field as a JSON list read back by ``tuple``, a ``dict`` field
-    by ``_sorted_keys``, any other as is.  Upper-case hex, or a str for a
-    list, reads back too, but is not the line ``save_jsonl`` writes, so
-    ``load_blocks_jsonl`` rejects it.  ``check`` raises PayloadRejected,
-    naming the field, unless the payload's kind is the declared ``kind``
-    (a subclass may rename it, and the loader reads a class by its kind)
-    and each field holds exactly its declared type and a value JSON states:
-    a tuple field a tuple of str, and the float field, ``Redeem.fiat``, any
-    float or JSON value, which the bank checks is a price.  The door,
-    ``_check_tx``, runs it; behind it ``to_json`` is one f-string, with
-    ``kind`` written into it, the text of ``_ENCODER.encode({"kind": kind,
-    **self.to_fields()})``, which a tx line holds and a tx id hashes."""
+    fields alone: ``to_json``, ``from_fields`` and ``check``, generated once
+    per class like the ``__init__`` of ``record``.  ``to_json``, one f-string
+    that a tx line holds and a tx id hashes, writes the kind, then the fields
+    in declared order: a ``bytes`` field as lower-case hex read back by
+    ``bytes.fromhex``, a ``tuple`` field as a list read back by ``tuple``, a
+    ``dict`` field by ``_sorted_keys``, any other as is.  Upper-case hex, or
+    a str for a list, reads back too, but is not the line ``save_jsonl``
+    writes, so ``load_blocks_jsonl`` rejects it.  ``check``, which the door
+    ``_check_tx`` runs, raises PayloadRejected, naming the field, unless the
+    payload's kind is the declared ``kind`` (the loader reads a class by its
+    kind) and each field holds exactly its declared type and a value JSON
+    states: a tuple field a tuple of str, and the float field, ``Redeem.fiat``,
+    any float or JSON value, which the bank checks is a price."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        written, read, text = [], [], [f'{{{{"kind":{_esc(kind)}']
+        read, text = [], [f'{{{{"kind":{_esc(kind)}']
         checks = [f"    if self.kind != {kind!r}:\n        raise rejected('kind', {kind!r}, self.kind)\n"]
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
-            # Per declared type: the field's ``to_fields`` value, ``from_fields``
-            # read, ``check`` test and the type its error names, and ``to_json``
-            # text, inline where it needs no ``_ENCODER``.
+            # Per declared type: the field's written value, ``from_fields`` read,
+            # ``check`` test and the type its error names, and ``to_json`` text,
+            # inline where it needs no ``_ENCODER``.
             v = f"self.{name}"
             value, arg, want, inline = v, f"f[{name!r}]", hint.__name__, None
             test = f"type({v}) is {want}"
@@ -197,19 +198,17 @@ def payload(kind: str):
             elif hint is float:  # any float, which ``_ENCODER`` writes, or JSON value: the bank checks the price
                 want, test = "float or JSON value", f"{test} or _is_json({v})"
             checks.append(f"    if not ({test}):\n        raise rejected({name!r}, {want!r}, {v})\n")
-            written.append(f"{name!r}: {value}")
             text.append(f",{_esc(name)}:{inline or f'{{json_encode({value})}}'}")
             read.append(arg)
         env = {"__name__": cls.__module__, "_sorted_keys": _sorted_keys, "_is_json": _is_json,
                "_INT_BOUND": _INT_BOUND, "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
-        source = (f"def to_fields(self):\n    return {{{', '.join(written)}}}\n"
-                  f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
+        source = (f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
                   f"def check(self):\n{''.join(checks)}"
                   f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n")
         exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
-        for name in ("to_fields", "to_json", "check", "from_fields"):
+        for name in ("to_json", "check", "from_fields"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_fields, cls.to_json, cls.check = env["to_fields"], env["to_json"], env["check"]
+        cls.to_json, cls.check = env["to_json"], env["check"]
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -290,18 +289,9 @@ class Transaction:
     payload: TxPayload
     signature: bytes
 
-    def to_record(self) -> dict:
-        return {
-            "tx_id": self.tx_id.hex(),
-            "timestamp": self.timestamp,
-            "signer": self.signer,
-            "payload": {"kind": self.payload.kind, **self.payload.to_fields()},
-            "signature": self.signature.hex(),
-        }
-
     def to_json(self) -> str:
-        """The text of ``_ENCODER.encode(self.to_record())``: the tx's line,
-        its ``_tx_text`` between its id and its signature."""
+        """The tx's text in its block's line, its ``_tx_text`` between its id
+        and signature; the tests' oracle ``record_of`` states it from its fields."""
         return (f'{{"tx_id":"{self.tx_id.hex()}",{_tx_text(self.timestamp, self.signer, self.payload)},'
                 f'"signature":"{self.signature.hex()}"}}')
 
@@ -376,6 +366,19 @@ def block_digest(height: int, prev_hash: bytes, tx_root: bytes, validator: str, 
     return codec.digest(_block_header(height, prev_hash, tx_root, validator, sealed_at).encode())
 
 
+def _check_genesis(roster, keys: dict) -> None:
+    """Genesis's door, which ``Ledger`` and ``Block.from_record`` run: raise
+    ValueError for an empty roster, and PayloadRejected naming ``roster`` or
+    ``keys`` for an actor that is not a str or a key that is not bytes."""
+    if not roster:
+        raise ValueError("roster must not be empty")
+    if not all(type(actor) is str for actor in roster):
+        raise _rejected("roster", "list of str", roster)
+    bad = {actor: key for actor, key in keys.items() if type(actor) is not str or type(key) is not bytes}
+    if bad:
+        raise _rejected("keys", "dict of str to bytes", bad)
+
+
 def _genesis_registry(roster, keys: dict) -> Iterator[str]:
     """``"roster":[…],"keys":{…}``, in pieces: what genesis's line ends
     with, and its tx_root hashes in braces.  The key registry is written in
@@ -403,45 +406,26 @@ class Block:
     roster: tuple[str, ...] = ()
     keys: dict = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        rec = {
-            "height": self.height,
-            "prev_hash": self.prev_hash.hex(),
-            "tx_root": self.tx_root.hex(),
-            "validator": self.validator,
-            "sealed_at": self.sealed_at,
-            "block_hash": self.block_hash.hex(),
-            "txs": [tx.to_record() for tx in self.txs],
-        }
-        if self.height == 0:
-            rec["roster"] = list(self.roster)
-            rec["keys"] = {a: k.hex() for a, k in sorted(self.keys.items())}
-        return rec
-
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
         height, validator, sealed_at = rec["height"], rec["validator"], rec["sealed_at"]
         _check_header(height, validator, sealed_at)
-        return cls(
-            height=height,
-            prev_hash=bytes.fromhex(rec["prev_hash"]),
-            tx_root=bytes.fromhex(rec["tx_root"]),
-            validator=validator,
-            sealed_at=sealed_at,
-            block_hash=bytes.fromhex(rec["block_hash"]),
-            txs=tuple(Transaction.from_record(t) for t in rec["txs"]),
-            roster=tuple(rec["roster"]) if height == 0 else (),
-            keys={actor: bytes.fromhex(key) for actor, key in rec["keys"].items()} if height == 0 else {},
-        )
+        roster, keys = (), {}
+        if height == 0:
+            roster, keys = rec["roster"], {actor: bytes.fromhex(key) for actor, key in rec["keys"].items()}
+            _check_genesis(roster, keys)
+        return cls(height, bytes.fromhex(rec["prev_hash"]), bytes.fromhex(rec["tx_root"]), validator, sealed_at,
+                   bytes.fromhex(rec["block_hash"]), tuple(Transaction.from_record(t) for t in rec["txs"]),
+                   tuple(roster), keys)
 
 
 def _block_line(block: Block) -> Iterator[str]:
     """The one statement of a block's line, without its ``\\n``, in pieces:
     its ``_block_header`` and hash; its txs by ``Transaction.to_json``, in
     chunks of ``SAVE_CHUNK_TXS``; and for genesis its ``_genesis_registry``.
-    Its text is ``json.dumps(block.to_record(), separators=(",", ":"))``.
-    ``save_jsonl`` writes it, and ``load_blocks_jsonl`` accepts a line only
-    if it is this text for the block it parsed to."""
+    The tests' oracle, ``record_of``, states the same text from the block's
+    fields.  ``save_jsonl`` writes it, and ``load_blocks_jsonl`` accepts a
+    line only if it is this text for the block it parsed to."""
     header = _block_header(block.height, block.prev_hash, block.tx_root, block.validator, block.sealed_at)
     yield f'{header[:-1]},"block_hash":"{block.block_hash.hex()}","txs":['
     txs = block.txs
@@ -479,28 +463,13 @@ class ValidityReport:
         return 0 if self.valid else 1
 
 
-@dataclass
-class QueryFilter:
-    kind: Optional[str] = None
-    signer: Optional[str] = None
-    wallet: Optional[str] = None
-    channel: Optional[str] = None
-
-
 class Ledger:
     """Single-writer chain: append or submit -> seal; verify and query are read-only."""
 
     def __init__(self, roster: list[str], keys: dict[str, bytes]):
         """Seal genesis, at time 0 as every ledger does, anchoring the roster
-        and per-actor signing keys; its door raises PayloadRejected for an
-        actor that is not a str or a key that is not bytes."""
-        if not roster:
-            raise ValueError("roster must not be empty")
-        if not all(type(actor) is str for actor in roster):
-            raise _rejected("roster", "list of str", roster)
-        bad = {actor: key for actor, key in keys.items() if type(actor) is not str or type(key) is not bytes}
-        if bad:
-            raise _rejected("keys", "dict of str to bytes", bad)
+        and per-actor signing keys that pass ``_check_genesis``."""
+        _check_genesis(roster, keys)
         self.roster: tuple[str, ...] = tuple(roster)
         self.signer_backend = codec.KeyedMacSigner(keys)
         self.chain: list[Block] = []
@@ -512,13 +481,6 @@ class Ledger:
         tx_root = codec.digest(f'{{{"".join(_genesis_registry(self.roster, keys))}}}'.encode())
         block_hash = block_digest(0, ZERO_DIGEST, tx_root, validator, 0)
         self.chain.append(Block(0, ZERO_DIGEST, tx_root, validator, 0, block_hash, roster=self.roster, keys=keys))
-
-    @classmethod
-    def from_genesis(cls, genesis: Block) -> "Ledger":
-        """A fresh ledger anchored to a persisted genesis block's roster and
-        keys.  Its genesis is sealed at 0, as every ledger's is, so a stored
-        genesis of any other time does not equal it."""
-        return cls(list(genesis.roster), genesis.keys)
 
     # -- write path
 
@@ -580,11 +542,11 @@ class Ledger:
         for block in self.chain:
             yield from block.txs
 
-    def query(self, reader: str, flt: QueryFilter) -> list[Transaction]:
-        """The sealed txs ``reader`` may see that match ``flt``, in chain order.
-        An Issue is seen by its issuer; a channel's open and close by its VMNO
-        and its wallet's home, the issuer of the first Issue into that wallet
-        earlier in the chain; every other kind by everyone."""
+    def query(self, reader: str) -> list[Transaction]:
+        """The sealed txs ``reader`` may see, in chain order; callers filter
+        them.  An Issue is seen by its issuer; a channel's open and close by
+        its VMNO and its wallet's home, the issuer of the first Issue into
+        that wallet earlier in the chain; every other kind by everyone."""
         if reader not in self.roster:
             raise UnknownReader(reader)
         homes: dict[str, str] = {}                 # wallet -> its home
@@ -602,18 +564,8 @@ class Ledger:
                 visible = reader in channel_readers.get(p.channel, ())
             else:
                 visible = True
-            if not visible:
-                continue
-            if flt.kind is not None and p.kind != flt.kind:
-                continue
-            if flt.signer is not None and tx.signer != flt.signer:
-                continue
-            if flt.wallet is not None and getattr(p, "wallet", None) != flt.wallet \
-                    and getattr(p, "roamer_wallet", None) != flt.wallet:
-                continue
-            if flt.channel is not None and getattr(p, "channel", None) != flt.channel:
-                continue
-            out.append(tx)
+            if visible:
+                out.append(tx)
         return out
 
     # -- persistence

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import (
     AlreadyBurned,
     AlreadyClosed,
+    DiceError,
     DuplicateAgreement,
     ForeignWallet,
     InsufficientBalance,
@@ -195,12 +196,18 @@ class TokenBank:
         return self.ledger.append(now, hmno, Issue(hmno, wallet_id, amount))
 
     def create_identities(self, hmno: str, roamer: str, n: int, amounts: list[int], now: int) -> list[str]:
-        """Fund n unlinkable wallets for one roamer (privacy via identities)."""
+        """Fund n unlinkable wallets for one roamer (privacy via identities).
+        A rejected issue leaves no wallet of its own: no replay holds one."""
         if n < 1 or len(amounts) != n:
             raise NonPositiveAmount(f"need n>=1 wallets and {n} amounts")
-        wallet_ids = [self.create_wallet(roamer, hmno) for _ in range(n)]
-        for wid, amount in zip(wallet_ids, amounts):
-            self.issue(hmno, wid, amount, now)
+        wallet_ids = []
+        for amount in amounts:
+            wallet_ids.append(self.create_wallet(roamer, hmno))
+            try:
+                self.issue(hmno, wallet_ids[-1], amount, now)
+            except DiceError:   # a rule rejected it, before the ledger took it
+                del self.wallets[wallet_ids.pop()]
+                raise
         return wallet_ids
 
     def _select_lots(self, wallet: Wallet, issuer: str) -> list[TokenLot]:
@@ -437,8 +444,8 @@ class TokenBank:
 
 
 def verify_blocks(chain: list[Block]) -> tuple[ValidityReport, Optional[TokenBank]]:
-    """Replay a chain through ``TokenBank(Ledger.from_genesis(chain[0]))``,
-    whose genesis is sealed at 0: submit each later block's txs, reseal it at
+    """Replay a chain through a bank on a fresh ``Ledger`` of its genesis's
+    roster and keys, sealed at 0: submit each later block's txs, reseal it at
     its stored time, and require each block to equal the stored one.  Returns
     the verdict, with the first failing height, and the bank (None if no
     ledger could be anchored).  An empty chain, or a genesis stored at a
@@ -448,7 +455,7 @@ def verify_blocks(chain: list[Block]) -> tuple[ValidityReport, Optional[TokenBan
         return ValidityReport(False, 0, "no genesis block"), None
     height, tx, bank = 0, None, None
     try:
-        bank = TokenBank(Ledger.from_genesis(chain[0]))
+        bank = TokenBank(Ledger(list(chain[0].roster), chain[0].keys))
         ledger = bank.ledger
         for height, block in enumerate(chain):
             if height:

@@ -1,12 +1,14 @@
 """Test-side helpers built on the live entry points."""
 
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
 import textwrap
+import typing
 
-from dice.ledger import ChannelClose, Transaction
+from dice.ledger import Block, ChannelClose, Transaction, TxPayload
 from dice.protocol import DiceEngine, RoamerSession
 from dice.tokenbank import TokenBank
 
@@ -56,10 +58,32 @@ def forged_tx(signer_backend, timestamp, signer: str, payload) -> Transaction:
     signature.  It is built past ``tx_digest``, so it may hold values of any
     type, as a forger's may; for values the door lets through, its id is the
     one ``tx_digest`` gives."""
-    body = Transaction(b"", timestamp, signer, payload, b"").to_record()
+    body = record_of(Transaction(b"", timestamp, signer, payload, b""))
     del body["tx_id"], body["signature"]
     tx_id = hashlib.sha256(json.dumps(body, separators=(",", ":")).encode()).digest()
     return Transaction(tx_id, timestamp, signer, payload, signer_backend.sign(signer, tx_id))
+
+
+def record_of(value, hint=None):
+    """What ``json.loads`` reads from the text of a block, tx or payload, from
+    its fields by their declared types: bytes as hex, a tuple as a list, dicts
+    with keys sorted at every depth, a payload's kind first, roster and keys
+    on genesis alone.  The oracle of ``_block_line``: it calls no generated method."""
+    hint = hint or type(value)
+    origin = typing.get_origin(hint) or hint
+    if origin is bytes:
+        return value.hex()
+    if origin in (tuple, list):
+        return [record_of(item, (typing.get_args(hint) or (type(item),))[0]) for item in value]
+    if origin is dict:   # below a dict, each value by its own type
+        return {key: record_of(value[key]) for key in sorted(value)}
+    if not (dataclasses.is_dataclass(origin) or hint is TxPayload):
+        return value
+    hints = typing.get_type_hints(type(value))
+    rec = {} if isinstance(value, (Block, Transaction)) else {"kind": value.kind}
+    rec.update((f.name, record_of(getattr(value, f.name), hints[f.name])) for f in dataclasses.fields(value)
+               if not (f.name in ("roster", "keys") and value.height))
+    return rec
 
 
 class RenamedClose(ChannelClose):

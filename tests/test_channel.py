@@ -502,7 +502,7 @@ def test_both_sides_mac_the_canonical_encoding(channel_id, seq, cumulative):
     ch = mgr.channels[channel_id] = PaymentChannel(opened, b"", "alice", 0, preimage)
     # Roamer side: its next proof pays block |seq| + 1, as seq and cumulative.
     paid = abs(seq) + 1
-    ch.last_seq, ch.bytes_total = paid - 1, (paid - 1) * KB100
+    ch.bytes_total = (paid - 1) * KB100
     (emitted_proof,) = mgr.pay_for_traffic(channel_id, KB100, now=0)
     # VMNO side: any seq and cumulative, signed over their JSON text; the
     # checks after the signature may reject them.

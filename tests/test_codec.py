@@ -32,7 +32,7 @@ from dice.ledger import (
     tx_digest,
 )
 
-from helpers import RenamedClose
+from helpers import RenamedClose, record_of
 
 
 def dumps(value) -> str:
@@ -136,20 +136,6 @@ def half(declared, other):
 mixed_payloads = payloads(lambda declared: half(declared, scalars | odd_values), [*PAYLOAD_CLASSES, RenamedClose])
 # Roster and key-registry actor names, which genesis writes and hashes escaped.
 actor_names = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀\ud800 a'), max_size=8)
-
-
-def record_of(payload) -> dict:
-    """The payload's record, from its fields alone: bytes as hex, and a dict
-    as ``sort_keys`` writes it, each of its dicts in sorted key order."""
-    rec = {"kind": payload.kind}
-    for f in dataclasses.fields(payload):
-        value = getattr(payload, f.name)
-        if isinstance(value, (bytes, bytearray)):
-            value = value.hex()
-        elif isinstance(value, dict):
-            value = json.loads(json.dumps(value, sort_keys=True))
-        rec[f.name] = value
-    return rec
 
 
 def is_json(value) -> bool:
@@ -265,7 +251,7 @@ def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, ros
     path = tmp_path_factory.mktemp("saved") / "chain.jsonl"
     ledger.save_jsonl(path)
     lines = path.read_text(encoding="utf-8").split("\n")
-    assert lines == [json.dumps(b.to_record(), separators=(",", ":")) for b in ledger.chain] + [""]
+    assert lines == [dumps(record_of(b)) for b in ledger.chain] + [""]
     stop = next((i for i, b in enumerate(ledger.chain) if any(map(unloadable, b.txs))), len(ledger.chain))
     if stop < len(ledger.chain):
         with pytest.raises(LedgerParseError) as err:
@@ -273,7 +259,7 @@ def test_each_saved_line_is_json_dumps_of_its_block_record(tmp_path_factory, ros
         assert err.value.line == stop
         path.write_text("".join(line + "\n" for line in lines[:stop]), encoding="utf-8")
     for block, loaded in zip(ledger.chain[:stop], load_blocks_jsonl(path), strict=True):
-        if not SURROGATE_PAIR.search(json.dumps(block.to_record(), ensure_ascii=False)):
+        if not SURROGATE_PAIR.search(json.dumps(record_of(block), ensure_ascii=False)):
             assert loaded == as_loaded(block)
 
 

@@ -23,7 +23,7 @@ from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, Chann
 from dice.protocol import LBO, DiceEngine
 from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id
 
-from helpers import RenamedClose, bank_snapshot, forged_tx, mutants, run_session
+from helpers import RenamedClose, bank_snapshot, forged_tx, mutants, record_of, run_session
 
 CHARGING = {"model": "per_unit", "rate": 0.04}
 
@@ -417,7 +417,7 @@ def seal_past_the_door(eng, tx, path):
     eng.ledger.pending.append(tx)
     block = eng.ledger.seal_block(80)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(block.to_record(), separators=(",", ":")) + "\n")
+        fh.write(json.dumps(record_of(block), separators=(",", ":")) + "\n")
     return block
 
 
@@ -485,7 +485,7 @@ def test_mistyped_tx_field_is_rejected_live_and_at_its_line(field, forge, tmp_pa
     # tx_id or signature that is not bytes has no ``hex()`` to write, and a
     # payload of no payload class no ``kind``: sealing raises, as the header
     # a block hash covers holds the tx root, for one tx its id; or writing
-    # raises, as ``to_record`` does; and no line holds it.
+    # raises, as ``record_of`` does; and no line holds it.
     path = tmp_path / "ledger.jsonl"
     if field in ("tx_id", "signature", "payload"):
         with pytest.raises(AttributeError):

@@ -8,7 +8,6 @@ import sys
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import get_args
 
 import jsonschema
 import pytest
@@ -33,7 +32,7 @@ from dice.harness import (
     run_scenario,
     verify_ledger,
 )
-from dice.ledger import QueryFilter, TxPayload, load_blocks_jsonl
+from dice.ledger import load_blocks_jsonl
 from dice.tokenbank import Fixed, Parity, PerUnit
 from dice.tokenbank import TokenBank
 from dice.workload import Arrival, SessionEventTrace, WorkloadConfig, _check_schema, config_schema, generate
@@ -167,19 +166,18 @@ def test_each_channel_fact_is_held_once(tmp_path):
 
 @pytest.mark.parametrize("overrides", [dict(seed=42), dict(seed=7, mode="hr")], ids=["lbo-42", "hr-7"])
 def test_replayed_ledger_answers_like_the_live_one(tmp_path, overrides):
-    """Every roster reader's view, whole and per payload kind, is the same
-    on the live ledger and on the ledgers both replays build."""
+    """Every roster reader's view is the same on the live ledger and on the
+    ledgers both replays build."""
     captured = []
     run_scenario(ScenarioConfig(days=1, **overrides), tmp_path, on_seal=captured.append)
     live = captured[-1].ledger
     replayed = [replay_ledger(tmp_path / "ledger.jsonl")[1].ledger,
                 TokenBank.rebuild_from_ledger(live).ledger]
-    assert live.query(live.roster[0], QueryFilter(kind="channel_open"))  # the VMNO sees its channels
-    for flt in [QueryFilter(), *(QueryFilter(kind=cls.kind) for cls in get_args(TxPayload))]:
-        for reader in live.roster:
-            expected = [tx.tx_id for tx in live.query(reader, flt)]
-            for ledger in replayed:
-                assert [tx.tx_id for tx in ledger.query(reader, flt)] == expected, (reader, flt)
+    assert "channel_open" in {tx.payload.kind for tx in live.query(live.roster[0])}  # the VMNO sees its channels
+    for reader in live.roster:
+        expected = [tx.tx_id for tx in live.query(reader)]
+        for ledger in replayed:
+            assert [tx.tx_id for tx in ledger.query(reader)] == expected, reader
     for ledger in replayed:
         assert ledger.tx_index.keys() == live.tx_index.keys()
 

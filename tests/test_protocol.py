@@ -19,7 +19,6 @@ from dice.errors import (
     WrongState,
 )
 from dice.harness import ScenarioConfig, run_scenario
-from dice.ledger import QueryFilter
 from dice.protocol import (
     ACTIVE,
     CHANNEL_OPEN,
@@ -118,8 +117,8 @@ def test_attach_without_agreement_is_refused_and_recorded():
         eng.attach_check(session, 5)
     assert session.state == HOME
     eng.ledger.seal_block(6)
-    refusals = [tx for tx in eng.ledger.query("V", QueryFilter(kind="attach"))
-                if not tx.payload.accepted]
+    refusals = [tx for tx in eng.ledger.query("V")
+                if tx.payload.kind == "attach" and not tx.payload.accepted]
     assert len(refusals) == 1
 
 
