@@ -135,8 +135,8 @@ def calibrate(config_path) -> None:
         stats = calibration_report(trace)
     except InvalidConfig as exc:
         raise click.UsageError(str(exc))
-    except DiceError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except IoFailure as exc:
+        click.echo(f"i/o failure: {exc}", err=True)
         sys.exit(1)
     click.echo(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
 

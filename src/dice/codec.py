@@ -26,12 +26,7 @@ def digest(data: bytes) -> bytes:
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:
-    """Binary Merkle root over 32-byte leaves; odd leaf promoted unchanged.
-
-    An empty leaf list hashes to the all-zero digest.
-    """
-    if not leaves:
-        return ZERO_DIGEST
+    """Binary Merkle root over one or more 32-byte leaves; odd leaf promoted unchanged."""
     level = list(leaves)
     while len(level) > 1:
         nxt = []

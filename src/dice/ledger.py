@@ -36,7 +36,7 @@ import json
 import os
 import sys
 import weakref
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator, Optional, get_args, get_origin, get_type_hints
 
 from . import codec
@@ -54,18 +54,6 @@ from .errors import (
 # --- immutable records ------------------------------------------------------
 
 
-class _Factory:
-    """The default of an argument whose field has a ``default_factory``."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
 def record(cls):
     """``dataclass(frozen=True, slots=True)``, with an ``__init__`` that stores
     each argument through its slot's member descriptor.
@@ -73,28 +61,24 @@ def record(cls):
     The frozen dataclass ``__init__`` stores each field through
     ``object.__setattr__``, which looks the slot up by name on every call.
     This one, generated once per class as ``dataclasses`` generates its own,
-    has the same signature, defaults and ``default_factory`` calls.  Fields
-    are positional-or-keyword, and a record has no ``__post_init__``.
+    has the same signature and defaults.  Fields are positional-or-keyword,
+    with no ``default_factory``, and a record has no ``__post_init__``.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     flds = fields(cls)
-    if any(not f.init or f.kw_only for f in flds) or hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__}: a record has positional fields and no __post_init__")
-    env = {"__name__": cls.__module__, "_FACTORY": _FACTORY}
+    if hasattr(cls, "__post_init__") or any(not f.init or f.kw_only or f.default_factory is not MISSING
+                                            for f in flds):
+        raise TypeError(f"{cls.__name__}: a record has positional fields, no default_factory and no __post_init__")
+    env = {"__name__": cls.__module__}
     params, body = [], []
     for f in flds:
         env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        value = f.name
         if f.default is not MISSING:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        elif f.default_factory is not MISSING:
-            env[f"_factory_{f.name}"] = f.default_factory
-            params.append(f"{f.name}=_FACTORY")
-            value = f"_factory_{f.name}() if {f.name} is _FACTORY else {f.name}"
         else:
             params.append(f.name)
-        body.append(f"    _set_{f.name}(self, {value})\n")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
     # Compiled under a file name per class: profiles key their stats by (file,
     # line, name), and so tell apart the methods generated for each class.
     source = f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
@@ -404,13 +388,13 @@ class Block:
     # Genesis only: the consortium roster and actor key registry the chain
     # anchors to.  Covered by tx_root so the registry is tamper-evident.
     roster: tuple[str, ...] = ()
-    keys: dict = field(default_factory=dict)
+    keys: Optional[dict] = None
 
     @classmethod
     def from_record(cls, rec: dict) -> "Block":
         height, validator, sealed_at = rec["height"], rec["validator"], rec["sealed_at"]
         _check_header(height, validator, sealed_at)
-        roster, keys = (), {}
+        roster, keys = (), None
         if height == 0:
             roster, keys = rec["roster"], {actor: bytes.fromhex(key) for actor, key in rec["keys"].items()}
             _check_genesis(roster, keys)

@@ -196,12 +196,11 @@ def _top_share(alpha: float, n: int, k: int) -> float:
 
 def solve_powerlaw_exponent(n: int, top_k: int, target_share: float) -> float:
     """Exponent of a truncated discrete power law whose top-k mass matches
-    the target; solved by bisection (the share is monotone in alpha)."""
+    the target; solved by bisection on [0, 16] (the share is monotone in
+    alpha, and a target above the share at 16 converges to 16)."""
     if n <= top_k:
         return 1.0
     lo, hi = 0.0, 16.0
-    if _top_share(hi, n, top_k) < target_share:
-        return hi
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:

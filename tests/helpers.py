@@ -71,6 +71,8 @@ def record_of(value, hint=None):
     on genesis alone.  The oracle of ``_block_line``: it calls no generated method."""
     hint = hint or type(value)
     origin = typing.get_origin(hint) or hint
+    if origin is typing.Union:   # an Optional field, by its value's own type
+        return record_of(value)
     if origin is bytes:
         return value.hex()
     if origin in (tuple, list):

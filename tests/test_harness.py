@@ -351,6 +351,27 @@ def test_verify_ledger_on_a_directory_is_an_io_failure(tmp_path):
         verify_ledger(tmp_path)
 
 
+def test_a_replay_whose_burns_go_uncounted_breaks_supply_closure(tmp_path, runner, monkeypatch):
+    """The supply-closure check after a valid replay catches a bank fault:
+    with ``burn`` not counting what it burns, redeemed lots leave circulation
+    unaccounted, and the chain reads invalid."""
+    run_scenario(small_config(days=1), tmp_path)
+    burn = TokenBank.burn
+
+    def burn_uncounted(bank, lot_ids):
+        burned = dict(bank.burned_by)
+        burn(bank, lot_ids)
+        bank.burned_by = burned
+
+    monkeypatch.setattr(TokenBank, "burn", burn_uncounted)
+    path = tmp_path / "ledger.jsonl"
+    result = verify_ledger(path)
+    assert (result.valid, result.first_invalid_height, result.reason) == (False, None, "supply closure violated")
+    result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[0] == "INVALID at height ?: supply closure violated"
+
+
 # The report fields that its chain alone states.
 ONCHAIN_FIELDS = ("onchain_tx_total", "onchain_tx_by_kind", "peak_onchain_tps",
                   "tokens_settled_by_pair", "fiat_cleared_by_pair")
@@ -469,7 +490,8 @@ def test_schema_is_generated_from_the_fields():
 NAN, INF = float("nan"), float("inf")
 OUT_OF_RANGE = [
     ("seed", -1), ("days", 0), ("scale", 0.0), ("roamers_per_vmno_day", 0),
-    ("churn_fraction_range", (0.1, 1.5)), ("stay_days_median", 0.0), ("silent_fraction", 1.5),
+    ("churn_fraction_range", (0.1, 1.5)), ("churn_fraction_range", (0.1,)),
+    ("churn_fraction_range", (0.1, 0.2, 0.3)), ("stay_days_median", 0.0), ("silent_fraction", 1.5),
     ("daily_traffic_median_bytes", 0), ("traffic_dispersion", -0.1),
     ("home_country_top10_share", 0.0), ("home_mno_top10_traffic_share", 1.01),
     ("num_home_countries", 0), ("num_home_mnos", 0),
@@ -700,15 +722,40 @@ for args in (["simulate", "--config", config, "--out-dir", out],
 """
 
 
+def src_env(**extra) -> dict:
+    """This environment, with ``src`` first on the path, plus ``extra``."""
+    src = str(Path(dice.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra}
+
+
 def test_cli_commands_load_neither_numpy_nor_jsonschema(tmp_path):
     config = write_config(tmp_path, days=2)
-    src = str(Path(dice.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", LOAD_PROBE, str(config), str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("sessions=")
     assert '"arrivals_total"' in done.stdout and "\nvalid" in done.stdout
+
+
+def test_cli_runs_as_a_module():
+    done = subprocess.run([sys.executable, "-m", "dice.cli", "--help"],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert all(command in done.stdout for command in ("simulate", "ledger", "requirements", "calibrate"))
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """A run in a fresh interpreter writes the same bytes under any str hash
+    seed, so no output follows the order of a set or a str-keyed hash."""
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        done = subprocess.run([sys.executable, "-m", "dice.cli", "simulate", "--days", "1", "--out-dir", str(out)],
+                              env=src_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("ledger.jsonl", "report.json", "settlement.csv")})
+    assert outputs[0] == outputs[1]
 
 
 # Specs a price cannot be computed from, or with a key the model does not read.
@@ -815,6 +862,28 @@ def test_cli_verify_on_a_directory_exits_one(tmp_path, runner):
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith("i/o failure: ") and "Is a directory" in result.stderr
     assert isinstance(result.exception, SystemExit)  # not an IsADirectoryError traceback
+
+
+def test_cli_missing_config_is_an_io_failure(tmp_path, runner):
+    """simulate and calibrate report a config they cannot read alike."""
+    missing = str(tmp_path / "missing.json")
+    for command in (["simulate", "--out-dir", str(tmp_path / "out")], ["calibrate"]):
+        result = runner.invoke(cli_main, [*command, "--config", missing])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("i/o failure: ") and "No such file" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # not a FileNotFoundError traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_dir_under_a_file_is_an_io_failure(tmp_path, runner):
+    out = tmp_path / "file" / "x"
+    out.parent.write_text("")
+    with pytest.raises(IoFailure, match="Not a directory"):
+        run_scenario(small_config(), out)
+    result = runner.invoke(cli_main, ["simulate", "--days", "1", "--out-dir", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("i/o failure: ") and "Not a directory" in result.stderr
+    assert isinstance(result.exception, SystemExit)  # not a NotADirectoryError traceback
 
 
 @pytest.mark.parametrize("flag", ["--dump-proofs", "--dump-events"])

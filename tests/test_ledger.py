@@ -339,7 +339,7 @@ def _save_blocks(chain, path):
 def test_empty_block_is_rejected_at_its_height(ledger, tmp_path):
     _build_chain(ledger, blocks=3)
     height, prev = len(ledger.chain), ledger.chain[-1].block_hash
-    validator, root = ROSTER[height % len(ROSTER)], codec.merkle_root([])
+    validator, root = ROSTER[height % len(ROSTER)], codec.ZERO_DIGEST
     ledger.chain.append(Block(height, prev, root, validator, 200,
                               block_digest(height, prev, root, validator, 200)))
     ledger.submit(issue_tx(ledger, 99))

@@ -185,10 +185,10 @@ def test_generated_methods_of_two_classes_profile_apart():
                      for cls in ("ChannelClose", "Issue") for name in ("__init__", "to_json")]
 
 
-def test_block_keys_default_to_a_fresh_dict():
+def test_block_keys_default_to_none():
+    """Only genesis holds a key registry."""
     header = SAMPLES[Block][:6]
-    a, b = Block(*header), Block(*header)
-    assert a.keys == {} and a.keys is not b.keys
+    assert Block(*header).keys is None
     keys = {"H": H32}
     assert Block(*header, keys=keys).keys is keys
 
@@ -205,6 +205,10 @@ def test_record_rejects_what_its_init_does_not_generate():
         @record
         class KeywordOnly:
             a: int = dataclasses.field(kw_only=True)
+    with pytest.raises(TypeError):
+        @record
+        class Factory:
+            a: dict = dataclasses.field(default_factory=dict)
 
 
 def test_every_frozen_record_is_declared_with_record():

@@ -8,21 +8,20 @@ attribute, or ``dice/__init__.py`` re-exports it.  Dunder methods are
 called by Python itself.  A stored attribute counts as read if any src
 module loads its name as an attribute.  Both censuses match names, not
 bindings, so they miss a dead method or attribute that shares its name with
-a live one.  The runtime census does not: it lists the src functions that a
-run of every CLI command never enters.
+a live one.  The line census, ``tests/line_census.py``, does not: it lists
+each src line that an honest run of every CLI command and the rejection
+tables never run.
 """
 
 import ast
 import inspect
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import dice
 from dice.cli import main as cli_main
 from dice.harness import SCENARIO_SCHEMA
+
+from line_census import UNREACHED, src_lines
 
 SRC = Path(dice.__file__).parent
 
@@ -92,67 +91,20 @@ def test_census_sees_methods_nested_functions_and_re_exports():
     assert "harness.verify_ledger" not in census()  # re-exported only
 
 
-# Defined in src but never entered by ``ENTER_PROBE``, each with why it stays.
-NEVER_ENTERED = {
-    "ledger.Ledger.get_tx": "wrapped by the benchmark's tracer",
-    "tokenbank.TokenBank.rebuild_from_ledger": "wrapped by the benchmark's tracer",
-    "settlement.validate_provenance": "wrapped by the benchmark's tracer",
-    "channel.PaymentChannel.status": "read by the benchmark's tracer to count open channels",
-    "ledger.Ledger.query": "the paper's per-operator read scopes, answered alike by a replayed ledger",
-    "harness.verify_ledger": "the library's verdict on a saved chain; the CLI wants the bank too",
-    "ledger._rejected": "builds the error of a mistyped value, which an honest run holds none of",
-    "ledger._reject_constant": "raises for NaN or Infinity in a ledger line",
-    "errors.LedgerParseError.__init__": "raised only for a ledger line the loader rejects",
-    "errors.ReplayRejected.__init__": "raised only for a chain that does not verify",
-    "ledger._Factory.__repr__": "shows a default_factory argument in a generated signature",
-}
-
-# Run in a fresh interpreter, profiled from before ``import dice`` so that
-# what runs at import counts too: a 1-day default run with proofs and events
-# dumped, then the other three commands.
-ENTER_PROBE = """
-import json
-import sys
-entered = set()
-def note(frame, event, arg):
-    if event == "call":
-        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
-sys.setprofile(note)
-from dice.cli import main
-out, names = sys.argv[1:]
-for args in (["simulate", "--days", "1", "--out-dir", out, "--dump-proofs", "--dump-events"],
-             ["ledger", "verify", "--path", out + "/ledger.jsonl"],
-             ["requirements", "--report", out + "/report.json"],
-             ["calibrate"]):
-    try:
-        main(args)
-    except SystemExit as exit:
-        assert exit.code == 0, (args, exit.code)
-sys.setprofile(None)
-with open(names, "w") as fh:
-    json.dump(sorted(entered), fh)
-"""
+def test_each_line_the_line_census_lists_is_an_executable_src_line():
+    """A listed line that src no longer holds fails here, untraced; that each
+    is still unreached, and no other line is, ``python tests/line_census.py``
+    checks."""
+    assert sorted(set(UNREACHED) - set(src_lines().values())) == []
+    assert all(UNREACHED.values())
 
 
-def entered_functions(tmp_path) -> set[str]:
-    """The qualified names of the src functions ``ENTER_PROBE`` enters."""
-    src = SRC.resolve()
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.parent), os.environ.get("PYTHONPATH", "")])}
-    names = tmp_path / "entered.json"
-    done = subprocess.run([sys.executable, "-c", ENTER_PROBE, str(tmp_path / "out"), str(names)],
-                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    modules = {str(path): path.stem for path in src.glob("*.py")}
-    return {f"{modules[file]}.{qualname.replace('.<locals>', '')}"
-            for file, qualname in json.loads(names.read_text()) if file in modules}
-
-
-def test_every_src_function_but_the_listed_is_entered_by_a_run(tmp_path):
-    """A function no command enters is one only tests call, whatever its
-    name shares; and an allowance for a function a run now enters fails."""
-    functions = {qual for module, tree in _modules()
-                 for qual, _ in _definitions(tree, module, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    assert sorted(functions - entered_functions(tmp_path)) == sorted(NEVER_ENTERED)
+def test_line_census_keys_each_line_by_its_innermost_function(tmp_path):
+    (tmp_path / "m.py").write_text("def f(x):\n    return [y for y in x]\n\n\n"
+                                   "def g(a):\n    if a:\n        return 1\n    return 1\n")
+    assert sorted(src_lines(tmp_path).values()) == [
+        ("m", "f", "def f(x):"), ("m", "f.<listcomp>", "return [y for y in x]"), ("m", "g", "def g(a):"),
+        ("m", "g", "if a:"), ("m", "g", "return 1"), ("m", "g", "return 1 #2")]
 
 
 def unread_state(modules) -> set[str]:

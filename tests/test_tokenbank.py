@@ -175,6 +175,19 @@ def test_transfer_insufficient(bank):
         bank.transfer(src, dst, "H", 30, codec.digest(b"c"))
 
 
+def test_transfer_of_no_tokens_or_fewer_is_rejected(bank):
+    """No caller moves 0 or fewer tokens; a negative split would mint a lot
+    of a negative amount."""
+    src = bank.create_wallet("alice", "H")
+    dst = bank.create_wallet("bob", "H")
+    bank.issue("H", src, 25, now=1)
+    before = bank_snapshot(bank)
+    for amount in (0, -3):
+        with pytest.raises(NonPositiveAmount):
+            bank.transfer(src, dst, "H", amount, codec.digest(b"c"))
+        assert bank_snapshot(bank) == before
+
+
 def test_transfer_respects_locks(bank):
     src = bank.create_wallet("alice", "H")
     dst = bank.create_wallet("bob", "H")
