@@ -490,8 +490,7 @@ def test_schema_is_generated_from_the_fields():
 NAN, INF = float("nan"), float("inf")
 OUT_OF_RANGE = [
     ("seed", -1), ("days", 0), ("scale", 0.0), ("roamers_per_vmno_day", 0),
-    ("churn_fraction_range", (0.1, 1.5)), ("churn_fraction_range", (0.1,)),
-    ("churn_fraction_range", (0.1, 0.2, 0.3)), ("stay_days_median", 0.0), ("silent_fraction", 1.5),
+    ("churn_fraction_range", (0.1, 1.5)), ("stay_days_median", 0.0), ("silent_fraction", 1.5),
     ("daily_traffic_median_bytes", 0), ("traffic_dispersion", -0.1),
     ("home_country_top10_share", 0.0), ("home_mno_top10_traffic_share", 1.01),
     ("num_home_countries", 0), ("num_home_mnos", 0),
@@ -503,7 +502,8 @@ OUT_OF_RANGE = [
     ("traffic_dispersion", NAN), ("traffic_dispersion", INF), ("avg_mno_factor", NAN),
     ("avg_mno_factor", INF), ("silent_fraction", NAN), ("home_country_top10_share", NAN),
     ("home_mno_top10_traffic_share", NAN), ("churn_fraction_range", (NAN, 0.2)),
-    ("churn_fraction_range", (0.1, INF)),
+    ("churn_fraction_range", (0.1, INF)), ("churn_fraction_range", (0.1,)),
+    ("churn_fraction_range", (0.1, 0.2, 0.3)),
     ("days", 2.0), ("seed", 42.0), ("initial_allotment", 100.0), ("timelock_window_s", 86400.0),
 ]
 
