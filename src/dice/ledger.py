@@ -14,8 +14,12 @@ payload's generated ``check`` (its fields and declared kind) ends;
 ledger) and each block ``seal_block`` seals; ``Ledger`` runs
 ``_check_genesis``.  The live ``append`` digests and signs a tx once in
 ``make_transaction``; ``submit`` runs every chain rule and the token rules
-of the bank attached with ``attach_bank``, and re-digests and MAC-verifies
-every tx ``append`` did not just build, replayed ones included.
+of the bank attached with ``attach_bank``.  On every tx ``append`` did not
+just build, ``submit`` also checks the id and signature are bytes and
+verifies the MAC, and re-digests the tx unless ``load_blocks_jsonl`` proved
+its id: the loader type-checks each tx once, builds its ``_tx_text`` once,
+matches the line against that text, and marks the tx proved if its id is the
+digest of that text and its payload holds no dict (see ``_Proof``).
 
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
@@ -37,7 +41,8 @@ import os
 import sys
 import weakref
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterator, Optional, get_args, get_origin, get_type_hints
+from itertools import islice
+from typing import Iterable, Iterator, Optional, get_args, get_origin, get_type_hints
 
 from . import codec
 from .codec import ZERO_DIGEST
@@ -151,11 +156,15 @@ def payload(kind: str):
     payload's kind is the declared ``kind`` (the loader reads a class by its
     kind) and each field holds exactly its declared type and a value JSON
     states: a tuple field a tuple of str, and the float field, ``Redeem.fiat``,
-    any float or JSON value, which the bank checks is a price."""
+    any float or JSON value, which the bank checks is a price.  ``holds_dict``
+    tells whether the class has a dict field, whose value a caller can edit in
+    place after the loader proved its tx's id (a fiat the bank takes is a
+    number, which no one edits in place)."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
+        cls.holds_dict = dict in (get_origin(hint) or hint for hint in hints.values())
         read, text = [], [f'{{{{"kind":{_esc(kind)}']
         checks = [f"    if self.kind != {kind!r}:\n        raise rejected('kind', {kind!r}, self.kind)\n"]
         for name in (f.name for f in fields(cls)):
@@ -265,8 +274,20 @@ def payload_from_record(record: dict) -> TxPayload:
 # --- transactions and blocks ------------------------------------------------
 
 
+class _Proof:
+    """The slot ``_proved``, which only ``load_blocks_jsonl`` sets, on a tx
+    whose id it proved is the digest of the tx's ``_tx_text``, and whose
+    payload holds no dict.  ``submit`` reads it to skip ``tx_digest``.  It is
+    not a field: ``dataclasses.replace``, ``copy`` and ``pickle`` build a tx
+    from its fields alone, so none of them carries it."""
+    __slots__ = ("_proved",)
+
+
+_prove = _Proof._proved.__set__   # a frozen record's ``__setattr__`` refuses every name
+
+
 @record
-class Transaction:
+class Transaction(_Proof):
     tx_id: bytes
     timestamp: int
     signer: str
@@ -274,13 +295,15 @@ class Transaction:
     signature: bytes
 
     def to_json(self) -> str:
-        """The tx's text in its block's line, its ``_tx_text`` between its id
-        and signature; the tests' oracle ``record_of`` states it from its fields."""
-        return (f'{{"tx_id":"{self.tx_id.hex()}",{_tx_text(self.timestamp, self.signer, self.payload)},'
-                f'"signature":"{self.signature.hex()}"}}')
+        """The tx's text in its block's line, ``_tx_line`` of its ``_tx_text``;
+        the tests' oracle ``record_of`` states it from its fields."""
+        return _tx_line(self, _tx_text(self.timestamp, self.signer, self.payload))
 
     @classmethod
     def from_record(cls, rec: dict) -> "Transaction":
+        """The tx of a loaded record, whose values pass the door ``_check_tx``,
+        the load's one type check of it.  ``load_blocks_jsonl`` then builds its
+        ``_tx_text`` once and proves its id from that text."""
         timestamp, signer, payload = rec["timestamp"], rec["signer"], payload_from_record(rec["payload"])
         _check_tx(timestamp, signer, payload)
         return cls(bytes.fromhex(rec["tx_id"]), timestamp, signer, payload, bytes.fromhex(rec["signature"]))
@@ -307,6 +330,12 @@ def _tx_text(timestamp: int, signer: str, payload: TxPayload) -> str:
     one f-string and the payload's ``to_json``.  Its values have passed
     ``_check_tx``."""
     return f'"timestamp":{timestamp},"signer":{_esc(signer)},"payload":{payload.to_json()}'
+
+
+def _tx_line(tx: Transaction, text: str) -> str:
+    """``{"tx_id":"…",<text>,"signature":"…"}``: a tx's piece of its block's
+    line, its ``_tx_text`` ``text`` between its id and signature."""
+    return f'{{"tx_id":"{tx.tx_id.hex()}",{text},"signature":"{tx.signature.hex()}"}}'
 
 
 def tx_digest(timestamp: int, signer: str, payload: TxPayload) -> bytes:
@@ -403,19 +432,20 @@ class Block:
                    tuple(roster), keys)
 
 
-def _block_line(block: Block) -> Iterator[str]:
+def _block_line(block: Block, tx_lines: Iterable[str]) -> Iterator[str]:
     """The one statement of a block's line, without its ``\\n``, in pieces:
-    its ``_block_header`` and hash; its txs by ``Transaction.to_json``, in
-    chunks of ``SAVE_CHUNK_TXS``; and for genesis its ``_genesis_registry``.
-    The tests' oracle, ``record_of``, states the same text from the block's
-    fields.  ``save_jsonl`` writes it, and ``load_blocks_jsonl`` accepts a
-    line only if it is this text for the block it parsed to."""
+    its ``_block_header`` and hash; ``tx_lines``, the ``_tx_line`` of each of
+    its txs in order, in chunks of ``SAVE_CHUNK_TXS``; and for genesis its
+    ``_genesis_registry``.  The tests' oracle, ``record_of``, states the same
+    text from the block's fields.  ``save_jsonl`` writes it with each tx's
+    ``to_json``, and ``load_blocks_jsonl`` accepts a line only if it is this
+    text for the block it parsed to, with the tx lines it built."""
     header = _block_header(block.height, block.prev_hash, block.tx_root, block.validator, block.sealed_at)
     yield f'{header[:-1]},"block_hash":"{block.block_hash.hex()}","txs":['
-    txs = block.txs
-    for start in range(0, len(txs), SAVE_CHUNK_TXS):
-        chunk = ",".join([tx.to_json() for tx in txs[start:start + SAVE_CHUNK_TXS]])
-        yield f",{chunk}" if start else chunk
+    tx_lines, comma = iter(tx_lines), ""
+    while chunk := ",".join(islice(tx_lines, SAVE_CHUNK_TXS)):   # a tx line is never empty
+        yield comma + chunk
+        comma = ","
     if block.height:
         yield "]}"
         return
@@ -424,12 +454,12 @@ def _block_line(block: Block) -> Iterator[str]:
     yield "}"
 
 
-def _first_difference(text: str, block: Block) -> Optional[int]:
-    """The first column at which ``text`` differs from ``block``'s line, or
-    None if it is that line.  Each piece is matched in place, so no second
-    copy of the line is built."""
+def _first_difference(text: str, block: Block, tx_lines: list[str]) -> Optional[int]:
+    """The first column at which ``text`` differs from ``block``'s line with
+    ``tx_lines``, or None if it is that line.  Each piece is matched in place,
+    so no second copy of the line is built."""
     end = 0
-    for piece in _block_line(block):
+    for piece in _block_line(block, tx_lines):
         if not text.startswith(piece, end):
             return end + len(os.path.commonprefix([piece, text[end:end + len(piece)]]))
         end += len(piece)
@@ -488,7 +518,8 @@ class Ledger:
                 raise _rejected("tx_id", "bytes", tx.tx_id)
             if type(tx.signature) is not bytes:
                 raise _rejected("signature", "bytes", tx.signature)
-            if tx_digest(tx.timestamp, tx.signer, tx.payload) != tx.tx_id \
+            proved = getattr(tx, "_proved", False)   # unset on a tx the loader did not prove
+            if not (proved or tx_digest(tx.timestamp, tx.signer, tx.payload) == tx.tx_id) \
                     or not self.signer_backend.verify(tx.signer, tx.tx_id, tx.signature):
                 if not self.signer_backend.knows(tx.signer):
                     raise UnknownSigner(tx.signer)
@@ -560,7 +591,7 @@ class Ledger:
         text.  Each tx in ``chain`` passed the door."""
         with open(path, "w", encoding="utf-8") as fh:
             for block in self.chain:
-                fh.writelines(_block_line(block))
+                fh.writelines(_block_line(block, map(Transaction.to_json, block.txs)))
                 fh.write("\n")
 
 
@@ -577,6 +608,16 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _proved_line(tx: Transaction) -> str:
+    """A loaded tx's ``_tx_line``, built from its one ``_tx_text``; the tx is
+    marked proved if its payload holds no dict and its id is the digest of
+    that text in braces, the id ``tx_digest`` would give."""
+    text = _tx_text(tx.timestamp, tx.signer, tx.payload)
+    if not tx.payload.holds_dict and codec.digest(f"{{{text}}}".encode()) == tx.tx_id:
+        _prove(tx, True)
+    return _tx_line(tx, text)
+
+
 def load_blocks_jsonl(path) -> list[Block]:
     """Parse a persisted chain; raises LedgerParseError with the bad line.
     A line is accepted only if it is the ``_block_line`` of the block it
@@ -585,14 +626,16 @@ def load_blocks_jsonl(path) -> list[Block]:
     ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON, and no live record
     holds them.  Lines split at ``\\n`` only, and a final ``\\n`` ends the last
     line.  The file is read a line at a time: besides the blocks built so
-    far, it holds one line plus that line's parsed records at once."""
+    far, it holds one line plus that line's parsed records at once.  Each
+    tx's ``_tx_text`` is built once, for its piece of the line and its id's
+    proof (see ``_Proof``)."""
     blocks = []
     with open(path, "rb") as fh:
         for i, line in enumerate(fh):
             try:
                 text = str(memoryview(line)[:-1] if line.endswith(b"\n") else line, "utf-8")
                 block = Block.from_record(_DECODER.decode(text))
-                column = _first_difference(text, block)
+                column = _first_difference(text, block, [_proved_line(tx) for tx in block.txs])
                 if column is not None:
                     raise ValueError(f"column {column} differs from the line save_jsonl writes for its block")
                 blocks.append(block)

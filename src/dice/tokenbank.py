@@ -309,7 +309,7 @@ class TokenBank:
     def apply(self, tx: Transaction) -> None:
         """Check an authenticated transaction against the rules of its payload
         kind, then apply it; raise, leaving the bank unchanged, if a rule fails.
-        Its values passed the door, ``ledger.tx_digest``: each int field is an int."""
+        Its values passed the door, ``ledger._check_tx``: each int field is an int."""
         p = tx.payload
         if isinstance(p, AttachCheck):
             if tx.signer != p.vmno:

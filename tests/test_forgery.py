@@ -8,20 +8,22 @@ its uniqueness.
 """
 
 import ast
+import copy
 import dataclasses
 import json
 import math
+import pickle
 from collections import Counter
 
 import pytest
 
-from dice import ledger
+from dice import codec, ledger
 from dice.errors import DiceError, DuplicateTx, LedgerParseError, PayloadRejected, UnknownSigner
 from dice.harness import verify_ledger
 from dice.ledger import (AgreementRegistration, AttachCheck, ChannelClose, ChannelOpen, Issue, Ledger, Redeem,
                          load_blocks_jsonl, make_transaction)
 from dice.protocol import LBO, DiceEngine
-from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id
+from dice.tokenbank import TokenBank, model_from_dict, price, treasury_wallet_id, verify_blocks
 
 from helpers import RenamedClose, bank_snapshot, forged_tx, mutants, record_of, run_session
 
@@ -698,3 +700,103 @@ def test_every_ledger_rule_rejects_some_row(monkeypatch):
                     survivors.append(f"{name}: {rule}")
     assert rules >= 11  # the ledger's raises when this test was written
     assert survivors == []
+
+
+# --- the loader's proof of a tx id ---------------------------------------------
+
+
+def proved(tx) -> bool:
+    """Whether ``load_blocks_jsonl`` marked ``tx`` proved, so that ``submit``
+    does not re-digest it."""
+    return getattr(tx, "_proved", False)
+
+
+def saved_chain_of_every_kind(tmp_path):
+    """The honest engine's chain, with V's redeem of the lots it earned
+    sealed at 70, saved: a chain holding a tx of every payload kind."""
+    eng, _sessions = honest_engine()
+    lots = earned_lots(eng)
+    eng.ledger.append(65, "V", Redeem("V", "H", lots, agreed_price(eng, lots)))
+    eng.ledger.seal_block(70)
+    path = tmp_path / "ledger.jsonl"
+    eng.ledger.save_jsonl(path)
+    return eng, path
+
+
+def loaded_txs(blocks):
+    """(height, index, tx) of each tx of ``blocks``."""
+    return [(height, i, tx) for height, block in enumerate(blocks) for i, tx in enumerate(block.txs)]
+
+
+def with_tx(blocks, height, i, tx):
+    """``blocks`` with the ``i``-th tx of the block at ``height`` replaced by ``tx``."""
+    txs = blocks[height].txs
+    return [*blocks[:height], dataclasses.replace(blocks[height], txs=(*txs[:i], tx, *txs[i + 1:])),
+            *blocks[height + 1:]]
+
+
+def test_the_loader_alone_proves_a_tx_and_no_copy_carries_the_proof(tmp_path):
+    """Each loaded tx but the agreement is proved; no tx the live engine
+    built is, and neither is a loaded tx passed through ``dataclasses.replace``,
+    ``copy.copy``, ``copy.deepcopy`` or a ``pickle`` round trip."""
+    eng, path = saved_chain_of_every_kind(tmp_path)
+    blocks = load_blocks_jsonl(path)
+    txs = [tx for _height, _i, tx in loaded_txs(blocks)]
+    assert {tx.payload.kind: proved(tx) for tx in txs} == {
+        "agreement": False, "issue": True, "attach": True, "channel_open": True, "channel_close": True,
+        "redeem": True}
+    assert not any(proved(tx) for tx in eng.ledger.all_txs())
+    for tx in txs:
+        for copied in (dataclasses.replace(tx), copy.copy(tx), copy.deepcopy(tx), pickle.loads(pickle.dumps(tx))):
+            assert copied == tx and not proved(copied)
+    assert not any(proved(tx) for block in copy.deepcopy(blocks) for tx in block.txs)
+    assert verify_blocks(blocks)[0].valid
+
+
+def test_a_loaded_tx_edited_after_the_load_is_rejected_at_its_height(tmp_path):
+    """A loaded tx whose timestamp, or an issue whose amount, is edited
+    through ``dataclasses.replace`` keeps its id and signature but is no
+    longer proved: its replay fails at its height with BadSignature."""
+    _eng, path = saved_chain_of_every_kind(tmp_path)
+    blocks = load_blocks_jsonl(path)
+    edits = [(height, i, dataclasses.replace(tx, timestamp=tx.timestamp + 1))
+             for height, i, tx in loaded_txs(blocks)]
+    edits += [(height, i, dataclasses.replace(tx, payload=dataclasses.replace(tx.payload, amount=tx.payload.amount + 1)))
+              for height, i, tx in loaded_txs(blocks) if isinstance(tx.payload, Issue)]
+    assert len(edits) > len(loaded_txs(blocks))
+    for height, i, edited in edits:
+        verdict, _bank = verify_blocks(with_tx(blocks, height, i, edited))
+        assert (verdict.valid, verdict.first_invalid_height) == (False, height)
+        assert verdict.reason == f"{edited.payload.kind} tx rejected: BadSignature: {edited.tx_id.hex()}"
+
+
+def test_a_re_signed_wrong_tx_id_is_rejected_at_its_height(tmp_path):
+    """A saved tx whose id is edited and re-signed under its signer's key,
+    which genesis publishes, is not proved by the load, so its replay fails
+    at its height with BadSignature."""
+    _eng, path = saved_chain_of_every_kind(tmp_path)
+    text = path.read_text()
+    blocks = load_blocks_jsonl(path)
+    signer = codec.KeyedMacSigner(blocks[0].keys)
+    for height, _i, tx in loaded_txs(blocks):
+        wrong_id = codec.digest(tx.tx_id)
+        old = tx.to_json()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, dataclasses.replace(
+            tx, tx_id=wrong_id, signature=signer.sign(tx.signer, wrong_id)).to_json()))
+        result = verify_ledger(path)
+        assert (result.valid, result.first_invalid_height) == (False, height)
+        assert result.reason == f"{tx.payload.kind} tx rejected: BadSignature: {wrong_id.hex()}"
+
+
+def test_a_loaded_agreement_edited_in_place_is_rejected(tmp_path):
+    """An agreement's charging dict can be edited in place after the load,
+    so the loader never proves an agreement, and its replay digests it."""
+    _eng, path = saved_chain_of_every_kind(tmp_path)
+    blocks = load_blocks_jsonl(path)
+    [(height, agreement)] = [(height, tx) for height, _i, tx in loaded_txs(blocks)
+                             if isinstance(tx.payload, AgreementRegistration)]
+    agreement.payload.charging["rate"] *= 2
+    verdict, _bank = verify_blocks(blocks)
+    assert (verdict.valid, verdict.first_invalid_height) == (False, height)
+    assert verdict.reason == f"agreement tx rejected: BadSignature: {agreement.tx_id.hex()}"

@@ -255,6 +255,31 @@ def test_an_empty_dump_path_is_an_io_failure(tmp_path):
             run_scenario(small_config(), tmp_path / dump, **{dump: ""})
 
 
+def test_a_rerun_writes_new_files_and_leaves_links_to_the_old_ones(tmp_path):
+    """A rerun into the same out dir unlinks each output before writing it,
+    never truncating the old file: a hard link to each output of the first
+    run keeps its bytes, a symlinked output is replaced by a file, and each
+    new output is the one a fresh out dir gets."""
+    dumps = {"dump_proofs": "proofs.jsonl", "dump_events": "events.jsonl"}
+    names = ("report.json", "ledger.jsonl", "settlement.csv", *dumps.values())
+    out, fresh, links = tmp_path / "out", tmp_path / "fresh", tmp_path / "links"
+    run_scenario(small_config(), out, **dumps)
+    links.mkdir()
+    old = {}
+    for name in names:
+        os.link(out / name, links / name)
+        old[name] = (links / name).read_bytes()
+    (tmp_path / "target").write_text("kept")
+    (out / "report.json").unlink()
+    (out / "report.json").symlink_to(tmp_path / "target")
+    run_scenario(small_config(seed=4), out, **dumps)
+    run_scenario(small_config(seed=4), fresh, **dumps)
+    assert (tmp_path / "target").read_text() == "kept" and not (out / "report.json").is_symlink()
+    for name in names:
+        assert (links / name).read_bytes() == old[name], name
+        assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name], name
+
+
 def test_events_are_held_only_when_dumped(tmp_path):
     cfg = small_config()
     engines = {}

@@ -1,13 +1,13 @@
 """Work per unit on the golden config, counted by wrapping codec, ledger and
-channel entry points from the test: tx digests, payload type checks, MAC
-signs, MAC verifies and proof-message builds per on-chain tx and per
-off-chain proof, live and on replay; keyed MAC states per actor; header
-type checks per block, live and on replay; header digests per sealed
+channel entry points from the test: tx digests, payload type checks, tx
+text builds, MAC signs, MAC verifies and proof-message builds per on-chain
+tx and per off-chain proof, live and on replay; keyed MAC states per actor;
+header type checks per block, live and on replay; header digests per sealed
 block, Merkle hashes per block and JSON bytes written per tx.
 
 A count of work is deterministic for a fixed config, where a timing is not.
 Each live count is an upper bound: a change may lower one and say so.
-Replay re-checks every loaded tx, so its counts are exact.
+Replay checks every loaded tx by its kind, so its counts are exact.
 """
 
 import hashlib
@@ -18,17 +18,24 @@ from dice.channel import PaymentChannel
 from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.ledger import Ledger, load_blocks_jsonl
 
-COUNTED = [(ledger, "tx_digest"), (codec.KeyedMacSigner, "sign"), (codec.KeyedMacSigner, "verify"),
-           (PaymentChannel, "proof_message"), *((cls, "check") for cls in ledger._PAYLOAD_CLASSES)]
+COUNTED = [(ledger, "tx_digest"), (ledger, "_tx_text"), (codec.KeyedMacSigner, "sign"),
+           (codec.KeyedMacSigner, "verify"), (PaymentChannel, "proof_message"),
+           *((cls, "check") for cls in ledger._PAYLOAD_CLASSES)]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
 # A proof's bytes are built once by the roamer and once by the VMNO, which
 # verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed,
-# nor type-checks its payload again.
-LIVE_BOUNDS = {"tx_digest": (1, 0), "check": (1, 0), "sign": (1, 1), "verify": (0, 1), "proof_message": (0, 2)}
-# Per counted call: its calls per replayed tx.  A loaded payload is
-# type-checked by the load and again by the door, ``tx_digest``.
-REPLAY_COUNTS = {"tx_digest": 1, "check": 2, "sign": 0, "verify": 1, "proof_message": 0}
+# nor type-checks its payload again.  A tx's text is built for its id and
+# again for its line in ``ledger.jsonl``.
+LIVE_BOUNDS = {"tx_digest": (1, 0), "check": (1, 0), "_tx_text": (2, 0), "sign": (1, 1), "verify": (0, 1),
+               "proof_message": (0, 2)}
+# Per counted call: its calls per replayed tx.  The load type-checks a tx and
+# builds its text once, and proves its id from that text, so ``submit`` only
+# verifies its MAC.  An agreement is the exception: a caller could edit its
+# charging dict in place after the load, so ``submit`` re-digests it through
+# the door, ``tx_digest``, which type-checks it and builds its text again.
+REPLAY_COUNTS = {"tx_digest": 0, "check": 1, "_tx_text": 1, "sign": 0, "verify": 1, "proof_message": 0}
+AGREEMENT_REPLAY_COUNTS = {**REPLAY_COUNTS, "tx_digest": 1, "check": 2, "_tx_text": 2}
 # The ``codec.digest`` calls per sealed block (its header's), and the most
 # ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
 DIGESTS_PER_BLOCK = 1
@@ -57,9 +64,14 @@ def test_digests_and_macs_per_tx_and_per_proof(tmp_path, monkeypatch):
         # Above 0: the wrapper sees the calls it counts.
         assert 0 < counts[name] <= per_tx * txs + per_proof * proofs, (name, counts[name], txs, proofs)
 
+    kinds = Counter(tx.payload.kind for block in load_blocks_jsonl(tmp_path / "ledger.jsonl") for tx in block.txs)
+    agreements = kinds["agreement"]
+    assert sum(kinds.values()) == txs and 0 < agreements < txs, kinds
     counts.clear()
     assert verify_ledger(tmp_path / "ledger.jsonl").valid
-    assert dict(counts) == {name: n * txs for name, n in REPLAY_COUNTS.items() if n}
+    expected = {name: n * (txs - agreements) + AGREEMENT_REPLAY_COUNTS[name] * agreements
+                for name, n in REPLAY_COUNTS.items()}
+    assert dict(counts) == {name: n for name, n in expected.items() if n}
 
 
 def test_one_keyed_mac_state_per_actor_per_signer(tmp_path, monkeypatch):
