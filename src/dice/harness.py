@@ -181,8 +181,9 @@ def run_scenario(
     proofs and the session events are written to, a relative one in out_dir.
     They are written first, so a dump that cannot be written fails the run
     before ``report.json``, ``ledger.jsonl`` and ``settlement.csv`` are.
-    Each output is a new file: what was at its path is unlinked (see
-    ``_unlinked``) just before it is written.
+    ``report.json``, ``ledger.jsonl`` and ``settlement.csv`` are each
+    written to a new file (see ``_unlinked``); a dump path, which may name a
+    device, a FIFO or a link anywhere, is opened as it is.
     """
     config.validate()
     _require_float_range(num_mnos=config.num_mnos)
@@ -274,11 +275,11 @@ def run_scenario(
     report = _build_report(config, engine, trace)
     try:
         if dump_proofs is not None:
-            engine.channels.dump_proofs(_unlinked(out_dir / dump_proofs))
+            engine.channels.dump_proofs(out_dir / dump_proofs)
         if dump_events is not None:
             all_events = [ev for s in engine.sessions.values() for ev in s.events]
             all_events.sort(key=lambda ev: (ev["time"], ev["session_id"]))
-            events_to_jsonl(all_events, _unlinked(out_dir / dump_events))
+            events_to_jsonl(all_events, out_dir / dump_events)
         _unlinked(out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         engine.ledger.save_jsonl(_unlinked(out_dir / "ledger.jsonl"))
         write_settlement_csv(_unlinked(out_dir / "settlement.csv"), engine.bank)
@@ -288,13 +289,15 @@ def run_scenario(
 
 
 def _unlinked(path: Path) -> Path:
-    """``path``, after unlinking what is there, so that the output is written
-    to a new file, not by truncating the old one.  On ext4 with
-    ``auto_da_alloc`` (its default), truncating a file written moments ago
-    forces its old data to disk first, which stalled a rerun into the same
-    out dir by tens of milliseconds per output.  A link to the old file keeps
-    the old bytes, and a symlink is replaced, not written through."""
-    path.unlink(missing_ok=True)
+    """``path``, after unlinking the regular file there, if any, so that the
+    output is written to a new file, not by truncating the old one.  On ext4
+    with ``auto_da_alloc`` (its default), truncating a file written moments
+    ago forces its old data to disk first, which stalled a rerun into the
+    same out dir by tens of milliseconds per output.  A hard link to the old
+    file keeps the old bytes; a symlink, a FIFO or a device is written
+    through, as before."""
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
     return path
 
 

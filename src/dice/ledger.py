@@ -19,7 +19,7 @@ just build, ``submit`` also checks the id and signature are bytes and
 verifies the MAC, and re-digests the tx unless ``load_blocks_jsonl`` proved
 its id: the loader type-checks each tx once, builds its ``_tx_text`` once,
 matches the line against that text, and marks the tx proved if its id is the
-digest of that text and its payload holds no dict (see ``_Proof``).
+digest of that text and its payload holds no list or dict (see ``_Proof``).
 
 Each hash covers the JSON text of its record that ``save_jsonl`` writes in
 the record's line, never through a record dict: a tx id its ``_tx_text``, a
@@ -156,16 +156,15 @@ def payload(kind: str):
     payload's kind is the declared ``kind`` (the loader reads a class by its
     kind) and each field holds exactly its declared type and a value JSON
     states: a tuple field a tuple of str, and the float field, ``Redeem.fiat``,
-    any float or JSON value, which the bank checks is a price.  ``holds_dict``
-    tells whether the class has a dict field, whose value a caller can edit in
-    place after the loader proved its tx's id (a fiat the bank takes is a
-    number, which no one edits in place)."""
+    any float or JSON value, which the bank checks is a price.
+    ``holds_mutable`` tells whether the payload holds a list or dict, which
+    a caller can edit in place after the loader proved its tx's id: a dict
+    field always does, the float field when it holds one."""
     def declare(cls):
         cls.kind = kind
         cls = record(cls)
         hints = get_type_hints(cls)
-        cls.holds_dict = dict in (get_origin(hint) or hint for hint in hints.values())
-        read, text = [], [f'{{{{"kind":{_esc(kind)}']
+        read, text, mutable = [], [f'{{{{"kind":{_esc(kind)}'], []
         checks = [f"    if self.kind != {kind!r}:\n        raise rejected('kind', {kind!r}, self.kind)\n"]
         for name in (f.name for f in fields(cls)):
             hint = get_origin(hints[name]) or hints[name]
@@ -188,8 +187,10 @@ def payload(kind: str):
                 value, arg = f"list({v})", f"tuple({arg})"
             elif hint is dict:
                 want, test, value = "JSON object", f"{test} and _is_json({v})", f"_sorted_keys({v})"
+                mutable.append("True")
             elif hint is float:  # any float, which ``_ENCODER`` writes, or JSON value: the bank checks the price
                 want, test = "float or JSON value", f"{test} or _is_json({v})"
+                mutable.append(f"type({v}) in (list, dict)")
             checks.append(f"    if not ({test}):\n        raise rejected({name!r}, {want!r}, {v})\n")
             text.append(f",{_esc(name)}:{inline or f'{{json_encode({value})}}'}")
             read.append(arg)
@@ -197,11 +198,12 @@ def payload(kind: str):
                "_INT_BOUND": _INT_BOUND, "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
         source = (f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
                   f"def check(self):\n{''.join(checks)}"
-                  f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n")
+                  f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n"
+                  f"def holds_mutable(self):\n    return {' or '.join(mutable) or 'False'}\n")
         exec(compile(source, f"<generated {cls.__module__}.{cls.__qualname__}>", "exec"), env)
-        for name in ("to_json", "check", "from_fields"):
+        for name in ("to_json", "check", "from_fields", "holds_mutable"):
             env[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls.to_json, cls.check = env["to_json"], env["check"]
+        cls.to_json, cls.check, cls.holds_mutable = env["to_json"], env["check"], env["holds_mutable"]
         cls.from_fields = classmethod(env["from_fields"])
         return cls
     return declare
@@ -277,9 +279,9 @@ def payload_from_record(record: dict) -> TxPayload:
 class _Proof:
     """The slot ``_proved``, which only ``load_blocks_jsonl`` sets, on a tx
     whose id it proved is the digest of the tx's ``_tx_text``, and whose
-    payload holds no dict.  ``submit`` reads it to skip ``tx_digest``.  It is
-    not a field: ``dataclasses.replace``, ``copy`` and ``pickle`` build a tx
-    from its fields alone, so none of them carries it."""
+    payload holds no list or dict.  ``submit`` reads it to skip
+    ``tx_digest``.  It is not a field: ``dataclasses.replace``, ``copy`` and
+    ``pickle`` build a tx from its fields alone, so none of them carries it."""
     __slots__ = ("_proved",)
 
 
@@ -454,7 +456,7 @@ def _block_line(block: Block, tx_lines: Iterable[str]) -> Iterator[str]:
     yield "}"
 
 
-def _first_difference(text: str, block: Block, tx_lines: list[str]) -> Optional[int]:
+def _first_difference(text: str, block: Block, tx_lines: Iterable[str]) -> Optional[int]:
     """The first column at which ``text`` differs from ``block``'s line with
     ``tx_lines``, or None if it is that line.  Each piece is matched in place,
     so no second copy of the line is built."""
@@ -610,10 +612,10 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def _proved_line(tx: Transaction) -> str:
     """A loaded tx's ``_tx_line``, built from its one ``_tx_text``; the tx is
-    marked proved if its payload holds no dict and its id is the digest of
-    that text in braces, the id ``tx_digest`` would give."""
+    marked proved if its payload holds no list or dict and its id is the
+    digest of that text in braces, the id ``tx_digest`` would give."""
     text = _tx_text(tx.timestamp, tx.signer, tx.payload)
-    if not tx.payload.holds_dict and codec.digest(f"{{{text}}}".encode()) == tx.tx_id:
+    if not tx.payload.holds_mutable() and codec.digest(f"{{{text}}}".encode()) == tx.tx_id:
         _prove(tx, True)
     return _tx_line(tx, text)
 
@@ -635,7 +637,7 @@ def load_blocks_jsonl(path) -> list[Block]:
             try:
                 text = str(memoryview(line)[:-1] if line.endswith(b"\n") else line, "utf-8")
                 block = Block.from_record(_DECODER.decode(text))
-                column = _first_difference(text, block, [_proved_line(tx) for tx in block.txs])
+                column = _first_difference(text, block, (_proved_line(tx) for tx in block.txs))
                 if column is not None:
                     raise ValueError(f"column {column} differs from the line save_jsonl writes for its block")
                 blocks.append(block)

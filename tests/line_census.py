@@ -8,7 +8,8 @@ line tracer before ``import dice``, so what runs at import counts too, and
 traces only frames of ``src/dice``.  It runs:
 
 - the honest CLI pass, ``HONEST_CLI``: a 1-day default run with proofs and
-  events dumped, a 1-day home-routing run, ``ledger verify``,
+  events dumped, a 1-day home-routing run twice into one out dir (a rerun
+  replaces the outputs), ``ledger verify``,
   ``requirements`` and ``calibrate``;
 - the tests of the rejection tables, ``TABLE_TESTS``, under pytest.
 
@@ -44,6 +45,7 @@ SRC = TESTS.parent / "src" / "dice"
 
 HONEST_CLI = [
     ["simulate", "--days", "1", "--out-dir", "{out}/default", "--dump-proofs", "--dump-events"],
+    ["simulate", "--days", "1", "--mode", "hr", "--out-dir", "{out}/hr"],
     ["simulate", "--days", "1", "--mode", "hr", "--out-dir", "{out}/hr"],
     ["ledger", "verify", "--path", "{out}/default/ledger.jsonl"],
     ["requirements", "--report", "{out}/default/report.json"],

@@ -800,3 +800,25 @@ def test_a_loaded_agreement_edited_in_place_is_rejected(tmp_path):
     verdict, _bank = verify_blocks(blocks)
     assert (verdict.valid, verdict.first_invalid_height) == (False, height)
     assert verdict.reason == f"agreement tx rejected: BadSignature: {agreement.tx_id.hex()}"
+
+
+def test_a_loaded_list_fiat_edited_in_place_is_rejected(tmp_path):
+    """A redeem's fiat may hold any JSON value, which the bank then rejects;
+    a loaded list fiat can be edited in place, so its tx is not proved, and
+    its replay digests it: the edit is a BadSignature, as before the load
+    proved any id, where the unedited redeem is a PayloadRejected."""
+    chain = Ledger(["H", "V"], {m: codec.derive_key(0, m) for m in ("H", "V")})
+    chain.append(65, "V", Redeem("V", "H", ("lot",), [1.0]))
+    chain.seal_block(70)
+    path = tmp_path / "ledger.jsonl"
+    chain.save_jsonl(path)
+    [(height, _i, redeem)] = loaded_txs(load_blocks_jsonl(path))
+    assert not proved(redeem)
+    verdict, _bank = verify_blocks(load_blocks_jsonl(path))
+    assert (verdict.valid, verdict.first_invalid_height) == (False, height)
+    assert verdict.reason.startswith("redeem tx rejected: PayloadRejected: ")
+    blocks = load_blocks_jsonl(path)
+    blocks[height].txs[0].payload.fiat.append(2.0)
+    verdict, _bank = verify_blocks(blocks)
+    assert (verdict.valid, verdict.first_invalid_height) == (False, height)
+    assert verdict.reason == f"redeem tx rejected: BadSignature: {redeem.tx_id.hex()}"

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -256,28 +258,46 @@ def test_an_empty_dump_path_is_an_io_failure(tmp_path):
 
 
 def test_a_rerun_writes_new_files_and_leaves_links_to_the_old_ones(tmp_path):
-    """A rerun into the same out dir unlinks each output before writing it,
-    never truncating the old file: a hard link to each output of the first
-    run keeps its bytes, a symlinked output is replaced by a file, and each
-    new output is the one a fresh out dir gets."""
+    """A rerun into the same out dir unlinks each of its three outputs
+    before writing it, never truncating the old file: a hard link to each of
+    them keeps the first run's bytes, and each new output is the one a fresh
+    out dir gets.  A symlinked output and the dumps are written through."""
     dumps = {"dump_proofs": "proofs.jsonl", "dump_events": "events.jsonl"}
-    names = ("report.json", "ledger.jsonl", "settlement.csv", *dumps.values())
+    outputs = ("report.json", "ledger.jsonl", "settlement.csv")
     out, fresh, links = tmp_path / "out", tmp_path / "fresh", tmp_path / "links"
     run_scenario(small_config(), out, **dumps)
     links.mkdir()
     old = {}
-    for name in names:
+    for name in (*outputs, *dumps.values()):
         os.link(out / name, links / name)
         old[name] = (links / name).read_bytes()
-    (tmp_path / "target").write_text("kept")
-    (out / "report.json").unlink()
+    (out / "report.json").rename(tmp_path / "target")
     (out / "report.json").symlink_to(tmp_path / "target")
     run_scenario(small_config(seed=4), out, **dumps)
     run_scenario(small_config(seed=4), fresh, **dumps)
-    assert (tmp_path / "target").read_text() == "kept" and not (out / "report.json").is_symlink()
-    for name in names:
+    assert (out / "report.json").is_symlink()
+    assert (tmp_path / "target").read_bytes() == (fresh / "report.json").read_bytes() != old["report.json"]
+    for name in outputs[1:]:
         assert (links / name).read_bytes() == old[name], name
         assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name], name
+    for name in dumps.values():
+        assert (links / name).read_bytes() == (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dump", ["dump_proofs", "dump_events"])
+def test_a_dump_into_a_fifo_is_written_through_it(tmp_path, dump):
+    """A dump path that names a FIFO is opened as it is, not replaced: a
+    reader on the FIFO gets the bytes a dump to a file holds, and the FIFO
+    is still there after the run."""
+    fifo, received = tmp_path / "dump.fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    run_scenario(small_config(), tmp_path / "out", **{dump: fifo})
+    reader.join(timeout=30)
+    run_scenario(small_config(), tmp_path / "file", **{dump: "dump.jsonl"})
+    assert stat.S_ISFIFO(fifo.lstat().st_mode) and not reader.is_alive()
+    assert received == [(tmp_path / "file" / "dump.jsonl").read_bytes()] != [b""]
 
 
 def test_events_are_held_only_when_dumped(tmp_path):
