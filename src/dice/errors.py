@@ -27,10 +27,6 @@ class EmptyPending(DiceError):
     pass
 
 
-class UnknownReader(DiceError):
-    pass
-
-
 class ReplayRejected(DiceError):
     """A chain that does not verify, met while rebuilding state from it."""
 

@@ -381,15 +381,14 @@ class RequirementsVerdict:
 
 
 def check_requirements(report: MetricsReport,
-                       visited_mno_daily_bytes: Optional[int] = VISITED_MNO_DAILY_BYTES) -> RequirementsVerdict:
+                       visited_mno_daily_bytes: int = VISITED_MNO_DAILY_BYTES) -> RequirementsVerdict:
     """Extrapolate the desk-scale run to consortium scale and test it
     against the reference ledger capacity.  Every projection knob is read
     from the report's config, which is validated first, so a bad one raises
     InvalidConfig naming it; so does a verdict figure that is not finite,
     naming the first one, and an int the projection would have to turn into
     a float beyond its range.  The visited MNO's daily off-chain payments
-    come from ``visited_mno_daily_bytes``, or with None from the run's own
-    proofs."""
+    come from ``visited_mno_daily_bytes``."""
     cfg = ScenarioConfig.from_dict(report.config)
     tps_capacity, factor = cfg.tps_capacity, cfg.avg_mno_factor
     _require_float_range(tps_capacity=tps_capacity, num_mnos=cfg.num_mnos,
@@ -398,10 +397,7 @@ def check_requirements(report: MetricsReport,
 
     onchain_daily_full = report.onchain_tx_total / cfg.days / cfg.scale
     daily_onchain = onchain_daily_full * cfg.num_mnos * factor
-    if visited_mno_daily_bytes is not None:
-        daily_offchain = visited_mno_daily_bytes / TOKEN_BLOCK_BYTES
-    else:
-        daily_offchain = report.offchain_proofs_total / cfg.days / cfg.scale
+    daily_offchain = visited_mno_daily_bytes / TOKEN_BLOCK_BYTES
     daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor
 
     peak = daily_onchain / (cfg.concentration_hours * 3600.0)

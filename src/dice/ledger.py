@@ -2,8 +2,8 @@
 
 Consensus is intentionally trivial: a fixed roster seals blocks in turn and
 every hash is recomputable, so two identical submission sequences produce
-byte-identical chains.  Confidentiality is modeled through read scopes
-``query`` derives from the sealed transactions, as a replay would.
+byte-identical chains.  The chain is public, as its file is: every reader
+walks the sealed txs through ``all_txs`` and filters them itself.
 
 A tx, a block header and genesis's roster and keys each have one door for
 their types, which raises PayloadRejected naming the field before any of
@@ -52,7 +52,6 @@ from .errors import (
     EmptyPending,
     LedgerParseError,
     PayloadRejected,
-    UnknownReader,
     UnknownSigner,
 )
 
@@ -98,8 +97,11 @@ def record(cls):
 # --- transaction payloads ---------------------------------------------------
 
 
-# ``json.dumps(..., separators=(",", ":"))``'s encoder, built once.
+# ``json.dumps(..., separators=(",", ":"))``'s encoder, built once; and the
+# one a dict field is written by, which writes each dict in it, at any depth,
+# in sorted key order, so that equal dicts write equal text.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_SORTED_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _esc = json.encoder.encode_basestring_ascii   # what _ENCODER writes for a str
 
 # Ints of more digits than ``str`` writes (CPython's int-to-text limit, or
@@ -131,17 +133,6 @@ def _rejected(name: str, want: str, value) -> PayloadRejected:
     return PayloadRejected(f"{name} must be of type {want}, not {shown}")
 
 
-def _sorted_keys(value):
-    """A dict field's value as it is written, and so hashed: each dict in it,
-    at any depth, in sorted key order, so that equal dicts write equal text;
-    each list and tuple in it as a list, as JSON writes it."""
-    if isinstance(value, dict):
-        return {key: _sorted_keys(value[key]) for key in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_sorted_keys(item) for item in value]
-    return value
-
-
 def payload(kind: str):
     """``record``, plus the payload's wire form and field types stated by its
     fields alone: ``to_json``, ``from_fields`` and ``check``, generated once
@@ -149,7 +140,7 @@ def payload(kind: str):
     that a tx line holds and a tx id hashes, writes the kind, then the fields
     in declared order: a ``bytes`` field as lower-case hex read back by
     ``bytes.fromhex``, a ``tuple`` field as a list read back by ``tuple``, a
-    ``dict`` field by ``_sorted_keys``, any other as is.  Upper-case hex, or
+    ``dict`` field by ``_SORTED_ENCODER``, any other as is.  Upper-case hex, or
     a str for a list, reads back too, but is not the line ``save_jsonl``
     writes, so ``load_blocks_jsonl`` rejects it.  ``check``, which the door
     ``_check_tx`` runs, raises PayloadRejected, naming the field, unless the
@@ -186,7 +177,7 @@ def payload(kind: str):
                 want, test = "tuple of str", f"{test} and all(type(s) is str for s in {v})"
                 value, arg = f"list({v})", f"tuple({arg})"
             elif hint is dict:
-                want, test, value = "JSON object", f"{test} and _is_json({v})", f"_sorted_keys({v})"
+                want, test, inline = "JSON object", f"{test} and _is_json({v})", f"{{sorted_encode({v})}}"
                 mutable.append("True")
             elif hint is float:  # any float, which ``_ENCODER`` writes, or JSON value: the bank checks the price
                 want, test = "float or JSON value", f"{test} or _is_json({v})"
@@ -194,8 +185,8 @@ def payload(kind: str):
             checks.append(f"    if not ({test}):\n        raise rejected({name!r}, {want!r}, {v})\n")
             text.append(f",{_esc(name)}:{inline or f'{{json_encode({value})}}'}")
             read.append(arg)
-        env = {"__name__": cls.__module__, "_sorted_keys": _sorted_keys, "_is_json": _is_json,
-               "_INT_BOUND": _INT_BOUND, "rejected": _rejected, "esc": _esc, "json_encode": _ENCODER.encode}
+        env = {"__name__": cls.__module__, "_is_json": _is_json, "_INT_BOUND": _INT_BOUND, "rejected": _rejected,
+               "esc": _esc, "json_encode": _ENCODER.encode, "sorted_encode": _SORTED_ENCODER.encode}
         source = (f"def to_json(self):\n    return f'''{''.join(text)}}}}}'''\n"
                   f"def check(self):\n{''.join(checks)}"
                   f"def from_fields(cls, f):\n    return cls({', '.join(read)})\n"
@@ -480,7 +471,8 @@ class ValidityReport:
 
 
 class Ledger:
-    """Single-writer chain: append or submit -> seal; verify and query are read-only."""
+    """Single-writer chain: append or submit -> seal_block; ``all_txs`` and
+    ``tx_index`` are the read paths."""
 
     def __init__(self, roster: list[str], keys: dict[str, bytes]):
         """Seal genesis, at time 0 as every ledger does, anchoring the roster
@@ -558,32 +550,6 @@ class Ledger:
         """Sealed transactions in chain order."""
         for block in self.chain:
             yield from block.txs
-
-    def query(self, reader: str) -> list[Transaction]:
-        """The sealed txs ``reader`` may see, in chain order; callers filter
-        them.  An Issue is seen by its issuer; a channel's open and close by
-        its VMNO and its wallet's home, the issuer of the first Issue into
-        that wallet earlier in the chain; every other kind by everyone."""
-        if reader not in self.roster:
-            raise UnknownReader(reader)
-        homes: dict[str, str] = {}                 # wallet -> its home
-        channel_readers: dict[str, tuple] = {}     # channel -> (vmno, home)
-        out = []
-        for tx in self.all_txs():
-            p = tx.payload
-            if isinstance(p, Issue):
-                homes.setdefault(p.wallet, p.issuer)
-                visible = reader == p.issuer
-            elif isinstance(p, ChannelOpen):
-                readers = channel_readers[p.channel] = (p.vmno, homes.get(p.wallet))
-                visible = reader in readers
-            elif isinstance(p, ChannelClose):
-                visible = reader in channel_readers.get(p.channel, ())
-            else:
-                visible = True
-            if visible:
-                out.append(tx)
-        return out
 
     # -- persistence
 

@@ -77,7 +77,6 @@ class DiceEngine:
     def __init__(self, mnos: list[str], roamers: list[str], *, seed: int = 0, **channel_options):
         keys = {a: codec.derive_key(seed, a) for a in [*mnos, *roamers]}
         self.ledger = Ledger(mnos, keys)
-        self.signer = self.ledger.signer_backend
         self.bank = TokenBank(self.ledger)
         self.channels = ChannelManager(self.ledger, self.bank, preimage_seed=codec.derive_seed(seed, "preimage"),
                                        **channel_options)

@@ -48,56 +48,56 @@ def honest_engine():
 
 
 def issue_signed_by_another_mno(eng, sessions):
-    return make_transaction(70, "V", Issue("H", sessions["alice"].active_wallet, 10), eng.signer)
+    return make_transaction(70, "V", Issue("H", sessions["alice"].active_wallet, 10), eng.ledger.signer_backend)
 
 
 def issue_by_a_roamer_off_the_roster(eng, sessions):
     # Genesis anchors alice's key, but only roster members issue tokens.
-    return make_transaction(70, "alice", Issue("alice", sessions["alice"].active_wallet, 10), eng.signer)
+    return make_transaction(70, "alice", Issue("alice", sessions["alice"].active_wallet, 10), eng.ledger.signer_backend)
 
 
 def issue_into_a_wallet_homed_elsewhere(eng, sessions):
     # V signs its own Issue, but alice's wallet is homed at H.
-    return make_transaction(70, "V", Issue("V", sessions["alice"].active_wallet, 10), eng.signer)
+    return make_transaction(70, "V", Issue("V", sessions["alice"].active_wallet, 10), eng.ledger.signer_backend)
 
 
 def issue_of_no_tokens(eng, sessions):
-    return make_transaction(70, "H", Issue("H", sessions["alice"].active_wallet, 0), eng.signer)
+    return make_transaction(70, "H", Issue("H", sessions["alice"].active_wallet, 0), eng.ledger.signer_backend)
 
 
 def open_with_no_deposit(eng, sessions):
     opened = ChannelOpen("ch-empty", sessions["bob"].active_wallet, "V", 0, bytes(32), 100)
-    return make_transaction(70, "bob", opened, eng.signer)
+    return make_transaction(70, "bob", opened, eng.ledger.signer_backend)
 
 
 def reopen_of_a_closed_channel(eng, sessions):
     # alice still holds 15 spendable tokens, enough for the deposit.
     alice = sessions["alice"]
     opened = ChannelOpen(alice.channel, alice.active_wallet, "V", 5, bytes(32), 100)
-    return make_transaction(70, "alice", opened, eng.signer)
+    return make_transaction(70, "alice", opened, eng.ledger.signer_backend)
 
 
 def close_of_a_channel_never_opened(eng, sessions):
-    return make_transaction(70, "V", ChannelClose("ch-never", 0, 0, 0), eng.signer)
+    return make_transaction(70, "V", ChannelClose("ch-never", 0, 0, 0), eng.ledger.signer_backend)
 
 
 def second_close_of_a_closed_channel(eng, sessions):
     # A valid split of alice's deposit, but not the one her close recorded.
-    return make_transaction(70, "V", ChannelClose(sessions["alice"].channel, 0, 25, 0), eng.signer)
+    return make_transaction(70, "V", ChannelClose(sessions["alice"].channel, 0, 25, 0), eng.ledger.signer_backend)
 
 
 def close_not_splitting_the_deposit(eng, sessions):
-    return make_transaction(70, "bob", ChannelClose(sessions["bob"].channel, 5, 5, 5), eng.signer)
+    return make_transaction(70, "bob", ChannelClose(sessions["bob"].channel, 5, 5, 5), eng.ledger.signer_backend)
 
 
 def close_paying_without_a_proof(eng, sessions):
-    return make_transaction(70, "V", ChannelClose(sessions["bob"].channel, 25, 0, 0), eng.signer)
+    return make_transaction(70, "V", ChannelClose(sessions["bob"].channel, 25, 0, 0), eng.ledger.signer_backend)
 
 
 def redeem_of_a_lot_the_roamer_holds(eng, sessions):
     lots = tuple(l.lot_id for l in eng.bank.lots_of(sessions["alice"].active_wallet, "H"))
     assert lots
-    return make_transaction(70, "V", Redeem("V", "H", lots, 0.6), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", lots, 0.6), eng.ledger.signer_backend)
 
 
 def earned_lots(eng):
@@ -108,15 +108,15 @@ def earned_lots(eng):
 
 
 def redeem_with_a_negative_fiat(eng, sessions):
-    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), -0.6), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), -0.6), eng.ledger.signer_backend)
 
 
 def redeem_with_a_bool_fiat(eng, sessions):
-    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), True), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), True), eng.ledger.signer_backend)
 
 
 def redeem_of_no_lots(eng, sessions):
-    return make_transaction(70, "V", Redeem("V", "H", (), 1e9), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", (), 1e9), eng.ledger.signer_backend)
 
 
 def agreed_price(eng, lots):
@@ -125,21 +125,21 @@ def agreed_price(eng, lots):
 
 
 def redeem_at_a_price_not_agreed(eng, sessions):
-    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 1e9), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 1e9), eng.ledger.signer_backend)
 
 
 def redeem_signed_by_the_home_mno(eng, sessions):
     lots = earned_lots(eng)
-    return make_transaction(70, "H", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+    return make_transaction(70, "H", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.ledger.signer_backend)
 
 
 def redeem_naming_a_lot_twice(eng, sessions):
     lots = earned_lots(eng) * 2
-    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.ledger.signer_backend)
 
 
 def redeem_of_no_lots_at_the_price_of_none(eng, sessions):
-    return make_transaction(70, "V", Redeem("V", "H", (), agreed_price(eng, ())), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", (), agreed_price(eng, ())), eng.ledger.signer_backend)
 
 
 def redeem_with_a_bool_fiat_equal_to_the_agreed_price(eng, sessions):
@@ -148,13 +148,13 @@ def redeem_with_a_bool_fiat_equal_to_the_agreed_price(eng, sessions):
     eng.detach(sessions["bob"], 65)
     lots = earned_lots(eng)
     assert agreed_price(eng, lots) == 1.0
-    return make_transaction(70, "V", Redeem("V", "H", lots, True), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", lots, True), eng.ledger.signer_backend)
 
 
 def redeem_of_burned_lots(eng, sessions):
     lots = earned_lots(eng)
     eng.ledger.append(65, "V", Redeem("V", "H", lots, agreed_price(eng, lots)))
-    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "H", lots, agreed_price(eng, lots)), eng.ledger.signer_backend)
 
 
 def lots_v_earned_from_its_own_tokens(eng):
@@ -173,59 +173,61 @@ def lots_v_earned_from_its_own_tokens(eng):
 
 def redeem_without_an_agreement(eng, sessions):
     lots = lots_v_earned_from_its_own_tokens(eng)
-    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.ledger.signer_backend)
 
 
 def redeem_of_lots_in_channel_escrow(eng, sessions):
     lots = lots_v_earned_from_its_own_tokens(eng)
     # V's treasury is homed at V, so opening a channel escrows those V tokens.
     eng.channels.open_channel(treasury_wallet_id("V"), "H", 10, 65)
-    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.signer)
+    return make_transaction(70, "V", Redeem("V", "V", lots, 0.4), eng.ledger.signer_backend)
 
 
 def attach_check_signed_by_a_roamer(eng, sessions):
-    return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.signer)
+    return make_transaction(70, "bob", AttachCheck("w-nope", "V", "H", True), eng.ledger.signer_backend)
 
 
 def attach_check_naming_a_home_off_the_roster(eng, sessions):
-    return make_transaction(70, "V", AttachCheck(sessions["bob"].active_wallet, "V", "bob", True), eng.signer)
+    return make_transaction(70, "V", AttachCheck(sessions["bob"].active_wallet, "V", "bob", True),
+                            eng.ledger.signer_backend)
 
 
 def attach_check_of_an_unknown_wallet(eng, sessions):
-    return make_transaction(70, "V", AttachCheck("w-nowhere", "V", "H", True), eng.signer)
+    return make_transaction(70, "V", AttachCheck("w-nowhere", "V", "H", True), eng.ledger.signer_backend)
 
 
 def attach_check_of_a_wallet_homed_elsewhere(eng, sessions):
     # alice's wallet is homed at H, not at the check's hmno V.
-    return make_transaction(70, "H", AttachCheck(sessions["alice"].active_wallet, "H", "V", True), eng.signer)
+    return make_transaction(70, "H", AttachCheck(sessions["alice"].active_wallet, "H", "V", True),
+                            eng.ledger.signer_backend)
 
 
 def attach_check_accepted_without_an_agreement(eng, sessions):
     # V's treasury is homed at V, and no agreement lets H accept V's tokens.
-    return make_transaction(70, "H", AttachCheck(treasury_wallet_id("V"), "H", "V", True), eng.signer)
+    return make_transaction(70, "H", AttachCheck(treasury_wallet_id("V"), "H", "V", True), eng.ledger.signer_backend)
 
 
 def agreement_signed_by_the_visited_mno(eng, sessions):
     bad = {"model": "per_unit", "rate": -5}
-    return make_transaction(70, "V", AgreementRegistration("H", "V", ("H",), bad), eng.signer)
+    return make_transaction(70, "V", AgreementRegistration("H", "V", ("H",), bad), eng.ledger.signer_backend)
 
 
 def second_agreement_for_a_pair(eng, sessions):
-    return make_transaction(70, "H", AgreementRegistration("H", "V", ("H",), CHARGING), eng.signer)
+    return make_transaction(70, "H", AgreementRegistration("H", "V", ("H",), CHARGING), eng.ledger.signer_backend)
 
 
 def agreement_naming_a_vmno_off_the_roster(eng, sessions):
-    return make_transaction(70, "H", AgreementRegistration("H", "bob", ("H",), CHARGING), eng.signer)
+    return make_transaction(70, "H", AgreementRegistration("H", "bob", ("H",), CHARGING), eng.ledger.signer_backend)
 
 
 def agreement_with_a_negative_rate(eng, sessions):
     bad = {"model": "per_unit", "rate": -5}
-    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
+    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.ledger.signer_backend)
 
 
 def agreement_with_a_string_rate(eng, sessions):
     bad = {"model": "per_unit", "rate": "0.04"}
-    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.signer)
+    return make_transaction(70, "V", AgreementRegistration("V", "H", ("V",), bad), eng.ledger.signer_backend)
 
 
 def issue_signed_by_an_unknown_actor(eng, sessions):
@@ -234,7 +236,7 @@ def issue_signed_by_an_unknown_actor(eng, sessions):
 
 
 def issue_under_the_signature_of_another_tx(eng, sessions):
-    honest = make_transaction(70, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+    honest = make_transaction(70, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.ledger.signer_backend)
     return dataclasses.replace(honest, signature=eng.ledger.chain[1].txs[0].signature)
 
 
@@ -312,7 +314,7 @@ def test_earliest_rejected_height_is_reported(forge, kind, error, tmp_path):
     eng, sessions = honest_engine()
     eng.ledger.pending.append(forge(eng, sessions))
     assert eng.ledger.seal_block(80).height == 2
-    honest = make_transaction(90, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.signer)
+    honest = make_transaction(90, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.ledger.signer_backend)
     eng.ledger.pending.append(dataclasses.replace(honest, signature=bytes(32)))
     eng.ledger.seal_block(90)
     path = tmp_path / "ledger.jsonl"
@@ -387,14 +389,14 @@ def test_redeem_of_a_fiat_no_float_holds_is_rejected_live(fiat):
     """No JSON number states it, so it never reaches a saved chain: the bank
     rejects it on submit, and the parse rejects its literal on load."""
     eng, _ = honest_engine()
-    forged = make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), fiat), eng.signer)
+    forged = make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), fiat), eng.ledger.signer_backend)
     pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
     with pytest.raises(PayloadRejected, match="fiat"):
         eng.ledger.submit(forged)
     assert eng.ledger.pending == pending
     assert bank_snapshot(eng.bank) == state
     # The honest redeem of the same lots, at their agreed price, still goes through.
-    eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.4), eng.signer))
+    eng.ledger.submit(make_transaction(70, "V", Redeem("V", "H", earned_lots(eng), 0.4), eng.ledger.signer_backend))
 
 
 # Signed payloads with a field of a type the live engine never writes, as
@@ -428,7 +430,7 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
     """A live submit rejects it, leaving the ledger and the bank as they were."""
     eng, sessions = honest_engine()
     signer, payload = forge(sessions)
-    mistyped = forged_tx(eng.signer, 70, signer, payload)
+    mistyped = forged_tx(eng.ledger.signer_backend, 70, signer, payload)
     pending, state = list(eng.ledger.pending), bank_snapshot(eng.bank)
     with pytest.raises(PayloadRejected, match="must be of type"):
         eng.ledger.submit(mistyped)
@@ -447,7 +449,7 @@ def test_mistyped_payload_is_a_parse_error_at_its_line(forge, tmp_path):
 
 
 def issue_to_bob(eng, sessions, timestamp=70):
-    return forged_tx(eng.signer, timestamp, "H", Issue("H", sessions["bob"].active_wallet, 1))
+    return forged_tx(eng.ledger.signer_backend, timestamp, "H", Issue("H", sessions["bob"].active_wallet, 1))
 
 
 # Txs with one of their own fields of another type than the loader reads,
@@ -551,7 +553,7 @@ def count_writers(monkeypatch) -> Counter:
 
 def renamed_close(eng, sessions):
     """bob's close, of a payload class that renames its kind."""
-    return forged_tx(eng.signer, 70, "bob", RenamedClose(sessions["bob"].channel, 0, 25, 0))
+    return forged_tx(eng.ledger.signer_backend, 70, "bob", RenamedClose(sessions["bob"].channel, 0, 25, 0))
 
 
 def test_a_renamed_kind_is_rejected_live_naming_kind():
@@ -574,7 +576,7 @@ def test_no_text_is_written_before_the_type_check(monkeypatch):
     submitted, appended = [renamed], [(renamed.timestamp, renamed.signer, renamed.payload)]
     for forge in MISTYPED.values():
         signer, payload = forge(sessions)
-        submitted.append(forged_tx(eng.signer, 70, signer, payload))
+        submitted.append(forged_tx(eng.ledger.signer_backend, 70, signer, payload))
         appended.append((70, signer, payload))
     for field, forge in MISTYPED_TX.values():
         tx = forge(eng, sessions)
@@ -603,7 +605,7 @@ def test_no_text_is_written_before_the_type_check(monkeypatch):
 
 def as_tx(forge):
     """A ``MISTYPED`` row's forge as forge(eng, sessions) -> tx."""
-    return lambda eng, sessions: forged_tx(eng.signer, 70, *forge(sessions))
+    return lambda eng, sessions: forged_tx(eng.ledger.signer_backend, 70, *forge(sessions))
 
 
 # Every row above, as (id, forge(eng, sessions) -> tx).
@@ -644,7 +646,7 @@ def test_append_rejects_an_unknown_signer_and_a_repeat():
     with pytest.raises(DuplicateTx):
         eng.ledger.append(90, "H", issue)
     with pytest.raises(DuplicateTx):
-        eng.ledger.submit(make_transaction(90, "H", issue, eng.signer))
+        eng.ledger.submit(make_transaction(90, "H", issue, eng.ledger.signer_backend))
     assert ledger_state(eng) == state
 
 

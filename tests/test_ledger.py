@@ -17,13 +17,11 @@ from dice.errors import (
     LedgerParseError,
     PayloadRejected,
     ReplayRejected,
-    UnknownReader,
     UnknownSigner,
 )
 from dice.ledger import (
     SAVE_CHUNK_TXS,
     AgreementRegistration,
-    AttachCheck,
     Block,
     ChannelOpen,
     Issue,
@@ -418,51 +416,6 @@ def test_identical_submissions_give_identical_chains(tmp_path):
         ledger.save_jsonl(p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
-
-
-# --- visibility ----------------------------------------------------------------
-
-
-@pytest.fixture
-def scoped_ledger():
-    ledger = Ledger(ROSTER, KEYS)
-    ledger.submit(make_transaction(1, "A", Issue("A", "wA", 10), ledger.signer_backend))
-    ledger.submit(make_transaction(
-        2, "A", ChannelOpen("ch1", "wA", "B", 10, codec.digest(b"p"), 999), ledger.signer_backend
-    ))
-    ledger.submit(make_transaction(3, "B", AttachCheck("wA", "B", "A", True), ledger.signer_backend))
-    ledger.seal_block(5)
-    return ledger
-
-
-def kinds_seen(ledger, reader):
-    return [tx.payload.kind for tx in ledger.query(reader)]
-
-
-def test_issuer_sees_own_issue_txs(scoped_ledger):
-    assert kinds_seen(scoped_ledger, "A").count("issue") == 1
-
-
-def test_third_party_cannot_see_channel_or_issue(scoped_ledger):
-    # C sees only the attach check, which is public.
-    assert kinds_seen(scoped_ledger, "C") == ["attach"]
-
-
-def test_channel_party_sees_channel(scoped_ledger):
-    assert len([tx for tx in scoped_ledger.query("B") if getattr(tx.payload, "channel", None) == "ch1"]) == 1
-
-
-def test_unknown_reader(scoped_ledger):
-    with pytest.raises(UnknownReader):
-        scoped_ledger.query("Z")
-
-
-def test_visibility_is_monotone_in_scope(scoped_ledger):
-    # Any reader's view is a subset of the all-scopes view (every sealed tx).
-    full = {tx.tx_id for tx in scoped_ledger.all_txs()}
-    for reader in ROSTER:
-        view = {tx.tx_id for tx in scoped_ledger.query(reader)}
-        assert view <= full
 
 
 # --- persistence -----------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_attach_without_agreement_is_refused_and_recorded():
         eng.attach_check(session, 5)
     assert session.state == HOME
     eng.ledger.seal_block(6)
-    refusals = [tx for tx in eng.ledger.query("V")
+    refusals = [tx for tx in eng.ledger.all_txs()
                 if tx.payload.kind == "attach" and not tx.payload.accepted]
     assert len(refusals) == 1
 

@@ -125,21 +125,6 @@ def test_create_identities_skips_a_generated_id_an_issue_took(bank):
     assert bank.balance("w-0000001", "H") == 5
 
 
-def test_identity_privacy_against_other_mnos(bank):
-    """Exhaustive: no non-home MNO can discover any of the roamer's wallets
-    through ledger queries."""
-    wallets = bank.create_identities("H", "alice", 3, [10, 10, 5], now=1)
-    bank.ledger.seal_block(2)
-    for reader in ROSTER:
-        if reader == "H":
-            continue
-        seen = bank.ledger.query(reader)
-        assert not {getattr(tx.payload, "wallet", None) for tx in seen} & set(wallets)
-        assert [tx for tx in seen if tx.payload.kind == "issue"] == []
-    # The home MNO itself sees all three funding transactions.
-    assert len([tx for tx in bank.ledger.query("H") if tx.payload.kind == "issue"]) == 3
-
-
 def test_transfer_whole_lot(bank):
     src = bank.create_wallet("alice", "H")
     dst = bank.create_wallet("bob", "H")
