@@ -182,9 +182,9 @@ class ChannelManager:
         return proofs
 
     def receive_proof(self, vmno: str, proof: BalanceProof) -> BalanceProof:
-        """VMNO side: validate and store the latest balance proof."""
+        """VMNO side: type-check each field, then validate and store the latest balance proof."""
         channel_id, seq, cumulative = proof.channel_id, proof.seq, proof.cumulative
-        ch = self.channels.get(channel_id)
+        ch = self.channels.get(channel_id) if type(channel_id) is str else None
         if ch is None:
             raise UnknownChannel(channel_id)
         opened = ch.opened
@@ -192,7 +192,8 @@ class ChannelManager:
             raise ChannelNotOpen(channel_id)
         if type(seq) is not int or type(cumulative) is not int:
             raise BadSignature(f"proof seq {seq!r}, cumulative {cumulative!r}: not both ints")
-        if not self.signer.verify(ch.roamer, ch.proof_message(seq, cumulative), proof.signature):
+        if type(proof.signature) is not bytes or not self.signer.verify(
+                ch.roamer, ch.proof_message(seq, cumulative), proof.signature):
             raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
         if latest is None:
@@ -208,7 +209,7 @@ class ChannelManager:
             raise Overdraft(f"cumulative {cumulative} > deposit {opened.deposit}")
         if cumulative <= last_cumulative:
             raise StaleProof(f"cumulative {cumulative} does not increase")
-        if seq == 1 and (proof.preimage is None or codec.digest(proof.preimage) != opened.hashlock):
+        if seq == 1 and (type(proof.preimage) is not bytes or codec.digest(proof.preimage) != opened.hashlock):
             raise BadPreimage(channel_id)
         ch.latest = proof
         if self.keep_proofs:

@@ -1,12 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 success (or verification/requirements pass), 1 failure of a
-verification or requirements check, 2 usage error.
+Exit codes (``_exit_codes`` maps errors to them): 0 success, 1 a failed
+verification or requirements check, an i/o failure or a broken rule, 2 usage error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -27,6 +28,24 @@ from .harness import (
 from .workload import calibration_report, generate
 
 
+def _exit_codes(command):
+    """``command``, with an invalid config a usage error (exit 2), and an i/o failure or any other
+    ``DiceError`` one line and exit 1; run in the callback, so a usage line names the command."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except InvalidConfig as exc:
+            raise click.UsageError(str(exc))
+        except IoFailure as exc:
+            click.echo(f"i/o failure: {exc}", err=True)
+            sys.exit(1)
+        except DiceError as exc:  # a rule broke; no output is written
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(1)
+    return run
+
+
 @click.group()
 def main() -> None:
     """Desk-scale simulator of the DICE roaming-settlement protocol."""
@@ -43,20 +62,12 @@ def main() -> None:
               default=None, help="Write accepted proofs as JSON-Lines (optionally to FILE).")
 @click.option("--dump-events", type=click.Path(), is_flag=False, flag_value="events.jsonl",
               default=None, help="Write session events as JSON-Lines (optionally to FILE).")
+@_exit_codes
 def simulate(config_path, out_dir, dump_proofs, dump_events, **knobs) -> None:
     """Run a full scenario and write report.json, ledger.jsonl, settlement.csv."""
     overrides = {k: v for k, v in knobs.items() if v is not None}
-    try:
-        config = ScenarioConfig.from_json_file(config_path, **overrides)
-        report = run_scenario(config, out_dir, dump_proofs=dump_proofs, dump_events=dump_events)
-    except InvalidConfig as exc:
-        raise click.UsageError(str(exc))
-    except IoFailure as exc:
-        click.echo(f"i/o failure: {exc}", err=True)
-        sys.exit(1)
-    except DiceError as exc:  # the run broke a protocol rule; nothing is written
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+    config = ScenarioConfig.from_json_file(config_path, **overrides)
+    report = run_scenario(config, out_dir, dump_proofs=dump_proofs, dump_events=dump_events)
     click.echo(
         f"sessions={report.sessions_completed} onchain={report.onchain_tx_total} "
         f"offchain={report.offchain_proofs_total} -> {out_dir}"
@@ -70,14 +81,11 @@ def ledger() -> None:
 
 @ledger.command("verify")
 @click.option("--path", required=True, type=click.Path())
+@_exit_codes
 def ledger_verify(path) -> None:
     """Recompute all hashes, signatures and the token supply of a chain, and
     report what was checked."""
-    try:
-        result, bank = replay_ledger(path)
-    except IoFailure as exc:
-        click.echo(f"i/o failure: {exc}", err=True)
-        sys.exit(1)
+    result, bank = replay_ledger(path)
     if result.valid:
         click.echo("valid")
     else:
@@ -98,19 +106,17 @@ def ledger_verify(path) -> None:
 @click.option("--report", "report_path", required=True, type=click.Path())
 @click.option("--tps-capacity", type=int, default=None, help="Defaults to the report's config value.")
 @click.option("--concentration-hours", type=float, default=None, help="Defaults to the report's config value.")
-@click.option("--traffic-tb-per-day", type=float, default=None,
-              help="Assumed visited-MNO daily roamer traffic, in terabytes "
-                   f"[default: {VISITED_MNO_DAILY_BYTES / 1e12:g}].")
+@click.option("--traffic-tb-per-day", type=float, default=VISITED_MNO_DAILY_BYTES / 1e12, show_default=True,
+              help="Assumed visited-MNO daily roamer traffic, in terabytes.")
 @click.option("--avg-mno-factor", type=float, default=None,
               help="Average-member size ratio; defaults to the report's config value.")
+@_exit_codes
 def requirements(report_path, traffic_tb_per_day, **knobs) -> None:
     """Project the run to consortium scale and check TPS feasibility."""
-    daily_bytes = VISITED_MNO_DAILY_BYTES
-    if traffic_tb_per_day is not None:
-        daily_bytes = traffic_tb_per_day * 1e12
-        if not (math.isfinite(daily_bytes) and daily_bytes >= 0):
-            raise click.BadParameter("must be >= 0, with a byte count within float range",
-                                     param_hint="'--traffic-tb-per-day'")
+    daily_bytes = traffic_tb_per_day * 1e12
+    if not (math.isfinite(daily_bytes) and daily_bytes >= 0):
+        raise click.BadParameter("must be >= 0, with a byte count within float range",
+                                 param_hint="'--traffic-tb-per-day'")
     try:
         report = MetricsReport.from_json_file(report_path)
     except (OSError, ValueError, InvalidConfig) as exc:
@@ -118,26 +124,18 @@ def requirements(report_path, traffic_tb_per_day, **knobs) -> None:
         sys.exit(1)
     overrides = {k: v for k, v in knobs.items() if v is not None}
     report = dataclasses.replace(report, config={**report.config, **overrides})
-    try:
-        verdict = check_requirements(report, int(daily_bytes))
-    except InvalidConfig as exc:  # an override, or a figure the projection cannot hold
-        raise click.UsageError(str(exc))
+    verdict = check_requirements(report, int(daily_bytes))
     click.echo(json.dumps(verdict.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     sys.exit(0 if verdict.passed else 1)
 
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
+@_exit_codes
 def calibrate(config_path) -> None:
     """Generate the workload only and print its calibration statistics."""
-    try:
-        trace = generate(ScenarioConfig.from_json_file(config_path).workload())
-        stats = calibration_report(trace)
-    except InvalidConfig as exc:
-        raise click.UsageError(str(exc))
-    except IoFailure as exc:
-        click.echo(f"i/o failure: {exc}", err=True)
-        sys.exit(1)
+    trace = generate(ScenarioConfig.from_json_file(config_path).workload())
+    stats = calibration_report(trace)
     click.echo(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
 
 

@@ -125,10 +125,6 @@ class NoTokens(DiceError):
     pass
 
 
-class UnverifiableIssuance(DiceError):
-    pass
-
-
 class WrongState(DiceError):
     pass
 

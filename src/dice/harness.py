@@ -227,10 +227,13 @@ def run_scenario(
     events = sorted((e for e in events if e[0] <= horizon), key=lambda e: e[:2])
 
     def seal(now: int) -> None:
-        block = engine.seal_if_pending(now)
-        if block is not None and on_seal is not None:
-            on_seal(engine)
+        if engine.ledger.pending:
+            engine.ledger.seal_block(now)
+            if on_seal is not None:
+                on_seal(engine)
 
+    # A fresh wallet holds exactly its allotment.
+    deposit = min(config.initial_allotment, tokens_for_bytes(config.expected_visit_bytes))
     sessions: dict[str, RoamerSession] = {}
     for now, action, subject, nbytes in events:
         if action == _ARRIVE:
@@ -241,10 +244,6 @@ def run_scenario(
             engine.attach_check(session, now)
             if config.mode == LBO:
                 engine.provision_profile(session)
-            deposit = min(
-                engine.bank.balance(wallets[0], a.hmno),
-                tokens_for_bytes(config.expected_visit_bytes),
-            )
             engine.open_session_channel(session, deposit, now)
         elif action == _BOUNDARY:
             engine.timeout_sweep(now)
@@ -370,7 +369,7 @@ VISITED_MNO_DAILY_BYTES = 10_000_000_000_000  # 10 TB/day of roamer traffic
 class RequirementsVerdict:
     capacity_tps: int
     projected_peak_tps: float
-    headroom_ratio: float
+    headroom_ratio: Optional[float]      # None with no on-chain load
     daily_onchain_projected: float        # consortium-wide
     daily_offchain_projected: float       # per visited MNO
     daily_offchain_consortium: float
@@ -388,7 +387,8 @@ def check_requirements(report: MetricsReport,
     InvalidConfig naming it; so does a verdict figure that is not finite,
     naming the first one, and an int the projection would have to turn into
     a float beyond its range.  The visited MNO's daily off-chain payments
-    come from ``visited_mno_daily_bytes``."""
+    come from ``visited_mno_daily_bytes``.  A report with no on-chain load
+    passes, with no headroom ratio (None)."""
     cfg = ScenarioConfig.from_dict(report.config)
     tps_capacity, factor = cfg.tps_capacity, cfg.avg_mno_factor
     _require_float_range(tps_capacity=tps_capacity, num_mnos=cfg.num_mnos,
@@ -401,17 +401,21 @@ def check_requirements(report: MetricsReport,
     daily_offchain_consortium = daily_offchain * cfg.num_mnos * factor
 
     peak = daily_onchain / (cfg.concentration_hours * 3600.0)
+    if peak > 0:
+        headroom = tps_capacity / peak
+    else:  # a load whose peak underflowed to 0 has no finite ratio
+        headroom = None if report.onchain_tx_total == 0 else math.inf
     verdict = RequirementsVerdict(
         capacity_tps=tps_capacity,
         projected_peak_tps=peak,
-        headroom_ratio=tps_capacity / peak if peak > 0 else float("inf"),
+        headroom_ratio=headroom,
         daily_onchain_projected=daily_onchain,
         daily_offchain_projected=daily_offchain,
         daily_offchain_consortium=daily_offchain_consortium,
         passed=peak < tps_capacity,
     )
     for name, value in asdict(verdict).items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise InvalidConfig(f"{name} is {value} under these assumptions; every figure must be finite")
     return verdict
 

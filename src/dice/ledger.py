@@ -472,7 +472,7 @@ class ValidityReport:
 
 class Ledger:
     """Single-writer chain: append or submit -> seal_block; ``all_txs`` and
-    ``tx_index`` are the read paths."""
+    ``get_tx`` are the read paths."""
 
     def __init__(self, roster: list[str], keys: dict[str, bytes]):
         """Seal genesis, at time 0 as every ledger does, anchoring the roster

@@ -22,13 +22,7 @@ from typing import Iterable, Optional
 
 from . import codec
 from .channel import ChannelManager
-from .errors import (
-    NoAgreement,
-    NoTokens,
-    UnverifiableIssuance,
-    WrongMode,
-    WrongState,
-)
+from .errors import WrongMode, WrongState
 from .ledger import AgreementRegistration, AttachCheck, Ledger
 from .tokenbank import TokenBank
 
@@ -105,20 +99,12 @@ class DiceEngine:
         return session
 
     def attach_check(self, session: RoamerSession, now: int) -> bool:
-        """Step 2 smart contract: one on-chain transaction records whether
-        the VMNO accepts this roamer's home tokens and verified funding."""
+        """Step 2 smart contract: one on-chain transaction records the bank's
+        verdict, ``TokenBank.attach_refusal``, on whether the VMNO accepts
+        this roamer's home tokens; a refusal is raised once recorded."""
         if session.state != HOME:
             raise WrongState(session.state)
-        failure: Optional[Exception] = None
-        if not self.bank.agreement_accepts(session.hmno, session.vmno):
-            failure = NoAgreement(f"{session.hmno}->{session.vmno}")
-        else:
-            lots = self.bank.lots_of(session.active_wallet, issuer=session.hmno)
-            unverified = [l.lot_id for l in lots if self.bank.provenance_fault(l.lot_id, session.hmno)]
-            if sum(l.amount for l in lots) <= 0:
-                failure = NoTokens(session.active_wallet)
-            elif unverified:
-                failure = UnverifiableIssuance(unverified[0])
+        failure = self.bank.attach_refusal(session.active_wallet, session.hmno, session.vmno)
         accepted = failure is None
         tx_id = self.ledger.append(
             now, session.vmno, AttachCheck(session.active_wallet, session.vmno, session.hmno, accepted))
@@ -209,10 +195,3 @@ class DiceEngine:
         session.events.append(
             {"time": session.clock, "session_id": session.session_id, "event": kind, "payload": payload}
         )
-
-    # -- convenience passthroughs
-
-    def seal_if_pending(self, now: int):
-        if self.ledger.pending:
-            return self.ledger.seal_block(now)
-        return None

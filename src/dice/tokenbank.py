@@ -3,9 +3,10 @@
 ``TokenBank.apply`` states every token rule of the on-chain transactions
 once, and the rules of agreements, attach checks and redeems (signer,
 roster, one agreement per pair, a charging spec ``model_from_dict`` reads,
-a checked wallet homed at the hmno, an agreement accepting the hmno behind
-each accepted check and each redeem, whose fiat is ``agreed_price``): the
-ledger the bank is attached to runs each submitted transaction through it.
+a checked wallet homed at the hmno, each check's verdict the one
+``attach_refusal`` gives and the engine records, an agreement accepting
+the hmno behind each redeem, whose fiat is ``agreed_price``): the ledger
+the bank is attached to runs each submitted transaction through it.
 The charging models and ``price`` live here; ``agreed_price``, the price
 of the pair's registered agreement, is the one caller of ``price``.
 ``verify_blocks`` is the one replay of a persisted chain, through a fresh
@@ -15,7 +16,7 @@ operators (the only actors that may issue or sign agreements and attach
 checks) and every signing key come from the ledger's genesis roster and
 key registry, so ``TokenBank(ledger)`` needs nothing else.  Every lot
 carries its lineage from the issuance event, whose tx ids provenance checks
-read in the ledger's tx index; a wallet keeps its lots by issuer.  Lot ids
+read through ``Ledger.get_tx``; a wallet keeps its lots by issuer.  Lot ids
 count the lots.  One token pays for one 100KB traffic block by default.
 """
 
@@ -35,6 +36,7 @@ from .errors import (
     NoAgreement,
     NonPositiveAmount,
     NotIssuer,
+    NoTokens,
     PayloadRejected,
     ProvenanceRejected,
     ReplayRejected,
@@ -156,7 +158,7 @@ class TokenBank:
         self.burned_by: dict[str, int] = {}
         # Channel escrow: wallet -> channel -> locked token count (home issuer).
         self.locks: dict[str, dict[str, int]] = {}
-        # Each channel's open, which provenance reads with the ledger's tx index.
+        # Each channel's open, which provenance reads beside ``Ledger.get_tx``.
         self.channel_opens: dict[str, ChannelOpen] = {}
         # Each registered agreement, by (hmno, vmno).
         self.agreements: dict[tuple[str, str], AgreementRegistration] = {}
@@ -291,10 +293,19 @@ class TokenBank:
             self.burned_by[lot.issuer] = self.burned_by.get(lot.issuer, 0) + lot.amount
 
     def agreement_accepts(self, hmno: str, vmno: str) -> bool:
-        """Whether a registered agreement lets ``vmno`` accept ``hmno``'s
-        tokens: the rule behind every accepted attach check."""
+        """Whether a registered agreement lets ``vmno`` accept ``hmno``'s tokens."""
         agreement = self.agreements.get((hmno, vmno))
         return agreement is not None and hmno in agreement.accepts
+
+    def attach_refusal(self, wallet_id: str, hmno: str, vmno: str) -> Optional[DiceError]:
+        """Why ``vmno`` must refuse the wallet's attach, or None if it accepts
+        it: no agreement letting it accept hmno's tokens, or no hmno tokens
+        in the wallet (each issued on the chain by hmno: the Issue rule)."""
+        if not self.agreement_accepts(hmno, vmno):
+            return NoAgreement(f"{hmno}->{vmno}")
+        if self.balance(wallet_id, hmno) == 0:
+            return NoTokens(wallet_id)
+        return None
 
     def agreed_price(self, hmno: str, vmno: str, tokens: int) -> Optional[float]:
         """What the registered (hmno, vmno) agreement charges for ``tokens``
@@ -319,8 +330,11 @@ class TokenBank:
             w = self.wallet(p.roamer_wallet)
             if w.home_mno != p.hmno:
                 raise ForeignWallet(f"{p.roamer_wallet} belongs to {w.home_mno}, not {p.hmno}")
-            if p.accepted and not self.agreement_accepts(p.hmno, p.vmno):
-                raise NoAgreement(f"{p.hmno}->{p.vmno}")
+            refusal = self.attach_refusal(p.roamer_wallet, p.hmno, p.vmno)
+            if p.accepted and refusal is not None:
+                raise refusal
+            if not p.accepted and refusal is None:
+                raise PayloadRejected(f"attach check refuses {p.roamer_wallet}, which {p.vmno} accepts")
         elif isinstance(p, Issue):
             if tx.signer != p.issuer or p.issuer not in self.operators:
                 raise NotIssuer(f"{p.issuer}, signed by {tx.signer}")
@@ -395,23 +409,21 @@ class TokenBank:
                 raise PayloadRejected(f"agreement {p.hmno}->{p.vmno} charging: {exc}") from None
             self.agreements[(p.hmno, p.vmno)] = p
 
-    def provenance_fault(self, lot_id: str, hmno: str, vmno: Optional[str] = None) -> Optional[str]:
+    def provenance_fault(self, lot_id: str, hmno: str, vmno: str) -> Optional[str]:
         """Why a lot fails provenance, or None.  It must descend from an issue
         by ``hmno`` into the wallet its lineage starts at (an hmno wallet, as
-        ``apply`` checks); with ``vmno`` given, it must also be held by the VMNO
-        treasury, having reached it through the close of a VMNO channel."""
+        ``apply`` checks), and be held by the VMNO treasury, having reached it
+        through the close of a VMNO channel."""
         lot = self.lot(lot_id)
         root = lot.lineage[0]
-        issued = getattr(self.ledger.tx_index.get(root.tx_id), "payload", None)
+        issued = getattr(self.ledger.get_tx(root.tx_id), "payload", None)
         if not isinstance(issued, Issue) or issued.wallet != root.holder:
             return "missing-issuance"
         if issued.issuer != hmno:
             return "wrong-issuer"
-        if vmno is None:
-            return None
         if lot.holder != treasury_wallet_id(vmno):
             return "not-held-by-claimant"
-        paid = getattr(self.ledger.tx_index.get(lot.lineage[-1].tx_id), "payload", None)
+        paid = getattr(self.ledger.get_tx(lot.lineage[-1].tx_id), "payload", None)
         if not isinstance(paid, ChannelClose) or self.channel_opens[paid.channel].vmno != vmno:
             return "not-service-payment"
         return None

@@ -7,10 +7,11 @@ maps to it (``co_lines``).  A fresh interpreter installs a ``sys.settrace``
 line tracer before ``import dice``, so what runs at import counts too, and
 traces only frames of ``src/dice``.  It runs:
 
-- the honest CLI pass, ``HONEST_CLI``: a 1-day default run with proofs and
-  events dumped, a 1-day home-routing run twice into one out dir (a rerun
-  replaces the outputs), a 10-day default run (past the 7-day timelock
-  window), ``ledger verify``, ``requirements`` and ``calibrate``;
+- the honest CLI pass, ``HONEST_CLI``: a default run of the 1-day config
+  file ``CONFIG`` with proofs and events dumped, a 1-day home-routing run
+  twice into one out dir (a rerun replaces the outputs), a 10-day default
+  run (past the 7-day timelock window), ``ledger verify``, ``requirements``
+  with ``--traffic-tb-per-day`` and ``calibrate``;
 - the tests of the rejection tables, ``TABLE_TESTS``, under pytest.
 
 A line is keyed by (module, function qualname, stripped source text), so
@@ -44,14 +45,16 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dice"
 
 HONEST_CLI = [
-    ["simulate", "--days", "1", "--out-dir", "{out}/default", "--dump-proofs", "--dump-events"],
+    ["simulate", "--config", "{out}/config.json", "--out-dir", "{out}/default", "--dump-proofs", "--dump-events"],
     ["simulate", "--days", "1", "--mode", "hr", "--out-dir", "{out}/hr"],
     ["simulate", "--days", "1", "--mode", "hr", "--out-dir", "{out}/hr"],
     ["simulate", "--days", "10", "--out-dir", "{out}/ten"],
     ["ledger", "verify", "--path", "{out}/default/ledger.jsonl"],
-    ["requirements", "--report", "{out}/default/report.json"],
+    ["requirements", "--report", "{out}/default/report.json", "--traffic-tb-per-day", "10"],
     ["calibrate"],
 ]
+# The config file the honest pass reads, written into its out dir.
+CONFIG = {"days": 1}
 
 # The tests that run each row of a rejection table, as pytest node ids
 # under ``tests``, each with its table.
@@ -135,6 +138,8 @@ def reached_lines(tmp: Path) -> set[tuple[str, int]]:
     src = SRC.resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src.parent), os.environ.get("PYTHONPATH", "")])}
     reached = tmp / "reached.json"
+    (tmp / "out").mkdir()
+    (tmp / "out" / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     done = subprocess.run([sys.executable, "-c", PROBE, str(src), str(tmp / "out"), str(reached),
                            json.dumps(HONEST_CLI), json.dumps([str(TESTS / test) for test in TABLE_TESTS])],
                           env=env, cwd=tmp, capture_output=True, text=True, timeout=600)
@@ -152,34 +157,23 @@ def _lines(module: str, qualname: str, reason: str, *texts: str) -> dict:
 UNREACHED: dict[tuple[str, str, str], str] = {
     # -- CLI error paths
     **_lines("cli", "<module>", "`python -m dice.cli` (tests/test_harness.py)", "main()"),
-    **_lines("cli", "simulate", "a config that fails its schema or cannot be read, or a run that breaks "
-             "a protocol rule, such as a price beyond float range (tests/test_harness.py)",
-             "except InvalidConfig as exc:", "raise click.UsageError(str(exc))", "except IoFailure as exc:",
-             'click.echo(f"i/o failure: {exc}", err=True)', "sys.exit(1)",
-             "except DiceError as exc:  # the run broke a protocol rule; nothing is written",
+    **_lines("cli", "_exit_codes.run", "a config that fails its schema or cannot be read, a path that "
+             "cannot be read or written, a knob the projection cannot hold, or a run that breaks a protocol "
+             "rule, such as a price beyond float range (tests/test_harness.py)",
+             "raise click.UsageError(str(exc))", 'click.echo(f"i/o failure: {exc}", err=True)', "sys.exit(1)",
              'click.echo(f"error: {type(exc).__name__}: {exc}", err=True)', "sys.exit(1) #2"),
-    **_lines("cli", "ledger_verify", "a path that cannot be read, or a chain that does not verify "
-             "(tests/test_harness.py)",
-             "except IoFailure as exc:", 'click.echo(f"i/o failure: {exc}", err=True)', "sys.exit(1)",
+    **_lines("cli", "ledger_verify", "a chain that does not verify (tests/test_harness.py)",
              'where = "?" if result.first_invalid_height is None else result.first_invalid_height',
              'click.echo(f"INVALID at height {where}: {result.reason}")'),
-    **_lines("cli", "requirements", "a --traffic-tb-per-day, a knob the projection cannot hold, or a "
-             "report that cannot be read (tests/test_harness.py)",
-             "daily_bytes = traffic_tb_per_day * 1e12",
-             "if not (math.isfinite(daily_bytes) and daily_bytes >= 0):",
+    **_lines("cli", "requirements", "a --traffic-tb-per-day beyond float range, or a report that cannot "
+             "be read (tests/test_harness.py)",
              'raise click.BadParameter("must be >= 0, with a byte count within float range",',
              "param_hint=\"'--traffic-tb-per-day'\")",
              "except (OSError, ValueError, InvalidConfig) as exc:",
-             'click.echo(f"cannot read report: {exc}", err=True)', "sys.exit(1)",
-             "except InvalidConfig as exc:  # an override, or a figure the projection cannot hold",
-             "raise click.UsageError(str(exc))"),
-    **_lines("cli", "calibrate", "a config that fails its schema or cannot be read (tests/test_harness.py)",
-             "except InvalidConfig as exc:", "raise click.UsageError(str(exc))", "except IoFailure as exc:",
-             'click.echo(f"i/o failure: {exc}", err=True)', "sys.exit(1)"),
+             'click.echo(f"cannot read report: {exc}", err=True)', "sys.exit(1)"),
     # -- config, report and scenario errors
     **_lines("harness", "ScenarioConfig.from_json_file", "a --config file: missing, or not JSON "
-             "(tests/test_harness.py)",
-             "try:", 'raw = json.loads(Path(path).read_text(encoding="utf-8"))', "except OSError as exc:",
+             "(tests/test_harness.py)", "except OSError as exc:",
              "raise IoFailure(str(exc)) from None", "except json.JSONDecodeError as exc:",
              'raise InvalidConfig(f"not valid JSON: {exc}") from None'),
     **_lines("harness", "_build_report", "a config whose extrapolation leaves float range, such as "
@@ -187,6 +181,8 @@ UNREACHED: dict[tuple[str, str, str], str] = {
              "except OverflowError:  # num_mnos / scale took it beyond float range",
              'raise InvalidConfig(f"extrapolated {name} is beyond float range; every figure must be finite") '
              "from None"),
+    **_lines("harness", "check_requirements", "a report with no on-chain load, and a peak that underflows "
+             "to 0 (tests/test_harness.py)", "headroom = None if report.onchain_tx_total == 0 else math.inf"),
     **_lines("harness", "check_requirements", "a projection beyond float range (tests/test_harness.py)",
              'raise InvalidConfig(f"{name} is {value} under these assumptions; every figure must be finite")'),
     **_lines("harness", "run_scenario", "an --out-dir under a file, and a handcrafted trace that lists "
@@ -247,10 +243,7 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     **_lines("channel", "ChannelManager.channel", "paying on a channel id never opened (tests/test_channel.py)",
              "raise UnknownChannel(channel_id)"),
     **_lines("protocol", "DiceEngine.attach_check", "an attach of a session in the wrong state, with no "
-             "agreement, no tokens, or an unverifiable issuance (tests/test_protocol.py)",
-             "raise WrongState(session.state)", 'failure = NoAgreement(f"{session.hmno}->{session.vmno}")',
-             "failure = NoTokens(session.active_wallet)", "failure = UnverifiableIssuance(unverified[0])",
-             "raise failure"),
+             "agreement or no tokens (tests/test_protocol.py)", "raise WrongState(session.state)", "raise failure"),
     **_lines("protocol", "DiceEngine.provision_profile", "provisioning an HR session, or one not attached "
              "(tests/test_protocol.py)", "raise WrongMode(session.mode)", "raise WrongState(session.state)"),
     **_lines("protocol", "DiceEngine.open_session_channel", "opening a channel twice (tests/test_protocol.py)",
@@ -259,8 +252,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
              "raise WrongState(session.state)"),
     **_lines("protocol", "DiceEngine.detach", "detaching a session not active (tests/test_protocol.py)",
              "raise WrongState(session.state)"),
-    **_lines("protocol", "DiceEngine.seal_if_pending", "a run with a day of no tx (tests/test_harness.py)",
-             "return None"),
     **_lines("settlement", "make_claim", "a claim for a VMNO that holds no treasury yet (tests/test_harness.py)",
              "return None"),
     **_lines("tokenbank", "price", "the fixed and parity charging models, and a negative token count "
@@ -287,7 +278,6 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     **_lines("tokenbank", "verify_blocks", "an empty ledger file (tests/test_ledger.py)",
              'return ValidityReport(False, 0, "no genesis block"), None'),
     # -- kept for callers outside src
-    **_lines("ledger", "Ledger.get_tx", "wrapped by the benchmark's tracer", "return self.tx_index.get(tx_id)"),
     **_lines("tokenbank", "TokenBank.rebuild_from_ledger", "wrapped by the benchmark's tracer",
              "verdict, bank = verify_blocks(chain.chain if isinstance(chain, Ledger) else chain)",
              "if not verdict.valid:", "raise ReplayRejected(verdict.first_invalid_height, verdict.reason)",

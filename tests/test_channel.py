@@ -429,6 +429,15 @@ PROOF_CASES = {
     "unknown": ("UnknownChannel", receive("ch-none", 1, 1)),
     # Its MAC is of seq 3, which ``b"%d" % 3.0`` writes too.
     "non-int seq": ("BadSignature", receive("paid", 3, 3, edit=lambda p: dataclasses.replace(p, seq=3.0))),
+    # Each field's exact type is checked before it is looked up or hashed.
+    "list channel id": ("UnknownChannel", receive(
+        "paid", 3, 3, edit=lambda p: dataclasses.replace(p, channel_id=[p.channel_id]))),
+    "str signature": ("BadSignature", receive(
+        "paid", 3, 3, edit=lambda p: dataclasses.replace(p, signature=p.signature.hex()))),
+    "no signature": ("BadSignature", receive("paid", 3, 3, edit=lambda p: dataclasses.replace(p, signature=None))),
+    "str preimage": ("BadPreimage", receive("unpaid", 1, 1, preimage="00" * 32)),
+    "bytearray preimage": ("BadPreimage", lambda mgr, channels: mgr.receive_proof("V", signed_proof(
+        mgr, channels["unpaid"], 1, 1, preimage=bytearray(mgr.channel(channels["unpaid"]).preimage)))),
     "paid traffic": ("accepted", pay("unpaid", KB100)),
     "bad byte count": ("NonPositiveAmount", pay("paid", -1)),
     "traffic on a closed channel": ("ChannelNotOpen", pay("closed", KB100)),

@@ -207,6 +207,22 @@ def attach_check_accepted_without_an_agreement(eng, sessions):
     return make_transaction(70, "H", AttachCheck(treasury_wallet_id("V"), "H", "V", True), eng.ledger.signer_backend)
 
 
+def attach_check_accepting_a_drained_wallet(eng, sessions):
+    # 3 MB more of bob's traffic pays V all 25 of his tokens, which his close settles.
+    bob = sessions["bob"]
+    eng.session_traffic(bob, 3_000_000, 65)
+    eng.detach(bob, 65)
+    assert eng.bank.balance(bob.active_wallet, "H") == 0
+    return make_transaction(70, "V", AttachCheck(bob.active_wallet, "V", "H", True), eng.ledger.signer_backend)
+
+
+def attach_check_refusing_a_funded_wallet(eng, sessions):
+    # alice still holds 15 H tokens, and the (H, V) agreement lets V accept them.
+    alice = sessions["alice"].active_wallet
+    assert eng.bank.balance(alice, "H") == 15
+    return make_transaction(70, "V", AttachCheck(alice, "V", "H", False), eng.ledger.signer_backend)
+
+
 def agreement_signed_by_the_visited_mno(eng, sessions):
     bad = {"model": "per_unit", "rate": -5}
     return make_transaction(70, "V", AgreementRegistration("H", "V", ("H",), bad), eng.ledger.signer_backend)
@@ -272,6 +288,8 @@ FORGERIES = [
     (attach_check_of_an_unknown_wallet, "attach", "UnknownWallet"),
     (attach_check_of_a_wallet_homed_elsewhere, "attach", "ForeignWallet"),
     (attach_check_accepted_without_an_agreement, "attach", "NoAgreement"),
+    (attach_check_accepting_a_drained_wallet, "attach", "NoTokens"),
+    (attach_check_refusing_a_funded_wallet, "attach", "PayloadRejected"),
     (agreement_signed_by_the_visited_mno, "agreement", "PayloadRejected"),
     (second_agreement_for_a_pair, "agreement", "DuplicateAgreement"),
     (agreement_naming_a_vmno_off_the_roster, "agreement", "UnknownMno"),
@@ -372,7 +390,7 @@ def test_every_redeem_rule_rejects_some_forgery(monkeypatch):
 
 
 # The raises of each other branch of ``TokenBank.apply`` when this was written.
-BRANCH_RULES = {AttachCheck: 4, Issue: 3, ChannelOpen: 2, ChannelClose: 4, AgreementRegistration: 4}
+BRANCH_RULES = {AttachCheck: 5, Issue: 3, ChannelOpen: 2, ChannelClose: 4, AgreementRegistration: 4}
 
 
 @pytest.mark.parametrize("payload_cls, rules", BRANCH_RULES.items(), ids=[c.__name__ for c in BRANCH_RULES])

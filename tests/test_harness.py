@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import dice
 from dice.cli import main as cli_main
-from dice.errors import InvalidConfig, IoFailure
+from dice.errors import InvalidConfig, IoFailure, NoTokens
 from dice.harness import (
     DAY,
     REPORT_SCHEMA,
@@ -895,6 +895,26 @@ def test_cli_simulate_whose_redeem_is_rejected_exits_one(tmp_path, runner):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, step", [
+    (["simulate", "--out-dir", "{tmp}/out"], "run_scenario"),
+    (["ledger", "verify", "--path", "{tmp}/ledger.jsonl"], "replay_ledger"),
+    (["requirements", "--report", "{tmp}/report.json"], "check_requirements"),
+    (["calibrate"], "generate"),
+], ids=["simulate", "ledger-verify", "requirements", "calibrate"])
+def test_cli_command_whose_step_breaks_a_rule_exits_one(tmp_path, runner, monkeypatch, command, step):
+    """Each command states a broken rule in one ``error:`` line, not a traceback."""
+    def broken(*_args, **_kwargs):
+        raise NoTokens("w-0000000")
+
+    monkeypatch.setattr(f"dice.cli.{step}", broken)
+    (tmp_path / "report.json").write_text(fake_report().to_json())
+    result = runner.invoke(cli_main, [arg.format(tmp=tmp_path) for arg in command])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.splitlines() == ["error: NoTokens: w-0000000"]
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+
+
 def test_cli_verify_on_a_directory_exits_one(tmp_path, runner):
     result = runner.invoke(cli_main, ["ledger", "verify", "--path", str(tmp_path)])
     assert result.exit_code == 1, result.output
@@ -1165,6 +1185,21 @@ def test_cli_requirements_prints_strict_json(tmp_path, runner):
     result = runner.invoke(cli_main, ["requirements", "--report", str(out / "report.json")])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout, parse_constant=no_constant)["passed"] is True
+
+
+def test_cli_requirements_of_a_run_with_no_onchain_load_passes(tmp_path, runner):
+    """A report whose chain holds no tx fits the schema: its projected peak
+    is 0, which a finite headroom ratio cannot state, so the ratio is null."""
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "out"
+    runner.invoke(cli_main, ["simulate", "--config", str(cfg_path), "--out-dir", str(out)])
+    path = out / "report.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "onchain_tx_total": 0}))
+    result = runner.invoke(cli_main, ["requirements", "--report", str(path)])
+    assert result.exit_code == 0, result.output
+    verdict = json.loads(result.stdout)
+    assert verdict["headroom_ratio"] is None
+    assert verdict["projected_peak_tps"] == 0.0 and verdict["passed"] is True
 
 
 def report_json(**figures):

@@ -31,7 +31,6 @@ CALLED_FROM_OUTSIDE = {
     "cli.ledger_verify": "a click command, called by the `dice` entry point",
     "cli.requirements": "a click command, called by the `dice` entry point",
     "cli.calibrate": "a click command, called by the `dice` entry point",
-    "ledger.Ledger.get_tx": "wrapped by the benchmark's tracer",
     "tokenbank.TokenBank.rebuild_from_ledger": "wrapped by the benchmark's tracer",
     "channel.PaymentChannel.status": "read by the benchmark's tracer to count open channels",
 }
