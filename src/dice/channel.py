@@ -15,11 +15,13 @@ signs and verifies with the ledger's key registry; channel ids count the
 channels, and ``proofs_accepted`` sums each one's latest accepted seq.
 
 The roamer MACs each proof's bytes, the JSON text
-``["proof","ch-…",seq,cumulative]``, with no digest in between: the record
-keeps the ``["proof","ch-…",`` head, and both sides append
-``b"%d,%d]" % (seq, cumulative)`` to it in ``proof_message``.  The VMNO
-takes only a seq and cumulative that are exactly ints, so no other value
-(``True``, ``1.0``) reads as an int a MAC covers.
+``["proof","ch-…",seq,cumulative]``, with no digest in between.
+``proof_format(channel_id)`` states those bytes once, as a ``%``-format
+with each ``%`` of the id's JSON text doubled; the record keeps its
+channel's format, built once at open, and both sides fill it with
+``% (seq, cumulative)``.  The VMNO takes only a seq and cumulative that are
+exactly ints, so no other value (``True``, ``1.0``) reads as an int a MAC
+covers.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ OPEN, CLOSED = "open", "closed"
 
 DEFAULT_TIMELOCK_WINDOW = 7 * 86_400     # longer than the typical stay
 DEFAULT_INACTIVITY_WINDOW = 86_400       # auto-close after a day of silence
+
+
+def proof_format(channel_id: str) -> bytes:
+    """The bytes a balance proof's MAC covers, ``["proof",<channel id as
+    JSON>,%d,%d]``, as a ``%``-format that ``% (seq, cumulative)`` fills.
+    Each ``%`` of the id's JSON text is doubled, so it reads as itself."""
+    return b'["proof",%b,%%d,%%d]' % json.encoder.encode_basestring_ascii(channel_id).encode().replace(b"%", b"%%")
 
 
 @record
@@ -80,15 +89,11 @@ class PaymentChannel:
     unserviced_bytes: int = 0
     closed: Optional[ChannelClose] = None   # the on-chain close, once submitted
     close_tx: Optional[bytes] = None
-    # The text of ["proof", channel id, seq, cumulative] up to seq.
-    proof_head: bytes = field(init=False, repr=False, compare=False)
+    # The channel's ``proof_format``, which both sides fill with % (seq, cumulative).
+    proof_format: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.proof_head = b'["proof",%b,' % json.encoder.encode_basestring_ascii(self.opened.channel).encode()
-
-    def proof_message(self, seq: int, cumulative: int) -> bytes:
-        """The bytes a proof's MAC covers: ``["proof","ch-…",seq,cumulative]``."""
-        return b"%b%d,%d]" % (self.proof_head, seq, cumulative)
+        self.proof_format = proof_format(self.opened.channel)
 
     @property
     def last_seq(self) -> int:
@@ -172,12 +177,10 @@ class ChannelManager:
         take = min(new_bytes, ch.opened.deposit * TOKEN_BLOCK_BYTES - ch.bytes_total)
         ch.bytes_total += take
         ch.unserviced_bytes += new_bytes - take
-        proofs = []
-        append, sign, roamer, message = proofs.append, self.signer.sign, ch.roamer, ch.proof_message
-        preimage = ch.preimage if paid == 0 else None   # only seq 1 reveals it
-        for seq in range(paid + 1, ch.last_seq + 1):
-            append(BalanceProof(channel_id, seq, seq, preimage, sign(roamer, message(seq, seq))))
-            preimage = None
+        sign, roamer, fmt, preimage = self.signer.sign, ch.roamer, ch.proof_format, ch.preimage
+        # Only seq 1 reveals the preimage.
+        proofs = [BalanceProof(channel_id, seq, seq, preimage if seq == 1 else None, sign(roamer, fmt % (seq, seq)))
+                  for seq in range(paid + 1, ch.last_seq + 1)]
         ch.last_activity = now
         return proofs
 
@@ -193,7 +196,7 @@ class ChannelManager:
         if type(seq) is not int or type(cumulative) is not int:
             raise BadSignature(f"proof seq {seq!r}, cumulative {cumulative!r}: not both ints")
         if type(proof.signature) is not bytes or not self.signer.verify(
-                ch.roamer, ch.proof_message(seq, cumulative), proof.signature):
+                ch.roamer, ch.proof_format % (seq, cumulative), proof.signature):
             raise BadSignature(f"proof seq {seq}")
         latest = ch.latest
         if latest is None:

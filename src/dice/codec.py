@@ -3,12 +3,13 @@
 There is no binary encoding: every hash and MAC covers JSON text, written
 by the module that writes it.  ``ledger`` states the texts a tx id, a block
 hash and genesis's ``tx_root`` cover, each the text its saved line holds; a
-sealed block's ``tx_root`` is ``merkle_root`` of its tx ids; ``channel``
-states the text a balance proof's MAC covers.
+sealed block's ``tx_root`` is ``merkle_root`` of its tx ids;
+``channel.proof_format`` states the text a balance proof's MAC covers.
 
 Signatures (``KeyedMacSigner``) are keyed BLAKE2s-256 MACs: one state per
 actor keyed with its secret, a key over 32 bytes first hashed to 32 bytes
-with unkeyed BLAKE2s, and each MAC a copy of that state fed the message.
+with unkeyed BLAKE2s, and each MAC a copy of that state fed the message,
+taken by ``sign`` and ``verify`` themselves.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ class KeyedMacSigner:
     (RFC 7693) is a MAC by itself, with no HMAC double hash.  Its key is
     at most 32 bytes, so a longer key is first hashed to 32 bytes with
     unkeyed BLAKE2s, as RFC 2104 hashes an over-long HMAC key.
+
+    ``_keyed`` keys an actor's state on its first MAC and keeps it; past
+    that, ``sign`` and ``verify`` each take a MAC themselves, with no call
+    of another Python function: they copy the kept state, feed it the
+    message and take the digest.
     """
 
     def __init__(self, keys: dict[str, bytes]):
@@ -58,29 +64,35 @@ class KeyedMacSigner:
         # use; every signature starts from a copy of it.
         self._states: dict[str, hashlib.blake2s] = {}
 
-    def _mac(self, actor: str, message: bytes) -> Optional[bytes]:
-        """Keyed BLAKE2s-256 of ``message`` under ``actor``'s key, or None if it has no key."""
-        state = self._states.get(actor)
+    def _keyed(self, actor: str) -> Optional[hashlib.blake2s]:
+        """The BLAKE2s state keyed with ``actor``'s secret, built and kept on
+        the first MAC under it; None if it has no key."""
+        key = self._keys.get(actor)
+        if key is None:
+            return None
+        if len(key) > _MAX_KEY:
+            key = hashlib.blake2s(key).digest()
+        state = self._states[actor] = hashlib.blake2s(key=key)
+        return state
+
+    def sign(self, actor: str, message: bytes) -> bytes:
+        """Keyed BLAKE2s-256 of ``message`` under ``actor``'s key: a copy of its
+        keyed state fed the message."""
+        state = self._states.get(actor) or self._keyed(actor)
         if state is None:
-            key = self._keys.get(actor)
-            if key is None:
-                return None
-            if len(key) > _MAX_KEY:
-                key = hashlib.blake2s(key).digest()
-            state = self._states[actor] = hashlib.blake2s(key=key)
+            raise KeyError(f"no key registered for actor {actor!r}")
         mac = state.copy()
         mac.update(message)
         return mac.digest()
 
-    def sign(self, actor: str, message: bytes) -> bytes:
-        mac = self._mac(actor, message)
-        if mac is None:
-            raise KeyError(f"no key registered for actor {actor!r}")
-        return mac
-
     def verify(self, actor: str, message: bytes, signature: bytes) -> bool:
-        mac = self._mac(actor, message)
-        return mac is not None and hmac.compare_digest(mac, signature)
+        """Whether ``signature`` is ``sign(actor, message)``; False for an actor with no key."""
+        state = self._states.get(actor) or self._keyed(actor)
+        if state is None:
+            return False
+        mac = state.copy()
+        mac.update(message)
+        return hmac.compare_digest(mac.digest(), signature)
 
     def knows(self, actor: str) -> bool:
         return actor in self._keys

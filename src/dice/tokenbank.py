@@ -1,10 +1,11 @@
 """Issuance, custody and provenance tracking of per-MNO tokens.
 
 ``TokenBank.apply`` states every token rule of the on-chain transactions
-once, and the rules of agreements, attach checks and redeems (signer,
-roster, one agreement per pair, a charging spec ``model_from_dict`` reads,
-a checked wallet homed at the hmno, each check's verdict the one
-``attach_refusal`` gives and the engine records, an agreement accepting
+once, and the rules of agreements, attach checks, channel opens and
+redeems (signer, roster, one agreement per pair, a charging spec
+``model_from_dict`` reads, a checked wallet homed at the hmno, each check's
+verdict the one ``attach_refusal`` gives and the engine records, an open's
+32-byte hashlock and expiry after its timestamp, an agreement accepting
 the hmno behind each redeem, whose fiat is ``agreed_price``): the ledger
 the bank is attached to runs each submitted transaction through it.
 The charging models and ``price`` live here; ``agreed_price``, the price
@@ -351,6 +352,13 @@ class TokenBank:
         elif isinstance(p, ChannelOpen):
             if p.deposit <= 0:
                 raise ZeroDeposit(repr(p.deposit))
+            if p.vmno not in self.operators:
+                raise UnknownMno(p.vmno)
+            if len(p.hashlock) != 32:
+                raise PayloadRejected(f"open of {p.channel}: hashlock of {len(p.hashlock)} bytes, not 32")
+            if p.timelock_expiry <= tx.timestamp:
+                raise PayloadRejected(f"open of {p.channel}: timelock_expiry {p.timelock_expiry} is not after "
+                                      f"its timestamp {tx.timestamp}")
             if p.channel in self.channel_opens:
                 raise PayloadRejected(f"channel {p.channel} was already opened")
             self.lock(p.wallet, p.channel, p.deposit)  # needs spendable >= deposit

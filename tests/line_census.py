@@ -218,8 +218,8 @@ UNREACHED: dict[tuple[str, str, str], str] = {
     **_lines("workload", "calibration_report", "a library call on an empty trace, which the CLI never "
              "builds (tests/test_workload.py)", 'raise EmptyTrace("no arrivals in trace")'),
     # -- the library's rejections of a caller's input
-    **_lines("codec", "KeyedMacSigner._mac", "a key over 32 bytes, or an actor with no key "
-             "(tests/test_codec.py)", "key = hashlib.blake2s(key).digest()", "return None"),
+    **_lines("codec", "KeyedMacSigner._keyed", "a key over 32 bytes (tests/test_codec.py)",
+             "key = hashlib.blake2s(key).digest()"),
     **_lines("codec", "KeyedMacSigner.sign", "signing as an actor with no key (tests/test_codec.py)",
              'raise KeyError(f"no key registered for actor {actor!r}")'),
     **_lines("ledger", "record", "guards the generated __init__ against a field it does not generate "

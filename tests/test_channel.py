@@ -502,8 +502,10 @@ class RecordingSigner:
 )
 @example("ch-0000001", 1, 1)
 @example('"\\\x00é', 0, -1)
+@example("ch-%d%%", 1, 1)
 def test_both_sides_mac_the_canonical_encoding(channel_id, seq, cumulative):
-    # Escaped and non-ASCII channel ids, and ints of hundreds of digits.
+    # Escaped and non-ASCII channel ids, ids holding % (which the proof
+    # format doubles), and ints of hundreds of digits.
     _, _, mgr, _ = fresh(0)
     mgr.signer = recorder = RecordingSigner(mgr.signer)
     preimage = b"\x01" * 32

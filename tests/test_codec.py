@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dice import codec
-from dice.channel import PaymentChannel
+from dice.channel import proof_format
 from dice.errors import LedgerParseError, PayloadRejected
 from dice.ledger import (
     _INT_BOUND,
@@ -73,8 +73,7 @@ def test_golden_digests_pin_the_format():
     genesis = Ledger(["H", "V"], {"V": b"v", "H": b"h"}).chain[0]
     assert genesis.tx_root == sha256('{"roster":["H","V"],"keys":{"H":"68","V":"76"}}')
     assert genesis.tx_root.hex() == "ba88e4240c993b4fc628c2e8a5d749e6224415493ae835614903f261f8968dab"
-    channel = PaymentChannel(opened, b"", "alice", 0)
-    assert channel.proof_message(3, 3) == b'["proof","ch-0000007",3,3]'
+    assert proof_format("ch-0000007") % (3, 3) == b'["proof","ch-0000007",3,3]'
 
 
 # What the JSON writer must escape or write whole: quotes, backslashes,

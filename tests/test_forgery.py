@@ -77,6 +77,23 @@ def reopen_of_a_closed_channel(eng, sessions):
     return make_transaction(70, "alice", opened, eng.ledger.signer_backend)
 
 
+def open_naming_a_vmno_off_the_roster(eng, sessions):
+    # Genesis anchors bob's key, but only roster members serve a channel.
+    opened = ChannelOpen("ch-bob", sessions["alice"].active_wallet, "bob", 5, bytes(32), 100)
+    return make_transaction(70, "alice", opened, eng.ledger.signer_backend)
+
+
+def open_with_a_short_hashlock(eng, sessions):
+    opened = ChannelOpen("ch-short", sessions["alice"].active_wallet, "V", 5, bytes(3), 100)
+    return make_transaction(70, "alice", opened, eng.ledger.signer_backend)
+
+
+def open_expiring_at_its_own_timestamp(eng, sessions):
+    # The timelock must end after the open, or no proof could ever be paid.
+    opened = ChannelOpen("ch-expired", sessions["alice"].active_wallet, "V", 5, bytes(32), 70)
+    return make_transaction(70, "alice", opened, eng.ledger.signer_backend)
+
+
 def close_of_a_channel_never_opened(eng, sessions):
     return make_transaction(70, "V", ChannelClose("ch-never", 0, 0, 0), eng.ledger.signer_backend)
 
@@ -251,6 +268,13 @@ def issue_signed_by_an_unknown_actor(eng, sessions):
     return dataclasses.replace(issue_signed_by_another_mno(eng, sessions), signer="mallory")
 
 
+def issue_by_an_unknown_actor_under_its_own_id(eng, sessions):
+    # Its id is the digest of its own fields, so only the MAC check finds
+    # that genesis anchors no key of mallory's.
+    issue = Issue("H", sessions["alice"].active_wallet, 10)
+    return ledger.Transaction(ledger.tx_digest(70, "mallory", issue), 70, "mallory", issue, bytes(32))
+
+
 def issue_under_the_signature_of_another_tx(eng, sessions):
     honest = make_transaction(70, "H", Issue("H", sessions["bob"].active_wallet, 1), eng.ledger.signer_backend)
     return dataclasses.replace(honest, signature=eng.ledger.chain[1].txs[0].signature)
@@ -267,6 +291,9 @@ FORGERIES = [
     (issue_of_no_tokens, "issue", "NonPositiveAmount"),
     (open_with_no_deposit, "channel_open", "ZeroDeposit"),
     (reopen_of_a_closed_channel, "channel_open", "PayloadRejected"),
+    (open_naming_a_vmno_off_the_roster, "channel_open", "UnknownMno"),
+    (open_with_a_short_hashlock, "channel_open", "PayloadRejected"),
+    (open_expiring_at_its_own_timestamp, "channel_open", "PayloadRejected"),
     (close_of_a_channel_never_opened, "channel_close", "UnknownChannel"),
     (second_close_of_a_closed_channel, "channel_close", "AlreadyClosed"),
     (close_not_splitting_the_deposit, "channel_close", "PayloadRejected"),
@@ -296,6 +323,7 @@ FORGERIES = [
     (agreement_with_a_negative_rate, "agreement", "PayloadRejected"),
     (agreement_with_a_string_rate, "agreement", "PayloadRejected"),
     (issue_signed_by_an_unknown_actor, "issue", "UnknownSigner"),
+    (issue_by_an_unknown_actor_under_its_own_id, "issue", "UnknownSigner"),
     (issue_under_the_signature_of_another_tx, "issue", "BadSignature"),
     (resubmission_of_a_sealed_tx, "agreement", "DuplicateTx"),
 ]
@@ -390,7 +418,7 @@ def test_every_redeem_rule_rejects_some_forgery(monkeypatch):
 
 
 # The raises of each other branch of ``TokenBank.apply`` when this was written.
-BRANCH_RULES = {AttachCheck: 5, Issue: 3, ChannelOpen: 2, ChannelClose: 4, AgreementRegistration: 4}
+BRANCH_RULES = {AttachCheck: 5, Issue: 3, ChannelOpen: 5, ChannelClose: 4, AgreementRegistration: 4}
 
 
 @pytest.mark.parametrize("payload_cls, rules", BRANCH_RULES.items(), ids=[c.__name__ for c in BRANCH_RULES])

@@ -1,6 +1,6 @@
 """Work per unit on the golden config, counted by wrapping codec, ledger and
 channel entry points from the test: tx digests, payload type checks, tx
-text builds, MAC signs, MAC verifies and proof-message builds per on-chain
+text builds, MAC signs, MAC verifies and proof-format builds per on-chain
 tx and per off-chain proof, live and on replay; keyed MAC states per actor;
 header type checks per block, live and on replay; header digests per sealed
 block, Merkle hashes per block and JSON bytes written per tx.
@@ -13,28 +13,27 @@ Replay checks every loaded tx by its kind, so its counts are exact.
 import hashlib
 from collections import Counter
 
-from dice import codec, ledger
-from dice.channel import PaymentChannel
+from dice import channel, codec, ledger
 from dice.harness import ScenarioConfig, run_scenario, verify_ledger
 from dice.ledger import Ledger, load_blocks_jsonl
 
 COUNTED = [(ledger, "tx_digest"), (ledger, "_tx_text"), (codec.KeyedMacSigner, "sign"),
-           (codec.KeyedMacSigner, "verify"), (PaymentChannel, "proof_message"),
+           (codec.KeyedMacSigner, "verify"), (channel, "proof_format"),
            *((cls, "check") for cls in ledger._PAYLOAD_CLASSES)]
 
 # Per counted call: its most calls per on-chain tx and per off-chain proof.
-# A proof's bytes are built once by the roamer and once by the VMNO, which
-# verifies its MAC; ``submit`` verifies no MAC of a tx ``append`` just signed,
+# A channel's proof format is built once, at its open (one tx), and both the
+# roamer and the VMNO, which verifies its MAC, fill it; ``submit`` verifies no MAC of a tx ``append`` just signed,
 # nor type-checks its payload again.  A tx's text is built for its id and
 # again for its line in ``ledger.jsonl``.
 LIVE_BOUNDS = {"tx_digest": (1, 0), "check": (1, 0), "_tx_text": (2, 0), "sign": (1, 1), "verify": (0, 1),
-               "proof_message": (0, 2)}
+               "proof_format": (1, 0)}
 # Per counted call: its calls per replayed tx.  The load type-checks a tx and
 # builds its text once, and proves its id from that text, so ``submit`` only
 # verifies its MAC.  An agreement is the exception: a caller could edit its
 # charging dict in place after the load, so ``submit`` re-digests it through
 # the door, ``tx_digest``, which type-checks it and builds its text again.
-REPLAY_COUNTS = {"tx_digest": 0, "check": 1, "_tx_text": 1, "sign": 0, "verify": 1, "proof_message": 0}
+REPLAY_COUNTS = {"tx_digest": 0, "check": 1, "_tx_text": 1, "sign": 0, "verify": 1, "proof_format": 0}
 AGREEMENT_REPLAY_COUNTS = {**REPLAY_COUNTS, "tx_digest": 1, "check": 2, "_tx_text": 2}
 # The ``codec.digest`` calls per sealed block (its header's), and the most
 # ``ledger.jsonl`` bytes per on-chain tx after the genesis line.
